@@ -53,6 +53,10 @@ class BoundaryCondition:
         if self.kind in ("imposed_discharge", "imposed_both"):
             if self.discharge is None:
                 raise ValueError(f"{self.kind} needs a discharge value")
+        if self.kind == "imposed_both" and self.depth == 0.0 \
+                and self.discharge != 0.0:
+            raise ValueError("imposed_both cannot carry a nonzero discharge "
+                             "on zero depth")
 
 
 @dataclass(frozen=True)

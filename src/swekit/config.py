@@ -5,6 +5,7 @@ number, the offending key, and a reason; as many problems as possible
 are collected before raising.
 """
 
+import math
 import os
 
 import numpy as np
@@ -43,6 +44,14 @@ KNOWN_KEYS = (
 )
 
 _MISSING = object()
+
+
+def _finite_float(text):
+    """float(text), refusing inf and nan: no parameter can use them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
 
 
 def _split_lines(text):
@@ -115,7 +124,7 @@ class _Reader:
             if nonnegative and v < 0.0:
                 return f"must be nonnegative, got {v}"
             return None
-        return self.take(key, float, default, check)
+        return self.take(key, _finite_float, default, check)
 
     def intval(self, key, default=_MISSING, positive=False):
         def convert(s):
@@ -130,7 +139,8 @@ class _Reader:
 
 
 def _parse_float_list(value):
-    return tuple(float(part) for part in value.split(",") if part.strip())
+    return tuple(_finite_float(part) for part in value.split(",")
+                 if part.strip())
 
 
 def _parse_rain(value):
@@ -143,8 +153,8 @@ def _parse_rain(value):
         pieces = part.split(":")
         if len(pieces) != 2:
             raise ValueError(f"rain entry {part!r} is not 'time:intensity'")
-        times.append(float(pieces[0]))
-        rates.append(float(pieces[1]))
+        times.append(_finite_float(pieces[0]))
+        rates.append(_finite_float(pieces[1]))
     if not times:
         raise ValueError("no rain entries")
     return Hyetograph(tuple(times), tuple(rates))
@@ -153,7 +163,7 @@ def _parse_rain(value):
 def _parse_boundary(value):
     pieces = [p.strip() for p in value.split(":")]
     kind = pieces[0]
-    args = [float(p) for p in pieces[1:]]
+    args = [_finite_float(p) for p in pieces[1:]]
     if kind in ("wall", "neumann", "periodic"):
         if args:
             raise ValueError(f"{kind} takes no values")
@@ -188,7 +198,7 @@ def _load_topography(spec, grid, base_dir):
     if kind == "flat":
         return np.zeros(shape)
     if kind == "constant":
-        return np.full(shape, float(arg))
+        return np.full(shape, _finite_float(arg))
     if kind == "file":
         path = _resolve_path(arg.strip(), base_dir)
         try:
@@ -221,11 +231,11 @@ def _load_initial_state(spec, grid, topography, base_dir):
         return State1D(zeros.copy(), zeros.copy()) if grid.is_1d else \
             State2D(zeros.copy(), zeros.copy(), zeros.copy())
     if kind == "lake":
-        h = np.maximum(float(arg) - topography, 0.0)
+        h = np.maximum(_finite_float(arg) - topography, 0.0)
         return State1D(h, zeros.copy()) if grid.is_1d else \
             State2D(h, zeros.copy(), zeros.copy())
     if kind == "constant":
-        parts = [float(p) for p in arg.split(":")] if arg else []
+        parts = [_finite_float(p) for p in arg.split(":")] if arg else []
         if grid.is_1d:
             if len(parts) not in (1, 2):
                 raise ValueError("constant initial state needs h[:q]")
@@ -329,6 +339,9 @@ def parse_parameters(text, base_dir=None):
     if two_d and (cells_y is None or width is None):
         r.error("width" if width is None else "cells_y",
                 "2D runs need both width and cells_y")
+    elif two_d and cells_y == 1:
+        r.error("cells_y", "a 2D run needs at least 2 rows; for a 1D run "
+                "leave out width, cells_y and boundary_bottom/top")
     if not two_d:
         for side in ("bottom", "top"):
             if f"boundary_{side}" in entries:

@@ -1,12 +1,28 @@
 """Text file formats: column profiles, DEM rasters, mass reports.
 
-Everything is plain UTF-8 text with floats printed to 17 significant
-digits, which round-trips 64-bit values exactly; identical
+Everything is plain UTF-8 text with floats printed as `%.16e` (17
+significant digits, which round-trips 64-bit values exactly); identical
 configurations therefore produce bitwise identical files.
+
+Every table of numbers goes through one writer, `_write_rows`, which
+formats values in numpy rather than one Python call per value. It
+scales |v| into [1e16, 1e17) in long double arithmetic with a correctly
+rounded power of ten, reads the 17 digits off as an integer rounded
+half up, and renders them through a 4-digit lookup table into NUL-padded
+slots that are joined by deleting the NULs. The scaled value carries an
+error of at most two long-double roundings; any value whose digits that
+error could change (within the bound of a rounding tie or of a decade
+edge), and every zero, subnormal, inf or nan, is formatted by Python's
+own `f"{v:.16e}"` instead. The output is therefore exactly what
+`format_float` gives for every value. Where long double is no wider
+than double, the bound covers every value and all of them take the
+Python path.
 """
 
+import functools
 import hashlib
 import io
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +36,113 @@ COLUMNS_2D = ("x", "y", "z", "h", "u", "v", "qx", "qy", "froude")
 def format_float(value):
     """17 significant digits, scientific notation."""
     return f"{value:.16e}"
+
+
+# Values per formatting block: 512 rows of the 9-column 2D profile. The
+# largest array a block allocates (its 28-byte slots) stays under the
+# 128 KiB at which glibc starts serving allocations with fresh mmaps.
+_BLOCK = 4608
+_EXP_MIN, _EXP_MAX = -308, 308  # decimal exponents of normal doubles
+# Scaled values whose rounded digits land here had the right exponent.
+_DIGITS_LO, _DIGITS_HI = 10**16 + 1, 10**17 - 1
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# A slot is seven little-endian words: sign|digit|'.'|NUL, four groups
+# of four digits, 'e'|sign|two exponent digits, and a third exponent
+# digit or NUL|separator|NUL|NUL. Fallback text fills words 0-5.
+_SLOT_WORDS = 7
+_POINT = ord(".") << 16
+_SEPARATOR = ord(" ") << 8
+_NEWLINE = ord("\n") << 8
+
+
+@functools.cache
+def _tables():
+    """Lookup tables, built on the first write rather than at import:
+    10**(16 - e) in long double and the two exponent words, indexed by
+    e - _EXP_MIN; the ASCII words of 0000..9999; and the relative error
+    bound on a scaled value. Two roundings to nearest (the power of ten
+    and the product) cost at most 2**-nmant; the bound doubles that."""
+    exponents = range(_EXP_MIN, _EXP_MAX + 1)
+    pow10 = np.array([np.longdouble(f"1e{16 - e}") for e in exponents])
+    n = np.arange(10000, dtype=np.uint16)
+    chars = np.empty((10000, 4), dtype=np.uint8)
+    for col, div in enumerate((1000, 100, 10, 1)):
+        chars[:, col] = n // div % 10 + ord("0")
+    groups = chars.view("<u4").ravel()
+    text = b"".join(f"e{e:+03d}".encode("ascii").ljust(8, b"\0")
+                    for e in exponents)
+    exp_words = np.frombuffer(text, dtype="<u4").reshape(-1, 2)
+    rel_err = 2.0 ** (1 - np.finfo(np.longdouble).nmant)
+    return (pow10, groups, exp_words[:, 0].copy(), exp_words[:, 1].copy(),
+            rel_err)
+
+
+def _fallback_words(values):
+    """Slot words 0-5 of each value via Python's own formatting, once per
+    distinct bit pattern (so +0.0 and -0.0 stay apart)."""
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = b"".join(format_float(v).encode("ascii").ljust(24, b"\0")
+                    for v in distinct.view(np.float64).tolist())
+    return np.frombuffer(text, dtype="<u4").reshape(-1, 6)[inverse]
+
+
+def _format_block(values, words):
+    """Fill words[0:7] (one row per slot word) with the slots of
+    `values`; separators are ORed into word 6 by the caller."""
+    pow10, groups, exp_lo, exp_hi, rel_err = _tables()
+    mag = np.abs(values)
+    normal = (mag >= _TINY) & (mag <= _HUGE)
+    mag[~normal] = 1.0
+    row = np.log10(mag)
+    np.floor(row, out=row)
+    row = row.astype(np.intp) - _EXP_MIN
+    scaled = mag.astype(np.longdouble)
+    scaled *= pow10.take(row)
+    digits = scaled.astype(np.uint64)
+    # The fraction is exact in long double; as a double it is off by at
+    # most 2**-54, far inside the margin that rel_err leaves.
+    frac = (scaled - digits).astype(np.float64)
+    digits += frac > 0.5
+    frac -= 0.5
+    exact = (normal & (np.abs(frac) > digits * rel_err)
+             & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI))
+    head, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(head, 10**8)
+    lead += ord("0")
+    lead <<= 8
+    lead += _POINT
+    lead += np.signbit(values) * np.uint64(ord("-"))
+    words[0] = lead
+    words[1] = groups.take(high // 10000)
+    words[2] = groups.take(high % 10000)
+    words[3] = groups.take(low // 10000)
+    words[4] = groups.take(low % 10000)
+    words[5] = exp_lo.take(row)
+    words[6] = exp_hi.take(row)
+    if not exact.all():
+        slow = np.flatnonzero(~exact)
+        words[:6, slow] = _fallback_words(values[slow]).T
+        words[6, slow] = 0
+
+
+def _write_rows(stream, table):
+    """Write an (n, k) float table as n lines of k `%.16e` values joined
+    by single spaces, byte-identical to formatting each value with
+    `format_float`. Works through fixed blocks of _BLOCK values."""
+    table = np.asarray(table, dtype=np.float64)
+    ncols = table.shape[1]
+    flat = table.reshape(-1)
+    words = np.empty((_SLOT_WORDS, min(_BLOCK, flat.size)), dtype="<u4")
+    for start in range(0, flat.size, _BLOCK):
+        values = flat[start:start + _BLOCK]
+        block = words[:, :values.size]
+        _format_block(values, block)
+        end_of_row = np.arange(start, start + values.size) % ncols \
+            == ncols - 1
+        block[6] |= np.where(end_of_row, np.uint32(_NEWLINE),
+                             np.uint32(_SEPARATOR))
+        stream.write(block.T.tobytes().translate(None, b"\0")
+                     .decode("ascii"))
 
 
 def config_hash(text):
@@ -56,8 +179,7 @@ def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None,
     try:
         for line in _header_lines(time, COLUMNS_1D, name, cfg_hash):
             stream.write(line + "\n")
-        for row in zip(x, z, h, u, q, fr):
-            stream.write(" ".join(format_float(v) for v in row) + "\n")
+        _write_rows(stream, np.column_stack((x, z, h, u, q, fr)))
     finally:
         if owned:
             stream.close()
@@ -77,16 +199,17 @@ def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
     u = np.where(wet, qx / safe, 0.0)
     v = np.where(wet, qy / safe, 0.0)
     fr = froude_number_2d(h, qx, qy, g)
+    ny, nx = h.shape
+    table = np.empty((ny, nx, len(COLUMNS_2D)))
+    table[:, :, 0] = x[:nx]
+    table[:, :, 1] = y[:ny, None]
+    for col, field in enumerate((z, h, u, v, qx, qy, fr), start=2):
+        table[:, :, col] = field
     stream, owned = _open_for_write(target)
     try:
         for line in _header_lines(time, COLUMNS_2D, name, cfg_hash):
             stream.write(line + "\n")
-        ny, nx = h.shape
-        for j in range(ny):
-            for i in range(nx):
-                row = (x[i], y[j], z[j, i], h[j, i], u[j, i], v[j, i],
-                       qx[j, i], qy[j, i], fr[j, i])
-                stream.write(" ".join(format_float(val) for val in row) + "\n")
+        _write_rows(stream, table.reshape(ny * nx, len(COLUMNS_2D)))
     finally:
         if owned:
             stream.close()
@@ -128,6 +251,8 @@ def read_profile(source):
         raise ValueError(
             f"profile rows have {table.shape[1]} columns, header names "
             f"{len(columns)}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("profile holds a non-finite value")
     out = {nm: table[:, k].copy() for k, nm in enumerate(columns)}
     out["meta"] = meta
     return out
@@ -178,8 +303,7 @@ def write_dem(target, dem):
         stream.write(f"cellsize {format_float(dem.cellsize)}\n")
         stream.write("origin " + " ".join(format_float(v) for v in dem.origin)
                      + "\n")
-        for row in dem.values:
-            stream.write(" ".join(format_float(v) for v in row) + "\n")
+        _write_rows(stream, dem.values)
     finally:
         if owned:
             stream.close()
@@ -217,6 +341,9 @@ def read_dem(source):
         raise ValueError(f"DEM declares {ncols * nrows} values, found "
                          f"{len(flat)}")
     values = np.array(flat, dtype=float).reshape(nrows, ncols)
+    if not (np.all(np.isfinite(values))
+            and np.all(np.isfinite((cellsize, *origin)))):
+        raise ValueError("DEM holds a non-finite value")
     return DemGrid(ncols, nrows, cellsize, origin, values)
 
 
@@ -236,11 +363,11 @@ def write_mass_report(target, rows, name=None, cfg_hash=None):
         if cfg_hash:
             stream.write(f"# config = {cfg_hash}\n")
         stream.write("# columns: " + " ".join(MASS_COLUMNS) + "\n")
-        for row in rows:
-            values = (row.time, row.volume, row.rain, row.infiltration,
-                      row.boundary_in, row.boundary_out, row.residual,
-                      row.residual_rel)
-            stream.write(" ".join(format_float(v) for v in values) + "\n")
+        table = [(row.time, row.volume, row.rain, row.infiltration,
+                  row.boundary_in, row.boundary_out, row.residual,
+                  row.residual_rel) for row in rows]
+        _write_rows(stream, np.array(table, dtype=np.float64)
+                    .reshape(-1, len(MASS_COLUMNS)))
     finally:
         if owned:
             stream.close()

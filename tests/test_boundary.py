@@ -83,6 +83,10 @@ def test_imposed_kind_validation():
         BoundaryCondition("imposed_both", depth=1.0)
     with pytest.raises(ValueError, match="unknown"):
         BoundaryCondition("outflow")
+    with pytest.raises(ValueError, match="zero depth"):
+        BoundaryCondition("imposed_both", depth=0.0, discharge=1.0)
+    assert BoundaryCondition("imposed_both", depth=0.0, discharge=0.0).depth \
+        == 0.0
 
 
 # --- imposed kinds in their legal regime -----------------------------

@@ -260,3 +260,54 @@ def test_negative_initial_depth_rejected():
     errors = errors_of(MINIMAL + "initial_state = constant:-0.5\n")
     assert any("nonneg" in reason or "depth" in reason
                for _, _, reason in errors)
+
+
+@pytest.mark.parametrize("key, value", [("final_time", "inf"), ("g", "inf"),
+                                        ("cfl", "nan"),
+                                        ("friction_coefficient", "nan")])
+def test_non_finite_number_rejected_at_parse(key, value):
+    text = MINIMAL.replace("final_time = 2.5\n", "") + f"{key} = {value}\n"
+    if key != "final_time":
+        text += "final_time = 1\n"
+    errors = errors_of(text)
+    (_, bad_key, reason), = errors
+    assert bad_key == key and "finite" in reason
+
+
+def test_non_finite_constant_topography_rejected():
+    errors = errors_of(MINIMAL + "topography = constant:nan\n")
+    (_, key, reason), = errors
+    assert key == "topography" and "finite" in reason
+
+
+def test_dem_with_non_finite_elevation_rejected(tmp_path):
+    dem = DemGrid.from_south_up(np.array([[0.0, np.nan, 0.0, 0.0, 0.0]]),
+                                cellsize=2.0)
+    write_dem(tmp_path / "bed.dem", dem)
+    text = "length = 10\ncells = 5\nfinal_time = 1\ntopography = file:bed.dem\n"
+    errors = errors_of(text, base_dir=str(tmp_path))
+    (_, key, reason), = errors
+    assert key == "topography" and "non-finite" in reason
+
+
+def test_initial_state_file_with_non_finite_value_rejected(tmp_path):
+    h = np.array([1.0, 0.8, np.inf, 0.4, 0.2])
+    write_profile_1d(tmp_path / "init.txt", np.arange(5.0) * 2 + 1,
+                     np.zeros(5), h, np.zeros(5), time=0.0, g=9.81)
+    text = ("length = 10\ncells = 5\nfinal_time = 1\n"
+            "initial_state = file:init.txt\n")
+    errors = errors_of(text, base_dir=str(tmp_path))
+    (_, key, reason), = errors
+    assert key == "initial_state" and "non-finite" in reason
+
+
+def test_imposed_both_discharge_onto_zero_depth_rejected():
+    errors = errors_of(MINIMAL + "boundary_left = imposed_both:0:1\n")
+    (_, key, reason), = errors
+    assert key == "boundary_left" and "zero depth" in reason
+
+
+def test_single_row_2d_grid_rejected():
+    errors = errors_of(MINIMAL + "width = 2\ncells_y = 1\n")
+    (_, key, reason), = errors
+    assert key == "cells_y" and "1D" in reason

@@ -4,7 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from swekit import fileio
+from swekit.core import H_EPS, froude_number, froude_number_2d
 from swekit.fileio import (
     COLUMNS_1D,
     COLUMNS_2D,
@@ -151,3 +156,253 @@ def test_mass_report_format():
     parsed = np.loadtxt(io.StringIO("\n".join(lines[3:])))
     assert np.array_equal(parsed[:, 0], [0.0, 1.0])
     assert np.array_equal(parsed[:, 1], [1.0, 1.5])
+
+
+# ------------------------------------------------ table writer vs oracle
+#
+# The oracle is the original writer: one format_float call per value,
+# rows joined by spaces. The vectorised table writer must reproduce it
+# byte for byte, whatever the values.
+
+
+def oracle_rows(table):
+    return "".join(" ".join(format_float(v) for v in row) + "\n"
+                   for row in table)
+
+
+def written_rows(table):
+    buf = io.StringIO()
+    fileio._write_rows(buf, table)
+    return buf.getvalue()
+
+
+def assert_rows_match(values, ncols=7):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate([values, np.zeros(-values.size % ncols)])
+    table = values.reshape(-1, ncols)
+    expected = oracle_rows(table)
+    got = written_rows(table)
+    if got != expected:
+        mismatched = [(e, g) for e, g in zip(expected.split(), got.split())
+                      if e != g]
+        raise AssertionError(f"first mismatches: {mismatched[:5]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64,
+                  st.tuples(st.integers(0, 12), st.integers(1, 9)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_write_rows_matches_oracle_on_any_floats(table):
+    assert written_rows(table) == oracle_rows(table)
+
+
+def test_write_rows_matches_oracle_on_random_bit_patterns():
+    rng = np.random.default_rng(20140116)
+    bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64)
+    assert_rows_match(bits.view(np.float64))
+
+
+def test_write_rows_matches_oracle_on_normals_across_decades():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(60_000) * 10.0 ** rng.integers(-40, 41,
+                                                               60_000)
+    assert_rows_match(values)
+
+
+def test_write_rows_matches_oracle_on_exact_ties():
+    # 1 + k/2**17 has 17 decimal places: the 17th significant digit of
+    # every odd k is an exact half, which rounds to even.
+    assert_rows_match(1.0 + np.arange(200_000) * 2.0**-17)
+
+
+def test_write_rows_matches_oracle_next_to_powers_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-308, 309)])
+    values = [powers, np.nextafter(powers, 0.0),
+              np.nextafter(powers, np.inf),
+              np.nextafter(np.nextafter(powers, 0.0), 0.0)]
+    values = np.concatenate(values)
+    assert_rows_match(np.concatenate([values, -values]))
+
+
+def test_write_rows_matches_oracle_on_carries_and_specials():
+    carries = [float(f"9.9999999999999999e{e}") for e in range(-300, 301, 7)]
+    carries += [float(f"9.99999999999999999e{e}") for e in (-5, 0, 22)]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    integers = np.arange(-5000.0, 5000.0)
+    dyadic = np.arange(1, 5000) / 2.0 ** (np.arange(1, 5000) % 60)
+    assert_rows_match(np.concatenate([carries, np.negative(carries),
+                                      specials, integers, dyadic]))
+
+
+def test_write_rows_python_fallback_alone_matches_oracle(monkeypatch):
+    # With an error bound larger than any fraction every value takes the
+    # fallback, which must give the same bytes on its own (as it does
+    # where long double is no wider than double).
+    *tables, _ = fileio._tables()
+    monkeypatch.setattr(fileio, "_tables", lambda: (*tables, 1.0))
+    fallback = fileio._fallback_words
+    seen = []
+    monkeypatch.setattr(fileio, "_fallback_words",
+                        lambda values: seen.append(values.size)
+                        or fallback(values))
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(3 * fileio._BLOCK) * 1e3
+    assert_rows_match(values, ncols=9)
+    assert sum(seen) == values.size
+
+
+def test_write_rows_formats_most_values_without_the_fallback(monkeypatch):
+    fallback = fileio._fallback_words
+    seen = []
+    monkeypatch.setattr(fileio, "_fallback_words",
+                        lambda values: seen.append(values.size)
+                        or fallback(values))
+    rng = np.random.default_rng(12)
+    written_rows(rng.standard_normal((2000, 9)))
+    assert sum(seen) < 0.05 * 2000 * 9
+
+
+def test_write_rows_row_breaks_do_not_follow_blocks():
+    # 13 columns do not divide the block size, so rows straddle blocks.
+    rng = np.random.default_rng(13)
+    table = rng.standard_normal((fileio._BLOCK // 13 * 2 + 5, 13))
+    assert written_rows(table) == oracle_rows(table)
+    assert written_rows(np.zeros((0, 8))) == ""
+
+
+# The original writers, kept as whole-file oracles.
+
+
+def oracle_header(time, columns, name=None, cfg_hash=None):
+    lines = []
+    if name:
+        lines.append(f"# case = {name}")
+    lines.append(f"# time = {format_float(time)}")
+    if cfg_hash:
+        lines.append(f"# config = {cfg_hash}")
+    lines.append("# columns: " + " ".join(columns))
+    return "".join(line + "\n" for line in lines)
+
+
+def oracle_profile_1d(x, z, h, q, time, g, name=None, cfg_hash=None):
+    h = np.asarray(h, dtype=float)
+    q = np.asarray(q, dtype=float)
+    wet = h > H_EPS
+    u = np.where(wet, q / np.where(wet, h, 1.0), 0.0)
+    fr = froude_number(h, q, g)
+    text = oracle_header(time, COLUMNS_1D, name, cfg_hash)
+    for row in zip(x, z, h, u, q, fr):
+        text += " ".join(format_float(v) for v in row) + "\n"
+    return text
+
+
+def oracle_profile_2d(x, y, z, h, qx, qy, time, g, name=None, cfg_hash=None):
+    wet = h > H_EPS
+    safe = np.where(wet, h, 1.0)
+    u = np.where(wet, qx / safe, 0.0)
+    v = np.where(wet, qy / safe, 0.0)
+    fr = froude_number_2d(h, qx, qy, g)
+    text = oracle_header(time, COLUMNS_2D, name, cfg_hash)
+    ny, nx = h.shape
+    for j in range(ny):
+        for i in range(nx):
+            row = (x[i], y[j], z[j, i], h[j, i], u[j, i], v[j, i],
+                   qx[j, i], qy[j, i], fr[j, i])
+            text += " ".join(format_float(val) for val in row) + "\n"
+    return text
+
+
+def oracle_dem(dem):
+    text = (f"ncols {dem.ncols}\nnrows {dem.nrows}\n"
+            f"cellsize {format_float(dem.cellsize)}\n"
+            "origin " + " ".join(format_float(v) for v in dem.origin) + "\n")
+    for row in dem.values:
+        text += " ".join(format_float(v) for v in row) + "\n"
+    return text
+
+
+def oracle_mass_report(rows, name=None, cfg_hash=None):
+    text = f"# case = {name}\n" if name else ""
+    text += f"# config = {cfg_hash}\n" if cfg_hash else ""
+    text += "# columns: " + " ".join(fileio.MASS_COLUMNS) + "\n"
+    for row in rows:
+        values = (row.time, row.volume, row.rain, row.infiltration,
+                  row.boundary_in, row.boundary_out, row.residual,
+                  row.residual_rel)
+        text += " ".join(format_float(v) for v in values) + "\n"
+    return text
+
+
+def random_depths(rng, shape):
+    """Depths with dry cells, cells below H_EPS and wet cells."""
+    h = rng.exponential(0.3, shape)
+    h[rng.random(shape) < 0.3] = 0.0
+    h[rng.random(shape) < 0.05] = H_EPS / 2
+    return h
+
+
+def test_profile_1d_file_matches_oracle():
+    rng = np.random.default_rng(21)
+    n = 777
+    x = (np.arange(n) + 0.5) * 0.13
+    z = rng.standard_normal(n)
+    h = random_depths(rng, n)
+    q = rng.standard_normal(n) * h
+    q[h == 0.0] = -0.0
+    buf = io.StringIO()
+    write_profile_1d(buf, x, z, h, q, time=12.5, g=9.81, name="chan",
+                     cfg_hash="ab12")
+    assert buf.getvalue() == oracle_profile_1d(x, z, h, q, 12.5, 9.81,
+                                               "chan", "ab12")
+
+
+def test_profile_2d_file_matches_oracle():
+    rng = np.random.default_rng(22)
+    ny, nx = 23, 41
+    x = (np.arange(nx) + 0.5) * 0.7
+    y = (np.arange(ny) + 0.5) * 0.3 - 2.0
+    z = rng.standard_normal((ny, nx))
+    h = random_depths(rng, (ny, nx))
+    qx = rng.standard_normal((ny, nx)) * h
+    qy = rng.standard_normal((ny, nx)) * h
+    buf = io.StringIO()
+    write_profile_2d(buf, x, y, z, h, qx, qy, time=0.1 + 0.2, g=9.81)
+    assert buf.getvalue() == oracle_profile_2d(x, y, z, h, qx, qy,
+                                               0.1 + 0.2, 9.81)
+
+
+def test_dem_file_matches_oracle():
+    rng = np.random.default_rng(23)
+    elevations = rng.standard_normal((37, 150)) * 100.0
+    dem = DemGrid.from_south_up(elevations, cellsize=0.25,
+                                origin=(-3.5, 1e5 / 3))
+    buf = io.StringIO()
+    write_dem(buf, dem)
+    assert buf.getvalue() == oracle_dem(dem)
+
+
+def test_mass_report_file_matches_oracle():
+    rng = np.random.default_rng(24)
+    rows = [MassBalanceRow(*values) for values in
+            rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-20, 5, 8)]
+    rows.append(MassBalanceRow(1.0, 2.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0))
+    buf = io.StringIO()
+    write_mass_report(buf, rows, name="ledger", cfg_hash="ff")
+    assert buf.getvalue() == oracle_mass_report(rows, "ledger", "ff")
+    empty = io.StringIO()
+    write_mass_report(empty, [])
+    assert empty.getvalue() == oracle_mass_report([])
+
+
+def test_readers_reject_non_finite_values():
+    with pytest.raises(ValueError, match="non-finite"):
+        read_dem(io.StringIO("ncols 2\nnrows 1\ncellsize 1.0\norigin 0 0\n"
+                             "1.0 nan\n"))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_dem(io.StringIO("ncols 1\nnrows 1\ncellsize inf\norigin 0 0\n"
+                             "1.0\n"))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_profile(io.StringIO("# columns: x h\n0.5 1.0\n1.5 -inf\n"))
