@@ -201,9 +201,11 @@ def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None):
     """
     if warnings is None:
         warnings = []
+    # A single cell is its own second neighbor.
+    second = 1 if n >= 2 else 0
     for side, bc, g0, g1, i0, i1, inward in (
-            ("left", bcs.left, 1, 0, 2, 3, 1.0),
-            ("right", bcs.right, n + 2, n + 3, n + 1, n, -1.0)):
+            ("left", bcs.left, 1, 0, 2, 2 + second, 1.0),
+            ("right", bcs.right, n + 2, n + 3, n + 1, n + 1 - second, -1.0)):
         if bc.kind == "wall":
             h_ext[g0] = h_ext[i0]
             h_ext[g1] = h_ext[i1]
@@ -224,9 +226,10 @@ def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None):
             q_ext[g0] = q_ext[g1] = qg
             _extrapolate_z_1d(z_ext, g0, g1, i0, i1, n)
     if bcs.left.kind == "periodic":
+        # Inner ghosts first, so one cell wraps onto all four.
         for arr in (h_ext, q_ext, z_ext):
-            arr[0] = arr[n]
             arr[1] = arr[n + 1]
+            arr[0] = arr[n]
             arr[n + 2] = arr[2]
             arr[n + 3] = arr[3]
     return warnings
@@ -291,21 +294,27 @@ def fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, g=G_DEFAULT,
             q_tan[sel(g1)] = q_tan[sel(i0)]
             _extrapolate_z_side(z_ext, sel, g0, g1, i0, i1, count)
 
-    fill_side("x", bcs.left, "left", 1, 0, 2, 3, 1.0)
-    fill_side("x", bcs.right, "right", nx + 2, nx + 3, nx + 1, nx, -1.0)
+    # A single cell is its own second neighbor; inner periodic ghosts
+    # are filled first, so one cell wraps onto all four.
+    second = 1 if nx >= 2 else 0
+    fill_side("x", bcs.left, "left", 1, 0, 2, 2 + second, 1.0)
+    fill_side("x", bcs.right, "right", nx + 2, nx + 3, nx + 1,
+              nx + 1 - second, -1.0)
     if bcs.left.kind == "periodic":
         for arr in (h_ext, qx_ext, qy_ext, z_ext):
-            arr[interior_rows, 0] = arr[interior_rows, nx]
             arr[interior_rows, 1] = arr[interior_rows, nx + 1]
+            arr[interior_rows, 0] = arr[interior_rows, nx]
             arr[interior_rows, nx + 2] = arr[interior_rows, 2]
             arr[interior_rows, nx + 3] = arr[interior_rows, 3]
 
-    fill_side("y", bcs.bottom, "bottom", 1, 0, 2, 3, 1.0)
-    fill_side("y", bcs.top, "top", ny + 2, ny + 3, ny + 1, ny, -1.0)
+    second = 1 if ny >= 2 else 0
+    fill_side("y", bcs.bottom, "bottom", 1, 0, 2, 2 + second, 1.0)
+    fill_side("y", bcs.top, "top", ny + 2, ny + 3, ny + 1, ny + 1 - second,
+              -1.0)
     if bcs.bottom.kind == "periodic":
         for arr in (h_ext, qx_ext, qy_ext, z_ext):
-            arr[0, :] = arr[ny, :]
             arr[1, :] = arr[ny + 1, :]
+            arr[0, :] = arr[ny, :]
             arr[ny + 2, :] = arr[2, :]
             arr[ny + 3, :] = arr[3, :]
     return warnings

@@ -215,6 +215,11 @@ def _load_topography(spec, grid, base_dir):
                 f"DEM cellsize {dem.cellsize} does not match dx {grid.dx}")
         if not grid.is_1d and abs(grid.dy - grid.dx) > 1e-9 * grid.dx:
             raise ValueError("DEM topography needs square cells (dx = dy)")
+        corner = (grid.x0,) if grid.is_1d else (grid.x0, grid.y0)
+        if any(abs(d - g) > 1e-9 * grid.dx for d, g in zip(dem.origin, corner)):
+            raise ValueError(
+                f"DEM origin {dem.origin} does not match the grid origin "
+                f"{corner} (origin_x/origin_y)")
         elev = dem.elevations_south_up()
         return elev[0] if grid.is_1d else elev
     raise ValueError(

@@ -80,12 +80,38 @@ class State2D:
         return State2D(self.h.copy(), self.qx.copy(), self.qy.copy())
 
 
-def velocity(h, q, h_eps=H_EPS):
-    """Velocity q/h with the dry convention: u = 0 where h <= h_eps."""
+class Scratch:
+    """Float and bool buffers allocated once and overwritten by each use.
+
+    floats has shape (k,) + shape and flags (m,) + shape; a function that
+    takes a Scratch documents how many of each it needs.
+    """
+
+    __slots__ = ("floats", "flags")
+
+    def __init__(self, floats, flags):
+        self.floats = floats
+        self.flags = flags
+
+    @classmethod
+    def empty(cls, shape, floats, flags):
+        shape = tuple(shape)
+        return cls(np.empty((floats,) + shape),
+                   np.empty((flags,) + shape, dtype=bool))
+
+
+def velocity(h, q, h_eps=H_EPS, out=None, wet=None):
+    """Velocity q/h with the dry convention: u = 0 where h <= h_eps.
+
+    out and wet, if given, are a float and a bool buffer of h's shape
+    (out may stack several discharges over a leading axis).
+    """
     h = np.asarray(h, dtype=float)
-    q = np.asarray(q, dtype=float)
-    wet = h > h_eps
-    out = np.zeros(np.broadcast(h, q).shape)
+    wet = np.greater(h, h_eps, out=wet)
+    if out is None:
+        out = np.zeros(np.broadcast(h, q).shape)
+    else:
+        out[...] = 0.0
     np.divide(q, h, out=out, where=wet)
     return out
 

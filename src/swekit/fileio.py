@@ -276,6 +276,9 @@ class DemGrid:
             raise ValueError("DEM dimensions must be positive")
         if not self.cellsize > 0.0:
             raise ValueError("DEM cellsize must be positive")
+        if len(self.origin) != 2:
+            raise ValueError(f"DEM origin needs two values (x y), got "
+                             f"{len(self.origin)}")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.nrows, self.ncols):
             raise ValueError(
@@ -331,7 +334,7 @@ def read_dem(source):
         ncols = int(header["ncols"][0])
         nrows = int(header["nrows"][0])
         cellsize = float(header["cellsize"][0])
-        origin = tuple(float(v) for v in header["origin"][:2])
+        origin = tuple(float(v) for v in header["origin"])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed DEM header: {exc}") from None
     flat = []
@@ -340,6 +343,9 @@ def read_dem(source):
     if len(flat) != ncols * nrows:
         raise ValueError(f"DEM declares {ncols * nrows} values, found "
                          f"{len(flat)}")
+    if len(origin) != 2:
+        raise ValueError(f"DEM origin needs two values (x y), found "
+                         f"{len(origin)}")
     values = np.array(flat, dtype=float).reshape(nrows, ncols)
     if not (np.all(np.isfinite(values))
             and np.all(np.isfinite((cellsize, *origin)))):

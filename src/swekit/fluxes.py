@@ -2,13 +2,20 @@
 
 Both solvers take the two reconstructed states (hL, qL) and (hR, qR)
 that meet at an interface and return the numerical flux (f_h, f_q).
-All functions are elementwise, so they accept scalars or arrays of
-interface values.
+The sweep kernel runs them on the two sides stacked in one array,
+minus side first, so each paired formula is one ufunc call over
+preallocated buffers (hll_sides, rusanov_sides); hll_flux and
+rusanov_flux are elementwise entry points over the same code and
+accept scalars or arrays of interface values.
 """
 
 import numpy as np
 
-from .core import G_DEFAULT, eigenvalues_1d, physical_flux_1d, velocity
+from .core import G_DEFAULT, Scratch, eigenvalues_1d, velocity
+
+# Scratch a stacked-sides solver needs: floats and flags of face shape.
+SIDES_FLOATS = 8
+SIDES_FLAGS = 3
 
 
 def wave_speeds(h_left, q_left, h_right, q_right, g=G_DEFAULT):
@@ -23,77 +30,146 @@ def wave_speeds(h_left, q_left, h_right, q_right, g=G_DEFAULT):
     return np.minimum(lam1_l, lam1_r), np.maximum(lam2_l, lam2_r)
 
 
-def hll_flux(h_left, q_left, h_right, q_right, g=G_DEFAULT):
-    """Two-wave approximate Riemann flux.
+def _side_waves(hq, g, work):
+    """Characteristic speeds and physical momentum flux of stacked sides.
+
+    hq is (2, 3, ...): per side the depth, the discharge, and a slot
+    that receives the momentum flux q*u + g*h^2/2. Returns the speeds
+    u - sqrt(g*h) and u + sqrt(g*h) per side, as views into work.
+    """
+    h, q = hq[:, 0], hq[:, 1]
+    u, c = work.floats[0:2], work.floats[2:4]
+    velocity(h, q, out=u, wet=work.flags[0:2])
+    np.maximum(h, 0.0, out=c)
+    np.multiply(c, g, out=c)
+    np.sqrt(c, out=c)
+    slow = np.subtract(u, c, out=work.floats[4:6])
+    fast = np.add(u, c, out=work.floats[6:8])
+    momentum = hq[:, 2]
+    np.multiply(q, u, out=momentum)
+    np.multiply(h, h, out=c)
+    np.multiply(c, 0.5 * g, out=c)
+    np.add(momentum, c, out=momentum)
+    return slow, fast
+
+
+def hll_sides(hq, g, out, work):
+    """Two-wave approximate Riemann flux of stacked sides.
 
     Upwinds fully when all waves travel one way (0 <= c1 picks the left
     flux, c2 <= 0 the right flux, both compared exactly) and otherwise
     blends the two physical fluxes with a dissipation term proportional
     to the state jump. A dry-dry interface yields a zero flux.
+
+    hq: (2, 3, ...) per side (h, q, momentum-flux slot); out: (2, ...)
+    receives (f_h, f_q); work: Scratch with SIDES_FLOATS floats and
+    SIDES_FLAGS flags of the face shape.
     """
-    h_l = np.asarray(h_left, dtype=float)
-    q_l = np.asarray(q_left, dtype=float)
-    h_r = np.asarray(h_right, dtype=float)
-    q_r = np.asarray(q_right, dtype=float)
-    u_l = velocity(h_l, q_l)
-    u_r = velocity(h_r, q_r)
-    c_l = np.sqrt(g * np.maximum(h_l, 0.0))
-    c_r = np.sqrt(g * np.maximum(h_r, 0.0))
-    c1 = np.minimum(u_l - c_l, u_r - c_r)
-    c2 = np.maximum(u_l + c_l, u_r + c_r)
-    half_g = 0.5 * g
-    fl_h, fl_q = q_l, q_l * u_l + half_g * (h_l * h_l)
-    fr_h, fr_q = q_r, q_r * u_r + half_g * (h_r * h_r)
+    slow, fast = _side_waves(hq, g, work)
+    # (c2, c1) side by side, to scale the (left, right) fluxes in one call.
+    speeds = work.floats[4:6]
+    c2, c1 = speeds
+    np.minimum(slow[0], slow[1], out=c1)
+    np.maximum(fast[0], fast[1], out=c2)
+    left_going, right_going, spread_positive = work.flags[:3]
+    np.greater_equal(c1, 0.0, out=left_going)
+    np.less_equal(c2, 0.0, out=right_going)
 
-    spread = c2 - c1
-    inv = 1.0 / np.where(spread > 0.0, spread, 1.0)
-    weight = (c1 * c2) * inv
-    c2i = c2 * inv
-    c1i = c1 * inv
-    mid_h = (c2i * fl_h - c1i * fr_h) + weight * (h_r - h_l)
-    mid_q = (c2i * fl_q - c1i * fr_q) + weight * (q_r - q_l)
+    spread = np.subtract(c2, c1, out=fast[0])
+    np.greater(spread, 0.0, out=spread_positive)
+    inv = fast[1]
+    inv[...] = 1.0
+    np.divide(1.0, spread, out=inv, where=spread_positive)
+    weight = np.multiply(c1, c2, out=spread)
+    np.multiply(weight, inv, out=weight)
+    np.multiply(speeds, inv, out=speeds)
 
-    left_going = c1 >= 0.0
-    right_going = c2 <= 0.0
-    f_h = np.where(left_going, fl_h, np.where(right_going, fr_h, mid_h))
-    f_q = np.where(left_going, fl_q, np.where(right_going, fr_q, mid_q))
-    return f_h, f_q
+    # Physical fluxes (q, q*u + g*h^2/2) and states (h, q) per side:
+    # (c2/(c2-c1) F_l - c1/(c2-c1) F_r) + weight (W_r - W_l).
+    fluxes = hq[:, 1:]
+    scaled = work.floats[:4].reshape((2, 2) + out.shape[1:])
+    np.multiply(fluxes, speeds[:, None], out=scaled)
+    np.subtract(scaled[0], scaled[1], out=out)
+    jump = scaled[0]
+    np.subtract(hq[1, :2], hq[0, :2], out=jump)
+    np.multiply(jump, weight, out=jump)
+    np.add(out, jump, out=out)
+    np.copyto(out, fluxes[1], where=right_going)
+    np.copyto(out, fluxes[0], where=left_going)
+    return out
+
+
+def rusanov_sides(hq, g, out, work):
+    """Central flux with local Lax-Friedrichs dissipation, stacked sides.
+
+    More diffusive than hll_sides but with the same contract; the
+    dissipation speed is the largest |eigenvalue| of either state.
+    """
+    slow, fast = _side_waves(hq, g, work)
+    np.abs(slow, out=slow)
+    np.abs(fast, out=fast)
+    np.maximum(slow, fast, out=slow)
+    speed = np.maximum(slow[0], slow[1], out=slow[0])
+    np.add(hq[0, 1:], hq[1, 1:], out=out)
+    np.multiply(out, 0.5, out=out)
+    np.multiply(speed, 0.5, out=speed)
+    jump = fast
+    np.subtract(hq[1, :2], hq[0, :2], out=jump)
+    np.multiply(jump, speed, out=jump)
+    np.subtract(out, jump, out=out)
+    return out
+
+
+def _pointwise(solver, h_left, q_left, h_right, q_right, g):
+    states = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (h_left, q_left, h_right, q_right)))
+    shape = states[0].shape
+    faces = (states[0].size,)
+    hq = np.empty((2, 3) + faces)
+    hq[0, 0], hq[0, 1], hq[1, 0], hq[1, 1] = (a.reshape(faces) for a in states)
+    out = np.empty((2,) + faces)
+    solver(hq, g, out, Scratch.empty(faces, SIDES_FLOATS, SIDES_FLAGS))
+    return out[0].reshape(shape), out[1].reshape(shape)
+
+
+def hll_flux(h_left, q_left, h_right, q_right, g=G_DEFAULT):
+    """HLL flux (f_h, f_q) between two states; see hll_sides."""
+    return _pointwise(hll_sides, h_left, q_left, h_right, q_right, g)
 
 
 def rusanov_flux(h_left, q_left, h_right, q_right, g=G_DEFAULT):
-    """Central flux with local Lax-Friedrichs dissipation.
-
-    More diffusive than hll_flux but with the same interface contract;
-    the dissipation speed is the largest |eigenvalue| of either state.
-    """
-    lam1_l, lam2_l = eigenvalues_1d(h_left, q_left, g)
-    lam1_r, lam2_r = eigenvalues_1d(h_right, q_right, g)
-    c = np.maximum(np.maximum(np.abs(lam1_l), np.abs(lam2_l)),
-                   np.maximum(np.abs(lam1_r), np.abs(lam2_r)))
-    fl_h, fl_q = physical_flux_1d(h_left, q_left, g)
-    fr_h, fr_q = physical_flux_1d(h_right, q_right, g)
-    f_h = 0.5 * (fl_h + fr_h) - 0.5 * c * (np.asarray(h_right, dtype=float) - h_left)
-    f_q = 0.5 * (fl_q + fr_q) - 0.5 * c * (np.asarray(q_right, dtype=float) - q_left)
-    return f_h, f_q
+    """Rusanov flux (f_h, f_q) between two states; see rusanov_sides."""
+    return _pointwise(rusanov_sides, h_left, q_left, h_right, q_right, g)
 
 
-def transverse_component(f_mass, u_left, u_right, v_left, v_right, axis):
+def transverse_component(f_mass, u_left, u_right, v_left, v_right, axis,
+                         out=None, flag=None):
     """Transverse momentum flux carried by the mass flux f_mass.
 
     The transported transverse velocity is chosen upwind by the sign of
     the summed normal velocities; a zero sum takes the right/downwind
     state. For an x interface the normal velocity is u and the
-    transported quantity is v; for a y interface the roles swap.
+    transported quantity is v; for a y interface the roles swap. out (a
+    float buffer not aliasing the inputs) and flag (a bool buffer) are
+    optional, of the result's shape.
     """
     if axis == "x":
-        normal_sum = np.asarray(u_left, dtype=float) + u_right
-        carried = np.where(normal_sum > 0.0, v_left, v_right)
+        normal, carried = (u_left, u_right), (v_left, v_right)
     elif axis == "y":
-        normal_sum = np.asarray(v_left, dtype=float) + v_right
-        carried = np.where(normal_sum > 0.0, u_left, u_right)
+        normal, carried = (v_left, v_right), (u_left, u_right)
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return f_mass * carried
+    if out is None:
+        out = np.empty(np.broadcast(f_mass, u_left, u_right, v_left,
+                                    v_right).shape)
+    np.add(normal[0], normal[1], out=out)
+    upwind_left = np.greater(out, 0.0, out=flag)
+    np.copyto(out, carried[1])
+    np.copyto(out, carried[0], where=upwind_left)
+    np.multiply(f_mass, out, out=out)
+    return out
 
 
-FLUX_FUNCTIONS = {"hll": hll_flux, "rusanov": rusanov_flux}
+# Stacked-sides Riemann solvers by scheme name; the sweep kernel calls
+# them through this table.
+FLUX_FUNCTIONS = {"hll": hll_sides, "rusanov": rusanov_sides}

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import G_DEFAULT, H_EPS
+from .core import G_DEFAULT, H_EPS, Scratch
 
 FRICTION_LAWS = ("none", "manning", "darcy_weisbach")
 # Chezy C and Strickler K are accepted as aliases and converted to the
@@ -48,51 +48,87 @@ def resolve_friction(law, coefficient, g=G_DEFAULT):
 
 
 def friction_damping_factor(q_norm_n, h_n, h_np1, params, dt, g=G_DEFAULT,
-                            h_eps=H_EPS):
+                            h_eps=H_EPS, work=None):
     """Factor D >= 1 such that q_new = q_star / D.
 
     Manning:          D = 1 + g n^2 dt |q^n| / (h^n (h^{n+1})^{4/3})
     Darcy-Weisbach:   D = 1 + dt (f/8) |q^n| / (h^n h^{n+1})
 
     Cells dry at either time level get D = 1 (their discharge is zeroed
-    by  the dry convention elsewhere).
+    by  the dry convention elsewhere). work, if given, is a Scratch with
+    FRICTION_FLOATS floats and FRICTION_FLAGS flags of the grid shape;
+    the factor is then one of its buffers.
     """
     if params.law == "none":
         return np.ones_like(np.asarray(h_np1, dtype=float))
-    h_n = np.asarray(h_n, dtype=float)
-    h_np1 = np.asarray(h_np1, dtype=float)
-    wet = (h_n > h_eps) & (h_np1 > h_eps)
-    h_n_safe = np.where(wet, h_n, 1.0)
-    h_np1_safe = np.where(wet, h_np1, 1.0)
+    return _damping_factor((q_norm_n,), h_n, h_np1, params, dt, g, h_eps, work)
+
+
+# Scratch friction_damping_factor needs, of the grid shape.
+FRICTION_FLOATS = 2
+FRICTION_FLAGS = 1
+
+
+def _damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps, work):
+    """friction_damping_factor with |q^n| the norm of the tuple q_n."""
+    shape = None
+    if work is None:
+        shape = np.broadcast(*q_n, h_n, h_np1).shape
+        # Scalars run as one-element arrays, so the buffers are views.
+        work = Scratch.empty(shape or (1,), FRICTION_FLOATS, FRICTION_FLAGS)
+    denom, term = work.floats[:2]
+    wet = work.flags[0]
+    # Wet at both levels: the smaller depth exceeds h_eps (NaN is dry).
+    np.minimum(h_n, h_np1, out=denom)
+    np.greater(denom, h_eps, out=wet)
     if params.law == "manning":
-        # h^(4/3) via cbrt: a dedicated ufunc, much cheaper than pow.
-        denom = h_n_safe * (h_np1_safe * np.cbrt(h_np1_safe))
-        term = g * params.coefficient**2 * dt * np.abs(q_norm_n) / denom
-    else:  # darcy_weisbach
-        denom = h_n_safe * h_np1_safe
-        term = dt * (params.coefficient / 8.0) * np.abs(q_norm_n) / denom
-    return np.where(wet, 1.0 + term, 1.0)
+        # h^n (h^{n+1})^{4/3}, via cbrt: a dedicated ufunc, much cheaper
+        # than pow.
+        np.cbrt(h_np1, out=denom)
+        np.multiply(h_np1, denom, out=denom)
+        np.multiply(h_n, denom, out=denom)
+        coeff = g * params.coefficient**2 * dt
+    else:  # darcy_weisbach: h^n h^{n+1}
+        np.multiply(h_n, h_np1, out=denom)
+        coeff = dt * (params.coefficient / 8.0)
+    if len(q_n) == 1:
+        np.abs(q_n[0], out=term)
+    else:
+        np.abs(np.hypot(*q_n, out=term), out=term)
+    np.multiply(term, coeff, out=term)
+    # Only wet cells divide; the rest keep D = 1.
+    np.divide(term, denom, out=term, where=wet)
+    factor = denom
+    factor[...] = 1.0
+    np.add(term, 1.0, out=factor, where=wet)
+    return factor if shape is None else factor.reshape(shape)
 
 
 def friction_semi_implicit(q_star, q_n, h_n, h_np1, params, dt, g=G_DEFAULT,
-                           h_eps=H_EPS):
+                           h_eps=H_EPS, out=None, work=None):
     """Apply friction to a 1D discharge after the convective update.
 
     q_star is the post-convection discharge, (h_n, q_n) the state the
     stage started from, h_np1 the post-convection depth. The depth is
-    not modified by friction.
+    not modified by friction. out (which may be q_star) and work (see
+    friction_damping_factor) are optional buffers.
     """
-    factor = friction_damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps)
-    return np.asarray(q_star, dtype=float) / factor
+    factor = friction_damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps,
+                                     work)
+    return np.divide(q_star, factor, out=out)
 
 
 def friction_semi_implicit_2d(qx_star, qy_star, qx_n, qy_n, h_n, h_np1,
-                              params, dt, g=G_DEFAULT, h_eps=H_EPS):
+                              params, dt, g=G_DEFAULT, h_eps=H_EPS,
+                              out=(None, None), work=None):
     """2D variant: one scalar damping factor from |q^n| for both components."""
-    q_norm = np.hypot(np.asarray(qx_n, dtype=float), np.asarray(qy_n, dtype=float))
-    factor = friction_damping_factor(q_norm, h_n, h_np1, params, dt, g, h_eps)
-    return (np.asarray(qx_star, dtype=float) / factor,
-            np.asarray(qy_star, dtype=float) / factor)
+    if params.law == "none":
+        factor = np.ones_like(np.asarray(h_np1, dtype=float))
+    else:
+        factor = _damping_factor((qx_n, qy_n), h_n, h_np1, params, dt, g,
+                                 h_eps, work)
+    return (np.divide(qx_star, factor, out=out[0]),
+            np.divide(qy_star, factor, out=out[1]))
 
 
 @dataclass(frozen=True)

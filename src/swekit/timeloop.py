@@ -7,9 +7,39 @@ friction. Euler takes one stage per step; Heun averages two. The time
 step follows a CFL condition evaluated on the pre-step state, with one
 shared dt for both Heun stages, and is clipped so the run lands exactly
 on requested output times, rain changes, and the final time.
+
+How a step runs. run_simulation creates one _Workspace per run and every
+step writes into it:
+
+* ext: the state and bed with a two-cell ghost frame;
+* full: a grid-shaped Scratch whose floats hold the flux divergence phi
+  during a stage, and serve friction, the validity check and compute_dt
+  otherwise;
+* stage: the first Heun stage;
+* one pool for the sweep kernel.
+
+The convective update is one sweep kernel (_Sweep). It serves 1D as a
+single row and each 2D direction as blocks of rows; the y sweep copies
+the transposed frame into contiguous rows. A block stacks the variables
+(h, u_n[, u_t], h+z) on one axis and the two interface sides (minus,
+plus) on another, so each formula (limited slopes, traces, hydrostatic
+depths, pressure corrections, Riemann fluxes) is one ufunc call that
+writes with out= into the pool. A direction's rows are split evenly into
+blocks of at most SWEEP_CELLS cells, so the pool stays under 4 MiB
+whatever the grid; a short last block runs on views of the same
+buffers. Each formula exists once, in core, reconstruction, fluxes and
+sources, and the kernel calls those functions.
+
+The kernel keeps the floating-point operation order of every formula,
+so its results are bitwise identical to the allocating operator it
+replaced, which tests/test_timeloop.py keeps as the reference. A step
+returns new arrays: no view of the workspace reaches a State the caller
+sees.
 """
 
+import collections
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,13 +55,24 @@ from .core import (
     G_DEFAULT,
     H_EPS,
     Grid,
+    Scratch,
     State1D,
     State2D,
     total_volume,
     velocity,
 )
-from .fluxes import FLUX_FUNCTIONS, transverse_component
-from .reconstruction import muscl_slopes
+from .fluxes import (
+    FLUX_FUNCTIONS,
+    SIDES_FLAGS,
+    SIDES_FLOATS,
+    transverse_component,
+)
+from .reconstruction import (
+    centered_correction,
+    hydrostatic_sides,
+    interface_pressure_correction,
+    muscl_slopes,
+)
 from .sources import (
     FrictionParams,
     GreenAmptParams,
@@ -136,40 +177,50 @@ def _bc_speed_candidates(state, bcs, g, h_eps, two_d):
                  (bcs.right, state.h[:, -1], state.qx[:, -1]),
                  (bcs.bottom, state.h[0, :], state.qy[0, :]),
                  (bcs.top, state.h[-1, :], state.qy[-1, :]))
+        largest = lambda values: float(np.max(values))  # noqa: E731
     else:
-        sides = ((bcs.left, state.h[:1], state.q[:1]),
-                 (bcs.right, state.h[-1:], state.q[-1:]))
+        sides = ((bcs.left, state.h[0], state.q[0]),
+                 (bcs.right, state.h[-1], state.q[-1]))
+        largest = float
     for bc, h_int, q_int in sides:
         if bc.kind not in ("imposed_depth", "imposed_discharge", "imposed_both"):
             continue
-        h_b = bc.depth if bc.depth is not None else float(np.max(h_int))
-        q_b = bc.discharge if bc.discharge is not None else float(np.max(np.abs(q_int)))
+        h_b = bc.depth if bc.depth is not None else largest(h_int)
+        q_b = bc.discharge if bc.discharge is not None else largest(abs(q_int))
         if h_b > h_eps:
             speeds.append(abs(q_b) / h_b + np.sqrt(g * h_b))
     return speeds
 
 
-def compute_dt(state, grid, scheme, bcs=None):
+def compute_dt(state, grid, scheme, bcs=None, work=None):
     """CFL time step from the current state: C * min(d, d / sup(|u|+c)).
 
     The supremum runs over wet cells (per direction in 2D) and over any
     imposed boundary states; a fully dry domain falls back to C * d.
+    work, if given, is a Scratch of the grid shape with one float per
+    discharge plus one, and one flag.
     """
     g = scheme.g
     eps = scheme.h_eps
     two_d = not isinstance(state, State1D)
     cfl = scheme.cfl_for(2 if two_d else 1)
+    h = state.h
+    discharges = (state.qx, state.qy) if two_d else (state.q,)
+    if work is None:
+        work = Scratch.empty(h.shape, 1 + len(discharges), 1)
 
-    def sup_speed(h, q):
-        wet = h > eps
-        if not wet.any():
-            return 0.0
-        hw = h[wet]
-        return float(np.max(np.abs(q[wet]) / hw + np.sqrt(g * hw)))
+    wet = np.greater(h, eps, out=work.flags[0])
+    celerity = np.multiply(h, g, out=work.floats[0])
+    np.sqrt(celerity, out=celerity, where=wet)
+    sups = []
+    for q, speed in zip(discharges, work.floats[1:]):
+        np.abs(q, out=speed)
+        np.divide(speed, h, out=speed, where=wet)
+        np.add(speed, celerity, out=speed)
+        sups.append(float(np.max(speed, where=wet, initial=0.0)))
 
     if two_d:
-        sup_x = sup_speed(state.h, state.qx)
-        sup_y = sup_speed(state.h, state.qy)
+        sup_x, sup_y = sups
         if bcs is not None:
             extra = _bc_speed_candidates(state, bcs, g, eps, True)
             if extra:
@@ -182,7 +233,7 @@ def compute_dt(state, grid, scheme, bcs=None):
         if sup_y > 0.0:
             dt = min(dt, grid.dy / sup_y)
     else:
-        sup = sup_speed(state.h, state.q)
+        sup = sups[0]
         if bcs is not None:
             extra = _bc_speed_candidates(state, bcs, g, eps, False)
             if extra:
@@ -195,129 +246,281 @@ def compute_dt(state, grid, scheme, bcs=None):
 
 # ------------------------------------------------- convective operator
 
+# Cells (ghosts included) one sweep block holds at most, unless a single
+# row is longer. A direction's rows are split evenly into blocks under
+# this budget, which bounds the pool at about 230 bytes per cell (3.6 MiB)
+# whatever the grid size. Fewer, larger blocks cost fewer numpy calls.
+SWEEP_CELLS = 16384
 
-def _convective_1d(h, q, z, n, dx, bcs, scheme, warnings):
-    """Flux divergence for the interior cells of a 1D state.
 
-    Returns (phi_h, phi_q, f_mass_west, f_mass_east): the increment
-    arrays such that W* = W - dt * phi, plus the mass fluxes through
-    the two domain boundary faces.
+def _face_sides(traces):
+    """(2, nv, C-1) view of per-cell traces (2, nv, C) as face sides.
+
+    Face k lies between cells k and k+1 of the flattened block: its
+    minus side is the high trace of cell k (traces[0]) and its plus
+    side the low trace of cell k+1 (traces[1]). The two sides cover
+    disjoint elements, so the view can be written.
     """
-    g = scheme.g
-    flux = FLUX_FUNCTIONS[scheme.flux_name]
-    size = n + 4
-    h_ext = np.empty(size)
-    q_ext = np.empty(size)
-    z_ext = np.empty(size)
-    h_ext[2:n + 2] = h
-    q_ext[2:n + 2] = q
-    z_ext[2:n + 2] = z
-    fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g, warnings)
-
-    u_ext = velocity(h_ext, q_ext, scheme.h_eps)
-    if scheme.order == 2:
-        # One stacked slope pass over (h, u, h+z) costs a third of the
-        # numpy dispatch overhead of three separate passes.
-        stacked = np.empty((3, n + 4))
-        stacked[0] = h_ext
-        stacked[1] = u_ext
-        np.add(h_ext, z_ext, out=stacked[2])
-        s = muscl_slopes(stacked, dx) * (0.5 * dx)
-        lo = stacked - s
-        hi = stacked + s
-        h_lo, u_lo, w_lo = lo
-        h_hi, u_hi, w_hi = hi
-        z_lo = w_lo - h_lo
-        z_hi = w_hi - h_hi
-    else:
-        h_lo = h_hi = h_ext
-        u_lo = u_hi = u_ext
-        z_lo = z_hi = z_ext
-
-    # Interface j sits between ext cells j+1 and j+2 (j = 0..n); the
-    # minus side is the left cell's high-face trace.
-    hm = h_hi[1:n + 2]
-    um = u_hi[1:n + 2]
-    zm = z_hi[1:n + 2]
-    hp = h_lo[2:n + 3]
-    up = u_lo[2:n + 3]
-    zp = z_lo[2:n + 3]
-
-    z_face = np.maximum(zm, zp)
-    h_l = np.maximum(hm + zm - z_face, 0.0)
-    h_r = np.maximum(hp + zp - z_face, 0.0)
-    f_h, f_q = flux(h_l, h_l * um, h_r, h_r * up, g)
-
-    half_g = 0.5 * g
-    corr_m = half_g * (hm * hm - h_l * h_l)
-    corr_p = half_g * (hp * hp - h_r * h_r)
-    fc = -half_g * (h_lo[2:n + 2] + h_hi[2:n + 2]) * (z_hi[2:n + 2] - z_lo[2:n + 2])
-
-    phi_h = (f_h[1:] - f_h[:-1]) / dx
-    phi_q = ((f_q[1:] + corr_m[1:]) - (f_q[:-1] + corr_p[:-1]) - fc) / dx
-    return phi_h, phi_q, float(f_h[0]), float(f_h[-1])
+    minus = traces[0, :, :-1]
+    return np.lib.stride_tricks.as_strided(
+        minus, shape=(2,) + minus.shape,
+        strides=(traces.strides[0] + traces.strides[-1],) + minus.strides)
 
 
-def _sweep_2d(h2, qn2, qt2, z2, n, d, scheme):
-    """One directional sweep along the last axis of ghost-filled arrays.
+def _carve(flat, *shapes):
+    """Consecutive views of the given shapes from the start of flat."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
-    h2 and friends are (rows, n+4) views covering the interior rows of
-    the transverse direction. Returns per-cell divergence terms (mass,
-    normal momentum, transverse momentum) of shape (rows, n) and the
-    boundary-face mass fluxes of shape (rows,).
+
+class _Sweep:
+    """The sweep kernel for one block shape: `rows` rows of n cells.
+
+    A row is a 1D problem along the sweep direction with two ghost
+    cells per end. The block's rows are laid end to end, so every
+    formula runs over one contiguous stretch of C = rows * (n+4) cells
+    (or the C-1 faces between them); the few values that straddle two
+    rows are never read back. The variables (h, u_n[, u_t], h+z) are
+    stacked on one axis and the face sides (minus, plus) on another, so
+    each formula is one ufunc call per block. Every buffer is a view
+    into the run's pool: `keep` holds the traces, which live through
+    the whole block; `cells` is shared by the cell phase (gather,
+    slopes) and the face phase (hydrostatic states, fluxes), whose
+    lives do not overlap.
     """
-    g = scheme.g
-    flux = FLUX_FUNCTIONS[scheme.flux_name]
-    un = velocity(h2, qn2, scheme.h_eps)
-    ut = velocity(h2, qt2, scheme.h_eps)
-    if scheme.order == 2:
-        # Stacked slope pass over (h, un, ut, h+z), as in the 1D operator.
-        stacked = np.empty((4,) + h2.shape)
-        stacked[0] = h2
-        stacked[1] = un
-        stacked[2] = ut
-        np.add(h2, z2, out=stacked[3])
-        s = muscl_slopes(stacked, d) * (0.5 * d)
-        lo = stacked - s
-        hi = stacked + s
-        h_lo, un_lo, ut_lo, w_lo = lo
-        h_hi, un_hi, ut_hi, w_hi = hi
-        z_lo = w_lo - h_lo
-        z_hi = w_hi - h_hi
-    else:
-        h_lo = h_hi = h2
-        un_lo = un_hi = un
-        ut_lo = ut_hi = ut
-        z_lo = z_hi = z2
 
-    hm = h_hi[:, 1:n + 2]
-    um = un_hi[:, 1:n + 2]
-    vm = ut_hi[:, 1:n + 2]
-    zm = z_hi[:, 1:n + 2]
-    hp = h_lo[:, 2:n + 3]
-    up = un_lo[:, 2:n + 3]
-    vp = ut_lo[:, 2:n + 3]
-    zp = z_lo[:, 2:n + 3]
+    @staticmethod
+    def sizes(rows, n, nq):
+        """Floats of keep, floats of cells, and flags, for this shape."""
+        nv, c = nq + 2, rows * (n + 4)
+        keep = 2 * nv * c
+        cell_phase = 4 * nv * c
+        face_phase = (6 + (nq + 1) + 3 + SIDES_FLOATS) * c
+        flags = max(1 + nv, SIDES_FLAGS + 1) * c
+        return keep, max(cell_phase, face_phase), flags
 
-    z_face = np.maximum(zm, zp)
-    h_l = np.maximum(hm + zm - z_face, 0.0)
-    h_r = np.maximum(hp + zp - z_face, 0.0)
-    f_h, f_qn = flux(h_l, h_l * um, h_r, h_r * up, g)
-    # Transverse momentum rides on the mass flux, upwinded by the
-    # normal velocities (same rule for both sweep directions).
-    f_qt = transverse_component(f_h, um, up, vm, vp, "x")
+    def __init__(self, pool, rows, n, nq, d, scheme):
+        nv, e = nq + 2, n + 4
+        c = rows * e
+        keep, cells, flags = pool
+        self.d = d
+        self.g = scheme.g
+        self.h_eps = scheme.h_eps
+        self.second_order = scheme.order == 2
+        self.flux = scheme.flux_name
+        # (+d/2, -d/2): the slope step from a cell to its high/low face.
+        self.half_step = np.array([0.5 * d, -0.5 * d]).reshape(2, 1, 1)
 
-    half_g = 0.5 * g
-    corr_m = half_g * (hm * hm - h_l * h_l)
-    corr_p = half_g * (hp * hp - h_r * h_r)
-    fc = -half_g * (h_lo[:, 2:n + 2] + h_hi[:, 2:n + 2]) \
-        * (z_hi[:, 2:n + 2] - z_lo[:, 2:n + 2])
+        (self.traces,) = _carve(keep, (2, nv, c))
+        self.values, self.slopes, slope_floats = _carve(
+            cells, (nv, c), (nv, c), (2, nv * c))
+        self.wet, slope_flags = _carve(flags, (rows, e), (1, nv * c))
+        self.slope_work = Scratch(slope_floats, slope_flags)
 
-    div_mass = (f_h[:, 1:] - f_h[:, :-1]) / d
-    div_norm = ((f_qn[:, 1:] + corr_m[:, 1:])
-                - (f_qn[:, :-1] + corr_p[:, :-1]) - fc) / d
-    div_trans = (f_qt[:, 1:] - f_qt[:, :-1]) / d
-    return div_mass, div_norm, div_trans, f_h[:, 0].copy(), f_h[:, -1].copy()
+        (states, cell_fluxes, self.z_face, self.centered, self.spare,
+         flux_floats) = _carve(cells, (2, 3, c), (nq + 1, c), (c,), (c,),
+                               (c,), (SIDES_FLOATS, c))
+        flux_flags, upwind = _carve(flags, (SIDES_FLAGS, c), (c,))
+        # Face arrays hold C values of which the first C-1 are faces.
+        states, fluxes = states[..., :-1], cell_fluxes[..., :-1]
+        self.flux_work = Scratch(flux_floats[:, :-1], flux_flags[:, :-1])
+
+        # Views each call of run() uses, made once here.
+        by_row = self.values.reshape(nv, rows, e)
+        self.gather = by_row[0], by_row[1:-1], by_row[-1]
+        traces, faces = self.traces, _face_sides(self.traces)
+        self.bed = traces[:, -1], traces[:, 0]
+        face_h = faces[:, 0]
+        self.hydrostatic = (face_h, faces[:, -1], faces[:, 1], states[:, :2],
+                            self.z_face[:-1])
+        # A cell's own traces: low at its left face, high at its right.
+        self.cell_traces = (traces[1, 0], traces[0, 0], traces[1, -1],
+                            traces[0, -1])
+        self.pressure = face_h, states[:, 0], self.flux_work.floats[:2]
+        self.riemann = states, fluxes[:2]
+        self.transverse = (fluxes[0], faces[0, 1], faces[1, 1], faces[0, 2],
+                           faces[1, 2], "x", fluxes[2], upwind[:-1]) \
+            if nq == 2 else None
+        # Cell j lies between faces j-1 and j: differences of the mass
+        # (and transverse) flux, and of the normal-momentum flux plus the
+        # minus-side correction at face j less the plus-side one at j-1.
+        carried = cell_fluxes[::2]
+        diff = flux_floats[:nq]
+        self.carried = carried[:, 1:-1], carried[:, :-2], diff[:, 1:-1]
+        self.carried_inner = diff.reshape(nq, rows, e)[:, :, 2:-2]
+        minus, plus = self.spare, self.z_face
+        self.normal = (fluxes[1], face_h[0], minus[:-1], face_h[1], plus[:-1],
+                       minus[1:-1], plus[:-2], self.centered[1:-1])
+        self.normal_inner = minus.reshape(rows, e)[:, 2:-2]
+        self.wall_faces = cell_fluxes[0].reshape(rows, e)[:, 1:n + 2:n].T
+
+    def run(self, h, q, z, carried_div, normal_div, faces):
+        """Flux divergence of one block of ghost-filled rows.
+
+        h and z are (rows, n+4), q is (nq, rows, n+4) with the normal
+        discharge first. Writes (f[1:] - f[:-1]) / d of the mass (and
+        transverse) flux into carried_div, the normal-momentum
+        divergence with its topography terms into normal_div, and the
+        mass flux through the two end faces of each row into faces
+        (2, rows).
+        """
+        g, d = self.g, self.d
+        depth, speeds, last = self.gather
+        np.copyto(depth, h)
+        velocity(h, q, self.h_eps, out=speeds, wet=self.wet)
+        if self.second_order:
+            np.add(h, z, out=last)
+            muscl_slopes(self.values, d, out=self.slopes, work=self.slope_work)
+            np.multiply(self.slopes, self.half_step, out=self.traces)
+            np.add(self.traces, self.values, out=self.traces)
+            # Free-surface traces minus depth traces give the bed traces.
+            surface, depth_traces = self.bed
+            np.subtract(surface, depth_traces, out=surface)
+        else:
+            np.copyto(last, z)
+            np.copyto(self.traces, self.values)
+
+        hydrostatic_sides(*self.hydrostatic)
+        centered_correction(*self.cell_traces, g, out=self.centered,
+                            work=self.spare)
+        face_h, face_states, work = self.pressure
+        interface_pressure_correction(face_h, face_states, g, out=face_h,
+                                      work=work)
+        states, fluxes = self.riemann
+        FLUX_FUNCTIONS[self.flux](states, g, fluxes, self.flux_work)
+        if self.transverse is not None:
+            # Transverse momentum rides on the mass flux, upwinded by the
+            # normal velocities (same rule for both sweep directions).
+            transverse_component(*self.transverse)
+
+        after, before, diff = self.carried
+        np.subtract(after, before, out=diff)
+        np.divide(self.carried_inner, d, out=carried_div)
+        flux, corr_minus, minus, corr_plus, plus, minus_in, plus_prev, \
+            centered = self.normal
+        np.add(flux, corr_minus, out=minus)
+        np.add(flux, corr_plus, out=plus)
+        np.subtract(minus_in, plus_prev, out=minus_in)
+        np.subtract(minus_in, centered, out=minus_in)
+        np.divide(self.normal_inner, d, out=normal_div)
+        np.copyto(faces, self.wall_faces)
+
+
+def _blocks(rows, cells_per_row):
+    """Balanced (start, stop) row ranges under the SWEEP_CELLS budget."""
+    count = -(-rows // max(1, SWEEP_CELLS // cells_per_row))
+    size = -(-rows // count)
+    return [(start, min(start + size, rows)) for start in range(0, rows, size)]
+
+
+class _Workspace:
+    """Every buffer a run's steps write, allocated once per run.
+
+    ext holds the state and bed with a two-cell ghost frame; full is a
+    grid-shaped Scratch whose floats are the flux divergence phi during
+    a stage and scratch for friction, the validity check and the time
+    step otherwise; stage receives the first Heun stage. The sweep
+    blocks of both directions share one pool.
+    """
+
+    def __init__(self, grid, z, scheme, bcs):
+        self.two_d = not grid.is_1d
+        nx, ny = grid.nx, grid.ny
+        nq = 2 if self.two_d else 1
+        shape = (ny, nx) if self.two_d else (nx,)
+        self.state_type = State2D if self.two_d else State1D
+        self.shape = (nq + 1,) + shape
+        self.cell_area = grid.dx * (grid.dy if self.two_d else 1.0)
+        self.full = Scratch.empty(shape, nq + 1, 1)
+        self.phi = self.full.floats
+        self.stage = np.empty(self.shape)
+
+        ext = np.empty((nq + 2, ny + 4 if self.two_d else 1, nx + 4))
+        self.ext = ext
+        self.interior = ext[:, 2:-2, 2:-2] if self.two_d else ext[:, 0, 2:-2]
+        self.interior[-1] = z
+        self.faces = np.empty((2, 2, max(nx, ny)) if self.two_d else (2, 1))
+
+        # (rows, n, d) per direction and its blocks.
+        if self.two_d:
+            directions = ((ny, nx, grid.dx), (nx, ny, grid.dy))
+            self.fill = (fill_ghosts_2d, (ext[0], ext[1], ext[2], ext[3], nx, ny,
+                                          bcs, scheme.g))
+        else:
+            directions = ((1, nx, grid.dx),)
+            self.fill = (fill_ghosts_1d, (ext[0, 0], ext[1, 0], ext[2, 0], nx,
+                                          bcs, scheme.g))
+        spans = [_blocks(rows, n + 4) for rows, n, _ in directions]
+        shapes = {(stop - start, n) for (rows, n, _), blocks in
+                  zip(directions, spans) for start, stop in blocks}
+        need = [max(_Sweep.sizes(r, n, nq)[i] for r, n in shapes)
+                for i in range(3)]
+        self.pool = pool = (np.empty(need[0]), np.empty(need[1]),
+                            np.empty(need[2], dtype=bool))
+        sweeps = {}
+
+        def sweep(rows, n, d):
+            if (rows, n, d) not in sweeps:
+                sweeps[rows, n, d] = _Sweep(pool, rows, n, nq, d, scheme)
+            return sweeps[rows, n, d]
+
+        phi = self.phi
+        self.blocks = []
+        if not self.two_d:
+            self.blocks.append((sweep(1, nx, grid.dx),
+                                (ext[0], ext[1:2], ext[2], phi[:1, None],
+                                 phi[1, None], self.faces), None))
+            return
+        # x sweeps write phi directly; y sweeps write a block buffer that
+        # is then added, transposed, into phi.
+        for start, stop in spans[0]:
+            rows = slice(2 + start, 2 + stop)
+            block = phi[:, start:stop]
+            self.blocks.append((sweep(stop - start, nx, grid.dx),
+                                (ext[0, rows], ext[1:3, rows], ext[3, rows],
+                                 block[::2], block[1],
+                                 self.faces[0, :, start:stop]), None))
+        y_rows = spans[1][0][1]
+        self.y_div = y_div = np.empty((3, y_rows, ny))
+        for start, stop in spans[1]:
+            cols = slice(2 + start, 2 + stop)
+            div = y_div[:, :stop - start]
+            self.blocks.append((sweep(stop - start, ny, grid.dy),
+                                (ext[0, :, cols].T,
+                                 ext[2:0:-1, :, cols].transpose(0, 2, 1),
+                                 ext[3, :, cols].T, div[:2], div[2],
+                                 self.faces[1, :, start:stop]),
+                                (phi[:, :, start:stop],
+                                 div.transpose(0, 2, 1))))
+
+    def divergence(self, fields, warnings):
+        """Flux divergence phi of the state `fields` into self.phi."""
+        for dest, field in zip(self.interior, fields):
+            np.copyto(dest, field)
+        fill, args = self.fill
+        fill(*args, warnings)
+        for kernel, args, post in self.blocks:
+            kernel.run(*args)
+            if post is not None:
+                np.add(post[0], post[1], out=post[0])
+        return self.phi
+
+    def boundary_faces(self, grid):
+        """Mass fluxes through the domain's boundary faces, by side."""
+        if not self.two_d:
+            return float(self.faces[0, 0]), float(self.faces[1, 0])
+        return (self.faces[0, 0, :grid.ny], self.faces[0, 1, :grid.ny],
+                self.faces[1, 0, :grid.nx], self.faces[1, 1, :grid.nx])
+
+
+def _fields(state):
+    if isinstance(state, State1D):
+        return state.h, state.q
+    return state.h, state.qx, state.qy
 
 
 def spatial_operator_phi(state, z, grid, scheme, bcs, t=0.0, rain=None):
@@ -329,45 +532,23 @@ def spatial_operator_phi(state, z, grid, scheme, bcs, t=0.0, rain=None):
     is exactly -rain_rate(t).
     """
     r = rain_rate(t, rain)
-    if isinstance(state, State1D):
-        phi_h, phi_q, _, _ = _convective_1d(state.h, state.q, z, grid.nx,
-                                            grid.dx, bcs, scheme, [])
-        return phi_h - r, phi_q
-    phi = _convective_2d(state, z, grid, scheme, bcs, [])
-    return phi[0] - r, phi[1], phi[2]
-
-
-def _convective_2d(state, z, grid, scheme, bcs, warnings):
-    nx, ny = grid.nx, grid.ny
-    shape = (ny + 4, nx + 4)
-    h_ext = np.empty(shape)
-    qx_ext = np.empty(shape)
-    qy_ext = np.empty(shape)
-    z_ext = np.empty(shape)
-    inner = (slice(2, ny + 2), slice(2, nx + 2))
-    h_ext[inner] = state.h
-    qx_ext[inner] = state.qx
-    qy_ext[inner] = state.qy
-    z_ext[inner] = z
-    fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, scheme.g, warnings)
-
-    rows = slice(2, ny + 2)
-    dm_x, dn_x, dt_x, f_west, f_east = _sweep_2d(
-        h_ext[rows, :], qx_ext[rows, :], qy_ext[rows, :], z_ext[rows, :],
-        nx, grid.dx, scheme)
-
-    cols = slice(2, nx + 2)
-    dm_y, dn_y, dt_y, f_south, f_north = _sweep_2d(
-        h_ext[:, cols].T, qy_ext[:, cols].T, qx_ext[:, cols].T,
-        z_ext[:, cols].T, ny, grid.dy, scheme)
-
-    phi_h = dm_x + dm_y.T
-    phi_qx = dn_x + dt_y.T
-    phi_qy = dt_x + dn_y.T
-    return phi_h, phi_qx, phi_qy, (f_west, f_east, f_south, f_north)
+    work = _Workspace(grid, np.asarray(z, dtype=float), scheme, bcs)
+    phi = work.divergence(_fields(state), [])
+    return (phi[0] - r,) + tuple(p.copy() for p in phi[1:])
 
 
 # ------------------------------------------------------------- stages
+
+
+class _WarningCounter(collections.Counter):
+    """Regime-mismatch messages with how often each was raised.
+
+    Boundary code reports through append(); a mismatch that lasts the
+    whole run keeps one entry, not one per stage.
+    """
+
+    def append(self, message):
+        self[message] += 1
 
 
 @dataclass
@@ -378,111 +559,87 @@ class _RunContext:
     bcs: BoundarySet
     friction: FrictionParams
     rain: Optional[Hyetograph]
-    warnings: list
+    warnings: _WarningCounter
+    work: _Workspace
 
 
-def _enforce_validity(h, q_fields, t, scheme):
-    """Dry convention, roundoff clamping, and the NaN/Inf guard."""
+def _enforce_validity(fields, t, scheme, dry):
+    """Dry convention, roundoff clamping, and the NaN/Inf guard.
+
+    fields stacks (h, discharges...) on its first axis; dry is a bool
+    buffer of h's shape.
+    """
+    h = fields[0]
     h_min = h.min()
     if h_min < 0.0:
         if h_min < -NEGATIVE_DEPTH_TOL:
             idx = np.unravel_index(int(np.argmin(h)), h.shape)
             raise NumericalFault(t, idx, f"negative depth {h_min:.3e}")
         np.maximum(h, 0.0, out=h)
-    dry = h <= scheme.h_eps
+    np.less_equal(h, scheme.h_eps, out=dry)
     if dry.any():
-        for q in q_fields:
-            q[dry] = 0.0
+        np.copyto(fields[1:], 0.0, where=dry)
     # A finite sum certifies every entry finite (values are O(1), far
     # from overflow); the detailed scan only runs on the failure path.
-    total = float(h.sum()) + sum(float(q.sum()) for q in q_fields)
-    if not np.isfinite(total):
+    if not np.isfinite(np.add.reduce(fields, axis=None)):
         bad = ~np.isfinite(h)
-        for q in q_fields:
+        for q in fields[1:]:
             bad |= ~np.isfinite(q)
         where = np.argmax(bad) if bad.any() else np.argmax(np.abs(h))
         idx = np.unravel_index(int(where), h.shape)
         raise NumericalFault(t, idx, "non-finite state")
 
 
-def _apply_sources_1d(state, h_new, q_new, ga, t_source, dt, ctx):
-    grid = ctx.grid
+def _stage(state, ga, t_source, dt, ctx, out):
+    """One explicit stage from state into out, shaped (fields,) + grid."""
+    grid, work, scheme = ctx.grid, ctx.work, ctx.scheme
+    fields = _fields(state)
+    phi = work.divergence(fields, ctx.warnings)
+    np.multiply(phi, dt, out=phi)
+    for field, increment, dest in zip(fields, phi, out):
+        np.subtract(field, increment, out=dest)
+    h_new = out[0]
+
     r = rain_rate(t_source, ctx.rain)
     rain_vol = 0.0
     if r > 0.0:
         h_new += r * dt
-        rain_vol = r * dt * grid.nx * grid.dx
+        rain_vol = r * dt * grid.nx * grid.ny * work.cell_area
     infil_vol = 0.0
     if ga is not None:
         dv, ga = infiltration_step(ga, h_new, dt)
         h_new -= dv
-        infil_vol = float(dv.sum()) * grid.dx
+        infil_vol = float(dv.sum()) * work.cell_area
     if ctx.friction.law != "none":
-        q_new = friction_semi_implicit(q_new, state.q, state.h, h_new,
-                                       ctx.friction, dt, ctx.scheme.g,
-                                       ctx.scheme.h_eps)
-    return h_new, q_new, ga, rain_vol, infil_vol
+        if work.two_d:
+            friction_semi_implicit_2d(
+                out[1], out[2], state.qx, state.qy, state.h, h_new,
+                ctx.friction, dt, scheme.g, scheme.h_eps,
+                out=(out[1], out[2]), work=work.full)
+        else:
+            friction_semi_implicit(out[1], state.q, state.h, h_new,
+                                   ctx.friction, dt, scheme.g, scheme.h_eps,
+                                   out=out[1], work=work.full)
+    _enforce_validity(out, t_source, scheme, work.full.flags[0])
 
-
-def _stage_1d(state, ga, t_source, dt, ctx):
-    grid = ctx.grid
-    phi_h, phi_q, f_west, f_east = _convective_1d(
-        state.h, state.q, ctx.z, grid.nx, grid.dx, ctx.bcs, ctx.scheme,
-        ctx.warnings)
-    h_new = state.h - dt * phi_h
-    q_new = state.q - dt * phi_q
-    h_new, q_new, ga, rain_vol, infil_vol = _apply_sources_1d(
-        state, h_new, q_new, ga, t_source, dt, ctx)
-    _enforce_validity(h_new, (q_new,), t_source, ctx.scheme)
-    vol_in = (max(f_west, 0.0) + max(-f_east, 0.0)) * dt
-    vol_out = (max(-f_west, 0.0) + max(f_east, 0.0)) * dt
+    if work.two_d:
+        f_west, f_east, f_south, f_north = work.boundary_faces(grid)
+        into = (np.maximum(f_west, 0.0).sum() + np.maximum(-f_east, 0.0).sum()) * grid.dy \
+            + (np.maximum(f_south, 0.0).sum() + np.maximum(-f_north, 0.0).sum()) * grid.dx
+        outof = (np.maximum(-f_west, 0.0).sum() + np.maximum(f_east, 0.0).sum()) * grid.dy \
+            + (np.maximum(-f_south, 0.0).sum() + np.maximum(f_north, 0.0).sum()) * grid.dx
+        vol_in, vol_out = float(into) * dt, float(outof) * dt
+    else:
+        f_west, f_east = work.boundary_faces(grid)
+        vol_in = (max(f_west, 0.0) + max(-f_east, 0.0)) * dt
+        vol_out = (max(-f_west, 0.0) + max(f_east, 0.0)) * dt
     diag = StageDiag(rain_vol, infil_vol, vol_in, vol_out)
-    return State1D(h_new, q_new), ga, diag
-
-
-def _stage_2d(state, ga, t_source, dt, ctx):
-    grid = ctx.grid
-    phi_h, phi_qx, phi_qy, faces = _convective_2d(
-        state, ctx.z, grid, ctx.scheme, ctx.bcs, ctx.warnings)
-    h_new = state.h - dt * phi_h
-    qx_new = state.qx - dt * phi_qx
-    qy_new = state.qy - dt * phi_qy
-
-    r = rain_rate(t_source, ctx.rain)
-    rain_vol = 0.0
-    cell_area = grid.dx * grid.dy
-    if r > 0.0:
-        h_new += r * dt
-        rain_vol = r * dt * grid.nx * grid.ny * cell_area
-    infil_vol = 0.0
-    if ga is not None:
-        dv, ga = infiltration_step(ga, h_new, dt)
-        h_new -= dv
-        infil_vol = float(dv.sum()) * cell_area
-    if ctx.friction.law != "none":
-        qx_new, qy_new = friction_semi_implicit_2d(
-            qx_new, qy_new, state.qx, state.qy, state.h, h_new,
-            ctx.friction, dt, ctx.scheme.g, ctx.scheme.h_eps)
-    _enforce_validity(h_new, (qx_new, qy_new), t_source, ctx.scheme)
-
-    f_west, f_east, f_south, f_north = faces
-    into = (np.maximum(f_west, 0.0).sum() + np.maximum(-f_east, 0.0).sum()) * grid.dy \
-        + (np.maximum(f_south, 0.0).sum() + np.maximum(-f_north, 0.0).sum()) * grid.dx
-    outof = (np.maximum(-f_west, 0.0).sum() + np.maximum(f_east, 0.0).sum()) * grid.dy \
-        + (np.maximum(-f_south, 0.0).sum() + np.maximum(f_north, 0.0).sum()) * grid.dx
-    diag = StageDiag(rain_vol, infil_vol, float(into) * dt, float(outof) * dt)
-    return State2D(h_new, qx_new, qy_new), ga, diag
-
-
-def _stage(state, ga, t_source, dt, ctx):
-    if isinstance(state, State1D):
-        return _stage_1d(state, ga, t_source, dt, ctx)
-    return _stage_2d(state, ga, t_source, dt, ctx)
+    return work.state_type(*out), ga, diag
 
 
 def euler_step(state, ga, t, dt, ctx):
     """One first-order step: a single stage with sources at time t."""
-    return _stage(state, ga, t, dt, ctx)
+    return _stage(state, ga, t, dt, ctx, np.empty(ctx.work.shape))
 
 
 def heun_step(state, ga, t, dt, ctx):
@@ -490,21 +647,18 @@ def heun_step(state, ga, t, dt, ctx):
 
     Both stages draw the rain rate at the step's start time: the driver
     lands exactly on hyetograph changes, so the rate is constant over
-    [t, t+dt) and this reproduces the hyetograph integral exactly.
+    [t, t+dt) and this reproduces the hyetograph integral exactly. The
+    first stage lives in the workspace; the returned state is new.
     """
-    s1, ga1, d1 = _stage(state, ga, t, dt, ctx)
-    s2, ga2, d2 = _stage(s1, ga1, t, dt, ctx)
-    if isinstance(state, State1D):
-        new_state = State1D(0.5 * (state.h + s2.h), 0.5 * (state.q + s2.q))
-        q_fields = (new_state.q,)
-    else:
-        new_state = State2D(0.5 * (state.h + s2.h),
-                            0.5 * (state.qx + s2.qx),
-                            0.5 * (state.qy + s2.qy))
-        q_fields = (new_state.qx, new_state.qy)
+    s1, ga1, d1 = _stage(state, ga, t, dt, ctx, ctx.work.stage)
+    new = np.empty(ctx.work.shape)
+    new_state, ga2, d2 = _stage(s1, ga1, t, dt, ctx, new)
+    for old, dest in zip(_fields(state), new):
+        np.add(old, dest, out=dest)
+        np.multiply(dest, 0.5, out=dest)
     if ga is not None:
         ga = GreenAmptState(ga.params, 0.5 * (ga.v_inf + ga2.v_inf))
-    _enforce_validity(new_state.h, q_fields, t + dt, ctx.scheme)
+    _enforce_validity(new, t + dt, ctx.scheme, ctx.work.full.flags[0])
     return new_state, ga, _combine_heun_diags(d1, d2)
 
 
@@ -607,8 +761,9 @@ def run_simulation(config, on_step=None):
     if config.infiltration is not None:
         ga = GreenAmptState.zeros(config.infiltration, state.h.shape)
 
+    work = _Workspace(grid, z, config.scheme, config.boundaries)
     ctx = _RunContext(grid, z, config.scheme, config.boundaries,
-                      config.friction, config.rain, [])
+                      config.friction, config.rain, _WarningCounter(), work)
     step = euler_step if config.scheme.order == 1 else heun_step
     cell_area = grid.dx * (grid.dy if two_d else 1.0)
 
@@ -635,7 +790,8 @@ def run_simulation(config, on_step=None):
         if config.scheme.fixed_dt is not None:
             dt = config.scheme.fixed_dt
         else:
-            dt = compute_dt(state, grid, config.scheme, config.boundaries)
+            dt = compute_dt(state, grid, config.scheme, config.boundaries,
+                            work.full)
         if not dt > 0.0:
             raise NumericalFault(t, (0,), f"non-positive time step {dt}")
         hit_target = t + dt >= target - _TIME_ATOL
@@ -649,14 +805,11 @@ def run_simulation(config, on_step=None):
         cum.boundary_in_vol += diag.boundary_in_vol
         cum.boundary_out_vol += diag.boundary_out_vol
 
-        if two_d:
-            delta = max(np.max(np.abs(new_state.h - state.h)),
-                        np.max(np.abs(new_state.qx - state.qx)),
-                        np.max(np.abs(new_state.qy - state.qy)))
-        else:
-            delta = max(np.max(np.abs(new_state.h - state.h)),
-                        np.max(np.abs(new_state.q - state.q)))
-        change_rate = float(delta) / dt
+        change = work.full.floats[0]
+        delta = max(float(np.max(np.abs(np.subtract(new, old, out=change),
+                                        out=change)))
+                    for new, old in zip(_fields(new_state), _fields(state)))
+        change_rate = delta / dt
         state = new_state
         t = target if hit_target else t + dt
         min_depth = min(min_depth, float(np.min(state.h)))
@@ -679,8 +832,8 @@ def run_simulation(config, on_step=None):
                 t, volume, cum.rain_vol, cum.infil_vol,
                 cum.boundary_in_vol, cum.boundary_out_vol, residual, rel))
 
-    for msg in sorted(set(ctx.warnings)):
+    for msg in sorted(ctx.warnings):
         LOG.warning("%s: %s", config.name, msg)
 
     return RunResult(snapshots, mass_rows, steps, change_rate, min_depth,
-                     sorted(set(ctx.warnings)), ga)
+                     sorted(ctx.warnings), ga)

@@ -311,3 +311,30 @@ def test_single_row_2d_grid_rejected():
     errors = errors_of(MINIMAL + "width = 2\ncells_y = 1\n")
     (_, key, reason), = errors
     assert key == "cells_y" and "1D" in reason
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_dem_origin_must_match_the_grid_origin(tmp_path, two_d):
+    rows = 2 if two_d else 1
+    dem = DemGrid.from_south_up(np.zeros((rows, 5)), cellsize=2.0,
+                                origin=(0.0, 4.0) if two_d else (3.0, 0.0))
+    write_dem(tmp_path / "bed.dem", dem)
+    text = "length = 10\ncells = 5\nfinal_time = 1\ntopography = file:bed.dem\n"
+    if two_d:
+        text += "width = 4\ncells_y = 2\n"
+    errors = errors_of(text, base_dir=str(tmp_path))
+    (_, key, reason), = errors
+    assert key == "topography" and "origin" in reason
+    # The same DEM is accepted once the grid sits where it does.
+    text += "origin_y = 4\n" if two_d else "origin_x = 3\n"
+    config = parse_parameters(text, base_dir=str(tmp_path))
+    assert config.topography.shape == ((2, 5) if two_d else (5,))
+
+
+def test_dem_origin_y_is_not_compared_in_1d(tmp_path):
+    dem = DemGrid.from_south_up(np.zeros((1, 5)), cellsize=2.0,
+                                origin=(0.0, 7.5))
+    write_dem(tmp_path / "bed.dem", dem)
+    text = "length = 10\ncells = 5\nfinal_time = 1\ntopography = file:bed.dem\n"
+    assert parse_parameters(text, base_dir=str(tmp_path)).topography.shape \
+        == (5,)

@@ -124,6 +124,16 @@ def test_dem_round_trip_and_orientation():
     assert np.array_equal(back.elevations_south_up(), south_up)
 
 
+@pytest.mark.parametrize("origin", ["5", "", "1 2 3"])
+def test_dem_origin_needs_exactly_two_values(origin):
+    text = f"ncols 1\nnrows 1\ncellsize 1.0\norigin {origin}\n0.0\n"
+    with pytest.raises(ValueError, match="origin needs two values"):
+        read_dem(io.StringIO(text))
+    with pytest.raises(ValueError, match="origin needs two values"):
+        DemGrid(1, 1, 1.0, tuple(float(v) for v in origin.split()),
+                np.zeros((1, 1)))
+
+
 def test_dem_header_order_enforced():
     text = "nrows 1\nncols 1\ncellsize 1.0\norigin 0 0\n0.0\n"
     with pytest.raises(ValueError, match="ncols"):

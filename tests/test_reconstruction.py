@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swekit.core import G_DEFAULT
 from swekit.reconstruction import (
@@ -19,6 +22,42 @@ def test_minmod_scalar_cases():
     assert minmod(-1.0, 2.0) == 0.0
     assert minmod(0.0, 3.0) == 0.0
     assert minmod(3.0, 0.0) == 0.0
+
+
+def _where_minmod(a, b):
+    """The limiter's defining rule, one numpy.where per branch."""
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+
+
+# Finite values of every magnitude: products of two tiny ones underflow
+# to zero (the rule then limits to zero), equal magnitudes tie.
+_LIMITER_INPUTS = st.lists(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(allow_nan=False, allow_infinity=False))
+    | st.tuples(st.sampled_from((1e-170, -1e-170, 3e-160, 5e-324, 0.0, -0.0,
+                                 2.0, -2.0)),
+                st.sampled_from((2e-170, -1e-170, 1e-160, -5e-324, 0.0, -0.0,
+                                 2.0, -3.0))),
+    min_size=1, max_size=64)
+
+
+@given(_LIMITER_INPUTS)
+def test_minmod_and_slopes_are_bitwise_the_where_rule(pairs):
+    a, b = np.array(pairs).T
+    with np.errstate(over="ignore"):  # a*b of two huge values
+        ref = _where_minmod(a, b)
+        got = minmod(a, b)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert minmod(1e-170, 1e-170) == 0.0 and minmod(1e-150, 1e-150) == 1e-150
+    # Slopes of cell values small enough that no difference overflows.
+    values = np.clip(np.concatenate((a, b)), -1e300, 1e300)[None, :]
+    d = (values[..., 1:] - values[..., :-1]) / 0.5
+    expected = np.zeros_like(values)
+    with np.errstate(over="ignore"):
+        expected[..., 1:-1] = _where_minmod(d[..., :-1], d[..., 1:])
+    with np.errstate(over="ignore"):
+        slopes = muscl_slopes(np.vstack((values, values[:, ::-1])), 0.5)[:1]
+    assert np.array_equal(slopes.view(np.uint64), expected.view(np.uint64))
 
 
 def test_minmod_never_exceeds_inputs():
@@ -109,3 +148,12 @@ def test_centered_correction_value():
     # h = 1 at both faces, topography rising by 0.1 across the cell.
     val = centered_correction(1.0, 1.0, 0.0, 0.1)
     assert math.isclose(val, -G_DEFAULT * 0.1, rel_tol=1e-15)
+
+
+def test_muscl_slopes_writes_into_out_or_refuses_it():
+    values = np.random.default_rng(1).random((3, 10))
+    out = np.empty((3, 10))
+    assert muscl_slopes(values, 0.1, out=out) is out
+    assert np.array_equal(out, muscl_slopes(values, 0.1))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        muscl_slopes(values, 0.1, out=np.empty((10, 3)).T)

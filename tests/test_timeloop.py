@@ -1,12 +1,30 @@
 """Time integration: step control, well-balancing, mass accounting."""
 
+import dataclasses
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swekit.boundary import BoundaryCondition, BoundarySet
-from swekit.core import Grid, State1D, State2D, total_volume
+from swekit import timeloop
+from swekit.analytic import (
+    ThackerParams,
+    thacker_bowl,
+    thacker_depth,
+    thacker_velocity,
+)
+from swekit.boundary import (
+    BoundaryCondition,
+    BoundarySet,
+    fill_ghosts_1d,
+    fill_ghosts_2d,
+)
+from swekit.cases import macdonald_shock_case
+from swekit.core import H_EPS, Grid, State1D, State2D, total_volume
 from swekit.sources import FrictionParams, GreenAmptParams, Hyetograph
 from swekit.timeloop import (
     CFL_MAX,
@@ -14,6 +32,7 @@ from swekit.timeloop import (
     SchemeConfig,
     SimulationConfig,
     compute_dt,
+    heun_step,
     run_simulation,
     spatial_operator_phi,
 )
@@ -406,3 +425,530 @@ def test_config_validation():
                          initial_state=good, final_time=1.0,
                          boundaries=BoundarySet(
                              left=BoundaryCondition("periodic")))
+
+
+# ------------------------------------------------- regime warnings
+
+
+def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
+    # An outward imposed_both discharge never matches the regime, so the
+    # right side reports a mismatch in every stage of every step.
+    n = 20
+    grid = Grid(nx=n, dx=0.5)
+    bcs = BoundarySet(left=BoundaryCondition("wall"),
+                      right=BoundaryCondition("imposed_both", depth=0.5,
+                                              discharge=0.2))
+    config = SimulationConfig(grid=grid, topography=np.zeros(n),
+                              initial_state=State1D(np.full(n, 0.5),
+                                                    np.zeros(n)),
+                              final_time=2.0, scheme=SchemeConfig(order=2),
+                              boundaries=bcs)
+    contexts = []
+
+    def spy(state, ga, t, dt, ctx):
+        contexts.append(ctx)
+        return heun_step(state, ga, t, dt, ctx)
+
+    with mock.patch.object(timeloop, "heun_step", spy):
+        result = run_simulation(config)
+    assert result.steps > 10
+    (message,) = result.warnings
+    assert "right boundary" in message
+    warnings = contexts[-1].warnings
+    assert len(warnings) == 1
+    assert warnings[message] == 2 * result.steps
+
+
+# ----------------------------------------------------- pinned results
+# Final-state SHA-256 and mass ledger (time, volume, rain, infiltration,
+# boundary in, boundary out, residual, as float.hex) of three short
+# runs. Any change to the floating-point order of the solver shows here.
+
+
+def _centers(length, cells):
+    return (np.arange(cells) + 0.5) * (length / cells)
+
+
+def _shock_channel():
+    return dataclasses.replace(macdonald_shock_case().build(),
+                               final_time=0.5, output_times=())
+
+
+def _rain_plot():
+    """16x16 tilted hillslope with seeded bumps under a rain burst."""
+    cells, length = 16, 64.0
+    rng = np.random.default_rng(7)
+    x = _centers(length, cells)
+    xx, yy = np.meshgrid(x, x)
+    z = 0.05 * (length - xx)
+    for _ in range(8):
+        cx, cy = rng.uniform(0.0, length, 2)
+        height = rng.uniform(0.05, 0.2)
+        width = rng.uniform(2.0, 6.0) * length / 64.0
+        z += height * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2)
+                             / (2.0 * width * width))
+    zero = np.zeros((cells, cells))
+    wall = BoundaryCondition("wall")
+    return SimulationConfig(
+        grid=Grid(nx=cells, ny=cells, dx=length / cells, dy=length / cells),
+        topography=z, initial_state=State2D(zero, zero.copy(), zero.copy()),
+        final_time=6.0, output_times=(3.0,),
+        boundaries=BoundarySet(wall, BoundaryCondition("neumann"), wall, wall),
+        friction=FrictionParams("manning", 0.03),
+        rain=Hyetograph((0.0, 3.0), (5e-3, 0.0)),
+        infiltration=GreenAmptParams(ks=2e-4, kc=5e-5, zc=0.002, hf=0.1,
+                                     dtheta=0.3))
+
+
+def _thacker_bowl():
+    params = ThackerParams()
+    cells, length = 24, 4.0
+    x = _centers(length, cells)
+    xx, yy = np.meshgrid(x, x)
+    h = thacker_depth(params, xx, yy, 0.0)
+    u, v = thacker_velocity(params, 0.0)
+    return SimulationConfig(
+        grid=Grid(nx=cells, ny=cells, dx=length / cells, dy=length / cells),
+        topography=thacker_bowl(params, xx, yy),
+        initial_state=State2D(h, h * u, h * v), final_time=0.5)
+
+
+PINNED = {
+    "shock_channel": (
+        _shock_channel, 26,
+        "dcf9490dc846df078115f32ad3bc6d45ce2fc2ae7b710ab5407b066d501f0142"),
+    "rain_plot": (
+        _rain_plot, 6,
+        "0268ce4749e9214a5f6e89d1d774574d44227fdfdc5f986d7ac4ced4a55c37d1"),
+    "thacker_bowl": (
+        _thacker_bowl, 20,
+        "6a0d708ea51203f33ce1b3f4a102d854d622a95343b8fc726dad83c88fb07fe0"),
+}
+PINNED_LEDGERS = {
+    "rain_plot": [
+        ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.8000000000000p+1", "0x1.35ea1b39a7adcp+5", "0x1.eb851eb851eb8p+5",
+         "0x1.6930832c24f21p+4", "0x0.0p+0", "0x1.02c1e897c4c92p-3", "0x1.0000000000000p-47"),
+        ("0x1.8000000000000p+2", "0x1.b22f273a2780bp+4", "0x1.eb851eb851eb8p+5",
+         "0x1.0dc3113fee1b5p+5", "0x0.0p+0", "0x1.2a9e76d403f81p-1", "0x1.0000000000000p-48"),
+    ],
+    "shock_channel": [
+        ("0x0.0p+0", "0x1.598aafba5723cp+6", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p-1", "0x1.5d6c64e6bc80cp+6", "0x0.0p+0",
+         "0x0.0p+0", "0x1.f3480b8735ee0p-1", "0x1.36baaa43b2588p-8", "-0x1.0000000000000p-46"),
+    ],
+    "thacker_bowl": [
+        ("0x0.0p+0", "0x1.425ed097b425ep-3", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p-1", "0x1.425ed097b425ep-3", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_results_are_pinned_bit_for_bit(name):
+    make, steps, sha = PINNED[name]
+    result = run_simulation(make())
+    digest = hashlib.sha256()
+    for field in ("h", "q", "qx", "qy"):
+        if hasattr(result.final_state, field):
+            digest.update(getattr(result.final_state, field).tobytes())
+    ledger = [tuple(float(v).hex() for v in (
+        row.time, row.volume, row.rain, row.infiltration, row.boundary_in,
+        row.boundary_out, row.residual)) for row in result.mass_balance]
+    assert result.steps == steps
+    assert digest.hexdigest() == sha
+    assert ledger == PINNED_LEDGERS[name]
+
+
+# ------------------------------------------- sweep kernel vs reference
+# The operator as it was before the sweep kernel, one allocating numpy
+# expression per formula, kept as the reference the kernel must match
+# bit for bit (finite inputs). Its flux, limiter and velocity helpers
+# are the original ones too.
+
+
+def _ref_velocity(h, q, h_eps=H_EPS):
+    h = np.asarray(h, dtype=float)
+    q = np.asarray(q, dtype=float)
+    wet = h > h_eps
+    out = np.zeros(np.broadcast(h, q).shape)
+    np.divide(q, h, out=out, where=wet)
+    return out
+
+
+def _ref_eigenvalues(h, q, g):
+    u = _ref_velocity(h, q)
+    c = np.sqrt(g * np.maximum(np.asarray(h, dtype=float), 0.0))
+    return u - c, u + c
+
+
+def _ref_hll(h_left, q_left, h_right, q_right, g):
+    h_l = np.asarray(h_left, dtype=float)
+    q_l = np.asarray(q_left, dtype=float)
+    h_r = np.asarray(h_right, dtype=float)
+    q_r = np.asarray(q_right, dtype=float)
+    u_l = _ref_velocity(h_l, q_l)
+    u_r = _ref_velocity(h_r, q_r)
+    c_l = np.sqrt(g * np.maximum(h_l, 0.0))
+    c_r = np.sqrt(g * np.maximum(h_r, 0.0))
+    c1 = np.minimum(u_l - c_l, u_r - c_r)
+    c2 = np.maximum(u_l + c_l, u_r + c_r)
+    half_g = 0.5 * g
+    fl_h, fl_q = q_l, q_l * u_l + half_g * (h_l * h_l)
+    fr_h, fr_q = q_r, q_r * u_r + half_g * (h_r * h_r)
+    spread = c2 - c1
+    inv = 1.0 / np.where(spread > 0.0, spread, 1.0)
+    weight = (c1 * c2) * inv
+    c2i = c2 * inv
+    c1i = c1 * inv
+    mid_h = (c2i * fl_h - c1i * fr_h) + weight * (h_r - h_l)
+    mid_q = (c2i * fl_q - c1i * fr_q) + weight * (q_r - q_l)
+    left_going = c1 >= 0.0
+    right_going = c2 <= 0.0
+    f_h = np.where(left_going, fl_h, np.where(right_going, fr_h, mid_h))
+    f_q = np.where(left_going, fl_q, np.where(right_going, fr_q, mid_q))
+    return f_h, f_q
+
+
+def _ref_rusanov(h_left, q_left, h_right, q_right, g):
+    lam1_l, lam2_l = _ref_eigenvalues(h_left, q_left, g)
+    lam1_r, lam2_r = _ref_eigenvalues(h_right, q_right, g)
+    c = np.maximum(np.maximum(np.abs(lam1_l), np.abs(lam2_l)),
+                   np.maximum(np.abs(lam1_r), np.abs(lam2_r)))
+    fl_h = np.asarray(q_left, dtype=float)
+    fl_q = fl_h * _ref_velocity(h_left, q_left) \
+        + 0.5 * g * np.asarray(h_left, dtype=float)**2
+    fr_h = np.asarray(q_right, dtype=float)
+    fr_q = fr_h * _ref_velocity(h_right, q_right) \
+        + 0.5 * g * np.asarray(h_right, dtype=float)**2
+    f_h = 0.5 * (fl_h + fr_h) - 0.5 * c * (np.asarray(h_right, dtype=float) - h_left)
+    f_q = 0.5 * (fl_q + fr_q) - 0.5 * c * (np.asarray(q_right, dtype=float) - q_left)
+    return f_h, f_q
+
+
+def _ref_transverse(f_mass, u_left, u_right, v_left, v_right, axis):
+    assert axis == "x"
+    normal_sum = np.asarray(u_left, dtype=float) + u_right
+    carried = np.where(normal_sum > 0.0, v_left, v_right)
+    return f_mass * carried
+
+
+def _ref_minmod(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+
+
+def _ref_muscl_slopes(values, dx):
+    v = np.asarray(values, dtype=float)
+    slopes = np.zeros_like(v)
+    if v.shape[-1] >= 3:
+        d = (v[..., 1:] - v[..., :-1]) / dx
+        slopes[..., 1:-1] = _ref_minmod(d[..., :-1], d[..., 1:])
+    return slopes
+
+
+FLUX_FUNCTIONS = {"hll": _ref_hll, "rusanov": _ref_rusanov}
+velocity = _ref_velocity
+muscl_slopes = _ref_muscl_slopes
+transverse_component = _ref_transverse
+
+
+def _convective_1d(h, q, z, n, dx, bcs, scheme, warnings):
+    """Flux divergence for the interior cells of a 1D state.
+
+    Returns (phi_h, phi_q, f_mass_west, f_mass_east): the increment
+    arrays such that W* = W - dt * phi, plus the mass fluxes through
+    the two domain boundary faces.
+    """
+    g = scheme.g
+    flux = FLUX_FUNCTIONS[scheme.flux_name]
+    size = n + 4
+    h_ext = np.empty(size)
+    q_ext = np.empty(size)
+    z_ext = np.empty(size)
+    h_ext[2:n + 2] = h
+    q_ext[2:n + 2] = q
+    z_ext[2:n + 2] = z
+    fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g, warnings)
+
+    u_ext = velocity(h_ext, q_ext, scheme.h_eps)
+    if scheme.order == 2:
+        # One stacked slope pass over (h, u, h+z) costs a third of the
+        # numpy dispatch overhead of three separate passes.
+        stacked = np.empty((3, n + 4))
+        stacked[0] = h_ext
+        stacked[1] = u_ext
+        np.add(h_ext, z_ext, out=stacked[2])
+        s = muscl_slopes(stacked, dx) * (0.5 * dx)
+        lo = stacked - s
+        hi = stacked + s
+        h_lo, u_lo, w_lo = lo
+        h_hi, u_hi, w_hi = hi
+        z_lo = w_lo - h_lo
+        z_hi = w_hi - h_hi
+    else:
+        h_lo = h_hi = h_ext
+        u_lo = u_hi = u_ext
+        z_lo = z_hi = z_ext
+
+    # Interface j sits between ext cells j+1 and j+2 (j = 0..n); the
+    # minus side is the left cell's high-face trace.
+    hm = h_hi[1:n + 2]
+    um = u_hi[1:n + 2]
+    zm = z_hi[1:n + 2]
+    hp = h_lo[2:n + 3]
+    up = u_lo[2:n + 3]
+    zp = z_lo[2:n + 3]
+
+    z_face = np.maximum(zm, zp)
+    h_l = np.maximum(hm + zm - z_face, 0.0)
+    h_r = np.maximum(hp + zp - z_face, 0.0)
+    f_h, f_q = flux(h_l, h_l * um, h_r, h_r * up, g)
+
+    half_g = 0.5 * g
+    corr_m = half_g * (hm * hm - h_l * h_l)
+    corr_p = half_g * (hp * hp - h_r * h_r)
+    fc = -half_g * (h_lo[2:n + 2] + h_hi[2:n + 2]) * (z_hi[2:n + 2] - z_lo[2:n + 2])
+
+    phi_h = (f_h[1:] - f_h[:-1]) / dx
+    phi_q = ((f_q[1:] + corr_m[1:]) - (f_q[:-1] + corr_p[:-1]) - fc) / dx
+    return phi_h, phi_q, float(f_h[0]), float(f_h[-1])
+
+
+def _sweep_2d(h2, qn2, qt2, z2, n, d, scheme):
+    """One directional sweep along the last axis of ghost-filled arrays.
+
+    h2 and friends are (rows, n+4) views covering the interior rows of
+    the transverse direction. Returns per-cell divergence terms (mass,
+    normal momentum, transverse momentum) of shape (rows, n) and the
+    boundary-face mass fluxes of shape (rows,).
+    """
+    g = scheme.g
+    flux = FLUX_FUNCTIONS[scheme.flux_name]
+    un = velocity(h2, qn2, scheme.h_eps)
+    ut = velocity(h2, qt2, scheme.h_eps)
+    if scheme.order == 2:
+        # Stacked slope pass over (h, un, ut, h+z), as in the 1D operator.
+        stacked = np.empty((4,) + h2.shape)
+        stacked[0] = h2
+        stacked[1] = un
+        stacked[2] = ut
+        np.add(h2, z2, out=stacked[3])
+        s = muscl_slopes(stacked, d) * (0.5 * d)
+        lo = stacked - s
+        hi = stacked + s
+        h_lo, un_lo, ut_lo, w_lo = lo
+        h_hi, un_hi, ut_hi, w_hi = hi
+        z_lo = w_lo - h_lo
+        z_hi = w_hi - h_hi
+    else:
+        h_lo = h_hi = h2
+        un_lo = un_hi = un
+        ut_lo = ut_hi = ut
+        z_lo = z_hi = z2
+
+    hm = h_hi[:, 1:n + 2]
+    um = un_hi[:, 1:n + 2]
+    vm = ut_hi[:, 1:n + 2]
+    zm = z_hi[:, 1:n + 2]
+    hp = h_lo[:, 2:n + 3]
+    up = un_lo[:, 2:n + 3]
+    vp = ut_lo[:, 2:n + 3]
+    zp = z_lo[:, 2:n + 3]
+
+    z_face = np.maximum(zm, zp)
+    h_l = np.maximum(hm + zm - z_face, 0.0)
+    h_r = np.maximum(hp + zp - z_face, 0.0)
+    f_h, f_qn = flux(h_l, h_l * um, h_r, h_r * up, g)
+    # Transverse momentum rides on the mass flux, upwinded by the
+    # normal velocities (same rule for both sweep directions).
+    f_qt = transverse_component(f_h, um, up, vm, vp, "x")
+
+    half_g = 0.5 * g
+    corr_m = half_g * (hm * hm - h_l * h_l)
+    corr_p = half_g * (hp * hp - h_r * h_r)
+    fc = -half_g * (h_lo[:, 2:n + 2] + h_hi[:, 2:n + 2]) \
+        * (z_hi[:, 2:n + 2] - z_lo[:, 2:n + 2])
+
+    div_mass = (f_h[:, 1:] - f_h[:, :-1]) / d
+    div_norm = ((f_qn[:, 1:] + corr_m[:, 1:])
+                - (f_qn[:, :-1] + corr_p[:, :-1]) - fc) / d
+    div_trans = (f_qt[:, 1:] - f_qt[:, :-1]) / d
+    return div_mass, div_norm, div_trans, f_h[:, 0].copy(), f_h[:, -1].copy()
+
+
+def _convective_2d(state, z, grid, scheme, bcs, warnings):
+    nx, ny = grid.nx, grid.ny
+    shape = (ny + 4, nx + 4)
+    h_ext = np.empty(shape)
+    qx_ext = np.empty(shape)
+    qy_ext = np.empty(shape)
+    z_ext = np.empty(shape)
+    inner = (slice(2, ny + 2), slice(2, nx + 2))
+    h_ext[inner] = state.h
+    qx_ext[inner] = state.qx
+    qy_ext[inner] = state.qy
+    z_ext[inner] = z
+    fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, scheme.g, warnings)
+
+    rows = slice(2, ny + 2)
+    dm_x, dn_x, dt_x, f_west, f_east = _sweep_2d(
+        h_ext[rows, :], qx_ext[rows, :], qy_ext[rows, :], z_ext[rows, :],
+        nx, grid.dx, scheme)
+
+    cols = slice(2, nx + 2)
+    dm_y, dn_y, dt_y, f_south, f_north = _sweep_2d(
+        h_ext[:, cols].T, qy_ext[:, cols].T, qx_ext[:, cols].T,
+        z_ext[:, cols].T, ny, grid.dy, scheme)
+
+    phi_h = dm_x + dm_y.T
+    phi_qx = dn_x + dt_y.T
+    phi_qy = dt_x + dn_y.T
+    return phi_h, phi_qx, phi_qy, (f_west, f_east, f_south, f_north)
+
+
+_SIDE_KINDS = st.one_of(
+    st.just(BoundaryCondition("wall")),
+    st.just(BoundaryCondition("neumann")),
+    st.builds(lambda d: BoundaryCondition("imposed_depth", depth=d),
+              st.floats(0.0, 1.5)),
+    st.builds(lambda q: BoundaryCondition("imposed_discharge", discharge=q),
+              st.floats(-2.0, 2.0)),
+    st.builds(lambda d, q: BoundaryCondition("imposed_both", depth=d,
+                                             discharge=q),
+              st.floats(0.05, 1.5), st.floats(-3.0, 3.0)),
+)
+
+
+def _pair(draw):
+    if draw(st.integers(0, 4)) == 0:
+        periodic = BoundaryCondition("periodic")
+        return periodic, periodic
+    return draw(_SIDE_KINDS), draw(_SIDE_KINDS)
+
+
+@st.composite
+def operator_cases(draw, two_d):
+    """A random state on emerged topography with dry cells."""
+    if two_d:
+        rows = draw(st.sampled_from((1, 2, 3, 5, 127, 200)))
+        other = draw(st.integers(1, 9).filter(lambda m: m != rows))
+        # ny = 1 would make the grid 1D.
+        nx, ny = (other, rows) if draw(st.booleans()) else (rows, other)
+        if ny == 1:
+            nx, ny = ny, nx
+        grid = Grid(nx=nx, ny=ny, dx=draw(st.floats(0.1, 2.0)),
+                    dy=draw(st.floats(0.1, 2.0)))
+        shape = (ny, nx)
+    else:
+        grid = Grid(nx=draw(st.integers(1, 60)), dx=draw(st.floats(0.1, 2.0)))
+        shape = (grid.nx,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(0.0, 1.0, shape) * draw(st.sampled_from((0.0, 0.3, 1.0)))
+    level = draw(st.floats(0.0, 1.2))
+    h = np.maximum(level - z, 0.0) + rng.uniform(0.0, 0.2, shape) \
+        * (rng.random(shape) < 0.5)
+    # Depths below 1e-160 make minmod products underflow to zero.
+    h = np.where(rng.random(shape) < 0.15,
+                 rng.uniform(0.0, 1e-160, shape), h)
+    h = np.where(rng.random(shape) < 0.2, 0.0, h)
+    discharges = [rng.normal(0.0, 0.5, shape) * (rng.random(shape) < 0.9)
+                  for _ in range(2 if two_d else 1)]
+    left, right = _pair(draw)
+    bottom, top = _pair(draw) if two_d else (BoundaryCondition(),) * 2
+    scheme = SchemeConfig(order=draw(st.sampled_from((1, 2))),
+                          flux_name=draw(st.sampled_from(("hll", "rusanov"))))
+    state = State2D(h, *discharges) if two_d else State1D(h, *discharges)
+    budget = draw(st.sampled_from((16, 64, 700, timeloop.SWEEP_CELLS)))
+    return grid, z, state, BoundarySet(left, right, bottom, top), scheme, budget
+
+
+def _kernel(grid, z, state, bcs, scheme, budget):
+    with mock.patch.object(timeloop, "SWEEP_CELLS", budget):
+        work = timeloop._Workspace(grid, z, scheme, bcs)
+    warnings = []
+    phi = work.divergence(timeloop._fields(state), warnings)
+    return phi, work.boundary_faces(grid), warnings
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_cases(two_d=False))
+def test_1d_kernel_matches_the_reference_operator(case):
+    grid, z, state, bcs, scheme, budget = case
+    ref_warnings = []
+    *ref_phi, f_west, f_east = _convective_1d(
+        state.h, state.q, z, grid.nx, grid.dx, bcs, scheme, ref_warnings)
+    phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget)
+    assert all(np.array_equal(a, b) for a, b in zip(phi, ref_phi))
+    assert faces == (f_west, f_east)
+    assert warnings == ref_warnings
+
+
+@settings(max_examples=120, deadline=None)
+@given(operator_cases(two_d=True))
+def test_2d_kernel_matches_the_reference_operator(case):
+    grid, z, state, bcs, scheme, budget = case
+    ref_warnings = []
+    *ref_phi, ref_faces = _convective_2d(state, z, grid, scheme, bcs,
+                                         ref_warnings)
+    phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget)
+    assert all(np.array_equal(a, b) for a, b in zip(phi, ref_phi))
+    assert all(np.array_equal(a, b) for a, b in zip(faces, ref_faces))
+    assert warnings == ref_warnings
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(operator_cases(two_d=False), operator_cases(two_d=True)))
+def test_spatial_operator_phi_runs_the_kernel(case):
+    grid, z, state, bcs, scheme, _ = case
+    rain = Hyetograph((0.0,), (1e-3,))
+    if grid.is_1d:
+        *ref, _, _ = _convective_1d(state.h, state.q, z, grid.nx, grid.dx,
+                                    bcs, scheme, [])
+    else:
+        *ref, _ = _convective_2d(state, z, grid, scheme, bcs, [])
+    ref[0] = ref[0] - 1e-3
+    phi = spatial_operator_phi(state, z, grid, scheme, bcs, rain=rain)
+    assert len(phi) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(phi, ref))
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
+    if two_d:
+        config = _rain_plot()
+    else:
+        config = dataclasses.replace(_shock_channel(), final_time=0.05)
+    grid, scheme = config.grid, config.scheme
+    work = timeloop._Workspace(grid, config.topography, scheme,
+                               config.boundaries)
+    ctx = timeloop._RunContext(grid, config.topography, scheme,
+                               config.boundaries, config.friction,
+                               config.rain, timeloop._WarningCounter(), work)
+    state = config.initial_state.copy()
+    before = state.copy()
+    dt = 0.5 * compute_dt(state, grid, scheme, config.boundaries)
+    first, _, _ = heun_step(state, None, 0.0, dt, ctx)
+    second, _, _ = heun_step(first, None, dt, dt, ctx)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(timeloop._fields(state), timeloop._fields(before)))
+    buffers = [work.ext, work.full.floats, work.stage, work.faces,
+               *work.pool] + ([work.y_div] if two_d else [])
+    arrays = timeloop._fields(first) + timeloop._fields(second)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in buffers)
+        # Fields of one state may share a block; fields of two may not.
+        if i < len(arrays) // 2:
+            assert not any(np.shares_memory(a, b)
+                           for b in timeloop._fields(second))
+
+    result = run_simulation(dataclasses.replace(config, output_times=()))
+    final = timeloop._fields(result.final_state)
+    for _, snapshot in result.snapshots[:-1]:
+        assert not any(np.shares_memory(a, b) for a in final
+                       for b in timeloop._fields(snapshot))
