@@ -5,25 +5,43 @@ significant digits, which round-trips 64-bit values exactly); identical
 configurations therefore produce bitwise identical files.
 
 Every table of numbers goes through one writer, `_write_rows`, which
-formats values in numpy rather than one Python call per value. It
-scales |v| into [1e16, 1e17) in long double arithmetic with a correctly
-rounded power of ten, reads the 17 digits off as an integer rounded
-half up, and renders them through a 4-digit lookup table into NUL-padded
-slots that are joined by deleting the NULs. The scaled value carries an
-error of at most two long-double roundings; any value whose digits that
-error could change (within the bound of a rounding tie or of a decade
-edge), and every zero, subnormal, inf or nan, is formatted by Python's
-own `f"{v:.16e}"` instead. The output is therefore exactly what
-`format_float` gives for every value. Where long double is no wider
-than double, the bound covers every value and all of them take the
-Python path.
+formats values in numpy, a block of whole rows at a time, rather than
+one Python call per value. Each value's digits come from one of four
+paths:
+
+* Every finite, normal value: |v| is scaled into [1e16, 1e17) in long
+  double by a correctly rounded power of ten, and the 17 digits are
+  read off as an integer rounded half up. The scaled value carries at
+  most two long-double roundings, and the digits stand wherever that
+  error cannot change them.
+* A value within that error of a rounding tie, where 10**(16 - e) is
+  exact (e = -11..16 for x87's 64-bit mantissa): the digits are decided
+  exactly, from Dekker's error-free product in long double, and an exact
+  half rounds to even as Python does.
+* +0.0 and -0.0: written directly.
+* Everything else goes to Python's own `f"{v:.16e}"`: subnormals, inf,
+  nan, a near-tie outside those exponents, a value whose digits carry to
+  10**17, and a value at a decade edge (a power of ten or just below
+  one, where the exponent read from log10 can be one off).
+
+On perfbench's plot_rain_2d outputs fewer than 0.02 % of the values
+reach Python. Where long double is a plain double, every value counts
+as near a tie and the exact path decides those with e = -6..16. The
+output is exactly what `format_float` gives for every value.
+
+The digits are rendered through a 4-digit lookup table into NUL-padded
+slots of seven words, laid out slot by slot so that a block's bytes are
+its text once the NULs are deleted. `write_profile_2d` formats its x and
+y coordinates once per call and gathers their slots per block.
 """
 
 import functools
 import hashlib
 import io
+import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +56,9 @@ def format_float(value):
     return f"{value:.16e}"
 
 
-# Values per formatting block: 512 rows of the 9-column 2D profile. The
-# largest array a block allocates (its 28-byte slots) stays under the
+# Rows per formatting block: as many whole rows as fit in 4,608 values
+# (512 rows of the 9-column 2D profile), at least one. The largest
+# array such a block allocates (its 28-byte slots) stays under the
 # 128 KiB at which glibc starts serving allocations with fresh mmaps.
 _BLOCK = 4608
 _EXP_MIN, _EXP_MAX = -308, 308  # decimal exponents of normal doubles
@@ -52,29 +71,85 @@ _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SLOT_WORDS = 7
 _POINT = ord(".") << 16
 _SEPARATOR = ord(" ") << 8
-_NEWLINE = ord("\n") << 8
+# XORed into word 6 of a row's last slot, it turns the space into "\n".
+_END_OF_ROW = _SEPARATOR ^ (ord("\n") << 8)
+
+
+class _Tables(NamedTuple):
+    pow10: np.ndarray      # 10**(16 - e) in long double, by e - _EXP_MIN
+    groups: np.ndarray     # ASCII words of 0000..9999
+    exp_words: np.ndarray  # words 5-6 as one uint64, by e - _EXP_MIN
+    rel_err: float         # bound on the relative error of a scaled value
+    exact: slice           # the rows of pow10 that hold 10**k exactly
+    split: object          # Veltkamp's constant 2**s + 1
+    pow_split: np.ndarray  # pow10[exact] as (hi, lo) halves of <= s bits
 
 
 @functools.cache
-def _tables():
-    """Lookup tables, built on the first write rather than at import:
-    10**(16 - e) in long double and the two exponent words, indexed by
-    e - _EXP_MIN; the ASCII words of 0000..9999; and the relative error
-    bound on a scaled value. Two roundings to nearest (the power of ten
-    and the product) cost at most 2**-nmant; the bound doubles that."""
+def _tables(real=np.longdouble):
+    """Lookup tables, built on the first write rather than at import.
+
+    `real` is the wide type the digits are computed in. Two roundings
+    to nearest (the power of ten and the product) cost at most
+    2**-nmant of a scaled value; rel_err doubles that. 10**k = 2**k 5**k
+    is exact while 5**k fits in nmant + 1 bits, so for 0 <= k <= kmax;
+    Veltkamp's split by 2**s + 1, s = ceil((nmant + 1) / 2), cuts each
+    such power into two halves whose products with halves are exact.
+    """
+    nmant = np.finfo(real).nmant
     exponents = range(_EXP_MIN, _EXP_MAX + 1)
-    pow10 = np.array([np.longdouble(f"1e{16 - e}") for e in exponents])
+    # Where `real` is a double, 10**k overflows for the smallest e; the
+    # largest finite value keeps those products finite and below 10**16.
+    pow10 = np.array([real(f"1e{16 - e}") for e in exponents])
+    np.minimum(pow10, np.finfo(real).max, out=pow10)
     n = np.arange(10000, dtype=np.uint16)
     chars = np.empty((10000, 4), dtype=np.uint8)
     for col, div in enumerate((1000, 100, 10, 1)):
         chars[:, col] = n // div % 10 + ord("0")
     groups = chars.view("<u4").ravel()
-    text = b"".join(f"e{e:+03d}".encode("ascii").ljust(8, b"\0")
+    text = b"".join(f"e{e:+03d}".encode("ascii").ljust(5, b"\0") + b" \0\0"
                     for e in exponents)
-    exp_words = np.frombuffer(text, dtype="<u4").reshape(-1, 2)
-    rel_err = 2.0 ** (1 - np.finfo(np.longdouble).nmant)
-    return (pow10, groups, exp_words[:, 0].copy(), exp_words[:, 1].copy(),
-            rel_err)
+    kmax = math.floor((nmant + 1) / math.log2(5))
+    exact = slice(16 - kmax - _EXP_MIN, 17 - _EXP_MIN)
+    split = real(2 ** -(-(nmant + 1) // 2) + 1)
+    return _Tables(pow10, groups, np.frombuffer(text, dtype="<u8"),
+                   2.0 ** (1 - nmant), exact, split,
+                   np.stack(_split(pow10[exact], split), axis=-1))
+
+
+def _split(x, split):
+    """Veltkamp's split: x = hi + lo exactly, each half short enough
+    that the product of two halves is exact."""
+    c = x * split
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _round_exact(mag, p, k, tables):
+    """mag * 10**k rounded to the nearest integer, ties to even, where
+    10**k is exact and p is that product rounded to `real`.
+
+    Dekker's product gives the exact error err = mag * 10**k - p. With
+    N = floor(p) and D = trunc(err), the product lies w + 1/2 above
+    N + D, for w = (p - N - 1/2) + (err - D). Both terms of w are exact.
+    Where long double is a double, p is an integer, D takes err's whole
+    part and the sum is exact too. Where it is wider, D = 0 and the sum
+    may round, but then p - N - 1/2 is a nonzero multiple of an ulp of
+    p, larger than |err|, so w keeps its sign and stays inside (-1, 1).
+    Either way the nearest integer is N + D + ceil(w), and w is an
+    integer only when the product is an exact half."""
+    a_hi, a_lo = _split(mag.astype(p.dtype), tables.split)
+    b_hi, b_lo = tables.pow_split.take(k, axis=0).T
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    n = p.astype(np.int64)
+    d = err.astype(np.int64)
+    w = ((p - n) - 0.5) + (err - d)
+    r = w.astype(np.int64)
+    r += w > r
+    n += d
+    n += r
+    n += (w == r) & n
+    return n
 
 
 def _fallback_words(values):
@@ -87,62 +162,97 @@ def _fallback_words(values):
 
 
 def _format_block(values, words):
-    """Fill words[0:7] (one row per slot word) with the slots of
-    `values`; separators are ORed into word 6 by the caller."""
-    pow10, groups, exp_lo, exp_hi, rel_err = _tables()
+    """Fill words, shaped values.shape + (7,), with the slots of the 2D
+    array `values`, each followed by a space."""
+    t = _tables()
     mag = np.abs(values)
     normal = (mag >= _TINY) & (mag <= _HUGE)
     mag[~normal] = 1.0
     row = np.log10(mag)
     np.floor(row, out=row)
-    row = row.astype(np.intp) - _EXP_MIN
-    scaled = mag.astype(np.longdouble)
-    scaled *= pow10.take(row)
-    digits = scaled.astype(np.uint64)
+    row = row.astype(np.intp)
+    row -= _EXP_MIN
+    scaled = mag.astype(t.pow10.dtype)
+    scaled *= t.pow10.take(row)
+    digits = scaled.astype(np.int64)
     # The fraction is exact in long double; as a double it is off by at
     # most 2**-54, far inside the margin that rel_err leaves.
     frac = (scaled - digits).astype(np.float64)
     digits += frac > 0.5
     frac -= 0.5
-    exact = (normal & (np.abs(frac) > digits * rel_err)
-             & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI))
-    head, low = np.divmod(digits, 10**8)
-    lead, high = np.divmod(head, 10**8)
+    np.abs(frac, out=frac)
+    sure = frac > digits * t.rel_err
+    near = normal & ~sure
+    if near.any():
+        # The digits of a value this close to a rounding tie are decided
+        # exactly wherever the power of ten is exact.
+        near = np.flatnonzero(near)
+        k = row.ravel()[near] - t.exact.start
+        mine = k.view(np.uintp) < t.exact.stop - t.exact.start
+        near, k = near[mine], k[mine]
+        digits.ravel()[near] = _round_exact(mag.ravel()[near],
+                                            scaled.ravel()[near], k, t)
+        sure.ravel()[near] = True
+    ok = sure & normal & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI)
+    zero = values == 0.0
+    if zero.any():
+        digits[zero] = 0
+        ok |= zero
+    # 17 digits: a lead digit and two halves of eight, in uint32.
+    head = digits // 10**8
+    low = (digits - head * 10**8).astype(np.uint32)
+    head = head.astype(np.uint32)
+    lead = head // np.uint32(10**8)
+    high = head - lead * np.uint32(10**8)
     lead += ord("0")
     lead <<= 8
     lead += _POINT
-    lead += np.signbit(values) * np.uint64(ord("-"))
-    words[0] = lead
-    words[1] = groups.take(high // 10000)
-    words[2] = groups.take(high % 10000)
-    words[3] = groups.take(low // 10000)
-    words[4] = groups.take(low % 10000)
-    words[5] = exp_lo.take(row)
-    words[6] = exp_hi.take(row)
-    if not exact.all():
-        slow = np.flatnonzero(~exact)
-        words[:6, slow] = _fallback_words(values[slow]).T
-        words[6, slow] = 0
+    lead += np.signbit(values) * np.uint32(ord("-"))
+    words[..., 0] = lead
+    for half, col in ((high, 1), (low, 3)):
+        group = half // np.uint32(10000)
+        words[..., col] = t.groups.take(group)
+        words[..., col + 1] = t.groups.take(half - group * np.uint32(10000))
+    words[..., 5:7].view("<u8")[..., 0] = t.exp_words.take(row)
+    if not ok.all():
+        slow = np.nonzero(~ok)
+        words[slow + (slice(0, 6),)] = _fallback_words(values[slow])
+        words[slow + (6,)] = _SEPARATOR
 
 
-def _write_rows(stream, table):
+def _slots(values):
+    """The slots of a 1D array of values, shaped (n, 1, 7)."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    words = np.empty(values.shape + (_SLOT_WORDS,), dtype="<u4")
+    _format_block(values, words)
+    return words
+
+
+def _write_rows(stream, table, grid=None):
     """Write an (n, k) float table as n lines of k `%.16e` values joined
     by single spaces, byte-identical to formatting each value with
-    `format_float`. Works through fixed blocks of _BLOCK values."""
+    `format_float`. grid=(x, y) puts x[i] and y[j] in front of row
+    j * len(x) + i; each coordinate is formatted once. Works through
+    blocks of whole rows, laid out slot by slot."""
     table = np.asarray(table, dtype=np.float64)
-    ncols = table.shape[1]
-    flat = table.reshape(-1)
-    words = np.empty((_SLOT_WORDS, min(_BLOCK, flat.size)), dtype="<u4")
-    for start in range(0, flat.size, _BLOCK):
-        values = flat[start:start + _BLOCK]
-        block = words[:, :values.size]
-        _format_block(values, block)
-        end_of_row = np.arange(start, start + values.size) % ncols \
-            == ncols - 1
-        block[6] |= np.where(end_of_row, np.uint32(_NEWLINE),
-                             np.uint32(_SEPARATOR))
-        stream.write(block.T.tobytes().translate(None, b"\0")
-                     .decode("ascii"))
+    nrows, k = table.shape
+    ncoords = 0
+    if grid is not None:
+        (x_words, y_words), ncoords = map(_slots, grid), 2
+    step = max(1, _BLOCK // (ncoords + k))
+    words = np.empty((min(step, nrows), ncoords + k, _SLOT_WORDS),
+                     dtype="<u4")
+    for start in range(0, nrows, step):
+        values = table[start:start + step]
+        block = words[:len(values)]
+        _format_block(values, block[:, ncoords:])
+        if ncoords:
+            y, x = np.divmod(np.arange(start, start + len(values)),
+                             len(x_words))
+            block[:, :1] = x_words.take(x, axis=0)
+            block[:, 1:2] = y_words.take(y, axis=0)
+        block[:, -1, 6] ^= _END_OF_ROW
+        stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def config_hash(text):
@@ -200,16 +310,16 @@ def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
     v = np.where(wet, qy / safe, 0.0)
     fr = froude_number_2d(h, qx, qy, g)
     ny, nx = h.shape
-    table = np.empty((ny, nx, len(COLUMNS_2D)))
-    table[:, :, 0] = x[:nx]
-    table[:, :, 1] = y[:ny, None]
-    for col, field in enumerate((z, h, u, v, qx, qy, fr), start=2):
+    fields = (z, h, u, v, qx, qy, fr)
+    table = np.empty((ny, nx, len(fields)))
+    for col, field in enumerate(fields):
         table[:, :, col] = field
     stream, owned = _open_for_write(target)
     try:
         for line in _header_lines(time, COLUMNS_2D, name, cfg_hash):
             stream.write(line + "\n")
-        _write_rows(stream, table.reshape(ny * nx, len(COLUMNS_2D)))
+        _write_rows(stream, table.reshape(ny * nx, len(fields)),
+                    grid=(x[:nx], y[:ny]))
     finally:
         if owned:
             stream.close()

@@ -217,53 +217,115 @@ class GreenAmptState:
         return cls(params, np.zeros(shape))
 
 
-def effective_conductivity(params, z_front):
+# Scratch the Green-Ampt functions need, of the grid shape.
+CONDUCTIVITY_FLOATS = 2
+CONDUCTIVITY_FLAGS = 1
+INFILTRATION_FLOATS = 4
+INFILTRATION_FLAGS = 2
+
+
+def effective_conductivity(params, z_front, out=None, work=None):
     """Harmonic-mean conductivity of the wetted column of depth z_front.
 
     Single layer (zc == 0) gives ks; a front inside the crust gives kc;
     once the front passes the crust the two layers act in series.
+    work, if given, is a Scratch with CONDUCTIVITY_FLOATS floats and
+    CONDUCTIVITY_FLAGS flags of z_front's shape; the result is then out
+    or, if out is None, work.floats[1].
     """
     z_front = np.asarray(z_front, dtype=float)
+    shape = None
+    if work is None:
+        shape = z_front.shape
+        # Scalars run as one-element arrays, so the buffers are views.
+        work = Scratch.empty(shape or (1,), CONDUCTIVITY_FLOATS,
+                             CONDUCTIVITY_FLAGS)
+    z_safe, den = work.floats[:2]
+    flag = work.flags[0]
+    if out is None:
+        out = den
     if params.zc == 0.0:
-        return np.full_like(z_front, params.ks)
-    in_crust = z_front <= params.zc
-    z_safe = np.where(z_front > 0.0, z_front, 1.0)
-    series = z_safe / ((z_safe - params.zc) / params.ks + params.zc / params.kc)
-    return np.where(in_crust, params.kc, series)
+        out[...] = params.ks
+    else:
+        np.greater(z_front, 0.0, out=flag)
+        z_safe[...] = 1.0
+        np.copyto(z_safe, z_front, where=flag)
+        # z_safe / ((z_safe - zc) / ks + zc / kc), then kc in the crust.
+        np.subtract(z_safe, params.zc, out=den)
+        np.divide(den, params.ks, out=den)
+        np.add(den, params.zc / params.kc, out=den)
+        np.divide(z_safe, den, out=out)
+        np.less_equal(z_front, params.zc, out=flag)
+        np.copyto(out, params.kc, where=flag)
+    return out if shape is None else out.reshape(shape)
 
 
-def infiltration_capacity(params, v_inf, h_surface):
+def infiltration_capacity(params, v_inf, h_surface, out=None, work=None):
     """Potential infiltration rate I_C [m/s] for ponded depth h_surface.
 
     I_C = K (1 + (hf + h_surface) / z_front) with z_front = v_inf/dtheta.
     An unstarted front (v_inf == 0) has unbounded capacity, returned as
-    inf and meant to be clipped by the per-step limiter.
+    inf and meant to be clipped by the per-step limiter. work, if given,
+    is a Scratch with INFILTRATION_FLOATS floats and INFILTRATION_FLAGS
+    flags of the broadcast shape; the result is then out or, if out is
+    None, work.floats[1].
     """
     v_inf = np.asarray(v_inf, dtype=float)
     h_surface = np.asarray(h_surface, dtype=float)
-    z_front = v_inf / params.dtheta
-    started = z_front > 0.0
-    z_safe = np.where(started, z_front, 1.0)
-    k = effective_conductivity(params, z_front)
-    capacity = k * (1.0 + (params.hf + h_surface) / z_safe)
-    return np.where(started, capacity, np.inf)
+    shape = None
+    if work is None:
+        shape = np.broadcast(v_inf, h_surface).shape
+        work = Scratch.empty(shape or (1,), INFILTRATION_FLOATS,
+                             INFILTRATION_FLAGS)
+    z_front, z_safe, term, k = work.floats[:4]
+    started = work.flags[0]
+    np.divide(v_inf, params.dtheta, out=z_front)
+    np.greater(z_front, 0.0, out=started)
+    z_safe[...] = 1.0
+    np.copyto(z_safe, z_front, where=started)
+    # 1 + (hf + h_surface) / z_safe first: z_safe's buffer is then the
+    # conductivity's scratch, and K lands in k.
+    np.add(params.hf, h_surface, out=term)
+    np.divide(term, z_safe, out=term)
+    np.add(1.0, term, out=term)
+    effective_conductivity(params, z_front, out=k,
+                           work=Scratch(work.floats[1:4:2], work.flags[1:]))
+    if out is None:
+        out = z_safe
+    out[...] = np.inf
+    np.multiply(k, term, out=out, where=started)
+    return out if shape is None else out.reshape(shape)
 
 
-def infiltration_step(state, h_surface, dt):
+def infiltration_step(state, h_surface, dt, work=None):
     """Water removed from the surface during dt, per cell.
 
     Returns (delta_v, new_state): delta_v = min(h_surface, I*dt) with
     I = min(I_C, imax); the cap defaults to draining at most the water
     present this step. The cumulative depth v_inf grows by delta_v.
+    work (see infiltration_capacity), if given, holds delta_v on return
+    in work.floats[0]; new_state.v_inf is always a new array.
     """
     h_surface = np.asarray(h_surface, dtype=float)
     if dt <= 0.0:
         return np.zeros_like(h_surface), state
-    capacity = infiltration_capacity(state.params, state.v_inf, h_surface)
-    if state.params.imax is not None:
-        capacity = np.minimum(capacity, state.params.imax)
-    rate = np.minimum(capacity, h_surface / dt)
-    delta_v = np.minimum(h_surface, rate * dt)
-    delta_v = np.maximum(delta_v, 0.0)
-    new_state = GreenAmptState(state.params, state.v_inf + delta_v)
-    return delta_v, new_state
+    params = state.params
+    shape = None
+    if work is None:
+        shape = np.broadcast(state.v_inf, h_surface).shape
+        work = Scratch.empty(shape or (1,), INFILTRATION_FLOATS,
+                             INFILTRATION_FLAGS)
+    capacity = infiltration_capacity(params, state.v_inf, h_surface,
+                                     work=work)
+    if params.imax is not None:
+        np.minimum(capacity, params.imax, out=capacity)
+    # rate = min(capacity, h / dt); delta_v = max(min(h, rate * dt), 0).
+    delta_v = work.floats[0]
+    np.divide(h_surface, dt, out=delta_v)
+    np.minimum(capacity, delta_v, out=delta_v)
+    np.multiply(delta_v, dt, out=delta_v)
+    np.minimum(h_surface, delta_v, out=delta_v)
+    np.maximum(delta_v, 0.0, out=delta_v)
+    if shape is not None:
+        delta_v = delta_v.reshape(shape)
+    return delta_v, GreenAmptState(params, state.v_inf + delta_v)

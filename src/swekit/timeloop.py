@@ -13,8 +13,8 @@ step writes into it:
 
 * ext: the state and bed with a two-cell ghost frame;
 * full: a grid-shaped Scratch whose floats hold the flux divergence phi
-  during a stage, and serve friction, the validity check and compute_dt
-  otherwise;
+  during a stage, and serve infiltration, friction, the validity check
+  and compute_dt otherwise;
 * stage: the first Heun stage;
 * one pool for the sweep kernel.
 
@@ -74,6 +74,8 @@ from .reconstruction import (
     muscl_slopes,
 )
 from .sources import (
+    INFILTRATION_FLAGS,
+    INFILTRATION_FLOATS,
     FrictionParams,
     GreenAmptParams,
     GreenAmptState,
@@ -421,13 +423,14 @@ class _Workspace:
     """Every buffer a run's steps write, allocated once per run.
 
     ext holds the state and bed with a two-cell ghost frame; full is a
-    grid-shaped Scratch whose floats are the flux divergence phi during
-    a stage and scratch for friction, the validity check and the time
-    step otherwise; stage receives the first Heun stage. The sweep
-    blocks of both directions share one pool.
+    grid-shaped Scratch whose first floats are the flux divergence phi
+    during a stage, and whose floats and flags are scratch for
+    infiltration (if `infiltration`), friction, the validity check and
+    the time step otherwise; stage receives the first Heun stage. The
+    sweep blocks of both directions share one pool.
     """
 
-    def __init__(self, grid, z, scheme, bcs):
+    def __init__(self, grid, z, scheme, bcs, infiltration=False):
         self.two_d = not grid.is_1d
         nx, ny = grid.nx, grid.ny
         nq = 2 if self.two_d else 1
@@ -435,8 +438,12 @@ class _Workspace:
         self.state_type = State2D if self.two_d else State1D
         self.shape = (nq + 1,) + shape
         self.cell_area = grid.dx * (grid.dy if self.two_d else 1.0)
-        self.full = Scratch.empty(shape, nq + 1, 1)
-        self.phi = self.full.floats
+        floats, flags = nq + 1, 1
+        if infiltration:
+            floats = max(floats, INFILTRATION_FLOATS)
+            flags = max(flags, INFILTRATION_FLAGS)
+        self.full = Scratch.empty(shape, floats, flags)
+        self.phi = self.full.floats[:nq + 1]
         self.stage = np.empty(self.shape)
 
         ext = np.empty((nq + 2, ny + 4 if self.two_d else 1, nx + 4))
@@ -607,7 +614,7 @@ def _stage(state, ga, t_source, dt, ctx, out):
         rain_vol = r * dt * grid.nx * grid.ny * work.cell_area
     infil_vol = 0.0
     if ga is not None:
-        dv, ga = infiltration_step(ga, h_new, dt)
+        dv, ga = infiltration_step(ga, h_new, dt, work.full)
         h_new -= dv
         infil_vol = float(dv.sum()) * work.cell_area
     if ctx.friction.law != "none":
@@ -657,7 +664,9 @@ def heun_step(state, ga, t, dt, ctx):
         np.add(old, dest, out=dest)
         np.multiply(dest, 0.5, out=dest)
     if ga is not None:
-        ga = GreenAmptState(ga.params, 0.5 * (ga.v_inf + ga2.v_inf))
+        # ga2.v_inf is this step's own new array: average into it.
+        v_inf = np.add(ga.v_inf, ga2.v_inf, out=ga2.v_inf)
+        ga = GreenAmptState(ga.params, np.multiply(0.5, v_inf, out=v_inf))
     _enforce_validity(new, t + dt, ctx.scheme, ctx.work.full.flags[0])
     return new_state, ga, _combine_heun_diags(d1, d2)
 
@@ -761,7 +770,8 @@ def run_simulation(config, on_step=None):
     if config.infiltration is not None:
         ga = GreenAmptState.zeros(config.infiltration, state.h.shape)
 
-    work = _Workspace(grid, z, config.scheme, config.boundaries)
+    work = _Workspace(grid, z, config.scheme, config.boundaries,
+                      infiltration=ga is not None)
     ctx = _RunContext(grid, z, config.scheme, config.boundaries,
                       config.friction, config.rain, _WarningCounter(), work)
     step = euler_step if config.scheme.order == 1 else heun_step
@@ -805,13 +815,17 @@ def run_simulation(config, on_step=None):
         cum.boundary_in_vol += diag.boundary_in_vol
         cum.boundary_out_vol += diag.boundary_out_vol
 
-        change = work.full.floats[0]
-        delta = max(float(np.max(np.abs(np.subtract(new, old, out=change),
-                                        out=change)))
-                    for new, old in zip(_fields(new_state), _fields(state)))
-        change_rate = delta / dt
-        state = new_state
-        t = target if hit_target else t + dt
+        t_new = target if hit_target else t + dt
+        if t_new >= final_time - _TIME_ATOL:
+            # The last step: its max |new - old| over the fields, over dt,
+            # is the run's change rate.
+            change = work.full.floats[0]
+            delta = max(float(np.max(np.abs(np.subtract(new, old, out=change),
+                                            out=change)))
+                        for new, old in zip(_fields(new_state),
+                                            _fields(state)))
+            change_rate = delta / dt
+        state, t = new_state, t_new
         min_depth = min(min_depth, float(np.min(state.h)))
 
         if on_step is not None:

@@ -1,6 +1,9 @@
 """Round-trip and format checks for profile, DEM and mass-report files."""
 
 import io
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,29 +250,106 @@ def test_write_rows_matches_oracle_on_carries_and_specials():
                                       specials, integers, dyadic]))
 
 
-def test_write_rows_python_fallback_alone_matches_oracle(monkeypatch):
-    # With an error bound larger than any fraction every value takes the
-    # fallback, which must give the same bytes on its own (as it does
-    # where long double is no wider than double).
-    *tables, _ = fileio._tables()
-    monkeypatch.setattr(fileio, "_tables", lambda: (*tables, 1.0))
+def count_fallback(monkeypatch):
+    """Route _fallback_words through a spy; returns the list of sizes."""
     fallback = fileio._fallback_words
     seen = []
     monkeypatch.setattr(fileio, "_fallback_words",
                         lambda values: seen.append(values.size)
                         or fallback(values))
+    return seen
+
+
+def forbid_fallback(monkeypatch):
+    def refuse(values):
+        raise AssertionError(f"fallback reached for {values[:5]}")
+    monkeypatch.setattr(fileio, "_fallback_words", refuse)
+
+
+def test_write_rows_python_fallback_alone_matches_oracle(monkeypatch):
+    # With no digits counted as in range every nonzero value takes the
+    # fallback, which must give the same bytes on its own.
+    monkeypatch.setattr(fileio, "_DIGITS_LO", fileio._DIGITS_HI + 1)
+    seen = count_fallback(monkeypatch)
     rng = np.random.default_rng(11)
     values = rng.standard_normal(3 * fileio._BLOCK) * 1e3
     assert_rows_match(values, ncols=9)
     assert sum(seen) == values.size
 
 
+def exact_decades():
+    """Decimal exponents whose power 10**(16 - e) is exact in long double."""
+    exact = fileio._tables().exact
+    return range(16 - (exact.stop - exact.start - 1), 17)
+
+
+def exact_halves(e, count, rng):
+    """Doubles in [10**e, 10**(e+1)) whose 18th significant digit is an
+    exact 5: odd multiples m of 2**(e - 17), m < 2**53, where any exist."""
+    ulp = Fraction(2) ** (e - 17)
+    lo = math.ceil(Fraction(10) ** e / ulp)
+    hi = min(math.ceil(Fraction(10) ** (e + 1) / ulp), 2**53)
+    if lo // 2 >= hi // 2:
+        return []
+    m = rng.integers(lo // 2, hi // 2, size=count) * 2 + 1
+    return [math.ldexp(float(k), e - 17) for k in m.tolist()]
+
+
+def test_exact_path_formats_ties_zeros_and_powers_without_fallback(
+        monkeypatch):
+    rng = np.random.default_rng(31)
+    values, halves = [0.0, -0.0], []
+    for e in exact_decades():
+        # 18 significant digits ending in 5: the nearest double lies
+        # within an ulp of a rounding tie of the 17th digit.
+        for text in rng.integers(10**17, 10**18, size=400) // 10 * 10 + 5:
+            values.append(float(f"{str(text)[0]}.{str(text)[1:]}e{e}"))
+        halves += exact_halves(e, 300, rng)
+        power = float(f"1e{e}")
+        values += [np.nextafter(power, np.inf),
+                   np.nextafter(np.nextafter(power, np.inf), np.inf)]
+    for half in halves:
+        digits = Decimal(half).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    assert len(halves) > 3000
+    values = np.array(values + halves)
+    values = np.concatenate([values, -values,
+                             1.0 + np.arange(1, 200_000) * 2.0**-17])
+    rounded = []
+    exact = fileio._round_exact
+    monkeypatch.setattr(fileio, "_round_exact",
+                        lambda *args: rounded.append(args[0].size)
+                        or exact(*args))
+    forbid_fallback(monkeypatch)
+    assert_rows_match(values, ncols=8)
+    assert sum(rounded) > 0.1 * values.size
+
+
+def test_exact_path_on_a_double_wide_type(monkeypatch):
+    # Where long double is a plain double, every scaled value is near a
+    # tie by the error bound; the exact path must then decide all of
+    # them in the decades where 10**k is an exact double.
+    tables = fileio._tables(np.float64)
+    assert tables.split == 2**27 + 1
+    assert tables.exact == slice(16 - 22 - fileio._EXP_MIN,
+                                 17 - fileio._EXP_MIN)
+    monkeypatch.setattr(fileio, "_tables", lambda: tables)
+    seen = count_fallback(monkeypatch)
+    rng = np.random.default_rng(32)
+    assert_rows_match(rng.integers(0, 2**64, size=30_000, dtype=np.uint64)
+                      .view(np.float64))
+    normals = (rng.uniform(1.0, 10.0, 60_000) * 10.0 ** rng.integers(
+        -6, 17, 60_000) * rng.choice([-1.0, 1.0], 60_000))
+    ties = 1.0 + np.arange(1, 60_001) * 2.0**-17
+    halves = [h for e in range(-6, 16) for h in exact_halves(e, 200, rng)]
+    seen.clear()
+    assert_rows_match(np.concatenate([normals, -ties, halves, [0.0, -0.0]]),
+                      ncols=6)
+    assert sum(seen) < 1e-3 * normals.size
+
+
 def test_write_rows_formats_most_values_without_the_fallback(monkeypatch):
-    fallback = fileio._fallback_words
-    seen = []
-    monkeypatch.setattr(fileio, "_fallback_words",
-                        lambda values: seen.append(values.size)
-                        or fallback(values))
+    seen = count_fallback(monkeypatch)
     rng = np.random.default_rng(12)
     written_rows(rng.standard_normal((2000, 9)))
     assert sum(seen) < 0.05 * 2000 * 9
@@ -370,8 +450,19 @@ def test_profile_1d_file_matches_oracle():
 
 
 def test_profile_2d_file_matches_oracle():
+    assert_profile_2d_matches_oracle(23, 41)
+
+
+@pytest.mark.parametrize("ny, nx", [(41, 23), (1, 37), (37, 1), (1, 1),
+                                    (600, 9)])
+def test_profile_2d_file_matches_oracle_on_other_grids(ny, nx):
+    # The coordinates are formatted once per axis and gathered per block;
+    # 600 rows of 9 cells straddle blocks in mid-row.
+    assert_profile_2d_matches_oracle(ny, nx)
+
+
+def assert_profile_2d_matches_oracle(ny, nx):
     rng = np.random.default_rng(22)
-    ny, nx = 23, 41
     x = (np.arange(nx) + 0.5) * 0.7
     y = (np.arange(ny) + 0.5) * 0.3 - 2.0
     z = rng.standard_normal((ny, nx))
@@ -382,6 +473,26 @@ def test_profile_2d_file_matches_oracle():
     write_profile_2d(buf, x, y, z, h, qx, qy, time=0.1 + 0.2, g=9.81)
     assert buf.getvalue() == oracle_profile_2d(x, y, z, h, qx, qy,
                                                0.1 + 0.2, 9.81)
+
+
+def test_profile_2d_sends_almost_no_value_to_the_fallback(monkeypatch):
+    # A hillslope like perfbench's plot: a tilted plane with bumps, a
+    # sheet of water with dry cells, and slow flow down the slope.
+    rng = np.random.default_rng(25)
+    n, dx = 128, 0.5
+    x = (np.arange(n) + 0.5) * dx
+    y = (np.arange(n) + 0.5) * dx
+    z = 0.05 * (x.max() - x) + 0.3 * np.exp(
+        -((x - 20.0) ** 2 + (y[:, None] - 30.0) ** 2) / 40.0)
+    h = random_depths(rng, (n, n)) * 0.01
+    qx = h * rng.uniform(0.0, 0.4, (n, n))
+    qy = h * rng.normal(0.0, 0.05, (n, n))
+    seen = count_fallback(monkeypatch)
+    buf = io.StringIO()
+    write_profile_2d(buf, x, y, z, h, qx, qy, time=2.5, g=9.81)
+    assert sum(seen) <= 0.0005 * n * n * len(COLUMNS_2D)
+    assert buf.getvalue() == oracle_profile_2d(x, y, z, h, qx, qy, 2.5,
+                                               9.81)
 
 
 def test_dem_file_matches_oracle():

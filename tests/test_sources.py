@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from swekit.core import G_DEFAULT
+from swekit.core import G_DEFAULT, Scratch
 from swekit.sources import (
+    INFILTRATION_FLAGS,
+    INFILTRATION_FLOATS,
     FrictionParams,
     GreenAmptParams,
     GreenAmptState,
@@ -205,3 +210,105 @@ def test_green_ampt_params_validation():
         GreenAmptParams(ks=1e-6, zc=0.01, kc=0.0)
     with pytest.raises(ValueError):
         GreenAmptParams(ks=1e-6, dtheta=0.0)
+
+
+# ------------------------------------- in-place Green-Ampt vs reference
+# The allocating Green-Ampt functions as they were before they took
+# workspace buffers, kept as the reference that the in-place ones must
+# match bit for bit.
+
+
+def reference_effective_conductivity(params, z_front):
+    z_front = np.asarray(z_front, dtype=float)
+    if params.zc == 0.0:
+        return np.full_like(z_front, params.ks)
+    in_crust = z_front <= params.zc
+    z_safe = np.where(z_front > 0.0, z_front, 1.0)
+    series = z_safe / ((z_safe - params.zc) / params.ks
+                       + params.zc / params.kc)
+    return np.where(in_crust, params.kc, series)
+
+
+def reference_infiltration_capacity(params, v_inf, h_surface):
+    v_inf = np.asarray(v_inf, dtype=float)
+    h_surface = np.asarray(h_surface, dtype=float)
+    z_front = v_inf / params.dtheta
+    started = z_front > 0.0
+    z_safe = np.where(started, z_front, 1.0)
+    k = reference_effective_conductivity(params, z_front)
+    capacity = k * (1.0 + (params.hf + h_surface) / z_safe)
+    return np.where(started, capacity, np.inf)
+
+
+def reference_infiltration_step(state, h_surface, dt):
+    h_surface = np.asarray(h_surface, dtype=float)
+    capacity = reference_infiltration_capacity(state.params, state.v_inf,
+                                               h_surface)
+    if state.params.imax is not None:
+        capacity = np.minimum(capacity, state.params.imax)
+    rate = np.minimum(capacity, h_surface / dt)
+    delta_v = np.minimum(h_surface, rate * dt)
+    delta_v = np.maximum(delta_v, 0.0)
+    return delta_v, state.v_inf + delta_v
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def dirty_scratch(shape):
+    """Workspace buffers holding garbage, as they do between uses."""
+    work = Scratch.empty(shape, INFILTRATION_FLOATS, INFILTRATION_FLAGS)
+    work.floats[...] = np.nan
+    work.flags[...] = True
+    return work
+
+
+positive = st.floats(1e-9, 1e-2)
+green_ampt = st.builds(
+    GreenAmptParams, ks=positive, kc=positive,
+    zc=st.sampled_from([0.0, 1e-3, 0.02]), hf=st.floats(0.0, 0.5),
+    dtheta=st.floats(0.01, 1.0),
+    imax=st.one_of(st.none(), st.floats(0.0, 1e-3)))
+depths = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-12, 0.2),
+                   st.sampled_from([1e-3, 0.02]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(green_ampt, st.integers(1, 40).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=depths),
+    hnp.arrays(np.float64, n, elements=depths))),
+    st.floats(1e-3, 100.0))
+def test_in_place_green_ampt_matches_the_reference(params, arrays, dt):
+    v_inf, h = arrays
+    # The crust depth zc is a front depth: put some fronts right on it.
+    v_inf[::3] = params.zc * params.dtheta
+    z_front = v_inf / params.dtheta
+    assert same_bits(effective_conductivity(params, z_front),
+                     reference_effective_conductivity(params, z_front))
+    assert same_bits(infiltration_capacity(params, v_inf, h),
+                     reference_infiltration_capacity(params, v_inf, h))
+    work = dirty_scratch(h.shape)
+    assert same_bits(infiltration_capacity(params, v_inf, h, work=work),
+                     reference_infiltration_capacity(params, v_inf, h))
+    state = GreenAmptState(params, v_inf.copy())
+    ref_dv, ref_v = reference_infiltration_step(state, h, dt)
+    for work in (None, dirty_scratch(h.shape)):
+        dv, new_state = infiltration_step(state, h, dt, work)
+        assert same_bits(dv, ref_dv)
+        assert same_bits(new_state.v_inf, ref_v)
+        assert same_bits(state.v_inf, v_inf)
+        if work is not None:
+            assert not np.shares_memory(new_state.v_inf, work.floats)
+
+
+def test_in_place_green_ampt_keeps_scalar_calls():
+    params = GreenAmptParams(ks=4.4e-6, kc=1e-6, zc=0.05, hf=0.06,
+                             dtheta=0.12)
+    for z in (0.0, 0.01, 0.05, 0.3):
+        assert same_bits(effective_conductivity(params, z),
+                         reference_effective_conductivity(params, z))
+        assert same_bits(infiltration_capacity(params, z, 0.01),
+                         reference_infiltration_capacity(params, z, 0.01))

@@ -25,7 +25,12 @@ from swekit.boundary import (
 )
 from swekit.cases import macdonald_shock_case
 from swekit.core import H_EPS, Grid, State1D, State2D, total_volume
-from swekit.sources import FrictionParams, GreenAmptParams, Hyetograph
+from swekit.sources import (
+    FrictionParams,
+    GreenAmptParams,
+    GreenAmptState,
+    Hyetograph,
+)
 from swekit.timeloop import (
     CFL_MAX,
     NumericalFault,
@@ -460,9 +465,10 @@ def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
 
 
 # ----------------------------------------------------- pinned results
-# Final-state SHA-256 and mass ledger (time, volume, rain, infiltration,
-# boundary in, boundary out, residual, as float.hex) of three short
-# runs. Any change to the floating-point order of the solver shows here.
+# Final-state SHA-256, final change rate (as float.hex) and mass ledger
+# (time, volume, rain, infiltration, boundary in, boundary out, residual,
+# as float.hex) of three short runs. Any change to the floating-point
+# order of the solver shows here.
 
 
 def _centers(length, cells):
@@ -516,13 +522,16 @@ def _thacker_bowl():
 PINNED = {
     "shock_channel": (
         _shock_channel, 26,
-        "dcf9490dc846df078115f32ad3bc6d45ce2fc2ae7b710ab5407b066d501f0142"),
+        "dcf9490dc846df078115f32ad3bc6d45ce2fc2ae7b710ab5407b066d501f0142",
+        "0x1.ef1b8740f0f7dp+3"),
     "rain_plot": (
         _rain_plot, 6,
-        "0268ce4749e9214a5f6e89d1d774574d44227fdfdc5f986d7ac4ced4a55c37d1"),
+        "0268ce4749e9214a5f6e89d1d774574d44227fdfdc5f986d7ac4ced4a55c37d1",
+        "0x1.44478c1a134a4p-10"),
     "thacker_bowl": (
         _thacker_bowl, 20,
-        "6a0d708ea51203f33ce1b3f4a102d854d622a95343b8fc726dad83c88fb07fe0"),
+        "6a0d708ea51203f33ce1b3f4a102d854d622a95343b8fc726dad83c88fb07fe0",
+        "0x1.acc41ec1802e9p-3"),
 }
 PINNED_LEDGERS = {
     "rain_plot": [
@@ -550,7 +559,7 @@ PINNED_LEDGERS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_results_are_pinned_bit_for_bit(name):
-    make, steps, sha = PINNED[name]
+    make, steps, sha, change_rate = PINNED[name]
     result = run_simulation(make())
     digest = hashlib.sha256()
     for field in ("h", "q", "qx", "qy"):
@@ -561,6 +570,7 @@ def test_results_are_pinned_bit_for_bit(name):
         row.boundary_out, row.residual)) for row in result.mass_balance]
     assert result.steps == steps
     assert digest.hexdigest() == sha
+    assert result.final_change_rate.hex() == change_rate
     assert ledger == PINNED_LEDGERS[name]
 
 
@@ -925,20 +935,26 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
     else:
         config = dataclasses.replace(_shock_channel(), final_time=0.05)
     grid, scheme = config.grid, config.scheme
+    ga = None
+    if config.infiltration is not None:
+        ga = GreenAmptState(config.infiltration,
+                            np.full(config.initial_state.h.shape, 1e-3))
+        ga_before = ga.v_inf.copy()
     work = timeloop._Workspace(grid, config.topography, scheme,
-                               config.boundaries)
+                               config.boundaries,
+                               infiltration=ga is not None)
     ctx = timeloop._RunContext(grid, config.topography, scheme,
                                config.boundaries, config.friction,
                                config.rain, timeloop._WarningCounter(), work)
     state = config.initial_state.copy()
     before = state.copy()
     dt = 0.5 * compute_dt(state, grid, scheme, config.boundaries)
-    first, _, _ = heun_step(state, None, 0.0, dt, ctx)
-    second, _, _ = heun_step(first, None, dt, dt, ctx)
+    first, ga_first, _ = heun_step(state, ga, 0.0, dt, ctx)
+    second, ga_second, _ = heun_step(first, ga_first, dt, dt, ctx)
     assert all(np.array_equal(a, b) for a, b in
                zip(timeloop._fields(state), timeloop._fields(before)))
-    buffers = [work.ext, work.full.floats, work.stage, work.faces,
-               *work.pool] + ([work.y_div] if two_d else [])
+    buffers = [work.ext, work.full.floats, work.full.flags, work.stage,
+               work.faces, *work.pool] + ([work.y_div] if two_d else [])
     arrays = timeloop._fields(first) + timeloop._fields(second)
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in buffers)
@@ -946,9 +962,23 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
         if i < len(arrays) // 2:
             assert not any(np.shares_memory(a, b)
                            for b in timeloop._fields(second))
+    if ga is not None:
+        # Infiltration runs in the workspace, but the cumulative depth a
+        # step returns is its own: Heun averages it with the next one.
+        assert np.array_equal(ga.v_inf, ga_before)
+        assert np.all(ga_second.v_inf > ga_first.v_inf)
+        v_infs = (ga.v_inf, ga_first.v_inf, ga_second.v_inf)
+        for i, a in enumerate(v_infs):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+            assert not any(np.shares_memory(a, b) for b in arrays)
+            assert not any(np.shares_memory(a, b) for b in v_infs[i + 1:])
 
     result = run_simulation(dataclasses.replace(config, output_times=()))
     final = timeloop._fields(result.final_state)
     for _, snapshot in result.snapshots[:-1]:
         assert not any(np.shares_memory(a, b) for a in final
+                       for b in timeloop._fields(snapshot))
+    if ga is not None:
+        assert not any(np.shares_memory(result.ga_state.v_inf, b)
+                       for _, snapshot in result.snapshots
                        for b in timeloop._fields(snapshot))
