@@ -1,7 +1,11 @@
 """Ghost-cell filling: mirror/copy/wrap rules and regime fallbacks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swekit.boundary import (
     BoundaryCondition,
@@ -10,6 +14,7 @@ from swekit.boundary import (
     fill_ghosts_1d,
     fill_ghosts_2d,
 )
+from swekit.core import G_DEFAULT, H_EPS
 
 
 def ext_1d(h, q, z):
@@ -265,3 +270,316 @@ def test_2d_open_sides_extend_bed_slope():
     np.testing.assert_allclose(ze[rows, 1], [0.4, 0.4], atol=1e-15)
     np.testing.assert_allclose(ze[rows, 5], [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(ze[rows, 6], [-0.1, -0.1], atol=1e-15)
+
+
+# --- reference fills ----------------------------------------------------
+# The two ghost fills as they were written before they shared one body
+# per boundary kind, with their own helpers, kept as the reference that
+# fill_ghosts_1d/_2d must match bit for bit.
+
+
+def _ref_froude(h, q, g):
+    h = np.asarray(h, dtype=float)
+    wet = h > H_EPS
+    u = np.where(wet, np.asarray(q, dtype=float) / np.where(wet, h, 1.0), 0.0)
+    return np.where(wet, np.abs(u) / np.sqrt(g * np.where(wet, h, 1.0)), 0.0)
+
+
+def _ref_resolve_imposed(bc, h_int, q_int, inward_sign, g, side, warnings):
+    """Effective (depth, discharge) ghost values for one imposed-kind side.
+
+    h_int / q_int are the first interior cell values (arrays along the
+    side). Returns (h_ghost, q_ghost) arrays. Appends one warning per
+    side on any regime mismatch. inward_sign maps the stored discharge
+    to "into the domain" (+1 on the low side, -1 on the high side).
+    """
+    h_int = np.atleast_1d(np.asarray(h_int, dtype=float))
+    q_int = np.atleast_1d(np.asarray(q_int, dtype=float))
+
+    # Regime: interior cell where wet, otherwise the imposed state.
+    h_probe = np.where(h_int > H_EPS, h_int,
+                       bc.depth if bc.depth is not None else 0.0)
+    q_probe = np.where(h_int > H_EPS, q_int,
+                       bc.discharge if bc.discharge is not None else 0.0)
+    fr = _ref_froude(h_probe, q_probe, g)
+    supercritical = fr > 1.0
+    inflow = q_probe * inward_sign > 0.0
+
+    h_ghost = h_int.copy()
+    q_ghost = q_int.copy()
+    mismatch = np.zeros_like(supercritical)
+
+    if bc.kind == "imposed_depth":
+        h_ghost = np.where(supercritical & ~inflow, h_int, bc.depth)
+        q_ghost = q_int.copy()
+        mismatch = supercritical
+    elif bc.kind == "imposed_discharge":
+        q_ghost = np.where(supercritical & ~inflow, q_int, bc.discharge)
+        h_ghost = h_int.copy()
+        mismatch = supercritical
+    elif bc.kind == "imposed_both":
+        imposed_inflow = bc.discharge * inward_sign > 0.0
+        if imposed_inflow:
+            # legal when supercritical; subcritical keeps the discharge only
+            h_ghost = np.where(supercritical, bc.depth, h_int)
+            q_ghost = np.full_like(q_int, bc.discharge)
+            mismatch = ~supercritical
+        else:
+            # outward discharge: neumann if supercritical, depth if subcritical
+            h_ghost = np.where(supercritical, h_int, bc.depth)
+            q_ghost = q_int.copy()
+            mismatch = np.ones_like(supercritical)
+
+    if np.any(mismatch):
+        warnings.append(
+            f"{side} boundary: {bc.kind} does not match the local flow regime; "
+            "using the closest legal rule")
+    return h_ghost, q_ghost
+
+
+def _ref_resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
+    """Scalar twin of _ref_resolve_imposed for the 1D hot path."""
+    h_int = float(h_int)
+    q_int = float(q_int)
+    wet = h_int > H_EPS
+    h_probe = h_int if wet else (bc.depth if bc.depth is not None else 0.0)
+    q_probe = q_int if wet else (bc.discharge
+                                 if bc.discharge is not None else 0.0)
+    if h_probe > H_EPS:
+        fr = abs(q_probe / h_probe) / math.sqrt(g * h_probe)
+    else:
+        fr = 0.0
+    supercritical = fr > 1.0
+    inflow = q_probe * inward_sign > 0.0
+
+    if bc.kind == "imposed_depth":
+        h_ghost = h_int if (supercritical and not inflow) else bc.depth
+        q_ghost = q_int
+        mismatch = supercritical
+    elif bc.kind == "imposed_discharge":
+        q_ghost = q_int if (supercritical and not inflow) else bc.discharge
+        h_ghost = h_int
+        mismatch = supercritical
+    else:  # imposed_both
+        if bc.discharge * inward_sign > 0.0:
+            h_ghost = bc.depth if supercritical else h_int
+            q_ghost = bc.discharge
+            mismatch = not supercritical
+        else:
+            h_ghost = h_int if supercritical else bc.depth
+            q_ghost = q_int
+            mismatch = True
+
+    if mismatch:
+        warnings.append(
+            f"{side} boundary: {bc.kind} does not match the local flow regime; "
+            "using the closest legal rule")
+    return h_ghost, q_ghost
+
+
+def _ref_extrapolate_z_1d(z_ext, g0, g1, i0, i1, n):
+    """Continue the boundary bed slope into the ghost cells.
+
+    Open (neumann/imposed) sides represent a channel that keeps going,
+    so the ghost topography follows the line through the last two
+    interior cells instead of flattening out, which would put a kink in
+    the bed exactly at the boundary interface.
+    """
+    if n >= 2:
+        slope = z_ext[i0] - z_ext[i1]
+        z_ext[g0] = z_ext[i0] + slope
+        z_ext[g1] = z_ext[i0] + 2.0 * slope
+    else:
+        z_ext[g0] = z_ext[g1] = z_ext[i0]
+
+
+def _ref_fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None):
+    """Fill the two ghost cells on each side of the extended 1D arrays.
+
+    Interior cells live at ext indices [2, n+2). warnings, if given, is
+    a list that collects regime-mismatch messages.
+    """
+    if warnings is None:
+        warnings = []
+    # A single cell is its own second neighbor.
+    second = 1 if n >= 2 else 0
+    for side, bc, g0, g1, i0, i1, inward in (
+            ("left", bcs.left, 1, 0, 2, 2 + second, 1.0),
+            ("right", bcs.right, n + 2, n + 3, n + 1, n + 1 - second, -1.0)):
+        if bc.kind == "wall":
+            h_ext[g0] = h_ext[i0]
+            h_ext[g1] = h_ext[i1]
+            q_ext[g0] = -q_ext[i0]
+            q_ext[g1] = -q_ext[i1]
+            z_ext[g0] = z_ext[i0]
+            z_ext[g1] = z_ext[i1]
+        elif bc.kind == "neumann":
+            h_ext[g0] = h_ext[g1] = h_ext[i0]
+            q_ext[g0] = q_ext[g1] = q_ext[i0]
+            _ref_extrapolate_z_1d(z_ext, g0, g1, i0, i1, n)
+        elif bc.kind == "periodic":
+            continue  # handled jointly below
+        else:
+            hg, qg = _ref_resolve_imposed_scalar(bc, h_ext[i0], q_ext[i0], inward,
+                                             g, side, warnings)
+            h_ext[g0] = h_ext[g1] = hg
+            q_ext[g0] = q_ext[g1] = qg
+            _ref_extrapolate_z_1d(z_ext, g0, g1, i0, i1, n)
+    if bcs.left.kind == "periodic":
+        # Inner ghosts first, so one cell wraps onto all four.
+        for arr in (h_ext, q_ext, z_ext):
+            arr[1] = arr[n + 1]
+            arr[0] = arr[n]
+            arr[n + 2] = arr[2]
+            arr[n + 3] = arr[3]
+    return warnings
+
+
+def _ref_extrapolate_z_side(z_ext, sel, g0, g1, i0, i1, count):
+    """2D twin of _ref_extrapolate_z_1d for one side's ghost lines."""
+    if count >= 2:
+        slope = z_ext[sel(i0)] - z_ext[sel(i1)]
+        z_ext[sel(g0)] = z_ext[sel(i0)] + slope
+        z_ext[sel(g1)] = z_ext[sel(i0)] + 2.0 * slope
+    else:
+        z_ext[sel(g0)] = z_ext[sel(i0)]
+        z_ext[sel(g1)] = z_ext[sel(i0)]
+
+
+def _ref_fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, g=G_DEFAULT,
+                   warnings=None):
+    """Fill ghost frames of the extended (ny+4, nx+4) arrays.
+
+    x sides first, then y sides (which also populates the corners from
+    the already-filled ghost columns; the sweeps never read corners).
+    """
+    if warnings is None:
+        warnings = []
+    interior_rows = slice(2, ny + 2)
+    interior_cols = slice(2, nx + 2)
+
+    def fill_side(axis, bc, side, g0, g1, i0, i1, inward):
+        if axis == "x":
+            sel = lambda idx: (interior_rows, idx)
+            q_norm, q_tan = qx_ext, qy_ext
+            count = nx
+        else:
+            sel = lambda idx: (idx, slice(0, nx + 4))
+            q_norm, q_tan = qy_ext, qx_ext
+            count = ny
+        if bc.kind == "wall":
+            h_ext[sel(g0)] = h_ext[sel(i0)]
+            h_ext[sel(g1)] = h_ext[sel(i1)]
+            q_norm[sel(g0)] = -q_norm[sel(i0)]
+            q_norm[sel(g1)] = -q_norm[sel(i1)]
+            q_tan[sel(g0)] = q_tan[sel(i0)]
+            q_tan[sel(g1)] = q_tan[sel(i1)]
+            z_ext[sel(g0)] = z_ext[sel(i0)]
+            z_ext[sel(g1)] = z_ext[sel(i1)]
+        elif bc.kind == "neumann":
+            for arr in (h_ext, q_norm, q_tan):
+                arr[sel(g0)] = arr[sel(i0)]
+                arr[sel(g1)] = arr[sel(i0)]
+            _ref_extrapolate_z_side(z_ext, sel, g0, g1, i0, i1, count)
+        elif bc.kind == "periodic":
+            pass
+        else:
+            hg, qg = _ref_resolve_imposed(bc, h_ext[sel(i0)], q_norm[sel(i0)],
+                                      inward, g, side, warnings)
+            h_ext[sel(g0)] = hg
+            h_ext[sel(g1)] = hg
+            q_norm[sel(g0)] = qg
+            q_norm[sel(g1)] = qg
+            q_tan[sel(g0)] = q_tan[sel(i0)]
+            q_tan[sel(g1)] = q_tan[sel(i0)]
+            _ref_extrapolate_z_side(z_ext, sel, g0, g1, i0, i1, count)
+
+    # A single cell is its own second neighbor; inner periodic ghosts
+    # are filled first, so one cell wraps onto all four.
+    second = 1 if nx >= 2 else 0
+    fill_side("x", bcs.left, "left", 1, 0, 2, 2 + second, 1.0)
+    fill_side("x", bcs.right, "right", nx + 2, nx + 3, nx + 1,
+              nx + 1 - second, -1.0)
+    if bcs.left.kind == "periodic":
+        for arr in (h_ext, qx_ext, qy_ext, z_ext):
+            arr[interior_rows, 1] = arr[interior_rows, nx + 1]
+            arr[interior_rows, 0] = arr[interior_rows, nx]
+            arr[interior_rows, nx + 2] = arr[interior_rows, 2]
+            arr[interior_rows, nx + 3] = arr[interior_rows, 3]
+
+    second = 1 if ny >= 2 else 0
+    fill_side("y", bcs.bottom, "bottom", 1, 0, 2, 2 + second, 1.0)
+    fill_side("y", bcs.top, "top", ny + 2, ny + 3, ny + 1, ny + 1 - second,
+              -1.0)
+    if bcs.bottom.kind == "periodic":
+        for arr in (h_ext, qx_ext, qy_ext, z_ext):
+            arr[1, :] = arr[ny + 1, :]
+            arr[0, :] = arr[ny, :]
+            arr[ny + 2, :] = arr[2, :]
+            arr[ny + 3, :] = arr[3, :]
+    return warnings
+
+
+_KINDS = st.one_of(
+    st.just(BoundaryCondition("wall")),
+    st.just(BoundaryCondition("neumann")),
+    st.builds(lambda d: BoundaryCondition("imposed_depth", depth=d),
+              st.sampled_from((0.0, 0.05, 0.5, 1.5))),
+    st.builds(lambda q: BoundaryCondition("imposed_discharge", discharge=q),
+              st.sampled_from((-2.0, -0.1, 0.0, 0.1, 2.0))),
+    st.builds(lambda d, q: BoundaryCondition("imposed_both", depth=d,
+                                             discharge=q),
+              st.sampled_from((0.05, 0.5, 1.5)),
+              st.sampled_from((-3.0, -0.2, 0.0, 0.2, 3.0))),
+)
+
+
+def _sides(draw):
+    """Both sides of one direction: a periodic pair or any two kinds."""
+    if draw(st.integers(0, 3)) == 0:
+        periodic = BoundaryCondition("periodic")
+        return periodic, periodic
+    return draw(_KINDS), draw(_KINDS)
+
+
+def _cells(rng, shape):
+    """Depths with dry cells (zero and below H_EPS), discharges that make
+    both sub- and supercritical flow, and a rough bed."""
+    h = rng.uniform(0.0, 1.0, shape)
+    h = np.where(rng.random(shape) < 0.2, 0.0, h)
+    h = np.where(rng.random(shape) < 0.1, 0.5 * H_EPS, h)
+    qs = [rng.normal(0.0, 1.5, shape) * (rng.random(shape) < 0.9)
+          for _ in range(2)]
+    return h, qs, rng.uniform(-1.0, 1.0, shape)
+
+
+_COUNTS = st.sampled_from((1, 2, 3)) | st.integers(4, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COUNTS, st.integers(0, 2**32 - 1), st.data())
+def test_fill_1d_matches_the_reference(n, seed, data):
+    h, (q, _), z = _cells(np.random.default_rng(seed), n)
+    left, right = _sides(data.draw)
+    bcs = BoundarySet(left, right)
+    got, want = ext_1d(h, q, z), ext_1d(h, q, z)
+    warnings = fill_ghosts_1d(*got, n, bcs)
+    ref_warnings = _ref_fill_ghosts_1d(*want, n, bcs)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert warnings == ref_warnings
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COUNTS, _COUNTS, st.integers(0, 2**32 - 1), st.data())
+def test_fill_2d_matches_the_reference(nx, ny, seed, data):
+    h, (qx, qy), z = _cells(np.random.default_rng(seed), (ny, nx))
+    left, right = _sides(data.draw)
+    bottom, top = _sides(data.draw)
+    bcs = BoundarySet(left, right, bottom, top)
+    got, want = ext_2d(h, qx, qy, z), ext_2d(h, qx, qy, z)
+    warnings = fill_ghosts_2d(*got, nx, ny, bcs)
+    ref_warnings = _ref_fill_ghosts_2d(*want, nx, ny, bcs)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert warnings == ref_warnings

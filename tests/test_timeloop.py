@@ -1,8 +1,12 @@
 """Time integration: step control, well-balancing, mass accounting."""
 
+import collections
+import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -464,6 +468,61 @@ def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
     assert warnings[message] == 2 * result.steps
 
 
+# ------------------------------------------------ traced call path
+# perfbench/tracer.py times the helpers swekit.timeloop binds by name
+# and the FLUX_FUNCTIONS entries; a helper the solver stops calling
+# would read 0 in its per-layer metric instead of failing.
+
+
+def _traced_timeloop_names():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TIMELOOP_NAMES
+
+
+def _wet_plot(two_d, order, flux):
+    """A few steps with friction, rain and infiltration on a slope."""
+    grid = Grid(nx=6, ny=4, dx=1.0, dy=1.0) if two_d else Grid(nx=6, dx=1.0)
+    shape = (4, 6) if two_d else (6,)
+    z = np.broadcast_to(0.05 * np.arange(6.0)[::-1], shape).copy()
+    h = np.full(shape, 0.1)
+    discharges = [np.full(shape, 0.01)] * (2 if two_d else 1)
+    state = State2D(h, *discharges) if two_d else State1D(h, *discharges)
+    return SimulationConfig(
+        grid=grid, topography=z, initial_state=state, final_time=0.5,
+        scheme=SchemeConfig(order=order, flux_name=flux),
+        boundaries=NEUMANN, friction=FrictionParams("manning", 0.03),
+        rain=Hyetograph((0.0,), (1e-3,)),
+        infiltration=GreenAmptParams(ks=1e-5, dtheta=0.3))
+
+
+def test_every_traced_helper_stays_on_the_call_path():
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = _traced_timeloop_names()
+    fluxes = {f"FLUX_FUNCTIONS[{key!r}]": key for key in timeloop.FLUX_FUNCTIONS}
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                timeloop, name, counted(name, getattr(timeloop, name))))
+        stack.enter_context(mock.patch.dict(timeloop.FLUX_FUNCTIONS, {
+            key: counted(label, timeloop.FLUX_FUNCTIONS[key])
+            for label, key in fluxes.items()}))
+        for two_d in (False, True):
+            for order in (1, 2):
+                for flux in sorted(timeloop.FLUX_FUNCTIONS):
+                    run_simulation(_wet_plot(two_d, order, flux))
+    assert [name for name in (*names, *fluxes) if not calls[name]] == []
+
+
 # ----------------------------------------------------- pinned results
 # Final-state SHA-256, final change rate (as float.hex) and mass ledger
 # (time, volume, rain, infiltration, boundary in, boundary out, residual,
@@ -519,6 +578,55 @@ def _thacker_bowl():
         initial_state=State2D(h, h * u, h * v), final_time=0.5)
 
 
+def _open_channel_2d():
+    """Imposed inflow and outflow across a channel, periodic bottom/top.
+
+    The left side takes a discharge and the right side a depth, so the
+    array form of the imposed-boundary resolver runs on every stage; a
+    bump off the centre line makes the periodic y wrap carry flow.
+    """
+    nx, ny, length, width = 12, 8, 6.0, 2.0
+    x = _centers(length, nx)
+    y = _centers(width, ny)
+    xx, yy = np.meshgrid(x, y)
+    z = 0.02 * (length - xx) + 0.1 * np.exp(-((xx - 3.0) ** 2
+                                              + (yy - 0.6) ** 2))
+    h = np.maximum(0.4 - z, 0.0) + 0.05 * (yy > 1.0)
+    periodic = BoundaryCondition("periodic")
+    return SimulationConfig(
+        grid=Grid(nx=nx, ny=ny, dx=length / nx, dy=width / ny),
+        topography=z,
+        initial_state=State2D(h, 0.1 * h, np.zeros_like(h)),
+        final_time=1.0,
+        boundaries=BoundarySet(
+            BoundaryCondition("imposed_discharge", discharge=0.3),
+            BoundaryCondition("imposed_depth", depth=0.3), periodic, periodic))
+
+
+def _neumann_channel_1d():
+    """A dam break leaving through open (neumann) sides over a slope."""
+    n = 40
+    x = _centers(10.0, n)
+    h = np.where(x < 6.0, 1.0, 0.1)
+    return SimulationConfig(
+        grid=Grid(nx=n, dx=10.0 / n), topography=0.01 * x,
+        initial_state=State1D(h, 0.2 * h), final_time=1.0,
+        boundaries=NEUMANN)
+
+
+def _periodic_channel_1d():
+    """A wave running around a periodic channel over a bump."""
+    n = 40
+    x = _centers(4.0, n)
+    h = 1.0 + 0.2 * np.sin(0.5 * np.pi * x)
+    per = BoundaryCondition("periodic")
+    return SimulationConfig(
+        grid=Grid(nx=n, dx=4.0 / n),
+        topography=0.1 * np.exp(-((x - 2.0) ** 2)),
+        initial_state=State1D(h, 0.3 * h), final_time=1.0,
+        boundaries=BoundarySet(per, per), scheme=SchemeConfig(order=1))
+
+
 PINNED = {
     "shock_channel": (
         _shock_channel, 26,
@@ -532,8 +640,38 @@ PINNED = {
         _thacker_bowl, 20,
         "6a0d708ea51203f33ce1b3f4a102d854d622a95343b8fc726dad83c88fb07fe0",
         "0x1.acc41ec1802e9p-3"),
+    "open_channel_2d": (
+        _open_channel_2d, 44,
+        "39a3ecd6d7ca64bc25fa3265484ca122a3a4744f0264e668af9a40bbedbe3d12",
+        "0x1.202ccf8a7a6cep-1"),
+    "neumann_channel_1d": (
+        _neumann_channel_1d, 35,
+        "2050f1198d7dd4dbcf3b1d194f485a2f97630a0e26b9eb384d678d91a7da9ed1",
+        "0x1.2f24943490ad6p+2"),
+    "periodic_channel_1d": (
+        _periodic_channel_1d, 39,
+        "b806b0ceaeaf87007fdb2830543fcd4b28148ddb38016f8b9a912f4a62adfee7",
+        "0x1.3019e32c7c435p+1"),
 }
 PINNED_LEDGERS = {
+    "open_channel_2d": [
+        ("0x0.0p+0", "0x1.08a3bfee0f67cp+2", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p+0", "0x1.1365d2dac7d38p+2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.7808d0575014bp-1", "0x1.21f838f18cb6ap-1", "0x0.0p+0"),
+    ],
+    "neumann_channel_1d": [
+        ("0x0.0p+0", "0x1.999999999999ap+2", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p+0", "0x1.a24c3896336dbp+2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.3525037e70fa4p-3", "0x1.ed123eb3673fbp-7", "-0x1.0000000000000p-49"),
+    ],
+    "periodic_channel_1d": [
+        ("0x0.0p+0", "0x1.0000000000000p+2", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.6ad6741ef1456p-2", "0x1.6ad6741ef1456p-2", "0x1.0000000000000p-51"),
+    ],
     "rain_plot": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
