@@ -28,8 +28,7 @@ from .core import (
     G_DEFAULT,
     H_EPS,
     Grid,
-    State1D,
-    State2D,
+    State,
     critical_depth,
     eigenvalues_1d,
     eigenvalues_2d,
@@ -80,8 +79,7 @@ __all__ = [
     "RunResult",
     "SchemeConfig",
     "SimulationConfig",
-    "State1D",
-    "State2D",
+    "State",
     "ThackerParams",
     "compute_dt",
     "critical_depth",

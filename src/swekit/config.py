@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .boundary import BC_KINDS, BoundaryCondition, BoundarySet
-from .core import G_DEFAULT, H_EPS, Grid, State1D, State2D
+from .core import FIELD_NAMES, G_DEFAULT, H_EPS, Grid, State
 from .fileio import read_dem, read_profile
 from .sources import (
     FRICTION_ALIASES,
@@ -194,22 +194,20 @@ def _resolve_path(value, base_dir):
 def _load_topography(spec, grid, base_dir):
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
-    shape = (grid.nx,) if grid.is_1d else (grid.ny, grid.nx)
     if kind == "flat":
-        return np.zeros(shape)
+        return np.zeros(grid.shape)
     if kind == "constant":
-        return np.full(shape, _finite_float(arg))
+        return np.full(grid.shape, _finite_float(arg))
     if kind == "file":
         path = _resolve_path(arg.strip(), base_dir)
         try:
             dem = read_dem(path)
         except OSError as exc:
             raise ValueError(f"cannot read DEM: {exc}") from None
-        expected_rows = 1 if grid.is_1d else grid.ny
-        if dem.ncols != grid.nx or dem.nrows != expected_rows:
+        if (dem.nrows, dem.ncols) != (grid.ny, grid.nx):
             raise ValueError(
                 f"DEM is {dem.nrows}x{dem.ncols}, grid needs "
-                f"{expected_rows}x{grid.nx}")
+                f"{grid.ny}x{grid.nx}")
         if abs(dem.cellsize - grid.dx) > 1e-9 * grid.dx:
             raise ValueError(
                 f"DEM cellsize {dem.cellsize} does not match dx {grid.dx}")
@@ -220,8 +218,7 @@ def _load_topography(spec, grid, base_dir):
             raise ValueError(
                 f"DEM origin {dem.origin} does not match the grid origin "
                 f"{corner} (origin_x/origin_y)")
-        elev = dem.elevations_south_up()
-        return elev[0] if grid.is_1d else elev
+        return dem.elevations_south_up().reshape(grid.shape)
     raise ValueError(
         f"unknown topography source {kind!r}; use flat, constant:<z> or "
         "file:<dem>")
@@ -230,54 +227,45 @@ def _load_topography(spec, grid, base_dir):
 def _load_initial_state(spec, grid, topography, base_dir):
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
-    shape = (grid.nx,) if grid.is_1d else (grid.ny, grid.nx)
-    zeros = np.zeros(shape)
+    names = FIELD_NAMES[len(grid.shape) + 1]
+    fields = np.zeros((len(names),) + grid.shape)
     if kind == "dry":
-        return State1D(zeros.copy(), zeros.copy()) if grid.is_1d else \
-            State2D(zeros.copy(), zeros.copy(), zeros.copy())
+        return State(fields)
     if kind == "lake":
-        h = np.maximum(_finite_float(arg) - topography, 0.0)
-        return State1D(h, zeros.copy()) if grid.is_1d else \
-            State2D(h, zeros.copy(), zeros.copy())
+        fields[0] = np.maximum(_finite_float(arg) - topography, 0.0)
+        return State(fields)
     if kind == "constant":
         parts = [_finite_float(p) for p in arg.split(":")] if arg else []
-        if grid.is_1d:
-            if len(parts) not in (1, 2):
-                raise ValueError("constant initial state needs h[:q]")
-            h = np.full(shape, parts[0])
-            q = np.full(shape, parts[1]) if len(parts) == 2 else zeros.copy()
-            return State1D(h, q)
-        if len(parts) not in (1, 3):
-            raise ValueError("constant initial state needs h[:qx:qy]")
-        h = np.full(shape, parts[0])
-        if len(parts) == 3:
-            return State2D(h, np.full(shape, parts[1]),
-                           np.full(shape, parts[2]))
-        return State2D(h, zeros.copy(), zeros.copy())
+        if len(parts) not in (1, len(names)):
+            raise ValueError("constant initial state needs "
+                             f"h[:{':'.join(names[1:])}]")
+        fields[:len(parts)] = np.reshape(parts, (-1,) + (1,) * len(grid.shape))
+        return State(fields)
     if kind == "file":
         path = _resolve_path(arg.strip(), base_dir)
         try:
             table = read_profile(path)
         except OSError as exc:
             raise ValueError(f"cannot read initial state: {exc}") from None
-        if grid.is_1d:
-            if "h" not in table or "q" not in table:
-                raise ValueError("initial-state file needs h and q columns")
-            if table["h"].size != grid.nx:
-                raise ValueError(
-                    f"initial-state file has {table['h'].size} rows, grid "
-                    f"has {grid.nx} cells")
-            return State1D(table["h"].copy(), table["q"].copy())
-        needed = ("h", "qx", "qy")
-        if any(c not in table for c in needed):
-            raise ValueError("initial-state file needs h, qx and qy columns")
+        if any(c not in table for c in names):
+            raise ValueError(f"initial-state file needs {', '.join(names[:-1])} "
+                             f"and {names[-1]} columns")
         count = grid.nx * grid.ny
         if table["h"].size != count:
             raise ValueError(
                 f"initial-state file has {table['h'].size} rows, grid has "
                 f"{count} cells")
-        return State2D(*(table[c].reshape(grid.ny, grid.nx).copy()
-                         for c in needed))
+        # Rows run x fastest, southernmost row first (as the writers
+        # lay them out); coordinate columns, where given, must say so.
+        centers = np.meshgrid(grid.cell_centers_x(), grid.cell_centers_y())
+        for axis, center, d in zip("xy", centers, grid.spacings):
+            if axis in table and np.any(np.abs(table[axis] - center.ravel())
+                                        > 1e-9 * d):
+                raise ValueError(f"initial-state file's {axis} column does "
+                                 "not match the grid's cell centers")
+        for field, c in zip(fields, names):
+            field[...] = table[c].reshape(grid.shape)
+        return State(fields)
     raise ValueError(
         f"unknown initial state {kind!r}; use dry, lake:<level>, "
         "constant:<h[:q...]> or file:<profile>")

@@ -1,9 +1,10 @@
 """Grids, conserved states, and pointwise shallow-water relations.
 
-Conserved variables are the water depth h [m] and the unit discharge
-q = h*u [m^2/s] (plus qy in 2D). Fields are stored as one contiguous
-array per variable (structure of arrays); 2D arrays are laid out
-row-major as (ny, nx), x varying fastest.
+Conserved variables are the water depth h [m] and the unit discharges
+q = h*u [m^2/s] per direction: q in 1D, qx and qy in 2D. A State stacks
+them in one array, h first, so a step updates every variable with one
+call per formula; 2D fields are laid out row-major as (ny, nx), x
+varying fastest.
 """
 
 from dataclasses import dataclass, field
@@ -56,28 +57,50 @@ class Grid:
     def length_y(self):
         return self.ny * self.dy
 
+    @property
+    def shape(self):
+        """Shape of one field: (nx,) in 1D, (ny, nx) in 2D."""
+        return (self.nx,) if self.is_1d else (self.ny, self.nx)
 
-@dataclass
-class State1D:
-    """Conserved state on a 1D grid: depth h (nx,) and discharge q (nx,)."""
+    @property
+    def spacings(self):
+        """Cell size per direction, x first: (dx,) in 1D, (dx, dy) in 2D."""
+        return (self.dx,) if self.is_1d else (self.dx, self.dy)
 
-    h: np.ndarray
-    q: np.ndarray
+
+# Variable names of a state by its number of fields.
+FIELD_NAMES = {2: ("h", "q"), 3: ("h", "qx", "qy")}
+
+
+class State:
+    """Conserved state: fields[0] is the depth h, fields[1:] the discharges.
+
+    fields has shape (1 + dims,) + grid shape. An array is wrapped as it
+    is, without a copy; a sequence (h, q) or (h, qx, qy) is stacked. The
+    variables read as .h plus .q (1D) or .qx and .qy (2D), views into
+    fields.
+    """
+
+    __slots__ = ("fields",)
+
+    def __init__(self, fields):
+        self.fields = np.asarray(fields, dtype=float)
+
+    @property
+    def h(self):
+        return self.fields[0]
+
+    def __getattr__(self, name):
+        # Reached only for names that are not attributes: the discharges.
+        if name != "fields":
+            names = FIELD_NAMES.get(len(self.fields), ())
+            if name in names[1:]:
+                return self.fields[names.index(name)]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def copy(self):
-        return State1D(self.h.copy(), self.q.copy())
-
-
-@dataclass
-class State2D:
-    """Conserved state on a 2D grid: h, qx, qy, each shaped (ny, nx)."""
-
-    h: np.ndarray
-    qx: np.ndarray
-    qy: np.ndarray
-
-    def copy(self):
-        return State2D(self.h.copy(), self.qx.copy(), self.qy.copy())
+        return State(self.fields.copy())
 
 
 class Scratch:
@@ -174,6 +197,7 @@ def critical_depth(q, g=G_DEFAULT):
 
 def total_volume(state, grid):
     """Water volume: sum(h)*dx in 1D [m^2], sum(h)*dx*dy in 2D [m^3]."""
-    if isinstance(state, State1D):
-        return float(np.sum(state.h) * grid.dx)
-    return float(np.sum(state.h) * grid.dx * grid.dy)
+    volume = np.sum(state.h)
+    for d in grid.spacings:
+        volume = volume * d
+    return float(volume)

@@ -11,23 +11,11 @@ accept scalars or arrays of interface values.
 
 import numpy as np
 
-from .core import G_DEFAULT, Scratch, eigenvalues_1d, velocity
+from .core import G_DEFAULT, Scratch, velocity
 
 # Scratch a stacked-sides solver needs: floats and flags of face shape.
 SIDES_FLOATS = 8
 SIDES_FLAGS = 3
-
-
-def wave_speeds(h_left, q_left, h_right, q_right, g=G_DEFAULT):
-    """Slowest and fastest characteristic speeds over the two states.
-
-    c1 = min(u - sqrt(g*h)) and c2 = max(u + sqrt(g*h)), the minimum and
-    maximum taken over the left and right states. A dry pair gives
-    (0, 0).
-    """
-    lam1_l, lam2_l = eigenvalues_1d(h_left, q_left, g)
-    lam1_r, lam2_r = eigenvalues_1d(h_right, q_right, g)
-    return np.minimum(lam1_l, lam1_r), np.maximum(lam2_l, lam2_r)
 
 
 def _side_waves(hq, g, work):

@@ -77,21 +77,6 @@ def muscl_slopes(values, dx, out=None, work=None):
     return slopes
 
 
-def muscl_reconstruct(values, dx):
-    """Linear traces of a cell sequence at its interior interfaces.
-
-    Returns (left, right) arrays of length n-1: left[k] extrapolates
-    cell k to interface k+1/2, right[k] extrapolates cell k+1 to the
-    same interface. With fewer than 3 cells the traces fall back to the
-    cell values.
-    """
-    v = np.asarray(values, dtype=float)
-    slopes = muscl_slopes(v, dx)
-    left = v[..., :-1] + 0.5 * dx * slopes[..., :-1]
-    right = v[..., 1:] - 0.5 * dx * slopes[..., 1:]
-    return left, right
-
-
 def hydrostatic_reconstruct(h_minus, z_minus, u_minus, h_plus, z_plus, u_plus):
     """Interface states seen by the Riemann solver across a topography step.
 

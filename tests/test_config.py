@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swekit.config import ConfigError, parse_parameter_file, parse_parameters
-from swekit.fileio import DemGrid, write_dem, write_profile_1d
+from swekit.fileio import DemGrid, write_dem, write_profile_1d, write_profile_2d
 
 MINIMAL = """
 length = 10
@@ -237,6 +237,38 @@ def test_initial_state_from_profile_file(tmp_path):
     config = parse_parameters(text, base_dir=str(tmp_path))
     assert np.array_equal(config.initial_state.h, h)
     assert np.array_equal(config.initial_state.q, q)
+
+
+def test_initial_state_profile_for_another_channel_rejected(tmp_path):
+    # Written for a 10 m channel of 500 cells, read on a 5 m one.
+    x = (np.arange(500) + 0.5) * 0.02
+    write_profile_1d(tmp_path / "init.txt", x, np.zeros(500), np.ones(500),
+                     np.zeros(500), time=0.0, g=9.81)
+    text = ("length = 5\ncells = 500\nfinal_time = 1\n"
+            "initial_state = file:init.txt\n")
+    errors = errors_of(text, base_dir=str(tmp_path))
+    (_, key, reason), = errors
+    assert key == "initial_state" and "x column" in reason
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_initial_state_profile_rows_must_follow_the_grid_2d(tmp_path, flip):
+    # 3 x 2 cells of 2 m; the flipped file lists the northern row first.
+    x, y = np.array([1.0, 3.0, 5.0]), np.array([1.0, 3.0])
+    h = np.array([[1.0, 0.8, 0.6], [0.4, 0.2, 0.1]])
+    qx, qy = 0.1 * h, 0.2 * h
+    rows = slice(None, None, -1 if flip else 1)
+    write_profile_2d(tmp_path / "init.txt", x, y[rows], np.zeros((2, 3)),
+                     h[rows], qx[rows], qy[rows], time=0.0, g=9.81)
+    text = ("length = 6\ncells = 3\nwidth = 4\ncells_y = 2\nfinal_time = 1\n"
+            "initial_state = file:init.txt\n")
+    if flip:
+        (_, key, reason), = errors_of(text, base_dir=str(tmp_path))
+        assert key == "initial_state" and "y column" in reason
+        return
+    state = parse_parameters(text, base_dir=str(tmp_path)).initial_state
+    assert np.array_equal(state.h, h)
+    assert np.array_equal(state.qx, qx) and np.array_equal(state.qy, qy)
 
 
 def test_missing_file_reported(tmp_path):

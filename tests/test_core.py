@@ -7,8 +7,7 @@ from swekit.core import (
     G_DEFAULT,
     H_EPS,
     Grid,
-    State1D,
-    State2D,
+    State,
     critical_depth,
     eigenvalues_1d,
     eigenvalues_2d,
@@ -135,18 +134,18 @@ def test_grid_2d_centers():
 
 def test_total_volume_1d():
     grid = Grid(nx=4, dx=0.5)
-    state = State1D(h=np.array([1.0, 2.0, 0.0, 0.5]), q=np.zeros(4))
+    state = State((np.array([1.0, 2.0, 0.0, 0.5]), np.zeros(4)))
     assert math.isclose(total_volume(state, grid), 3.5 * 0.5, rel_tol=1e-15)
 
 
 def test_total_volume_2d():
     grid = Grid(nx=2, dx=0.5, ny=2, dy=2.0)
-    state = State2D(h=np.full((2, 2), 0.25), qx=np.zeros((2, 2)), qy=np.zeros((2, 2)))
+    state = State((np.full((2, 2), 0.25), np.zeros((2, 2)), np.zeros((2, 2))))
     assert math.isclose(total_volume(state, grid), 0.25 * 4 * 1.0, rel_tol=1e-15)
 
 
 def test_state_copy_is_deep():
-    s = State1D(h=np.ones(3), q=np.zeros(3))
+    s = State((np.ones(3), np.zeros(3)))
     c = s.copy()
     c.h[0] = 5.0
     assert s.h[0] == 1.0

@@ -4,25 +4,38 @@ import numpy as np
 import pytest
 
 from swekit.core import G_DEFAULT, physical_flux_1d
-from swekit.fluxes import hll_flux, rusanov_flux, transverse_component, wave_speeds
+from swekit.fluxes import hll_flux, rusanov_flux, transverse_component
 
 SQRT_G = math.sqrt(G_DEFAULT)
 
 
 def test_wave_speeds_still_water():
-    c1, c2 = wave_speeds(1.0, 0.0, 1.0, 0.0)
-    assert math.isclose(c1, -SQRT_G, rel_tol=1e-15)
-    assert math.isclose(c2, SQRT_G, rel_tol=1e-15)
+    # Still columns of depth 1 and 1/4: the HLL speeds are -sqrt(g) and
+    # +sqrt(g), so the flux is the mean of the two physical fluxes less
+    # sqrt(g)/2 times the state jump.
+    f_h, f_q = hll_flux(1.0, 0.0, 0.25, 0.0)
+    assert math.isclose(f_h, 0.375 * SQRT_G, rel_tol=1e-15)
+    assert math.isclose(f_q, G_DEFAULT * 17.0 / 64.0, rel_tol=1e-15)
+    # Rusanov's dissipation speed is the larger |u| + sqrt(g h), sqrt(g).
+    f_h, _ = rusanov_flux(1.0, 0.0, 0.25, 0.0)
+    assert math.isclose(f_h, 0.375 * SQRT_G, rel_tol=1e-15)
 
 
 def test_wave_speeds_supercritical():
-    c1, c2 = wave_speeds(1.0, 10.0, 1.0, 10.0)
-    assert math.isclose(c1, 10.0 - SQRT_G, rel_tol=1e-15)
-    assert math.isclose(c2, 10.0 + SQRT_G, rel_tol=1e-15)
+    # u = 10 on both sides: the slowest speed 10 - sqrt(g) is positive,
+    # so HLL upwinds exactly, and Rusanov dissipates at 10 + sqrt(g).
+    f_h, f_q = hll_flux(1.0, 10.0, 0.25, 2.5)
+    assert (f_h, f_q) == physical_flux_1d(1.0, 10.0)
+    f_h, _ = rusanov_flux(1.0, 10.0, 0.25, 2.5)
+    assert math.isclose(f_h, 0.5 * (10.0 + 2.5) + 0.5 * (10.0 + SQRT_G) * 0.75,
+                        rel_tol=1e-15)
 
 
 def test_wave_speeds_dry_pair():
-    assert wave_speeds(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+    # Both speeds are zero: no flux, and no division by the zero spread.
+    with np.errstate(all="raise"):
+        assert hll_flux(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+        assert rusanov_flux(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("flux", [hll_flux, rusanov_flux])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swekit.boundary import BoundaryCondition, BoundarySet
-from swekit.core import Grid, State1D, State2D, total_volume
+from swekit.core import Grid, State, total_volume
 from swekit.timeloop import (
     SchemeConfig,
     SimulationConfig,
@@ -30,12 +30,11 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 
 
 def make_state(h, *discharges):
-    return (State1D if len(discharges) == 1 else State2D)(h, *discharges)
+    return State((h, *discharges))
 
 
 def fields(state):
-    names = ("h", "q") if hasattr(state, "q") else ("h", "qx", "qy")
-    return [getattr(state, name) for name in names]
+    return list(state.fields)
 
 
 @st.composite

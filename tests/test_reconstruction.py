@@ -11,7 +11,6 @@ from swekit.reconstruction import (
     hydrostatic_reconstruct,
     interface_pressure_correction,
     minmod,
-    muscl_reconstruct,
     muscl_slopes,
 )
 
@@ -72,8 +71,15 @@ def test_minmod_never_exceeds_inputs():
     assert np.all(m[~same_sign] == 0.0)
 
 
+def _traces(values, dx):
+    """Face traces of the limited linear reconstruction, as the solver
+    forms them: (left, right) at each interior interface."""
+    half_step = 0.5 * dx * muscl_slopes(values, dx)
+    return values[:-1] + half_step[:-1], values[1:] - half_step[1:]
+
+
 def test_muscl_constant_field_unchanged():
-    left, right = muscl_reconstruct(np.full(6, 2.5), dx=0.1)
+    left, right = _traces(np.full(6, 2.5), dx=0.1)
     np.testing.assert_array_equal(left, np.full(5, 2.5))
     np.testing.assert_array_equal(right, np.full(5, 2.5))
 
@@ -84,7 +90,8 @@ def test_muscl_linear_field_exact_interfaces():
     dx = 0.5
     x = (np.arange(6) + 0.5) * dx
     v = 3.0 * x + 1.0
-    left, right = muscl_reconstruct(v, dx)
+    np.testing.assert_allclose(muscl_slopes(v, dx)[1:-1], 3.0, rtol=1e-14)
+    left, right = _traces(v, dx)
     x_faces = x[:-1] + 0.5 * dx
     exact = 3.0 * x_faces + 1.0
     # End cells have zero slope, so only the fully interior faces match.
@@ -98,7 +105,9 @@ def test_muscl_extremum_gets_zero_slope():
 
 
 def test_muscl_two_cells_falls_back_to_cell_values():
-    left, right = muscl_reconstruct(np.array([1.0, 4.0]), dx=1.0)
+    assert np.array_equal(muscl_slopes(np.array([1.0, 4.0]), dx=1.0),
+                          [0.0, 0.0])
+    left, right = _traces(np.array([1.0, 4.0]), dx=1.0)
     assert left[0] == 1.0 and right[0] == 4.0
 
 
