@@ -6,12 +6,17 @@ closed and periodic domains keep their volume, and the scheme commutes
 with an x mirror, an x/y transpose, and the 1D/2D embedding.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swekit import timeloop
 from swekit.boundary import BoundaryCondition, BoundarySet
 from swekit.core import Grid, State, total_volume
+from swekit.fluxes import transverse_component
 from swekit.timeloop import (
     SchemeConfig,
     SimulationConfig,
@@ -23,18 +28,11 @@ WALL = BoundaryCondition("wall")
 NEUMANN = BoundaryCondition("neumann")
 PERIODIC = BoundaryCondition("periodic")
 STEPS = 6
-# Every run replays the same examples, so Tier-1 cannot turn red at
-# random on the one known counterexample family (see STILL_CELLS).
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
-                    database=None)
+SETTINGS = settings(max_examples=25, deadline=None)
 
 
 def make_state(h, *discharges):
     return State((h, *discharges))
-
-
-def fields(state):
-    return list(state.fields)
 
 
 @st.composite
@@ -43,10 +41,6 @@ def grids(draw, two_d):
         return Grid(nx=draw(st.integers(1, 9)), ny=draw(st.integers(2, 9)),
                     dx=draw(st.floats(0.1, 2.0)), dy=draw(st.floats(0.1, 2.0)))
     return Grid(nx=draw(st.integers(1, 40)), dx=draw(st.floats(0.1, 2.0)))
-
-
-def shape_of(grid):
-    return (grid.nx,) if grid.is_1d else (grid.ny, grid.nx)
 
 
 @st.composite
@@ -92,7 +86,7 @@ def _sides(draw, two_d):
 def lakes(draw, two_d):
     """Still water over a random bed that may emerge from it."""
     grid = draw(grids(two_d))
-    shape = shape_of(grid)
+    shape = grid.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = random_bed(rng, shape, draw)
     level = draw(st.floats(0.05, 1.0))
@@ -107,7 +101,7 @@ def lakes(draw, two_d):
 def test_lake_at_rest_stays_at_rest(case):
     grid, z, state, scheme, bcs = case
     result = final_state(grid, z, state, scheme, bcs)
-    h, *discharges = fields(result.final_state)
+    h, *discharges = result.final_state.fields
     assert np.max(np.abs(h - state.h)) <= 1e-13
     assert all(np.max(np.abs(q)) <= 1e-13 for q in discharges)
 
@@ -116,7 +110,7 @@ def test_lake_at_rest_stays_at_rest(case):
 def dam_breaks(draw, two_d):
     """A column released onto a wet or dry bed, possibly moving."""
     grid = draw(grids(two_d))
-    shape = shape_of(grid)
+    shape = grid.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = random_bed(rng, shape, draw) * draw(st.sampled_from((0.0, 0.3)))
     cut = draw(st.floats(0.0, 1.0))
@@ -146,7 +140,7 @@ def test_dam_breaks_keep_depths_nonnegative(case):
 def closed_flows(draw, two_d):
     """Random moving water over a random bed in a closed or periodic box."""
     grid = draw(grids(two_d))
-    shape = shape_of(grid)
+    shape = grid.shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = random_bed(rng, shape, draw) * draw(st.sampled_from((0.0, 0.5)))
     h = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
@@ -168,7 +162,7 @@ def test_closed_and_periodic_domains_conserve_volume(case):
 
 def _mirror_x(grid, z, state, bcs):
     """The same problem reflected in x: x -> -x, qx -> -qx."""
-    h, qx, *rest = (f[..., ::-1].copy() for f in fields(state))
+    h, qx, *rest = (f[..., ::-1].copy() for f in state.fields)
     return (grid, z[..., ::-1].copy(), make_state(h, -qx, *rest),
             BoundarySet(bcs.right, bcs.left, bcs.bottom, bcs.top))
 
@@ -182,37 +176,60 @@ def mirror_cases(draw, two_d):
     return grid, z, state, scheme, BoundarySet(left, right, bottom, top)
 
 
+def _mirror_error(case):
+    """Largest difference between a run and its mirrored run, mirrored back."""
+    grid, z, state, scheme, bcs = case
+    scheme = SchemeConfig(order=scheme.order, flux_name=scheme.flux_name,
+                          fixed_dt=0.5 * compute_dt(state, grid, scheme, bcs))
+    direct = final_state(grid, z, state, scheme, bcs).final_state.fields
+    grid, z, state, bcs = _mirror_x(grid, z, state, bcs)
+    mirrored = final_state(grid, z, state, scheme, bcs).final_state.fields
+    # Mirroring back negates qx and keeps h (and qy).
+    sign = np.array([1.0, -1.0, 1.0])[:len(direct)]
+    sign = sign.reshape((-1,) + (1,) * (direct.ndim - 1))
+    return np.max(np.abs(mirrored[..., ::-1] * sign - direct))
+
+
+def _ties_by_mass_flux(f_mass, u_left, u_right, v_left, v_right, axis,
+                       out=None, flag=None):
+    """transverse_component, but where u_left + u_right is exactly 0 the
+    upwind side follows the sign of the mass flux, as a mirror would."""
+    left = (np.add(u_left, u_right) == 0.0) & (f_mass > 0.0)
+    out = transverse_component(f_mass, u_left, u_right, v_left, v_right,
+                               axis, out, flag)
+    np.copyto(out, np.multiply(f_mass, v_left), where=left)
+    return out
+
+
+@SETTINGS
+@given(st.one_of(mirror_cases(two_d=False), mirror_cases(two_d=True)))
+def test_mirror_in_x_commutes_with_the_scheme(case):
+    if _mirror_error(case) > 1e-13:
+        # The one known asymmetry (test below): exact ties of the normal
+        # velocities carry the right-hand transverse velocity. Broken by
+        # the mass flux instead, the runs must be mirror images.
+        with mock.patch.object(timeloop, "transverse_component",
+                               _ties_by_mass_flux):
+            assert _mirror_error(case) <= 1e-13
+
+
 # Known defect: fluxes.transverse_component upwinds the transverse
 # velocity by the sign of u_left + u_right and takes the right state on a
 # tie. Two still cells of different depth side by side (u = 0 on both
 # sides, nonzero mass flux) then carry the right cell's v, and in the
 # mirrored problem the other cell's v, so the results stop being mirror
 # images after one step. Upwinding by the sign of the mass flux would
-# fix it but changes every 2D result, so the example stays an expected
-# failure until that change is made.
+# fix it but changes every 2D result.
 STILL_CELLS = (Grid(nx=2, ny=2, dx=1.0, dy=1.0), np.zeros((2, 2)),
                make_state(np.array([[0.3, 0.1], [0.2, 0.4]]), np.zeros((2, 2)),
                           np.array([[0.1, -0.05], [0.0, 0.02]])),
                SchemeConfig(order=1), BoundarySet())
 
 
-@SETTINGS
-@given(st.one_of(mirror_cases(two_d=False), mirror_cases(two_d=True)))
-@example(STILL_CELLS).xfail(raises=AssertionError,
-                            reason="transverse upwinding ties to the right")
-def test_mirror_in_x_commutes_with_the_scheme(case):
-    grid, z, state, scheme, bcs = case
-    scheme = SchemeConfig(order=scheme.order, flux_name=scheme.flux_name,
-                          fixed_dt=0.5 * compute_dt(state, grid, scheme, bcs))
-    direct = final_state(grid, z, state, scheme, bcs).final_state
-    grid, z, state, bcs = _mirror_x(grid, z, state, bcs)
-    mirrored = final_state(grid, z, state, scheme, bcs).final_state
-    h, qx, *rest = fields(direct)
-    h_m, qx_m, *rest_m = fields(mirrored)
-    assert np.max(np.abs(h_m[..., ::-1] - h)) <= 1e-13
-    assert np.max(np.abs(qx_m[..., ::-1] + qx)) <= 1e-13
-    assert all(np.max(np.abs(a[..., ::-1] - b)) <= 1e-13
-               for a, b in zip(rest_m, rest))
+@pytest.mark.xfail(strict=True,
+                   reason="transverse upwinding breaks ties to the right")
+def test_still_cells_side_by_side_stay_mirror_images():
+    assert _mirror_error(STILL_CELLS) <= 1e-13
 
 
 @SETTINGS
@@ -221,7 +238,7 @@ def test_transposing_x_and_y_commutes_with_the_scheme(case):
     grid, z, state, scheme, bcs = case
     scheme = SchemeConfig(order=scheme.order, flux_name=scheme.flux_name,
                           fixed_dt=0.5 * compute_dt(state, grid, scheme, bcs))
-    h, qx, qy = fields(state)
+    h, qx, qy = state.fields
     grid_t = Grid(nx=grid.ny, ny=grid.nx, dx=grid.dy, dy=grid.dx)
     if grid_t.is_1d:
         return  # a single column transposes into a 1D grid

@@ -489,7 +489,7 @@ def _wet_plot(two_d, order, flux):
     z = np.broadcast_to(0.05 * np.arange(6.0)[::-1], shape).copy()
     h = np.full(shape, 0.1)
     discharges = [np.full(shape, 0.01)] * (2 if two_d else 1)
-    state = State((h, *discharges)) if two_d else State((h, *discharges))
+    state = State((h, *discharges))
     return SimulationConfig(
         grid=grid, topography=z, initial_state=state, final_time=0.5,
         scheme=SchemeConfig(order=order, flux_name=flux),
@@ -1011,7 +1011,7 @@ def operator_cases(draw, two_d):
     bottom, top = _pair(draw) if two_d else (BoundaryCondition(),) * 2
     scheme = SchemeConfig(order=draw(st.sampled_from((1, 2))),
                           flux_name=draw(st.sampled_from(("hll", "rusanov"))))
-    state = State((h, *discharges)) if two_d else State((h, *discharges))
+    state = State((h, *discharges))
     budget = draw(st.sampled_from((16, 64, 700, timeloop.SWEEP_CELLS)))
     return grid, z, state, BoundarySet(left, right, bottom, top), scheme, budget
 
