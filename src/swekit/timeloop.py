@@ -186,18 +186,16 @@ def _bc_speed(fields, bcs, g, h_eps):
     """
     speeds = []
     for k, sides in enumerate(SIDES[:fields.ndim - 1]):
-        # The grid axis of direction k moved first: lines[:, 0] and
-        # lines[:, -1] are the cells along its low and high side.
-        lines = fields.swapaxes(1, -1 - k)
         for side, end in zip(sides, (0, -1)):
             bc = getattr(bcs, side)
             if bc.kind not in ("imposed_depth", "imposed_discharge",
                                "imposed_both"):
                 continue
-            h_b = bc.depth if bc.depth is not None \
-                else _largest(lines[0, end])
+            # The cells along the side: x sides are columns, y sides rows.
+            cells = fields[..., end] if k == 0 else fields[:, end]
+            h_b = bc.depth if bc.depth is not None else _largest(cells[0])
             q_b = bc.discharge if bc.discharge is not None \
-                else _largest(abs(lines[1 + k, end]))
+                else _largest(abs(cells[1 + k]))
             if h_b > h_eps:
                 speeds.append(abs(q_b) / h_b + np.sqrt(g * h_b))
     return max(speeds, default=0.0)
@@ -222,17 +220,15 @@ def compute_dt(state, grid, scheme, bcs=None, work=None):
     wet = np.greater(h, eps, out=work.flags[0])
     celerity = np.multiply(h, scheme.g, out=work.floats[0])
     np.sqrt(celerity, out=celerity, where=wet)
-    speeds = work.floats[1:len(fields)]
-    np.abs(discharges, out=speeds)
-    np.divide(speeds, h, out=speeds, where=wet)
-    np.add(speeds, celerity, out=speeds)
-    sups = speeds.max(axis=tuple(range(1, fields.ndim)), where=wet,
-                      initial=0.0).tolist()
-
     boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g, eps)
     dt = min(spacings)
-    for d, sup in zip(spacings, sups):
-        sup = max(sup, boost)
+    # Per direction: its spacing over the supremum of its |u| + c (one
+    # field at a time: on grid-shaped arrays numpy takes its fast path).
+    for d, q, speed in zip(spacings, discharges, work.floats[1:]):
+        np.abs(q, out=speed)
+        np.divide(speed, h, out=speed, where=wet)
+        np.add(speed, celerity, out=speed)
+        sup = max(float(speed.max(where=wet, initial=0.0)), boost)
         if sup > 0.0:
             dt = min(dt, d / sup)
     return cfl * dt

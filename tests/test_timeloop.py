@@ -93,6 +93,22 @@ def test_dt_accounts_for_imposed_inflow_onto_dry_bed():
     assert dt == pytest.approx(0.5 * 2.0 / speed, rel=1e-14)
 
 
+@pytest.mark.parametrize("side, cells", [
+    ("left", np.s_[:, 0]), ("right", np.s_[:, -1]),
+    ("bottom", np.s_[0, :]), ("top", np.s_[-1, :])])
+def test_2d_dt_takes_imposed_speeds_from_the_cells_along_the_side(side,
+                                                                  cells):
+    grid = Grid(nx=3, ny=4, dx=2.0, dy=1.0)
+    h = 0.1 + 0.01 * np.arange(12.0).reshape(4, 3)
+    zero = np.zeros_like(h)
+    bcs = BoundarySet(**{side: BoundaryCondition("imposed_discharge",
+                                                 discharge=1.0)})
+    h_b = h[cells].max()
+    speed = 1.0 / h_b + math.sqrt(9.81 * h_b)
+    dt = compute_dt(State((h, zero, zero)), grid, SchemeConfig(order=2), bcs)
+    assert dt == pytest.approx(0.25 * 1.0 / speed, rel=1e-14)
+
+
 def test_cfl_out_of_range_rejected():
     with pytest.raises(ValueError, match="cfl"):
         SchemeConfig(order=2, cfl=0.8).cfl_for(1)
