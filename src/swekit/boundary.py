@@ -184,14 +184,16 @@ def _extrapolate_z(z, g0, g1, i0, i1, count):
         z[g0] = z[g1] = z[i0]
 
 
-def _fill_direction(h, qn, qts, z, n, low, high, sides, g, warnings):
+def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
+                    warnings):
     """Fill both ends of one direction with n cells along it.
 
     a[i] is line i across the direction: ghosts at 0, 1, n+2 and n+3,
     interior lines from 2 to n+1. qn is the normal discharge and qts
     the transverse ones; low and high are the conditions on the sides
-    named in `sides`. Each side has an inner and an outer ghost (g0, g1)
-    and a nearest and a second interior line (i0, i1).
+    named in `sides`, and resolve the imposed-kind resolver for a line.
+    Each side has an inner and an outer ghost (g0, g1) and a nearest and
+    a second interior line (i0, i1).
     """
     # A single cell is its own second neighbor.
     second = 1 if n >= 2 else 0
@@ -209,8 +211,6 @@ def _fill_direction(h, qn, qts, z, n, low, high, sides, g, warnings):
             continue
         hg, qg = h[i0], qn[i0]
         if bc.kind != "neumann":
-            # A side of one cell (1D) takes the scalar resolver.
-            resolve = _resolve_imposed if hg.ndim else _resolve_imposed_scalar
             hg, qg = resolve(bc, hg, qg, inward, g, side, warnings)
         h[g0] = h[g1] = hg
         qn[g0] = qn[g1] = qg
@@ -234,8 +234,9 @@ def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None):
     """
     if warnings is None:
         warnings = []
+    # A 1D side is one cell: the scalar resolver.
     _fill_direction(h_ext, q_ext, (), z_ext, n, bcs.left, bcs.right,
-                    SIDES[0], g, warnings)
+                    SIDES[0], _resolve_imposed_scalar, g, warnings)
     return warnings
 
 
@@ -251,8 +252,8 @@ def fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, g=G_DEFAULT,
         warnings = []
     rows = slice(2, ny + 2)
     h, qx, qy, z = (a[rows].T for a in (h_ext, qx_ext, qy_ext, z_ext))
-    _fill_direction(h, qx, (qy,), z, nx, bcs.left, bcs.right, SIDES[0], g,
-                    warnings)
+    _fill_direction(h, qx, (qy,), z, nx, bcs.left, bcs.right, SIDES[0],
+                    _resolve_imposed, g, warnings)
     _fill_direction(h_ext, qy_ext, (qx_ext,), z_ext, ny, bcs.bottom, bcs.top,
-                    SIDES[1], g, warnings)
+                    SIDES[1], _resolve_imposed, g, warnings)
     return warnings

@@ -8,6 +8,7 @@ varying fastest.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +58,12 @@ class Grid:
     def length_y(self):
         return self.ny * self.dy
 
-    @property
+    @cached_property
     def shape(self):
         """Shape of one field: (nx,) in 1D, (ny, nx) in 2D."""
         return (self.nx,) if self.is_1d else (self.ny, self.nx)
 
-    @property
+    @cached_property
     def spacings(self):
         """Cell size per direction, x first: (dx,) in 1D, (dx, dy) in 2D."""
         return (self.dx,) if self.is_1d else (self.dx, self.dy)
