@@ -168,22 +168,6 @@ def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
     return h_ghost, q_ghost
 
 
-def _extrapolate_z(z, g0, g1, i0, i1, count):
-    """Continue the boundary bed slope into the ghost cells.
-
-    Open (neumann/imposed) sides represent a channel that keeps going,
-    so the ghost topography follows the line through the last two
-    interior cells instead of flattening out, which would put a kink in
-    the bed exactly at the boundary interface.
-    """
-    if count >= 2:
-        slope = z[i0] - z[i1]
-        z[g0] = z[i0] + slope
-        z[g1] = z[i0] + 2.0 * slope
-    else:
-        z[g0] = z[g1] = z[i0]
-
-
 def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
                     warnings):
     """Fill both ends of one direction with n cells along it.
@@ -216,7 +200,15 @@ def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
         qn[g0] = qn[g1] = qg
         for q in qts:
             q[g0] = q[g1] = q[i0]
-        _extrapolate_z(z, g0, g1, i0, i1, n)
+        # An open side is a channel that keeps going: the ghost bed
+        # follows the line through the last two interior cells instead of
+        # flattening out, which would kink the bed at the boundary face.
+        if n >= 2:
+            slope = z[i0] - z[i1]
+            z[g0] = z[i0] + slope
+            z[g1] = z[i0] + 2.0 * slope
+        else:
+            z[g0] = z[g1] = z[i0]
     if low.kind == "periodic":
         # Inner ghosts first, so one cell wraps onto all four.
         for a in (h, z, qn) + qts:
