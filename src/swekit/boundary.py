@@ -127,8 +127,8 @@ def _resolve_imposed(bc, h_int, q_int, inward_sign, g, side, warnings):
 def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
     """_resolve_imposed for a side of one cell (1D), on Python floats.
 
-    About 70 times cheaper per call than the array version, which
-    matters in 1D where every stage resolves both sides.
+    About 30 times cheaper per call than the array version on one cell,
+    which matters in 1D where every stage resolves both sides.
     """
     h_int = float(h_int)
     q_int = float(q_int)
