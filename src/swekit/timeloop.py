@@ -11,9 +11,9 @@ on requested output times, rain changes, and the final time.
 How a step runs. A State holds the conserved variables stacked in one
 array, (h, q) in 1D and (h, qx, qy) in 2D, so the update, the Heun
 average, the validity check and the change rate are one call each over
-the stack, and 1D and 2D share every line of the step. Only the ghost
-fill (fill_ghosts_1d or fill_ghosts_2d) and friction (one discharge or
-two) are chosen by the dimension. run_simulation creates one _Workspace
+the stack, and 1D and 2D run the same step code. Only the ghost fill
+(fill_ghosts_1d or fill_ghosts_2d) and friction (one discharge or two)
+are chosen by the dimension. run_simulation creates one _Workspace
 per run and every step writes into it:
 
 * ext: the fields and bed, each with a two-cell ghost frame;
