@@ -21,30 +21,56 @@ per run and every step writes into it:
   during a stage, and serve infiltration, friction, the validity check
   and compute_dt otherwise;
 * stage: the first Heun stage;
-* one pool for the sweep kernel.
+* the sweep kernel's scratch.
 
-The convective update is one sweep kernel (_Sweep). It serves 1D as a
-single row and each 2D direction as blocks of rows; the y sweep copies
-the transposed frame into contiguous rows. A block stacks the variables
-(h, u_n[, u_t], h+z) on one axis and the two interface sides (minus,
-plus) on another, so each formula (limited slopes, traces, hydrostatic
-depths, pressure corrections, Riemann fluxes) is one ufunc call that
-writes with out= into the pool. A direction's rows are split evenly into
-blocks of at most SWEEP_CELLS cells, so the pool stays under 4 MiB
-whatever the grid; a short last block runs on views of the same
-buffers. Each formula exists once, in core, reconstruction, fluxes and
-sources, and the kernel calls those functions.
+The convective update is one sweep kernel with two implementations of
+one contract (_Sweep.run): it serves 1D as a single row and each 2D
+direction as a block of rows, and returns per row the carried and the
+normal flux divergence and the mass flux through the two end faces.
 
-The kernel keeps the floating-point operation order of every formula,
-so its results are bitwise identical to the allocating operator it
-replaced, which tests/test_timeloop.py keeps as the reference. A step
-returns a State over a new array: no view of the workspace reaches a
-State the caller sees.
+* The compiled kernel, _sweep.c, runs wherever a C compiler is found.
+  It is built on first use with `gcc -O2 -ffp-contract=off -fPIC
+  -shared` (or `cc`; never -ffast-math or -march=native, which would
+  change the bits) into $XDG_CACHE_HOME/swekit, else ~/.cache/swekit,
+  else a private directory under the system's temporary directory. The
+  cache key hashes the source, the flags and the compiler executable;
+  a library whose SHA-256 does not match the one stored beside it is
+  rebuilt. It is loaded with ctypes, and one foreign call per direction
+  sweeps every row through element strides: the y sweep reads the
+  transposed frame as it is and adds straight into phi. Each row needs
+  O(n) scratch.
+* The numpy kernel (_Sweep) runs when no compiler is found or the build
+  fails, after one warning. A block stacks the variables (h, u_n[, u_t],
+  h+z) on one axis and the two interface sides (minus, plus) on
+  another, so each formula is one ufunc call that writes with out= into
+  a pool; the y sweep copies the transposed frame into contiguous
+  rows. A direction's rows are split evenly into blocks of at most
+  SWEEP_CELLS cells, so the pool stays under 4 MiB whatever the grid.
+  Each formula exists once, in core, reconstruction, fluxes and
+  sources, and this kernel calls those functions.
+
+Nothing selects the kernel but the build: RunResult.sweep_kernel names
+the one that ran, and run_simulation logs it at INFO. The two kernels
+give the same bits: the C code keeps the floating-point operation order
+of every numpy formula, and follows numpy's min/max (NaN propagates, a
+tie returns the second operand); tests/test_timeloop.py pairs them on
+random states. The numpy kernel is in turn bitwise identical to the
+allocating operator it replaced, which the tests keep as the reference.
+A step returns a State over a new array: no view of the workspace
+reaches a State the caller sees.
 """
 
 import collections
+import contextlib
+import ctypes
+import functools
+import hashlib
 import logging
 import math
+import os
+import pathlib
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -407,6 +433,165 @@ def _blocks(rows, cells_per_row):
     return [(start, min(start + size, rows)) for start in range(0, rows, size)]
 
 
+# ------------------------------------------------ compiled sweep kernel
+# _sweep.c implements _Sweep.run row by row, bit for bit. It is built on
+# first use into a per-user cache and loaded with ctypes; without a
+# working C compiler the numpy kernel runs instead.
+
+_SWEEP_SOURCE = pathlib.Path(__file__).with_name("_sweep.c")
+# No -ffast-math or -march=native: either would change results' bits.
+_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+# The kernel's array operands and their axes, in struct sweep's order.
+_SWEEP_OPERANDS = (("h", "row", "cell"), ("q", "var", "row", "cell"),
+                   ("z", "row", "cell"), ("carried", "var", "row", "cell"),
+                   ("normal", "row", "cell"), ("faces", "side", "row"))
+
+
+class _SweepBlock(ctypes.Structure):
+    """struct sweep of _sweep.c: one block of rows, strides in elements."""
+
+    _fields_ = (
+        [(name, ctypes.c_ssize_t) for name in
+         ("rows", "n", "nq", "second_order", "rusanov", "accumulate")]
+        + [(name, ctypes.c_double) for name in
+           ("d", "g", "h_eps", "face_h_eps")]
+        + [field for name, *axes in _SWEEP_OPERANDS
+           for field in [(name, ctypes.c_void_p)]
+           + [(f"{name}_{axis}", ctypes.c_ssize_t) for axis in axes]]
+        + [("work", ctypes.c_void_p)])
+
+
+def _cache_dir():
+    """$XDG_CACHE_HOME/swekit or ~/.cache/swekit; else a private
+    directory under the system's temporary directory."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    directory = os.path.join(base, "swekit")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        if os.access(directory, os.W_OK):
+            return directory
+    except OSError:
+        pass
+    # A shared directory: only a library this user built may be loaded.
+    directory = os.path.join(tempfile.gettempdir(), f"swekit-{os.getuid()}")
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    if os.stat(directory).st_uid != os.getuid():
+        raise OSError(f"{directory} belongs to another user")
+    return directory
+
+
+def _digest(path):
+    with open(path, "rb") as stream:
+        return hashlib.sha256(stream.read()).hexdigest()
+
+
+def _compile(compiler, target):
+    """Build the kernel into target; OSError if the compiler fails."""
+    # Imported here: a run that finds the library cached needs neither
+    # the module nor a process.
+    import subprocess
+
+    try:
+        subprocess.run([compiler, *_SWEEP_FLAGS, "-o", target,
+                        str(_SWEEP_SOURCE)], check=True, capture_output=True,
+                       timeout=300)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler} failed: {exc}") from exc
+
+
+def _library_path():
+    """Path of the built kernel, building it first if the cache has none.
+
+    The cache key hashes the source, the flags and the compiler: its
+    resolved path, size and modification time, which change with its
+    version and cost no process to read. The library is compiled to a
+    temporary file and moved into place, and its SHA-256 is stored
+    beside it: a library whose bytes do not match (a truncated file,
+    say) is rebuilt, not loaded.
+    """
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        raise OSError("no C compiler on PATH")
+    executable = os.path.realpath(compiler)
+    info = os.stat(executable)
+    identity = f"{executable} {info.st_size} {info.st_mtime_ns}"
+    key = hashlib.sha256(b"\0".join(
+        (_SWEEP_SOURCE.read_bytes(), identity.encode(),
+         " ".join(_SWEEP_FLAGS).encode()))).hexdigest()[:32]
+    directory = _cache_dir()
+    path = os.path.join(directory, f"sweep-{key}.so")
+    digest_path = path + ".sha256"
+    try:
+        with open(digest_path, encoding="ascii") as stream:
+            if stream.read() == _digest(path):
+                return path
+    except FileNotFoundError:
+        pass
+    temporary = []
+    try:
+        for suffix in (".so", ".sha256"):
+            fd, name = tempfile.mkstemp(suffix=suffix, dir=directory)
+            os.close(fd)
+            temporary.append(name)
+        built, digest = temporary
+        _compile(compiler, built)
+        with open(digest, "w", encoding="ascii") as stream:
+            stream.write(_digest(built))
+        os.replace(built, path)
+        os.replace(digest, digest_path)
+    finally:
+        for name in temporary:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+    return path
+
+
+@functools.cache
+def _sweep_kernel():
+    """(sweep, work size) functions of the compiled kernel, or None.
+
+    Built and loaded once per process. None, after one warning, when no
+    C compiler is found or the build fails: the numpy kernel runs.
+    """
+    try:
+        library = ctypes.CDLL(_library_path())
+    except OSError as exc:
+        LOG.warning("compiled sweep kernel unavailable, running the numpy "
+                    "kernel: %s", exc)
+        return None
+    sweep, work = library.swekit_sweep, library.swekit_sweep_work
+    sweep.argtypes, sweep.restype = [ctypes.POINTER(_SweepBlock)], None
+    work.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t]
+    work.restype = ctypes.c_ssize_t
+    return sweep, work
+
+
+def _operand(array, shape):
+    """Address and element strides of a float64 view, for a _SweepBlock."""
+    if array.dtype != np.float64 or array.shape != shape \
+            or any(s % array.itemsize for s in array.strides):
+        raise ValueError(f"the sweep kernel needs a float64 view of shape "
+                         f"{shape}, got {array.dtype} {array.shape}")
+    return (array.ctypes.data,
+            *(s // array.itemsize for s in array.strides))
+
+
+def _compiled_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
+                    work, accumulate):
+    """The _SweepBlock of one call: the arguments of _Sweep.run, plus
+    work and whether to add into the outputs instead of storing."""
+    row, inner = (rows, n + 4), (rows, n)
+    values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
+              accumulate, d, scheme.g, scheme.h_eps, H_EPS,
+              *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
+              *_operand(carried, (nq, *inner)), *_operand(normal, inner),
+              *_operand(faces, (2, rows)), work.ctypes.data)
+    return ctypes.pointer(_SweepBlock(*values))
+
+
 def _positive_sum(values):
     """Sum of max(v, 0) over a side's faces. A side of one face comes as
     a float, on which this is ten times cheaper than on an array."""
@@ -422,8 +607,9 @@ class _Workspace:
     grid-shaped Scratch whose first floats are the flux divergence phi
     during a stage, and whose floats and flags are scratch for
     infiltration (if `infiltration`), friction, the validity check and
-    the time step otherwise; stage receives the first Heun stage. The
-    sweep blocks of both directions share one pool.
+    the time step otherwise; stage receives the first Heun stage. kernel
+    names the sweep kernel that runs: "c" (one block per direction) or
+    "numpy" (blocks over one pool).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -455,6 +641,39 @@ class _Workspace:
         self.directions = directions = ((ny, nx, grid.dx),
                                         (nx, ny, grid.dy))[:nq]
         self.faces = np.empty((nq, 2, max(rows for rows, _, _ in directions)))
+        # The x sweeps run on the interior rows of the frame (the one row
+        # of a 1D frame), the y sweeps on its transposed interior columns.
+        phi = self.phi.reshape(nq + 1, ny, nx)
+        x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
+        compiled = _sweep_kernel()
+        self.kernel = "numpy" if compiled is None else "c"
+        if compiled is None:
+            self.blocks = self._numpy_blocks(phi, x_rows, nq, scheme)
+            return
+        sweep, work_size = compiled
+        # Element strides let the kernel read the transposed views as
+        # they are and add the y sweep straight into phi.
+        self.sweep_work = work = np.empty(
+            max(work_size(n, nq) for _, n, _ in directions))
+        operands = [(x_rows[0], x_rows[1:-1], x_rows[-1], phi[::2], phi[1],
+                     self.faces[0, :, :ny], work, False)]
+        if self.two_d:
+            operands.append((ext[0, :, 2:-2].T,
+                             ext[2:0:-1, :, 2:-2].transpose(0, 2, 1),
+                             ext[3, :, 2:-2].T, phi[:2].transpose(0, 2, 1),
+                             phi[2].T, self.faces[1, :, :nx], work, True))
+        self.blocks = [
+            (sweep, (_compiled_block(rows, n, nq, d, scheme, *args),), None)
+            for (rows, n, d), args in zip(directions, operands)]
+
+    def _numpy_blocks(self, phi, x_rows, nq, scheme):
+        """(run, arguments, post) of every block of the numpy kernel.
+
+        The sweep blocks of both directions share one pool. x sweeps
+        write phi directly; y sweeps write a block buffer that post then
+        adds, transposed, into phi.
+        """
+        ext, directions, (ny, nx) = self.ext, self.directions, phi.shape[1:]
         spans = [_blocks(rows, n + 4) for rows, n, _ in directions]
         shapes = {(stop - start, n) for (rows, n, _), blocks in
                   zip(directions, spans) for start, stop in blocks}
@@ -467,43 +686,38 @@ class _Workspace:
         def sweep(rows, n, d):
             if (rows, n, d) not in sweeps:
                 sweeps[rows, n, d] = _Sweep(pool, rows, n, nq, d, scheme)
-            return sweeps[rows, n, d]
+            return sweeps[rows, n, d].run
 
-        # x sweeps write phi directly, on the interior rows of the frame
-        # (the one row of a 1D frame); y sweeps write a block buffer that
-        # is then added, transposed, into phi.
-        phi = self.phi.reshape(nq + 1, ny, nx)
-        x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
-        self.blocks = []
+        blocks = []
         for start, stop in spans[0]:
             rows = x_rows[:, start:stop]
             block = phi[:, start:stop]
-            self.blocks.append((sweep(stop - start, nx, grid.dx),
-                                (rows[0], rows[1:-1], rows[-1], block[::2],
-                                 block[1], self.faces[0, :, start:stop]),
-                                None))
+            blocks.append((sweep(stop - start, nx, directions[0][2]),
+                           (rows[0], rows[1:-1], rows[-1], block[::2],
+                            block[1], self.faces[0, :, start:stop]),
+                           None))
         if not self.two_d:
-            return
+            return blocks
         y_rows = spans[1][0][1]
         self.y_div = y_div = np.empty((3, y_rows, ny))
         for start, stop in spans[1]:
             cols = slice(2 + start, 2 + stop)
             div = y_div[:, :stop - start]
-            self.blocks.append((sweep(stop - start, ny, grid.dy),
-                                (ext[0, :, cols].T,
-                                 ext[2:0:-1, :, cols].transpose(0, 2, 1),
-                                 ext[3, :, cols].T, div[:2], div[2],
-                                 self.faces[1, :, start:stop]),
-                                (phi[:, :, start:stop],
-                                 div.transpose(0, 2, 1))))
+            blocks.append((sweep(stop - start, ny, directions[1][2]),
+                           (ext[0, :, cols].T,
+                            ext[2:0:-1, :, cols].transpose(0, 2, 1),
+                            ext[3, :, cols].T, div[:2], div[2],
+                            self.faces[1, :, start:stop]),
+                           (phi[:, :, start:stop], div.transpose(0, 2, 1))))
+        return blocks
 
     def divergence(self, fields, warnings):
         """Flux divergence phi of the stacked fields into self.phi."""
         np.copyto(self.interior[:-1], fields)
         fill = fill_ghosts_2d if self.two_d else fill_ghosts_1d
         fill(*self.fill_args, warnings)
-        for kernel, args, post in self.blocks:
-            kernel.run(*args)
+        for run, args, post in self.blocks:
+            run(*args)
             if post is not None:
                 np.add(post[0], post[1], out=post[0])
         return self.phi
@@ -709,6 +923,8 @@ class RunResult:
     final_change_rate: float
     min_depth_seen: float
     warnings: list
+    # The sweep kernel that ran: "c" (compiled) or "numpy".
+    sweep_kernel: str
     ga_state: Optional[GreenAmptState] = None
 
     @property
@@ -749,6 +965,7 @@ def run_simulation(config, on_step=None):
     ctx = _RunContext(grid, z, config.scheme, config.boundaries,
                       config.friction, config.rain, _WarningCounter(), work)
     step = euler_step if config.scheme.order == 1 else heun_step
+    LOG.info("%s: %s sweep kernel", config.name, work.kernel)
 
     t = 0.0
     steps = 0
@@ -820,4 +1037,4 @@ def run_simulation(config, on_step=None):
         LOG.warning("%s: %s", config.name, msg)
 
     return RunResult(snapshots, mass_rows, steps, change_rate, min_depth,
-                     sorted(ctx.warnings), ga)
+                     sorted(ctx.warnings), work.kernel, ga)

@@ -5,8 +5,10 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import logging
 import math
 import pathlib
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -484,10 +486,54 @@ def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
     assert warnings[message] == 2 * result.steps
 
 
+# ------------------------------------------------- sweep kernel paths
+# The compiled kernel (_sweep.c) runs wherever a C compiler is found;
+# the numpy kernel is its fallback and its bitwise reference.
+
+
+def _has_compiler():
+    return bool(shutil.which("gcc") or shutil.which("cc"))
+
+
+@contextlib.contextmanager
+def _sweep_path(path):
+    """Run the enclosed code on the "numpy" or on the "c" sweep kernel."""
+    if path == "numpy":
+        with mock.patch.object(timeloop, "_sweep_kernel", lambda: None):
+            yield
+        return
+    if timeloop._sweep_kernel() is None:
+        pytest.skip("the compiled sweep kernel is unavailable")
+    yield
+
+
+@contextlib.contextmanager
+def _fresh_kernel():
+    """Forget the process's loaded kernel on entry and on exit."""
+    timeloop._sweep_kernel.cache_clear()
+    try:
+        yield
+    finally:
+        timeloop._sweep_kernel.cache_clear()
+
+
+def _bits(array):
+    """Bit patterns: unlike array_equal, they tell +0.0 from -0.0."""
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+def _same_bits(a, b):
+    return np.array_equal(_bits(a), _bits(b))
+
+
 # ------------------------------------------------ traced call path
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
-# would read 0 in its per-layer metric instead of failing.
+# would read 0 in its per-layer metric instead of failing. The compiled
+# kernel does the work of the helpers the numpy kernel calls, so on its
+# path those read 0 and their time is the stage's own.
+
+_KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component"}
 
 
 def _traced_timeloop_names():
@@ -514,7 +560,8 @@ def _wet_plot(two_d, order, flux):
         infiltration=GreenAmptParams(ks=1e-5, dtheta=0.3))
 
 
-def test_every_traced_helper_stays_on_the_call_path():
+@pytest.mark.parametrize("path", ["numpy", "c"])
+def test_every_traced_helper_stays_on_the_call_path(path):
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -525,7 +572,8 @@ def test_every_traced_helper_stays_on_the_call_path():
 
     names = _traced_timeloop_names()
     fluxes = {f"FLUX_FUNCTIONS[{key!r}]": key for key in timeloop.FLUX_FUNCTIONS}
-    with contextlib.ExitStack() as stack:
+    kernels = set()
+    with _sweep_path(path), contextlib.ExitStack() as stack:
         for name in names:
             stack.enter_context(mock.patch.object(
                 timeloop, name, counted(name, getattr(timeloop, name))))
@@ -535,8 +583,68 @@ def test_every_traced_helper_stays_on_the_call_path():
         for two_d in (False, True):
             for order in (1, 2):
                 for flux in sorted(timeloop.FLUX_FUNCTIONS):
-                    run_simulation(_wet_plot(two_d, order, flux))
-    assert [name for name in (*names, *fluxes) if not calls[name]] == []
+                    result = run_simulation(_wet_plot(two_d, order, flux))
+                    kernels.add(result.sweep_kernel)
+    assert kernels == {path}
+    inside = set() if path == "numpy" else _KERNEL_HELPERS | set(fluxes)
+    assert [name for name in (*names, *fluxes)
+            if name not in inside and not calls[name]] == []
+    assert [name for name in inside if calls[name]] == []
+
+
+def test_the_compiled_kernel_runs_wherever_a_compiler_is_found():
+    if not _has_compiler():
+        pytest.skip("no C compiler on PATH")
+    assert run_simulation(_wet_plot(True, 2, "hll")).sweep_kernel == "c"
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "build fails"])
+def test_without_a_build_numpy_runs_with_the_same_bits(failure, tmp_path,
+                                                       monkeypatch, caplog):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if failure == "no compiler":
+        monkeypatch.setenv("PATH", str(tmp_path))
+    else:
+        monkeypatch.setattr(timeloop, "_SWEEP_FLAGS",
+                            timeloop._SWEEP_FLAGS + ("-fno-such-option",))
+    config = _wet_plot(True, 2, "hll")
+    with _fresh_kernel(), caplog.at_level(logging.INFO, timeloop.LOG.name):
+        results = [run_simulation(config) for _ in range(2)]
+    monkeypatch.undo()
+    assert [r.sweep_kernel for r in results] == ["numpy", "numpy"]
+    messages = [(r.levelname, r.getMessage()) for r in caplog.records
+                if "sweep kernel" in r.getMessage()]
+    assert [level for level, _ in messages] == ["WARNING", "INFO", "INFO"]
+    assert messages[0][1].startswith("compiled sweep kernel unavailable")
+    assert messages[1][1] == messages[2][1] == "run: numpy sweep kernel"
+    with _sweep_path("c"):
+        compiled = run_simulation(config)
+    assert _same_bits(results[0].final_state.fields,
+                      compiled.final_state.fields)
+
+
+def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch):
+    if not _has_compiler():
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = pathlib.Path(timeloop._library_path())
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:size // 2])
+    original, builds = timeloop._compile, []
+
+    def counted(compiler, target):
+        builds.append(target)
+        original(compiler, target)
+
+    config = _wet_plot(False, 2, "hll")
+    with mock.patch.object(timeloop, "_compile", counted), _fresh_kernel():
+        result = run_simulation(config)
+        assert timeloop._library_path() == str(path)
+    assert len(builds) == 1
+    assert result.sweep_kernel == "c"
+    assert path.stat().st_size == size
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert pathlib.Path(f"{path}.sha256").read_text() == digest
 
 
 # ----------------------------------------------------- pinned results
@@ -1020,26 +1128,51 @@ def operator_cases(draw, two_d):
     # Depths below 1e-160 make minmod products underflow to zero.
     h = np.where(rng.random(shape) < 0.15,
                  rng.uniform(0.0, 1e-160, shape), h)
+    # Depths on either side of every dry threshold h_eps below.
+    h = np.where(rng.random(shape) < 0.1,
+                 10.0 ** rng.uniform(-13.0, -2.0, shape), h)
     h = np.where(rng.random(shape) < 0.2, 0.0, h)
     discharges = [rng.normal(0.0, 0.5, shape) * (rng.random(shape) < 0.9)
                   for _ in range(2 if two_d else 1)]
+    # Negative zeros: min/max ties and copysign must pick numpy's sign.
+    signed = draw(st.sampled_from((0.1, 0.5)))
+    z, h, *discharges = (np.where(rng.random(shape) < signed, -0.0, a)
+                         for a in (z, h, *discharges))
     left, right = _pair(draw)
     bottom, top = _pair(draw) if two_d else (BoundaryCondition(),) * 2
     scheme = SchemeConfig(order=draw(st.sampled_from((1, 2))),
-                          flux_name=draw(st.sampled_from(("hll", "rusanov"))))
+                          flux_name=draw(st.sampled_from(("hll", "rusanov"))),
+                          g=draw(st.sampled_from((9.81, 1.0))),
+                          h_eps=draw(st.sampled_from((1e-12, 1e-6, 1e-3))))
     state = State((h, *discharges))
     budget = draw(st.sampled_from((16, 64, 700, timeloop.SWEEP_CELLS)))
     return grid, z, state, BoundarySet(left, right, bottom, top), scheme, budget
 
 
-def _kernel(grid, z, state, bcs, scheme, budget):
-    with mock.patch.object(timeloop, "SWEEP_CELLS", budget):
+def _kernel(grid, z, state, bcs, scheme, budget, path):
+    with _sweep_path(path), \
+            mock.patch.object(timeloop, "SWEEP_CELLS", budget):
         work = timeloop._Workspace(grid, z, scheme, bcs)
+    assert work.kernel == path
     warnings = []
     phi = work.divergence(state.fields, warnings)
     # Mass fluxes through the boundary faces: west, east[, south, north].
     faces = tuple(side[:rows] for (rows, _, _), sides in
                   zip(work.directions, work.faces) for side in sides)
+    return phi, faces, warnings
+
+
+def _both_kernels(grid, z, state, bcs, scheme, budget):
+    """The numpy kernel's results, after checking that the compiled
+    kernel (where there is one) gives the same bits."""
+    phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget,
+                                   "numpy")
+    if timeloop._sweep_kernel() is not None:
+        c_phi, c_faces, c_warnings = _kernel(grid, z, state, bcs, scheme,
+                                             budget, "c")
+        assert _same_bits(c_phi, phi)
+        assert all(_same_bits(a, b) for a, b in zip(c_faces, faces))
+        assert c_warnings == warnings
     return phi, faces, warnings
 
 
@@ -1050,7 +1183,7 @@ def test_1d_kernel_matches_the_reference_operator(case):
     ref_warnings = []
     *ref_phi, f_west, f_east = _convective_1d(
         state.h, state.q, z, grid.nx, grid.dx, bcs, scheme, ref_warnings)
-    phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget)
+    phi, faces, warnings = _both_kernels(grid, z, state, bcs, scheme, budget)
     assert all(np.array_equal(a, b) for a, b in zip(phi, ref_phi))
     assert all(np.array_equal(a, [b]) for a, b in zip(faces, (f_west, f_east)))
     assert warnings == ref_warnings
@@ -1063,7 +1196,7 @@ def test_2d_kernel_matches_the_reference_operator(case):
     ref_warnings = []
     *ref_phi, ref_faces = _convective_2d(state, z, grid, scheme, bcs,
                                          ref_warnings)
-    phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget)
+    phi, faces, warnings = _both_kernels(grid, z, state, bcs, scheme, budget)
     assert all(np.array_equal(a, b) for a, b in zip(phi, ref_phi))
     assert all(np.array_equal(a, b) for a, b in zip(faces, ref_faces))
     assert warnings == ref_warnings
@@ -1085,8 +1218,9 @@ def test_spatial_operator_phi_runs_the_kernel(case):
     assert all(np.array_equal(a, b) for a, b in zip(phi, ref))
 
 
+@pytest.mark.parametrize("path", ["numpy", "c"])
 @pytest.mark.parametrize("two_d", [False, True])
-def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
+def test_steps_return_fresh_arrays_and_leave_their_input(two_d, path):
     if two_d:
         config = _rain_plot()
     else:
@@ -1097,9 +1231,10 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
         ga = GreenAmptState(config.infiltration,
                             np.full(config.initial_state.h.shape, 1e-3))
         ga_before = ga.v_inf.copy()
-    work = timeloop._Workspace(grid, config.topography, scheme,
-                               config.boundaries,
-                               infiltration=ga is not None)
+    with _sweep_path(path):
+        work = timeloop._Workspace(grid, config.topography, scheme,
+                                   config.boundaries,
+                                   infiltration=ga is not None)
     ctx = timeloop._RunContext(grid, config.topography, scheme,
                                config.boundaries, config.friction,
                                config.rain, timeloop._WarningCounter(), work)
@@ -1111,7 +1246,11 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
     assert all(np.array_equal(a, b) for a, b in
                zip(state.fields, before.fields))
     buffers = [work.ext, work.full.floats, work.full.flags, work.stage,
-               work.faces, *work.pool] + ([work.y_div] if two_d else [])
+               work.faces]
+    if path == "numpy":
+        buffers += [*work.pool] + ([work.y_div] if two_d else [])
+    else:
+        buffers.append(work.sweep_work)
     arrays = (*first.fields, *second.fields)
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in buffers)
