@@ -15,8 +15,15 @@
  * which decides the sign of a zero.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
+
+/* Excess precision (x87) would change the bits: then the build fails and
+ * the numpy kernel runs. */
+#if FLT_EVAL_METHOD != 0
+#error "the sweep kernel needs FLT_EVAL_METHOD == 0"
+#endif
 
 typedef ptrdiff_t idx;
 
@@ -162,7 +169,8 @@ void swekit_sweep(const struct sweep *s)
                 fq = (mom_l + mom_r) * 0.5 - (q_r - q_l) * half_speed;
             } else {
                 /* fluxes.hll_sides: the left-going test wins. */
-                double c1 = np_min(slow_l, slow_r), c2 = np_max(fast_l, fast_r);
+                double c1 = np_min(slow_l, slow_r);
+                double c2 = np_max(fast_l, fast_r);
                 if (c1 >= 0.0) {
                     fm = q_l;
                     fq = mom_l;
@@ -198,9 +206,9 @@ void swekit_sweep(const struct sweep *s)
                       (f_tran[j] - f_tran[j - 1]) / d, s->accumulate);
             /* reconstruction.centered_correction */
             double centered = (tl[j] + th[j]) * minus_half_g * (zh[j] - zl[j]);
+            double left_face = f_norm[j - 1] + corr_plus[j - 1];
             store(normal + c * s->normal_cell,
-                  ((f_norm[j] + corr_minus[j]) - (f_norm[j - 1] + corr_plus[j - 1])
-                   - centered) / d,
+                  ((f_norm[j] + corr_minus[j]) - left_face - centered) / d,
                   s->accumulate);
         }
         s->faces[r * s->faces_row] = f_mass[1];
