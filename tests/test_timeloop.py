@@ -7,8 +7,11 @@ import hashlib
 import importlib.util
 import logging
 import math
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -650,6 +653,25 @@ def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch):
     assert path.stat().st_size == size
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert pathlib.Path(f"{path}.sha256").read_text() == digest
+
+
+def test_concurrent_first_runs_share_one_cache(tmp_path):
+    if not _has_compiler():
+        pytest.skip("no C compiler on PATH")
+    # Three processes build into one empty cache at once: each must load
+    # a whole library, and no temporary file may be left behind.
+    src = pathlib.Path(timeloop.__file__).resolve().parents[1]
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": str(src)}
+    code = ("from swekit import timeloop; "
+            "print(timeloop._sweep_kernel() is not None)")
+    runs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                             stdout=subprocess.PIPE, text=True)
+            for _ in range(3)]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert outputs == ["True\n"] * 3
+    names = sorted(os.listdir(tmp_path / "swekit"))
+    assert len(names) == 2 and names[1] == names[0] + ".sha256"
 
 
 # ----------------------------------------------------- pinned results
