@@ -9,25 +9,31 @@ formats values in numpy, a block of whole rows at a time, rather than
 one Python call per value. Each value's digits come from one of four
 paths:
 
-* Every finite, normal value: |v| is scaled into [1e16, 1e17) in long
-  double by a correctly rounded power of ten, and the 17 digits are
-  read off as an integer rounded half up. The scaled value carries at
-  most two long-double roundings, and the digits stand wherever that
-  error cannot change them.
-* A value within that error of a rounding tie, where 10**(16 - e) is
-  exact (e = -11..16 for x87's 64-bit mantissa): the digits are decided
-  exactly, from Dekker's error-free product in long double, and an exact
-  half rounds to even as Python does.
+* Every finite nonzero value, subnormals included: |v| is scaled into
+  [1e16, 1e17) in long double by a correctly rounded power of ten, and
+  the 17 digits are read off as an integer rounded half up. The scaled
+  value carries at most two long-double roundings, and the digits stand
+  wherever that error cannot change them. At a decade edge (a power of
+  ten or just below one) the exponent read from log10 can be one off;
+  an integer part of 16 or 18 digits shows it, and the value is scaled
+  again one row over. Digits that round up to 10**17 are written as
+  10**16 with the exponent one higher.
+* A value within that error of a rounding tie: Dekker's error-free
+  product in long double decides its digits. Where 10**(16 - e) is
+  exact (e = -11..16 for x87's 64-bit mantissa) the decision is exact,
+  and an exact half rounds to even as Python does. Elsewhere the tail
+  of the power, 10**(16 - e) less its long double, is added in, and the
+  digits stand unless the product lies within about 5e-19 of a tie.
 * +0.0 and -0.0: written directly.
-* Everything else goes to Python's own `f"{v:.16e}"`: subnormals, inf,
-  nan, a near-tie outside those exponents, a value whose digits carry to
-  10**17, and a value at a decade edge (a power of ten or just below
-  one, where the exponent read from log10 can be one off).
+* Everything else goes to Python's own `f"{v:.16e}"`: inf, nan, and a
+  near-tie left undecided.
 
-On perfbench's plot_rain_2d outputs fewer than 0.02 % of the values
-reach Python. Where long double is a plain double, every value counts
-as near a tie and the exact path decides those with e = -6..16. The
-output is exactly what `format_float` gives for every value.
+None of the values in perfbench's plot_rain_2d outputs reaches Python.
+Where long double is a plain double, every value counts as near a tie,
+and the error-free product decides it where its power and magnitude
+can be split without overflow (e = -284..292); the exact decisions
+there are those with e = -6..16. The output is exactly what
+`format_float` gives for every value.
 
 The digits are rendered through a 4-digit lookup table into NUL-padded
 slots of seven words, laid out slot by slot so that a block's bytes are
@@ -61,10 +67,11 @@ def format_float(value):
 # array such a block allocates (its 28-byte slots) stays under the
 # 128 KiB at which glibc starts serving allocations with fresh mmaps.
 _BLOCK = 4608
-_EXP_MIN, _EXP_MAX = -308, 308  # decimal exponents of normal doubles
-# Scaled values whose rounded digits land here had the right exponent.
-_DIGITS_LO, _DIGITS_HI = 10**16 + 1, 10**17 - 1
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# Decimal exponents of finite nonzero doubles, subnormals included.
+_EXP_MIN, _EXP_MAX = -324, 308
+# Rounded digits of a value written by the numpy path.
+_DIGITS_LO, _DIGITS_HI = 10**16, 10**17 - 1
+_HUGE = sys.float_info.max
 # A slot is seven little-endian words: sign|digit|'.'|NUL, four groups
 # of four digits, 'e'|sign|two exponent digits, and a third exponent
 # digit or NUL|separator|NUL|NUL. Fallback text fills words 0-5.
@@ -82,7 +89,9 @@ class _Tables(NamedTuple):
     rel_err: float         # bound on the relative error of a scaled value
     exact: slice           # the rows of pow10 that hold 10**k exactly
     split: object          # Veltkamp's constant 2**s + 1
-    pow_split: np.ndarray  # pow10[exact] as (hi, lo) halves of <= s bits
+    pow_split: np.ndarray  # pow10 as (hi, lo) halves of <= s bits
+    near_rows: np.ndarray  # rows on which _round_exact can run
+    near_err: float        # bound on its error where the row is inexact
 
 
 @functools.cache
@@ -92,16 +101,19 @@ def _tables(real=np.longdouble):
     `real` is the wide type the digits are computed in. Two roundings
     to nearest (the power of ten and the product) cost at most
     2**-nmant of a scaled value; rel_err doubles that. 10**k = 2**k 5**k
-    is exact while 5**k fits in nmant + 1 bits, so for 0 <= k <= kmax;
-    Veltkamp's split by 2**s + 1, s = ceil((nmant + 1) / 2), cuts each
-    such power into two halves whose products with halves are exact.
+    is exact while 5**k fits in nmant + 1 bits, so for 0 <= k <= kmax.
+    Veltkamp's split by 2**s + 1, s = ceil((nmant + 1) / 2), cuts a
+    value into two halves whose products with halves are exact; it
+    needs the value times 2**s to stay finite, and the power's tail
+    (about 2**-nmant of it) to be a normal number.
     """
-    nmant = np.finfo(real).nmant
+    info = np.finfo(real)
+    nmant = info.nmant
     exponents = range(_EXP_MIN, _EXP_MAX + 1)
     # Where `real` is a double, 10**k overflows for the smallest e; the
     # largest finite value keeps those products finite and below 10**16.
     pow10 = np.array([real(f"1e{16 - e}") for e in exponents])
-    np.minimum(pow10, np.finfo(real).max, out=pow10)
+    np.minimum(pow10, info.max, out=pow10)
     n = np.arange(10000, dtype=np.uint16)
     chars = np.empty((10000, 4), dtype=np.uint8)
     for col, div in enumerate((1000, 100, 10, 1)):
@@ -112,9 +124,19 @@ def _tables(real=np.longdouble):
     kmax = math.floor((nmant + 1) / math.log2(5))
     exact = slice(16 - kmax - _EXP_MIN, 17 - _EXP_MIN)
     split = real(2 ** -(-(nmant + 1) // 2) + 1)
+    # Where `real` is a double the halves of the largest powers
+    # overflow; _round_exact reads only near_rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pow_split = np.stack(_split(pow10, split), axis=-1)
+    # The rows whose power, and whose magnitudes (below 10**(e + 1)),
+    # split without overflow, and whose power's tail is a normal number.
+    split_max = info.max / split
+    near_rows = ((pow10 <= split_max) & (pow10 >= info.tiny * real(2) ** (
+        2 * nmant)) & (np.arange(_EXP_MIN, _EXP_MAX + 1) + 1
+                       <= np.log10(split_max)))
     return _Tables(pow10, groups, np.frombuffer(text, dtype="<u8"),
-                   2.0 ** (1 - nmant), exact, split,
-                   np.stack(_split(pow10[exact], split), axis=-1))
+                   2.0 ** (1 - nmant), exact, split, pow_split, near_rows,
+                   2.0 ** (60 - 2 * nmant) + 2.0 ** (2 - nmant))
 
 
 def _split(x, split):
@@ -125,22 +147,62 @@ def _split(x, split):
     return hi, x - hi
 
 
-def _round_exact(mag, p, k, tables):
-    """mag * 10**k rounded to the nearest integer, ties to even, where
-    10**k is exact and p is that product rounded to `real`.
+@functools.cache
+def _pow10_tail(k, real):
+    """10**k less its power in _tables (real(f"1e{k}")), rounded to
+    real: the part of 10**k that a correctly rounded power misses."""
+    numerator, denominator = real(f"1e{k}").as_integer_ratio()
+    # The tail as the integer ratio top / bottom.
+    if k >= 0:
+        top, bottom = 10**k * denominator - numerator, denominator
+    else:
+        top, bottom = denominator - numerator * 10**-k, denominator * 10**-k
+    if not top:
+        return real(0)
+    # 40 significant digits, more than any `real` holds.
+    magnitude = abs(top)
+    shift = 40 - len(str(magnitude)) + len(str(bottom))
+    if shift >= 0:
+        magnitude *= 10**shift
+    else:
+        bottom *= 10**-shift
+    sign = "-" if top < 0 else ""
+    return real(f"{sign}{magnitude // bottom}e{-shift}")
 
-    Dekker's product gives the exact error err = mag * 10**k - p. With
-    N = floor(p) and D = trunc(err), the product lies w + 1/2 above
-    N + D, for w = (p - N - 1/2) + (err - D). Both terms of w are exact.
-    Where long double is a double, p is an integer, D takes err's whole
-    part and the sum is exact too. Where it is wider, D = 0 and the sum
-    may round, but then p - N - 1/2 is a nonzero multiple of an ulp of
-    p, larger than |err|, so w keeps its sign and stays inside (-1, 1).
-    Either way the nearest integer is N + D + ceil(w), and w is an
-    integer only when the product is an exact half."""
-    a_hi, a_lo = _split(mag.astype(p.dtype), tables.split)
-    b_hi, b_lo = tables.pow_split.take(k, axis=0).T
+
+def _round_exact(mag, p, row, tables):
+    """(n, decided): mag * 10**(16 - e) rounded to the nearest integer,
+    ties to even, where p is that product rounded to `real` and row is
+    e - _EXP_MIN; decided tells where n is certain.
+
+    The power is hi + lo: hi = pow10[row], and lo the rounded tail that
+    hi misses, 0 where hi is exact. Dekker's product gives the exact
+    error of p = mag * hi, and err adds mag * lo to it. With N = floor(p)
+    and D = trunc(err), the product lies w + 1/2 above N + D, for
+    w = (p - N - 1/2) + (err - D), and the nearest integer is
+    N + D + ceil(w) unless w is an integer. Where hi is exact, both
+    terms of w are exact. Where long double is a double, p is an
+    integer, D takes err's whole part and the sum is exact too. Where it
+    is wider, D = 0 and the sum may round, but then p - N - 1/2 is a
+    nonzero multiple of an ulp of p, larger than |err|, so w keeps its
+    sign and stays inside (-1, 1); w is an integer only when the product
+    is an exact half, which rounds to even. Where hi is inexact, w is off
+    by less than near_err, and a w that close to an integer is left
+    undecided.
+    """
+    real = p.dtype.type
+    a_hi, a_lo = _split(mag.astype(real), tables.split)
+    b_hi, b_lo = tables.pow_split.take(row, axis=0).T
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    exact = (row - tables.exact.start).view(np.uintp) < (
+        tables.exact.stop - tables.exact.start)
+    all_exact = exact.all()
+    if not all_exact:
+        inexact = np.flatnonzero(~exact)
+        rows, where = np.unique(row[inexact], return_inverse=True)
+        lo = np.array([_pow10_tail(16 - _EXP_MIN - r, real)
+                       for r in rows.tolist()], dtype=real)
+        err[inexact] += mag[inexact].astype(real) * lo[where]
     n = p.astype(np.int64)
     d = err.astype(np.int64)
     w = ((p - n) - 0.5) + (err - d)
@@ -149,7 +211,14 @@ def _round_exact(mag, p, k, tables):
     n += d
     n += r
     n += (w == r) & n
-    return n
+    decided = exact if all_exact else exact | (
+        np.abs(w - np.rint(w)) > tables.near_err)
+    # 10**16 rounded up from below it may belong one row lower, where
+    # log10 missed a decade edge.
+    below = n == 10**16
+    if below.any():
+        decided &= ~below | (w >= r - 0.5)
+    return n, decided
 
 
 def _fallback_words(values):
@@ -166,8 +235,8 @@ def _format_block(values, words):
     array `values`, each followed by a space."""
     t = _tables()
     mag = np.abs(values)
-    normal = (mag >= _TINY) & (mag <= _HUGE)
-    mag[~normal] = 1.0
+    finite = (mag > 0.0) & (mag <= _HUGE)
+    mag[~finite] = 1.0
     row = np.log10(mag)
     np.floor(row, out=row)
     row = row.astype(np.intp)
@@ -175,6 +244,19 @@ def _format_block(values, words):
     scaled = mag.astype(t.pow10.dtype)
     scaled *= t.pow10.take(row)
     digits = scaled.astype(np.int64)
+    # At a decade edge (a power of ten, or the double just below one)
+    # log10 can be one off, and the integer part then has 16 or 18
+    # digits: such a value is scaled again one row lower or higher.
+    edge = (digits < 10**16) | (digits >= 10**17)
+    if edge.any():
+        edge = np.flatnonzero(edge)
+        rows = row.ravel()
+        rows[edge] += np.where(digits.ravel()[edge] < 10**16, -1, 1)
+        np.clip(rows, 0, t.pow10.size - 1, out=rows)
+        redo = mag.ravel()[edge].astype(t.pow10.dtype) * t.pow10.take(
+            rows[edge])
+        scaled.ravel()[edge] = redo
+        digits.ravel()[edge] = redo.astype(np.int64)
     # The fraction is exact in long double; as a double it is off by at
     # most 2**-54, far inside the margin that rel_err leaves.
     frac = (scaled - digits).astype(np.float64)
@@ -182,18 +264,23 @@ def _format_block(values, words):
     frac -= 0.5
     np.abs(frac, out=frac)
     sure = frac > digits * t.rel_err
-    near = normal & ~sure
+    near = finite & ~sure
     if near.any():
         # The digits of a value this close to a rounding tie are decided
-        # exactly wherever the power of ten is exact.
+        # from an error-free product in long double.
         near = np.flatnonzero(near)
-        k = row.ravel()[near] - t.exact.start
-        mine = k.view(np.uintp) < t.exact.stop - t.exact.start
-        near, k = near[mine], k[mine]
-        digits.ravel()[near] = _round_exact(mag.ravel()[near],
-                                            scaled.ravel()[near], k, t)
-        sure.ravel()[near] = True
-    ok = sure & normal & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI)
+        rows = row.ravel()[near]
+        usable = t.near_rows.take(rows)
+        if not usable.all():
+            near, rows = near[usable], rows[usable]
+        digits.ravel()[near], sure.ravel()[near] = _round_exact(
+            mag.ravel()[near], scaled.ravel()[near], rows, t)
+    # Digits that round up to 10**17 are 10**16 one row higher.
+    carry = digits == 10**17
+    if carry.any():
+        digits[carry] = 10**16
+        row[carry] += 1
+    ok = sure & finite & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI)
     zero = values == 0.0
     if zero.any():
         digits[zero] = 0

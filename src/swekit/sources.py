@@ -7,6 +7,7 @@ stable and never flips the flow direction. Rain and infiltration act
 on the depth only.
 """
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,7 +156,8 @@ class Hyetograph:
             raise ValueError("rain intensities must be nonnegative")
 
     def rate(self, t):
-        idx = np.searchsorted(self.times, t, side="right") - 1
+        # bisect on the tuple: np.searchsorted would convert it first.
+        idx = bisect.bisect_right(self.times, t) - 1
         return self.intensities[idx] if idx >= 0 else 0.0
 
     def change_times(self):

@@ -29,16 +29,20 @@ direction as a block of rows, and returns per row the carried and the
 normal flux divergence and the mass flux through the two end faces.
 
 * The compiled kernel, _sweep.c, runs wherever a C compiler is found.
-  It is built on first use with `gcc -O2 -ffp-contract=off -fPIC
-  -shared` (or `cc`; never -ffast-math or -march=native, which would
-  change the bits) into $XDG_CACHE_HOME/swekit, else ~/.cache/swekit,
-  else a private directory under the system's temporary directory. The
-  cache key hashes the source, the flags and the compiler executable;
-  a library whose SHA-256 does not match the one stored beside it is
-  rebuilt. It is loaded with ctypes, and one foreign call per direction
-  sweeps every row through element strides: the y sweep reads the
-  transposed frame as it is and adds straight into phi. Each row needs
-  O(n) scratch.
+  It is built on first use with `gcc -O3 -fno-math-errno
+  -fno-trapping-math -ffp-contract=off -fPIC -shared` (or `cc`). -O3
+  vectorizes its row passes with baseline SSE2; -fno-math-errno lets
+  sqrt inline and -fno-trapping-math lets the comparisons that feed its
+  selects be if-converted, and neither changes a computed value. It is
+  never built with contraction, -ffast-math or -march=native, which
+  would change the bits. The library goes into $XDG_CACHE_HOME/swekit,
+  else ~/.cache/swekit, else a private directory under the system's
+  temporary directory. The cache key hashes the source, the flags and
+  the compiler executable; a library whose SHA-256 does not match the
+  one stored beside it is rebuilt. It is loaded with ctypes, and one
+  foreign call per direction sweeps every row through element strides:
+  the y sweep reads the transposed frame as it is and adds into phi a
+  tile of rows at a time. A block needs O(n) scratch.
 * The numpy kernel (_Sweep) runs when no compiler is found or the build
   fails, after one warning. A block stacks the variables (h, u_n[, u_t],
   h+z) on one axis and the two interface sides (minus, plus) on
@@ -439,8 +443,12 @@ def _blocks(rows, cells_per_row):
 # working C compiler the numpy kernel runs instead.
 
 _SWEEP_SOURCE = pathlib.Path(__file__).with_name("_sweep.c")
-# No -ffast-math or -march=native: either would change results' bits.
-_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -fno-math-errno lets sqrt inline and -fno-trapping-math lets the
+# comparisons that feed selects be if-converted, so the loops vectorize
+# with baseline SSE2; neither changes a computed value. No contraction,
+# no -ffast-math, no -march=native: each would change results' bits.
+_SWEEP_FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
+                "-ffp-contract=off", "-fPIC", "-shared")
 
 
 # The kernel's array operands and their axes, in struct sweep's order.

@@ -238,6 +238,18 @@ def test_write_rows_matches_oracle_next_to_powers_of_ten():
     assert_rows_match(np.concatenate([values, -values]))
 
 
+def test_decade_edges_take_the_numpy_path(monkeypatch):
+    # Every power of ten and the double just below it: where log10 can
+    # be one off, the value is scaled again instead of sent to Python.
+    # The subnormal powers below 1e-308 take the same path.
+    powers = np.array([float(f"1e{e}") for e in range(-308, 309)])
+    assert powers.size == 617
+    subnormal = [float(f"1e{e}") for e in range(-323, -308)] + [5e-324]
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), subnormal])
+    forbid_fallback(monkeypatch)
+    assert_rows_match(np.concatenate([values, -values]))
+
+
 def test_write_rows_matches_oracle_on_carries_and_specials():
     carries = [float(f"9.9999999999999999e{e}") for e in range(-300, 301, 7)]
     carries += [float(f"9.99999999999999999e{e}") for e in (-5, 0, 22)]

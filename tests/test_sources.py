@@ -115,6 +115,38 @@ def test_hyetograph_piecewise_rates():
     assert rain_rate(5.0, None) == 0.0
 
 
+def _searchsorted_rate(hyeto, t):
+    """The rule Hyetograph.rate replaced: np.searchsorted on the times."""
+    idx = np.searchsorted(hyeto.times, t, side="right") - 1
+    return hyeto.intensities[idx] if idx >= 0 else 0.0
+
+
+def test_hyetograph_rate_at_and_between_change_times():
+    times, rates = (0.0, 1.5, 4.0, 9.25), (2e-5, 0.0, 7e-6, 3e-6)
+    hyeto = Hyetograph(times=times, intensities=rates)
+    assert hyeto.rate(-1.0) == 0.0
+    assert hyeto.rate(-1e-300) == 0.0
+    for t, rate in zip(times, rates):
+        assert hyeto.rate(t) == rate
+        assert hyeto.rate(math.nextafter(t, math.inf)) == rate
+    for t, before in zip(times[1:], rates):
+        assert hyeto.rate(math.nextafter(t, -math.inf)) == before
+        assert hyeto.rate(t - 0.25) == before
+    assert hyeto.rate(1e9) == rates[-1]
+    assert Hyetograph().rate(3.0) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=0, max_size=6, unique=True),
+       st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=20))
+def test_hyetograph_rate_matches_searchsorted(times, queries):
+    times = sorted(times)
+    hyeto = Hyetograph(times=times,
+                       intensities=[1e-6 * (k + 1) for k in range(len(times))])
+    for t in (*queries, *times):
+        assert hyeto.rate(t) == _searchsorted_rate(hyeto, t)
+
+
 def test_hyetograph_validation():
     with pytest.raises(ValueError):
         Hyetograph(times=(5.0, 5.0), intensities=(1e-5, 0.0))

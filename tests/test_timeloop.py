@@ -600,6 +600,18 @@ def test_every_traced_helper_stays_on_the_call_path(path):
     assert [name for name in inside if calls[name]] == []
 
 
+def test_the_build_flags_keep_every_bit():
+    # The kernel matches numpy only without contraction and without the
+    # flags that let the compiler change a computed value.
+    flags = timeloop._SWEEP_FLAGS
+    assert "-ffp-contract=off" in flags
+    value_changing = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                      "-fassociative-math", "-freciprocal-math",
+                      "-ffinite-math-only", "-fno-signed-zeros",
+                      "-march=native", "-mfma"}
+    assert value_changing.isdisjoint(flags)
+
+
 def test_the_compiled_kernel_runs_wherever_a_compiler_is_found():
     if not _has_compiler():
         pytest.skip("no C compiler on PATH")
