@@ -6,7 +6,12 @@ topography term), then rain, then infiltration, then semi-implicit
 friction. Euler takes one stage per step; Heun averages two. The time
 step follows a CFL condition evaluated on the pre-step state, with one
 shared dt for both Heun stages, and is clipped so the run lands exactly
-on requested output times, rain changes, and the final time.
+on requested output times, rain changes, and the final time. That dt
+bounds the Courant number of the first stage only: the second Heun
+stage can start from faster water (a thin layer accelerating down a
+steep bed), and a step that then leaves a negative depth or a
+non-finite value is taken again with half the dt, at most
+MAX_STEP_HALVINGS times. A fixed_dt step is never retried.
 
 How a step runs. A State holds the conserved variables stacked in one
 array, (h, q) in 1D and (h, qx, qy) in 2D, so the update, the Heun
@@ -131,6 +136,10 @@ CFL_MAX = {(1, 1): 1.0, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.25}
 NEGATIVE_DEPTH_TOL = 1e-10
 
 _TIME_ATOL = 1e-12
+
+# A CFL step whose result fails the validity check is retried with half
+# the dt at most this many times; then its fault is raised.
+MAX_STEP_HALVINGS = 10
 
 
 class NumericalFault(RuntimeError):
@@ -872,6 +881,26 @@ def heun_step(state, ga, t, dt, ctx):
     return new_state, ga, _combine_heun_diags(d1, d2)
 
 
+def _advance(step, state, ga, t, dt, ctx, retry):
+    """step(state, ga, t, dt, ctx), halving dt after a NumericalFault.
+
+    Returns the step's (state, ga, diag), the dt it took and how often
+    that dt was halved. Without retry a fault is raised at once. A
+    failed attempt changes nothing its retry reads.
+    """
+    halvings = 0
+    while True:
+        try:
+            return (*step(state, ga, t, dt, ctx), dt, halvings)
+        except NumericalFault as fault:
+            if not retry or halvings == MAX_STEP_HALVINGS:
+                raise
+            LOG.info("%s; taking the step again with dt = %.6g", fault,
+                     0.5 * dt)
+        dt *= 0.5
+        halvings += 1
+
+
 # ---------------------------------------------------------- simulation
 
 
@@ -934,6 +963,8 @@ class RunResult:
     # The sweep kernel that ran: "c" (compiled) or "numpy".
     sweep_kernel: str
     ga_state: Optional[GreenAmptState] = None
+    # Steps taken again with a smaller dt after a fault (see _advance).
+    retried_steps: int = 0
 
     @property
     def final_time(self):
@@ -977,6 +1008,7 @@ def run_simulation(config, on_step=None):
 
     t = 0.0
     steps = 0
+    retried_steps = 0
     cum = StageDiag()
     volume0 = total_volume(state, grid)
     min_depth = float(np.min(state.h))
@@ -1006,7 +1038,11 @@ def run_simulation(config, on_step=None):
         if hit_target:
             dt = target - t
 
-        new_state, ga, diag = step(state, ga, t, dt, ctx)
+        new_state, ga, diag, step_dt, halvings = _advance(
+            step, state, ga, t, dt, ctx, config.scheme.fixed_dt is None)
+        if halvings:
+            retried_steps += 1
+            dt, hit_target = step_dt, False
         steps += 1
         cum.rain_vol += diag.rain_vol
         cum.infil_vol += diag.infil_vol
@@ -1045,4 +1081,4 @@ def run_simulation(config, on_step=None):
         LOG.warning("%s: %s", config.name, msg)
 
     return RunResult(snapshots, mass_rows, steps, change_rate, min_depth,
-                     sorted(ctx.warnings), work.kernel, ga)
+                     sorted(ctx.warnings), work.kernel, ga, retried_steps)

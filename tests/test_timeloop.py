@@ -435,6 +435,33 @@ def test_blowup_raises_a_numerical_fault():
     assert "cell" in str(excinfo.value)
 
 
+def thin_layer_down_a_step():
+    """1 mm of still water over a rough bed that drops 0.22 m into an
+    open end: the first Heun stage speeds the last cell up to 1 m/s,
+    so the second stage's Courant number is 2.4 times the first's."""
+    grid = Grid(nx=4, dx=1.0)
+    z = np.array([0.07848364027479492, 0.08954734302423699,
+                  0.24426772217828407, 0.02757478264052907])
+    state = State((np.full(4, 1e-3), np.zeros(4)))
+    return SimulationConfig(grid=grid, topography=z, initial_state=state,
+                            final_time=5.0, scheme=SchemeConfig(order=2),
+                            boundaries=NEUMANN)
+
+
+def test_a_step_that_leaves_a_negative_depth_is_taken_again():
+    config = thin_layer_down_a_step()
+    result = run_simulation(config)
+    assert result.retried_steps == 1
+    assert result.final_time == 5.0
+    assert result.min_depth_seen >= 0.0
+    assert np.all(np.isfinite(result.final_state.fields))
+    assert abs(result.mass_balance[-1].residual_rel) < 1e-13
+    # Without the retry the same run stops on the negative depth.
+    with mock.patch.object(timeloop, "MAX_STEP_HALVINGS", 0), \
+            pytest.raises(NumericalFault, match="negative depth"):
+        run_simulation(config)
+
+
 def test_config_validation():
     grid = Grid(nx=4, dx=1.0)
     good = State((np.ones(4), np.zeros(4)))
