@@ -1,11 +1,17 @@
-/* Compiled sweep kernel: the contract of timeloop._Sweep.run, row by row.
+/* swekit's compiled kernels, one library with two entry points, each
+ * the twin of a numpy function that stays as its fallback and its
+ * reference:
  *
- * A row is a 1D problem along the sweep direction: n cells plus two
- * ghost cells per end. For each row this computes, into the caller's
- * strided outputs, the carried (mass[, transverse]) flux divergence, the
- * normal-momentum divergence with its topography terms, and the mass
- * flux through the row's two end faces. Inputs and outputs are read and
- * written through element strides, so transposed views need no copy.
+ * - swekit_sweep: the contract of timeloop._Sweep.run, row by row;
+ * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows.
+ *
+ * The sweep kernel. A row is a 1D problem along the sweep direction: n
+ * cells plus two ghost cells per end. For each row this computes, into
+ * the caller's strided outputs, the carried (mass[, transverse]) flux
+ * divergence, the normal-momentum divergence with its topography terms,
+ * and the mass flux through the row's two end faces. Inputs and outputs
+ * are read and written through element strides, so transposed views
+ * need no copy.
  *
  * The numpy kernel in timeloop.py is the reference, and the two must
  * agree bit for bit. So every formula below keeps the operation order
@@ -20,16 +26,25 @@
  * vectorize them, and the selected arm is the value the branch gave.
  * The arm not taken may divide by zero; with -fno-trapping-math that
  * raises nothing, and its value is dropped.
+ *
+ * The writer is described at its section, at the end of the file.
  */
 
+/* newlocale and uselocale, for the writer. */
+#define _POSIX_C_SOURCE 200809L
+
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
-/* Excess precision (x87) would change the bits: then the build fails and
- * the numpy kernel runs. */
+/* Excess precision (x87) would change the sweep's bits: then the build
+ * fails and both numpy twins run. */
 #if FLT_EVAL_METHOD != 0
-#error "the sweep kernel needs FLT_EVAL_METHOD == 0"
+#error "the kernels need FLT_EVAL_METHOD == 0"
 #endif
 
 #ifdef __GNUC__
@@ -394,4 +409,239 @@ void swekit_sweep(const struct sweep *s)
         if (t == TILE - 1 || r == s->rows - 1)
             flush(s, r - t, t + 1, tile);
     }
+}
+
+/* ------------------------------------------------------------ writer
+ *
+ * The contract of fileio._write_rows: rows of float64 values as `%.16e`
+ * text, byte for byte what Python's f"{v:.16e}" gives, joined by single
+ * spaces, each row ended by a newline and optionally led by its (x, y)
+ * grid coordinates. The numpy writer in fileio.py is the reference, and
+ * this follows its method:
+ *
+ * - A finite nonzero |v| is scaled by 10**(16 - e), correctly rounded
+ *   in long double, for its decimal exponent e: an estimate from frexp
+ *   and one comparison with a power of ten. At a decade edge e can be
+ *   one off, which a scaled value outside [1e16, 1e17) shows: it is
+ *   then scaled again one exponent over.
+ * - The 17 digits are the scaled value rounded half up. The power and
+ *   the product are each rounded to nearest, so the scaled value lies
+ *   less than (digits + 1) * LDBL_EPSILON (and a term below 2**-60 of
+ *   that) from the exact |v| * 10**(16 - e). Where its fraction lies
+ *   farther than digits * LDBL_EPSILON + 2 * LDBL_EPSILON from one half
+ *   (a test that is exact in long double), the exact product rounds to
+ *   the same digits. Digits that round up to 10**17 are 10**16 with the
+ *   exponent one higher.
+ * - A value nearer a rounding tie goes to libc's correctly rounded
+ *   snprintf("%.16e"), under the "C" locale whatever the process's. So
+ *   does every finite nonzero value where long double lacks 64 mantissa
+ *   bits or the range of 10**341.
+ * - Zeros, infinities and NaN (always "nan", as Python writes it) are
+ *   written directly.
+ *
+ * The digits are rendered four at a time from a lookup table.
+ */
+
+#include <stdlib.h>
+
+/* Decimal exponents the tables cover: those of finite nonzero doubles,
+ * -324..308, and one more at each end for the decade-edge redo. */
+#define EXP_LO (-325)
+#define EXP_HI 309
+#define TEN16 10000000000000000LL
+/* Characters of the longest value, -d.dddddddddddddddde-ddd. */
+#define MAX_TEXT 24
+/* Bytes of a formatted coordinate: its text, then its length in the
+ * last byte. */
+#define SLOT 32
+/* Values whose digits are found before their text is written. */
+#define CHUNK 16
+
+#define FAST_DIGITS (LDBL_MANT_DIG >= 64 && LDBL_MAX_10_EXP > 341)
+
+static long double scale[EXP_HI - EXP_LO + 1]; /* 10**(16 - e) */
+static double decade[EXP_HI - EXP_LO + 1];     /* 10**e as a double */
+static char groups[10000][4];                  /* "0000" .. "9999" */
+static locale_t c_locale;
+static int ready;
+
+/* Builds the tables; 0, or -1 where the "C" locale cannot be made.
+ * The loader calls it once, before any other writer entry. */
+int swekit_writer_init(void)
+{
+    char text[16];
+    if (ready)
+        return 0;
+    for (int e = EXP_LO; e <= EXP_HI; e++) {
+        /* strtold and strtod round correctly; these texts have no
+         * decimal point, so the locale does not enter. */
+        snprintf(text, sizeof text, "1e%d", 16 - e);
+        scale[e - EXP_LO] = strtold(text, NULL);
+        snprintf(text, sizeof text, "1e%d", e);
+        decade[e - EXP_LO] = strtod(text, NULL);
+    }
+    for (int n = 0; n < 10000; n++) {
+        groups[n][0] = (char)('0' + n / 1000);
+        groups[n][1] = (char)('0' + n / 100 % 10);
+        groups[n][2] = (char)('0' + n / 10 % 10);
+        groups[n][3] = (char)('0' + n % 10);
+    }
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    ready = 1;
+    return 0;
+}
+
+/* A zero, an infinity or NaN. */
+static char *put_special(char *p, double v)
+{
+    const char *text = isnan(v) ? "nan"
+                       : v == 0.0 ? "0.0000000000000000e+00" : "inf";
+    size_t n = strlen(text);
+    if (signbit(v) && !isnan(v))
+        *p++ = '-';
+    memcpy(p, text, n);
+    return p + n;
+}
+
+/* 17 digits d (10**16 <= d < 10**17) and the exponent e. */
+static char *put_digits(char *p, double v, int64_t d, int e)
+{
+    int64_t lead = d / TEN16, rest = d - lead * TEN16;
+    int32_t high = (int32_t)(rest / 100000000);
+    int32_t low = (int32_t)(rest - (int64_t)high * 100000000);
+    int a = e < 0 ? -e : e;
+    if (signbit(v))
+        *p++ = '-';
+    p[0] = (char)('0' + lead);
+    p[1] = '.';
+    memcpy(p + 2, groups[high / 10000], 4);
+    memcpy(p + 6, groups[high % 10000], 4);
+    memcpy(p + 10, groups[low / 10000], 4);
+    memcpy(p + 14, groups[low % 10000], 4);
+    p[18] = 'e';
+    p[19] = e < 0 ? '-' : '+';
+    p += 20;
+    if (a >= 100) {
+        *p++ = (char)('0' + a / 100);
+        a %= 100;
+    }
+    p[0] = (char)('0' + a / 10);
+    p[1] = (char)('0' + a % 10);
+    return p + 2;
+}
+
+/* The 17 digits of v, 10**16 <= d < 10**17, and its exponent at e; 0
+ * where this cannot decide them: v is zero, infinite or NaN, near a
+ * rounding tie, or long double is too narrow. */
+INLINE int64_t decimal(double v, int *exponent)
+{
+    double m = fabs(v);
+    *exponent = 0;
+    if (!FAST_DIGITS || !(m > 0.0 && m <= DBL_MAX))
+        return 0;
+    /* m lies in [2**(b - 1), 2**b): e is floor(log10(2**(b - 1))) or
+     * one more. b is read from the exponent field of a normal m. */
+    uint64_t bits;
+    memcpy(&bits, &m, sizeof bits);
+    int b = (int)(bits >> 52) - 1022;
+    if (b == -1022)
+        frexp(m, &b);
+    /* floor((b - 1) * log10(2)) as floor((b - 1) * 315653 / 2**20), which
+     * is exact for |b - 1| <= 2620. */
+    int x = (b - 1) * 315653;
+    int e = x >= 0 ? x >> 20 : -((-x + (1 << 20) - 1) >> 20);
+    e += m >= decade[e + 1 - EXP_LO];
+    long double s = (long double)m * scale[e - EXP_LO];
+    if (s < 1e16L || s >= 1e17L) {
+        e += s < 1e16L ? -1 : 1;
+        s = (long double)m * scale[e - EXP_LO];
+    }
+    if (!(s >= 1e16L && s < 1e17L))
+        return 0;
+    /* The nearest integer, and how far s lies from a tie: exact. */
+    int64_t d = llrintl(s);
+    long double off = 0.5L - fabsl(s - (long double)d);
+    if (!(off > (long double)d * LDBL_EPSILON + 2 * LDBL_EPSILON))
+        return 0;
+    if (d == 10 * TEN16) {
+        d = TEN16;
+        e++;
+    }
+    *exponent = e;
+    return d;
+}
+
+/* The text of v at p, given its digits d and exponent e where decimal
+ * decided them (d > 0); returns its end. p has room for MAX_TEXT + 1
+ * bytes (snprintf's NUL), and the caller has the "C" locale in use. */
+static char *put_value(char *p, double v, int64_t d, int e)
+{
+    if (d)
+        return put_digits(p, v, d, e);
+    if (isfinite(v) && v != 0.0)
+        return p + snprintf(p, MAX_TEXT + 1, "%.16e", v);
+    return put_special(p, v);
+}
+
+/* Formats n values into SLOT-byte slots: each value's text, then its
+ * length in the slot's last byte. */
+void swekit_format_slots(const double *values, idx n, char *slots)
+{
+    locale_t caller = uselocale(c_locale);
+    for (idx i = 0; i < n; i++) {
+        char *slot = slots + i * SLOT;
+        int e = 0;
+        int64_t d = decimal(values[i], &e);
+        slot[SLOT - 1] = (char)(put_value(slot, values[i], d, e) - slot);
+    }
+    uselocale(caller);
+}
+
+/* Writes rows rows of k values, read from table with a row stride of
+ * k, into out as text, and returns its length. Where x_slots is not
+ * NULL each row starts with two formatted coordinates: row r of the
+ * whole table (here row r - first) has x_slots[r % nx] and
+ * y_slots[r / nx]. out holds at least (MAX_TEXT + 1) bytes per value
+ * and coordinate. */
+idx swekit_write_rows(const double *table, idx rows, idx k, idx first,
+                      const char *x_slots, const char *y_slots, idx nx,
+                      char *out)
+{
+    locale_t caller = uselocale(c_locale);
+    char *p = out;
+    idx i = x_slots ? first % nx : 0, j = x_slots ? first / nx : 0;
+    for (idx r = 0; r < rows; r++) {
+        if (x_slots) {
+            const char *x = x_slots + i * SLOT, *y = y_slots + j * SLOT;
+            memcpy(p, x, MAX_TEXT);
+            p += (unsigned char)x[SLOT - 1];
+            *p++ = ' ';
+            memcpy(p, y, MAX_TEXT);
+            p += (unsigned char)y[SLOT - 1];
+            *p++ = ' ';
+            if (++i == nx) {
+                i = 0;
+                j++;
+            }
+        }
+        const double *row = table + r * k;
+        for (idx c = 0; c < k; c += CHUNK) {
+            /* The digits of a chunk first, then its text: the digits of
+             * one value do not wait for the text of the one before. */
+            idx count = k - c < CHUNK ? k - c : CHUNK;
+            int64_t d[CHUNK];
+            int e[CHUNK];
+            for (idx t = 0; t < count; t++)
+                d[t] = decimal(row[c + t], &e[t]);
+            for (idx t = 0; t < count; t++) {
+                p = put_value(p, row[c + t], d[t], e[t]);
+                *p++ = ' ';
+            }
+        }
+        p[-1] = '\n';
+    }
+    uselocale(caller);
+    return p - out;
 }

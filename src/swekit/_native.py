@@ -1,0 +1,168 @@
+"""The compiled kernel library: _native.c, built on first use, loaded
+with ctypes.
+
+It holds two kernels, each the twin of a numpy function that stays as
+its fallback and its reference: the sweep (timeloop._Sweep.run) and the
+`%.16e` table writer (fileio._write_rows). timeloop and fileio bind
+their entry points from library().
+
+The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
+-ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
+row passes with baseline SSE2; -fno-math-errno lets sqrt inline and
+-fno-trapping-math lets the comparisons that feed its selects be
+if-converted, and neither changes a computed value. It is never built
+with contraction, -ffast-math or -march=native, which would change the
+bits. The library goes into $XDG_CACHE_HOME/swekit, else
+~/.cache/swekit, else a private directory under the system's temporary
+directory. The cache key hashes the source, the flags and the compiler
+executable; a library whose SHA-256 does not match the one stored
+beside it is rebuilt.
+
+Without a working C compiler, library() logs one warning per process
+and returns None: the numpy sweep kernel and the numpy writer run.
+"""
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import pathlib
+import shutil
+import tempfile
+import threading
+
+LOG = logging.getLogger(__name__)
+
+_SOURCE = pathlib.Path(__file__).with_name("_native.c")
+# -fno-math-errno lets sqrt inline and -fno-trapping-math lets the
+# comparisons that feed selects be if-converted, so the loops vectorize
+# with baseline SSE2; neither changes a computed value. No contraction,
+# no -ffast-math, no -march=native: each would change results' bits.
+_FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
+          "-ffp-contract=off", "-fPIC", "-shared")
+
+# Every entry point: (argument types, result type). Pointers are passed
+# as addresses.
+_ENTRIES = {
+    "swekit_sweep": ([ctypes.c_void_p], None),
+    "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
+    "swekit_writer_init": ([], ctypes.c_int),
+    "swekit_format_slots": ([ctypes.c_void_p, ctypes.c_ssize_t,
+                             ctypes.c_void_p], None),
+    "swekit_write_rows": ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 3
+                          + [ctypes.c_void_p] * 2
+                          + [ctypes.c_ssize_t, ctypes.c_void_p],
+                          ctypes.c_ssize_t),
+}
+
+_LOADING = threading.Lock()
+
+
+def _cache_dir():
+    """$XDG_CACHE_HOME/swekit or ~/.cache/swekit; else a private
+    directory under the system's temporary directory."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    directory = os.path.join(base, "swekit")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        if os.access(directory, os.W_OK):
+            return directory
+    except OSError:
+        pass
+    # A shared directory: only a library this user built may be loaded.
+    directory = os.path.join(tempfile.gettempdir(), f"swekit-{os.getuid()}")
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    if os.stat(directory).st_uid != os.getuid():
+        raise OSError(f"{directory} belongs to another user")
+    return directory
+
+
+def _digest(path):
+    with open(path, "rb") as stream:
+        return hashlib.sha256(stream.read()).hexdigest()
+
+
+def _compile(compiler, target):
+    """Build the library into target; OSError if the compiler fails."""
+    # Imported here: a run that finds the library cached needs neither
+    # the module nor a process.
+    import subprocess
+
+    try:
+        subprocess.run([compiler, *_FLAGS, "-o", target, str(_SOURCE)],
+                       check=True, capture_output=True, timeout=300)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler} failed: {exc}") from exc
+
+
+def _library_path():
+    """Path of the built library, building it first if the cache has none.
+
+    The cache key hashes the source, the flags and the compiler: its
+    resolved path, size and modification time, which change with its
+    version and cost no process to read. The library is compiled to a
+    temporary file and moved into place, and its SHA-256 is stored
+    beside it: a library whose bytes do not match (a truncated file,
+    say) is rebuilt, not loaded.
+    """
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        raise OSError("no C compiler on PATH")
+    executable = os.path.realpath(compiler)
+    info = os.stat(executable)
+    identity = f"{executable} {info.st_size} {info.st_mtime_ns}"
+    key = hashlib.sha256(b"\0".join(
+        (_SOURCE.read_bytes(), identity.encode(),
+         " ".join(_FLAGS).encode()))).hexdigest()[:32]
+    directory = _cache_dir()
+    path = os.path.join(directory, f"native-{key}.so")
+    digest_path = path + ".sha256"
+    try:
+        with open(digest_path, encoding="ascii") as stream:
+            if stream.read() == _digest(path):
+                return path
+    except FileNotFoundError:
+        pass
+    temporary = []
+    try:
+        for suffix in (".so", ".sha256"):
+            fd, name = tempfile.mkstemp(suffix=suffix, dir=directory)
+            os.close(fd)
+            temporary.append(name)
+        built, digest = temporary
+        _compile(compiler, built)
+        with open(digest, "w", encoding="ascii") as stream:
+            stream.write(_digest(built))
+        os.replace(built, path)
+        os.replace(digest, digest_path)
+    finally:
+        for name in temporary:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+    return path
+
+
+@functools.cache
+def library():
+    """The loaded library with every entry point declared, or None.
+
+    Built and loaded once per process. None, after one warning, when no
+    C compiler is found or the build fails: both numpy twins run.
+    """
+    with _LOADING:
+        try:
+            loaded = ctypes.CDLL(_library_path())
+            for name, (argtypes, restype) in _ENTRIES.items():
+                entry = getattr(loaded, name)
+                entry.argtypes, entry.restype = argtypes, restype
+            if loaded.swekit_writer_init() != 0:
+                raise OSError("the writer found no \"C\" locale")
+        except OSError as exc:
+            LOG.warning("compiled sweep kernel unavailable, and the C writer "
+                        "with it; running the numpy sweep kernel and the "
+                        "numpy writer: %s", exc)
+            return None
+    return loaded

@@ -4,10 +4,24 @@ Everything is plain UTF-8 text with floats printed as `%.16e` (17
 significant digits, which round-trips 64-bit values exactly); identical
 configurations therefore produce bitwise identical files.
 
-Every table of numbers goes through one writer, `_write_rows`, which
-formats values in numpy, a block of whole rows at a time, rather than
-one Python call per value. Each value's digits come from one of four
-paths:
+Every table of numbers goes through one writer, `_write_rows`, with two
+implementations of one contract, as the sweep kernel has:
+
+* The compiled writer, swekit_write_rows in _native.c (the library that
+  holds the sweep kernel; see _native), runs wherever that library was
+  built. One foreign call formats a block of whole rows into a reused
+  buffer. Its method is the numpy writer's below, in long double, with
+  one difference: a value near a rounding tie goes to libc's correctly
+  rounded snprintf("%.16e") under the "C" locale.
+* The numpy writer (_write_rows_numpy) runs where no C compiler is
+  found or the build fails, after one warning. It is the reference:
+  tests/test_fileio.py runs both writers against format_float and
+  against each other, byte for byte.
+
+Nothing selects the writer but the build; writer_name() tells which one
+runs. The numpy writer formats values a block of whole rows at a time
+rather than one Python call per value. Each value's digits come from one
+of four paths:
 
 * Every finite nonzero value, subnormals included: |v| is scaled into
   [1e16, 1e17) in long double by a correctly rounded power of ten, and
@@ -35,10 +49,10 @@ can be split without overflow (e = -284..292); the exact decisions
 there are those with e = -6..16. The output is exactly what
 `format_float` gives for every value.
 
-The digits are rendered through a 4-digit lookup table into NUL-padded
-slots of seven words, laid out slot by slot so that a block's bytes are
-its text once the NULs are deleted. `write_profile_2d` formats its x and
-y coordinates once per call and gathers their slots per block.
+The numpy writer renders the digits through a 4-digit lookup table into
+NUL-padded slots of seven words, laid out slot by slot so that a block's
+bytes are its text once the NULs are deleted. Both writers format
+write_profile_2d's x and y coordinates once per call.
 """
 
 import functools
@@ -51,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .core import H_EPS, froude_number, froude_number_2d
 
 COLUMNS_1D = ("x", "z", "h", "u", "q", "froude")
@@ -80,6 +95,9 @@ _POINT = ord(".") << 16
 _SEPARATOR = ord(" ") << 8
 # XORed into word 6 of a row's last slot, it turns the space into "\n".
 _END_OF_ROW = _SEPARATOR ^ (ord("\n") << 8)
+# The compiled writer's bytes per value (its longest text and a
+# separator) and per formatted coordinate (SLOT in _native.c).
+_C_TEXT, _C_SLOT = 25, 32
 
 
 class _Tables(NamedTuple):
@@ -315,12 +333,65 @@ def _slots(values):
     return words
 
 
+def _c_writer():
+    """(format_slots, write_rows) of the compiled writer, or None where
+    the library could not be built: the numpy writer runs."""
+    library = _native.library()
+    if library is None:
+        return None
+    return library.swekit_format_slots, library.swekit_write_rows
+
+
+def writer_name():
+    """The table writer this process runs: "c" or "numpy"."""
+    return "numpy" if _c_writer() is None else "c"
+
+
 def _write_rows(stream, table, grid=None):
     """Write an (n, k) float table as n lines of k `%.16e` values joined
     by single spaces, byte-identical to formatting each value with
     `format_float`. grid=(x, y) puts x[i] and y[j] in front of row
-    j * len(x) + i; each coordinate is formatted once. Works through
-    blocks of whole rows, laid out slot by slot."""
+    j * len(x) + i; each coordinate is formatted once. The compiled
+    writer runs where the library was built, the numpy one elsewhere."""
+    table = np.asarray(table, dtype=np.float64)
+    writer = _c_writer()
+    if writer is None:
+        _write_rows_numpy(stream, table, grid)
+    else:
+        _write_rows_c(writer, stream, table, grid)
+
+
+def _write_rows_c(writer, stream, table, grid):
+    """_write_rows through the compiled writer, a block of whole rows per
+    call into one reused buffer."""
+    format_slots, write_rows = writer
+    table = np.ascontiguousarray(table)
+    nrows, k = table.shape
+    ncoords = nx = 0
+    x_slots = y_slots = None
+    if grid is not None:
+        coords = np.concatenate([np.asarray(c, dtype=np.float64).ravel()
+                                 for c in grid])
+        slots = np.empty((coords.size, _C_SLOT), dtype=np.uint8)
+        format_slots(coords.ctypes.data, coords.size, slots.ctypes.data)
+        ncoords, nx = 2, np.size(grid[0])
+        if nrows > nx * (coords.size - nx):
+            raise ValueError(f"a grid of {nx} x {coords.size - nx} "
+                             f"coordinates cannot lead {nrows} rows")
+        x_slots = slots.ctypes.data
+        y_slots = x_slots + nx * _C_SLOT
+    step = max(1, _BLOCK // (ncoords + k))
+    out = np.empty(min(step, nrows) * (ncoords + k) * _C_TEXT, dtype=np.uint8)
+    address, row_bytes = table.ctypes.data, k * table.itemsize
+    for start in range(0, nrows, step):
+        size = write_rows(address + start * row_bytes,
+                          min(step, nrows - start), k, start, x_slots,
+                          y_slots, nx, out.ctypes.data)
+        stream.write(str(out[:size], "ascii"))
+
+
+def _write_rows_numpy(stream, table, grid=None):
+    """_write_rows in numpy: blocks of whole rows, laid out slot by slot."""
     table = np.asarray(table, dtype=np.float64)
     nrows, k = table.shape
     ncoords = 0

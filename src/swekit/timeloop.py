@@ -33,21 +33,12 @@ one contract (_Sweep.run): it serves 1D as a single row and each 2D
 direction as a block of rows, and returns per row the carried and the
 normal flux divergence and the mass flux through the two end faces.
 
-* The compiled kernel, _sweep.c, runs wherever a C compiler is found.
-  It is built on first use with `gcc -O3 -fno-math-errno
-  -fno-trapping-math -ffp-contract=off -fPIC -shared` (or `cc`). -O3
-  vectorizes its row passes with baseline SSE2; -fno-math-errno lets
-  sqrt inline and -fno-trapping-math lets the comparisons that feed its
-  selects be if-converted, and neither changes a computed value. It is
-  never built with contraction, -ffast-math or -march=native, which
-  would change the bits. The library goes into $XDG_CACHE_HOME/swekit,
-  else ~/.cache/swekit, else a private directory under the system's
-  temporary directory. The cache key hashes the source, the flags and
-  the compiler executable; a library whose SHA-256 does not match the
-  one stored beside it is rebuilt. It is loaded with ctypes, and one
-  foreign call per direction sweeps every row through element strides:
-  the y sweep reads the transposed frame as it is and adds into phi a
-  tile of rows at a time. A block needs O(n) scratch.
+* The compiled kernel, swekit_sweep in _native.c, runs wherever a C
+  compiler is found; _native builds, caches and loads the library (see
+  its docstring for the flags, none of which changes a computed value).
+  One foreign call per direction sweeps every row through element
+  strides: the y sweep reads the transposed frame as it is and adds
+  into phi a tile of rows at a time. A block needs O(n) scratch.
 * The numpy kernel (_Sweep) runs when no compiler is found or the build
   fails, after one warning. A block stacks the variables (h, u_n[, u_t],
   h+z) on one axis and the two interface sides (minus, plus) on
@@ -59,32 +50,26 @@ normal flux divergence and the mass flux through the two end faces.
   sources, and this kernel calls those functions.
 
 Nothing selects the kernel but the build: RunResult.sweep_kernel names
-the one that ran, and run_simulation logs it at INFO. The two kernels
-give the same bits: the C code keeps the floating-point operation order
-of every numpy formula, and follows numpy's min/max (NaN propagates, a
-tie returns the second operand); tests/test_timeloop.py pairs them on
-random states. The numpy kernel is in turn bitwise identical to the
+the one that ran, and run_simulation logs it at INFO with the table
+writer that fileio will use. The two kernels give the same bits: the C
+code keeps the floating-point operation order of every numpy formula,
+and follows numpy's min/max (NaN propagates, a tie returns the second
+operand); tests/test_timeloop.py pairs them on random states. The numpy kernel is in turn bitwise identical to the
 allocating operator it replaced, which the tests keep as the reference.
 A step returns a State over a new array: no view of the workspace
 reaches a State the caller sees.
 """
 
 import collections
-import contextlib
 import ctypes
-import functools
-import hashlib
 import logging
 import math
-import os
-import pathlib
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _native, fileio
 from .boundary import (
     SIDES,
     BoundarySet,
@@ -447,17 +432,8 @@ def _blocks(rows, cells_per_row):
 
 
 # ------------------------------------------------ compiled sweep kernel
-# _sweep.c implements _Sweep.run row by row, bit for bit. It is built on
-# first use into a per-user cache and loaded with ctypes; without a
-# working C compiler the numpy kernel runs instead.
-
-_SWEEP_SOURCE = pathlib.Path(__file__).with_name("_sweep.c")
-# -fno-math-errno lets sqrt inline and -fno-trapping-math lets the
-# comparisons that feed selects be if-converted, so the loops vectorize
-# with baseline SSE2; neither changes a computed value. No contraction,
-# no -ffast-math, no -march=native: each would change results' bits.
-_SWEEP_FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
-                "-ffp-contract=off", "-fPIC", "-shared")
+# swekit_sweep in _native.c implements _Sweep.run row by row, bit for
+# bit; without a working C compiler the numpy kernel runs instead.
 
 
 # The kernel's array operands and their axes, in struct sweep's order.
@@ -467,7 +443,7 @@ _SWEEP_OPERANDS = (("h", "row", "cell"), ("q", "var", "row", "cell"),
 
 
 class _SweepBlock(ctypes.Structure):
-    """struct sweep of _sweep.c: one block of rows, strides in elements."""
+    """struct sweep of _native.c: one block of rows, strides in elements."""
 
     _fields_ = (
         [(name, ctypes.c_ssize_t) for name in
@@ -480,110 +456,18 @@ class _SweepBlock(ctypes.Structure):
         + [("work", ctypes.c_void_p)])
 
 
-def _cache_dir():
-    """$XDG_CACHE_HOME/swekit or ~/.cache/swekit; else a private
-    directory under the system's temporary directory."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache")
-    directory = os.path.join(base, "swekit")
-    try:
-        os.makedirs(directory, exist_ok=True)
-        if os.access(directory, os.W_OK):
-            return directory
-    except OSError:
-        pass
-    # A shared directory: only a library this user built may be loaded.
-    directory = os.path.join(tempfile.gettempdir(), f"swekit-{os.getuid()}")
-    os.makedirs(directory, mode=0o700, exist_ok=True)
-    if os.stat(directory).st_uid != os.getuid():
-        raise OSError(f"{directory} belongs to another user")
-    return directory
-
-
-def _digest(path):
-    with open(path, "rb") as stream:
-        return hashlib.sha256(stream.read()).hexdigest()
-
-
-def _compile(compiler, target):
-    """Build the kernel into target; OSError if the compiler fails."""
-    # Imported here: a run that finds the library cached needs neither
-    # the module nor a process.
-    import subprocess
-
-    try:
-        subprocess.run([compiler, *_SWEEP_FLAGS, "-o", target,
-                        str(_SWEEP_SOURCE)], check=True, capture_output=True,
-                       timeout=300)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"{compiler} failed: {exc}") from exc
-
-
-def _library_path():
-    """Path of the built kernel, building it first if the cache has none.
-
-    The cache key hashes the source, the flags and the compiler: its
-    resolved path, size and modification time, which change with its
-    version and cost no process to read. The library is compiled to a
-    temporary file and moved into place, and its SHA-256 is stored
-    beside it: a library whose bytes do not match (a truncated file,
-    say) is rebuilt, not loaded.
-    """
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        raise OSError("no C compiler on PATH")
-    executable = os.path.realpath(compiler)
-    info = os.stat(executable)
-    identity = f"{executable} {info.st_size} {info.st_mtime_ns}"
-    key = hashlib.sha256(b"\0".join(
-        (_SWEEP_SOURCE.read_bytes(), identity.encode(),
-         " ".join(_SWEEP_FLAGS).encode()))).hexdigest()[:32]
-    directory = _cache_dir()
-    path = os.path.join(directory, f"sweep-{key}.so")
-    digest_path = path + ".sha256"
-    try:
-        with open(digest_path, encoding="ascii") as stream:
-            if stream.read() == _digest(path):
-                return path
-    except FileNotFoundError:
-        pass
-    temporary = []
-    try:
-        for suffix in (".so", ".sha256"):
-            fd, name = tempfile.mkstemp(suffix=suffix, dir=directory)
-            os.close(fd)
-            temporary.append(name)
-        built, digest = temporary
-        _compile(compiler, built)
-        with open(digest, "w", encoding="ascii") as stream:
-            stream.write(_digest(built))
-        os.replace(built, path)
-        os.replace(digest, digest_path)
-    finally:
-        for name in temporary:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(name)
-    return path
-
-
-@functools.cache
 def _sweep_kernel():
-    """(sweep, work size) functions of the compiled kernel, or None.
-
-    Built and loaded once per process. None, after one warning, when no
-    C compiler is found or the build fails: the numpy kernel runs.
-    """
-    try:
-        library = ctypes.CDLL(_library_path())
-    except OSError as exc:
-        LOG.warning("compiled sweep kernel unavailable, running the numpy "
-                    "kernel: %s", exc)
+    """(sweep, work size) functions of the compiled kernel, or None where
+    the library could not be built: the numpy kernel runs."""
+    library = _native.library()
+    if library is None:
         return None
-    sweep, work = library.swekit_sweep, library.swekit_sweep_work
-    sweep.argtypes, sweep.restype = [ctypes.POINTER(_SweepBlock)], None
-    work.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t]
-    work.restype = ctypes.c_ssize_t
-    return sweep, work
+    return library.swekit_sweep, library.swekit_sweep_work
+
+
+def sweep_kernel_name():
+    """The sweep kernel this process runs: "c" or "numpy"."""
+    return "numpy" if _sweep_kernel() is None else "c"
 
 
 def _operand(array, shape):
@@ -1004,7 +888,8 @@ def run_simulation(config, on_step=None):
     ctx = _RunContext(grid, z, config.scheme, config.boundaries,
                       config.friction, config.rain, _WarningCounter(), work)
     step = euler_step if config.scheme.order == 1 else heun_step
-    LOG.info("%s: %s sweep kernel", config.name, work.kernel)
+    LOG.info("%s: %s sweep kernel, %s writer", config.name, work.kernel,
+             fileio.writer_name())
 
     t = 0.0
     steps = 0

@@ -5,9 +5,12 @@ exact reference profile and the mass-balance ledger, plus a combined
 report.json and timings.json (wall-clock seconds). report.json is
 byte-identical from run to run except for each case's runtime check,
 whose passed flag compares the wall time with the case's limit; the
-measured seconds stay in timings.json.
+measured seconds stay in timings.json, with an "environment" entry that
+names the sweep kernel, the table writer and numpy's enabled CPU
+dispatch targets.
 """
 
+import importlib
 import json
 import os
 import time
@@ -32,8 +35,9 @@ from .fileio import (
     write_mass_report,
     write_profile_1d,
     write_profile_2d,
+    writer_name,
 )
-from .timeloop import NumericalFault, run_simulation
+from .timeloop import NumericalFault, run_simulation, sweep_kernel_name
 
 WET_FIT_DEPTH = 1e-3  # cells this deep join the planar surface fit [m]
 RITTER_EDGE_MARGIN = 0.25  # window dropped around solution kinks [m]
@@ -354,6 +358,9 @@ def _write_reports(output_dir, results, all_passed):
             "checks": checks,
         }
         timings[r.name] = r.runtime
+    timings["environment"] = {"sweep_kernel": sweep_kernel_name(),
+                              "writer": writer_name(),
+                              "numpy_cpu_dispatch": _cpu_dispatch()}
     with open(os.path.join(output_dir, "report.json"), "w",
               encoding="utf-8") as stream:
         json.dump(report, stream, indent=2, sort_keys=True)
@@ -362,6 +369,20 @@ def _write_reports(output_dir, results, all_passed):
               encoding="utf-8") as stream:
         json.dump(timings, stream, indent=2, sort_keys=True)
         stream.write("\n")
+
+
+def _cpu_dispatch():
+    """Names of the CPU dispatch targets numpy enabled on this machine:
+    its results from cbrt, exp and log depend on them."""
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+        except ImportError:
+            continue
+        return [target for target in umath.__cpu_dispatch__
+                if umath.__cpu_features__.get(target)]
+    return []
 
 
 def _print_table(results, all_passed, log):

@@ -6,7 +6,13 @@ import os
 import pytest
 
 import swekit.cli as cli
-from swekit import __version__, parse_parameter_file
+from swekit import (
+    __version__,
+    fileio,
+    parse_parameter_file,
+    timeloop,
+    validate,
+)
 
 
 def test_version_prints_package_version(capsys):
@@ -99,3 +105,17 @@ def test_validate_failure_exits_two(monkeypatch):
     monkeypatch.setattr(cli, "run_validation",
                         lambda output, case_names=None: (False, []))
     assert cli.main(["validate"]) == 2
+
+
+def test_timings_name_the_kernels_and_numpy_cpu_targets(tmp_path):
+    validate._write_reports(str(tmp_path), [], True)
+    with open(tmp_path / "timings.json", encoding="utf-8") as stream:
+        environment = json.load(stream)["environment"]
+    assert environment["sweep_kernel"] == timeloop.sweep_kernel_name()
+    assert environment["writer"] == fileio.writer_name()
+    assert {environment["sweep_kernel"], environment["writer"]} <= {"c",
+                                                                   "numpy"}
+    targets = environment["numpy_cpu_dispatch"]
+    assert all(isinstance(name, str) for name in targets)
+    with open(tmp_path / "report.json", encoding="utf-8") as stream:
+        assert "environment" not in json.load(stream)

@@ -1,17 +1,23 @@
 """Round-trip and format checks for profile, DEM and mass-report files."""
 
+import contextlib
 import io
+import locale
+import logging
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swekit import fileio
+from swekit import _native, fileio
 from swekit.core import H_EPS, froude_number, froude_number_2d
 from swekit.fileio import (
     COLUMNS_1D,
@@ -174,8 +180,32 @@ def test_mass_report_format():
 # ------------------------------------------------ table writer vs oracle
 #
 # The oracle is the original writer: one format_float call per value,
-# rows joined by spaces. The vectorised table writer must reproduce it
-# byte for byte, whatever the values.
+# rows joined by spaces. Both table writers, the compiled one (in
+# _native.c) and the numpy one (its fallback and reference), must
+# reproduce it byte for byte, whatever the values. The oracle tests run
+# every writer this machine can; the tests that inspect the numpy
+# writer's paths pin it.
+
+
+def writers():
+    """The table writers this machine can run: numpy, and c if built."""
+    return ["numpy"] + ([] if fileio._c_writer() is None else ["c"])
+
+
+@contextlib.contextmanager
+def using(writer):
+    """Run the enclosed code on the "numpy" or on the "c" table writer."""
+    if writer == "numpy":
+        with mock.patch.object(fileio, "_c_writer", lambda: None):
+            yield
+        return
+    if fileio._c_writer() is None:
+        pytest.skip("the compiled writer is unavailable")
+    yield
+
+
+def pin_numpy_writer(monkeypatch):
+    monkeypatch.setattr(fileio, "_c_writer", lambda: None)
 
 
 def oracle_rows(table):
@@ -194,11 +224,14 @@ def assert_rows_match(values, ncols=7):
     values = np.concatenate([values, np.zeros(-values.size % ncols)])
     table = values.reshape(-1, ncols)
     expected = oracle_rows(table)
-    got = written_rows(table)
-    if got != expected:
-        mismatched = [(e, g) for e, g in zip(expected.split(), got.split())
-                      if e != g]
-        raise AssertionError(f"first mismatches: {mismatched[:5]}")
+    for writer in writers():
+        with using(writer):
+            got = written_rows(table)
+        if got != expected:
+            mismatched = [(e, g) for e, g in
+                          zip(expected.split(), got.split()) if e != g]
+            raise AssertionError(
+                f"{writer} writer, first mismatches: {mismatched[:5]}")
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,7 +240,10 @@ def assert_rows_match(values, ncols=7):
                   elements=st.floats(allow_nan=True, allow_infinity=True,
                                      allow_subnormal=True)))
 def test_write_rows_matches_oracle_on_any_floats(table):
-    assert written_rows(table) == oracle_rows(table)
+    expected = oracle_rows(table)
+    for writer in writers():
+        with using(writer):
+            assert written_rows(table) == expected
 
 
 def test_write_rows_matches_oracle_on_random_bit_patterns():
@@ -263,7 +299,9 @@ def test_write_rows_matches_oracle_on_carries_and_specials():
 
 
 def count_fallback(monkeypatch):
-    """Route _fallback_words through a spy; returns the list of sizes."""
+    """Route the numpy writer's _fallback_words through a spy, pinning
+    that writer; returns the list of sizes."""
+    pin_numpy_writer(monkeypatch)
     fallback = fileio._fallback_words
     seen = []
     monkeypatch.setattr(fileio, "_fallback_words",
@@ -273,6 +311,9 @@ def count_fallback(monkeypatch):
 
 
 def forbid_fallback(monkeypatch):
+    """Make the numpy writer's _fallback_words fail, pinning that writer."""
+    pin_numpy_writer(monkeypatch)
+
     def refuse(values):
         raise AssertionError(f"fallback reached for {values[:5]}")
     monkeypatch.setattr(fileio, "_fallback_words", refuse)
@@ -280,7 +321,8 @@ def forbid_fallback(monkeypatch):
 
 def test_write_rows_python_fallback_alone_matches_oracle(monkeypatch):
     # With no digits counted as in range every nonzero value takes the
-    # fallback, which must give the same bytes on its own.
+    # numpy writer's fallback, which must give the same bytes on its own.
+    pin_numpy_writer(monkeypatch)
     monkeypatch.setattr(fileio, "_DIGITS_LO", fileio._DIGITS_HI + 1)
     seen = count_fallback(monkeypatch)
     rng = np.random.default_rng(11)
@@ -309,6 +351,7 @@ def exact_halves(e, count, rng):
 
 def test_exact_path_formats_ties_zeros_and_powers_without_fallback(
         monkeypatch):
+    pin_numpy_writer(monkeypatch)
     rng = np.random.default_rng(31)
     values, halves = [0.0, -0.0], []
     for e in exact_decades():
@@ -371,8 +414,10 @@ def test_write_rows_row_breaks_do_not_follow_blocks():
     # 13 columns do not divide the block size, so rows straddle blocks.
     rng = np.random.default_rng(13)
     table = rng.standard_normal((fileio._BLOCK // 13 * 2 + 5, 13))
-    assert written_rows(table) == oracle_rows(table)
-    assert written_rows(np.zeros((0, 8))) == ""
+    for writer in writers():
+        with using(writer):
+            assert written_rows(table) == oracle_rows(table)
+            assert written_rows(np.zeros((0, 8))) == ""
 
 
 # The original writers, kept as whole-file oracles.
@@ -454,11 +499,13 @@ def test_profile_1d_file_matches_oracle():
     h = random_depths(rng, n)
     q = rng.standard_normal(n) * h
     q[h == 0.0] = -0.0
-    buf = io.StringIO()
-    write_profile_1d(buf, x, z, h, q, time=12.5, g=9.81, name="chan",
-                     cfg_hash="ab12")
-    assert buf.getvalue() == oracle_profile_1d(x, z, h, q, 12.5, 9.81,
-                                               "chan", "ab12")
+    expected = oracle_profile_1d(x, z, h, q, 12.5, 9.81, "chan", "ab12")
+    for writer in writers():
+        buf = io.StringIO()
+        with using(writer):
+            write_profile_1d(buf, x, z, h, q, time=12.5, g=9.81, name="chan",
+                             cfg_hash="ab12")
+        assert buf.getvalue() == expected
 
 
 def test_profile_2d_file_matches_oracle():
@@ -481,10 +528,12 @@ def assert_profile_2d_matches_oracle(ny, nx):
     h = random_depths(rng, (ny, nx))
     qx = rng.standard_normal((ny, nx)) * h
     qy = rng.standard_normal((ny, nx)) * h
-    buf = io.StringIO()
-    write_profile_2d(buf, x, y, z, h, qx, qy, time=0.1 + 0.2, g=9.81)
-    assert buf.getvalue() == oracle_profile_2d(x, y, z, h, qx, qy,
-                                               0.1 + 0.2, 9.81)
+    expected = oracle_profile_2d(x, y, z, h, qx, qy, 0.1 + 0.2, 9.81)
+    for writer in writers():
+        buf = io.StringIO()
+        with using(writer):
+            write_profile_2d(buf, x, y, z, h, qx, qy, time=0.1 + 0.2, g=9.81)
+        assert buf.getvalue() == expected
 
 
 def test_profile_2d_sends_almost_no_value_to_the_fallback(monkeypatch):
@@ -512,9 +561,11 @@ def test_dem_file_matches_oracle():
     elevations = rng.standard_normal((37, 150)) * 100.0
     dem = DemGrid.from_south_up(elevations, cellsize=0.25,
                                 origin=(-3.5, 1e5 / 3))
-    buf = io.StringIO()
-    write_dem(buf, dem)
-    assert buf.getvalue() == oracle_dem(dem)
+    for writer in writers():
+        buf = io.StringIO()
+        with using(writer):
+            write_dem(buf, dem)
+        assert buf.getvalue() == oracle_dem(dem)
 
 
 def test_mass_report_file_matches_oracle():
@@ -522,12 +573,13 @@ def test_mass_report_file_matches_oracle():
     rows = [MassBalanceRow(*values) for values in
             rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-20, 5, 8)]
     rows.append(MassBalanceRow(1.0, 2.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0))
-    buf = io.StringIO()
-    write_mass_report(buf, rows, name="ledger", cfg_hash="ff")
-    assert buf.getvalue() == oracle_mass_report(rows, "ledger", "ff")
-    empty = io.StringIO()
-    write_mass_report(empty, [])
-    assert empty.getvalue() == oracle_mass_report([])
+    for writer in writers():
+        buf, empty = io.StringIO(), io.StringIO()
+        with using(writer):
+            write_mass_report(buf, rows, name="ledger", cfg_hash="ff")
+            write_mass_report(empty, [])
+        assert buf.getvalue() == oracle_mass_report(rows, "ledger", "ff")
+        assert empty.getvalue() == oracle_mass_report([])
 
 
 def test_readers_reject_non_finite_values():
@@ -539,3 +591,161 @@ def test_readers_reject_non_finite_values():
                              "1.0\n"))
     with pytest.raises(ValueError, match="non-finite"):
         read_profile(io.StringIO("# columns: x h\n0.5 1.0\n1.5 -inf\n"))
+
+
+# ------------------------------------------------ compiled writer
+# The compiled writer is pinned to format_float (Python's correctly
+# rounded `%.16e`) on any bit pattern, on exact ties, whatever the
+# process's locale, and through every file writer.
+
+DBL_MAX = sys.float_info.max
+_POWERS = [float(f"1e{e}") for e in range(-323, 309)]
+# Signed zeros, subnormals, the normal range's ends, inf, nan, both
+# sides of each power of ten, and digits that carry to 10**17.
+EDGES = np.array(
+    [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     DBL_MAX, np.inf, np.nan]
+    + _POWERS + [math.nextafter(p, 0.0) for p in _POWERS]
+    + [math.nextafter(p, math.inf) for p in _POWERS]
+    + [float(f"9.9999999999999999e{e}") for e in range(-300, 301, 3)]
+    + [float(f"9.99999999999999995e{e}") for e in range(-300, 301, 3)])
+EDGES = np.concatenate([EDGES, -EDGES])
+EDGE_BITS = EDGES.view(np.uint64).tolist()
+
+
+@pytest.fixture(scope="module")
+def compiled_writer():
+    """Skip, before any example runs, where the compiled writer is
+    unavailable."""
+    if fileio._c_writer() is None:
+        pytest.skip("the compiled writer is unavailable")
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnp.arrays(np.uint64,
+                  st.tuples(st.integers(0, 12), st.integers(1, 9)),
+                  elements=st.one_of(st.integers(0, 2**64 - 1),
+                                     st.sampled_from(EDGE_BITS))))
+@example(EDGES.view(np.uint64).reshape(-1, 2))
+def test_c_writer_matches_format_float_on_any_bit_pattern(compiled_writer,
+                                                          bits):
+    table = bits.view(np.float64)
+    with using("c"):
+        assert written_rows(table) == oracle_rows(table)
+
+
+def test_c_writer_refuses_a_grid_too_small_for_the_table():
+    # The compiled writer reads coordinate r % nx and r // nx of row r:
+    # a table longer than the grid is refused before any is read.
+    with using("c"), pytest.raises(ValueError, match="cannot lead 7 rows"):
+        fileio._write_rows(io.StringIO(), np.zeros((7, 2)),
+                           grid=(np.zeros(3), np.zeros(2)))
+
+
+def tie_family():
+    """Doubles with 18 significant digits ending in an exact 5: 1 + m *
+    2**-17 for odd m, its shifts 10**e + m * 2**(e - 17), and odd
+    multiples of 2**(e - 17) in the decades where any exist."""
+    rng = np.random.default_rng(41)
+    m = np.arange(1, 120_000, 2)
+    values = [1.0 + m * 2.0**-17]
+    for e in range(1, 11):
+        values.append(10.0**e + rng.choice(m, 2000) * 2.0**(e - 17))
+    values.append([h for e in range(-40, 16)
+                   for h in exact_halves(e, 200, rng)])
+    return np.concatenate(values)
+
+
+def test_c_writer_rounds_exact_ties_to_even_in_both_signs():
+    ties = tie_family()
+    for value in ties[::97].tolist():
+        digits = Decimal(value).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    with using("c"):
+        assert_rows_match(np.concatenate([ties, -ties]), ncols=8)
+
+
+# Locales whose decimal point is a comma, where installed.
+COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
+                 "ru_RU.UTF-8", "nl_NL.UTF-8")
+
+
+def test_c_writer_ignores_the_process_locale():
+    # Near-ties go to snprintf, whose decimal point follows the locale;
+    # the writer runs it under the "C" locale whatever the process's.
+    ties = tie_family()[:20_000]
+    table = np.concatenate([ties, -ties]).reshape(-1, 8)
+    expected = oracle_rows(table)
+    saved = locale.setlocale(locale.LC_ALL)
+    ran = []
+    try:
+        for name in ("", *COMMA_LOCALES):
+            try:
+                locale.setlocale(locale.LC_ALL, name)
+            except locale.Error:
+                continue
+            ran.append(locale.localeconv()["decimal_point"])
+            with using("c"):
+                assert written_rows(table) == expected
+    finally:
+        locale.setlocale(locale.LC_ALL, saved)
+    assert ran
+
+
+def write_every_file(directory, rng):
+    """Each file writer's output, with signed zeros and non-finite values
+    among ordinary ones, into directory; returns the paths."""
+    n = 203
+    x, y = (np.arange(n) + 0.5) * 0.3, (np.arange(7) + 0.5) * 0.7
+    z = rng.standard_normal((7, n))
+    h = random_depths(rng, (7, n))
+    qx, qy = rng.standard_normal((2, 7, n)) * h
+    qy[0, :3] = (-0.0, np.inf, np.nan)
+    paths = [directory / name for name in ("p1.txt", "p2.txt", "dem.txt",
+                                           "mass.txt")]
+    write_profile_1d(paths[0], x, z[0], h[0], qx[0], time=1.5, g=9.81,
+                     name="one", cfg_hash="ab")
+    write_profile_2d(paths[1], x, y, z, h, qx, qy, time=2.5, g=9.81)
+    write_dem(paths[2], DemGrid.from_south_up(z * 1e3, 0.3, (1e6, -2.0)))
+    rows = [MassBalanceRow(*values) for values in
+            rng.standard_normal((50, 8)) * 10.0 ** rng.integers(-20, 5, 8)]
+    write_mass_report(paths[3], rows, name="ledger", cfg_hash="ff")
+    return paths
+
+
+def test_every_file_is_byte_identical_under_both_writers(tmp_path):
+    files = {}
+    for writer in ("numpy", "c"):
+        (tmp_path / writer).mkdir()
+        with using(writer):
+            paths = write_every_file(tmp_path / writer,
+                                     np.random.default_rng(42))
+        files[writer] = [path.read_bytes() for path in paths]
+    assert files["c"] == files["numpy"]
+
+
+def test_without_a_build_the_numpy_writer_writes_the_same_files(
+        tmp_path, monkeypatch, caplog):
+    with using("c"):
+        (tmp_path / "c").mkdir()
+        compiled = write_every_file(tmp_path / "c",
+                                    np.random.default_rng(43))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path))
+    (tmp_path / "numpy").mkdir()
+    _native.library.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, _native.LOG.name):
+            assert fileio.writer_name() == "numpy"
+            fallback = write_every_file(tmp_path / "numpy",
+                                        np.random.default_rng(43))
+            write_every_file(tmp_path / "numpy", np.random.default_rng(43))
+    finally:
+        monkeypatch.undo()
+        _native.library.cache_clear()
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert "numpy sweep kernel" in warnings[0]
+    assert "numpy writer" in warnings[0]
+    assert [p.read_bytes() for p in fallback] == [p.read_bytes()
+                                                  for p in compiled]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swekit import timeloop
+from swekit import _native, timeloop
 from swekit.analytic import (
     ThackerParams,
     thacker_bowl,
@@ -517,7 +517,7 @@ def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
 
 
 # ------------------------------------------------- sweep kernel paths
-# The compiled kernel (_sweep.c) runs wherever a C compiler is found;
+# The compiled kernel (_native.c) runs wherever a C compiler is found;
 # the numpy kernel is its fallback and its bitwise reference.
 
 
@@ -544,12 +544,12 @@ def _kernel_paths():
 
 @contextlib.contextmanager
 def _fresh_kernel():
-    """Forget the process's loaded kernel on entry and on exit."""
-    timeloop._sweep_kernel.cache_clear()
+    """Forget the process's loaded library on entry and on exit."""
+    _native.library.cache_clear()
     try:
         yield
     finally:
-        timeloop._sweep_kernel.cache_clear()
+        _native.library.cache_clear()
 
 
 def _bits(array):
@@ -630,7 +630,7 @@ def test_every_traced_helper_stays_on_the_call_path(path):
 def test_the_build_flags_keep_every_bit():
     # The kernel matches numpy only without contraction and without the
     # flags that let the compiler change a computed value.
-    flags = timeloop._SWEEP_FLAGS
+    flags = _native._FLAGS
     assert "-ffp-contract=off" in flags
     value_changing = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
                       "-fassociative-math", "-freciprocal-math",
@@ -652,8 +652,8 @@ def test_without_a_build_numpy_runs_with_the_same_bits(failure, tmp_path,
     if failure == "no compiler":
         monkeypatch.setenv("PATH", str(tmp_path))
     else:
-        monkeypatch.setattr(timeloop, "_SWEEP_FLAGS",
-                            timeloop._SWEEP_FLAGS + ("-fno-such-option",))
+        monkeypatch.setattr(_native, "_FLAGS",
+                            _native._FLAGS + ("-fno-such-option",))
     config = _wet_plot(True, 2, "hll")
     with _fresh_kernel(), caplog.at_level(logging.INFO, timeloop.LOG.name):
         results = [run_simulation(config) for _ in range(2)]
@@ -663,7 +663,8 @@ def test_without_a_build_numpy_runs_with_the_same_bits(failure, tmp_path,
                 if "sweep kernel" in r.getMessage()]
     assert [level for level, _ in messages] == ["WARNING", "INFO", "INFO"]
     assert messages[0][1].startswith("compiled sweep kernel unavailable")
-    assert messages[1][1] == messages[2][1] == "run: numpy sweep kernel"
+    assert messages[1][1] == messages[2][1] == (
+        "run: numpy sweep kernel, numpy writer")
     with _sweep_path("c"):
         compiled = run_simulation(config)
     assert _same_bits(results[0].final_state.fields,
@@ -674,19 +675,19 @@ def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch):
     if not _has_compiler():
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    path = pathlib.Path(timeloop._library_path())
+    path = pathlib.Path(_native._library_path())
     size = path.stat().st_size
     path.write_bytes(path.read_bytes()[:size // 2])
-    original, builds = timeloop._compile, []
+    original, builds = _native._compile, []
 
     def counted(compiler, target):
         builds.append(target)
         original(compiler, target)
 
     config = _wet_plot(False, 2, "hll")
-    with mock.patch.object(timeloop, "_compile", counted), _fresh_kernel():
+    with mock.patch.object(_native, "_compile", counted), _fresh_kernel():
         result = run_simulation(config)
-        assert timeloop._library_path() == str(path)
+        assert _native._library_path() == str(path)
     assert len(builds) == 1
     assert result.sweep_kernel == "c"
     assert path.stat().st_size == size
