@@ -6,13 +6,24 @@ its fallback and its reference: the sweep (timeloop._Sweep.run) and the
 `%.16e` table writer (fileio._write_rows). timeloop and fileio bind
 their entry points from library().
 
+The sweep is compiled once per x86 vector level (SWEEP_LEVELS: the
+baseline and avx2, which AVX-512 CPUs run too), both from the same
+source, into entries swekit_sweep_<level> of the one library;
+sweep_levels() names those this CPU can run, and timeloop binds the
+widest. GCC's target attribute enables a level for its entry alone, so
+the library loads on any x86-64 CPU, and a cached build stays safe to
+load on another machine. Built by another compiler or for another
+architecture, the library holds the baseline entry only. The writer is
+compiled for the baseline.
+
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
-row passes with baseline SSE2; -fno-math-errno lets sqrt inline and
+row passes at each level; -fno-math-errno lets sqrt inline and
 -fno-trapping-math lets the comparisons that feed its selects be
-if-converted, and neither changes a computed value. It is never built
-with contraction, -ffast-math or -march=native, which would change the
-bits. The library goes into $XDG_CACHE_HOME/swekit, else
+if-converted, and neither changes a computed value. Nor does the vector
+width: every level gives the same bits, as no level enables FMA. It is
+never built with contraction, -ffast-math or -march=native, which would
+change the bits. The library goes into $XDG_CACHE_HOME/swekit, else
 ~/.cache/swekit, else a private directory under the system's temporary
 directory. The cache key hashes the source, the flags and the compiler
 executable; a library whose SHA-256 does not match the one stored
@@ -37,16 +48,16 @@ LOG = logging.getLogger(__name__)
 
 _SOURCE = pathlib.Path(__file__).with_name("_native.c")
 # -fno-math-errno lets sqrt inline and -fno-trapping-math lets the
-# comparisons that feed selects be if-converted, so the loops vectorize
-# with baseline SSE2; neither changes a computed value. No contraction,
-# no -ffast-math, no -march=native: each would change results' bits.
+# comparisons that feed selects be if-converted, so the loops vectorize;
+# neither changes a computed value. No contraction, no -ffast-math, no
+# -march=native: each would change results' bits.
 _FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
           "-ffp-contract=off", "-fPIC", "-shared")
 
-# Every entry point: (argument types, result type). Pointers are passed
-# as addresses.
+# Every entry point but the per-level sweeps: (argument types, result
+# type). Pointers are passed as addresses.
 _ENTRIES = {
-    "swekit_sweep": ([ctypes.c_void_p], None),
+    "swekit_sweep_level": ([], ctypes.c_int),
     "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
     "swekit_writer_init": ([], ctypes.c_int),
     "swekit_format_slots": ([ctypes.c_void_p, ctypes.c_ssize_t,
@@ -56,6 +67,11 @@ _ENTRIES = {
                           + [ctypes.c_ssize_t, ctypes.c_void_p],
                           ctypes.c_ssize_t),
 }
+
+# The vector levels of the sweep, narrowest first. Each has an entry
+# swekit_sweep_<level>(struct sweep *), declared where the CPU supports
+# the level.
+SWEEP_LEVELS = ("baseline", "avx2")
 
 _LOADING = threading.Lock()
 
@@ -158,6 +174,9 @@ def library():
             for name, (argtypes, restype) in _ENTRIES.items():
                 entry = getattr(loaded, name)
                 entry.argtypes, entry.restype = argtypes, restype
+            for level in SWEEP_LEVELS[:loaded.swekit_sweep_level() + 1]:
+                entry = getattr(loaded, f"swekit_sweep_{level}")
+                entry.argtypes, entry.restype = [ctypes.c_void_p], None
             if loaded.swekit_writer_init() != 0:
                 raise OSError("the writer found no \"C\" locale")
         except OSError as exc:
@@ -166,3 +185,13 @@ def library():
                         "numpy writer: %s", exc)
             return None
     return loaded
+
+
+def sweep_levels():
+    """The vector levels of the sweep this process can run, narrowest
+    first: those the loaded library holds and the CPU and the OS support.
+    Empty where the library could not be built."""
+    loaded = library()
+    if loaded is None:
+        return ()
+    return SWEEP_LEVELS[:loaded.swekit_sweep_level() + 1]

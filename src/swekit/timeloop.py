@@ -33,12 +33,15 @@ one contract (_Sweep.run): it serves 1D as a single row and each 2D
 direction as a block of rows, and returns per row the carried and the
 normal flux divergence and the mass flux through the two end faces.
 
-* The compiled kernel, swekit_sweep in _native.c, runs wherever a C
+* The compiled kernel, the sweep of _native.c, runs wherever a C
   compiler is found; _native builds, caches and loads the library (see
   its docstring for the flags, none of which changes a computed value).
-  One foreign call per direction sweeps every row through element
-  strides: the y sweep reads the transposed frame as it is and adds
-  into phi a tile of rows at a time. A block needs O(n) scratch.
+  The library holds one entry per x86 vector level (baseline, avx2),
+  both from the same code and giving the same bits, and _sweep_kernel
+  binds the widest this CPU supports. One foreign call
+  per direction sweeps every row through element strides: the y sweep
+  reads the transposed frame as it is and adds into phi a tile of rows
+  at a time. A block needs O(n) scratch.
 * The numpy kernel (_Sweep) runs when no compiler is found or the build
   fails, after one warning. A block stacks the variables (h, u_n[, u_t],
   h+z) on one axis and the two interface sides (minus, plus) on
@@ -49,13 +52,16 @@ normal flux divergence and the mass flux through the two end faces.
   Each formula exists once, in core, reconstruction, fluxes and
   sources, and this kernel calls those functions.
 
-Nothing selects the kernel but the build: RunResult.sweep_kernel names
-the one that ran, and run_simulation logs it at INFO with the table
-writer that fileio will use. The two kernels give the same bits: the C
-code keeps the floating-point operation order of every numpy formula,
-and follows numpy's min/max (NaN propagates, a tie returns the second
-operand); tests/test_timeloop.py pairs them on random states. The numpy kernel is in turn bitwise identical to the
-allocating operator it replaced, which the tests keep as the reference.
+Nothing selects the kernel but the build and the CPU:
+RunResult.sweep_kernel names the one that ran, and run_simulation logs
+it at INFO, with the compiled kernel's vector level and the table writer
+that fileio will use. The two kernels give the same bits: the C code
+keeps the floating-point operation order of every numpy formula, and
+follows numpy's min/max (NaN propagates, a tie returns the second
+operand); tests/test_timeloop.py pairs every vector level the CPU
+supports with the numpy kernel on random states. The numpy kernel is in
+turn bitwise identical to the allocating operator it replaced, which
+the tests keep as the reference.
 A step returns a State over a new array: no view of the workspace
 reaches a State the caller sees.
 """
@@ -432,8 +438,9 @@ def _blocks(rows, cells_per_row):
 
 
 # ------------------------------------------------ compiled sweep kernel
-# swekit_sweep in _native.c implements _Sweep.run row by row, bit for
-# bit; without a working C compiler the numpy kernel runs instead.
+# The sweep of _native.c implements _Sweep.run row by row, bit for bit,
+# at each vector level; without a working C compiler the numpy kernel
+# runs instead.
 
 
 # The kernel's array operands and their axes, in struct sweep's order.
@@ -456,18 +463,28 @@ class _SweepBlock(ctypes.Structure):
         + [("work", ctypes.c_void_p)])
 
 
-def _sweep_kernel():
-    """(sweep, work size) functions of the compiled kernel, or None where
-    the library could not be built: the numpy kernel runs."""
+def _sweep_kernel(level=None):
+    """(sweep, work size, level) of the compiled kernel at a vector level
+    this CPU supports, by default the widest; None where the library
+    could not be built: the numpy kernel runs."""
     library = _native.library()
     if library is None:
         return None
-    return library.swekit_sweep, library.swekit_sweep_work
+    level = level or _native.sweep_levels()[-1]
+    return (getattr(library, f"swekit_sweep_{level}"),
+            library.swekit_sweep_work, level)
 
 
 def sweep_kernel_name():
     """The sweep kernel this process runs: "c" or "numpy"."""
     return "numpy" if _sweep_kernel() is None else "c"
+
+
+def sweep_level():
+    """The vector level of the compiled sweep this process runs, or None
+    where the numpy kernel runs."""
+    compiled = _sweep_kernel()
+    return None if compiled is None else compiled[2]
 
 
 def _operand(array, shape):
@@ -510,7 +527,8 @@ class _Workspace:
     infiltration (if `infiltration`), friction, the validity check and
     the time step otherwise; stage receives the first Heun stage. kernel
     names the sweep kernel that runs: "c" (one block per direction) or
-    "numpy" (blocks over one pool).
+    "numpy" (blocks over one pool); level, the compiled kernel's vector
+    level (None for numpy).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -548,10 +566,11 @@ class _Workspace:
         x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
         compiled = _sweep_kernel()
         self.kernel = "numpy" if compiled is None else "c"
+        self.level = None
         if compiled is None:
             self.blocks = self._numpy_blocks(phi, x_rows, nq, scheme)
             return
-        sweep, work_size = compiled
+        sweep, work_size, self.level = compiled
         # Element strides let the kernel read the transposed views as
         # they are and add the y sweep straight into phi.
         self.sweep_work = work = np.empty(
@@ -888,8 +907,9 @@ def run_simulation(config, on_step=None):
     ctx = _RunContext(grid, z, config.scheme, config.boundaries,
                       config.friction, config.rain, _WarningCounter(), work)
     step = euler_step if config.scheme.order == 1 else heun_step
-    LOG.info("%s: %s sweep kernel, %s writer", config.name, work.kernel,
-             fileio.writer_name())
+    level = f" ({work.level})" if work.level else ""
+    LOG.info("%s: %s sweep kernel%s, %s writer", config.name, work.kernel,
+             level, fileio.writer_name())
 
     t = 0.0
     steps = 0

@@ -6,7 +6,8 @@ report.json and timings.json (wall-clock seconds). report.json is
 byte-identical from run to run except for each case's runtime check,
 whose passed flag compares the wall time with the case's limit; the
 measured seconds stay in timings.json, with an "environment" entry that
-names the sweep kernel, the table writer and numpy's enabled CPU
+names the sweep kernel, the compiled sweep's vector level (null where
+the numpy kernel runs), the table writer and numpy's enabled CPU
 dispatch targets.
 """
 
@@ -37,7 +38,12 @@ from .fileio import (
     write_profile_2d,
     writer_name,
 )
-from .timeloop import NumericalFault, run_simulation, sweep_kernel_name
+from .timeloop import (
+    NumericalFault,
+    run_simulation,
+    sweep_kernel_name,
+    sweep_level,
+)
 
 WET_FIT_DEPTH = 1e-3  # cells this deep join the planar surface fit [m]
 RITTER_EDGE_MARGIN = 0.25  # window dropped around solution kinks [m]
@@ -359,6 +365,7 @@ def _write_reports(output_dir, results, all_passed):
         }
         timings[r.name] = r.runtime
     timings["environment"] = {"sweep_kernel": sweep_kernel_name(),
+                              "sweep_level": sweep_level(),
                               "writer": writer_name(),
                               "numpy_cpu_dispatch": _cpu_dispatch()}
     with open(os.path.join(output_dir, "report.json"), "w",

@@ -115,6 +115,9 @@ def test_timings_name_the_kernels_and_numpy_cpu_targets(tmp_path):
     assert environment["writer"] == fileio.writer_name()
     assert {environment["sweep_kernel"], environment["writer"]} <= {"c",
                                                                    "numpy"}
+    assert environment["sweep_level"] == timeloop.sweep_level()
+    assert (environment["sweep_level"] is None) == (
+        environment["sweep_kernel"] == "numpy")
     targets = environment["numpy_cpu_dispatch"]
     assert all(isinstance(name, str) for name in targets)
     with open(tmp_path / "report.json", encoding="utf-8") as stream:

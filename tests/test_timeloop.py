@@ -9,6 +9,8 @@ import logging
 import math
 import os
 import pathlib
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swekit import _native, timeloop
+from swekit import _native, fileio, timeloop
 from swekit.analytic import (
     ThackerParams,
     thacker_bowl,
@@ -527,19 +529,29 @@ def _has_compiler():
 
 @contextlib.contextmanager
 def _sweep_path(path):
-    """Run the enclosed code on the "numpy" or on the "c" sweep kernel."""
+    """Run the enclosed code on the "numpy" sweep kernel, on the "c" one
+    at the widest vector level, or on "c:<level>"."""
     if path == "numpy":
         with mock.patch.object(timeloop, "_sweep_kernel", lambda: None):
             yield
         return
     if timeloop._sweep_kernel() is None:
         pytest.skip("the compiled sweep kernel is unavailable")
-    yield
+    level = path.partition(":")[2]
+    if not level:
+        yield
+        return
+    if level not in _native.sweep_levels():
+        pytest.skip(f"this CPU or this build lacks the {level} sweep")
+    bind = timeloop._sweep_kernel
+    with mock.patch.object(timeloop, "_sweep_kernel", lambda: bind(level)):
+        yield
 
 
 def _kernel_paths():
-    """The sweep kernels this machine can run: numpy, and c if built."""
-    return ["numpy"] + ([] if timeloop._sweep_kernel() is None else ["c"])
+    """The sweep kernels this machine can run: numpy, and the compiled
+    one at every vector level the CPU supports, if built."""
+    return ["numpy"] + [f"c:{level}" for level in _native.sweep_levels()]
 
 
 @contextlib.contextmanager
@@ -637,6 +649,56 @@ def test_the_build_flags_keep_every_bit():
                       "-ffinite-math-only", "-fno-signed-zeros",
                       "-march=native", "-mfma"}
     assert value_changing.isdisjoint(flags)
+    # Nor may a vector level's target string enable FMA or a whole CPU.
+    targets = re.findall(r'target\("([^"]*)"\)', _native._SOURCE.read_text())
+    assert targets == ["avx2"]
+    assert [t for t in targets if "fma" in t or "arch=" in t] == []
+
+
+def _numpy_cpu_features():
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(name).__cpu_features__
+    pytest.skip("numpy reports no CPU features")
+
+
+def test_the_widest_level_the_cpu_supports_is_bound():
+    if timeloop._sweep_kernel() is None:
+        pytest.skip("the compiled sweep kernel is unavailable")
+    library = _native.library()
+    built = [level for level in _native.SWEEP_LEVELS
+             if hasattr(library, f"swekit_sweep_{level}")]
+    if platform.machine() == "x86_64" and sys.platform == "linux" \
+            and shutil.which("gcc"):
+        assert built == list(_native.SWEEP_LEVELS)
+    # numpy reads the CPU and the OS on its own: its AVX2 flag decides
+    # which levels the library may run.
+    features = _numpy_cpu_features()
+    runnable = [level for level in built
+                if level == "baseline" or features.get(level.upper())]
+    assert _native.sweep_levels() == tuple(runnable)
+    assert timeloop.sweep_level() == runnable[-1]
+    work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
+                               SchemeConfig(), WALL)
+    assert (work.kernel, work.level) == ("c", runnable[-1])
+
+
+@pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
+def test_every_vector_level_runs_with_numpys_bits(level, caplog):
+    configs = [_wet_plot(two_d, order, flux) for two_d in (False, True)
+               for order in (1, 2) for flux in ("hll", "rusanov")]
+    with _sweep_path(f"c:{level}"), \
+            caplog.at_level(logging.INFO, timeloop.LOG.name):
+        results = [run_simulation(config) for config in configs]
+    with _sweep_path("numpy"):
+        references = [run_simulation(config) for config in configs]
+    assert all(_same_bits(r.final_state.fields, ref.final_state.fields)
+               for r, ref in zip(results, references))
+    messages = {r.getMessage() for r in caplog.records
+                if "sweep kernel" in r.getMessage()}
+    assert messages == {f"run: c sweep kernel ({level}), "
+                        f"{fileio.writer_name()} writer"}
 
 
 def test_the_compiled_kernel_runs_wherever_a_compiler_is_found():
@@ -1220,7 +1282,8 @@ def _kernel(grid, z, state, bcs, scheme, budget, path):
     with _sweep_path(path), \
             mock.patch.object(timeloop, "SWEEP_CELLS", budget):
         work = timeloop._Workspace(grid, z, scheme, bcs)
-    assert work.kernel == path
+    kernel, _, level = path.partition(":")
+    assert (work.kernel, work.level) == (kernel, level or None)
     warnings = []
     phi = work.divergence(state.fields, warnings)
     # Mass fluxes through the boundary faces: west, east[, south, north].
@@ -1231,12 +1294,13 @@ def _kernel(grid, z, state, bcs, scheme, budget, path):
 
 def _both_kernels(grid, z, state, bcs, scheme, budget):
     """The numpy kernel's results, after checking that the compiled
-    kernel (where there is one) gives the same bits."""
+    kernel (where there is one) gives the same bits at every vector
+    level the CPU supports."""
     phi, faces, warnings = _kernel(grid, z, state, bcs, scheme, budget,
                                    "numpy")
-    if timeloop._sweep_kernel() is not None:
+    for path in _kernel_paths()[1:]:
         c_phi, c_faces, c_warnings = _kernel(grid, z, state, bcs, scheme,
-                                             budget, "c")
+                                             budget, path)
         assert _same_bits(c_phi, phi)
         assert all(_same_bits(a, b) for a, b in zip(c_faces, faces))
         assert c_warnings == warnings
