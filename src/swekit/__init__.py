@@ -9,20 +9,9 @@ analytic reference solutions used by the bundled validation harness.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    extrapolated_front_position,
-    lake_at_rest_profile,
-    macdonald_rain_profile,
-    macdonald_shock_profile,
-    macdonald_topography,
-    ritter_front_position,
-    ritter_profile,
-    thacker_planar_profile,
-    ThackerParams,
-    wet_front_position,
-)
+import importlib
+
 from .boundary import BoundaryCondition, BoundarySet
-from .cases import CASE_NAMES, get_case
 from .config import ConfigError, parse_parameter_file, parse_parameters
 from .core import (
     G_DEFAULT,
@@ -59,7 +48,31 @@ from .timeloop import (
     compute_dt,
     run_simulation,
 )
-from .validate import run_validation
+
+# Loaded on first access (PEP 562): a run needs neither the analytic
+# solutions, nor the built-in cases, nor the validation harness.
+_LAZY = {
+    "analytic": ("extrapolated_front_position", "lake_at_rest_profile",
+                 "macdonald_rain_profile", "macdonald_shock_profile",
+                 "macdonald_topography", "ritter_front_position",
+                 "ritter_profile", "thacker_planar_profile", "ThackerParams",
+                 "wet_front_position"),
+    "cases": ("CASE_NAMES", "get_case"),
+    "validate": ("run_validation",),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items()
+               for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
 
 __all__ = [
     "__version__",

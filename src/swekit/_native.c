@@ -1,11 +1,14 @@
-/* swekit's compiled kernels, one library with two kernels, each the
- * twin of a numpy function that stays as its fallback and its
- * reference:
+/* swekit's compiled kernels, one library with three kernels, each the
+ * twin of numpy code that stays as its fallback and its reference:
  *
  * - the sweep, the contract of timeloop._Sweep.run, row by row: one
  *   entry swekit_sweep_<level> per x86 vector level (baseline, avx2),
  *   both compiled from the same code, and swekit_sweep_level, which
  *   reports the widest level the CPU and the OS support;
+ * - the stage tail, swekit_tail_*: the pointwise work of a time step
+ *   outside the sweep (update, rain, infiltration, friction, validity
+ *   check, Heun average, compute_dt's supremum), compiled for the
+ *   baseline only;
  * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows,
  *   compiled for the baseline only.
  *
@@ -37,7 +40,8 @@
  * are GCC's, on x86-64: built elsewhere, or by another compiler, the
  * library holds the baseline entry only.
  *
- * The writer is described at its section, at the end of the file.
+ * The stage tail and the writer are described at their sections, after
+ * the sweep.
  */
 
 /* newlocale and uselocale, for the writer. */
@@ -51,8 +55,8 @@
 #include <stdio.h>
 #include <string.h>
 
-/* Excess precision (x87) would change the sweep's bits: then the build
- * fails and both numpy twins run. */
+/* Excess precision (x87) would change the kernels' bits: then the build
+ * fails and the numpy twins run. */
 #if FLT_EVAL_METHOD != 0
 #error "the kernels need FLT_EVAL_METHOD == 0"
 #endif
@@ -65,7 +69,7 @@
 
 typedef ptrdiff_t idx;
 
-/* One block of rows and the scheme; timeloop._SweepBlock mirrors it. */
+/* One block of rows and the scheme; _compiled.SweepBlock mirrors it. */
 struct sweep {
     idx rows, n, nq, second_order, rusanov, accumulate;
     double d, g, h_eps, face_h_eps;
@@ -442,6 +446,312 @@ int swekit_sweep_level(void)
 #else
     return 0;
 #endif
+}
+
+/* -------------------------------------------------------- stage tail
+ *
+ * The pointwise work of a time step outside the sweep, the twin of
+ * timeloop._numpy_tail, _numpy_average and _wave_speed_sups:
+ *
+ * - swekit_tail_update: the update fields - phi*dt, rain h + r*dt, and
+ *   Green-Ampt infiltration (sources.infiltration_step, with
+ *   effective_conductivity and infiltration_capacity), which writes the
+ *   infiltrated depth into dv and the new cumulative depth into v_out;
+ * - swekit_tail_finish: semi-implicit friction (sources._damping_factor
+ *   and the divide), then the validity check
+ *   (timeloop._enforce_validity);
+ * - swekit_tail_average: the Heun average of the fields and of the
+ *   cumulative depth, then the validity check;
+ * - swekit_tail_speeds: compute_dt's supremum of |u| + c over the wet
+ *   cells, per direction.
+ *
+ * Each keeps the operation order of its numpy twin, and min/max follow
+ * numpy as in the sweep. Two things stay numpy's: np.cbrt, whose bits
+ * depend on numpy's SIMD dispatch (the caller writes cbrt of the new
+ * depth into cbrt between update and finish), and sums, which numpy
+ * takes pairwise (the caller sums dv). hypot is libm's, which numpy's
+ * hypot calls too. The passes are bound by memory, not arithmetic, so
+ * they are compiled for the baseline only. Arrays are C-contiguous:
+ * fields, out and phi (nq + 1, cells), the rest (cells,).
+ */
+
+/* One stage's tail and the scheme; _compiled.TailBlock mirrors it. The
+ * last three members are results. imax is +inf without a cap, which
+ * np_min(capacity, imax) then returns as capacity, bit for bit. phi is
+ * not read after the update, so cbrt and speed are two of its rows. */
+struct tail {
+    idx cells, nq, friction, rain, infiltration, crust;
+    double g, h_eps, tolerance, dt, rain_dt, coeff;
+    double ks, kc, zc, hf, dtheta, crust_term, imax;
+    const double *phi;
+    double *cbrt, *speed, *dv;
+    const double *fields;
+    double *out;
+    const double *v_inf;
+    double *v_out;
+    idx cell;
+    double h_min, sup[2];
+};
+
+enum { MANNING = 1, DARCY_WEISBACH = 2 };
+/* What the validity check returns. UNDECIDED: every value is finite but
+ * one is so large that numpy's sum of them might overflow, which numpy's
+ * check counts as a fault; the caller runs that check. */
+enum { VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED };
+
+/* sources.infiltration_step on the n depths h, for dt > 0: the
+ * infiltrated depth into dv, the new cumulative depth into v_out. crust
+ * is a constant where this is inlined. */
+INLINE void infiltrate(const struct tail *t, idx n, double *restrict h,
+                       const double *restrict v, double *restrict dv,
+                       double *restrict v_out, int crust)
+{
+    const double dt = t->dt, dtheta = t->dtheta, hf = t->hf, ks = t->ks;
+    const double kc = t->kc, zc = t->zc, crust_term = t->crust_term;
+    const double imax = t->imax;
+    for (idx i = 0; i < n; i++) {
+        /* infiltration_capacity: K (1 + (hf + h) / z_front), inf where
+         * the front has not started. */
+        double z_front = v[i] / dtheta;
+        double z_safe = z_front > 0.0 ? z_front : 1.0;
+        double term = 1.0 + (hf + h[i]) / z_safe;
+        double k = ks;
+        if (crust) {
+            /* effective_conductivity: the layers in series, kc inside
+             * the crust. */
+            double layered = z_safe / ((z_safe - zc) / ks + crust_term);
+            k = z_front <= zc ? kc : layered;
+        }
+        double product = k * term;
+        double capacity = np_min(z_front > 0.0 ? product : INFINITY, imax);
+        /* delta_v = max(min(h, min(capacity, h / dt) * dt), 0). */
+        double d = np_min(capacity, h[i] / dt) * dt;
+        d = np_max(np_min(h[i], d), 0.0);
+        dv[i] = d;
+        v_out[i] = v[i] + d;
+        h[i] = h[i] - d;
+    }
+}
+
+/* out = f - phi * dt over the values of every field. */
+INLINE void subtract_update(const double *restrict f,
+                            const double *restrict phi, double *restrict out,
+                            idx values, double dt)
+{
+    for (idx i = 0; i < values; i++)
+        out[i] = f[i] - phi[i] * dt;
+}
+
+void swekit_tail_update(const struct tail *t)
+{
+    const idx n = t->cells;
+    double *h = t->out;
+    subtract_update(t->fields, t->phi, h, (t->nq + 1) * n, t->dt);
+    if (t->rain)
+        for (idx i = 0; i < n; i++)
+            h[i] = h[i] + t->rain_dt;
+    if (!t->infiltration)
+        return;
+    if (!(t->dt > 0.0)) {
+        /* infiltration_step infiltrates nothing in no time. */
+        for (idx i = 0; i < n; i++) {
+            t->dv[i] = 0.0;
+            t->v_out[i] = t->v_inf[i];
+        }
+    } else if (t->crust)
+        infiltrate(t, n, h, t->v_inf, t->dv, t->v_out, 1);
+    else
+        infiltrate(t, n, h, t->v_inf, t->dv, t->v_out, 0);
+}
+
+/* The discharges q (nq rows of n) divided by the damping factor, built
+ * from the stage's start f (h, then the discharges), its discharge's
+ * magnitude speed (2D) and the new depth h_new. law and nq are
+ * constants where this is inlined. */
+INLINE void friction(const double *restrict f, const double *restrict h_new,
+                     const double *restrict cb, const double *restrict speed,
+                     double *restrict q, idx n, double coeff, double h_eps,
+                     int law, int nq)
+{
+    for (idx i = 0; i < n; i++) {
+        /* h^n (h^{n+1})^{4/3} (Manning) or h^n h^{n+1}. */
+        double denom = law == MANNING ? f[i] * (h_new[i] * cb[i])
+                                      : f[i] * h_new[i];
+        double ratio = (nq == 1 ? fabs(f[n + i]) : speed[i]) * coeff / denom;
+        /* Wet at both levels: the smaller depth exceeds h_eps. */
+        double factor = np_min(f[i], h_new[i]) > h_eps ? ratio + 1.0 : 1.0;
+        q[i] = q[i] / factor;
+        if (nq == 2)
+            q[n + i] = q[n + i] / factor;
+    }
+}
+
+/* Sums over the cells in lanes: each lane adds its own cells, so no
+ * element waits for the one before and the compiler can vectorize the
+ * loop. Only whole numbers and a bound are summed this way, never a
+ * result. */
+#define LANES 4
+
+/* The dry convention of _enforce_validity on cell i of the fields f:
+ * a dry cell (h <= h_eps) loses its discharges. Returns the sum of the
+ * magnitudes of the cell's values. nq is a constant where this is
+ * inlined. */
+INLINE double dry_cell(double *restrict f, idx n, idx i, double h_eps,
+                       int nq)
+{
+    int dry = f[i] <= h_eps;
+    double q0 = dry ? 0.0 : f[n + i];
+    f[n + i] = q0;
+    double size = fabs(f[i]) + fabs(q0);
+    if (nq == 2) {
+        double q1 = dry ? 0.0 : f[2 * n + i];
+        f[2 * n + i] = q1;
+        size += fabs(q1);
+    }
+    return size;
+}
+
+/* dry_cell over every cell. Whether every value is finite and the
+ * magnitudes sum to at most DBL_MAX / 8, so that numpy's sum of the
+ * values, in whatever order, cannot overflow. */
+INLINE int dry_and_small(double *restrict f, idx n, double h_eps, int nq)
+{
+    double lane[LANES] = {0.0};
+    idx i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int l = 0; l < LANES; l++)
+            lane[l] += dry_cell(f, n, i + l, h_eps, nq);
+    for (; i < n; i++)
+        lane[0] += dry_cell(f, n, i, h_eps, nq);
+    return (lane[0] + lane[1]) + (lane[2] + lane[3]) <= DBL_MAX / 8.0;
+}
+
+/* timeloop._enforce_validity on the fields f: a depth below -tolerance
+ * is a fault at the first smallest depth; otherwise, if any depth is
+ * below zero, every depth becomes max(h, 0). Then dry cells lose their
+ * discharges, and a non-finite value is a fault at the first cell that
+ * holds one. */
+static int validity(struct tail *t, double *restrict f)
+{
+    const idx n = t->cells, nq = t->nq;
+    /* The NaN and the negative depths, counted. */
+    double nan[LANES] = {0.0}, negative[LANES] = {0.0};
+    idx i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int l = 0; l < LANES; l++) {
+            nan[l] += isnan(f[i + l]) ? 1.0 : 0.0;
+            negative[l] += f[i + l] < 0.0 ? 1.0 : 0.0;
+        }
+    for (; i < n; i++) {
+        nan[0] += isnan(f[i]) ? 1.0 : 0.0;
+        negative[0] += f[i] < 0.0 ? 1.0 : 0.0;
+    }
+    /* np.min is NaN where a depth is, and then nothing is clamped. */
+    if ((nan[0] + nan[1]) + (nan[2] + nan[3]) == 0.0
+        && (negative[0] + negative[1]) + (negative[2] + negative[3]) > 0.0) {
+        /* np.min and np.argmin, the first cell that holds it. */
+        double h_min = f[0];
+        idx at = 0;
+        for (i = 1; i < n; i++)
+            if (f[i] < h_min) {
+                h_min = f[i];
+                at = i;
+            }
+        if (h_min < -t->tolerance) {
+            t->h_min = h_min;
+            t->cell = at;
+            return NEGATIVE_DEPTH;
+        }
+        for (i = 0; i < n; i++)
+            f[i] = np_max(f[i], 0.0);
+    }
+    if (nq == 1 ? dry_and_small(f, n, t->h_eps, 1)
+                : dry_and_small(f, n, t->h_eps, 2))
+        return VALID;
+    for (i = 0; i < n; i++)
+        for (idx k = 0; k <= nq; k++)
+            if (!isfinite(f[k * n + i])) {
+                t->cell = i;
+                return NON_FINITE;
+            }
+    return UNDECIDED;
+}
+
+/* |hypot(qx, qy)| of the n cells, into speed: libm's hypot, which
+ * numpy's hypot calls too. A loop of its own, as the call keeps a loop
+ * from being vectorized. */
+static void magnitudes(const double *restrict qx, const double *restrict qy,
+                       double *restrict speed, idx n)
+{
+    for (idx i = 0; i < n; i++)
+        speed[i] = fabs(hypot(qx[i], qy[i]));
+}
+
+int swekit_tail_finish(struct tail *t)
+{
+    const idx n = t->cells;
+    const double *f = t->fields, *cb = t->cbrt, *sp = t->speed;
+    double *h = t->out;
+    if (t->friction && t->nq == 2)
+        magnitudes(f + n, f + 2 * n, t->speed, n);
+    if (t->friction == MANNING && t->nq == 1)
+        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, MANNING, 1);
+    else if (t->friction == MANNING)
+        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, MANNING, 2);
+    else if (t->friction == DARCY_WEISBACH && t->nq == 1)
+        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, DARCY_WEISBACH,
+                 1);
+    else if (t->friction == DARCY_WEISBACH)
+        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, DARCY_WEISBACH,
+                 2);
+    return validity(t, h);
+}
+
+/* a + b over n values into b, then times 0.5 (first) or 0.5 times. */
+INLINE void average(const double *restrict a, double *restrict b, idx n,
+                    int half_first)
+{
+    for (idx i = 0; i < n; i++)
+        b[i] = half_first ? 0.5 * (a[i] + b[i]) : (a[i] + b[i]) * 0.5;
+}
+
+/* out = (fields + out) * 0.5, v_out = 0.5 * (v_inf + v_out). */
+int swekit_tail_average(struct tail *t)
+{
+    average(t->fields, t->out, (t->nq + 1) * t->cells, 0);
+    if (t->infiltration)
+        average(t->v_inf, t->v_out, t->cells, 1);
+    return validity(t, t->out);
+}
+
+/* compute_dt's supremum per direction k, into sup[k]: the largest
+ * |q_k| / h + sqrt(g h) over the cells with h > h_eps, 0 where there is
+ * none, and NaN where one is NaN (numpy's max). nq is a constant where
+ * this is inlined. */
+INLINE void speed_sups(const double *restrict f, idx n, double g,
+                       double h_eps, double *sup, int nq)
+{
+    double top[2] = {0.0, 0.0};
+    int nan[2] = {0, 0};
+    for (idx i = 0; i < n; i++) {
+        double h = f[i], c = sqrt(h * g);
+        for (int k = 0; k < nq; k++) {
+            double speed = fabs(f[(k + 1) * n + i]) / h + c;
+            double wet = h > h_eps ? speed : 0.0;
+            nan[k] |= isnan(wet);
+            top[k] = wet > top[k] ? wet : top[k];
+        }
+    }
+    for (int k = 0; k < nq; k++)
+        sup[k] = nan[k] ? NAN : top[k];
+}
+
+void swekit_tail_speeds(struct tail *t)
+{
+    if (t->nq == 1)
+        speed_sups(t->fields, t->cells, t->g, t->h_eps, t->sup, 1);
+    else
+        speed_sups(t->fields, t->cells, t->g, t->h_eps, t->sup, 2);
 }
 
 /* ------------------------------------------------------------ writer

@@ -375,7 +375,12 @@ def parse_parameters(text, base_dir=None):
         try:
             infiltration = GreenAmptParams(ks=ks, **ga_extras)
         except ValueError as exc:
-            r.error("infiltration_ks", str(exc))
+            # Each message names the parameter at fault; a crust without
+            # kc names kc.
+            message = str(exc)
+            name = next((name for name in ga_extras if name in message),
+                        "ks")
+            r.error(f"infiltration_{name}", message)
             raise ConfigError(errors)
 
     try:

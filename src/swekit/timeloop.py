@@ -28,6 +28,11 @@ per run and every step writes into it:
 * stage: the first Heun stage;
 * the sweep kernel's scratch.
 
+A stage is the sweep, then its pointwise tail: the update fields -
+phi*dt, rain, infiltration, friction and the validity check. A Heun
+step then averages its two stages and checks the average, and the
+driver takes the next dt from the CFL supremum of |u| + c.
+
 The convective update is one sweep kernel with two implementations of
 one contract (_Sweep.run): it serves 1D as a single row and each 2D
 direction as a block of rows, and returns per row the carried and the
@@ -52,22 +57,32 @@ normal flux divergence and the mass flux through the two end faces.
   Each formula exists once, in core, reconstruction, fluxes and
   sources, and this kernel calls those functions.
 
-Nothing selects the kernel but the build and the CPU:
-RunResult.sweep_kernel names the one that ran, and run_simulation logs
+The pointwise tail, the Heun average and the CFL supremum also have two
+implementations. Where the compiled sweep runs, so does the stage tail
+of _native.c (_compiled.CompiledTail), compiled once for the baseline level: one
+foreign call updates the fields and applies rain and infiltration, and
+a second applies friction and the validity check. Between the two,
+np.cbrt of the new depth (Manning) goes into a workspace buffer, since
+its bits depend on numpy's SIMD dispatch; the infiltrated volume is
+summed by numpy too, pairwise. Elsewhere _numpy_tail, _numpy_average
+and _wave_speed_sups run, which call the functions of sources.
+
+Nothing selects the kernels but the build and the CPU:
+RunResult.sweep_kernel names the sweep that ran, and run_simulation logs
 it at INFO, with the compiled kernel's vector level and the table writer
-that fileio will use. The two kernels give the same bits: the C code
-keeps the floating-point operation order of every numpy formula, and
-follows numpy's min/max (NaN propagates, a tie returns the second
+that fileio will use. The two implementations give the same bits: the C
+code keeps the floating-point operation order of every numpy formula,
+and follows numpy's min/max (NaN propagates, a tie returns the second
 operand); tests/test_timeloop.py pairs every vector level the CPU
-supports with the numpy kernel on random states. The numpy kernel is in
-turn bitwise identical to the allocating operator it replaced, which
-the tests keep as the reference.
+supports with the numpy code on random states, and raises the same
+NumericalFault at the same cell. The numpy kernel is in turn bitwise
+identical to the allocating operator it replaced, which the tests keep
+as the reference.
 A step returns a State over a new array: no view of the workspace
 reaches a State the caller sees.
 """
 
 import collections
-import ctypes
 import logging
 import math
 from dataclasses import dataclass
@@ -75,7 +90,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _native, fileio
+from . import _compiled, _native, fileio
 from .boundary import (
     SIDES,
     BoundarySet,
@@ -236,32 +251,47 @@ def compute_dt(state, grid, scheme, bcs=None, work=None):
 
     The supremum runs over wet cells (per direction in 2D) and over any
     imposed boundary states; a fully dry domain falls back to C * d.
-    work, if given, is a Scratch of the grid shape with one float per
-    discharge plus one, and one flag.
+    work, if given, is the run's _Workspace: its kernel takes the
+    supremum, into its scratch.
     """
     spacings = grid.spacings
     cfl = scheme.cfl_for(len(spacings))
-    eps = scheme.h_eps
     fields = state.fields
-    h, discharges = fields[0], fields[1:]
     if work is None:
-        work = Scratch.empty(h.shape, len(fields), 1)
-
-    wet = np.greater(h, eps, out=work.flags[0])
-    celerity = np.multiply(h, scheme.g, out=work.floats[0])
-    np.sqrt(celerity, out=celerity, where=wet)
-    boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g, eps)
+        sups = _wave_speed_sups(fields, scheme,
+                                Scratch.empty(fields.shape[1:], len(fields), 1))
+    elif work.tail is None:
+        sups = _wave_speed_sups(fields, scheme, work.full)
+    else:
+        sups = work.tail.speeds(fields)
+    boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g,
+                                              scheme.h_eps)
     dt = min(spacings)
-    # Per direction: its spacing over the supremum of its |u| + c (one
-    # field at a time: on grid-shaped arrays numpy takes its fast path).
-    for d, q, speed in zip(spacings, discharges, work.floats[1:]):
-        np.abs(q, out=speed)
-        np.divide(speed, h, out=speed, where=wet)
-        np.add(speed, celerity, out=speed)
-        sup = max(float(speed.max(where=wet, initial=0.0)), boost)
+    # Per direction: its spacing over the supremum of its |u| + c.
+    for d, sup in zip(spacings, sups):
+        sup = max(sup, boost)
         if sup > 0.0:
             dt = min(dt, d / sup)
     return cfl * dt
+
+
+def _wave_speed_sups(fields, scheme, work):
+    """Per direction, the supremum of |u| + sqrt(g h) over the wet cells
+    (0.0 without one), as floats. work is a Scratch of the grid shape
+    with one float per discharge plus one, and one flag."""
+    h = fields[0]
+    wet = np.greater(h, scheme.h_eps, out=work.flags[0])
+    celerity = np.multiply(h, scheme.g, out=work.floats[0])
+    np.sqrt(celerity, out=celerity, where=wet)
+    sups = []
+    # One field at a time: on grid-shaped arrays numpy takes its fast
+    # path.
+    for q, speed in zip(fields[1:], work.floats[1:]):
+        np.abs(q, out=speed)
+        np.divide(speed, h, out=speed, where=wet)
+        np.add(speed, celerity, out=speed)
+        sups.append(float(speed.max(where=wet, initial=0.0)))
+    return sups
 
 
 # ------------------------------------------------- convective operator
@@ -440,27 +470,7 @@ def _blocks(rows, cells_per_row):
 # ------------------------------------------------ compiled sweep kernel
 # The sweep of _native.c implements _Sweep.run row by row, bit for bit,
 # at each vector level; without a working C compiler the numpy kernel
-# runs instead.
-
-
-# The kernel's array operands and their axes, in struct sweep's order.
-_SWEEP_OPERANDS = (("h", "row", "cell"), ("q", "var", "row", "cell"),
-                   ("z", "row", "cell"), ("carried", "var", "row", "cell"),
-                   ("normal", "row", "cell"), ("faces", "side", "row"))
-
-
-class _SweepBlock(ctypes.Structure):
-    """struct sweep of _native.c: one block of rows, strides in elements."""
-
-    _fields_ = (
-        [(name, ctypes.c_ssize_t) for name in
-         ("rows", "n", "nq", "second_order", "rusanov", "accumulate")]
-        + [(name, ctypes.c_double) for name in
-           ("d", "g", "h_eps", "face_h_eps")]
-        + [field for name, *axes in _SWEEP_OPERANDS
-           for field in [(name, ctypes.c_void_p)]
-           + [(f"{name}_{axis}", ctypes.c_ssize_t) for axis in axes]]
-        + [("work", ctypes.c_void_p)])
+# runs instead. _compiled holds its binding and the stage tail's.
 
 
 def _sweep_kernel(level=None):
@@ -487,29 +497,6 @@ def sweep_level():
     return None if compiled is None else compiled[2]
 
 
-def _operand(array, shape):
-    """Address and element strides of a float64 view, for a _SweepBlock."""
-    if array.dtype != np.float64 or array.shape != shape \
-            or any(s % array.itemsize for s in array.strides):
-        raise ValueError(f"the sweep kernel needs a float64 view of shape "
-                         f"{shape}, got {array.dtype} {array.shape}")
-    return (array.ctypes.data,
-            *(s // array.itemsize for s in array.strides))
-
-
-def _compiled_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
-                    work, accumulate):
-    """The _SweepBlock of one call: the arguments of _Sweep.run, plus
-    work and whether to add into the outputs instead of storing."""
-    row, inner = (rows, n + 4), (rows, n)
-    values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
-              accumulate, d, scheme.g, scheme.h_eps, H_EPS,
-              *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
-              *_operand(carried, (nq, *inner)), *_operand(normal, inner),
-              *_operand(faces, (2, rows)), work.ctypes.data)
-    return ctypes.pointer(_SweepBlock(*values))
-
-
 def _positive_sum(values):
     """Sum of max(v, 0) over a side's faces. A side of one face comes as
     a float, on which this is ten times cheaper than on an array."""
@@ -528,7 +515,8 @@ class _Workspace:
     the time step otherwise; stage receives the first Heun stage. kernel
     names the sweep kernel that runs: "c" (one block per direction) or
     "numpy" (blocks over one pool); level, the compiled kernel's vector
-    level (None for numpy).
+    level, and tail, the compiled stage tail over these buffers (both
+    None for numpy).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -566,11 +554,13 @@ class _Workspace:
         x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
         compiled = _sweep_kernel()
         self.kernel = "numpy" if compiled is None else "c"
-        self.level = None
+        self.level = self.tail = None
         if compiled is None:
             self.blocks = self._numpy_blocks(phi, x_rows, nq, scheme)
             return
         sweep, work_size, self.level = compiled
+        self.tail = _compiled.CompiledTail(_native.library(), self, scheme,
+                                           infiltration, NEGATIVE_DEPTH_TOL)
         # Element strides let the kernel read the transposed views as
         # they are and add the y sweep straight into phi.
         self.sweep_work = work = np.empty(
@@ -583,7 +573,8 @@ class _Workspace:
                              ext[3, :, 2:-2].T, phi[:2].transpose(0, 2, 1),
                              phi[2].T, self.faces[1, :, :nx], work, True))
         self.blocks = [
-            (sweep, (_compiled_block(rows, n, nq, d, scheme, *args),), None)
+            (sweep, (_compiled.sweep_block(rows, n, nq, d, scheme, *args),),
+             None)
             for (rows, n, d), args in zip(directions, operands)]
 
     def _numpy_blocks(self, phi, x_rows, nq, scheme):
@@ -713,29 +704,46 @@ def _enforce_validity(fields, t, scheme, dry):
     np.less_equal(h, scheme.h_eps, out=dry)
     if dry.any():
         np.copyto(fields[1:], 0.0, where=dry)
+    _check_finite(fields, t)
+
+
+def _check_finite(fields, t):
+    """The NaN/Inf guard of _enforce_validity."""
     # A finite sum certifies every entry finite (values are O(1), far
     # from overflow); the detailed scan only runs on the failure path.
     if not np.isfinite(np.add.reduce(fields, axis=None)):
+        h = fields[0]
         bad = ~np.isfinite(fields).all(axis=0)
         where = np.argmax(bad) if bad.any() else np.argmax(np.abs(h))
         idx = np.unravel_index(int(where), h.shape)
         raise NumericalFault(t, idx, "non-finite state")
 
 
-def _stage(state, ga, t_source, dt, ctx, out):
-    """One explicit stage from state into out, shaped (fields,) + grid."""
-    grid, work, scheme = ctx.grid, ctx.work, ctx.scheme
-    fields = state.fields
-    phi = work.divergence(fields, ctx.warnings)
+def _check_tail(status, tail, fields, t):
+    """The NumericalFault _enforce_validity raises, from the status of a
+    compiled tail's validity check on fields at time t."""
+    if status == _compiled.VALID:
+        return
+    if status == _compiled.UNDECIDED:
+        _check_finite(fields, t)
+        return
+    index = np.unravel_index(tail.block.cell, fields.shape[1:])
+    if status == _compiled.NEGATIVE_DEPTH:
+        raise NumericalFault(t, index,
+                             f"negative depth {tail.block.h_min:.3e}")
+    raise NumericalFault(t, index, "non-finite state")
+
+
+def _numpy_tail(fields, phi, out, ga, dt, r, ctx, t):
+    """A stage after the sweep, in numpy: out = fields - phi*dt, rain,
+    infiltration, friction and the validity check at time t. Returns the
+    new GreenAmptState (or None) and the infiltrated volume."""
+    work, scheme = ctx.work, ctx.scheme
     np.multiply(phi, dt, out=phi)
     np.subtract(fields, phi, out=out)
     h_new = out[0]
-
-    r = rain_rate(t_source, ctx.rain)
-    rain_vol = 0.0
     if r > 0.0:
         h_new += r * dt
-        rain_vol = r * dt * grid.nx * grid.ny * work.cell_area
     infil_vol = 0.0
     if ga is not None:
         dv, ga = infiltration_step(ga, h_new, dt, work.full)
@@ -751,8 +759,40 @@ def _stage(state, ga, t_source, dt, ctx, out):
             friction_semi_implicit(out[1], fields[1], fields[0], h_new,
                                    ctx.friction, dt, scheme.g, scheme.h_eps,
                                    out=out[1], work=work.full)
-    _enforce_validity(out, t_source, scheme, work.full.flags[0])
+    _enforce_validity(out, t, scheme, work.full.flags[0])
+    return ga, infil_vol
 
+
+def _numpy_average(fields, new, ga, ga2, t, ctx):
+    """Heun's average of fields and new into new, and of the cumulative
+    infiltration into ga2's, then the validity check at time t. Returns
+    the averaged GreenAmptState (or None)."""
+    np.add(fields, new, out=new)
+    np.multiply(new, 0.5, out=new)
+    if ga is not None:
+        # ga2.v_inf is this step's own new array: average into it.
+        v_inf = np.add(ga.v_inf, ga2.v_inf, out=ga2.v_inf)
+        ga = GreenAmptState(ga.params, np.multiply(0.5, v_inf, out=v_inf))
+    _enforce_validity(new, t, ctx.scheme, ctx.work.full.flags[0])
+    return ga
+
+
+def _stage(state, ga, t_source, dt, ctx, out):
+    """One explicit stage from state into out, shaped (fields,) + grid."""
+    grid, work = ctx.grid, ctx.work
+    fields = state.fields
+    phi = work.divergence(fields, ctx.warnings)
+    r = rain_rate(t_source, ctx.rain)
+    rain_vol = 0.0
+    if r > 0.0:
+        rain_vol = r * dt * grid.nx * grid.ny * work.cell_area
+    if work.tail is None:
+        ga, infil_vol = _numpy_tail(fields, phi, out, ga, dt, r, ctx,
+                                    t_source)
+    else:
+        ga, infil_vol, status = work.tail.stage(fields, out, ga, dt, r,
+                                                ctx.friction)
+        _check_tail(status, work.tail, out, t_source)
     vol_in, vol_out = work.boundary_volumes()
     diag = StageDiag(rain_vol, infil_vol, vol_in * dt, vol_out * dt)
     return State(out), ga, diag
@@ -771,16 +811,15 @@ def heun_step(state, ga, t, dt, ctx):
     [t, t+dt) and this reproduces the hyetograph integral exactly. The
     first stage lives in the workspace; the returned state is new.
     """
-    s1, ga1, d1 = _stage(state, ga, t, dt, ctx, ctx.work.stage)
-    new = np.empty(ctx.work.shape)
+    work = ctx.work
+    s1, ga1, d1 = _stage(state, ga, t, dt, ctx, work.stage)
+    new = np.empty(work.shape)
     new_state, ga2, d2 = _stage(s1, ga1, t, dt, ctx, new)
-    np.add(state.fields, new, out=new)
-    np.multiply(new, 0.5, out=new)
-    if ga is not None:
-        # ga2.v_inf is this step's own new array: average into it.
-        v_inf = np.add(ga.v_inf, ga2.v_inf, out=ga2.v_inf)
-        ga = GreenAmptState(ga.params, np.multiply(0.5, v_inf, out=v_inf))
-    _enforce_validity(new, t + dt, ctx.scheme, ctx.work.full.flags[0])
+    if work.tail is None:
+        ga = _numpy_average(state.fields, new, ga, ga2, t + dt, ctx)
+    else:
+        ga, status = work.tail.average(state.fields, new, ga, ga2)
+        _check_tail(status, work.tail, new, t + dt)
     return new_state, ga, _combine_heun_diags(d1, d2)
 
 
@@ -936,7 +975,7 @@ def run_simulation(config, on_step=None):
             dt = config.scheme.fixed_dt
         else:
             dt = compute_dt(state, grid, config.scheme, config.boundaries,
-                            work.full)
+                            work)
         if not dt > 0.0:
             raise NumericalFault(t, (0,), f"non-positive time step {dt}")
         hit_target = t + dt >= target - _TIME_ATOL

@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,25 @@ from swekit import (
     timeloop,
     validate,
 )
+
+
+def test_a_run_loads_no_case_analytic_or_validation_module():
+    # `import swekit` loads analytic, cases and validate on first access
+    # only; every exported name still resolves.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, swekit\n"
+        "from swekit import config, timeloop\n"
+        "lazy = ['swekit.analytic', 'swekit.cases', 'swekit.validate']\n"
+        "print([name for name in lazy if name in sys.modules])\n"
+        "print([name for name in swekit.__all__\n"
+        "       if getattr(swekit, name, None) is None])\n"
+        "print([name for name in lazy if name not in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120,
+                            check=True)
+    assert result.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def test_version_prints_package_version(capsys):

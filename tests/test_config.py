@@ -207,6 +207,20 @@ def test_infiltration_extras_need_ks():
     assert key == "infiltration_hf" and "infiltration_ks" in reason
 
 
+def test_an_out_of_range_dtheta_is_reported_under_its_own_key():
+    errors = errors_of(MINIMAL + "infiltration_ks = 1e-6\n"
+                       "infiltration_dtheta = 2\n")
+    assert errors == [(6, "infiltration_dtheta",
+                       "dtheta must lie in (0, 1]")]
+
+
+def test_a_crust_without_kc_is_reported_under_kc():
+    errors = errors_of(MINIMAL + "infiltration_ks = 1e-6\n"
+                       "infiltration_zc = 0.01\n")
+    assert errors == [(0, "infiltration_kc",
+                       "a crust of nonzero thickness needs kc > 0")]
+
+
 def test_topography_from_dem_file(tmp_path):
     dem = DemGrid.from_south_up(np.linspace(0.0, 0.4, 5)[None, :],
                                 cellsize=2.0)

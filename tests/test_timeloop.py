@@ -452,16 +452,26 @@ def thin_layer_down_a_step():
 
 def test_a_step_that_leaves_a_negative_depth_is_taken_again():
     config = thin_layer_down_a_step()
-    result = run_simulation(config)
-    assert result.retried_steps == 1
-    assert result.final_time == 5.0
-    assert result.min_depth_seen >= 0.0
-    assert np.all(np.isfinite(result.final_state.fields))
-    assert abs(result.mass_balance[-1].residual_rel) < 1e-13
-    # Without the retry the same run stops on the negative depth.
-    with mock.patch.object(timeloop, "MAX_STEP_HALVINGS", 0), \
-            pytest.raises(NumericalFault, match="negative depth"):
-        run_simulation(config)
+    results, faults = [], []
+    for path in _kernel_paths():
+        with _sweep_path(path):
+            result = run_simulation(config)
+            # Without the retry the same run stops on the negative depth.
+            with mock.patch.object(timeloop, "MAX_STEP_HALVINGS", 0), \
+                    pytest.raises(NumericalFault, match="negative depth") \
+                    as fault:
+                run_simulation(config)
+        assert result.retried_steps == 1
+        assert result.final_time == 5.0
+        assert result.min_depth_seen >= 0.0
+        assert np.all(np.isfinite(result.final_state.fields))
+        assert abs(result.mass_balance[-1].residual_rel) < 1e-13
+        results.append(result)
+        faults.append((str(fault.value), fault.value.index))
+    # Every path retries the same step and ends with the same bits.
+    assert all(_same_bits(r.final_state.fields, results[0].final_state.fields)
+               for r in results)
+    assert faults == faults[:1] * len(faults)
 
 
 def test_config_validation():
@@ -577,10 +587,13 @@ def _same_bits(a, b):
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
 # would read 0 in its per-layer metric instead of failing. The compiled
-# kernel does the work of the helpers the numpy kernel calls, so on its
-# path those read 0 and their time is the stage's own.
+# kernels (the sweep and the stage tail) do the work of the helpers the
+# numpy ones call, so on their path those read 0 and their time is the
+# stage's own.
 
-_KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component"}
+_KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component",
+                   "friction_semi_implicit", "friction_semi_implicit_2d",
+                   "infiltration_step"}
 
 
 def _traced_timeloop_names():
@@ -1413,3 +1426,227 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
         assert not any(np.shares_memory(result.ga_state.v_inf, b)
                        for _, snapshot in result.snapshots
                        for b in snapshot.fields)
+
+
+# ---------------------------------------------------- compiled stage tail
+# The stage tail of _native.c (bound by _compiled.CompiledTail) does the
+# work of timeloop._numpy_tail, _numpy_average and _wave_speed_sups;
+# wherever it is built, every path must give numpy's bits, raise numpy's
+# faults, and hand back no view of the workspace.
+
+_SOILS = (None, GreenAmptParams(ks=1e-5, hf=0.1, dtheta=0.3),
+          GreenAmptParams(ks=1e-5, kc=1e-6, zc=0.01, hf=0.05, dtheta=0.4),
+          GreenAmptParams(ks=3e-5, hf=0.2, dtheta=0.25, imax=2e-5),
+          GreenAmptParams(ks=1e-5, kc=2e-6, zc=0.002, dtheta=1.0, imax=0.0))
+# The rough ones damp by factors far from 1, where a rounding change in
+# the factor's denominator shows.
+_FRICTIONS = (FrictionParams(), FrictionParams("manning", 0.03),
+              FrictionParams("manning", 2.0),
+              FrictionParams("darcy_weisbach", 0.2),
+              FrictionParams("darcy_weisbach", 500.0))
+
+
+def _needs_the_compiled_tail():
+    if len(_kernel_paths()) == 1:
+        pytest.skip("the compiled stage tail is unavailable")
+
+
+def _special(rng, values, h_eps, share):
+    """values with a share of its entries replaced by the values a tail
+    must treat as numpy does: signed zeros, depths at h_eps and either
+    side of it, small and large negative depths, NaN and infinities."""
+    specials = np.array([0.0, -0.0, h_eps, 0.5 * h_eps, 2.0 * h_eps,
+                         -0.5 * timeloop.NEGATIVE_DEPTH_TOL,
+                         -2.0 * timeloop.NEGATIVE_DEPTH_TOL, 1e-300, np.nan,
+                         np.inf, -np.inf])
+    chosen = rng.random(values.shape) < share
+    return np.where(chosen, rng.choice(specials, values.shape), values)
+
+
+@st.composite
+def tail_cases(draw):
+    """Sources, a scheme and a seed for the fields a tail runs on."""
+    two_d = draw(st.booleans())
+    grid = Grid(nx=draw(st.integers(1, 7)), ny=draw(st.integers(2, 5)),
+                dx=0.5) if two_d else Grid(nx=draw(st.integers(1, 40)), dx=1.0)
+    scheme = SchemeConfig(g=draw(st.sampled_from((9.81, 1.0))),
+                          h_eps=draw(st.sampled_from((1e-12, 1e-3))))
+    return dict(
+        grid=grid, scheme=scheme,
+        friction=draw(st.sampled_from(_FRICTIONS)),
+        rain=draw(st.sampled_from((0.0, 1e-3, 0.05))),
+        soil=draw(st.sampled_from(_SOILS)),
+        dt=draw(st.sampled_from((0.0, 1e-3, 0.1, 2.0))),
+        # Depths the update leaves as they were, every other one at h_eps
+        # (ties in the dry tests) and every fourth slightly negative (to
+        # be clamped).
+        still=draw(st.booleans()),
+        # Mostly none, so that most examples pass the validity check.
+        share=draw(st.sampled_from((0.0, 0.0, 0.02, 0.2))),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _context(grid, scheme, friction, rain, infiltration, path, z=None,
+             bcs=WALL):
+    z = np.zeros(grid.shape) if z is None else z
+    with _sweep_path(path):
+        work = timeloop._Workspace(grid, z, scheme, bcs,
+                                   infiltration=infiltration)
+    rain = Hyetograph((0.0,), (rain,)) if rain else None
+    return timeloop._RunContext(grid, z, scheme, bcs, friction, rain,
+                                timeloop._WarningCounter(), work)
+
+
+def _workspace_buffers(work):
+    buffers = [work.ext, work.full.floats, work.full.flags, work.stage,
+               work.faces]
+    if work.kernel == "numpy":
+        return buffers + [*work.pool] + ([work.y_div] if work.two_d else [])
+    return buffers + [work.sweep_work]
+
+
+def _outcome(call, work, *arrays):
+    """The bits of the arrays call leaves (or returns), or its fault."""
+    try:
+        returned = call()
+    except NumericalFault as fault:
+        return ("fault", str(fault), fault.index)
+    arrays = [a for a in (*arrays, *returned) if isinstance(a, np.ndarray)]
+    for a in arrays:
+        assert not any(np.shares_memory(a, b)
+                       for b in _workspace_buffers(work))
+    return [(_bits(a).tolist() if isinstance(a, np.ndarray) else
+             float(a).hex()) for a in (*arrays, *returned) if a is not None]
+
+
+def _tail_outcomes(case, path):
+    """The stage tail, the Heun average and the wave-speed supremum on
+    one path, each on fields drawn from the case's seed."""
+    grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
+    ctx = _context(grid, scheme, case["friction"], case["rain"],
+                   soil is not None, path)
+    work, rng = ctx.work, np.random.default_rng(case["seed"])
+    shape, share = work.shape, case["share"]
+    fields = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
+    fields[1:] = rng.normal(0.0, 0.5, shape[:1] + grid.shape)[1:]
+    fields = _special(rng, fields, scheme.h_eps, share)
+    phi = _special(rng, rng.normal(0.0, 1.0, shape), scheme.h_eps, share)
+    if case["still"]:
+        phi[0] = 0.0
+        fields[0, ::2] = scheme.h_eps
+        fields[0, 1::4] = -0.5 * timeloop.NEGATIVE_DEPTH_TOL
+    new = _special(rng, rng.uniform(-1e-3, 1.0, shape), scheme.h_eps, share)
+    ga = ga2 = None
+    if soil is not None:
+        v_inf = rng.uniform(0.0, 0.02, grid.shape) * (rng.random(grid.shape)
+                                                      < 0.7)
+        ga = GreenAmptState(soil, _special(rng, v_inf, 1e-3, share / 4))
+        ga2 = GreenAmptState(soil, rng.uniform(0.0, 0.02, grid.shape))
+    dt, r = case["dt"], case["rain"]
+    out = np.empty(shape)
+
+    def stage():
+        work.phi[...] = phi
+        if work.tail is None:
+            result = timeloop._numpy_tail(fields, work.phi, out, ga, dt, r,
+                                          ctx, 1.5)
+        else:
+            *result, status = work.tail.stage(fields, out, ga, dt, r,
+                                              ctx.friction)
+            timeloop._check_tail(status, work.tail, out, 1.5)
+        return (None if result[0] is None else result[0].v_inf, result[1])
+
+    def average():
+        if work.tail is None:
+            result = timeloop._numpy_average(fields, new, ga, ga2, 2.5, ctx)
+        else:
+            result, status = work.tail.average(fields, new, ga, ga2)
+            timeloop._check_tail(status, work.tail, new, 2.5)
+        return (None if result is None else result.v_inf,)
+
+    state = State(fields)
+    sups = (timeloop._wave_speed_sups(fields, scheme, work.full)
+            if work.tail is None else work.tail.speeds(fields))
+    return (_outcome(stage, work, out), _outcome(average, work, new),
+            [s.hex() if s == s else "nan" for s in sups],
+            compute_dt(state, grid, scheme, WALL, work).hex(),
+            None if ga is None else _bits(ga.v_inf).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases())
+def test_the_stage_tail_gives_numpys_bits_on_every_path(case):
+    _needs_the_compiled_tail()
+    with np.errstate(all="ignore"):
+        reference = _tail_outcomes(case, "numpy")
+        for path in _kernel_paths()[1:]:
+            assert _tail_outcomes(case, path) == reference
+
+
+@st.composite
+def step_cases(draw):
+    """A random state (see operator_cases), with a share of special
+    values, sources, and a dt a multiple of the CFL step."""
+    grid, z, state, bcs, scheme, _ = draw(operator_cases(draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.0, 0.01, 0.1)))
+    fields = _special(rng, state.fields, scheme.h_eps, share)
+    soil = draw(st.sampled_from(_SOILS))
+    v_inf = None if soil is None else rng.uniform(0.0, 0.02, grid.shape)
+    return dict(grid=grid, z=z, fields=fields, bcs=bcs, scheme=scheme,
+                friction=draw(st.sampled_from(_FRICTIONS)),
+                rain=draw(st.sampled_from((0.0, 1e-3))), soil=soil,
+                v_inf=v_inf, factor=draw(st.sampled_from((0.5, 1.0, 8.0))))
+
+
+def _step_outcomes(case, path):
+    grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
+    ctx = _context(grid, scheme, case["friction"], case["rain"],
+                   soil is not None, path, case["z"], case["bcs"])
+    work = ctx.work
+    fields = case["fields"]
+    state = State(fields.copy())
+    dt = compute_dt(state, grid, scheme, case["bcs"], work)
+    outcomes = [dt.hex()]
+    if not 0.0 < dt < np.inf:
+        return outcomes
+    dt *= case["factor"]
+    for step in (timeloop.euler_step, heun_step):
+        ga = None if soil is None else GreenAmptState(soil,
+                                                      case["v_inf"].copy())
+
+        def run():
+            new, ga_new, diag = step(state, ga, 0.5, dt, ctx)
+            return (new.fields, None if ga_new is None else ga_new.v_inf,
+                    *dataclasses.astuple(diag))
+
+        outcomes.append(_outcome(run, work))
+        # A step leaves its input as it was.
+        assert _same_bits(state.fields, fields)
+        if ga is not None:
+            assert _same_bits(ga.v_inf, case["v_inf"])
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_cases())
+def test_steps_and_dt_give_numpys_bits_on_every_path(case):
+    _needs_the_compiled_tail()
+    with np.errstate(all="ignore"):
+        reference = _step_outcomes(case, "numpy")
+        for path in _kernel_paths()[1:]:
+            assert _step_outcomes(case, path) == reference
+
+
+def test_the_compiled_tail_runs_where_the_compiled_sweep_does():
+    _needs_the_compiled_tail()
+    for path in _kernel_paths():
+        ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(),
+                       0.0, False, path)
+        assert (ctx.work.tail is None) == (path == "numpy")
+    # The tail takes only arrays it can read as they are.
+    ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(), 0.0,
+                   False, "c")
+    fields = np.zeros((5, 2)).T
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        ctx.work.tail.speeds(fields)
