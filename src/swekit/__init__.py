@@ -18,12 +18,8 @@ from .core import (
     H_EPS,
     Grid,
     State,
-    critical_depth,
-    eigenvalues_1d,
-    eigenvalues_2d,
     froude_number,
     froude_number_2d,
-    physical_flux_1d,
     total_volume,
     velocity,
 )
@@ -95,9 +91,6 @@ __all__ = [
     "State",
     "ThackerParams",
     "compute_dt",
-    "critical_depth",
-    "eigenvalues_1d",
-    "eigenvalues_2d",
     "extrapolated_front_position",
     "friction_semi_implicit",
     "froude_number",
@@ -115,7 +108,6 @@ __all__ = [
     "muscl_slopes",
     "parse_parameter_file",
     "parse_parameters",
-    "physical_flux_1d",
     "read_dem",
     "read_profile",
     "ritter_front_position",

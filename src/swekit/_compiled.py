@@ -12,7 +12,6 @@ import weakref
 
 import numpy as np
 
-from .core import H_EPS
 from .sources import GreenAmptState
 
 # ---------------------------------------------------------- the sweep
@@ -29,8 +28,7 @@ class SweepBlock(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_ssize_t) for name in
          ("rows", "n", "nq", "second_order", "rusanov", "accumulate")]
-        + [(name, ctypes.c_double) for name in
-           ("d", "g", "h_eps", "face_h_eps")]
+        + [(name, ctypes.c_double) for name in ("d", "g", "h_eps")]
         + [field for name, *axes in _SWEEP_OPERANDS
            for field in [(name, ctypes.c_void_p)]
            + [(f"{name}_{axis}", ctypes.c_ssize_t) for axis in axes]]
@@ -53,7 +51,7 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
     plus work and whether to add into the outputs instead of storing."""
     row, inner = (rows, n + 4), (rows, n)
     values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
-              accumulate, d, scheme.g, scheme.h_eps, H_EPS,
+              accumulate, d, scheme.g, scheme.h_eps,
               *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
               *_operand(carried, (nq, *inner)), *_operand(normal, inner),
               *_operand(faces, (2, rows)), work.ctypes.data)

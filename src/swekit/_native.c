@@ -72,7 +72,7 @@ typedef ptrdiff_t idx;
 /* One block of rows and the scheme; _compiled.SweepBlock mirrors it. */
 struct sweep {
     idx rows, n, nq, second_order, rusanov, accumulate;
-    double d, g, h_eps, face_h_eps;
+    double d, g, h_eps;
     const double *h;
     idx h_row, h_cell;
     const double *q;
@@ -355,7 +355,7 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
             th = hi;
             tl = lo;
         }
-        faces(th, tl, n, e, s->g, s->face_h_eps, f);
+        faces(th, tl, n, e, s->g, s->h_eps, f);
         s->faces[r * s->faces_row] = f.mass[1];
         s->faces[s->faces_side + r * s->faces_row] = f.mass[n + 1];
         if (direct) {

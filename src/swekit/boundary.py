@@ -35,8 +35,6 @@ from .core import G_DEFAULT, H_EPS, froude_number
 BC_KINDS = ("wall", "neumann", "periodic", "imposed_depth",
             "imposed_discharge", "imposed_both")
 
-NGHOST = 2
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:

@@ -50,14 +50,6 @@ class Grid:
     def cell_centers_y(self):
         return self.y0 + (np.arange(self.ny) + 0.5) * self.dy
 
-    @property
-    def length_x(self):
-        return self.nx * self.dx
-
-    @property
-    def length_y(self):
-        return self.ny * self.dy
-
     @cached_property
     def shape(self):
         """Shape of one field: (nx,) in 1D, (ny, nx) in 2D."""
@@ -140,36 +132,6 @@ def velocity(h, q, h_eps=H_EPS, out=None, wet=None):
     return out
 
 
-def physical_flux_1d(h, q, g=G_DEFAULT):
-    """Exact flux (q, q*u + g*h^2/2) of the 1D shallow-water system."""
-    h = np.asarray(h, dtype=float)
-    q = np.asarray(q, dtype=float)
-    u = velocity(h, q)
-    return q, q * u + 0.5 * g * h**2
-
-
-def eigenvalues_1d(h, q, g=G_DEFAULT):
-    """Characteristic speeds (u - sqrt(g*h), u + sqrt(g*h))."""
-    u = velocity(h, q)
-    c = np.sqrt(g * np.maximum(np.asarray(h, dtype=float), 0.0))
-    return u - c, u + c
-
-
-def eigenvalues_2d(h, qx, qy, direction, g=G_DEFAULT):
-    """Characteristic speeds along a unit direction (dx, dy).
-
-    Returns (un - c, un, un + c) where un is the velocity component
-    along the direction and c = sqrt(g*h).
-    """
-    dx, dy = direction
-    norm = np.hypot(dx, dy)
-    if not np.isclose(norm, 1.0, rtol=1e-12, atol=1e-12):
-        raise ValueError(f"direction must be a unit vector, got {direction}")
-    un = dx * velocity(h, qx) + dy * velocity(h, qy)
-    c = np.sqrt(g * np.maximum(np.asarray(h, dtype=float), 0.0))
-    return un - c, un, un + c
-
-
 def froude_number(h, q, g=G_DEFAULT):
     """Froude number |u| / sqrt(g*h); zero where dry."""
     h = np.asarray(h, dtype=float)
@@ -186,14 +148,6 @@ def froude_number_2d(h, qx, qy, g=G_DEFAULT):
     wet = h > H_EPS
     c = np.sqrt(g * np.where(wet, h, 1.0))
     return np.where(wet, speed / c, 0.0)
-
-
-def critical_depth(q, g=G_DEFAULT):
-    """Depth at which the flow with discharge q is exactly critical.
-
-    h_c = (|q| / sqrt(g))**(2/3); the flow is subcritical iff h > h_c.
-    """
-    return (np.abs(np.asarray(q, dtype=float)) / np.sqrt(g)) ** (2.0 / 3.0)
 
 
 def total_volume(state, grid):

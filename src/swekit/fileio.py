@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .core import H_EPS, froude_number, froude_number_2d
+from .core import froude_number, froude_number_2d, velocity
 
 COLUMNS_1D = ("x", "z", "h", "u", "q", "froude")
 COLUMNS_2D = ("x", "y", "z", "h", "u", "v", "qx", "qy", "froude")
@@ -435,13 +435,11 @@ def _header_lines(time, columns, name=None, cfg_hash=None):
     return lines
 
 
-def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None,
-                     h_eps=H_EPS):
+def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None):
     """One line per cell: x z h u q froude, with a comment header."""
     h = np.asarray(h, dtype=float)
     q = np.asarray(q, dtype=float)
-    wet = h > h_eps
-    u = np.where(wet, q / np.where(wet, h, 1.0), 0.0)
+    u = velocity(h, q)
     fr = froude_number(h, q, g)
     stream, owned = _open_for_write(target)
     try:
@@ -454,7 +452,7 @@ def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None,
 
 
 def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
-                     cfg_hash=None, h_eps=H_EPS):
+                     cfg_hash=None):
     """One line per cell (row by row, southernmost row first)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -462,10 +460,8 @@ def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
     h = np.asarray(h, dtype=float)
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
-    wet = h > h_eps
-    safe = np.where(wet, h, 1.0)
-    u = np.where(wet, qx / safe, 0.0)
-    v = np.where(wet, qy / safe, 0.0)
+    u = velocity(h, qx)
+    v = velocity(h, qy)
     fr = froude_number_2d(h, qx, qy, g)
     ny, nx = h.shape
     fields = (z, h, u, v, qx, qy, fr)

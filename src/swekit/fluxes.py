@@ -4,30 +4,32 @@ Both solvers take the two reconstructed states (hL, qL) and (hR, qR)
 that meet at an interface and return the numerical flux (f_h, f_q).
 The sweep kernel runs them on the two sides stacked in one array,
 minus side first, so each paired formula is one ufunc call over
-preallocated buffers (hll_sides, rusanov_sides); hll_flux and
-rusanov_flux are elementwise entry points over the same code and
-accept scalars or arrays of interface values.
+preallocated buffers (hll_sides, rusanov_sides), with the scheme's
+dry threshold h_eps; hll_flux and rusanov_flux are elementwise entry
+points over the same code, with the default H_EPS, and accept scalars
+or arrays of interface values.
 """
 
 import numpy as np
 
-from .core import G_DEFAULT, Scratch, velocity
+from .core import G_DEFAULT, H_EPS, Scratch, velocity
 
 # Scratch a stacked-sides solver needs: floats and flags of face shape.
 SIDES_FLOATS = 8
 SIDES_FLAGS = 3
 
 
-def _side_waves(hq, g, work):
+def _side_waves(hq, g, h_eps, work):
     """Characteristic speeds and physical momentum flux of stacked sides.
 
     hq is (2, 3, ...): per side the depth, the discharge, and a slot
-    that receives the momentum flux q*u + g*h^2/2. Returns the speeds
+    that receives the momentum flux q*u + g*h^2/2. A side with
+    h <= h_eps is dry: its velocity u is zero. Returns the speeds
     u - sqrt(g*h) and u + sqrt(g*h) per side, as views into work.
     """
     h, q = hq[:, 0], hq[:, 1]
     u, c = work.floats[0:2], work.floats[2:4]
-    velocity(h, q, out=u, wet=work.flags[0:2])
+    velocity(h, q, h_eps, out=u, wet=work.flags[0:2])
     np.maximum(h, 0.0, out=c)
     np.multiply(c, g, out=c)
     np.sqrt(c, out=c)
@@ -41,7 +43,7 @@ def _side_waves(hq, g, work):
     return slow, fast
 
 
-def hll_sides(hq, g, out, work):
+def hll_sides(hq, g, h_eps, out, work):
     """Two-wave approximate Riemann flux of stacked sides.
 
     Upwinds fully when all waves travel one way (0 <= c1 picks the left
@@ -49,11 +51,11 @@ def hll_sides(hq, g, out, work):
     blends the two physical fluxes with a dissipation term proportional
     to the state jump. A dry-dry interface yields a zero flux.
 
-    hq: (2, 3, ...) per side (h, q, momentum-flux slot); out: (2, ...)
-    receives (f_h, f_q); work: Scratch with SIDES_FLOATS floats and
-    SIDES_FLAGS flags of the face shape.
+    hq: (2, 3, ...) per side (h, q, momentum-flux slot); h_eps: the dry
+    threshold; out: (2, ...) receives (f_h, f_q); work: Scratch with
+    SIDES_FLOATS floats and SIDES_FLAGS flags of the face shape.
     """
-    slow, fast = _side_waves(hq, g, work)
+    slow, fast = _side_waves(hq, g, h_eps, work)
     # (c2, c1) side by side, to scale the (left, right) fluxes in one call.
     speeds = work.floats[4:6]
     c2, c1 = speeds
@@ -87,13 +89,13 @@ def hll_sides(hq, g, out, work):
     return out
 
 
-def rusanov_sides(hq, g, out, work):
+def rusanov_sides(hq, g, h_eps, out, work):
     """Central flux with local Lax-Friedrichs dissipation, stacked sides.
 
     More diffusive than hll_sides but with the same contract; the
     dissipation speed is the largest |eigenvalue| of either state.
     """
-    slow, fast = _side_waves(hq, g, work)
+    slow, fast = _side_waves(hq, g, h_eps, work)
     np.abs(slow, out=slow)
     np.abs(fast, out=fast)
     np.maximum(slow, fast, out=slow)
@@ -116,7 +118,7 @@ def _pointwise(solver, h_left, q_left, h_right, q_right, g):
     hq = np.empty((2, 3) + faces)
     hq[0, 0], hq[0, 1], hq[1, 0], hq[1, 1] = (a.reshape(faces) for a in states)
     out = np.empty((2,) + faces)
-    solver(hq, g, out, Scratch.empty(faces, SIDES_FLOATS, SIDES_FLAGS))
+    solver(hq, g, H_EPS, out, Scratch.empty(faces, SIDES_FLOATS, SIDES_FLAGS))
     return out[0].reshape(shape), out[1].reshape(shape)
 
 
@@ -130,30 +132,24 @@ def rusanov_flux(h_left, q_left, h_right, q_right, g=G_DEFAULT):
     return _pointwise(rusanov_sides, h_left, q_left, h_right, q_right, g)
 
 
-def transverse_component(f_mass, u_left, u_right, v_left, v_right, axis,
+def transverse_component(f_mass, u_left, u_right, v_left, v_right,
                          out=None, flag=None):
     """Transverse momentum flux carried by the mass flux f_mass.
 
-    The transported transverse velocity is chosen upwind by the sign of
-    the summed normal velocities; a zero sum takes the right/downwind
-    state. For an x interface the normal velocity is u and the
-    transported quantity is v; for a y interface the roles swap. out (a
-    float buffer not aliasing the inputs) and flag (a bool buffer) are
+    u is the velocity normal to the interface and v the transverse one
+    it carries; both sweeps rotate into x, so a y sweep passes its v as
+    u. The transported v is chosen upwind by the sign of u_left +
+    u_right; a zero sum takes the right/downwind state. out (a float
+    buffer not aliasing the inputs) and flag (a bool buffer) are
     optional, of the result's shape.
     """
-    if axis == "x":
-        normal, carried = (u_left, u_right), (v_left, v_right)
-    elif axis == "y":
-        normal, carried = (v_left, v_right), (u_left, u_right)
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if out is None:
         out = np.empty(np.broadcast(f_mass, u_left, u_right, v_left,
                                     v_right).shape)
-    np.add(normal[0], normal[1], out=out)
+    np.add(u_left, u_right, out=out)
     upwind_left = np.greater(out, 0.0, out=flag)
-    np.copyto(out, carried[1])
-    np.copyto(out, carried[0], where=upwind_left)
+    np.copyto(out, v_right)
+    np.copyto(out, v_left, where=upwind_left)
     np.multiply(f_mass, out, out=out)
     return out
 

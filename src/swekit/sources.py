@@ -48,30 +48,26 @@ def resolve_friction(law, coefficient, g=G_DEFAULT):
     return FrictionParams(law, coefficient)
 
 
-def friction_damping_factor(q_norm_n, h_n, h_np1, params, dt, g=G_DEFAULT,
-                            h_eps=H_EPS, work=None):
-    """Factor D >= 1 such that q_new = q_star / D.
-
-    Manning:          D = 1 + g n^2 dt |q^n| / (h^n (h^{n+1})^{4/3})
-    Darcy-Weisbach:   D = 1 + dt (f/8) |q^n| / (h^n h^{n+1})
-
-    Cells dry at either time level get D = 1 (their discharge is zeroed
-    by  the dry convention elsewhere). work, if given, is a Scratch with
-    FRICTION_FLOATS floats and FRICTION_FLAGS flags of the grid shape;
-    the factor is then one of its buffers.
-    """
-    if params.law == "none":
-        return np.ones_like(np.asarray(h_np1, dtype=float))
-    return _damping_factor((q_norm_n,), h_n, h_np1, params, dt, g, h_eps, work)
-
-
-# Scratch friction_damping_factor needs, of the grid shape.
+# Scratch the damping factor needs, of the grid shape.
 FRICTION_FLOATS = 2
 FRICTION_FLAGS = 1
 
 
 def _damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps, work):
-    """friction_damping_factor with |q^n| the norm of the tuple q_n."""
+    """Factor D >= 1 such that q_new = q_star / D, with |q^n| the norm
+    of the tuple q_n.
+
+    Manning:          D = 1 + g n^2 dt |q^n| / (h^n (h^{n+1})^{4/3})
+    Darcy-Weisbach:   D = 1 + dt (f/8) |q^n| / (h^n h^{n+1})
+
+    Without friction, and in cells dry at either time level, D = 1
+    (their discharge is zeroed by the dry convention elsewhere). work,
+    if given, is a Scratch with FRICTION_FLOATS floats and
+    FRICTION_FLAGS flags of the grid shape; the factor is then one of
+    its buffers.
+    """
+    if params.law == "none":
+        return np.ones_like(np.asarray(h_np1, dtype=float))
     shape = None
     if work is None:
         shape = np.broadcast(*q_n, h_n, h_np1).shape
@@ -112,10 +108,9 @@ def friction_semi_implicit(q_star, q_n, h_n, h_np1, params, dt, g=G_DEFAULT,
     q_star is the post-convection discharge, (h_n, q_n) the state the
     stage started from, h_np1 the post-convection depth. The depth is
     not modified by friction. out (which may be q_star) and work (see
-    friction_damping_factor) are optional buffers.
+    _damping_factor) are optional buffers.
     """
-    factor = friction_damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps,
-                                     work)
+    factor = _damping_factor((q_n,), h_n, h_np1, params, dt, g, h_eps, work)
     return np.divide(q_star, factor, out=out)
 
 
@@ -123,11 +118,8 @@ def friction_semi_implicit_2d(qx_star, qy_star, qx_n, qy_n, h_n, h_np1,
                               params, dt, g=G_DEFAULT, h_eps=H_EPS,
                               out=(None, None), work=None):
     """2D variant: one scalar damping factor from |q^n| for both components."""
-    if params.law == "none":
-        factor = np.ones_like(np.asarray(h_np1, dtype=float))
-    else:
-        factor = _damping_factor((qx_n, qy_n), h_n, h_np1, params, dt, g,
-                                 h_eps, work)
+    factor = _damping_factor((qx_n, qy_n), h_n, h_np1, params, dt, g, h_eps,
+                             work)
     return (np.divide(qx_star, factor, out=out[0]),
             np.divide(qy_star, factor, out=out[1]))
 

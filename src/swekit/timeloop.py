@@ -393,7 +393,7 @@ class _Sweep:
         self.pressure = face_h, states[:, 0], self.flux_work.floats[:2]
         self.riemann = states, fluxes[:2]
         self.transverse = (fluxes[0], faces[0, 1], faces[1, 1], faces[0, 2],
-                           faces[1, 2], "x", fluxes[2], upwind[:-1]) \
+                           faces[1, 2], fluxes[2], upwind[:-1]) \
             if nq == 2 else None
         # Cell j lies between faces j-1 and j: differences of the mass
         # (and transverse) flux, and of the normal-momentum flux plus the
@@ -441,7 +441,8 @@ class _Sweep:
         interface_pressure_correction(face_h, face_states, g, out=face_h,
                                       work=work)
         states, fluxes = self.riemann
-        FLUX_FUNCTIONS[self.flux](states, g, fluxes, self.flux_work)
+        FLUX_FUNCTIONS[self.flux](states, g, self.h_eps, fluxes,
+                                  self.flux_work)
         if self.transverse is not None:
             # Transverse momentum rides on the mass flux, upwinded by the
             # normal velocities (same rule for both sweep directions).
@@ -646,20 +647,6 @@ class _Workspace:
             into += (_positive_sum(low) + _positive_sum(-high)) * width
             outof += (_positive_sum(-low) + _positive_sum(high)) * width
         return float(into), float(outof)
-
-
-def spatial_operator_phi(state, z, grid, scheme, bcs, t=0.0, rain=None):
-    """Full per-cell increment, sign convention W* = W - dt * phi.
-
-    Includes the convective terms, topography corrections, and rain
-    (which enters the mass component negatively: it adds water). On a
-    lake at rest the momentum components vanish and the mass component
-    is exactly -rain_rate(t).
-    """
-    r = rain_rate(t, rain)
-    work = _Workspace(grid, np.asarray(z, dtype=float), scheme, bcs)
-    phi = work.divergence(state.fields, [])
-    return (phi[0] - r,) + tuple(p.copy() for p in phi[1:])
 
 
 # ------------------------------------------------------------- stages

@@ -7,62 +7,56 @@ from swekit.core import (
     G_DEFAULT,
     H_EPS,
     Grid,
+    Scratch,
     State,
-    critical_depth,
-    eigenvalues_1d,
-    eigenvalues_2d,
     froude_number,
     froude_number_2d,
-    physical_flux_1d,
     total_volume,
     velocity,
 )
+from swekit.fluxes import SIDES_FLAGS, SIDES_FLOATS, _side_waves
 
 SQRT_G = math.sqrt(G_DEFAULT)
 
 
+def _waves(h, q):
+    """Characteristic speeds u -+ sqrt(g h) and physical momentum flux
+    q u + g h^2/2 of the states (h, q), from fluxes._side_waves: the one
+    place the solver computes them, for both Riemann solvers."""
+    shape = np.shape(h)
+    hq = np.zeros((2, 3) + shape)
+    hq[:, 0], hq[:, 1] = h, q
+    work = Scratch.empty(shape, SIDES_FLOATS, SIDES_FLAGS)
+    slow, fast = _side_waves(hq, G_DEFAULT, H_EPS, work)
+    return slow[0], fast[0], hq[0, 2]
+
+
 def test_physical_flux_still_water():
-    f_h, f_q = physical_flux_1d(1.0, 0.0)
-    assert f_h == 0.0
+    _, _, f_q = _waves(1.0, 0.0)
     assert math.isclose(f_q, 4.905, rel_tol=0, abs_tol=1e-15)
 
 
 def test_physical_flux_moving_water():
-    f_h, f_q = physical_flux_1d(1.0, 10.0)
-    assert f_h == 10.0
+    _, _, f_q = _waves(1.0, 10.0)
     # q*u + g*h^2/2 = 100 + 4.905
     assert math.isclose(f_q, 104.905, rel_tol=0, abs_tol=1e-12)
 
 
 def test_physical_flux_dry_is_zero():
-    f_h, f_q = physical_flux_1d(0.0, 0.0)
-    assert f_h == 0.0 and f_q == 0.0
+    assert _waves(0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_eigenvalues_still_water():
-    lam1, lam2 = eigenvalues_1d(1.0, 0.0)
+    lam1, lam2, _ = _waves(1.0, 0.0)
     assert math.isclose(lam1, -SQRT_G, rel_tol=1e-15)
     assert math.isclose(lam2, SQRT_G, rel_tol=1e-15)
 
 
 def test_eigenvalues_supercritical():
-    lam1, lam2 = eigenvalues_1d(1.0, 10.0)
+    lam1, lam2, _ = _waves(1.0, 10.0)
     assert math.isclose(lam1, 10.0 - SQRT_G, rel_tol=1e-15)
     assert math.isclose(lam2, 10.0 + SQRT_G, rel_tol=1e-15)
     assert lam1 > 0  # both waves move downstream
-
-
-def test_eigenvalues_2d_directional():
-    # u=2, v=1, direction = +y: normal velocity is v
-    lam1, lam0, lam2 = eigenvalues_2d(1.0, 2.0, 1.0, (0.0, 1.0))
-    assert math.isclose(lam1, 1.0 - SQRT_G, rel_tol=1e-15)
-    assert lam0 == 1.0
-    assert math.isclose(lam2, 1.0 + SQRT_G, rel_tol=1e-15)
-
-
-def test_eigenvalues_2d_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        eigenvalues_2d(1.0, 0.0, 0.0, (1.0, 1.0))
 
 
 def test_froude_critical_flow_is_one():
@@ -86,24 +80,15 @@ def test_froude_2d_uses_speed_magnitude():
     assert math.isclose(fr, 5.0 / SQRT_G, rel_tol=1e-15)
 
 
-def test_critical_depth_value():
-    hc = critical_depth(2.0)
-    assert math.isclose(hc, (2.0 / SQRT_G) ** (2.0 / 3.0), rel_tol=1e-15)
-    assert math.isclose(hc, 0.7415, rel_tol=1e-4)
-
-
-def test_critical_depth_zero_discharge():
-    assert critical_depth(0.0) == 0.0
-
-
 def test_regime_classification_consistency():
     # Fr < 1, h > h_c, and opposite-sign eigenvalues are the same statement.
     rng = np.random.default_rng(42)
     h = rng.uniform(1e-6, 10.0, size=2000)
     q = rng.uniform(-20.0, 20.0, size=2000)
     fr = froude_number(h, q)
-    hc = critical_depth(q)
-    lam1, lam2 = eigenvalues_1d(h, q)
+    # The critical depth, at which the flow with discharge q is critical.
+    hc = (np.abs(q) / SQRT_G) ** (2.0 / 3.0)
+    lam1, lam2, _ = _waves(h, q)
     subcritical = fr < 1.0
     np.testing.assert_array_equal(subcritical, h > hc)
     np.testing.assert_array_equal(subcritical, (lam1 < 0.0) & (lam2 > 0.0))
@@ -123,7 +108,6 @@ def test_grid_validation():
     g = Grid(nx=4, dx=0.5, x0=1.0)
     np.testing.assert_allclose(g.cell_centers_x(), [1.25, 1.75, 2.25, 2.75])
     assert g.is_1d
-    assert g.length_x == 2.0
 
 
 def test_grid_2d_centers():

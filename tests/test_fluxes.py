@@ -3,10 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from swekit.core import G_DEFAULT, physical_flux_1d
-from swekit.fluxes import hll_flux, rusanov_flux, transverse_component
+from swekit.core import G_DEFAULT, H_EPS, Scratch
+from swekit.fluxes import (
+    SIDES_FLAGS,
+    SIDES_FLOATS,
+    hll_flux,
+    hll_sides,
+    rusanov_flux,
+    rusanov_sides,
+    transverse_component,
+)
 
 SQRT_G = math.sqrt(G_DEFAULT)
+
+
+def physical_flux(h, q):
+    """The exact flux (q, q^2/h + g h^2/2) of a wet state."""
+    return q, q**2 / h + 0.5 * G_DEFAULT * h**2
 
 
 def test_wave_speeds_still_water():
@@ -25,7 +38,7 @@ def test_wave_speeds_supercritical():
     # u = 10 on both sides: the slowest speed 10 - sqrt(g) is positive,
     # so HLL upwinds exactly, and Rusanov dissipates at 10 + sqrt(g).
     f_h, f_q = hll_flux(1.0, 10.0, 0.25, 2.5)
-    assert (f_h, f_q) == physical_flux_1d(1.0, 10.0)
+    assert (f_h, f_q) == physical_flux(1.0, 10.0)
     f_h, _ = rusanov_flux(1.0, 10.0, 0.25, 2.5)
     assert math.isclose(f_h, 0.5 * (10.0 + 2.5) + 0.5 * (10.0 + SQRT_G) * 0.75,
                         rel_tol=1e-15)
@@ -42,7 +55,7 @@ def test_wave_speeds_dry_pair():
 def test_flux_consistency_equal_states(flux):
     for h, q in [(1.0, 0.0), (0.5, 1.2), (2.0, -3.0), (1e-6, 1e-9)]:
         f_h, f_q = flux(h, q, h, q)
-        ref_h, ref_q = physical_flux_1d(h, q)
+        ref_h, ref_q = physical_flux(h, q)
         assert math.isclose(f_h, ref_h, rel_tol=1e-12, abs_tol=1e-15), f"W=({h},{q})"
         assert math.isclose(f_q, ref_q, rel_tol=1e-12, abs_tol=1e-15), f"W=({h},{q})"
 
@@ -55,11 +68,11 @@ def test_flux_dry_dry_is_zero(flux):
 def test_hll_exact_upwind_supercritical():
     # All waves move right: the left physical flux is returned as-is.
     f_h, f_q = hll_flux(1.0, 10.0, 0.8, 7.0)
-    ref_h, ref_q = physical_flux_1d(1.0, 10.0)
+    ref_h, ref_q = physical_flux(1.0, 10.0)
     assert f_h == ref_h and f_q == ref_q
     # Mirror case: all waves move left.
     f_h, f_q = hll_flux(0.8, -7.0, 1.0, -10.0)
-    ref_h, ref_q = physical_flux_1d(1.0, -10.0)
+    ref_h, ref_q = physical_flux(1.0, -10.0)
     assert f_h == ref_h and f_q == ref_q
 
 
@@ -100,14 +113,31 @@ def test_hll_vectorized_matches_scalar():
 
 
 def test_transverse_upwinds_on_normal_velocity():
-    assert transverse_component(2.0, 1.0, 1.0, 3.0, -5.0, "x") == 6.0
+    assert transverse_component(2.0, 1.0, 1.0, 3.0, -5.0) == 6.0
+    assert transverse_component(1.5, -3.0, 1.0, 1.0, 5.0) == 7.5
     # Tied normal velocities take the right-hand transverse value.
-    assert transverse_component(2.0, -1.0, 1.0, 3.0, -5.0, "x") == -10.0
-    # On a y interface the carried quantity is u, upwinded by v.
-    assert transverse_component(1.5, 3.0, -5.0, 1.0, 1.0, "y") == 4.5
-    assert transverse_component(1.5, 3.0, -5.0, -1.0, 1.0, "y") == -7.5
+    assert transverse_component(2.0, -1.0, 1.0, 3.0, -5.0) == -10.0
 
 
-def test_transverse_rejects_bad_axis():
-    with pytest.raises(ValueError):
-        transverse_component(1.0, 0.0, 0.0, 0.0, 0.0, "z")
+@pytest.mark.parametrize("solver", [hll_sides, rusanov_sides])
+@pytest.mark.parametrize("h", [1e-9, 1e-3])
+def test_sides_dry_under_the_scheme_h_eps_carry_no_velocity(solver, h):
+    # Both sides (h, q) with q = 1e-4: wet under the default H_EPS
+    # (u = q/h), dry under h_eps = 1e-3 (u = 0). Equal sides give the
+    # physical flux (q, q*u + g h^2/2).
+    q = 1e-4
+    pressure = 0.5 * G_DEFAULT * h**2
+
+    def flux(h_eps):
+        hq = np.zeros((2, 3, 1))
+        hq[:, 0], hq[:, 1] = h, q
+        out = np.empty((2, 1))
+        solver(hq, G_DEFAULT, h_eps, out,
+               Scratch.empty((1,), SIDES_FLOATS, SIDES_FLAGS))
+        return out[:, 0]
+
+    f_h, f_q = flux(1e-3)
+    assert f_h == pytest.approx(q, rel=1e-12)
+    assert f_q == pytest.approx(pressure, rel=1e-12)
+    _, f_q = flux(H_EPS)
+    assert f_q == pytest.approx(q * q / h + pressure, rel=1e-12)

@@ -190,13 +190,13 @@ def _mirror_error(case):
     return np.max(np.abs(mirrored[..., ::-1] * sign - direct))
 
 
-def _ties_by_mass_flux(f_mass, u_left, u_right, v_left, v_right, axis,
-                       out=None, flag=None):
+def _ties_by_mass_flux(f_mass, u_left, u_right, v_left, v_right, out=None,
+                       flag=None):
     """transverse_component, but where u_left + u_right is exactly 0 the
     upwind side follows the sign of the mass flux, as a mirror would."""
     left = (np.add(u_left, u_right) == 0.0) & (f_mass > 0.0)
     out = transverse_component(f_mass, u_left, u_right, v_left, v_right,
-                               axis, out, flag)
+                               out, flag)
     np.copyto(out, np.multiply(f_mass, v_left), where=left)
     return out
 

@@ -35,7 +35,7 @@ from swekit.boundary import (
     fill_ghosts_2d,
 )
 from swekit.cases import macdonald_shock_case
-from swekit.core import H_EPS, Grid, State, total_volume
+from swekit.core import Grid, State, total_volume
 from swekit.sources import (
     FrictionParams,
     GreenAmptParams,
@@ -50,7 +50,6 @@ from swekit.timeloop import (
     compute_dt,
     heun_step,
     run_simulation,
-    spatial_operator_phi,
 )
 
 WALL = BoundarySet()
@@ -65,6 +64,13 @@ def bump_lake(n=100, length=25.0, level=0.1):
     z = np.where(np.abs(x - 10.0) < 2.0, 0.2 - 0.05 * (x - 10.0) ** 2, 0.0)
     h = np.maximum(level - z, 0.0)
     return grid, z, State((h, np.zeros(n)))
+
+
+def divergence(state, z, grid, scheme, bcs):
+    """The solver's flux divergence phi of state: a stage takes
+    state - dt * phi, then adds its sources."""
+    work = timeloop._Workspace(grid, z, scheme, bcs)
+    return work.divergence(state.fields, [])
 
 
 # ------------------------------------------------------------- dt
@@ -139,8 +145,7 @@ def test_2d_dt_uses_both_directions():
 @pytest.mark.parametrize("order", [1, 2])
 def test_lake_at_rest_operator_vanishes(order):
     grid, z, state = bump_lake()
-    phi_h, phi_q = spatial_operator_phi(state, z, grid, SchemeConfig(order=order),
-                                        WALL)
+    phi_h, phi_q = divergence(state, z, grid, SchemeConfig(order=order), WALL)
     assert np.max(np.abs(phi_h)) < 1e-13
     assert np.max(np.abs(phi_q)) < 1e-13
 
@@ -165,8 +170,8 @@ def test_lake_at_rest_2d_operator_vanishes():
     z = np.maximum(0.0, 0.3 - 0.5 * ((xx - 2.0) ** 2 + (yy - 1.5) ** 2))
     h = np.maximum(0.2 - z, 0.0)
     state = State((h, np.zeros_like(h), np.zeros_like(h)))
-    phi_h, phi_qx, phi_qy = spatial_operator_phi(state, z, grid,
-                                                 SchemeConfig(order=2), WALL)
+    phi_h, phi_qx, phi_qy = divergence(state, z, grid, SchemeConfig(order=2),
+                                       WALL)
     assert np.max(np.abs(phi_h)) < 1e-13
     assert np.max(np.abs(phi_qx)) < 1e-13
     assert np.max(np.abs(phi_qy)) < 1e-13
@@ -205,12 +210,19 @@ def test_hyetograph_change_time_is_landed_on_exactly():
     assert np.allclose(result.final_state.h, 0.0007, rtol=1e-12, atol=0)
 
 
-def test_rain_enters_phi_with_negative_sign():
-    grid, z, state = bump_lake()
-    rain = Hyetograph(times=(0.0,), intensities=(0.002,))
-    phi_h, _ = spatial_operator_phi(state, z, grid, SchemeConfig(order=2),
-                                    WALL, t=0.0, rain=rain)
-    assert np.allclose(phi_h, -0.002, atol=1e-13)
+def test_rain_raises_a_lake_at_rest_by_r_dt():
+    n, r, dt = 20, 0.002, 0.01
+    grid, z = Grid(nx=n, dx=0.1), np.zeros(n)
+    state = State((np.full(n, 0.1), np.zeros(n)))
+    rain = Hyetograph(times=(0.0,), intensities=(r,))
+    scheme = SchemeConfig(order=1)
+    ctx = timeloop._RunContext(grid, z, scheme, WALL, FrictionParams(), rain,
+                               timeloop._WarningCounter(),
+                               timeloop._Workspace(grid, z, scheme, WALL))
+    new, _, diag = timeloop.euler_step(state, None, 0.0, dt, ctx)
+    assert np.array_equal(new.h, state.h + r * dt)
+    assert np.array_equal(new.q, state.q)
+    assert diag.rain_vol == r * dt * n * grid.dx
 
 
 # ------------------------------------------------- stepping structure
@@ -231,10 +243,10 @@ def test_heun_step_matches_two_explicit_stages():
     scheme = SchemeConfig(order=2, fixed_dt=1e-3)
     z = np.zeros(grid.nx)
 
-    phi1 = spatial_operator_phi(state, z, grid, scheme, bcs)
+    phi1 = divergence(state, z, grid, scheme, bcs)
     h1 = state.h - 1e-3 * phi1[0]
     q1 = state.q - 1e-3 * phi1[1]
-    phi2 = spatial_operator_phi(State((h1, q1)), z, grid, scheme, bcs)
+    phi2 = divergence(State((h1, q1)), z, grid, scheme, bcs)
     h_expected = 0.5 * (state.h + (h1 - 1e-3 * phi2[0]))
     q_expected = 0.5 * (state.q + (q1 - 1e-3 * phi2[1]))
 
@@ -249,7 +261,7 @@ def test_euler_step_is_a_single_stage():
     grid, bcs, state = make_periodic_wave()
     scheme = SchemeConfig(order=1, fixed_dt=1e-3)
     z = np.zeros(grid.nx)
-    phi = spatial_operator_phi(state, z, grid, scheme, bcs)
+    phi = divergence(state, z, grid, scheme, bcs)
     config = SimulationConfig(grid=grid, topography=z, initial_state=state,
                               final_time=1e-3, scheme=scheme, boundaries=bcs)
     final = run_simulation(config).final_state
@@ -982,10 +994,11 @@ def test_results_are_pinned_bit_for_bit(name):
 # The operator as it was before the sweep kernel, one allocating numpy
 # expression per formula, kept as the reference the kernel must match
 # bit for bit (finite inputs). Its flux, limiter and velocity helpers
-# are the original ones too.
+# are the original ones too, except that the faces test dryness against
+# the scheme's h_eps, as the kernels do.
 
 
-def _ref_velocity(h, q, h_eps=H_EPS):
+def _ref_velocity(h, q, h_eps):
     h = np.asarray(h, dtype=float)
     q = np.asarray(q, dtype=float)
     wet = h > h_eps
@@ -994,19 +1007,19 @@ def _ref_velocity(h, q, h_eps=H_EPS):
     return out
 
 
-def _ref_eigenvalues(h, q, g):
-    u = _ref_velocity(h, q)
+def _ref_eigenvalues(h, q, g, h_eps):
+    u = _ref_velocity(h, q, h_eps)
     c = np.sqrt(g * np.maximum(np.asarray(h, dtype=float), 0.0))
     return u - c, u + c
 
 
-def _ref_hll(h_left, q_left, h_right, q_right, g):
+def _ref_hll(h_left, q_left, h_right, q_right, g, h_eps):
     h_l = np.asarray(h_left, dtype=float)
     q_l = np.asarray(q_left, dtype=float)
     h_r = np.asarray(h_right, dtype=float)
     q_r = np.asarray(q_right, dtype=float)
-    u_l = _ref_velocity(h_l, q_l)
-    u_r = _ref_velocity(h_r, q_r)
+    u_l = _ref_velocity(h_l, q_l, h_eps)
+    u_r = _ref_velocity(h_r, q_r, h_eps)
     c_l = np.sqrt(g * np.maximum(h_l, 0.0))
     c_r = np.sqrt(g * np.maximum(h_r, 0.0))
     c1 = np.minimum(u_l - c_l, u_r - c_r)
@@ -1028,24 +1041,23 @@ def _ref_hll(h_left, q_left, h_right, q_right, g):
     return f_h, f_q
 
 
-def _ref_rusanov(h_left, q_left, h_right, q_right, g):
-    lam1_l, lam2_l = _ref_eigenvalues(h_left, q_left, g)
-    lam1_r, lam2_r = _ref_eigenvalues(h_right, q_right, g)
+def _ref_rusanov(h_left, q_left, h_right, q_right, g, h_eps):
+    lam1_l, lam2_l = _ref_eigenvalues(h_left, q_left, g, h_eps)
+    lam1_r, lam2_r = _ref_eigenvalues(h_right, q_right, g, h_eps)
     c = np.maximum(np.maximum(np.abs(lam1_l), np.abs(lam2_l)),
                    np.maximum(np.abs(lam1_r), np.abs(lam2_r)))
     fl_h = np.asarray(q_left, dtype=float)
-    fl_q = fl_h * _ref_velocity(h_left, q_left) \
+    fl_q = fl_h * _ref_velocity(h_left, q_left, h_eps) \
         + 0.5 * g * np.asarray(h_left, dtype=float)**2
     fr_h = np.asarray(q_right, dtype=float)
-    fr_q = fr_h * _ref_velocity(h_right, q_right) \
+    fr_q = fr_h * _ref_velocity(h_right, q_right, h_eps) \
         + 0.5 * g * np.asarray(h_right, dtype=float)**2
     f_h = 0.5 * (fl_h + fr_h) - 0.5 * c * (np.asarray(h_right, dtype=float) - h_left)
     f_q = 0.5 * (fl_q + fr_q) - 0.5 * c * (np.asarray(q_right, dtype=float) - q_left)
     return f_h, f_q
 
 
-def _ref_transverse(f_mass, u_left, u_right, v_left, v_right, axis):
-    assert axis == "x"
+def _ref_transverse(f_mass, u_left, u_right, v_left, v_right):
     normal_sum = np.asarray(u_left, dtype=float) + u_right
     carried = np.where(normal_sum > 0.0, v_left, v_right)
     return f_mass * carried
@@ -1122,7 +1134,7 @@ def _convective_1d(h, q, z, n, dx, bcs, scheme, warnings):
     z_face = np.maximum(zm, zp)
     h_l = np.maximum(hm + zm - z_face, 0.0)
     h_r = np.maximum(hp + zp - z_face, 0.0)
-    f_h, f_q = flux(h_l, h_l * um, h_r, h_r * up, g)
+    f_h, f_q = flux(h_l, h_l * um, h_r, h_r * up, g, scheme.h_eps)
 
     half_g = 0.5 * g
     corr_m = half_g * (hm * hm - h_l * h_l)
@@ -1178,10 +1190,10 @@ def _sweep_2d(h2, qn2, qt2, z2, n, d, scheme):
     z_face = np.maximum(zm, zp)
     h_l = np.maximum(hm + zm - z_face, 0.0)
     h_r = np.maximum(hp + zp - z_face, 0.0)
-    f_h, f_qn = flux(h_l, h_l * um, h_r, h_r * up, g)
+    f_h, f_qn = flux(h_l, h_l * um, h_r, h_r * up, g, scheme.h_eps)
     # Transverse momentum rides on the mass flux, upwinded by the
     # normal velocities (same rule for both sweep directions).
-    f_qt = transverse_component(f_h, um, up, vm, vp, "x")
+    f_qt = transverse_component(f_h, um, up, vm, vp)
 
     half_g = 0.5 * g
     corr_m = half_g * (hm * hm - h_l * h_l)
@@ -1344,22 +1356,6 @@ def test_2d_kernel_matches_the_reference_operator(case):
     assert all(np.array_equal(a, b) for a, b in zip(phi, ref_phi))
     assert all(np.array_equal(a, b) for a, b in zip(faces, ref_faces))
     assert warnings == ref_warnings
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(operator_cases(two_d=False), operator_cases(two_d=True)))
-def test_spatial_operator_phi_runs_the_kernel(case):
-    grid, z, state, bcs, scheme, _ = case
-    rain = Hyetograph((0.0,), (1e-3,))
-    if grid.is_1d:
-        *ref, _, _ = _convective_1d(state.h, state.q, z, grid.nx, grid.dx,
-                                    bcs, scheme, [])
-    else:
-        *ref, _ = _convective_2d(state, z, grid, scheme, bcs, [])
-    ref[0] = ref[0] - 1e-3
-    phi = spatial_operator_phi(state, z, grid, scheme, bcs, rain=rain)
-    assert len(phi) == len(ref)
-    assert all(np.array_equal(a, b) for a, b in zip(phi, ref))
 
 
 @pytest.mark.parametrize("two_d", [False, True])
