@@ -1,14 +1,15 @@
-/* swekit's compiled kernels, one library with three kernels, each the
- * twin of numpy code that stays as its fallback and its reference:
+/* swekit's compiled kernels, one library, each the twin of numpy code
+ * that stays as its fallback and its reference:
  *
  * - the sweep, the contract of timeloop._Sweep.run, row by row: one
  *   entry swekit_sweep_<level> per x86 vector level (baseline, avx2),
  *   both compiled from the same code, and swekit_sweep_level, which
  *   reports the widest level the CPU and the OS support;
- * - the stage tail, swekit_tail_*: the pointwise work of a time step
- *   outside the sweep (update, rain, infiltration, friction, validity
- *   check, Heun average, compute_dt's supremum), compiled for the
- *   baseline only;
+ * - the step, swekit_step: timeloop.heun_step or euler_step, with the
+ *   ghost fill, the sweep at the level the caller bound, the stage tail
+ *   (update, rain, infiltration, friction, validity check), the Heun
+ *   average and compute_dt's supremum, in phases that stop where numpy
+ *   still computes; compiled for the baseline only, but the sweep;
  * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows,
  *   compiled for the baseline only.
  *
@@ -40,8 +41,8 @@
  * are GCC's, on x86-64: built elsewhere, or by another compiler, the
  * library holds the baseline entry only.
  *
- * The stage tail and the writer are described at their sections, after
- * the sweep.
+ * The stage tail, the step and the writer are described at their
+ * sections, after the sweep.
  */
 
 /* newlocale and uselocale, for the writer. */
@@ -450,20 +451,20 @@ int swekit_sweep_level(void)
 
 /* -------------------------------------------------------- stage tail
  *
- * The pointwise work of a time step outside the sweep, the twin of
- * timeloop._numpy_tail, _numpy_average and _wave_speed_sups:
+ * The pointwise work of a stage outside the sweep, the twin of
+ * timeloop._numpy_tail, _numpy_average and _wave_speed_sups, which the
+ * step below runs:
  *
- * - swekit_tail_update: the update fields - phi*dt, rain h + r*dt, and
+ * - tail_update: the update fields - phi*dt, rain h + r*dt, and
  *   Green-Ampt infiltration (sources.infiltration_step, with
  *   effective_conductivity and infiltration_capacity), which writes the
  *   infiltrated depth into dv and the new cumulative depth into v_out;
- * - swekit_tail_finish: semi-implicit friction (sources._damping_factor
- *   and the divide), then the validity check
- *   (timeloop._enforce_validity);
- * - swekit_tail_average: the Heun average of the fields and of the
- *   cumulative depth, then the validity check;
- * - swekit_tail_speeds: compute_dt's supremum of |u| + c over the wet
- *   cells, per direction.
+ * - tail_finish: semi-implicit friction (sources._damping_factor and the
+ *   divide), then the validity check (timeloop._enforce_validity);
+ * - tail_average: the Heun average of the fields and of the cumulative
+ *   depth, then the validity check;
+ * - speed_sups: compute_dt's supremum of |u| + c over the wet cells, per
+ *   direction.
  *
  * Each keeps the operation order of its numpy twin, and min/max follow
  * numpy as in the sweep. Two things stay numpy's: np.cbrt, whose bits
@@ -476,9 +477,11 @@ int swekit_sweep_level(void)
  */
 
 /* One stage's tail and the scheme; _compiled.TailBlock mirrors it. The
- * last three members are results. imax is +inf without a cap, which
- * np_min(capacity, imax) then returns as capacity, bit for bit. phi is
- * not read after the update, so cbrt and speed are two of its rows. */
+ * step sets rain, infiltration, dt, rain_dt, coeff and the arrays from
+ * fields on for each stage; the last two members are results. imax is
+ * +inf without a cap, which np_min(capacity, imax) then returns as
+ * capacity, bit for bit. phi is not read after the update, so cbrt and
+ * speed are two of its rows. */
 struct tail {
     idx cells, nq, friction, rain, infiltration, crust;
     double g, h_eps, tolerance, dt, rain_dt, coeff;
@@ -490,7 +493,7 @@ struct tail {
     const double *v_inf;
     double *v_out;
     idx cell;
-    double h_min, sup[2];
+    double h_min;
 };
 
 enum { MANNING = 1, DARCY_WEISBACH = 2 };
@@ -542,7 +545,7 @@ INLINE void subtract_update(const double *restrict f,
         out[i] = f[i] - phi[i] * dt;
 }
 
-void swekit_tail_update(const struct tail *t)
+static void tail_update(const struct tail *t)
 {
     const idx n = t->cells;
     double *h = t->out;
@@ -687,7 +690,7 @@ static void magnitudes(const double *restrict qx, const double *restrict qy,
         speed[i] = fabs(hypot(qx[i], qy[i]));
 }
 
-int swekit_tail_finish(struct tail *t)
+static int tail_finish(struct tail *t)
 {
     const idx n = t->cells;
     const double *f = t->fields, *cb = t->cbrt, *sp = t->speed;
@@ -716,7 +719,7 @@ INLINE void average(const double *restrict a, double *restrict b, idx n,
 }
 
 /* out = (fields + out) * 0.5, v_out = 0.5 * (v_inf + v_out). */
-int swekit_tail_average(struct tail *t)
+static int tail_average(struct tail *t)
 {
     average(t->fields, t->out, (t->nq + 1) * t->cells, 0);
     if (t->infiltration)
@@ -746,12 +749,332 @@ INLINE void speed_sups(const double *restrict f, idx n, double g,
         sup[k] = nan[k] ? NAN : top[k];
 }
 
-void swekit_tail_speeds(struct tail *t)
+/* -------------------------------------------------------------- step
+ *
+ * A whole time step, the twin of timeloop.heun_step and euler_step with
+ * the numpy kernels they call. swekit_step runs the step in phases and
+ * returns wherever numpy must still compute or decide, so a Heun step
+ * takes three calls and an Euler step two:
+ *
+ * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
+ *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
+ *   the caller fills those once per run), every direction's sweep at
+ *   the vector level the caller bound (the stage's end-face mass fluxes
+ *   go into the step's faces), and the tail's update. Then CUT: the
+ *   caller sums the infiltrated depth and writes np.cbrt of the new
+ *   depth (Manning).
+ * - FINISH1, FINISH2: the tail's friction and validity check.
+ * - AVERAGE: Heun's average and its check.
+ * - SPEEDS: compute_dt's supremum per direction and _bc_speed's speed
+ *   of the imposed boundary states, on the result, for the next dt.
+ *   Then DONE.
+ *
+ * A check that finds a fault, or cannot decide, returns its status with
+ * the phase set to the next one: the caller raises the fault, or runs
+ * numpy's check and calls again.
+ */
+
+/* One side's boundary condition; _compiled.Side mirrors it. kind is the
+ * index in boundary.BC_KINDS. depth and discharge are 0.0 where the
+ * condition sets none, and imposed_h and imposed_q say whether it sets
+ * them. */
+struct side {
+    idx kind, imposed_h, imposed_q;
+    double depth, discharge;
+};
+
+enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
+
+/* The step and its workspace; _compiled.StepBlock mirrors it. The caller
+ * sets the members from phase to v_result for each step. ext is the
+ * frame of timeloop._Workspace; blocks are the sweep's blocks of the
+ * directions, whose face outputs the step redirects into faces (stage,
+ * direction, side, row). mismatch counts each side's regime mismatches
+ * (left, right, bottom, top) and mismatches all of them; the caller
+ * reports and clears them. sup and boost are SPEEDS' results; flow is
+ * the boundary volumes of each stage of a 1D step (in, out). */
+struct step {
+    idx nx, ny, nq, cfl, face_rows;
+    double friction_scale;
+    struct side sides[4];
+    double *ext;
+    void (*sweep)(const struct sweep *);
+    const struct sweep *blocks[2];
+    double *faces;
+    idx phase, heun, infiltration;
+    double dt, rate;
+    const double *state;
+    double *stage, *result;
+    const double *v_inf;
+    double *v_stage, *v_result;
+    idx mismatches, mismatch[4];
+    double sup[2], boost, flow[4];
+    struct tail tail;
+};
+
+enum { STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, SPEEDS, FINISHED };
+/* What swekit_step returns besides a check's status. */
+enum { CUT = 4, DONE = 5 };
+
+/* boundary._resolve_imposed on one cell: the ghost depth and discharge
+ * from those of the first interior cell, h and q. Returns whether the
+ * condition mismatches the local flow regime. */
+INLINE int resolve(const struct side *bc, double h, double q, double inward,
+                   double g, double h_eps, double *h_ghost, double *q_ghost)
 {
-    if (t->nq == 1)
-        speed_sups(t->fields, t->cells, t->g, t->h_eps, t->sup, 1);
-    else
-        speed_sups(t->fields, t->cells, t->g, t->h_eps, t->sup, 2);
+    /* Regime: interior cell where wet, otherwise the imposed state. */
+    int wet = h > h_eps;
+    double h_probe = wet ? h : bc->depth, q_probe = wet ? q : bc->discharge;
+    /* core.froude_number: |q/h| / sqrt(g h), 0 where dry. */
+    double froude = h_probe > h_eps
+                    ? fabs(q_probe / h_probe) / sqrt(g * h_probe) : 0.0;
+    int supercritical = froude > 1.0;
+    int outflow = !(q_probe * inward > 0.0);
+    *h_ghost = h;
+    *q_ghost = q;
+    if (bc->kind == IMPOSED_DEPTH) {
+        if (!(supercritical && outflow))
+            *h_ghost = bc->depth;
+        return supercritical;
+    }
+    if (bc->kind == IMPOSED_DISCHARGE) {
+        if (!(supercritical && outflow))
+            *q_ghost = bc->discharge;
+        return supercritical;
+    }
+    /* imposed_both: an inward discharge is legal when supercritical and
+     * keeps only the discharge otherwise; an outward one goes neumann if
+     * supercritical and keeps only the depth otherwise. */
+    if (bc->discharge * inward > 0.0) {
+        if (supercritical)
+            *h_ghost = bc->depth;
+        *q_ghost = bc->discharge;
+        return !supercritical;
+    }
+    if (!supercritical)
+        *h_ghost = bc->depth;
+    return 1;
+}
+
+/* boundary._fill_direction on the depth h, the normal discharge qn and
+ * the transverse one qt (NULL in 1D) of the frame: line i (0 .. n+3)
+ * across the direction holds m cells, and cell j of line i lies at
+ * i * line + j * cell. low and high are the direction's sides; a side's
+ * count in mismatch grows by one where any of its cells mismatches. */
+static void fill_direction(const struct step *s, double *h, double *qn,
+                           double *qt, idx n, idx m, idx line, idx cell,
+                           const struct side *low, idx *mismatch)
+{
+    /* A single cell is its own second neighbor. */
+    const idx second = n >= 2 ? 1 : 0;
+    for (int high = 0; high < 2; high++) {
+        const struct side *bc = low + high;
+        /* Ghosts g0 (inner) and g1, interior lines i0 (nearest) and i1. */
+        const idx g0 = (high ? n + 2 : 1) * line;
+        const idx g1 = (high ? n + 3 : 0) * line;
+        const idx i0 = (high ? n + 1 : 2) * line;
+        const idx i1 = (high ? n + 1 - second : 2 + second) * line;
+        const double inward = high ? -1.0 : 1.0;
+        int mismatched = 0;
+        if (bc->kind == PERIODIC)
+            continue;
+        for (idx j = 0; j < m; j++) {
+            const idx c = j * cell;
+            if (bc->kind == WALL) {
+                h[g0 + c] = h[i0 + c];
+                h[g1 + c] = h[i1 + c];
+                if (qt) {
+                    qt[g0 + c] = qt[i0 + c];
+                    qt[g1 + c] = qt[i1 + c];
+                }
+                qn[g0 + c] = -qn[i0 + c];
+                qn[g1 + c] = -qn[i1 + c];
+                continue;
+            }
+            double h_ghost = h[i0 + c], q_ghost = qn[i0 + c];
+            if (bc->kind != NEUMANN)
+                mismatched |= resolve(bc, h_ghost, q_ghost, inward,
+                                      s->tail.g, s->tail.h_eps, &h_ghost,
+                                      &q_ghost);
+            h[g0 + c] = h[g1 + c] = h_ghost;
+            qn[g0 + c] = qn[g1 + c] = q_ghost;
+            if (qt)
+                qt[g0 + c] = qt[g1 + c] = qt[i0 + c];
+        }
+        mismatch[high] += mismatched;
+    }
+    if (low->kind != PERIODIC)
+        return;
+    /* Both sides at once, inner ghosts first, so one cell wraps onto all
+     * four. */
+    double *fields[3] = {h, qn, qt};
+    for (int k = 0; k < (qt ? 3 : 2); k++)
+        for (idx j = 0; j < m; j++) {
+            double *a = fields[k] + j * cell;
+            a[line] = a[(n + 1) * line];
+            a[0] = a[n * line];
+            a[(n + 2) * line] = a[2 * line];
+            a[(n + 3) * line] = a[3 * line];
+        }
+}
+
+/* Python's max(v, 0.0). */
+INLINE double positive(double v)
+{
+    return 0.0 > v ? 0.0 : v;
+}
+
+/* Stage k (0 or 1) up to its cut: the convective update of fields and
+ * the tail's update into out, the cumulative infiltrated depth from
+ * v_in into v_out. */
+static void stage(struct step *s, int k, const double *fields, double *out,
+                  const double *v_in, double *v_out)
+{
+    const idx nx = s->nx, ny = s->ny, nq = s->nq, e = nx + 4;
+    const idx plane = nq == 2 ? (ny + 4) * e : e;
+    double *h = s->ext, *q1 = h + plane, *q2 = q1 + plane;
+    /* The fields into the frame's interior. */
+    for (idx v = 0; v <= nq; v++)
+        for (idx r = 0; r < ny; r++)
+            memcpy(h + v * plane + (nq == 2 ? r + 2 : 0) * e + 2,
+                   fields + (v * ny + r) * nx, (size_t)nx * sizeof(double));
+    /* x sides on the interior rows, then y sides on whole rows. */
+    if (nq == 1)
+        fill_direction(s, h, q1, NULL, nx, 1, 1, 0, s->sides, s->mismatch);
+    else {
+        fill_direction(s, h + 2 * e, q1 + 2 * e, q2 + 2 * e, nx, ny, 1, e,
+                       s->sides, s->mismatch);
+        fill_direction(s, h, q2, q1, ny, e, e, 1, s->sides + 2,
+                       s->mismatch + 2);
+    }
+    s->mismatches = s->mismatch[0] + s->mismatch[1] + s->mismatch[2]
+                    + s->mismatch[3];
+    double *faces = s->faces + k * nq * 2 * s->face_rows;
+    for (idx d = 0; d < nq; d++) {
+        struct sweep block = *s->blocks[d];
+        block.faces = faces + d * 2 * s->face_rows;
+        block.faces_side = s->face_rows;
+        block.faces_row = 1;
+        s->sweep(&block);
+    }
+    if (nq == 1) {
+        /* _Workspace.boundary_volumes of a 1D stage, times dt: a
+         * periodic seam is no boundary. */
+        double into = 0.0, outof = 0.0, low = faces[0];
+        double high = faces[s->face_rows];
+        if (s->sides[0].kind != PERIODIC) {
+            into = 0.0 + (positive(low) + positive(-high));
+            outof = 0.0 + (positive(-low) + positive(high));
+        }
+        s->flow[2 * k] = into * s->dt;
+        s->flow[2 * k + 1] = outof * s->dt;
+    }
+    struct tail *t = &s->tail;
+    t->rain = s->rate > 0.0;
+    t->infiltration = s->infiltration;
+    t->dt = s->dt;
+    t->rain_dt = s->rate * s->dt;
+    t->coeff = s->friction_scale * s->dt;
+    t->fields = fields;
+    t->out = out;
+    t->v_inf = v_in;
+    t->v_out = v_out;
+    tail_update(t);
+}
+
+/* numpy's max over n values a stride apart. */
+static double np_max_of(const double *v, idx n, idx stride)
+{
+    double top = v[0];
+    for (idx i = 1; i < n; i++)
+        top = np_max(top, v[i * stride]);
+    return top;
+}
+
+/* timeloop._bc_speed of the fields f: the largest |q| / h + sqrt(g h)
+ * of the imposed boundary states with h > h_eps, by Python's max (the
+ * first of the largest), 0.0 without one. */
+static double imposed_speed(const struct step *s, const double *f)
+{
+    const idx nx = s->nx, ny = s->ny, cells = nx * ny;
+    double top = 0.0;
+    int found = 0;
+    for (idx k = 0; k < s->nq; k++)
+        for (int high = 0; high < 2; high++) {
+            const struct side *bc = s->sides + 2 * k + high;
+            if (bc->kind < IMPOSED_DEPTH)
+                continue;
+            /* The cells along the side: x sides are columns, y sides
+             * rows. */
+            idx first = k == 0 ? (high ? nx - 1 : 0) : (high ? cells - nx : 0);
+            idx count = k == 0 ? ny : nx, stride = k == 0 ? nx : 1;
+            double h_b = bc->imposed_h ? bc->depth
+                                       : np_max_of(f + first, count, stride);
+            double q_b = bc->discharge;
+            if (!bc->imposed_q) {
+                const double *q = f + (1 + k) * cells + first;
+                q_b = fabs(q[0]);
+                for (idx i = 1; i < count; i++)
+                    q_b = np_max(q_b, fabs(q[i * stride]));
+            }
+            if (h_b > s->tail.h_eps) {
+                double speed = fabs(q_b) / h_b + sqrt(s->tail.g * h_b);
+                if (!found || speed > top)
+                    top = speed;
+                found = 1;
+            }
+        }
+    return top;
+}
+
+int swekit_step(struct step *s)
+{
+    struct tail *t = &s->tail;
+    /* Heun's first stage goes into the workspace, Euler's is the
+     * result. */
+    double *first = s->heun ? s->stage : s->result;
+    double *v_first = s->heun ? s->v_stage : s->v_result;
+    for (;;) {
+        int status = VALID;
+        switch (s->phase++) {
+        case STAGE1:
+            stage(s, 0, s->state, first, s->v_inf, v_first);
+            return CUT;
+        case FINISH1:
+            if (!s->heun)
+                s->phase = s->cfl ? SPEEDS : FINISHED;
+            status = tail_finish(t);
+            break;
+        case STAGE2:
+            stage(s, 1, s->stage, s->result, s->v_stage, s->v_result);
+            return CUT;
+        case FINISH2:
+            status = tail_finish(t);
+            break;
+        case AVERAGE:
+            if (!s->cfl)
+                s->phase = FINISHED;
+            t->fields = s->state;
+            t->out = s->result;
+            t->v_inf = s->v_inf;
+            t->v_out = s->v_result;
+            status = tail_average(t);
+            break;
+        case SPEEDS:
+            if (s->nq == 1)
+                speed_sups(s->result, t->cells, t->g, t->h_eps, s->sup, 1);
+            else
+                speed_sups(s->result, t->cells, t->g, t->h_eps, s->sup, 2);
+            s->boost = imposed_speed(s, s->result);
+            s->phase = FINISHED;
+            return DONE;
+        default:
+            s->phase = FINISHED;
+            return DONE;
+        }
+        if (status != VALID)
+            return status;
+    }
 }
 
 /* ------------------------------------------------------------ writer

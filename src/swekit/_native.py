@@ -2,12 +2,13 @@
 with ctypes.
 
 It holds three kernels, each the twin of numpy code that stays as its
-fallback and its reference: the sweep (timeloop._Sweep.run), the stage
-tail (timeloop._numpy_tail, _numpy_average and _wave_speed_sups: the
-pointwise work of a step outside the sweep) and the `%.16e` table
-writer (fileio._write_rows). timeloop and fileio bind their entry
-points from library(); timeloop runs the sweep and the stage tail both
-compiled, or both in numpy.
+fallback and its reference: the sweep (timeloop._Sweep.run), the step
+(timeloop.heun_step and euler_step: the ghost fill, the sweep, the
+stage tail, the Heun average and the CFL supremum, in three foreign
+calls per Heun step, cut where numpy's np.cbrt and pairwise sum still
+run) and the `%.16e` table writer (fileio._write_rows). timeloop and
+fileio bind their entry points from library(); timeloop runs its steps
+all compiled (_compiled.CompiledStep) or all in numpy.
 
 The sweep is compiled once per x86 vector level (SWEEP_LEVELS: the
 baseline and avx2, which AVX-512 CPUs run too), both from the same
@@ -16,9 +17,10 @@ sweep_levels() names those this CPU can run, and timeloop binds the
 widest. GCC's target attribute enables a level for its entry alone, so
 the library loads on any x86-64 CPU, and a cached build stays safe to
 load on another machine. Built by another compiler or for another
-architecture, the library holds the baseline entry only. The stage tail
-and the writer are compiled once, for the baseline: the tail's passes
-are bound by memory, not arithmetic.
+architecture, the library holds the baseline entry only. The step
+calls the sweep entry it is handed; the rest of it and the writer are
+compiled once, for the baseline: the tail's passes are bound by memory,
+not arithmetic.
 
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
@@ -63,10 +65,7 @@ _FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
 _ENTRIES = {
     "swekit_sweep_level": ([], ctypes.c_int),
     "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
-    "swekit_tail_update": ([ctypes.c_void_p], None),
-    "swekit_tail_finish": ([ctypes.c_void_p], ctypes.c_int),
-    "swekit_tail_average": ([ctypes.c_void_p], ctypes.c_int),
-    "swekit_tail_speeds": ([ctypes.c_void_p], None),
+    "swekit_step": ([ctypes.c_void_p], ctypes.c_int),
     "swekit_writer_init": ([], ctypes.c_int),
     "swekit_format_slots": ([ctypes.c_void_p, ctypes.c_ssize_t,
                              ctypes.c_void_p], None),

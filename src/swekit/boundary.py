@@ -21,7 +21,8 @@ reported once per run:
     the missing one copied from the interior
   * imposed_both at a subcritical boundary             -> only the
     discharge is kept for inflow, only the depth for outflow
-A dry first interior cell takes its regime from the imposed values.
+A dry first interior cell (no deeper than the scheme's h_eps) takes its
+regime from the imposed values.
 """
 
 import math
@@ -78,20 +79,28 @@ def check_periodic_pairing(bcs, two_d):
             raise ValueError(f"periodic boundaries must be paired ({low}/{high})")
 
 
-def _resolve_imposed(bc, h_int, q_int, inward_sign, g, side, warnings):
+def regime_warning(side, bc):
+    """The message a regime mismatch on a side reports."""
+    return (f"{side} boundary: {bc.kind} does not match the local flow "
+            "regime; using the closest legal rule")
+
+
+def _resolve_imposed(bc, h_int, q_int, inward_sign, g, h_eps, side,
+                     warnings):
     """Effective (depth, discharge) ghost values for one imposed-kind side.
 
     h_int / q_int are the first interior cell values (arrays along the
     side). Returns (h_ghost, q_ghost) arrays. Appends one warning per
     side on any regime mismatch. inward_sign maps the stored discharge
-    to "into the domain" (+1 on the low side, -1 on the high side).
+    to "into the domain" (+1 on the low side, -1 on the high side). A
+    cell is dry where its depth is at most h_eps.
     """
     # Regime: interior cell where wet, otherwise the imposed state.
-    h_probe = np.where(h_int > H_EPS, h_int,
+    h_probe = np.where(h_int > h_eps, h_int,
                        bc.depth if bc.depth is not None else 0.0)
-    q_probe = np.where(h_int > H_EPS, q_int,
+    q_probe = np.where(h_int > h_eps, q_int,
                        bc.discharge if bc.discharge is not None else 0.0)
-    fr = froude_number(h_probe, q_probe, g)
+    fr = froude_number(h_probe, q_probe, g, h_eps)
     supercritical = fr > 1.0
     inflow = q_probe * inward_sign > 0.0
 
@@ -116,13 +125,12 @@ def _resolve_imposed(bc, h_int, q_int, inward_sign, g, side, warnings):
             mismatch = np.ones_like(supercritical)
 
     if np.any(mismatch):
-        warnings.append(
-            f"{side} boundary: {bc.kind} does not match the local flow regime; "
-            "using the closest legal rule")
+        warnings.append(regime_warning(side, bc))
     return h_ghost, q_ghost
 
 
-def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
+def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, h_eps, side,
+                            warnings):
     """_resolve_imposed for a side of one cell (1D), on Python floats.
 
     About 30 times cheaper per call than the array version on one cell,
@@ -130,11 +138,11 @@ def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
     """
     h_int = float(h_int)
     q_int = float(q_int)
-    wet = h_int > H_EPS
+    wet = h_int > h_eps
     h_probe = h_int if wet else (bc.depth if bc.depth is not None else 0.0)
     q_probe = q_int if wet else (bc.discharge
                                  if bc.discharge is not None else 0.0)
-    if h_probe > H_EPS:
+    if h_probe > h_eps:
         fr = abs(q_probe / h_probe) / math.sqrt(g * h_probe)
     else:
         fr = 0.0
@@ -160,20 +168,19 @@ def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, side, warnings):
             mismatch = True
 
     if mismatch:
-        warnings.append(
-            f"{side} boundary: {bc.kind} does not match the local flow regime; "
-            "using the closest legal rule")
+        warnings.append(regime_warning(side, bc))
     return h_ghost, q_ghost
 
 
-def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
+def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g, h_eps,
                     warnings):
     """Fill both ends of one direction with n cells along it.
 
     a[i] is line i across the direction: ghosts at 0, 1, n+2 and n+3,
     interior lines from 2 to n+1. qn is the normal discharge and qts
     the transverse ones; low and high are the conditions on the sides
-    named in `sides`, and resolve the imposed-kind resolver for a line.
+    named in `sides`, and resolve the imposed-kind resolver for a line,
+    which tests dryness against h_eps.
     Each side has an inner and an outer ghost (g0, g1) and a nearest and
     a second interior line (i0, i1).
     """
@@ -193,7 +200,7 @@ def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
             continue
         hg, qg = h[i0], qn[i0]
         if bc.kind != "neumann":
-            hg, qg = resolve(bc, hg, qg, inward, g, side, warnings)
+            hg, qg = resolve(bc, hg, qg, inward, g, h_eps, side, warnings)
         h[g0] = h[g1] = hg
         qn[g0] = qn[g1] = qg
         for q in qts:
@@ -216,34 +223,37 @@ def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g,
             a[n + 3] = a[3]
 
 
-def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None):
+def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None,
+                   h_eps=H_EPS):
     """Fill the two ghost cells on each side of the extended 1D arrays.
 
     Interior cells live at ext indices [2, n+2). warnings, if given, is
-    a list that collects regime-mismatch messages.
+    a list that collects regime-mismatch messages; a cell no deeper than
+    h_eps is dry to the imposed-boundary resolver.
     """
     if warnings is None:
         warnings = []
     # A 1D side is one cell: the scalar resolver.
     _fill_direction(h_ext, q_ext, (), z_ext, n, bcs.left, bcs.right,
-                    SIDES[0], _resolve_imposed_scalar, g, warnings)
+                    SIDES[0], _resolve_imposed_scalar, g, h_eps, warnings)
     return warnings
 
 
 def fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, g=G_DEFAULT,
-                   warnings=None):
+                   warnings=None, h_eps=H_EPS):
     """Fill ghost frames of the extended (ny+4, nx+4) arrays.
 
     x sides first, on the interior rows, then y sides on whole rows
     (which also populates the corners from the already-filled ghost
-    columns; the sweeps never read corners).
+    columns; the sweeps never read corners). warnings and h_eps as in
+    fill_ghosts_1d.
     """
     if warnings is None:
         warnings = []
     rows = slice(2, ny + 2)
     h, qx, qy, z = (a[rows].T for a in (h_ext, qx_ext, qy_ext, z_ext))
     _fill_direction(h, qx, (qy,), z, nx, bcs.left, bcs.right, SIDES[0],
-                    _resolve_imposed, g, warnings)
+                    _resolve_imposed, g, h_eps, warnings)
     _fill_direction(h_ext, qy_ext, (qx_ext,), z_ext, ny, bcs.bottom, bcs.top,
-                    SIDES[1], _resolve_imposed, g, warnings)
+                    SIDES[1], _resolve_imposed, g, h_eps, warnings)
     return warnings

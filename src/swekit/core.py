@@ -132,11 +132,11 @@ def velocity(h, q, h_eps=H_EPS, out=None, wet=None):
     return out
 
 
-def froude_number(h, q, g=G_DEFAULT):
-    """Froude number |u| / sqrt(g*h); zero where dry."""
+def froude_number(h, q, g=G_DEFAULT, h_eps=H_EPS):
+    """Froude number |u| / sqrt(g*h); zero where dry (h <= h_eps)."""
     h = np.asarray(h, dtype=float)
-    u = velocity(h, q)
-    wet = h > H_EPS
+    u = velocity(h, q, h_eps)
+    wet = h > h_eps
     c = np.sqrt(g * np.where(wet, h, 1.0))
     return np.where(wet, np.abs(u) / c, 0.0)
 

@@ -16,10 +16,8 @@ MAX_STEP_HALVINGS times. A fixed_dt step is never retried.
 How a step runs. A State holds the conserved variables stacked in one
 array, (h, q) in 1D and (h, qx, qy) in 2D, so the update, the Heun
 average, the validity check and the change rate are one call each over
-the stack, and 1D and 2D run the same step code. Only the ghost fill
-(fill_ghosts_1d or fill_ghosts_2d) and friction (one discharge or two)
-are chosen by the dimension. run_simulation creates one _Workspace
-per run and every step writes into it:
+the stack, and 1D and 2D run the same step code. run_simulation creates
+one _Workspace per run and every step writes into it:
 
 * ext: the fields and bed, each with a two-cell ghost frame;
 * full: a grid-shaped Scratch whose floats hold the flux divergence phi
@@ -28,10 +26,25 @@ per run and every step writes into it:
 * stage: the first Heun stage;
 * the sweep kernel's scratch.
 
-A stage is the sweep, then its pointwise tail: the update fields -
-phi*dt, rain, infiltration, friction and the validity check. A Heun
-step then averages its two stages and checks the average, and the
-driver takes the next dt from the CFL supremum of |u| + c.
+A stage is the ghost fill, the sweep, then its pointwise tail: the
+update fields - phi*dt, rain, infiltration, friction and the validity
+check. A Heun step then averages its two stages and checks the average,
+and the driver takes the next dt from the CFL supremum of |u| + c. A
+step runs one of two ways:
+
+* Compiled, wherever a C compiler is found: the step of _native.c,
+  driven by _compiled.CompiledStep, does all of it in three foreign
+  calls per Heun step (two per Euler step). They are cut only where
+  numpy still computes, after each stage's update: the infiltrated
+  volume's pairwise sum, and np.cbrt of the new depth (Manning), whose
+  bits depend on numpy's SIMD dispatch. The last call also takes the
+  supremum the next compute_dt reads. The bed's ghosts are filled once
+  per run; the sweep in the step is the one _sweep_kernel binds.
+* In numpy elsewhere: _stage fills the frame with fill_ghosts_1d or
+  fill_ghosts_2d, runs the numpy sweep kernel, then _numpy_tail;
+  heun_step averages with _numpy_average, and compute_dt calls
+  _wave_speed_sups and _bc_speed. This is the compiled step's
+  reference, and calls the functions of boundary and sources.
 
 The convective update is one sweep kernel with two implementations of
 one contract (_Sweep.run): it serves 1D as a single row and each 2D
@@ -57,16 +70,6 @@ normal flux divergence and the mass flux through the two end faces.
   Each formula exists once, in core, reconstruction, fluxes and
   sources, and this kernel calls those functions.
 
-The pointwise tail, the Heun average and the CFL supremum also have two
-implementations. Where the compiled sweep runs, so does the stage tail
-of _native.c (_compiled.CompiledTail), compiled once for the baseline level: one
-foreign call updates the fields and applies rain and infiltration, and
-a second applies friction and the validity check. Between the two,
-np.cbrt of the new depth (Manning) goes into a workspace buffer, since
-its bits depend on numpy's SIMD dispatch; the infiltrated volume is
-summed by numpy too, pairwise. Elsewhere _numpy_tail, _numpy_average
-and _wave_speed_sups run, which call the functions of sources.
-
 Nothing selects the kernels but the build and the CPU:
 RunResult.sweep_kernel names the sweep that ran, and run_simulation logs
 it at INFO, with the compiled kernel's vector level and the table writer
@@ -74,12 +77,12 @@ that fileio will use. The two implementations give the same bits: the C
 code keeps the floating-point operation order of every numpy formula,
 and follows numpy's min/max (NaN propagates, a tie returns the second
 operand); tests/test_timeloop.py pairs every vector level the CPU
-supports with the numpy code on random states, and raises the same
-NumericalFault at the same cell. The numpy kernel is in turn bitwise
-identical to the allocating operator it replaced, which the tests keep
-as the reference.
-A step returns a State over a new array: no view of the workspace
-reaches a State the caller sees.
+supports with the numpy code on random states and whole steps, with the
+same warnings and the same NumericalFault (cell and time). The numpy
+kernel is in turn bitwise identical to the allocating operator it
+replaced, which the tests keep as the reference. A step returns a
+State over a new array: no view of the workspace reaches a State the
+caller sees.
 """
 
 import collections
@@ -251,21 +254,20 @@ def compute_dt(state, grid, scheme, bcs=None, work=None):
 
     The supremum runs over wet cells (per direction in 2D) and over any
     imposed boundary states; a fully dry domain falls back to C * d.
-    work, if given, is the run's _Workspace: its kernel takes the
-    supremum, into its scratch.
+    work, if given, is the run's _Workspace, built with bcs: the numpy
+    supremum runs in its scratch, and the compiled step keeps the one of
+    the state it left (so that state must not change in between).
     """
     spacings = grid.spacings
     cfl = scheme.cfl_for(len(spacings))
     fields = state.fields
-    if work is None:
-        sups = _wave_speed_sups(fields, scheme,
-                                Scratch.empty(fields.shape[1:], len(fields), 1))
-    elif work.tail is None:
-        sups = _wave_speed_sups(fields, scheme, work.full)
+    if work is not None and work.compiled is not None:
+        sups, boost = work.compiled.speeds(fields)
     else:
-        sups = work.tail.speeds(fields)
-    boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g,
-                                              scheme.h_eps)
+        sups = _wave_speed_sups(fields, scheme, Scratch.empty(
+            fields.shape[1:], len(fields), 1) if work is None else work.full)
+        boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g,
+                                                  scheme.h_eps)
     dt = min(spacings)
     # Per direction: its spacing over the supremum of its |u| + c.
     for d, sup in zip(spacings, sups):
@@ -471,7 +473,7 @@ def _blocks(rows, cells_per_row):
 # ------------------------------------------------ compiled sweep kernel
 # The sweep of _native.c implements _Sweep.run row by row, bit for bit,
 # at each vector level; without a working C compiler the numpy kernel
-# runs instead. _compiled holds its binding and the stage tail's.
+# runs instead. _compiled holds its binding and the compiled step's.
 
 
 def _sweep_kernel(level=None):
@@ -516,8 +518,8 @@ class _Workspace:
     the time step otherwise; stage receives the first Heun stage. kernel
     names the sweep kernel that runs: "c" (one block per direction) or
     "numpy" (blocks over one pool); level, the compiled kernel's vector
-    level, and tail, the compiled stage tail over these buffers (both
-    None for numpy).
+    level, and compiled, the compiled step over these buffers (both None
+    for numpy).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -538,6 +540,7 @@ class _Workspace:
         self.interior = ext[(slice(None),) + (slice(2, -2),) * nq]
         self.interior[-1] = z
         self.fill_args = (*ext, *grid.shape[::-1], bcs, scheme.g)
+        self.h_eps = scheme.h_eps
 
         # (rows, n, d) per direction and its blocks. A face's width is
         # the product of the other directions' spacings: 1 in 1D, where
@@ -546,6 +549,9 @@ class _Workspace:
         self.cell_area = math.prod(spacings)
         self.widths = [math.prod(spacings[:k] + spacings[k + 1:])
                        for k in range(nq)]
+        # A periodic pair of sides is a seam, not a boundary.
+        self.periodic = [getattr(bcs, low).kind == "periodic"
+                         for low, _ in SIDES[:nq]]
         self.directions = directions = ((ny, nx, grid.dx),
                                         (nx, ny, grid.dy))[:nq]
         self.faces = np.empty((nq, 2, max(rows for rows, _, _ in directions)))
@@ -555,13 +561,11 @@ class _Workspace:
         x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
         compiled = _sweep_kernel()
         self.kernel = "numpy" if compiled is None else "c"
-        self.level = self.tail = None
+        self.level = self.compiled = None
         if compiled is None:
             self.blocks = self._numpy_blocks(phi, x_rows, nq, scheme)
             return
         sweep, work_size, self.level = compiled
-        self.tail = _compiled.CompiledTail(_native.library(), self, scheme,
-                                           infiltration, NEGATIVE_DEPTH_TOL)
         # Element strides let the kernel read the transposed views as
         # they are and add the y sweep straight into phi.
         self.sweep_work = work = np.empty(
@@ -577,6 +581,12 @@ class _Workspace:
             (sweep, (_compiled.sweep_block(rows, n, nq, d, scheme, *args),),
              None)
             for (rows, n, d), args in zip(directions, operands)]
+        # The bed's ghosts, once: the compiled step fills the others.
+        ext[:-1] = 0.0
+        self.fill([])
+        self.compiled = _compiled.CompiledStep(
+            _native.library(), sweep, self, grid, scheme, bcs, infiltration,
+            NEGATIVE_DEPTH_TOL)
 
     def _numpy_blocks(self, phi, x_rows, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.
@@ -623,26 +633,33 @@ class _Workspace:
                            (phi[:, :, start:stop], div.transpose(0, 2, 1))))
         return blocks
 
+    def fill(self, warnings):
+        """The ghost frame of ext, by fill_ghosts_1d or fill_ghosts_2d."""
+        fill = fill_ghosts_2d if self.two_d else fill_ghosts_1d
+        fill(*self.fill_args, warnings, self.h_eps)
+
     def divergence(self, fields, warnings):
         """Flux divergence phi of the stacked fields into self.phi."""
         np.copyto(self.interior[:-1], fields)
-        fill = fill_ghosts_2d if self.two_d else fill_ghosts_1d
-        fill(*self.fill_args, warnings)
+        self.fill(warnings)
         for run, args, post in self.blocks:
             run(*args)
             if post is not None:
                 np.add(post[0], post[1], out=post[0])
         return self.phi
 
-    def boundary_volumes(self):
+    def boundary_volumes(self, faces):
         """Volume rates into and out of the domain through its sides.
 
-        Each direction's low and high side faces, times their width (1 in
-        1D), summed over the directions.
+        faces holds each direction's low and high side faces, as the
+        sweeps write them into self.faces. Their flows times their width
+        (1 in 1D) are summed over the directions, periodic ones aside.
         """
         into = outof = 0.0
-        for (rows, _, _), faces, width in zip(self.directions, self.faces,
-                                              self.widths):
+        for (rows, _, _), faces, width, periodic in zip(
+                self.directions, faces, self.widths, self.periodic):
+            if periodic:
+                continue
             low, high = faces[:, 0].tolist() if rows == 1 else faces[:, :rows]
             into += (_positive_sum(low) + _positive_sum(-high)) * width
             outof += (_positive_sum(-low) + _positive_sum(high)) * width
@@ -706,21 +723,6 @@ def _check_finite(fields, t):
         raise NumericalFault(t, idx, "non-finite state")
 
 
-def _check_tail(status, tail, fields, t):
-    """The NumericalFault _enforce_validity raises, from the status of a
-    compiled tail's validity check on fields at time t."""
-    if status == _compiled.VALID:
-        return
-    if status == _compiled.UNDECIDED:
-        _check_finite(fields, t)
-        return
-    index = np.unravel_index(tail.block.cell, fields.shape[1:])
-    if status == _compiled.NEGATIVE_DEPTH:
-        raise NumericalFault(t, index,
-                             f"negative depth {tail.block.h_min:.3e}")
-    raise NumericalFault(t, index, "non-finite state")
-
-
 def _numpy_tail(fields, phi, out, ga, dt, r, ctx, t):
     """A stage after the sweep, in numpy: out = fields - phi*dt, rain,
     infiltration, friction and the validity check at time t. Returns the
@@ -773,20 +775,17 @@ def _stage(state, ga, t_source, dt, ctx, out):
     rain_vol = 0.0
     if r > 0.0:
         rain_vol = r * dt * grid.nx * grid.ny * work.cell_area
-    if work.tail is None:
-        ga, infil_vol = _numpy_tail(fields, phi, out, ga, dt, r, ctx,
-                                    t_source)
-    else:
-        ga, infil_vol, status = work.tail.stage(fields, out, ga, dt, r,
-                                                ctx.friction)
-        _check_tail(status, work.tail, out, t_source)
-    vol_in, vol_out = work.boundary_volumes()
+    ga, infil_vol = _numpy_tail(fields, phi, out, ga, dt, r, ctx, t_source)
+    vol_in, vol_out = work.boundary_volumes(work.faces)
     diag = StageDiag(rain_vol, infil_vol, vol_in * dt, vol_out * dt)
     return State(out), ga, diag
 
 
 def euler_step(state, ga, t, dt, ctx):
     """One first-order step: a single stage with sources at time t."""
+    if ctx.work.compiled is not None:
+        return ctx.work.compiled.step(state, ga, t, dt,
+                                      rain_rate(t, ctx.rain), ctx, False)
     return _stage(state, ga, t, dt, ctx, np.empty(ctx.work.shape))
 
 
@@ -799,14 +798,13 @@ def heun_step(state, ga, t, dt, ctx):
     first stage lives in the workspace; the returned state is new.
     """
     work = ctx.work
+    if work.compiled is not None:
+        return work.compiled.step(state, ga, t, dt, rain_rate(t, ctx.rain),
+                                  ctx, True)
     s1, ga1, d1 = _stage(state, ga, t, dt, ctx, work.stage)
     new = np.empty(work.shape)
     new_state, ga2, d2 = _stage(s1, ga1, t, dt, ctx, new)
-    if work.tail is None:
-        ga = _numpy_average(state.fields, new, ga, ga2, t + dt, ctx)
-    else:
-        ga, status = work.tail.average(state.fields, new, ga, ga2)
-        _check_tail(status, work.tail, new, t + dt)
+    ga = _numpy_average(state.fields, new, ga, ga2, t + dt, ctx)
     return new_state, ga, _combine_heun_diags(d1, d2)
 
 

@@ -257,6 +257,28 @@ def test_2d_imposed_side_resolves_per_row():
     assert len(warnings) == 1 and "left" in warnings[0]
 
 
+@pytest.mark.parametrize("h_eps", [1e-6, H_EPS])
+def test_a_cell_no_deeper_than_h_eps_takes_the_imposed_regime(h_eps):
+    # A 1e-8 m first cell draining out at 100 m/s is a supercritical
+    # outflow where it counts as wet: imposed_depth then copies it and
+    # warns. Under h_eps = 1e-6 it is dry, and the imposed state (0.5 m
+    # of still water) sets the regime: the depth is imposed, silently.
+    dry = h_eps > 1e-8
+    bcs = BoundarySet(left=BoundaryCondition("imposed_depth", depth=0.5))
+    h, q = [1e-8, 1.0, 1.0], [-1e-6, 0.0, 0.0]
+    h_ext, q_ext, z_ext = ext_1d(h, q, [0.0] * 3)
+    warnings_1d = fill_ghosts_1d(h_ext, q_ext, z_ext, 3, bcs, G_DEFAULT,
+                                 None, h_eps)
+    he, qxe, qye, ze = ext_2d([h, h], [q, q], np.zeros((2, 3)),
+                              np.zeros((2, 3)))
+    warnings_2d = fill_ghosts_2d(he, qxe, qye, ze, 3, 2, bcs, G_DEFAULT,
+                                 None, h_eps)
+    for ghosts, warnings in ((h_ext[:2], warnings_1d),
+                             (he[2:4, :2], warnings_2d)):
+        assert np.all(ghosts == (0.5 if dry else 1e-8))
+        assert len(warnings) == (0 if dry else 1)
+
+
 def test_2d_open_sides_extend_bed_slope():
     h = np.full((2, 3), 1.0)
     qx = np.zeros_like(h)

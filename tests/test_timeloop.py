@@ -599,9 +599,9 @@ def _same_bits(a, b):
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
 # would read 0 in its per-layer metric instead of failing. The compiled
-# kernels (the sweep and the stage tail) do the work of the helpers the
-# numpy ones call, so on their path those read 0 and their time is the
-# stage's own.
+# step does the work of the helpers the numpy kernels call, so on its
+# path those read 0 and their time is the step's own; the ghost fills
+# still run there once per run, for the bed's ghosts.
 
 _KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component",
                    "friction_semi_implicit", "friction_semi_implicit_2d",
@@ -936,7 +936,7 @@ PINNED_LEDGERS = {
         ("0x0.0p+0", "0x1.08a3bfee0f67cp+2", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("0x1.0000000000000p+0", "0x1.1365d2dac7d38p+2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.7808d0575014bp-1", "0x1.21f838f18cb6ap-1", "0x0.0p+0"),
+         "0x0.0p+0", "0x1.25c6fe7e8d16bp-1", "0x1.9f6cce3193718p-2", "0x0.0p+0"),
     ],
     "neumann_channel_1d": [
         ("0x0.0p+0", "0x1.999999999999ap+2", "0x0.0p+0",
@@ -948,7 +948,7 @@ PINNED_LEDGERS = {
         ("0x0.0p+0", "0x1.0000000000000p+2", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
         ("0x1.0000000000000p+0", "0x1.0000000000000p+2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.6ad6741ef1456p-2", "0x1.6ad6741ef1456p-2", "0x1.0000000000000p-51"),
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ],
     "rain_plot": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
@@ -1100,7 +1100,7 @@ def _convective_1d(h, q, z, n, dx, bcs, scheme, warnings):
     h_ext[2:n + 2] = h
     q_ext[2:n + 2] = q
     z_ext[2:n + 2] = z
-    fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g, warnings)
+    fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g, warnings, scheme.h_eps)
 
     u_ext = velocity(h_ext, q_ext, scheme.h_eps)
     if scheme.order == 2:
@@ -1220,7 +1220,8 @@ def _convective_2d(state, z, grid, scheme, bcs, warnings):
     qx_ext[inner] = state.qx
     qy_ext[inner] = state.qy
     z_ext[inner] = z
-    fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, scheme.g, warnings)
+    fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, scheme.g, warnings,
+                   scheme.h_eps)
 
     rows = slice(2, ny + 2)
     dm_x, dn_x, dt_x, f_west, f_east = _sweep_2d(
@@ -1386,12 +1387,7 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
         second, ga_second, _ = heun_step(first, ga_first, dt, dt, ctx)
         assert all(np.array_equal(a, b) for a, b in
                    zip(state.fields, before.fields))
-        buffers = [work.ext, work.full.floats, work.full.flags, work.stage,
-                   work.faces]
-        if path == "numpy":
-            buffers += [*work.pool] + ([work.y_div] if two_d else [])
-        else:
-            buffers.append(work.sweep_work)
+        buffers = _workspace_buffers(work)
         arrays = (*first.fields, *second.fields)
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in buffers)
@@ -1424,11 +1420,12 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
                        for b in snapshot.fields)
 
 
-# ---------------------------------------------------- compiled stage tail
-# The stage tail of _native.c (bound by _compiled.CompiledTail) does the
-# work of timeloop._numpy_tail, _numpy_average and _wave_speed_sups;
-# wherever it is built, every path must give numpy's bits, raise numpy's
-# faults, and hand back no view of the workspace.
+# ------------------------------------------------------ compiled step
+# The step of _native.c (driven by _compiled.CompiledStep) does the work
+# of heun_step and euler_step: the ghost fill, the sweeps, the stage
+# tail, the Heun average and the next dt's supremum. Wherever it is
+# built, every path must give numpy's bits, report numpy's warnings,
+# raise numpy's faults, and hand back no view of the workspace.
 
 _SOILS = (None, GreenAmptParams(ks=1e-5, hf=0.1, dtheta=0.3),
           GreenAmptParams(ks=1e-5, kc=1e-6, zc=0.01, hf=0.05, dtheta=0.4),
@@ -1442,13 +1439,13 @@ _FRICTIONS = (FrictionParams(), FrictionParams("manning", 0.03),
               FrictionParams("darcy_weisbach", 500.0))
 
 
-def _needs_the_compiled_tail():
+def _needs_the_compiled_step():
     if len(_kernel_paths()) == 1:
-        pytest.skip("the compiled stage tail is unavailable")
+        pytest.skip("the compiled step is unavailable")
 
 
 def _special(rng, values, h_eps, share):
-    """values with a share of its entries replaced by the values a tail
+    """values with a share of its entries replaced by the values a step
     must treat as numpy does: signed zeros, depths at h_eps and either
     side of it, small and large negative depths, NaN and infinities."""
     specials = np.array([0.0, -0.0, h_eps, 0.5 * h_eps, 2.0 * h_eps,
@@ -1457,29 +1454,6 @@ def _special(rng, values, h_eps, share):
                          np.inf, -np.inf])
     chosen = rng.random(values.shape) < share
     return np.where(chosen, rng.choice(specials, values.shape), values)
-
-
-@st.composite
-def tail_cases(draw):
-    """Sources, a scheme and a seed for the fields a tail runs on."""
-    two_d = draw(st.booleans())
-    grid = Grid(nx=draw(st.integers(1, 7)), ny=draw(st.integers(2, 5)),
-                dx=0.5) if two_d else Grid(nx=draw(st.integers(1, 40)), dx=1.0)
-    scheme = SchemeConfig(g=draw(st.sampled_from((9.81, 1.0))),
-                          h_eps=draw(st.sampled_from((1e-12, 1e-3))))
-    return dict(
-        grid=grid, scheme=scheme,
-        friction=draw(st.sampled_from(_FRICTIONS)),
-        rain=draw(st.sampled_from((0.0, 1e-3, 0.05))),
-        soil=draw(st.sampled_from(_SOILS)),
-        dt=draw(st.sampled_from((0.0, 1e-3, 0.1, 2.0))),
-        # Depths the update leaves as they were, every other one at h_eps
-        # (ties in the dry tests) and every fourth slightly negative (to
-        # be clamped).
-        still=draw(st.booleans()),
-        # Mostly none, so that most examples pass the validity check.
-        share=draw(st.sampled_from((0.0, 0.0, 0.02, 0.2))),
-        seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def _context(grid, scheme, friction, rain, infiltration, path, z=None,
@@ -1498,7 +1472,9 @@ def _workspace_buffers(work):
                work.faces]
     if work.kernel == "numpy":
         return buffers + [*work.pool] + ([work.y_div] if work.two_d else [])
-    return buffers + [work.sweep_work]
+    step = work.compiled
+    return buffers + [work.sweep_work, step.faces] + (
+        [] if step.v_stage is None else [step.v_stage])
 
 
 def _outcome(call, work, *arrays):
@@ -1506,7 +1482,7 @@ def _outcome(call, work, *arrays):
     try:
         returned = call()
     except NumericalFault as fault:
-        return ("fault", str(fault), fault.index)
+        return ("fault", str(fault), fault.index, fault.time)
     arrays = [a for a in (*arrays, *returned) if isinstance(a, np.ndarray)]
     for a in arrays:
         assert not any(np.shares_memory(a, b)
@@ -1515,78 +1491,28 @@ def _outcome(call, work, *arrays):
              float(a).hex()) for a in (*arrays, *returned) if a is not None]
 
 
-def _tail_outcomes(case, path):
-    """The stage tail, the Heun average and the wave-speed supremum on
-    one path, each on fields drawn from the case's seed."""
-    grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
-    ctx = _context(grid, scheme, case["friction"], case["rain"],
-                   soil is not None, path)
-    work, rng = ctx.work, np.random.default_rng(case["seed"])
-    shape, share = work.shape, case["share"]
-    fields = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
-    fields[1:] = rng.normal(0.0, 0.5, shape[:1] + grid.shape)[1:]
-    fields = _special(rng, fields, scheme.h_eps, share)
-    phi = _special(rng, rng.normal(0.0, 1.0, shape), scheme.h_eps, share)
-    if case["still"]:
-        phi[0] = 0.0
-        fields[0, ::2] = scheme.h_eps
-        fields[0, 1::4] = -0.5 * timeloop.NEGATIVE_DEPTH_TOL
-    new = _special(rng, rng.uniform(-1e-3, 1.0, shape), scheme.h_eps, share)
-    ga = ga2 = None
-    if soil is not None:
-        v_inf = rng.uniform(0.0, 0.02, grid.shape) * (rng.random(grid.shape)
-                                                      < 0.7)
-        ga = GreenAmptState(soil, _special(rng, v_inf, 1e-3, share / 4))
-        ga2 = GreenAmptState(soil, rng.uniform(0.0, 0.02, grid.shape))
-    dt, r = case["dt"], case["rain"]
-    out = np.empty(shape)
-
-    def stage():
-        work.phi[...] = phi
-        if work.tail is None:
-            result = timeloop._numpy_tail(fields, work.phi, out, ga, dt, r,
-                                          ctx, 1.5)
-        else:
-            *result, status = work.tail.stage(fields, out, ga, dt, r,
-                                              ctx.friction)
-            timeloop._check_tail(status, work.tail, out, 1.5)
-        return (None if result[0] is None else result[0].v_inf, result[1])
-
-    def average():
-        if work.tail is None:
-            result = timeloop._numpy_average(fields, new, ga, ga2, 2.5, ctx)
-        else:
-            result, status = work.tail.average(fields, new, ga, ga2)
-            timeloop._check_tail(status, work.tail, new, 2.5)
-        return (None if result is None else result.v_inf,)
-
-    state = State(fields)
-    sups = (timeloop._wave_speed_sups(fields, scheme, work.full)
-            if work.tail is None else work.tail.speeds(fields))
-    return (_outcome(stage, work, out), _outcome(average, work, new),
-            [s.hex() if s == s else "nan" for s in sups],
-            compute_dt(state, grid, scheme, WALL, work).hex(),
-            None if ga is None else _bits(ga.v_inf).tolist())
-
-
-@settings(max_examples=300, deadline=None)
-@given(tail_cases())
-def test_the_stage_tail_gives_numpys_bits_on_every_path(case):
-    _needs_the_compiled_tail()
-    with np.errstate(all="ignore"):
-        reference = _tail_outcomes(case, "numpy")
-        for path in _kernel_paths()[1:]:
-            assert _tail_outcomes(case, path) == reference
-
-
 @st.composite
 def step_cases(draw):
     """A random state (see operator_cases), with a share of special
-    values, sources, and a dt a multiple of the CFL step."""
+    values and, often, dry or nearly dry cells along every side; sources,
+    and a dt a multiple of the CFL step."""
     grid, z, state, bcs, scheme, _ = draw(operator_cases(draw(st.booleans())))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     share = draw(st.sampled_from((0.0, 0.0, 0.01, 0.1)))
     fields = _special(rng, state.fields, scheme.h_eps, share)
+    if draw(st.booleans()):
+        # The first interior cells of the sides: dry, at h_eps, or just
+        # wet, so that the imposed-boundary resolver probes either state.
+        edges = (fields[0, ..., [0, -1]] if grid.is_1d
+                 else fields[0, :, [0, -1]])
+        edges[...] = rng.choice([0.0, 0.5 * scheme.h_eps, scheme.h_eps,
+                                 2.0 * scheme.h_eps], edges.shape)
+        if grid.is_1d:
+            fields[0, ..., [0, -1]] = edges
+        else:
+            fields[0, :, [0, -1]] = edges
+            fields[0, [0, -1]] = rng.choice(
+                [0.0, scheme.h_eps, 2.0 * scheme.h_eps], (2, grid.nx))
     soil = draw(st.sampled_from(_SOILS))
     v_inf = None if soil is None else rng.uniform(0.0, 0.02, grid.shape)
     return dict(grid=grid, z=z, fields=fields, bcs=bcs, scheme=scheme,
@@ -1596,6 +1522,8 @@ def step_cases(draw):
 
 
 def _step_outcomes(case, path):
+    """dt, then per step kind: the new state, cumulative infiltrated
+    depth, ledger volumes and next dt, or the fault; and the warnings."""
     grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
     ctx = _context(grid, scheme, case["friction"], case["rain"],
                    soil is not None, path, case["z"], case["bcs"])
@@ -1613,10 +1541,13 @@ def _step_outcomes(case, path):
 
         def run():
             new, ga_new, diag = step(state, ga, 0.5, dt, ctx)
+            # The next step's dt, from the supremum the step left.
+            next_dt = compute_dt(new, grid, scheme, case["bcs"], work)
             return (new.fields, None if ga_new is None else ga_new.v_inf,
-                    *dataclasses.astuple(diag))
+                    *dataclasses.astuple(diag), next_dt)
 
         outcomes.append(_outcome(run, work))
+        outcomes.append(sorted(ctx.warnings.items()))
         # A step leaves its input as it was.
         assert _same_bits(state.fields, fields)
         if ga is not None:
@@ -1627,22 +1558,108 @@ def _step_outcomes(case, path):
 @settings(max_examples=200, deadline=None)
 @given(step_cases())
 def test_steps_and_dt_give_numpys_bits_on_every_path(case):
-    _needs_the_compiled_tail()
+    _needs_the_compiled_step()
     with np.errstate(all="ignore"):
         reference = _step_outcomes(case, "numpy")
         for path in _kernel_paths()[1:]:
             assert _step_outcomes(case, path) == reference
 
 
+def _fault_at(check):
+    """A state, its context pieces and a dt whose Heun step fails the
+    validity check of stage 1, stage 2 or the average."""
+    if check == "average":
+        # A NaN discharge in a nearly dry cell is zeroed by the stages'
+        # dry convention, but the average wets the cell and keeps it.
+        grid, bcs = Grid(nx=3, dx=1.0), BoundarySet(
+            BoundaryCondition("neumann"), BoundaryCondition("wall"))
+        z = np.array([0.04714650583360733, 0.0273554285218727,
+                      0.027282968330621868])
+        h = np.array([0.005637469501803387, 0.0, 0.0008869954198014358])
+        q = np.array([0.0019031576909885619, 0.0005316355215125499, np.nan])
+        return grid, z, State((h, q)), bcs, SchemeConfig(h_eps=1e-3), 1.0
+    config = thin_layer_down_a_step()
+    if check == "stage 1":
+        # A NaN depth reaches the first stage's check.
+        h = config.initial_state.h.copy()
+        h[2] = np.nan
+        state, dt = State((h, np.zeros(4))), 0.1
+    else:
+        # The step the run takes again, from t = 0.5 s: its second stage
+        # starts from faster water.
+        state = run_simulation(dataclasses.replace(
+            config, final_time=0.5)).final_state
+        dt = compute_dt(state, config.grid, config.scheme, config.boundaries)
+    return config.grid, config.topography, state, config.boundaries, \
+        config.scheme, dt
+
+
+@pytest.mark.parametrize("check", ["stage 1", "stage 2", "average"])
+def test_each_check_raises_numpys_fault_on_every_path(check):
+    _needs_the_compiled_step()
+    grid, z, state, bcs, scheme, dt = _fault_at(check)
+    faults = []
+    for path in _kernel_paths():
+        ctx = _context(grid, scheme, FrictionParams(), 0.0, False, path, z,
+                       bcs)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalFault) as fault:
+            heun_step(state, None, 2.0, dt, ctx)
+        if check != "average":
+            # The first stage alone passes its check, or fails it.
+            with np.errstate(all="ignore"), (
+                    pytest.raises(NumericalFault) if check == "stage 1"
+                    else contextlib.nullcontext()):
+                timeloop.euler_step(state, None, 2.0, dt, ctx)
+        faults.append((str(fault.value), fault.value.index, fault.value.time,
+                       sorted(ctx.warnings.items())))
+    assert faults[0][2] == (2.0 + dt if check == "average" else 2.0)
+    assert faults == faults[:1] * len(faults)
+
+
 def test_the_compiled_tail_runs_where_the_compiled_sweep_does():
-    _needs_the_compiled_tail()
+    _needs_the_compiled_step()
     for path in _kernel_paths():
         ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(),
                        0.0, False, path)
-        assert (ctx.work.tail is None) == (path == "numpy")
-    # The tail takes only arrays it can read as they are.
+        assert (ctx.work.compiled is None) == (path == "numpy")
+    # The step takes only arrays it can read as they are.
     ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(), 0.0,
                    False, "c")
-    fields = np.zeros((5, 2)).T
+    state = State(np.zeros((5, 2)).T)
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        ctx.work.tail.speeds(fields)
+        compute_dt(state, ctx.grid, ctx.scheme, WALL, ctx.work)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        heun_step(state, None, 0.0, 0.1, ctx)
+
+
+def test_a_closed_periodic_channel_has_no_boundary_flow():
+    config = _periodic_channel_1d()
+    for path in _kernel_paths():
+        for order in (1, 2):
+            with _sweep_path(path):
+                result = run_simulation(dataclasses.replace(
+                    config, scheme=SchemeConfig(order=order)))
+            assert [(row.boundary_in, row.boundary_out)
+                    for row in result.mass_balance] == [(0.0, 0.0)] * 2
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
+    # As test_a_cell_no_deeper_than_h_eps_takes_the_imposed_regime in
+    # test_boundary.py, through a step on every path.
+    h, q = np.array([1e-8, 1.0, 1.0]), np.array([-1e-6, 0.0, 0.0])
+    grid = Grid(nx=3, ny=2, dx=1.0, dy=1.0) if two_d else Grid(nx=3, dx=1.0)
+    fields = (h, q) if not two_d else (np.tile(h, (2, 1)),
+                                       np.tile(q, (2, 1)), np.zeros((2, 3)))
+    bcs = BoundarySet(left=BoundaryCondition("imposed_depth", depth=0.5))
+    for h_eps, warned in ((1e-6, 0), (1e-12, 1)):
+        steps = []
+        for path in _kernel_paths():
+            ctx = _context(grid, SchemeConfig(h_eps=h_eps), FrictionParams(),
+                           0.0, False, path, bcs=bcs)
+            new, _, _ = timeloop.euler_step(State(fields), None, 0.0, 0.01,
+                                            ctx)
+            assert sum(ctx.warnings.values()) == warned
+            steps.append(_bits(new.fields).tolist())
+        assert steps == steps[:1] * len(steps)
