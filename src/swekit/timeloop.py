@@ -29,8 +29,8 @@ one _Workspace per run and every step writes into it:
 A stage is the ghost fill, the sweep, then its pointwise tail: the
 update fields - phi*dt, rain, infiltration, friction and the validity
 check. A Heun step then averages its two stages and checks the average,
-and the driver takes the next dt from the CFL supremum of |u| + c. A
-step runs one of two ways:
+and run_simulation takes the next dt from the CFL supremum of |u| + c.
+A step runs one of two ways:
 
 * Compiled, wherever a C compiler is found: the step of _native.c,
   driven by _compiled.CompiledStep, does all of it in three foreign
