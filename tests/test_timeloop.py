@@ -1503,16 +1503,11 @@ def step_cases(draw):
     if draw(st.booleans()):
         # The first interior cells of the sides: dry, at h_eps, or just
         # wet, so that the imposed-boundary resolver probes either state.
-        edges = (fields[0, ..., [0, -1]] if grid.is_1d
-                 else fields[0, :, [0, -1]])
-        edges[...] = rng.choice([0.0, 0.5 * scheme.h_eps, scheme.h_eps,
-                                 2.0 * scheme.h_eps], edges.shape)
-        if grid.is_1d:
-            fields[0, ..., [0, -1]] = edges
-        else:
-            fields[0, :, [0, -1]] = edges
-            fields[0, [0, -1]] = rng.choice(
-                [0.0, scheme.h_eps, 2.0 * scheme.h_eps], (2, grid.nx))
+        depths = [0.0, 0.5 * scheme.h_eps, scheme.h_eps, 2.0 * scheme.h_eps]
+        h = fields[0]
+        h[..., [0, -1]] = rng.choice(depths, h[..., [0, -1]].shape)
+        if not grid.is_1d:
+            h[[0, -1]] = rng.choice(depths, h[[0, -1]].shape)
     soil = draw(st.sampled_from(_SOILS))
     v_inf = None if soil is None else rng.uniform(0.0, 0.02, grid.shape)
     return dict(grid=grid, z=z, fields=fields, bcs=bcs, scheme=scheme,
