@@ -656,11 +656,11 @@ class _Workspace:
         (1 in 1D) are summed over the directions, periodic ones aside.
         """
         into = outof = 0.0
-        for (rows, _, _), faces, width, periodic in zip(
+        for (rows, _, _), sides, width, periodic in zip(
                 self.directions, faces, self.widths, self.periodic):
             if periodic:
                 continue
-            low, high = faces[:, 0].tolist() if rows == 1 else faces[:, :rows]
+            low, high = sides[:, 0].tolist() if rows == 1 else sides[:, :rows]
             into += (_positive_sum(low) + _positive_sum(-high)) * width
             outof += (_positive_sum(-low) + _positive_sum(high)) * width
         return float(into), float(outof)
