@@ -1527,9 +1527,13 @@ def _step_outcomes(case, path):
     state = State(fields.copy())
     dt = compute_dt(state, grid, scheme, case["bcs"], work)
     outcomes = [dt.hex()]
-    if not 0.0 < dt < np.inf:
+    if "dt" in case:
+        # A dt of the case's own, whatever the CFL step.
+        dt = case["dt"]
+    elif 0.0 < dt < np.inf:
+        dt *= case["factor"]
+    else:
         return outcomes
-    dt *= case["factor"]
     for step in (timeloop.euler_step, heun_step):
         ga = None if soil is None else GreenAmptState(soil,
                                                       case["v_inf"].copy())
@@ -1553,6 +1557,47 @@ def _step_outcomes(case, path):
 @settings(max_examples=200, deadline=None)
 @given(step_cases())
 def test_steps_and_dt_give_numpys_bits_on_every_path(case):
+    _needs_the_compiled_step()
+    with np.errstate(all="ignore"):
+        reference = _step_outcomes(case, "numpy")
+        for path in _kernel_paths()[1:]:
+            assert _step_outcomes(case, path) == reference
+
+
+@st.composite
+def tail_cases(draw):
+    """A state on a flat walled bed drawn to probe the stage tail and the
+    Heun average: depths at h_eps and slightly negative (to be clamped),
+    special values, every source, and a dt of the case's own, 0 among
+    them (infiltration takes nothing in no time)."""
+    two_d = draw(st.booleans())
+    grid = Grid(nx=draw(st.integers(1, 7)), ny=draw(st.integers(2, 5)),
+                dx=0.5) if two_d else Grid(nx=draw(st.integers(1, 40)), dx=1.0)
+    scheme = SchemeConfig(g=draw(st.sampled_from((9.81, 1.0))),
+                          h_eps=draw(st.sampled_from((1e-12, 1e-3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(grid.shape) + 1, *grid.shape)
+    fields = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
+    fields[1:] = rng.normal(0.0, 0.5, shape)[1:]
+    if draw(st.booleans()):
+        fields[0].flat[::2] = scheme.h_eps
+        fields[0].flat[1::4] = -0.5 * timeloop.NEGATIVE_DEPTH_TOL
+    # Mostly none, so that most examples pass the validity check.
+    share = draw(st.sampled_from((0.0, 0.0, 0.02, 0.2)))
+    fields = _special(rng, fields, scheme.h_eps, share)
+    soil = draw(st.sampled_from(_SOILS))
+    v_inf = None if soil is None else _special(
+        rng, rng.uniform(0.0, 0.02, grid.shape)
+        * (rng.random(grid.shape) < 0.7), 1e-3, share / 4)
+    return dict(grid=grid, z=np.zeros(grid.shape), fields=fields, bcs=WALL,
+                scheme=scheme, friction=draw(st.sampled_from(_FRICTIONS)),
+                rain=draw(st.sampled_from((0.0, 1e-3, 0.05))), soil=soil,
+                v_inf=v_inf, dt=draw(st.sampled_from((0.0, 1e-3, 0.1, 2.0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail_cases())
+def test_the_stage_tail_gives_numpys_bits_on_every_path(case):
     _needs_the_compiled_step()
     with np.errstate(all="ignore"):
         reference = _step_outcomes(case, "numpy")
