@@ -1,15 +1,23 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
 runs: the sweep (struct sweep) and the step (struct step, which holds
-the stage tail's struct tail), and the Python side of a step.
+the stage tail's struct tail), and the Python side of the step.
 
 Each Structure mirrors its C struct member for member. The sweep's
-blocks and the step's block are built once per run. CompiledStep.step
-sets the step's per-step members and drives swekit_step through its
-phases: a Heun step is three foreign calls, cut where numpy still
-computes (the infiltrated volume's pairwise sum and np.cbrt), an Euler
-step two.
+blocks and the step's block are built once per run. CompiledStep runs
+swekit_step three ways: run_simulation's whole time loop (run), one
+step of a given dt (heun_step and euler_step) and compute_dt's supremum
+alone (speeds). One handler, CompiledStep._drive, serves them all: it
+calls the step until it returns STEPPED or DONE, and in between does
+what numpy still computes or decides. At a cut that is np.cbrt of the
+new depth (Manning), the infiltrated depth's pairwise sum and, in 2D,
+_Workspace.boundary_volumes; besides, numpy's validity check of a state
+the step cannot judge, the fault and its retry with half the dt, the
+rain rate, and the sign of a zero smallest depth. So a 1D Manning Heun
+step takes two foreign calls, and a 1D run without Manning or
+infiltration one call per landing interval.
 """
 
+import bisect
 import ctypes
 import math
 
@@ -64,17 +72,23 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
     return ctypes.pointer(SweepBlock(*values))
 
 
+
 # ------------------------------------------------------------ the step
 
 # struct tail's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
 # What swekit_step returns: a validity check's status (the state is
 # valid; a fault at the cell the tail names; or every value is finite
-# but some so large that numpy's check must decide), CUT where numpy
-# computes, and DONE.
-VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE = range(6)
+# but some so large that numpy's check must decide); CUT where numpy
+# computes; DONE; STEPPED where the caller sees the run (a landing, or
+# every step for on_step); RATE where the rain rate's interval ends;
+# BAD_DT where the dt is not positive; ZERO_DEPTH where np.min's zero
+# would lower the smallest depth seen.
+(VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE, STEPPED, RATE,
+ BAD_DT, ZERO_DEPTH) = range(10)
 # The phases of struct step.
-STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, SPEEDS = range(6)
+(BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
+ SPEEDS, FINISHED) = range(11)
 
 
 class TailBlock(ctypes.Structure):
@@ -108,23 +122,34 @@ class Side(ctypes.Structure):
 
 
 class StepBlock(ctypes.Structure):
-    """struct step of _native.c: a step, its workspace and results."""
+    """struct step of _native.c: the run, its workspace and results."""
 
     _fields_ = (
-        [(name, ctypes.c_ssize_t) for name in
-         ("nx", "ny", "nq", "cfl", "face_rows")]
-        + [("friction_scale", ctypes.c_double), ("sides", Side * 4)]
+        [(name, ctypes.c_ssize_t) for name in ("nx", "ny", "nq", "face_rows")]
+        + [(name, ctypes.c_double) for name in
+           ("friction_scale", "cell_area", "courant", "fixed_dt", "final",
+            "atol")]
+        + [("spacing", ctypes.c_double * 2), ("sides", Side * 4)]
         + [(name, ctypes.c_void_p) for name in ("ext", "sweep")]
-        + [("blocks", ctypes.c_void_p * 2), ("faces", ctypes.c_void_p)]
-        + [(name, ctypes.c_ssize_t) for name in
-           ("phase", "heun", "infiltration")]
-        + [(name, ctypes.c_double) for name in ("dt", "rate")]
+        + [("blocks", ctypes.c_void_p * 2)]
         + [(name, ctypes.c_void_p) for name in
-           ("state", "stage", "result", "v_inf", "v_stage", "v_result")]
+           ("faces", "stage", "v_stage", "depth", "check", "handed",
+            "landing")]
+        + [(name, ctypes.c_ssize_t) for name in
+           ("landings", "phase", "heun", "infiltration", "once", "each")]
+        + [(name, ctypes.c_double) for name in
+           ("t", "dt", "rate", "rate_until")]
+        + [(name, ctypes.c_void_p * 2) for name in ("fields", "v_inf")]
+        + [(name, ctypes.c_ssize_t) for name in
+           ("current", "next", "hit", "halvings", "steps", "retried")]
+        + [(name, ctypes.c_double) for name in
+           ("target", "when", "min_depth", "change_rate")]
+        + [(name, ctypes.c_double * n) for name, n in
+           (("cum", 4), ("diag", 4), ("infil", 2), ("flow", 4))]
         + [("mismatches", ctypes.c_ssize_t),
            ("mismatch", ctypes.c_ssize_t * 4),
            ("sup", ctypes.c_double * 2), ("boost", ctypes.c_double),
-           ("flow", ctypes.c_double * 4), ("tail", TailBlock)])
+           ("tail", TailBlock)])
 
 
 def _address(array, shape):
@@ -144,153 +169,244 @@ def _new(shape):
 
 
 class CompiledStep:
-    """swekit_step over a timeloop._Workspace: heun_step's and
-    euler_step's work, bit for bit.
+    """swekit_step over a timeloop._Workspace: run_simulation's time
+    loop, heun_step's and euler_step's work and compute_dt's supremum,
+    bit for bit.
 
-    Between its calls numpy sums the infiltrated depth dv (the float
-    after phi in the workspace's floats) and writes np.cbrt of the new
-    depth into phi's first float (Manning). The step's input, its result
-    and their cumulative infiltrated depths are the caller's arrays; the
-    next step's input is most often the last result, whose address is
-    kept. SPEEDS leaves compute_dt's supremum of the result in the
-    block, read by speeds() while that result is the state asked about.
+    At a cut the step has copied the new depth into the workspace's
+    second float row, of which numpy writes np.cbrt into the first; the
+    infiltrated depth dv is the float after phi. The state and the
+    result are the arrays in self.fields, and their cumulative
+    infiltrated depths those in self.v_inf, at the index the block's
+    current names and the other. The workspace itself is not kept: the
+    caller's context lends it to each run or step.
     """
 
     def __init__(self, library, sweep, work, grid, scheme, bcs,
-                 infiltration, tolerance):
+                 infiltration):
         nq = len(grid.shape)
         floats = work.full.floats
         self.shape, self.grid_shape, self.nq = work.shape, grid.shape, nq
-        self.g, self.nx, self.ny = scheme.g, grid.nx, grid.ny
-        self.cell_area = work.cell_area
-        self.stage_out = work.stage
-        self.cbrt = floats[0]
+        self.g = scheme.g
+        self.cbrt, self.depth = floats[0], floats[1]
         self.dv = floats[nq + 1] if infiltration else None
-        # The step's end-face mass fluxes: (stage, direction, side, row).
-        self.faces = np.empty((2,) + work.faces.shape)
+        # What numpy hands over at a cut: dv's sum, and a 2D stage's
+        # boundary volume rates in and out.
+        self.handed = np.zeros(3)
+        # Where the step copies a state that numpy's check must judge.
+        self.check = work.phi
         self.v_stage = np.empty(grid.shape) if infiltration else None
         tail = TailBlock(
             cells=floats[0].size, nq=nq, g=scheme.g, h_eps=scheme.h_eps,
-            tolerance=tolerance, phi=work.phi.ctypes.data,
+            tolerance=timeloop.NEGATIVE_DEPTH_TOL, phi=work.phi.ctypes.data,
             cbrt=self.cbrt.ctypes.data, speed=floats[1].ctypes.data,
             dv=None if self.dv is None else self.dv.ctypes.data)
         self.sides = [side for pair in SIDES[:nq] for side in pair]
         self.conditions = [getattr(bcs, side) for side in self.sides]
         self.block = StepBlock(
-            nx=grid.nx, ny=grid.ny, nq=nq, cfl=scheme.fixed_dt is None,
-            face_rows=work.faces.shape[-1],
+            nx=grid.nx, ny=grid.ny, nq=nq, face_rows=work.faces.shape[-1],
+            cell_area=work.cell_area, atol=timeloop._TIME_ATOL,
+            spacing=(ctypes.c_double * 2)(*grid.spacings),
             sides=(Side * 4)(*map(Side.of, self.conditions)),
             ext=work.ext.ctypes.data,
             sweep=ctypes.cast(sweep, ctypes.c_void_p).value,
             blocks=(ctypes.c_void_p * 2)(*(
                 ctypes.cast(args[0], ctypes.c_void_p).value
                 for _, args, _ in work.blocks)),
-            faces=self.faces.ctypes.data, stage=work.stage.ctypes.data,
+            faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data,
-            tail=tail)
+            depth=self.depth.ctypes.data, check=self.check.ctypes.data,
+            handed=self.handed.ctypes.data, tail=tail)
         self.pointer = ctypes.pointer(self.block)
-        self.run = library.swekit_step
-        self.input = self.v_input = self.speeds_of = None
+        self.entry = library.swekit_step
+        self.fields = self.v_inf = self.landing = None
         self.friction = self.soil = None
+        self.manning = False
 
-    def _bind_friction(self, friction):
-        """The block's friction, set once per parameter set."""
-        law = friction.law
-        self.block.tail.friction = FRICTION_CODES[law]
-        # The coefficient of sources._damping_factor is this times dt.
-        self.block.friction_scale = (
-            self.g * friction.coefficient**2 if law == "manning"
-            else friction.coefficient / 8.0)
-        self.manning = law == "manning"
-        self.friction = friction
-
-    def _bind_soil(self, ga):
-        """The block's soil, set once per parameter set, and the address
-        of the step's input cumulative depth."""
+    def _bind(self, state, ga, ctx):
+        """The block's state, a new result, friction and soil, for a run
+        or a step from state and the GreenAmptState ga (or None)."""
+        block = self.block
+        block.fields[0] = _address(state.fields, self.shape)
+        result, block.fields[1] = _new(self.shape)
+        self.fields = [state.fields, result]
+        block.current = block.halvings = block.hit = 0
+        friction = ctx.friction
+        if friction is not self.friction:
+            law = friction.law
+            block.tail.friction = FRICTION_CODES[law]
+            # The coefficient of sources._damping_factor is this times dt.
+            block.friction_scale = (
+                self.g * friction.coefficient**2 if law == "manning"
+                else friction.coefficient / 8.0)
+            self.manning = law == "manning"
+            self.friction = friction
+        block.infiltration = ga is not None
+        if ga is None:
+            return
         if self.dv is None:
             raise ValueError("the workspace was built without infiltration")
         params = ga.params
         if params is not self.soil:
-            tail = self.block.tail
+            tail = block.tail
             tail.ks, tail.kc, tail.zc = params.ks, params.kc, params.zc
             tail.hf, tail.dtheta = params.hf, params.dtheta
             tail.crust = params.zc != 0.0
             tail.crust_term = params.zc / params.kc if tail.crust else 0.0
             tail.imax = math.inf if params.imax is None else params.imax
             self.soil = params
-        if ga.v_inf is not self.v_input:
-            self.v_input = ga.v_inf
-            self.block.v_inf = _address(ga.v_inf, self.grid_shape)
+        block.v_inf[0] = _address(ga.v_inf, self.grid_shape)
+        v_result, block.v_inf[1] = _new(self.grid_shape)
+        self.v_inf = [ga.v_inf, v_result]
+
+    def run(self, state, ga, ctx, landing, final_time, min_depth, on_step,
+            land):
+        """run_simulation's time loop from t = 0 to final_time, from state
+        and the GreenAmptState ga (or None), landing on the sorted times
+        landing. Calls on_step(t, state, dt) after every step, if given,
+        and land(t, state, cum) at every landing, with the ledger's sums
+        as a StageDiag. Returns the steps, the retried steps, the last
+        step's change rate, the smallest depth seen (from min_depth on)
+        and the final GreenAmptState (or None). state's array is the
+        first of the two the steps take turns to write."""
+        block, scheme = self.block, ctx.scheme
+        self._bind(state, ga, ctx)
+        self.landing = np.array(landing, dtype=float)
+        block.landing, block.landings = self.landing.ctypes.data, len(landing)
+        block.courant = scheme.cfl_for(self.nq)
+        block.fixed_dt = scheme.fixed_dt or 0.0
+        block.phase, block.final, block.heun = BEGIN, final_time, \
+            scheme.order == 2
+        block.once, block.each = False, on_step is not None
+        block.t = block.change_rate = 0.0
+        block.next = block.steps = block.retried = 0
+        block.cum[:] = (0.0,) * 4
+        block.min_depth = min_depth
+        self._rate(0.0, ctx.rain)
+        spares = [(self.fields, block.fields, self.shape)]
+        if ga is not None:
+            spares.append((self.v_inf, block.v_inf, self.grid_shape))
+        while self._drive(ctx, scheme.fixed_dt is None) == STEPPED:
+            t, current = block.t, block.current
+            # The other arrays hold the last state, which on_step may
+            # keep, and its infiltrated depth: the next results go into
+            # new ones, made after the snapshot's copy, so that the run
+            # holds no more arrays than numpy's driver.
+            for arrays, _, _ in spares:
+                arrays[1 - current] = None
+            state = State(self.fields[current])
+            if on_step is not None:
+                on_step(t, state, block.dt)
+            if block.hit:
+                land(t, state, timeloop.StageDiag(*block.cum))
+            if block.phase == FINISHED:
+                break
+            for arrays, addresses, shape in spares:
+                arrays[1 - current], addresses[1 - current] = _new(shape)
+        if ga is not None:
+            ga = GreenAmptState(ga.params, self.v_inf[block.current])
+        return (block.steps, block.retried, block.change_rate,
+                block.min_depth, ga)
 
     def step(self, state, ga, t, dt, r, ctx, heun):
         """heun_step's work (heun) or euler_step's from state and the
         GreenAmptState ga (or None) at time t, with the rain rate r."""
         block = self.block
-        fields = state.fields
-        if fields is not self.input:
-            self.input = fields
-            block.state = _address(fields, self.shape)
-        new, block.result = _new(self.shape)
-        block.phase, block.heun, block.dt, block.rate = STAGE1, heun, dt, r
-        if ctx.friction is not self.friction:
-            self._bind_friction(ctx.friction)
-        block.infiltration = ga is not None
+        self._bind(state, ga, ctx)
+        block.phase, block.heun, block.t, block.dt = STAGE1, heun, t, dt
+        block.rate, block.once, block.each = r, True, False
+        self._drive(ctx, False)
         if ga is not None:
-            self._bind_soil(ga)
-            v_new, block.v_result = _new(self.grid_shape)
-        infil = [0.0, 0.0]
+            ga = GreenAmptState(ga.params, self.v_inf[1])
+        return State(self.fields[1]), ga, timeloop.StageDiag(*block.diag)
+
+    def speeds(self, fields):
+        """compute_dt's supremum per direction of fields and _bc_speed's
+        speed of the imposed boundary states."""
+        block = self.block
+        block.fields[0] = _address(fields, self.shape)
+        block.current, block.phase = 0, SPEEDS
+        self.entry(self.pointer)
+        return block.sup[:self.nq], block.boost
+
+    def _drive(self, ctx, retry):
+        """Calls the step until it returns STEPPED or DONE, and returns
+        that. At each cut numpy computes what the step left it; any
+        other status goes to _settle. The regime mismatches the fills
+        counted go into ctx.warnings, also when a fault is raised."""
+        block, entry, pointer = self.block, self.entry, self.pointer
+        depth, cbrt, handed, manning = (self.depth, self.cbrt, self.handed,
+                                        self.manning)
+        dv = self.dv if block.infiltration else None
+        volumes = ctx.work.boundary_volumes if self.nq == 2 else None
+        faces = ctx.work.faces
         try:
-            status = self.run(self.pointer)
-            while status != DONE:
-                phase = block.phase
-                out = self.stage_out if heun and phase <= STAGE2 else new
+            while True:
+                status = entry(pointer)
                 if status == CUT:
-                    if ga is not None:
-                        infil[phase // 2] = float(self.dv.sum()) \
-                            * self.cell_area
-                    if self.manning:
-                        np.cbrt(out[0], out=self.cbrt)
+                    if manning:
+                        np.cbrt(depth, out=cbrt)
+                    if dv is not None:
+                        handed[0] = dv.sum()
+                    if volumes is not None:
+                        handed[1], handed[2] = volumes(faces)
+                elif status == STEPPED or status == DONE:
+                    return status
                 else:
-                    # Heun's average is checked at the step's end.
-                    self._check(status, out,
-                                t + dt if heun and phase > AVERAGE else t)
-                status = self.run(self.pointer)
+                    self._settle(status, ctx.rain, retry)
         finally:
             if block.mismatches:
                 self._report(ctx.warnings)
-        self.input = new
-        if block.cfl:
-            self.speeds_of = new
-        if ga is not None:
-            self.v_input = v_new
-            block.v_inf = block.v_result
-            ga = GreenAmptState(ga.params, v_new)
-        block.state = block.result
-        rain_vol = r * dt * self.nx * self.ny * self.cell_area if r > 0.0 \
-            else 0.0
-        if self.nq == 1:
-            flow = block.flow
-        else:
-            flow = [v * dt for k in range(1 + heun)
-                    for v in ctx.work.boundary_volumes(self.faces[k])]
-        diag = timeloop.StageDiag(rain_vol, infil[0], flow[0], flow[1])
-        if heun:
-            diag = timeloop._combine_heun_diags(diag, timeloop.StageDiag(
-                rain_vol, infil[1], flow[2], flow[3]))
-        return State(new), ga, diag
 
-    def _check(self, status, fields, t):
+    def _settle(self, status, rain, retry):
+        """A status other than a cut's: the rain rate from the step's time
+        on (RATE), the smallest depth by np.min (ZERO_DEPTH), or the
+        fault of numpy's driver, which a CFL run (retry) takes again with
+        half the dt at most MAX_STEP_HALVINGS times, as
+        timeloop._advance does."""
+        block = self.block
+        if status == RATE:
+            self._rate(block.t, rain)
+        elif status == ZERO_DEPTH:
+            block.min_depth = min(block.min_depth, float(np.min(
+                self.fields[block.current][0])))
+        elif status == BAD_DT:
+            raise timeloop.NumericalFault(
+                block.t, (0,), f"non-positive time step {block.dt}")
+        else:
+            try:
+                self._check(status)
+            except timeloop.NumericalFault as fault:
+                if not retry or block.halvings == timeloop.MAX_STEP_HALVINGS:
+                    raise
+                timeloop.LOG.info(timeloop.RETRY_MESSAGE, fault,
+                                  0.5 * block.dt)
+                block.phase = RETRY
+
+    def _check(self, status):
         """The NumericalFault _enforce_validity raises, from the status of
-        the step's validity check on fields at time t."""
+        the step's validity check: numpy's own check judges the copy in
+        self.check where the step could not decide."""
+        block = self.block
         if status == UNDECIDED:
-            timeloop._check_finite(fields, t)
+            timeloop._check_finite(self.check, block.when)
             return
-        tail = self.block.tail
+        tail = block.tail
         index = np.unravel_index(tail.cell, self.grid_shape)
         if status == NEGATIVE_DEPTH:
-            raise timeloop.NumericalFault(t, index,
+            raise timeloop.NumericalFault(block.when, index,
                                           f"negative depth {tail.h_min:.3e}")
-        raise timeloop.NumericalFault(t, index, "non-finite state")
+        raise timeloop.NumericalFault(block.when, index, "non-finite state")
+
+    def _rate(self, t, rain):
+        """rain_rate at t for the steps from t on, and the hyetograph's
+        next change, up to which it holds."""
+        block = self.block
+        block.rate = timeloop.rain_rate(t, rain)
+        changes = () if rain is None else rain.change_times()
+        later = bisect.bisect_right(changes, t)
+        block.rate_until = changes[later] if later < len(changes) \
+            else math.inf
 
     def _report(self, warnings):
         """Each regime mismatch the fills counted, as the numpy fills
@@ -301,15 +417,3 @@ class CompiledStep:
                 warnings.append(regime_warning(side, bc))
             block.mismatch[k] = 0
         block.mismatches = 0
-
-    def speeds(self, fields):
-        """compute_dt's supremum per direction of fields and _bc_speed's
-        speed of the imposed boundary states: from the last step where
-        fields is its result, else computed now."""
-        block = self.block
-        if fields is not self.speeds_of:
-            block.result = _address(fields, self.shape)
-            block.phase = SPEEDS
-            self.run(self.pointer)
-            self.speeds_of = fields
-        return block.sup[:self.nq], block.boost

@@ -5,11 +5,12 @@
  *   entry swekit_sweep_<level> per x86 vector level (baseline, avx2),
  *   both compiled from the same code, and swekit_sweep_level, which
  *   reports the widest level the CPU and the OS support;
- * - the step, swekit_step: timeloop.heun_step or euler_step, with the
- *   ghost fill, the sweep at the level the caller bound, the stage tail
- *   (update, rain, infiltration, friction, validity check), the Heun
- *   average and compute_dt's supremum, in phases that stop where numpy
- *   still computes; compiled for the baseline only, but the sweep;
+ * - the step, swekit_step: timeloop.run_simulation's time loop, with
+ *   compute_dt, heun_step or euler_step and the ledger, up to each
+ *   landing time: the ghost fill, the sweep at the level the caller
+ *   bound, the stage tail (update, rain, infiltration, friction,
+ *   validity check) and the Heun average, in phases that stop where
+ *   numpy still computes; compiled for the baseline only, but the sweep;
  * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows,
  *   compiled for the baseline only.
  *
@@ -751,27 +752,43 @@ INLINE void speed_sups(const double *restrict f, idx n, double g,
 
 /* -------------------------------------------------------------- step
  *
- * A whole time step, the twin of timeloop.heun_step and euler_step with
- * the numpy kernels they call. swekit_step runs the step in phases and
- * returns wherever numpy must still compute or decide, so a Heun step
- * takes three calls and an Euler step two:
+ * The time loop, the twin of timeloop.run_simulation's numpy driver with
+ * heun_step or euler_step, compute_dt and the numpy kernels they call.
+ * swekit_step takes steps from the time t up to the next landing time
+ * (an output time, a hyetograph change or the final time) and returns
+ * only where numpy must still compute or decide, or the caller must see
+ * the run. A step runs in phases:
  *
+ * - BEGIN: the landing target, then the CFL dt (compute_dt's supremum
+ *   per direction with _bc_speed's speed of the imposed boundary states,
+ *   in compute_dt's order) or fixed_dt, clipped to land on the target.
  * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
  *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
- *   the caller fills those once per run), every direction's sweep at
- *   the vector level the caller bound (the stage's end-face mass fluxes
- *   go into the step's faces), and the tail's update. Then CUT: the
- *   caller sums the infiltrated depth and writes np.cbrt of the new
- *   depth (Manning).
+ *   the caller fills those once per run), every direction's sweep at the
+ *   vector level the caller bound (the end-face mass fluxes go into
+ *   faces), and the tail's update. Then, with Manning friction,
+ *   infiltration or in 2D, CUT: the caller writes np.cbrt of the new
+ *   depth, which the step copies into depth, into the tail's cbrt row,
+ *   and hands over the infiltrated depth's sum and, in 2D,
+ *   _Workspace.boundary_volumes of the faces.
  * - FINISH1, FINISH2: the tail's friction and validity check.
  * - AVERAGE: Heun's average and its check.
- * - SPEEDS: compute_dt's supremum per direction and _bc_speed's speed
- *   of the imposed boundary states, on the result, for the next dt.
- *   Then DONE.
+ * - ACCEPT: the ledger in Python's order, the count, the new time, the
+ *   change rate of a last step and the smallest depth seen; the result
+ *   becomes the state. Then STEPPED where the step landed, or after
+ *   every step for an on_step caller; DONE after the final time.
  *
  * A check that finds a fault, or cannot decide, returns its status with
- * the phase set to the next one: the caller raises the fault, or runs
- * numpy's check and calls again.
+ * the phase set to the next one and when set to the time numpy's check
+ * reports; an undecided state is copied into check. The caller raises
+ * the fault or sets RETRY, which halves dt and takes the step again; or
+ * runs numpy's check and calls again. The step also returns RATE where
+ * it starts at or after rate_until, for the caller to set the rain rate
+ * the step draws, BAD_DT where the dt is not positive, and ZERO_DEPTH
+ * where the smallest depth seen falls to zero, whose sign np.min decides.
+ * The phase SPEEDS takes the supremum alone, of the state, for
+ * compute_dt; with once set the step stops after one step of the given
+ * dt, for heun_step and euler_step.
  */
 
 /* One side's boundary condition; _compiled.Side mirrors it. kind is the
@@ -785,36 +802,46 @@ struct side {
 
 enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
 
-/* The step and its workspace; _compiled.StepBlock mirrors it. The caller
- * sets the members from phase to v_result for each step. ext is the
- * frame of timeloop._Workspace; blocks are the sweep's blocks of the
- * directions, whose face outputs the step redirects into faces (stage,
- * direction, side, row). mismatch counts each side's regime mismatches
- * (left, right, bottom, top) and mismatches all of them; the caller
- * reports and clears them. sup and boost are SPEEDS' results; flow is
- * the boundary volumes of each stage of a 1D step (in, out). */
+/* The run and its workspace; _compiled.StepBlock mirrors it. The members
+ * up to landings are the run's: ext is the frame of timeloop._Workspace,
+ * blocks are the sweep's blocks of the directions, which write faces
+ * (direction, side, row); handed holds what the caller hands over at a
+ * cut; landing holds the landings sorted. The caller sets those from
+ * phase to current for a run or a step: the state is fields[current] and
+ * the result goes into the other, likewise the cumulative infiltrated
+ * depth in v_inf. The rest is the loop's own, read by the caller:
+ * mismatch counts each side's regime mismatches (left, right, bottom,
+ * top) and mismatches all of them, which the caller reports and clears;
+ * diag is the last step's ledger volumes and cum their sum. */
 struct step {
-    idx nx, ny, nq, cfl, face_rows;
-    double friction_scale;
+    idx nx, ny, nq, face_rows;
+    double friction_scale, cell_area, courant, fixed_dt, final, atol;
+    double spacing[2];
     struct side sides[4];
     double *ext;
     void (*sweep)(const struct sweep *);
     const struct sweep *blocks[2];
-    double *faces;
-    idx phase, heun, infiltration;
-    double dt, rate;
-    const double *state;
-    double *stage, *result;
-    const double *v_inf;
-    double *v_stage, *v_result;
+    double *faces, *stage, *v_stage, *depth, *check;
+    const double *handed, *landing;
+    idx landings;
+    idx phase, heun, infiltration, once, each;
+    double t, dt, rate, rate_until;
+    double *fields[2], *v_inf[2];
+    idx current;
+    idx next, hit, halvings, steps, retried;
+    double target, when, min_depth, change_rate;
+    double cum[4], diag[4], infil[2], flow[4];
     idx mismatches, mismatch[4];
-    double sup[2], boost, flow[4];
+    double sup[2], boost;
     struct tail tail;
 };
 
-enum { STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, SPEEDS, FINISHED };
+enum {
+    BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
+    SPEEDS, FINISHED
+};
 /* What swekit_step returns besides a check's status. */
-enum { CUT = 4, DONE = 5 };
+enum { CUT = 4, DONE, STEPPED, RATE, BAD_DT, ZERO_DEPTH };
 
 /* boundary._resolve_imposed on one cell: the ghost depth and discharge
  * from those of the first interior cell, h and q. Returns whether the
@@ -926,9 +953,9 @@ INLINE double positive(double v)
 
 /* Stage k (0 or 1) up to its cut: the convective update of fields and
  * the tail's update into out, the cumulative infiltrated depth from
- * v_in into v_out. */
-static void stage(struct step *s, int k, const double *fields, double *out,
-                  const double *v_in, double *v_out)
+ * v_in into v_out. Returns whether the caller must compute at a cut. */
+static int stage(struct step *s, int k, const double *fields, double *out,
+                 const double *v_in, double *v_out)
 {
     const idx nx = s->nx, ny = s->ny, nq = s->nq, e = nx + 4;
     const idx plane = nq == 2 ? (ny + 4) * e : e;
@@ -949,19 +976,13 @@ static void stage(struct step *s, int k, const double *fields, double *out,
     }
     s->mismatches = s->mismatch[0] + s->mismatch[1] + s->mismatch[2]
                     + s->mismatch[3];
-    double *faces = s->faces + k * nq * 2 * s->face_rows;
-    for (idx d = 0; d < nq; d++) {
-        struct sweep block = *s->blocks[d];
-        block.faces = faces + d * 2 * s->face_rows;
-        block.faces_side = s->face_rows;
-        block.faces_row = 1;
-        s->sweep(&block);
-    }
+    for (idx d = 0; d < nq; d++)
+        s->sweep(s->blocks[d]);
     if (nq == 1) {
         /* _Workspace.boundary_volumes of a 1D stage, times dt: a
          * periodic seam is no boundary. */
-        double into = 0.0, outof = 0.0, low = faces[0];
-        double high = faces[s->face_rows];
+        double into = 0.0, outof = 0.0, low = s->faces[0];
+        double high = s->faces[s->face_rows];
         if (s->sides[0].kind != PERIODIC) {
             into = 0.0 + (positive(low) + positive(-high));
             outof = 0.0 + (positive(-low) + positive(high));
@@ -980,6 +1001,21 @@ static void stage(struct step *s, int k, const double *fields, double *out,
     t->v_inf = v_in;
     t->v_out = v_out;
     tail_update(t);
+    if (t->friction == MANNING)
+        memcpy(s->depth, out, (size_t)t->cells * sizeof(double));
+    return t->friction == MANNING || s->infiltration || nq == 2;
+}
+
+/* The ledger volumes of stage k that the caller handed over at its cut,
+ * as the numpy step takes them: the infiltrated depth's sum times the
+ * cell area and, in 2D, the boundary volume rates times dt. */
+static void take_handed(struct step *s, int k)
+{
+    s->infil[k] = s->infiltration ? s->handed[0] * s->cell_area : 0.0;
+    if (s->nq == 2) {
+        s->flow[2 * k] = s->handed[1] * s->dt;
+        s->flow[2 * k + 1] = s->handed[2] * s->dt;
+    }
 }
 
 /* numpy's max over n values a stride apart. */
@@ -1027,51 +1063,181 @@ static double imposed_speed(const struct step *s, const double *f)
     return top;
 }
 
+/* compute_dt's supremum per direction and _bc_speed's speed of the
+ * fields f, into sup and boost. */
+static void speeds(struct step *s, const double *f)
+{
+    const struct tail *t = &s->tail;
+    if (s->nq == 1)
+        speed_sups(f, t->cells, t->g, t->h_eps, s->sup, 1);
+    else
+        speed_sups(f, t->cells, t->g, t->h_eps, s->sup, 2);
+    s->boost = imposed_speed(s, f);
+}
+
+/* compute_dt of the fields f: courant * min(d, d / max(sup, boost)) over
+ * the directions, with Python's min and max (the first of equals). */
+static double cfl_dt(struct step *s, const double *f)
+{
+    speeds(s, f);
+    double dt = s->spacing[0];
+    if (s->nq == 2 && s->spacing[1] < dt)
+        dt = s->spacing[1];
+    for (idx k = 0; k < s->nq; k++) {
+        double sup = s->boost > s->sup[k] ? s->boost : s->sup[k];
+        if (sup > 0.0) {
+            double d = s->spacing[k] / sup;
+            dt = d < dt ? d : dt;
+        }
+    }
+    return s->courant * dt;
+}
+
+/* The step's ledger volumes into diag (Heun: 0.5 * (first + second), as
+ * timeloop._combine_heun_diags), rain as timeloop._stage takes it. */
+static void ledger(struct step *s)
+{
+    double rain = s->rate > 0.0 ? s->rate * s->dt * (double)s->nx
+                                      * (double)s->ny * s->cell_area
+                                : 0.0;
+    double first[4] = {rain, s->infil[0], s->flow[0], s->flow[1]};
+    double second[4] = {rain, s->infil[1], s->flow[2], s->flow[3]};
+    for (int k = 0; k < 4; k++)
+        s->diag[k] = s->heun ? 0.5 * (first[k] + second[k]) : first[k];
+}
+
+/* The accepted step from f into r: the run's count, ledger and time, the
+ * change rate of the last step (numpy's max |r - f| over dt) and the
+ * smallest depth seen. Returns ZERO_DEPTH where a depth of zero would
+ * lower it, else VALID. */
+static int accept(struct step *s, const double *f, const double *r)
+{
+    const idx cells = s->tail.cells, values = (s->nq + 1) * cells;
+    s->steps++;
+    s->retried += s->halvings > 0;
+    for (int k = 0; k < 4; k++)
+        s->cum[k] = s->cum[k] + s->diag[k];
+    double t_new = s->hit ? s->target : s->t + s->dt;
+    if (t_new >= s->final - s->atol) {
+        double top = fabs(r[0] - f[0]);
+        for (idx i = 1; i < values; i++)
+            top = np_max(top, fabs(r[i] - f[i]));
+        s->change_rate = top / s->dt;
+    }
+    s->t = t_new;
+    /* Python's min(min_depth, np.min(h)). A state holds no NaN, and the
+     * smallest depth has one value, but a zero one sign or the other. */
+    double lowest = r[0];
+    for (idx i = 1; i < cells; i++)
+        lowest = r[i] < lowest ? r[i] : lowest;
+    if (lowest < s->min_depth) {
+        if (lowest == 0.0)
+            return ZERO_DEPTH;
+        s->min_depth = lowest;
+    }
+    return VALID;
+}
+
 int swekit_step(struct step *s)
 {
     struct tail *t = &s->tail;
-    /* Heun's first stage goes into the workspace, Euler's is the
-     * result. */
-    double *first = s->heun ? s->stage : s->result;
-    double *v_first = s->heun ? s->v_stage : s->v_result;
     for (;;) {
+        /* The state and the result; Heun's first stage goes into the
+         * workspace, Euler's is the result. */
+        const double *f = s->fields[s->current];
+        const double *v = s->v_inf[s->current];
+        double *r = s->fields[1 - s->current];
+        double *v_r = s->v_inf[1 - s->current];
+        double *first = s->heun ? s->stage : r;
+        double *v_first = s->heun ? s->v_stage : v_r;
+        double *checked = r;
         int status = VALID;
-        switch (s->phase++) {
+        switch (s->phase) {
+        case BEGIN:
+            if (!(s->t < s->final - s->atol)) {
+                s->phase = FINISHED;
+                return DONE;
+            }
+            while (s->next < s->landings
+                   && s->landing[s->next] <= s->t + s->atol)
+                s->next++;
+            s->target = s->landing[s->next];
+            if (s->t >= s->rate_until)
+                return RATE;
+            s->dt = s->fixed_dt > 0.0 ? s->fixed_dt : cfl_dt(s, f);
+            if (!(s->dt > 0.0))
+                return BAD_DT;
+            s->hit = s->t + s->dt >= s->target - s->atol;
+            if (s->hit)
+                s->dt = s->target - s->t;
+            s->halvings = 0;
+            s->phase = STAGE1;
+            continue;
+        case RETRY:
+            s->dt = s->dt * 0.5;
+            s->halvings++;
+            s->hit = 0;
+            s->phase = STAGE1;
+            continue;
         case STAGE1:
-            stage(s, 0, s->state, first, s->v_inf, v_first);
-            return CUT;
+            s->phase = FINISH1;
+            if (stage(s, 0, f, first, v, v_first))
+                return CUT;
+            continue;
         case FINISH1:
-            if (!s->heun)
-                s->phase = s->cfl ? SPEEDS : FINISHED;
+            take_handed(s, 0);
+            s->phase = s->heun ? STAGE2 : ACCEPT;
+            s->when = s->t;
+            checked = first;
             status = tail_finish(t);
             break;
         case STAGE2:
-            stage(s, 1, s->stage, s->result, s->v_stage, s->v_result);
-            return CUT;
+            s->phase = FINISH2;
+            if (stage(s, 1, s->stage, r, s->v_stage, v_r))
+                return CUT;
+            continue;
         case FINISH2:
+            take_handed(s, 1);
+            s->phase = AVERAGE;
+            s->when = s->t;
             status = tail_finish(t);
             break;
         case AVERAGE:
-            if (!s->cfl)
-                s->phase = FINISHED;
-            t->fields = s->state;
-            t->out = s->result;
-            t->v_inf = s->v_inf;
-            t->v_out = s->v_result;
+            s->phase = ACCEPT;
+            s->when = s->t + s->dt;
+            t->fields = f;
+            t->out = r;
+            t->v_inf = v;
+            t->v_out = v_r;
             status = tail_average(t);
             break;
+        case ACCEPT:
+            ledger(s);
+            s->current = 1 - s->current;
+            if (s->once) {
+                s->phase = FINISHED;
+                return DONE;
+            }
+            s->phase = REPORT;
+            if (accept(s, f, r) == ZERO_DEPTH)
+                return ZERO_DEPTH;
+            continue;
+        case REPORT:
+            s->phase = s->t < s->final - s->atol ? BEGIN : FINISHED;
+            if (s->each || s->hit)
+                return STEPPED;
+            continue;
         case SPEEDS:
-            if (s->nq == 1)
-                speed_sups(s->result, t->cells, t->g, t->h_eps, s->sup, 1);
-            else
-                speed_sups(s->result, t->cells, t->g, t->h_eps, s->sup, 2);
-            s->boost = imposed_speed(s, s->result);
+            speeds(s, f);
             s->phase = FINISHED;
             return DONE;
         default:
             s->phase = FINISHED;
             return DONE;
         }
+        if (status == UNDECIDED)
+            memcpy(s->check, checked,
+                   (size_t)((s->nq + 1) * t->cells) * sizeof(double));
         if (status != VALID)
             return status;
     }

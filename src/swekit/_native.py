@@ -3,12 +3,12 @@ with ctypes.
 
 It holds three kernels, each the twin of numpy code that stays as its
 fallback and its reference: the sweep (timeloop._Sweep.run), the step
-(timeloop.heun_step and euler_step: the ghost fill, the sweep, the
-stage tail, the Heun average and the CFL supremum, in three foreign
-calls per Heun step, cut where numpy's np.cbrt and pairwise sum still
-run) and the `%.16e` table writer (fileio._write_rows). timeloop and
-fileio bind their entry points from library(); timeloop runs its steps
-all compiled (_compiled.CompiledStep) or all in numpy.
+(run_simulation's time loop with heun_step or euler_step: the CFL dt,
+the ghost fill, the sweep, the stage tail, the Heun average and the
+ledger, up to each landing time, cut where numpy's np.cbrt and pairwise
+sums still run) and the `%.16e` table writer (fileio._write_rows).
+timeloop and fileio bind their entry points from library(); timeloop
+runs its steps all compiled (_compiled.CompiledStep) or all in numpy.
 
 The sweep is compiled once per x86 vector level (SWEEP_LEVELS: the
 baseline and avx2, which AVX-512 CPUs run too), both from the same

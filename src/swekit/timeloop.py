@@ -33,13 +33,13 @@ and run_simulation takes the next dt from the CFL supremum of |u| + c.
 A step runs one of two ways:
 
 * Compiled, wherever a C compiler is found: the step of _native.c,
-  driven by _compiled.CompiledStep, does all of it in three foreign
-  calls per Heun step (two per Euler step). They are cut only where
-  numpy still computes, after each stage's update: the infiltrated
-  volume's pairwise sum, and np.cbrt of the new depth (Manning), whose
-  bits depend on numpy's SIMD dispatch. The last call also takes the
-  supremum the next compute_dt reads. The bed's ghosts are filled once
-  per run; the sweep in the step is the one _sweep_kernel binds.
+  driven by _compiled.CompiledStep, runs the whole time loop up to each
+  landing time. It returns to Python where numpy still computes (np.cbrt
+  of the new depth, whose bits depend on numpy's SIMD dispatch, the
+  infiltrated volume's pairwise sum, a 2D stage's boundary volumes) or
+  decides, and where the caller sees the run. heun_step, euler_step and
+  compute_dt run through it too. The bed's ghosts are filled once per
+  run; the sweep in the step is the one _sweep_kernel binds.
 * In numpy elsewhere: _stage fills the frame with fill_ghosts_1d or
   fill_ghosts_2d, runs the numpy sweep kernel, then _numpy_tail;
   heun_step averages with _numpy_average, and compute_dt calls
@@ -149,6 +149,7 @@ _TIME_ATOL = 1e-12
 # A CFL step whose result fails the validity check is retried with half
 # the dt at most this many times; then its fault is raised.
 MAX_STEP_HALVINGS = 10
+RETRY_MESSAGE = "%s; taking the step again with dt = %.6g"
 
 
 class NumericalFault(RuntimeError):
@@ -209,12 +210,8 @@ class StageDiag:
 
 
 def _combine_heun_diags(d1, d2):
-    return StageDiag(
-        0.5 * (d1.rain_vol + d2.rain_vol),
-        0.5 * (d1.infil_vol + d2.infil_vol),
-        0.5 * (d1.boundary_in_vol + d2.boundary_in_vol),
-        0.5 * (d1.boundary_out_vol + d2.boundary_out_vol),
-    )
+    return StageDiag(*(0.5 * (a + b) for a, b in zip(vars(d1).values(),
+                                                      vars(d2).values())))
 
 
 # ------------------------------------------------------------------ dt
@@ -254,9 +251,8 @@ def compute_dt(state, grid, scheme, bcs=None, work=None):
 
     The supremum runs over wet cells (per direction in 2D) and over any
     imposed boundary states; a fully dry domain falls back to C * d.
-    work, if given, is the run's _Workspace, built with bcs: the numpy
-    supremum runs in its scratch, and the compiled step keeps the one of
-    the state it left (so that state must not change in between).
+    work, if given, is the run's _Workspace, built with bcs: the
+    supremum runs in its scratch, or in its compiled step.
     """
     spacings = grid.spacings
     cfl = scheme.cfl_for(len(spacings))
@@ -585,8 +581,7 @@ class _Workspace:
         ext[:-1] = 0.0
         self.fill([])
         self.compiled = _compiled.CompiledStep(
-            _native.library(), sweep, self, grid, scheme, bcs, infiltration,
-            NEGATIVE_DEPTH_TOL)
+            _native.library(), sweep, self, grid, scheme, bcs, infiltration)
 
     def _numpy_blocks(self, phi, x_rows, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.
@@ -822,8 +817,7 @@ def _advance(step, state, ga, t, dt, ctx, retry):
         except NumericalFault as fault:
             if not retry or halvings == MAX_STEP_HALVINGS:
                 raise
-            LOG.info("%s; taking the step again with dt = %.6g", fault,
-                     0.5 * dt)
+            LOG.info(RETRY_MESSAGE, fault, 0.5 * dt)
         dt *= 0.5
         halvings += 1
 
@@ -911,56 +905,20 @@ def _landing_times(config):
     return sorted(times)
 
 
-def run_simulation(config, on_step=None):
-    """Advance the configured case to its final time.
-
-    on_step, if given, is called as on_step(t, state, dt) after every
-    accepted step. Returns a RunResult with snapshots at t = 0, every
-    requested output time, and the final time, plus a mass-balance
-    ledger verified at each snapshot.
-    """
-    grid = config.grid
-    state = config.initial_state.copy()
-    z = np.asarray(config.topography, dtype=float)
-    ga = None
-    if config.infiltration is not None:
-        ga = GreenAmptState.zeros(config.infiltration, state.h.shape)
-
-    work = _Workspace(grid, z, config.scheme, config.boundaries,
-                      infiltration=ga is not None)
-    ctx = _RunContext(grid, z, config.scheme, config.boundaries,
-                      config.friction, config.rain, _WarningCounter(), work)
-    step = euler_step if config.scheme.order == 1 else heun_step
-    level = f" ({work.level})" if work.level else ""
-    LOG.info("%s: %s sweep kernel%s, %s writer", config.name, work.kernel,
-             level, fileio.writer_name())
-
-    t = 0.0
-    steps = 0
-    retried_steps = 0
+def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
+               land):
+    """run_simulation's time loop in numpy, the twin and the reference of
+    _compiled.CompiledStep.run, with the same arguments and results."""
+    scheme, work = ctx.scheme, ctx.work
+    step = euler_step if scheme.order == 1 else heun_step
+    t, steps, retried_steps, change_rate, target_idx = 0.0, 0, 0, 0.0, 0
     cum = StageDiag()
-    volume0 = total_volume(state, grid)
-    min_depth = float(np.min(state.h))
-    change_rate = 0.0
-
-    snapshots = [(0.0, state.copy())]
-    output_set = {round(float(tt), 12) for tt in config.output_times}
-    output_set.add(round(float(config.final_time), 12))
-    mass_rows = [MassBalanceRow(0.0, volume0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
-
-    landing = _landing_times(config)
-    target_idx = 0
-    final_time = float(config.final_time)
-
     while t < final_time - _TIME_ATOL:
         while target_idx < len(landing) and landing[target_idx] <= t + _TIME_ATOL:
             target_idx += 1
         target = landing[target_idx]
-        if config.scheme.fixed_dt is not None:
-            dt = config.scheme.fixed_dt
-        else:
-            dt = compute_dt(state, grid, config.scheme, config.boundaries,
-                            work)
+        dt = scheme.fixed_dt or compute_dt(state, ctx.grid, scheme, ctx.bcs,
+                                           work)
         if not dt > 0.0:
             raise NumericalFault(t, (0,), f"non-positive time step {dt}")
         hit_target = t + dt >= target - _TIME_ATOL
@@ -968,15 +926,13 @@ def run_simulation(config, on_step=None):
             dt = target - t
 
         new_state, ga, diag, step_dt, halvings = _advance(
-            step, state, ga, t, dt, ctx, config.scheme.fixed_dt is None)
+            step, state, ga, t, dt, ctx, scheme.fixed_dt is None)
         if halvings:
             retried_steps += 1
             dt, hit_target = step_dt, False
         steps += 1
-        cum.rain_vol += diag.rain_vol
-        cum.infil_vol += diag.infil_vol
-        cum.boundary_in_vol += diag.boundary_in_vol
-        cum.boundary_out_vol += diag.boundary_out_vol
+        cum = StageDiag(*(a + b for a, b in zip(vars(cum).values(),
+                                                vars(diag).values())))
 
         t_new = target if hit_target else t + dt
         if t_new >= final_time - _TIME_ATOL:
@@ -990,21 +946,65 @@ def run_simulation(config, on_step=None):
 
         if on_step is not None:
             on_step(t, state, dt)
+        if hit_target:
+            land(t, state, cum)
+    return steps, retried_steps, change_rate, min_depth, ga
 
-        if hit_target and round(t, 12) in output_set:
-            snapshots.append((t, state.copy()))
-            volume = total_volume(state, grid)
-            residual = volume - (volume0 + cum.rain_vol - cum.infil_vol
-                                 + cum.boundary_in_vol - cum.boundary_out_vol)
-            scale = max(abs(volume), abs(volume0), cum.rain_vol,
-                        cum.boundary_in_vol, work.cell_area)
-            rel = abs(residual) / scale
-            if rel > 1e-8:
-                LOG.warning("%s: mass-balance residual %.3e (relative %.3e) at t=%g",
-                            config.name, residual, rel, t)
-            mass_rows.append(MassBalanceRow(
-                t, volume, cum.rain_vol, cum.infil_vol,
-                cum.boundary_in_vol, cum.boundary_out_vol, residual, rel))
+
+def run_simulation(config, on_step=None):
+    """Advance the configured case to its final time.
+
+    on_step, if given, is called as on_step(t, state, dt) after every
+    accepted step, with the new time and the dt the step took; what it
+    changes in state, in place, is the next step's input, dt included.
+    Returns a RunResult with snapshots at t = 0, every requested output
+    time, and the final time, plus a mass-balance ledger verified at
+    each snapshot. The loop runs compiled (_compiled.CompiledStep.run)
+    or in numpy (_numpy_run), with the same bits.
+    """
+    grid = config.grid
+    state = config.initial_state.copy()
+    z = np.asarray(config.topography, dtype=float)
+    ga = None
+    if config.infiltration is not None:
+        ga = GreenAmptState.zeros(config.infiltration, state.h.shape)
+
+    work = _Workspace(grid, z, config.scheme, config.boundaries,
+                      infiltration=ga is not None)
+    ctx = _RunContext(grid, z, config.scheme, config.boundaries,
+                      config.friction, config.rain, _WarningCounter(), work)
+    level = f" ({work.level})" if work.level else ""
+    LOG.info("%s: %s sweep kernel%s, %s writer", config.name, work.kernel,
+             level, fileio.writer_name())
+
+    volume0 = total_volume(state, grid)
+    snapshots = [(0.0, state.copy())]
+    output_set = {round(float(tt), 12)
+                  for tt in (*config.output_times, config.final_time)}
+    mass_rows = [MassBalanceRow(0.0, volume0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+    def land(t, state, cum):
+        """A landing's snapshot and mass row, at an output time t."""
+        if round(t, 12) not in output_set:
+            return
+        snapshots.append((t, state.copy()))
+        volume = total_volume(state, grid)
+        residual = volume - (volume0 + cum.rain_vol - cum.infil_vol
+                             + cum.boundary_in_vol - cum.boundary_out_vol)
+        scale = max(abs(volume), abs(volume0), cum.rain_vol,
+                    cum.boundary_in_vol, work.cell_area)
+        rel = abs(residual) / scale
+        if rel > 1e-8:
+            LOG.warning("%s: mass-balance residual %.3e (relative %.3e) at t=%g",
+                        config.name, residual, rel, t)
+        mass_rows.append(MassBalanceRow(
+            t, volume, cum.rain_vol, cum.infil_vol,
+            cum.boundary_in_vol, cum.boundary_out_vol, residual, rel))
+
+    run = _numpy_run if work.compiled is None else work.compiled.run
+    steps, retried_steps, change_rate, min_depth, ga = run(
+        state, ga, ctx, _landing_times(config), float(config.final_time),
+        float(np.min(state.h)), on_step, land)
 
     for msg in sorted(ctx.warnings):
         LOG.warning("%s: %s", config.name, msg)

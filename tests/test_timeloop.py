@@ -18,10 +18,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swekit import _native, fileio, timeloop
+from swekit import _compiled, _native, fileio, timeloop
 from swekit.analytic import (
     ThackerParams,
     thacker_bowl,
@@ -524,20 +524,23 @@ def test_a_lasting_regime_mismatch_keeps_one_warning_entry():
                                                     np.zeros(n))),
                               final_time=2.0, scheme=SchemeConfig(order=2),
                               boundaries=bcs)
-    contexts = []
+    counters = []
 
-    def spy(state, ga, t, dt, ctx):
-        contexts.append(ctx)
-        return heun_step(state, ga, t, dt, ctx)
+    class Counter(timeloop._WarningCounter):
+        def __init__(self):
+            super().__init__()
+            counters.append(self)
 
-    with mock.patch.object(timeloop, "heun_step", spy):
-        result = run_simulation(config)
-    assert result.steps > 10
-    (message,) = result.warnings
-    assert "right boundary" in message
-    warnings = contexts[-1].warnings
-    assert len(warnings) == 1
-    assert warnings[message] == 2 * result.steps
+    for path in _kernel_paths():
+        with _sweep_path(path), \
+                mock.patch.object(timeloop, "_WarningCounter", Counter):
+            result = run_simulation(config)
+        assert result.steps > 10
+        (message,) = result.warnings
+        assert "right boundary" in message
+        warnings = counters[-1]
+        assert len(warnings) == 1
+        assert warnings[message] == 2 * result.steps
 
 
 # ------------------------------------------------- sweep kernel paths
@@ -599,13 +602,15 @@ def _same_bits(a, b):
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
 # would read 0 in its per-layer metric instead of failing. The compiled
-# step does the work of the helpers the numpy kernels call, so on its
-# path those read 0 and their time is the step's own; the ghost fills
-# still run there once per run, for the bed's ghosts.
+# step does the work of the helpers the numpy kernels call, and its loop
+# that of the step functions and compute_dt, so on its path those read 0
+# and their time is the loop's own; the ghost fills still run there once
+# per run, for the bed's ghosts, and rain_rate once per rain interval.
 
 _KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component",
                    "friction_semi_implicit", "friction_semi_implicit_2d",
-                   "infiltration_step"}
+                   "infiltration_step", "heun_step", "euler_step",
+                   "compute_dt"}
 
 
 def _traced_timeloop_names():
@@ -1252,11 +1257,11 @@ _SIDE_KINDS = st.one_of(
 )
 
 
-def _pair(draw):
+def _pair(draw, kinds=_SIDE_KINDS):
     if draw(st.integers(0, 4)) == 0:
         periodic = BoundaryCondition("periodic")
         return periodic, periodic
-    return draw(_SIDE_KINDS), draw(_SIDE_KINDS)
+    return draw(kinds), draw(kinds)
 
 
 @st.composite
@@ -1473,7 +1478,7 @@ def _workspace_buffers(work):
     if work.kernel == "numpy":
         return buffers + [*work.pool] + ([work.y_div] if work.two_d else [])
     step = work.compiled
-    return buffers + [work.sweep_work, step.faces] + (
+    return buffers + [work.sweep_work, step.handed] + (
         [] if step.v_stage is None else [step.v_stage])
 
 
@@ -1703,3 +1708,277 @@ def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
             assert sum(ctx.warnings.values()) == warned
             steps.append(_bits(new.fields).tolist())
         assert steps == steps[:1] * len(steps)
+
+
+# ------------------------------------------------------- compiled loop
+# The compiled step also runs run_simulation's time loop: the dt, the
+# landings, the ledger, the retries with half the dt and the calls of
+# on_step, returning to Python only where numpy computes or the caller
+# must see the run. Every field of the RunResult, every fault and every
+# INFO line of a retry must be those of numpy's driver, bit for bit.
+
+
+def _run_outcome(config, path, on_step=None):
+    """Every RunResult field as bits (or the fault), and the messages the
+    run logged but the kernel's INFO line, which names the path."""
+    messages = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    level = timeloop.LOG.level
+    timeloop.LOG.addHandler(handler)
+    timeloop.LOG.setLevel(logging.INFO)
+    try:
+        with _sweep_path(path), np.errstate(all="ignore"):
+            result = run_simulation(config, on_step)
+    except NumericalFault as fault:
+        outcome = ("fault", str(fault), fault.index, fault.time)
+    else:
+        outcome = (
+            [(t.hex(), _bits(state.fields).tolist())
+             for t, state in result.snapshots],
+            [tuple(float(v).hex() for v in dataclasses.astuple(row))
+             for row in result.mass_balance],
+            result.steps, result.final_change_rate.hex(),
+            result.min_depth_seen.hex(), result.warnings,
+            None if result.ga_state is None
+            else _bits(result.ga_state.v_inf).tolist(),
+            result.retried_steps)
+    finally:
+        timeloop.LOG.removeHandler(handler)
+        timeloop.LOG.setLevel(level)
+    return outcome, [m for m in messages if "sweep kernel" not in m]
+
+
+# Every side kind, with imposed states that keep a run's dt of order dx.
+_RUN_SIDES = st.one_of(
+    st.just(BoundaryCondition("wall")),
+    st.just(BoundaryCondition("neumann")),
+    st.builds(lambda d: BoundaryCondition("imposed_depth", depth=d),
+              st.floats(0.1, 1.0)),
+    st.builds(lambda q: BoundaryCondition("imposed_discharge", discharge=q),
+              st.floats(-0.3, 0.3)),
+    st.builds(lambda d, q: BoundaryCondition("imposed_both", depth=d,
+                                             discharge=q),
+              st.floats(0.1, 1.0), st.floats(-1.0, 1.0)),
+)
+
+
+def _rain_near_landings():
+    """A wet channel whose rain starts 0.5e-12 s after t = 0 and changes
+    0.5e-12 s after an output time: each first step starts within
+    _TIME_ATOL below a hyetograph change, which is then no landing."""
+    n = 8
+    x = _centers(4.0, n)
+    return SimulationConfig(
+        grid=Grid(nx=n, dx=0.5), topography=0.05 * x,
+        initial_state=State((np.full(n, 0.3), np.full(n, 0.05))),
+        final_time=0.6, output_times=(0.25,), boundaries=NEUMANN,
+        friction=FrictionParams("manning", 0.03),
+        rain=Hyetograph((0.5e-12, 0.25 + 0.5e-12), (1e-3, 4e-3)),
+        infiltration=GreenAmptParams(ks=1e-5, hf=0.1, dtheta=0.3))
+
+
+def _thin_layer_over(drop):
+    """thin_layer_down_a_step with its third cell raised by drop: from
+    2 m on, some step is taken again twice."""
+    config = thin_layer_down_a_step()
+    z = config.topography.copy()
+    z[2] += drop
+    return dataclasses.replace(config, topography=z)
+
+
+def _nan_depth():
+    """A NaN depth: every retry fails, until the fault is raised."""
+    config = thin_layer_down_a_step()
+    h = config.initial_state.h.copy()
+    h[1] = np.nan
+    return dataclasses.replace(config, initial_state=State((h, np.zeros(4))))
+
+
+@st.composite
+def run_cases(draw):
+    """A short run on a random bed: a random state, or in 1D the thin
+    layer of _thin_layer_over on a bed shaken a little, whose steps are
+    often taken again; every boundary kind, friction law and
+    soil, often a fixed dt, output times (one just past the final time),
+    and rain that changes at, or within _TIME_ATOL after, t = 0 or an
+    output time."""
+    two_d = draw(st.booleans())
+    thin = not two_d and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if thin:
+        layer = _thin_layer_over(draw(st.sampled_from((0.0, 0.5, 2.0, 10.0))))
+        grid, shape = layer.grid, layer.grid.shape
+        z = layer.topography + rng.normal(0.0, 0.01, shape)
+        h = layer.initial_state.h
+        discharges = [np.zeros(shape)]
+        left, right = NEUMANN.left, NEUMANN.right
+    else:
+        if two_d:
+            grid = Grid(nx=draw(st.integers(1, 5)), ny=draw(st.integers(2, 4)),
+                        dx=draw(st.floats(0.2, 1.0)),
+                        dy=draw(st.floats(0.2, 1.0)))
+        else:
+            grid = Grid(nx=draw(st.integers(1, 12)),
+                        dx=draw(st.floats(0.2, 1.0)))
+        shape = grid.shape
+        z = rng.uniform(0.0, 1.0, shape) * draw(st.sampled_from((0.0, 0.3)))
+        h = np.maximum(draw(st.floats(0.0, 1.0)) - z, 0.0) \
+            + rng.uniform(0.0, 0.2, shape) * (rng.random(shape) < 0.5)
+        # Wet cells at least 2 cm deep and velocities of order 1, so that
+        # no imposed discharge races onto a film at a tiny dt.
+        h = np.where(h > 0.0, np.maximum(h, 0.02), 0.0)
+        discharges = [h * rng.normal(0.0, 1.0, shape) for _ in shape]
+        left, right = _pair(draw, _RUN_SIDES)
+    bottom, top = _pair(draw, _RUN_SIDES) if two_d \
+        else (BoundaryCondition(),) * 2
+    final = draw(st.sampled_from(
+        (1.0, 2.0) if thin else (0.0, 0.3) if two_d else (0.0, 0.3, 1.0)))
+    outputs = sorted({final * f for f in draw(st.lists(
+        st.sampled_from((0.1, 0.25, 0.5, 1.0)), max_size=3)) if final > 0.0})
+    if final > 0.0 and draw(st.booleans()):
+        outputs.append(final + 0.5e-12)
+    rain = None
+    if draw(st.booleans()):
+        anchor = draw(st.sampled_from([0.0] + outputs))
+        change = anchor + draw(st.sampled_from((0.0, 0.5e-12, 1e-12, 0.2)))
+        times = (0.0, change) if change > 0.0 else (0.0,)
+        rain = Hyetograph(times, [draw(st.sampled_from((0.0, 1e-3, 5e-3)))
+                                  for _ in times])
+    scheme = SchemeConfig(
+        order=2 if thin else draw(st.sampled_from((1, 2))),
+        flux_name=draw(st.sampled_from(("hll", "rusanov"))),
+        fixed_dt=None if thin else draw(st.sampled_from(
+            (None, None, 0.01, 0.07))),
+        h_eps=1e-12 if thin else draw(st.sampled_from((1e-12, 1e-3))))
+    return SimulationConfig(
+        grid=grid, topography=z, initial_state=State((h, *discharges)),
+        final_time=final, scheme=scheme,
+        boundaries=BoundarySet(left, right, bottom, top),
+        friction=FrictionParams() if thin else draw(st.sampled_from(
+            _FRICTIONS)),
+        rain=rain, infiltration=None if thin else draw(st.sampled_from(_SOILS)),
+        output_times=tuple(outputs))
+
+
+@settings(max_examples=150, deadline=None)
+@example(_thin_layer_over(2.0))
+@example(_nan_depth())
+@example(_rain_near_landings())
+@given(run_cases())
+def test_runs_give_numpys_results_bit_for_bit(config):
+    _needs_the_compiled_step()
+    reference = _run_outcome(config, "numpy")
+    for path in _kernel_paths()[1:]:
+        assert _run_outcome(config, path) == reference
+
+
+def test_an_on_step_edit_reaches_the_next_dt_on_every_path():
+    # A bore set off after the first step: the next CFL dt must see it.
+    config = dataclasses.replace(_shock_channel(), final_time=2.0)
+    outcomes = []
+    for path in _kernel_paths():
+        dts = []
+
+        def on_step(t, state, dt):
+            dts.append(dt.hex())
+            if len(dts) == 1:
+                state.q[250] += 20.0
+
+        outcomes.append((_run_outcome(config, path, on_step), dts))
+    (result, _), dts = outcomes[0]
+    assert result[2] == len(dts) == 124
+    assert float.fromhex(dts[1]) < 3e-3
+    assert outcomes == outcomes[:1] * len(outcomes)
+
+
+def test_on_step_sees_every_accepted_step_on_every_path():
+    config = dataclasses.replace(thin_layer_down_a_step(),
+                                 output_times=(0.5, 2.0))
+    outcomes = []
+    for path in _kernel_paths():
+        calls, kept = [], []
+
+        def on_step(t, state, dt):
+            calls.append((t, dt))
+            kept.append((state, state.copy()))
+
+        outcome, messages = _run_outcome(config, path, on_step)
+        steps, retried = outcome[2], outcome[-1]
+        assert len(calls) == steps and retried == 1
+        # t is the new time, dt the one the step took: a landing's t is
+        # its target, any other is the last t plus dt.
+        times = [0.0] + [t for t, _ in calls]
+        for (t, dt), before in zip(calls, times):
+            assert t == before + dt or (
+                t in (0.5, 2.0, 5.0) and t == pytest.approx(before + dt))
+        # The retried step's dt is half the one its first attempt took.
+        (retry,) = [m for m in messages if "taking the step again" in m]
+        halved = float(retry.rpartition("dt = ")[2])
+        assert any(dt == pytest.approx(halved, rel=1e-5) for _, dt in calls)
+        # A state on_step keeps is not written by later steps.
+        assert all(_same_bits(state.fields, copy.fields)
+                   for state, copy in kept)
+        outcomes.append((outcome, messages, calls))
+    assert outcomes == outcomes[:1] * len(outcomes)
+
+
+def test_zero_depths_of_both_signs_give_numpys_smallest_depth():
+    # Only an on_step edit can put -0.0 beside 0.0 into a state: the
+    # step keeps them, and np.min picks the sign of the smallest depth
+    # seen.
+    n = 8
+    z = np.where(np.arange(n) < 4, 1.0, 0.0)
+    config = SimulationConfig(
+        grid=Grid(nx=n, dx=1.0), topography=z,
+        initial_state=State((np.full(n, 0.1), np.full(n, -0.02))),
+        final_time=3.0)
+    outcomes = []
+    for path in _kernel_paths():
+        def on_step(t, state, dt):
+            state.h[:4] = [-0.0, 0.0, -0.0, 0.0]
+            state.q[:4] = 0.0
+
+        outcome, _ = _run_outcome(config, path, on_step)
+        outcomes.append(outcome)
+    assert float.fromhex(outcomes[0][4]) == 0.0
+    assert outcomes == outcomes[:1] * len(outcomes)
+
+
+def _entry_calls(config):
+    """The statuses of every foreign call of the compiled run of config,
+    and its result."""
+    _needs_the_compiled_step()
+    statuses = []
+    init = _compiled.CompiledStep.__init__
+
+    def counted_init(self, *args):
+        init(self, *args)
+        entry = self.entry
+
+        def counted(pointer):
+            statuses.append(entry(pointer))
+            return statuses[-1]
+        self.entry = counted
+
+    with mock.patch.object(_compiled.CompiledStep, "__init__",
+                           counted_init):
+        result = run_simulation(config)
+    assert result.sweep_kernel == "c"
+    return statuses, result
+
+
+def test_a_1d_manning_heun_step_takes_two_foreign_calls():
+    config = dataclasses.replace(_shock_channel(), output_times=(0.2, 0.4))
+    statuses, result = _entry_calls(config)
+    # Two cuts per step, and one more call per landing.
+    assert statuses.count(_compiled.CUT) == 2 * result.steps
+    assert len(statuses) == 2 * result.steps + 3
+
+
+def test_a_1d_run_without_cuts_takes_one_call_per_landing_interval():
+    config = dataclasses.replace(_neumann_channel_1d(),
+                                 output_times=(0.25, 0.5))
+    statuses, result = _entry_calls(config)
+    assert result.steps > 10
+    assert statuses == [_compiled.STEPPED] * 3
