@@ -291,7 +291,7 @@ class CompiledStep:
             # The other arrays hold the last state, which on_step may
             # keep, and its infiltrated depth: the next results go into
             # new ones, made after the snapshot's copy, so that the run
-            # holds no more arrays than numpy's driver.
+            # holds no more arrays than the numpy loop.
             for arrays, _, _ in spares:
                 arrays[1 - current] = None
             state = State(self.fields[current])
@@ -361,7 +361,7 @@ class CompiledStep:
     def _settle(self, status, rain, retry):
         """A status other than a cut's: the rain rate from the step's time
         on (RATE), the smallest depth by np.min (ZERO_DEPTH), or the
-        fault of numpy's driver, which a CFL run (retry) takes again with
+        fault of the numpy loop, which a CFL run (retry) takes again with
         half the dt at most MAX_STEP_HALVINGS times, as
         timeloop._advance does."""
         block = self.block

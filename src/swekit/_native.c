@@ -752,7 +752,7 @@ INLINE void speed_sups(const double *restrict f, idx n, double g,
 
 /* -------------------------------------------------------------- step
  *
- * The time loop, the twin of timeloop.run_simulation's numpy driver with
+ * The time loop, the twin of timeloop.run_simulation's numpy loop with
  * heun_step or euler_step, compute_dt and the numpy kernels they call.
  * swekit_step takes steps from the time t up to the next landing time
  * (an output time, a hyetograph change or the final time) and returns

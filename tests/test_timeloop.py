@@ -1715,7 +1715,7 @@ def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
 # landings, the ledger, the retries with half the dt and the calls of
 # on_step, returning to Python only where numpy computes or the caller
 # must see the run. Every field of the RunResult, every fault and every
-# INFO line of a retry must be those of numpy's driver, bit for bit.
+# INFO line of a retry must be those of the numpy loop, bit for bit.
 
 
 def _run_outcome(config, path, on_step=None):
