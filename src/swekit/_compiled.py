@@ -1,20 +1,9 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
 runs: the sweep (struct sweep) and the step (struct step, which holds
-the stage tail's struct tail), and the Python side of the step.
+the stage tail's struct tail), and the Python side of the step, whose
+loop, cuts and statuses _native.c's step section describes.
 
-Each Structure mirrors its C struct member for member. The sweep's
-blocks and the step's block are built once per run. CompiledStep runs
-swekit_step three ways: run_simulation's whole time loop (run), one
-step of a given dt (heun_step and euler_step) and compute_dt's supremum
-alone (speeds). One handler, CompiledStep._drive, serves them all: it
-calls the step until it returns STEPPED or DONE, and in between does
-what numpy still computes or decides. At a cut that is np.cbrt of the
-new depth (Manning), the infiltrated depth's pairwise sum and, in 2D,
-_Workspace.boundary_volumes; besides, numpy's validity check of a state
-the step cannot judge, the fault and its retry with half the dt, the
-rain rate, and the sign of a zero smallest depth. So a 1D Manning Heun
-step takes two foreign calls, and a 1D run without Manning or
-infiltration one call per landing interval.
+Each Structure mirrors its C struct member for member.
 """
 
 import bisect
@@ -77,16 +66,9 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
 
 # struct tail's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
-# What swekit_step returns: a validity check's status (the state is
-# valid; a fault at the cell the tail names; or every value is finite
-# but some so large that numpy's check must decide); CUT where numpy
-# computes; DONE; STEPPED where the caller sees the run (a landing, or
-# every step for on_step); RATE where the rain rate's interval ends;
-# BAD_DT where the dt is not positive; ZERO_DEPTH where np.min's zero
-# would lower the smallest depth seen.
+# What swekit_step returns, and the phases of struct step.
 (VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE, STEPPED, RATE,
  BAD_DT, ZERO_DEPTH) = range(10)
-# The phases of struct step.
 (BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
  SPEEDS, FINISHED) = range(11)
 
@@ -170,16 +152,9 @@ def _new(shape):
 
 class CompiledStep:
     """swekit_step over a timeloop._Workspace: run_simulation's time
-    loop, heun_step's and euler_step's work and compute_dt's supremum,
-    bit for bit.
-
-    At a cut the step has copied the new depth into the workspace's
-    second float row, of which numpy writes np.cbrt into the first; the
-    infiltrated depth dv is the float after phi. The state and the
-    result are the arrays in self.fields, and their cumulative
-    infiltrated depths those in self.v_inf, at the index the block's
-    current names and the other. The workspace itself is not kept: the
-    caller's context lends it to each run or step.
+    loop (run), heun_step's and euler_step's work (step) and
+    compute_dt's supremum (speeds), bit for bit. The workspace is not
+    kept: the caller's context lends it to each run or step.
     """
 
     def __init__(self, library, sweep, work, grid, scheme, bcs,
@@ -331,9 +306,8 @@ class CompiledStep:
 
     def _drive(self, ctx, retry):
         """Calls the step until it returns STEPPED or DONE, and returns
-        that. At each cut numpy computes what the step left it; any
-        other status goes to _settle. The regime mismatches the fills
-        counted go into ctx.warnings, also when a fault is raised."""
+        that; the fills' regime mismatches go into ctx.warnings, also
+        when a fault is raised."""
         block, entry, pointer = self.block, self.entry, self.pointer
         depth, cbrt, handed, manning = (self.depth, self.cbrt, self.handed,
                                         self.manning)

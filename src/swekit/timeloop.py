@@ -33,13 +33,11 @@ and run_simulation takes the next dt from the CFL supremum of |u| + c.
 A step runs one of two ways:
 
 * Compiled, wherever a C compiler is found: the step of _native.c,
-  driven by _compiled.CompiledStep, runs the whole time loop up to each
-  landing time. It returns to Python where numpy still computes (np.cbrt
-  of the new depth, whose bits depend on numpy's SIMD dispatch, the
-  infiltrated volume's pairwise sum, a 2D stage's boundary volumes) or
-  decides, and where the caller sees the run. heun_step, euler_step and
-  compute_dt run through it too. The bed's ghosts are filled once per
-  run; the sweep in the step is the one _sweep_kernel binds.
+  driven by _compiled.CompiledStep, runs the time loop up to each
+  landing time, and returns to Python only where numpy still computes
+  or decides, or the caller sees the run (_native.c's step section). The
+  bed's ghosts are filled once per run; the sweep in the step is the
+  one _sweep_kernel binds.
 * In numpy elsewhere: _stage fills the frame with fill_ghosts_1d or
   fill_ghosts_2d, runs the numpy sweep kernel, then _numpy_tail;
   heun_step averages with _numpy_average, and compute_dt calls
@@ -210,8 +208,12 @@ class StageDiag:
 
 
 def _combine_heun_diags(d1, d2):
-    return StageDiag(*(0.5 * (a + b) for a, b in zip(vars(d1).values(),
-                                                      vars(d2).values())))
+    return StageDiag(
+        0.5 * (d1.rain_vol + d2.rain_vol),
+        0.5 * (d1.infil_vol + d2.infil_vol),
+        0.5 * (d1.boundary_in_vol + d2.boundary_in_vol),
+        0.5 * (d1.boundary_out_vol + d2.boundary_out_vol),
+    )
 
 
 # ------------------------------------------------------------------ dt
@@ -803,6 +805,10 @@ def heun_step(state, ga, t, dt, ctx):
     return new_state, ga, _combine_heun_diags(d1, d2)
 
 
+# The step helpers as this module defines them; see run_simulation.
+_STEP_HELPERS = (euler_step, heun_step, compute_dt)
+
+
 def _advance(step, state, ga, t, dt, ctx, retry):
     """step(state, ga, t, dt, ctx), halving dt after a NumericalFault.
 
@@ -908,7 +914,8 @@ def _landing_times(config):
 def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
                land):
     """run_simulation's time loop in numpy, the twin and the reference of
-    _compiled.CompiledStep.run, with the same arguments and results."""
+    _compiled.CompiledStep.run, with the same arguments and results; its
+    steps run compiled where the workspace has a compiled step."""
     scheme, work = ctx.scheme, ctx.work
     step = euler_step if scheme.order == 1 else heun_step
     t, steps, retried_steps, change_rate, target_idx = 0.0, 0, 0, 0.0, 0
@@ -917,8 +924,10 @@ def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
         while target_idx < len(landing) and landing[target_idx] <= t + _TIME_ATOL:
             target_idx += 1
         target = landing[target_idx]
-        dt = scheme.fixed_dt or compute_dt(state, ctx.grid, scheme, ctx.bcs,
-                                           work)
+        if scheme.fixed_dt is not None:
+            dt = scheme.fixed_dt
+        else:
+            dt = compute_dt(state, ctx.grid, scheme, ctx.bcs, work)
         if not dt > 0.0:
             raise NumericalFault(t, (0,), f"non-positive time step {dt}")
         hit_target = t + dt >= target - _TIME_ATOL
@@ -931,8 +940,10 @@ def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
             retried_steps += 1
             dt, hit_target = step_dt, False
         steps += 1
-        cum = StageDiag(*(a + b for a, b in zip(vars(cum).values(),
-                                                vars(diag).values())))
+        cum.rain_vol += diag.rain_vol
+        cum.infil_vol += diag.infil_vol
+        cum.boundary_in_vol += diag.boundary_in_vol
+        cum.boundary_out_vol += diag.boundary_out_vol
 
         t_new = target if hit_target else t + dt
         if t_new >= final_time - _TIME_ATOL:
@@ -959,8 +970,9 @@ def run_simulation(config, on_step=None):
     changes in state, in place, is the next step's input, dt included.
     Returns a RunResult with snapshots at t = 0, every requested output
     time, and the final time, plus a mass-balance ledger verified at
-    each snapshot. The loop runs compiled (_compiled.CompiledStep.run)
-    or in numpy (_numpy_run), with the same bits.
+    each snapshot. The loop runs compiled (_compiled.CompiledStep.run),
+    or in numpy (_numpy_run) where the sweep does or a step helper is
+    rebound (a profiler's wrapper), with the same bits.
     """
     grid = config.grid
     state = config.initial_state.copy()
@@ -979,8 +991,8 @@ def run_simulation(config, on_step=None):
 
     volume0 = total_volume(state, grid)
     snapshots = [(0.0, state.copy())]
-    output_set = {round(float(tt), 12)
-                  for tt in (*config.output_times, config.final_time)}
+    output_set = {round(float(tt), 12) for tt in config.output_times}
+    output_set.add(round(float(config.final_time), 12))
     mass_rows = [MassBalanceRow(0.0, volume0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
 
     def land(t, state, cum):
@@ -1001,7 +1013,9 @@ def run_simulation(config, on_step=None):
             t, volume, cum.rain_vol, cum.infil_vol,
             cum.boundary_in_vol, cum.boundary_out_vol, residual, rel))
 
-    run = _numpy_run if work.compiled is None else work.compiled.run
+    compiled = work.compiled is not None and \
+        (euler_step, heun_step, compute_dt) == _STEP_HELPERS
+    run = work.compiled.run if compiled else _numpy_run
     steps, retried_steps, change_rate, min_depth, ga = run(
         state, ga, ctx, _landing_times(config), float(config.final_time),
         float(np.min(state.h)), on_step, land)

@@ -602,15 +602,14 @@ def _same_bits(a, b):
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
 # would read 0 in its per-layer metric instead of failing. The compiled
-# step does the work of the helpers the numpy kernels call, and its loop
-# that of the step functions and compute_dt, so on its path those read 0
-# and their time is the loop's own; the ghost fills still run there once
-# per run, for the bed's ghosts, and rain_rate once per rain interval.
+# step does the work of the helpers the numpy kernels call, so on its
+# path those read 0 and their time is the step's own; the ghost fills
+# still run there once per run, for the bed's ghosts. A rebound step
+# function or compute_dt is called every step on every path.
 
 _KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component",
                    "friction_semi_implicit", "friction_semi_implicit_2d",
-                   "infiltration_step", "heun_step", "euler_step",
-                   "compute_dt"}
+                   "infiltration_step"}
 
 
 def _traced_timeloop_names():
@@ -1943,6 +1942,28 @@ def test_zero_depths_of_both_signs_give_numpys_smallest_depth():
         outcomes.append(outcome)
     assert float.fromhex(outcomes[0][4]) == 0.0
     assert outcomes == outcomes[:1] * len(outcomes)
+
+
+@pytest.mark.parametrize("name", ["euler_step", "heun_step", "compute_dt"])
+def test_a_rebound_step_helper_is_called_every_step_on_every_path(name):
+    # A profiler's wrapper of one of them must see every step, with the
+    # bits of the run that does not rebind it.
+    config = dataclasses.replace(
+        _wet_plot(False, 1 if name == "euler_step" else 2, "hll"),
+        final_time=5.0, output_times=(1.0,))
+    reference = _run_outcome(config, "numpy")
+    for path in _kernel_paths():
+        calls = []
+        helper = getattr(timeloop, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return helper(*args, **kwargs)
+
+        with mock.patch.object(timeloop, name, counted):
+            outcome = _run_outcome(config, path)
+        assert outcome == reference
+        assert len(calls) == outcome[0][2] > 5
 
 
 def _entry_calls(config):
