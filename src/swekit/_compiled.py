@@ -1,7 +1,7 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
-runs: the sweep (struct sweep) and the step (struct step, which holds
-the stage tail's struct tail), and the Python side of the step, whose
-loop, cuts and statuses _native.c's step section describes.
+runs: the sweep (struct sweep) and the step (struct step), and the
+Python side of the step, the compiled time loop, whose cuts and statuses
+_native.c's step section describes.
 
 Each Structure mirrors its C struct member for member.
 """
@@ -61,31 +61,15 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
     return ctypes.pointer(SweepBlock(*values))
 
 
-
 # ------------------------------------------------------------ the step
 
-# struct tail's code of each friction law.
+# struct step's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
 # What swekit_step returns, and the phases of struct step.
 (VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE, STEPPED, RATE,
  BAD_DT, ZERO_DEPTH) = range(10)
 (BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
- SPEEDS, FINISHED) = range(11)
-
-
-class TailBlock(ctypes.Structure):
-    """struct tail of _native.c: the stage tail and the scheme."""
-
-    _fields_ = (
-        [(name, ctypes.c_ssize_t) for name in
-         ("cells", "nq", "friction", "rain", "infiltration", "crust")]
-        + [(name, ctypes.c_double) for name in
-           ("g", "h_eps", "tolerance", "dt", "rain_dt", "coeff", "ks", "kc",
-            "zc", "hf", "dtheta", "crust_term", "imax")]
-        + [(name, ctypes.c_void_p) for name in
-           ("phi", "cbrt", "speed", "dv", "fields", "out", "v_inf",
-            "v_out")]
-        + [("cell", ctypes.c_ssize_t), ("h_min", ctypes.c_double)])
+ FINISHED) = range(10)
 
 
 class Side(ctypes.Structure):
@@ -107,31 +91,32 @@ class StepBlock(ctypes.Structure):
     """struct step of _native.c: the run, its workspace and results."""
 
     _fields_ = (
-        [(name, ctypes.c_ssize_t) for name in ("nx", "ny", "nq", "face_rows")]
+        [(name, ctypes.c_ssize_t) for name in
+         ("nx", "ny", "nq", "cells", "face_rows", "friction", "crust")]
         + [(name, ctypes.c_double) for name in
-           ("friction_scale", "cell_area", "courant", "fixed_dt", "final",
-            "atol")]
+           ("g", "h_eps", "tolerance", "friction_scale", "cell_area",
+            "courant", "fixed_dt", "final", "atol", "ks", "kc", "zc", "hf",
+            "dtheta", "crust_term", "imax")]
         + [("spacing", ctypes.c_double * 2), ("sides", Side * 4)]
         + [(name, ctypes.c_void_p) for name in ("ext", "sweep")]
         + [("blocks", ctypes.c_void_p * 2)]
         + [(name, ctypes.c_void_p) for name in
-           ("faces", "stage", "v_stage", "depth", "check", "handed",
-            "landing")]
+           ("phi", "cbrt", "speed", "dv", "faces", "stage", "v_stage",
+            "depth", "check", "handed", "landing")]
         + [(name, ctypes.c_ssize_t) for name in
-           ("landings", "phase", "heun", "infiltration", "once", "each")]
+           ("landings", "phase", "heun", "infiltration", "each")]
         + [(name, ctypes.c_double) for name in
            ("t", "dt", "rate", "rate_until")]
         + [(name, ctypes.c_void_p * 2) for name in ("fields", "v_inf")]
         + [(name, ctypes.c_ssize_t) for name in
-           ("current", "next", "hit", "halvings", "steps", "retried")]
+           ("current", "next", "hit", "halvings", "steps", "retried",
+            "cell")]
         + [(name, ctypes.c_double) for name in
-           ("target", "when", "min_depth", "change_rate")]
+           ("target", "when", "min_depth", "change_rate", "h_min")]
         + [(name, ctypes.c_double * n) for name, n in
-           (("cum", 4), ("diag", 4), ("infil", 2), ("flow", 4))]
+           (("cum", 4), ("infil", 2), ("flow", 4))]
         + [("mismatches", ctypes.c_ssize_t),
-           ("mismatch", ctypes.c_ssize_t * 4),
-           ("sup", ctypes.c_double * 2), ("boost", ctypes.c_double),
-           ("tail", TailBlock)])
+           ("mismatch", ctypes.c_ssize_t * 4)])
 
 
 def _address(array, shape):
@@ -152,9 +137,8 @@ def _new(shape):
 
 class CompiledStep:
     """swekit_step over a timeloop._Workspace: run_simulation's time
-    loop (run), heun_step's and euler_step's work (step) and
-    compute_dt's supremum (speeds), bit for bit. The workspace is not
-    kept: the caller's context lends it to each run or step.
+    loop (run), bit for bit that of timeloop._numpy_run. The workspace is
+    not kept: the caller's context lends it to each run.
     """
 
     def __init__(self, library, sweep, work, grid, scheme, bcs,
@@ -171,16 +155,13 @@ class CompiledStep:
         # Where the step copies a state that numpy's check must judge.
         self.check = work.phi
         self.v_stage = np.empty(grid.shape) if infiltration else None
-        tail = TailBlock(
-            cells=floats[0].size, nq=nq, g=scheme.g, h_eps=scheme.h_eps,
-            tolerance=timeloop.NEGATIVE_DEPTH_TOL, phi=work.phi.ctypes.data,
-            cbrt=self.cbrt.ctypes.data, speed=floats[1].ctypes.data,
-            dv=None if self.dv is None else self.dv.ctypes.data)
         self.sides = [side for pair in SIDES[:nq] for side in pair]
         self.conditions = [getattr(bcs, side) for side in self.sides]
         self.block = StepBlock(
-            nx=grid.nx, ny=grid.ny, nq=nq, face_rows=work.faces.shape[-1],
-            cell_area=work.cell_area, atol=timeloop._TIME_ATOL,
+            nx=grid.nx, ny=grid.ny, nq=nq, cells=floats[0].size,
+            face_rows=work.faces.shape[-1], g=scheme.g, h_eps=scheme.h_eps,
+            tolerance=timeloop.NEGATIVE_DEPTH_TOL, cell_area=work.cell_area,
+            atol=timeloop._TIME_ATOL,
             spacing=(ctypes.c_double * 2)(*grid.spacings),
             sides=(Side * 4)(*map(Side.of, self.conditions)),
             ext=work.ext.ctypes.data,
@@ -188,48 +169,43 @@ class CompiledStep:
             blocks=(ctypes.c_void_p * 2)(*(
                 ctypes.cast(args[0], ctypes.c_void_p).value
                 for _, args, _ in work.blocks)),
+            phi=work.phi.ctypes.data, cbrt=self.cbrt.ctypes.data,
+            speed=floats[1].ctypes.data,
+            dv=None if self.dv is None else self.dv.ctypes.data,
             faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data,
             depth=self.depth.ctypes.data, check=self.check.ctypes.data,
-            handed=self.handed.ctypes.data, tail=tail)
+            handed=self.handed.ctypes.data)
         self.pointer = ctypes.pointer(self.block)
         self.entry = library.swekit_step
         self.fields = self.v_inf = self.landing = None
-        self.friction = self.soil = None
         self.manning = False
 
     def _bind(self, state, ga, ctx):
         """The block's state, a new result, friction and soil, for a run
-        or a step from state and the GreenAmptState ga (or None)."""
+        from state and the GreenAmptState ga (or None)."""
         block = self.block
         block.fields[0] = _address(state.fields, self.shape)
         result, block.fields[1] = _new(self.shape)
         self.fields = [state.fields, result]
         block.current = block.halvings = block.hit = 0
-        friction = ctx.friction
-        if friction is not self.friction:
-            law = friction.law
-            block.tail.friction = FRICTION_CODES[law]
-            # The coefficient of sources._damping_factor is this times dt.
-            block.friction_scale = (
-                self.g * friction.coefficient**2 if law == "manning"
-                else friction.coefficient / 8.0)
-            self.manning = law == "manning"
-            self.friction = friction
+        law, coefficient = ctx.friction.law, ctx.friction.coefficient
+        block.friction = FRICTION_CODES[law]
+        # The coefficient of sources._damping_factor is this times dt.
+        block.friction_scale = (self.g * coefficient**2 if law == "manning"
+                                else coefficient / 8.0)
+        self.manning = law == "manning"
         block.infiltration = ga is not None
         if ga is None:
             return
         if self.dv is None:
             raise ValueError("the workspace was built without infiltration")
         params = ga.params
-        if params is not self.soil:
-            tail = block.tail
-            tail.ks, tail.kc, tail.zc = params.ks, params.kc, params.zc
-            tail.hf, tail.dtheta = params.hf, params.dtheta
-            tail.crust = params.zc != 0.0
-            tail.crust_term = params.zc / params.kc if tail.crust else 0.0
-            tail.imax = math.inf if params.imax is None else params.imax
-            self.soil = params
+        block.ks, block.kc, block.zc = params.ks, params.kc, params.zc
+        block.hf, block.dtheta = params.hf, params.dtheta
+        block.crust = params.zc != 0.0
+        block.crust_term = params.zc / params.kc if block.crust else 0.0
+        block.imax = math.inf if params.imax is None else params.imax
         block.v_inf[0] = _address(ga.v_inf, self.grid_shape)
         v_result, block.v_inf[1] = _new(self.grid_shape)
         self.v_inf = [ga.v_inf, v_result]
@@ -252,7 +228,7 @@ class CompiledStep:
         block.fixed_dt = scheme.fixed_dt or 0.0
         block.phase, block.final, block.heun = BEGIN, final_time, \
             scheme.order == 2
-        block.once, block.each = False, on_step is not None
+        block.each = on_step is not None
         block.t = block.change_rate = 0.0
         block.next = block.steps = block.retried = 0
         block.cum[:] = (0.0,) * 4
@@ -282,27 +258,6 @@ class CompiledStep:
             ga = GreenAmptState(ga.params, self.v_inf[block.current])
         return (block.steps, block.retried, block.change_rate,
                 block.min_depth, ga)
-
-    def step(self, state, ga, t, dt, r, ctx, heun):
-        """heun_step's work (heun) or euler_step's from state and the
-        GreenAmptState ga (or None) at time t, with the rain rate r."""
-        block = self.block
-        self._bind(state, ga, ctx)
-        block.phase, block.heun, block.t, block.dt = STAGE1, heun, t, dt
-        block.rate, block.once, block.each = r, True, False
-        self._drive(ctx, False)
-        if ga is not None:
-            ga = GreenAmptState(ga.params, self.v_inf[1])
-        return State(self.fields[1]), ga, timeloop.StageDiag(*block.diag)
-
-    def speeds(self, fields):
-        """compute_dt's supremum per direction of fields and _bc_speed's
-        speed of the imposed boundary states."""
-        block = self.block
-        block.fields[0] = _address(fields, self.shape)
-        block.current, block.phase = 0, SPEEDS
-        self.entry(self.pointer)
-        return block.sup[:self.nq], block.boost
 
     def _drive(self, ctx, retry):
         """Calls the step until it returns STEPPED or DONE, and returns
@@ -365,11 +320,10 @@ class CompiledStep:
         if status == UNDECIDED:
             timeloop._check_finite(self.check, block.when)
             return
-        tail = block.tail
-        index = np.unravel_index(tail.cell, self.grid_shape)
+        index = np.unravel_index(block.cell, self.grid_shape)
         if status == NEGATIVE_DEPTH:
             raise timeloop.NumericalFault(block.when, index,
-                                          f"negative depth {tail.h_min:.3e}")
+                                          f"negative depth {block.h_min:.3e}")
         raise timeloop.NumericalFault(block.when, index, "non-finite state")
 
     def _rate(self, t, rain):

@@ -42,7 +42,7 @@
  * are GCC's, on x86-64: built elsewhere, or by another compiler, the
  * library holds the baseline entry only.
  *
- * The stage tail, the step and the writer are described at their
+ * The step, with its stage tail, and the writer are described at their
  * sections, after the sweep.
  */
 
@@ -450,11 +450,47 @@ int swekit_sweep_level(void)
 #endif
 }
 
-/* -------------------------------------------------------- stage tail
+/* -------------------------------------------------------------- step
  *
- * The pointwise work of a stage outside the sweep, the twin of
- * timeloop._numpy_tail, _numpy_average and _wave_speed_sups, which the
- * step below runs:
+ * The time loop, the twin of timeloop._numpy_run, the numpy loop, with
+ * the numpy step helpers it calls: compute_dt, heun_step or euler_step,
+ * and the numpy kernels they call. No other compiled code takes a step:
+ * those helpers run in numpy alone, over the sweep the build bound, where
+ * the numpy loop calls them. swekit_step takes steps from the time t up
+ * to the next landing time (an output time, a hyetograph change or the
+ * final time) and returns only where numpy must still compute or decide,
+ * or the caller must see the run. A step runs in phases:
+ *
+ * - BEGIN: the landing target, then the CFL dt (compute_dt's supremum
+ *   per direction with _bc_speed's speed of the imposed boundary states,
+ *   in compute_dt's order) or fixed_dt, clipped to land on the target.
+ * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
+ *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
+ *   the caller fills those once per run), every direction's sweep at the
+ *   vector level the caller bound (the end-face mass fluxes go into
+ *   faces), and the tail's update. Then, with Manning friction,
+ *   infiltration or in 2D, CUT: the caller writes np.cbrt of the new
+ *   depth, which the step copies into depth, into the tail's cbrt row,
+ *   and hands over the infiltrated depth's sum and, in 2D,
+ *   _Workspace.boundary_volumes of the faces.
+ * - FINISH1, FINISH2: the tail's friction and validity check.
+ * - AVERAGE: Heun's average and its check.
+ * - ACCEPT: the ledger in Python's order, the count, the new time, the
+ *   change rate of a last step and the smallest depth seen; the result
+ *   becomes the state. Then STEPPED where the step landed, or after
+ *   every step for an on_step caller; DONE after the final time.
+ *
+ * A check that finds a fault, or cannot decide, returns its status with
+ * the phase set to the next one and when set to the time numpy's check
+ * reports; an undecided state is copied into check. The caller raises
+ * the fault or sets RETRY, which halves dt and takes the step again; or
+ * runs numpy's check and calls again. The step also returns RATE where
+ * it starts at or after rate_until, for the caller to set the rain rate
+ * the step draws, BAD_DT where the dt is not positive, and ZERO_DEPTH
+ * where the smallest depth seen falls to zero, whose sign np.min decides.
+ *
+ * The stage tail is a stage's pointwise work outside the sweep, the twin
+ * of timeloop._numpy_tail, _numpy_average and _wave_speed_sups:
  *
  * - tail_update: the update fields - phi*dt, rain h + r*dt, and
  *   Green-Ampt infiltration (sources.infiltration_step, with
@@ -473,46 +509,83 @@ int swekit_sweep_level(void)
  * depth into cbrt between update and finish), and sums, which numpy
  * takes pairwise (the caller sums dv). hypot is libm's, which numpy's
  * hypot calls too. The passes are bound by memory, not arithmetic, so
- * they are compiled for the baseline only. Arrays are C-contiguous:
- * fields, out and phi (nq + 1, cells), the rest (cells,).
+ * they are compiled for the baseline only, as is the rest of the step
+ * but the sweep. Arrays are C-contiguous: the fields and phi
+ * (nq + 1, cells), the rest (cells,).
  */
 
-/* One stage's tail and the scheme; _compiled.TailBlock mirrors it. The
- * step sets rain, infiltration, dt, rain_dt, coeff and the arrays from
- * fields on for each stage; the last two members are results. imax is
- * +inf without a cap, which np_min(capacity, imax) then returns as
- * capacity, bit for bit. phi is not read after the update, so cbrt and
- * speed are two of its rows. */
-struct tail {
-    idx cells, nq, friction, rain, infiltration, crust;
-    double g, h_eps, tolerance, dt, rain_dt, coeff;
-    double ks, kc, zc, hf, dtheta, crust_term, imax;
-    const double *phi;
-    double *cbrt, *speed, *dv;
-    const double *fields;
-    double *out;
-    const double *v_inf;
-    double *v_out;
-    idx cell;
-    double h_min;
+/* One side's boundary condition; _compiled.Side mirrors it. kind is the
+ * index in boundary.BC_KINDS. depth and discharge are 0.0 where the
+ * condition sets none, and imposed_h and imposed_q say whether it sets
+ * them. */
+struct side {
+    idx kind, imposed_h, imposed_q;
+    double depth, discharge;
 };
 
+enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
+
+/* The run and its workspace; _compiled.StepBlock mirrors it. The members
+ * up to landings are the run's: the scheme, the friction law and its
+ * coefficient's factor, the soil (imax is +inf without a cap, which
+ * np_min(capacity, imax) then returns as capacity, bit for bit); ext is
+ * the frame of timeloop._Workspace, blocks are the sweep's blocks of the
+ * directions, which write phi and faces (direction, side, row); phi is
+ * not read after the update, so cbrt and speed are two of its rows; dv
+ * receives the infiltrated depth; handed holds what the caller hands
+ * over at a cut; landing holds the landings sorted. The caller sets those
+ * from phase to current for a run: the state is fields[current] and the
+ * result goes into the other, likewise the cumulative infiltrated depth
+ * in v_inf. The rest is the loop's own, read by the caller: cell and
+ * h_min place a check's fault; mismatch counts each side's regime
+ * mismatches (left, right, bottom, top) and mismatches all of them,
+ * which the caller reports and clears; cum holds the ledger's sums. */
+struct step {
+    idx nx, ny, nq, cells, face_rows, friction, crust;
+    double g, h_eps, tolerance, friction_scale, cell_area, courant;
+    double fixed_dt, final, atol;
+    double ks, kc, zc, hf, dtheta, crust_term, imax;
+    double spacing[2];
+    struct side sides[4];
+    double *ext;
+    void (*sweep)(const struct sweep *);
+    const struct sweep *blocks[2];
+    const double *phi;
+    double *cbrt, *speed, *dv, *faces, *stage, *v_stage, *depth, *check;
+    const double *handed, *landing;
+    idx landings;
+    idx phase, heun, infiltration, each;
+    double t, dt, rate, rate_until;
+    double *fields[2], *v_inf[2];
+    idx current;
+    idx next, hit, halvings, steps, retried, cell;
+    double target, when, min_depth, change_rate, h_min;
+    double cum[4], infil[2], flow[4];
+    idx mismatches, mismatch[4];
+};
+
+enum {
+    BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
+    FINISHED
+};
 enum { MANNING = 1, DARCY_WEISBACH = 2 };
 /* What the validity check returns. UNDECIDED: every value is finite but
  * one is so large that numpy's sum of them might overflow, which numpy's
  * check counts as a fault; the caller runs that check. */
 enum { VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED };
+/* What swekit_step returns besides a check's status. */
+enum { CUT = 4, DONE, STEPPED, RATE, BAD_DT, ZERO_DEPTH };
 
 /* sources.infiltration_step on the n depths h, for dt > 0: the
  * infiltrated depth into dv, the new cumulative depth into v_out. crust
  * is a constant where this is inlined. */
-INLINE void infiltrate(const struct tail *t, idx n, double *restrict h,
+INLINE void infiltrate(const struct step *s, idx n, double *restrict h,
                        const double *restrict v, double *restrict dv,
                        double *restrict v_out, int crust)
 {
-    const double dt = t->dt, dtheta = t->dtheta, hf = t->hf, ks = t->ks;
-    const double kc = t->kc, zc = t->zc, crust_term = t->crust_term;
-    const double imax = t->imax;
+    const double dt = s->dt, dtheta = s->dtheta, hf = s->hf, ks = s->ks;
+    const double kc = s->kc, zc = s->zc, crust_term = s->crust_term;
+    const double imax = s->imax;
     for (idx i = 0; i < n; i++) {
         /* infiltration_capacity: K (1 + (hf + h) / z_front), inf where
          * the front has not started. */
@@ -546,26 +619,24 @@ INLINE void subtract_update(const double *restrict f,
         out[i] = f[i] - phi[i] * dt;
 }
 
-static void tail_update(const struct tail *t)
+/* The update of fields into h, and the cumulative infiltrated depth
+ * from v into v_out. */
+static void tail_update(const struct step *s, const double *fields,
+                        double *h, const double *v, double *v_out)
 {
-    const idx n = t->cells;
-    double *h = t->out;
-    subtract_update(t->fields, t->phi, h, (t->nq + 1) * n, t->dt);
-    if (t->rain)
+    const idx n = s->cells;
+    subtract_update(fields, s->phi, h, (s->nq + 1) * n, s->dt);
+    if (s->rate > 0.0) {
+        const double rain_dt = s->rate * s->dt;
         for (idx i = 0; i < n; i++)
-            h[i] = h[i] + t->rain_dt;
-    if (!t->infiltration)
+            h[i] = h[i] + rain_dt;
+    }
+    if (!s->infiltration)
         return;
-    if (!(t->dt > 0.0)) {
-        /* infiltration_step infiltrates nothing in no time. */
-        for (idx i = 0; i < n; i++) {
-            t->dv[i] = 0.0;
-            t->v_out[i] = t->v_inf[i];
-        }
-    } else if (t->crust)
-        infiltrate(t, n, h, t->v_inf, t->dv, t->v_out, 1);
+    if (s->crust)
+        infiltrate(s, n, h, v, s->dv, v_out, 1);
     else
-        infiltrate(t, n, h, t->v_inf, t->dv, t->v_out, 0);
+        infiltrate(s, n, h, v, s->dv, v_out, 0);
 }
 
 /* The discharges q (nq rows of n) divided by the damping factor, built
@@ -635,9 +706,9 @@ INLINE int dry_and_small(double *restrict f, idx n, double h_eps, int nq)
  * below zero, every depth becomes max(h, 0). Then dry cells lose their
  * discharges, and a non-finite value is a fault at the first cell that
  * holds one. */
-static int validity(struct tail *t, double *restrict f)
+static int validity(struct step *s, double *restrict f)
 {
-    const idx n = t->cells, nq = t->nq;
+    const idx n = s->cells, nq = s->nq;
     /* The NaN and the negative depths, counted. */
     double nan[LANES] = {0.0}, negative[LANES] = {0.0};
     idx i = 0;
@@ -661,21 +732,21 @@ static int validity(struct tail *t, double *restrict f)
                 h_min = f[i];
                 at = i;
             }
-        if (h_min < -t->tolerance) {
-            t->h_min = h_min;
-            t->cell = at;
+        if (h_min < -s->tolerance) {
+            s->h_min = h_min;
+            s->cell = at;
             return NEGATIVE_DEPTH;
         }
         for (i = 0; i < n; i++)
             f[i] = np_max(f[i], 0.0);
     }
-    if (nq == 1 ? dry_and_small(f, n, t->h_eps, 1)
-                : dry_and_small(f, n, t->h_eps, 2))
+    if (nq == 1 ? dry_and_small(f, n, s->h_eps, 1)
+                : dry_and_small(f, n, s->h_eps, 2))
         return VALID;
     for (i = 0; i < n; i++)
         for (idx k = 0; k <= nq; k++)
             if (!isfinite(f[k * n + i])) {
-                t->cell = i;
+                s->cell = i;
                 return NON_FINITE;
             }
     return UNDECIDED;
@@ -691,24 +762,23 @@ static void magnitudes(const double *restrict qx, const double *restrict qy,
         speed[i] = fabs(hypot(qx[i], qy[i]));
 }
 
-static int tail_finish(struct tail *t)
+/* Friction on the stage's update h from its start f, then the check. */
+static int tail_finish(struct step *s, const double *f, double *h)
 {
-    const idx n = t->cells;
-    const double *f = t->fields, *cb = t->cbrt, *sp = t->speed;
-    double *h = t->out;
-    if (t->friction && t->nq == 2)
-        magnitudes(f + n, f + 2 * n, t->speed, n);
-    if (t->friction == MANNING && t->nq == 1)
-        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, MANNING, 1);
-    else if (t->friction == MANNING)
-        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, MANNING, 2);
-    else if (t->friction == DARCY_WEISBACH && t->nq == 1)
-        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, DARCY_WEISBACH,
-                 1);
-    else if (t->friction == DARCY_WEISBACH)
-        friction(f, h, cb, sp, h + n, n, t->coeff, t->h_eps, DARCY_WEISBACH,
-                 2);
-    return validity(t, h);
+    const idx n = s->cells;
+    const double *cb = s->cbrt, *sp = s->speed;
+    const double coeff = s->friction_scale * s->dt;
+    if (s->friction && s->nq == 2)
+        magnitudes(f + n, f + 2 * n, s->speed, n);
+    if (s->friction == MANNING && s->nq == 1)
+        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, MANNING, 1);
+    else if (s->friction == MANNING)
+        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, MANNING, 2);
+    else if (s->friction == DARCY_WEISBACH && s->nq == 1)
+        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 1);
+    else if (s->friction == DARCY_WEISBACH)
+        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 2);
+    return validity(s, h);
 }
 
 /* a + b over n values into b, then times 0.5 (first) or 0.5 times. */
@@ -719,13 +789,14 @@ INLINE void average(const double *restrict a, double *restrict b, idx n,
         b[i] = half_first ? 0.5 * (a[i] + b[i]) : (a[i] + b[i]) * 0.5;
 }
 
-/* out = (fields + out) * 0.5, v_out = 0.5 * (v_inf + v_out). */
-static int tail_average(struct tail *t)
+/* r = (f + r) * 0.5, v_r = 0.5 * (v + v_r), then the check of r. */
+static int tail_average(struct step *s, const double *f, double *r,
+                        const double *v, double *v_r)
 {
-    average(t->fields, t->out, (t->nq + 1) * t->cells, 0);
-    if (t->infiltration)
-        average(t->v_inf, t->v_out, t->cells, 1);
-    return validity(t, t->out);
+    average(f, r, (s->nq + 1) * s->cells, 0);
+    if (s->infiltration)
+        average(v, v_r, s->cells, 1);
+    return validity(s, r);
 }
 
 /* compute_dt's supremum per direction k, into sup[k]: the largest
@@ -749,99 +820,6 @@ INLINE void speed_sups(const double *restrict f, idx n, double g,
     for (int k = 0; k < nq; k++)
         sup[k] = nan[k] ? NAN : top[k];
 }
-
-/* -------------------------------------------------------------- step
- *
- * The time loop, the twin of timeloop.run_simulation's numpy loop with
- * heun_step or euler_step, compute_dt and the numpy kernels they call.
- * swekit_step takes steps from the time t up to the next landing time
- * (an output time, a hyetograph change or the final time) and returns
- * only where numpy must still compute or decide, or the caller must see
- * the run. A step runs in phases:
- *
- * - BEGIN: the landing target, then the CFL dt (compute_dt's supremum
- *   per direction with _bc_speed's speed of the imposed boundary states,
- *   in compute_dt's order) or fixed_dt, clipped to land on the target.
- * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
- *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
- *   the caller fills those once per run), every direction's sweep at the
- *   vector level the caller bound (the end-face mass fluxes go into
- *   faces), and the tail's update. Then, with Manning friction,
- *   infiltration or in 2D, CUT: the caller writes np.cbrt of the new
- *   depth, which the step copies into depth, into the tail's cbrt row,
- *   and hands over the infiltrated depth's sum and, in 2D,
- *   _Workspace.boundary_volumes of the faces.
- * - FINISH1, FINISH2: the tail's friction and validity check.
- * - AVERAGE: Heun's average and its check.
- * - ACCEPT: the ledger in Python's order, the count, the new time, the
- *   change rate of a last step and the smallest depth seen; the result
- *   becomes the state. Then STEPPED where the step landed, or after
- *   every step for an on_step caller; DONE after the final time.
- *
- * A check that finds a fault, or cannot decide, returns its status with
- * the phase set to the next one and when set to the time numpy's check
- * reports; an undecided state is copied into check. The caller raises
- * the fault or sets RETRY, which halves dt and takes the step again; or
- * runs numpy's check and calls again. The step also returns RATE where
- * it starts at or after rate_until, for the caller to set the rain rate
- * the step draws, BAD_DT where the dt is not positive, and ZERO_DEPTH
- * where the smallest depth seen falls to zero, whose sign np.min decides.
- * The phase SPEEDS takes the supremum alone, of the state, for
- * compute_dt; with once set the step stops after one step of the given
- * dt, for heun_step and euler_step.
- */
-
-/* One side's boundary condition; _compiled.Side mirrors it. kind is the
- * index in boundary.BC_KINDS. depth and discharge are 0.0 where the
- * condition sets none, and imposed_h and imposed_q say whether it sets
- * them. */
-struct side {
-    idx kind, imposed_h, imposed_q;
-    double depth, discharge;
-};
-
-enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
-
-/* The run and its workspace; _compiled.StepBlock mirrors it. The members
- * up to landings are the run's: ext is the frame of timeloop._Workspace,
- * blocks are the sweep's blocks of the directions, which write faces
- * (direction, side, row); handed holds what the caller hands over at a
- * cut; landing holds the landings sorted. The caller sets those from
- * phase to current for a run or a step: the state is fields[current] and
- * the result goes into the other, likewise the cumulative infiltrated
- * depth in v_inf. The rest is the loop's own, read by the caller:
- * mismatch counts each side's regime mismatches (left, right, bottom,
- * top) and mismatches all of them, which the caller reports and clears;
- * diag is the last step's ledger volumes and cum their sum. */
-struct step {
-    idx nx, ny, nq, face_rows;
-    double friction_scale, cell_area, courant, fixed_dt, final, atol;
-    double spacing[2];
-    struct side sides[4];
-    double *ext;
-    void (*sweep)(const struct sweep *);
-    const struct sweep *blocks[2];
-    double *faces, *stage, *v_stage, *depth, *check;
-    const double *handed, *landing;
-    idx landings;
-    idx phase, heun, infiltration, once, each;
-    double t, dt, rate, rate_until;
-    double *fields[2], *v_inf[2];
-    idx current;
-    idx next, hit, halvings, steps, retried;
-    double target, when, min_depth, change_rate;
-    double cum[4], diag[4], infil[2], flow[4];
-    idx mismatches, mismatch[4];
-    double sup[2], boost;
-    struct tail tail;
-};
-
-enum {
-    BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
-    SPEEDS, FINISHED
-};
-/* What swekit_step returns besides a check's status. */
-enum { CUT = 4, DONE, STEPPED, RATE, BAD_DT, ZERO_DEPTH };
 
 /* boundary._resolve_imposed on one cell: the ghost depth and discharge
  * from those of the first interior cell, h and q. Returns whether the
@@ -921,7 +899,7 @@ static void fill_direction(const struct step *s, double *h, double *qn,
             double h_ghost = h[i0 + c], q_ghost = qn[i0 + c];
             if (bc->kind != NEUMANN)
                 mismatched |= resolve(bc, h_ghost, q_ghost, inward,
-                                      s->tail.g, s->tail.h_eps, &h_ghost,
+                                      s->g, s->h_eps, &h_ghost,
                                       &q_ghost);
             h[g0 + c] = h[g1 + c] = h_ghost;
             qn[g0 + c] = qn[g1 + c] = q_ghost;
@@ -990,20 +968,10 @@ static int stage(struct step *s, int k, const double *fields, double *out,
         s->flow[2 * k] = into * s->dt;
         s->flow[2 * k + 1] = outof * s->dt;
     }
-    struct tail *t = &s->tail;
-    t->rain = s->rate > 0.0;
-    t->infiltration = s->infiltration;
-    t->dt = s->dt;
-    t->rain_dt = s->rate * s->dt;
-    t->coeff = s->friction_scale * s->dt;
-    t->fields = fields;
-    t->out = out;
-    t->v_inf = v_in;
-    t->v_out = v_out;
-    tail_update(t);
-    if (t->friction == MANNING)
-        memcpy(s->depth, out, (size_t)t->cells * sizeof(double));
-    return t->friction == MANNING || s->infiltration || nq == 2;
+    tail_update(s, fields, out, v_in, v_out);
+    if (s->friction == MANNING)
+        memcpy(s->depth, out, (size_t)s->cells * sizeof(double));
+    return s->friction == MANNING || s->infiltration || nq == 2;
 }
 
 /* The ledger volumes of stage k that the caller handed over at its cut,
@@ -1053,8 +1021,8 @@ static double imposed_speed(const struct step *s, const double *f)
                 for (idx i = 1; i < count; i++)
                     q_b = np_max(q_b, fabs(q[i * stride]));
             }
-            if (h_b > s->tail.h_eps) {
-                double speed = fabs(q_b) / h_b + sqrt(s->tail.g * h_b);
+            if (h_b > s->h_eps) {
+                double speed = fabs(q_b) / h_b + sqrt(s->g * h_b);
                 if (!found || speed > top)
                     top = speed;
                 found = 1;
@@ -1063,38 +1031,34 @@ static double imposed_speed(const struct step *s, const double *f)
     return top;
 }
 
-/* compute_dt's supremum per direction and _bc_speed's speed of the
- * fields f, into sup and boost. */
-static void speeds(struct step *s, const double *f)
-{
-    const struct tail *t = &s->tail;
-    if (s->nq == 1)
-        speed_sups(f, t->cells, t->g, t->h_eps, s->sup, 1);
-    else
-        speed_sups(f, t->cells, t->g, t->h_eps, s->sup, 2);
-    s->boost = imposed_speed(s, f);
-}
-
 /* compute_dt of the fields f: courant * min(d, d / max(sup, boost)) over
- * the directions, with Python's min and max (the first of equals). */
-static double cfl_dt(struct step *s, const double *f)
+ * the directions, from the supremum sup per direction and _bc_speed's
+ * speed boost of the imposed boundary states, with Python's min and max
+ * (the first of equals). */
+static double cfl_dt(const struct step *s, const double *f)
 {
-    speeds(s, f);
+    double sup[2] = {0.0, 0.0};
+    if (s->nq == 1)
+        speed_sups(f, s->cells, s->g, s->h_eps, sup, 1);
+    else
+        speed_sups(f, s->cells, s->g, s->h_eps, sup, 2);
+    double boost = imposed_speed(s, f);
     double dt = s->spacing[0];
     if (s->nq == 2 && s->spacing[1] < dt)
         dt = s->spacing[1];
     for (idx k = 0; k < s->nq; k++) {
-        double sup = s->boost > s->sup[k] ? s->boost : s->sup[k];
-        if (sup > 0.0) {
-            double d = s->spacing[k] / sup;
+        double top = boost > sup[k] ? boost : sup[k];
+        if (top > 0.0) {
+            double d = s->spacing[k] / top;
             dt = d < dt ? d : dt;
         }
     }
     return s->courant * dt;
 }
 
-/* The step's ledger volumes into diag (Heun: 0.5 * (first + second), as
- * timeloop._combine_heun_diags), rain as timeloop._stage takes it. */
+/* The step's ledger volumes (Heun: 0.5 * (first + second), as
+ * timeloop._combine_heun_diags), rain as timeloop._stage takes it, each
+ * added to its sum in cum. */
 static void ledger(struct step *s)
 {
     double rain = s->rate > 0.0 ? s->rate * s->dt * (double)s->nx
@@ -1102,8 +1066,10 @@ static void ledger(struct step *s)
                                 : 0.0;
     double first[4] = {rain, s->infil[0], s->flow[0], s->flow[1]};
     double second[4] = {rain, s->infil[1], s->flow[2], s->flow[3]};
-    for (int k = 0; k < 4; k++)
-        s->diag[k] = s->heun ? 0.5 * (first[k] + second[k]) : first[k];
+    for (int k = 0; k < 4; k++) {
+        double diag = s->heun ? 0.5 * (first[k] + second[k]) : first[k];
+        s->cum[k] = s->cum[k] + diag;
+    }
 }
 
 /* The accepted step from f into r: the run's count, ledger and time, the
@@ -1112,11 +1078,10 @@ static void ledger(struct step *s)
  * lower it, else VALID. */
 static int accept(struct step *s, const double *f, const double *r)
 {
-    const idx cells = s->tail.cells, values = (s->nq + 1) * cells;
+    const idx cells = s->cells, values = (s->nq + 1) * cells;
     s->steps++;
     s->retried += s->halvings > 0;
-    for (int k = 0; k < 4; k++)
-        s->cum[k] = s->cum[k] + s->diag[k];
+    ledger(s);
     double t_new = s->hit ? s->target : s->t + s->dt;
     if (t_new >= s->final - s->atol) {
         double top = fabs(r[0] - f[0]);
@@ -1140,7 +1105,6 @@ static int accept(struct step *s, const double *f, const double *r)
 
 int swekit_step(struct step *s)
 {
-    struct tail *t = &s->tail;
     for (;;) {
         /* The state and the result; Heun's first stage goes into the
          * workspace, Euler's is the result. */
@@ -1189,7 +1153,7 @@ int swekit_step(struct step *s)
             s->phase = s->heun ? STAGE2 : ACCEPT;
             s->when = s->t;
             checked = first;
-            status = tail_finish(t);
+            status = tail_finish(s, f, first);
             break;
         case STAGE2:
             s->phase = FINISH2;
@@ -1200,24 +1164,15 @@ int swekit_step(struct step *s)
             take_handed(s, 1);
             s->phase = AVERAGE;
             s->when = s->t;
-            status = tail_finish(t);
+            status = tail_finish(s, s->stage, r);
             break;
         case AVERAGE:
             s->phase = ACCEPT;
             s->when = s->t + s->dt;
-            t->fields = f;
-            t->out = r;
-            t->v_inf = v;
-            t->v_out = v_r;
-            status = tail_average(t);
+            status = tail_average(s, f, r, v, v_r);
             break;
         case ACCEPT:
-            ledger(s);
             s->current = 1 - s->current;
-            if (s->once) {
-                s->phase = FINISHED;
-                return DONE;
-            }
             s->phase = REPORT;
             if (accept(s, f, r) == ZERO_DEPTH)
                 return ZERO_DEPTH;
@@ -1227,17 +1182,13 @@ int swekit_step(struct step *s)
             if (s->each || s->hit)
                 return STEPPED;
             continue;
-        case SPEEDS:
-            speeds(s, f);
-            s->phase = FINISHED;
-            return DONE;
         default:
             s->phase = FINISHED;
             return DONE;
         }
         if (status == UNDECIDED)
             memcpy(s->check, checked,
-                   (size_t)((s->nq + 1) * t->cells) * sizeof(double));
+                   (size_t)((s->nq + 1) * s->cells) * sizeof(double));
         if (status != VALID)
             return status;
     }

@@ -3,12 +3,16 @@ with ctypes.
 
 It holds three kernels, each the twin of numpy code that stays as its
 fallback and its reference: the sweep (timeloop._Sweep.run), the step
-(run_simulation's time loop with heun_step or euler_step: the CFL dt,
-the ghost fill, the sweep, the stage tail, the Heun average and the
-ledger, up to each landing time, cut where numpy's np.cbrt and pairwise
-sums still run) and the `%.16e` table writer (fileio._write_rows).
-timeloop and fileio bind their entry points from library(); timeloop
-runs its steps all compiled (_compiled.CompiledStep) or all in numpy.
+(the compiled time loop, twin of timeloop._numpy_run with the numpy
+step helpers heun_step or euler_step and compute_dt: the CFL dt, the
+ghost fill, the sweep, the stage tail, the Heun average and the ledger,
+up to each landing time, cut where numpy's np.cbrt and pairwise sums
+still run) and the `%.16e` table writer (fileio._write_rows). timeloop
+and fileio bind their entry points from library(). timeloop runs one of
+two loops: the compiled one (_compiled.CompiledStep.run), or the numpy
+one, whose steps are the numpy step helpers alone, over the compiled
+sweep where a step helper is rebound (a profiler's wrapper) and over
+the numpy sweep where the library could not be built.
 
 The sweep is compiled once per x86 vector level (SWEEP_LEVELS: the
 baseline and avx2, which AVX-512 CPUs run too), both from the same
@@ -187,8 +191,9 @@ def library():
             if loaded.swekit_writer_init() != 0:
                 raise OSError("the writer found no \"C\" locale")
         except OSError as exc:
-            LOG.warning("compiled sweep kernel unavailable, and the C writer "
-                        "with it; running the numpy sweep kernel and the "
+            LOG.warning("compiled sweep kernel unavailable, and the compiled "
+                        "time loop and the C writer with it; running the "
+                        "numpy sweep kernel, the numpy time loop and the "
                         "numpy writer: %s", exc)
             return None
     return loaded

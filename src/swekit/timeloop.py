@@ -30,19 +30,24 @@ A stage is the ghost fill, the sweep, then its pointwise tail: the
 update fields - phi*dt, rain, infiltration, friction and the validity
 check. A Heun step then averages its two stages and checks the average,
 and run_simulation takes the next dt from the CFL supremum of |u| + c.
-A step runs one of two ways:
+A step runs one of two ways, as part of one of two time loops:
 
-* Compiled, wherever a C compiler is found: the step of _native.c,
-  driven by _compiled.CompiledStep, runs the time loop up to each
-  landing time, and returns to Python only where numpy still computes
-  or decides, or the caller sees the run (_native.c's step section). The
-  bed's ghosts are filled once per run; the sweep in the step is the
-  one _sweep_kernel binds.
-* In numpy elsewhere: _stage fills the frame with fill_ghosts_1d or
-  fill_ghosts_2d, runs the numpy sweep kernel, then _numpy_tail;
+* In the compiled loop, wherever a C compiler is found: the step of
+  _native.c, driven by _compiled.CompiledStep.run, runs the time loop
+  up to each landing time, and returns to Python only where numpy still
+  computes or decides, or the caller sees the run (_native.c's step
+  section). The bed's ghosts are filled once per run; the sweep in the
+  step is the one _sweep_kernel binds. This is the only compiled code
+  that takes a step.
+* In the numpy loop, _numpy_run, through the numpy step helpers:
+  heun_step or euler_step runs _stage, which fills the frame with
+  fill_ghosts_1d or fill_ghosts_2d, runs the sweep, then _numpy_tail;
   heun_step averages with _numpy_average, and compute_dt calls
-  _wave_speed_sups and _bc_speed. This is the compiled step's
-  reference, and calls the functions of boundary and sources.
+  _wave_speed_sups and _bc_speed. The sweep is the one the build bound:
+  the numpy kernel where no compiler is found, and the compiled one
+  where a step helper is rebound (a profiler's wrapper), which makes
+  run_simulation take this loop. This is the compiled loop's reference,
+  and calls the functions of boundary and sources.
 
 The convective update is one sweep kernel with two implementations of
 one contract (_Sweep.run): it serves 1D as a single row and each 2D
@@ -253,19 +258,16 @@ def compute_dt(state, grid, scheme, bcs=None, work=None):
 
     The supremum runs over wet cells (per direction in 2D) and over any
     imposed boundary states; a fully dry domain falls back to C * d.
-    work, if given, is the run's _Workspace, built with bcs: the
-    supremum runs in its scratch, or in its compiled step.
+    work, if given, is the run's _Workspace: the supremum runs in its
+    scratch.
     """
     spacings = grid.spacings
     cfl = scheme.cfl_for(len(spacings))
     fields = state.fields
-    if work is not None and work.compiled is not None:
-        sups, boost = work.compiled.speeds(fields)
-    else:
-        sups = _wave_speed_sups(fields, scheme, Scratch.empty(
-            fields.shape[1:], len(fields), 1) if work is None else work.full)
-        boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g,
-                                                  scheme.h_eps)
+    sups = _wave_speed_sups(fields, scheme, Scratch.empty(
+        fields.shape[1:], len(fields), 1) if work is None else work.full)
+    boost = 0.0 if bcs is None else _bc_speed(fields, bcs, scheme.g,
+                                              scheme.h_eps)
     dt = min(spacings)
     # Per direction: its spacing over the supremum of its |u| + c.
     for d, sup in zip(spacings, sups):
@@ -516,8 +518,8 @@ class _Workspace:
     the time step otherwise; stage receives the first Heun stage. kernel
     names the sweep kernel that runs: "c" (one block per direction) or
     "numpy" (blocks over one pool); level, the compiled kernel's vector
-    level, and compiled, the compiled step over these buffers (both None
-    for numpy).
+    level, and compiled, the compiled time loop over these buffers (both
+    None for numpy).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -780,9 +782,6 @@ def _stage(state, ga, t_source, dt, ctx, out):
 
 def euler_step(state, ga, t, dt, ctx):
     """One first-order step: a single stage with sources at time t."""
-    if ctx.work.compiled is not None:
-        return ctx.work.compiled.step(state, ga, t, dt,
-                                      rain_rate(t, ctx.rain), ctx, False)
     return _stage(state, ga, t, dt, ctx, np.empty(ctx.work.shape))
 
 
@@ -795,9 +794,6 @@ def heun_step(state, ga, t, dt, ctx):
     first stage lives in the workspace; the returned state is new.
     """
     work = ctx.work
-    if work.compiled is not None:
-        return work.compiled.step(state, ga, t, dt, rain_rate(t, ctx.rain),
-                                  ctx, True)
     s1, ga1, d1 = _stage(state, ga, t, dt, ctx, work.stage)
     new = np.empty(work.shape)
     new_state, ga2, d2 = _stage(s1, ga1, t, dt, ctx, new)
@@ -915,7 +911,7 @@ def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
                land):
     """run_simulation's time loop in numpy, the twin and the reference of
     _compiled.CompiledStep.run, with the same arguments and results; its
-    steps run compiled where the workspace has a compiled step."""
+    steps are the numpy step helpers, over the workspace's sweep."""
     scheme, work = ctx.scheme, ctx.work
     step = euler_step if scheme.order == 1 else heun_step
     t, steps, retried_steps, change_rate, target_idx = 0.0, 0, 0, 0.0, 0
@@ -972,7 +968,8 @@ def run_simulation(config, on_step=None):
     time, and the final time, plus a mass-balance ledger verified at
     each snapshot. The loop runs compiled (_compiled.CompiledStep.run),
     or in numpy (_numpy_run) where the sweep does or a step helper is
-    rebound (a profiler's wrapper), with the same bits.
+    rebound (a profiler's wrapper), with the same bits; the numpy loop
+    calls the step helpers every step.
     """
     grid = config.grid
     state = config.initial_state.copy()

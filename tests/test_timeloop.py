@@ -601,15 +601,15 @@ def _same_bits(a, b):
 # ------------------------------------------------ traced call path
 # perfbench/tracer.py times the helpers swekit.timeloop binds by name
 # and the FLUX_FUNCTIONS entries; a helper the solver stops calling
-# would read 0 in its per-layer metric instead of failing. The compiled
-# step does the work of the helpers the numpy kernels call, so on its
-# path those read 0 and their time is the step's own; the ghost fills
-# still run there once per run, for the bed's ghosts. A rebound step
-# function or compute_dt is called every step on every path.
+# would read 0 in its per-layer metric instead of failing. The tracer
+# rebinds the step helpers, so a traced run takes the numpy loop, whose
+# numpy steps call the ghost fills, friction and infiltration on every
+# path. Their sweep is the one the build bound: the compiled sweep does
+# the work of the helpers the numpy sweep calls, so on its path those
+# read 0 and their time is the step's own. A rebound step function or
+# compute_dt is called every step on every path.
 
-_KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component",
-                   "friction_semi_implicit", "friction_semi_implicit_2d",
-                   "infiltration_step"}
+_KERNEL_HELPERS = {"velocity", "muscl_slopes", "transverse_component"}
 
 
 def _traced_timeloop_names():
@@ -1425,11 +1425,13 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
 
 
 # ------------------------------------------------------ compiled step
-# The step of _native.c (driven by _compiled.CompiledStep) does the work
-# of heun_step and euler_step: the ghost fill, the sweeps, the stage
-# tail, the Heun average and the next dt's supremum. Wherever it is
+# The step of _native.c, driven by _compiled.CompiledStep.run, does the
+# work of the numpy loop's step helpers: the ghost fill, the sweeps, the
+# stage tail, the Heun average and the CFL supremum. Wherever it is
 # built, every path must give numpy's bits, report numpy's warnings,
-# raise numpy's faults, and hand back no view of the workspace.
+# raise numpy's faults, and hand back no view of the workspace. The
+# tests below call both loops directly, up to one landing: a
+# SimulationConfig would refuse their negative and NaN depths.
 
 _SOILS = (None, GreenAmptParams(ks=1e-5, hf=0.1, dtheta=0.3),
           GreenAmptParams(ks=1e-5, kc=1e-6, zc=0.01, hf=0.05, dtheta=0.4),
@@ -1481,18 +1483,40 @@ def _workspace_buffers(work):
         [] if step.v_stage is None else [step.v_stage])
 
 
-def _outcome(call, work, *arrays):
-    """The bits of the arrays call leaves (or returns), or its fault."""
+def _outcome(call, work):
+    """The bits of what call returns, or its fault."""
     try:
         returned = call()
     except NumericalFault as fault:
         return ("fault", str(fault), fault.index, fault.time)
-    arrays = [a for a in (*arrays, *returned) if isinstance(a, np.ndarray)]
-    for a in arrays:
-        assert not any(np.shares_memory(a, b)
-                       for b in _workspace_buffers(work))
+    for a in returned:
+        if isinstance(a, np.ndarray):
+            assert not any(np.shares_memory(a, b)
+                           for b in _workspace_buffers(work))
     return [(_bits(a).tolist() if isinstance(a, np.ndarray) else
-             float(a).hex()) for a in (*arrays, *returned) if a is not None]
+             float(a).hex()) for a in returned if a is not None]
+
+
+def _to_landing(ctx, state, ga, final, on_step=None):
+    """run_simulation's loop over ctx's workspace (the compiled one, or
+    the numpy one where the sweep is numpy's) from state and the
+    GreenAmptState ga (or None) up to one landing at final: the landing's
+    time, state and ledger sums, then the loop's results, the cumulative
+    infiltrated depth last."""
+    landed = []
+
+    def land(t, state, cum):
+        landed.extend((t, state.fields, *dataclasses.astuple(cum)))
+
+    compiled = ctx.work.compiled
+    loop = timeloop._numpy_run if compiled is None else compiled.run
+    *results, ga = loop(state, ga, ctx, [final], final,
+                        float(np.min(state.h)), on_step, land)
+    return (*landed, *results, None if ga is None else ga.v_inf)
+
+
+class _Enough(Exception):
+    """Raised by an on_step to end a run."""
 
 
 @st.composite
@@ -1521,40 +1545,44 @@ def step_cases(draw):
 
 
 def _step_outcomes(case, path):
-    """dt, then per step kind: the new state, cumulative infiltrated
-    depth, ledger volumes and next dt, or the fault; and the warnings."""
+    """Per order (Euler, Heun), one step of the case's dt, or of its CFL
+    step times its factor, up to a landing there; then the dts of the
+    first two steps of a CFL run of the case's scheme. Each as its
+    outcome or its fault, with the warnings."""
     grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
-    ctx = _context(grid, scheme, case["friction"], case["rain"],
-                   soil is not None, path, case["z"], case["bcs"])
-    work = ctx.work
-    fields = case["fields"]
-    state = State(fields.copy())
-    dt = compute_dt(state, grid, scheme, case["bcs"], work)
-    outcomes = [dt.hex()]
-    if "dt" in case:
-        # A dt of the case's own, whatever the CFL step.
-        dt = case["dt"]
-    elif 0.0 < dt < np.inf:
-        dt *= case["factor"]
-    else:
-        return outcomes
-    for step in (timeloop.euler_step, heun_step):
-        ga = None if soil is None else GreenAmptState(soil,
-                                                      case["v_inf"].copy())
+    fields, v_inf = case["fields"], case["v_inf"]
 
-        def run():
-            new, ga_new, diag = step(state, ga, 0.5, dt, ctx)
-            # The next step's dt, from the supremum the step left.
-            next_dt = compute_dt(new, grid, scheme, case["bcs"], work)
-            return (new.fields, None if ga_new is None else ga_new.v_inf,
-                    *dataclasses.astuple(diag), next_dt)
-
-        outcomes.append(_outcome(run, work))
-        outcomes.append(sorted(ctx.warnings.items()))
-        # A step leaves its input as it was.
+    def run(scheme, final, on_step=None):
+        ctx = _context(grid, scheme, case["friction"], case["rain"],
+                       soil is not None, path, case["z"], case["bcs"])
+        state = State(fields.copy())
+        ga = None if soil is None else GreenAmptState(soil, v_inf.copy())
+        outcome = _outcome(lambda: _to_landing(ctx, state, ga, final,
+                                               on_step), ctx.work)
+        # A run leaves its input as it was.
         assert _same_bits(state.fields, fields)
         if ga is not None:
-            assert _same_bits(ga.v_inf, case["v_inf"])
+            assert _same_bits(ga.v_inf, v_inf)
+        return [outcome, sorted(ctx.warnings.items())]
+
+    outcomes = []
+    dt = case.get("dt") or case["factor"] * compute_dt(
+        State(fields), grid, scheme, case["bcs"])
+    if 0.0 < dt < np.inf:
+        for order in (1, 2):
+            outcomes += run(dataclasses.replace(scheme, order=order,
+                                                fixed_dt=dt), dt)
+    dts = []
+
+    def on_step(t, state, dt):
+        dts.append(dt)
+        if len(dts) == 2:
+            raise _Enough
+
+    try:
+        outcomes += run(scheme, math.inf, on_step)
+    except _Enough:
+        outcomes.append([dt.hex() for dt in dts])
     return outcomes
 
 
@@ -1572,8 +1600,7 @@ def test_steps_and_dt_give_numpys_bits_on_every_path(case):
 def tail_cases(draw):
     """A state on a flat walled bed drawn to probe the stage tail and the
     Heun average: depths at h_eps and slightly negative (to be clamped),
-    special values, every source, and a dt of the case's own, 0 among
-    them (infiltration takes nothing in no time)."""
+    special values, every source, and a dt of the case's own."""
     two_d = draw(st.booleans())
     grid = Grid(nx=draw(st.integers(1, 7)), ny=draw(st.integers(2, 5)),
                 dx=0.5) if two_d else Grid(nx=draw(st.integers(1, 40)), dx=1.0)
@@ -1596,7 +1623,7 @@ def tail_cases(draw):
     return dict(grid=grid, z=np.zeros(grid.shape), fields=fields, bcs=WALL,
                 scheme=scheme, friction=draw(st.sampled_from(_FRICTIONS)),
                 rain=draw(st.sampled_from((0.0, 1e-3, 0.05))), soil=soil,
-                v_inf=v_inf, dt=draw(st.sampled_from((0.0, 1e-3, 0.1, 2.0))))
+                v_inf=v_inf, dt=draw(st.sampled_from((1e-3, 0.1, 2.0))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1642,22 +1669,28 @@ def _fault_at(check):
 def test_each_check_raises_numpys_fault_on_every_path(check):
     _needs_the_compiled_step()
     grid, z, state, bcs, scheme, dt = _fault_at(check)
+    # The compiled Heun step stops with its phase after the failed check.
+    after = {"stage 1": _compiled.STAGE2, "stage 2": _compiled.AVERAGE,
+             "average": _compiled.ACCEPT}[check]
     faults = []
     for path in _kernel_paths():
-        ctx = _context(grid, scheme, FrictionParams(), 0.0, False, path, z,
-                       bcs)
-        with np.errstate(all="ignore"), \
-                pytest.raises(NumericalFault) as fault:
-            heun_step(state, None, 2.0, dt, ctx)
-        if check != "average":
-            # The first stage alone passes its check, or fails it.
-            with np.errstate(all="ignore"), (
-                    pytest.raises(NumericalFault) if check == "stage 1"
-                    else contextlib.nullcontext()):
-                timeloop.euler_step(state, None, 2.0, dt, ctx)
-        faults.append((str(fault.value), fault.value.index, fault.value.time,
-                       sorted(ctx.warnings.items())))
-    assert faults[0][2] == (2.0 + dt if check == "average" else 2.0)
+        outcomes = []
+        for order in (2, 1):
+            ctx = _context(grid, dataclasses.replace(
+                scheme, order=order, fixed_dt=dt), FrictionParams(), 0.0,
+                False, path, z, bcs)
+            with np.errstate(all="ignore"):
+                outcomes.append(_outcome(lambda: _to_landing(
+                    ctx, state.copy(), None, dt), ctx.work))
+            outcomes.append(sorted(ctx.warnings.items()))
+            if order == 2 and ctx.work.compiled is not None:
+                assert ctx.work.compiled.block.phase == after
+        faults.append(outcomes)
+    heun, _, euler, _ = faults[0]
+    assert heun[0] == "fault"
+    assert heun[3] == (dt if check == "average" else 0.0)
+    # A first-order run's one stage fails only a check the state fails.
+    assert (euler[0] == "fault") == (check == "stage 1")
     assert faults == faults[:1] * len(faults)
 
 
@@ -1667,14 +1700,12 @@ def test_the_compiled_tail_runs_where_the_compiled_sweep_does():
         ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(),
                        0.0, False, path)
         assert (ctx.work.compiled is None) == (path == "numpy")
-    # The step takes only arrays it can read as they are.
+    # The compiled loop takes only arrays it can read as they are.
     ctx = _context(Grid(nx=5, dx=1.0), SchemeConfig(), FrictionParams(), 0.0,
                    False, "c")
     state = State(np.zeros((5, 2)).T)
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        compute_dt(state, ctx.grid, ctx.scheme, WALL, ctx.work)
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        heun_step(state, None, 0.0, 0.1, ctx)
+        _to_landing(ctx, state, None, 1.0)
 
 
 def test_a_closed_periodic_channel_has_no_boundary_flow():
@@ -1691,7 +1722,7 @@ def test_a_closed_periodic_channel_has_no_boundary_flow():
 @pytest.mark.parametrize("two_d", [False, True])
 def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
     # As test_a_cell_no_deeper_than_h_eps_takes_the_imposed_regime in
-    # test_boundary.py, through a step on every path.
+    # test_boundary.py, through a one-step run on every path.
     h, q = np.array([1e-8, 1.0, 1.0]), np.array([-1e-6, 0.0, 0.0])
     grid = Grid(nx=3, ny=2, dx=1.0, dy=1.0) if two_d else Grid(nx=3, dx=1.0)
     fields = (h, q) if not two_d else (np.tile(h, (2, 1)),
@@ -1700,12 +1731,12 @@ def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
     for h_eps, warned in ((1e-6, 0), (1e-12, 1)):
         steps = []
         for path in _kernel_paths():
-            ctx = _context(grid, SchemeConfig(h_eps=h_eps), FrictionParams(),
-                           0.0, False, path, bcs=bcs)
-            new, _, _ = timeloop.euler_step(State(fields), None, 0.0, 0.01,
-                                            ctx)
+            scheme = SchemeConfig(order=1, fixed_dt=0.01, h_eps=h_eps)
+            ctx = _context(grid, scheme, FrictionParams(), 0.0, False, path,
+                           bcs=bcs)
+            _, new, *_ = _to_landing(ctx, State(fields), None, 0.01)
             assert sum(ctx.warnings.values()) == warned
-            steps.append(_bits(new.fields).tolist())
+            steps.append(_bits(new).tolist())
         assert steps == steps[:1] * len(steps)
 
 
@@ -1870,6 +1901,12 @@ def test_runs_give_numpys_results_bit_for_bit(config):
     reference = _run_outcome(config, "numpy")
     for path in _kernel_paths()[1:]:
         assert _run_outcome(config, path) == reference
+    # The numpy loop over the compiled sweep, which run_simulation takes
+    # where a step helper is rebound (a profiler's wrapper).
+    helper = timeloop.compute_dt
+    with mock.patch.object(timeloop, "compute_dt",
+                           lambda *args: helper(*args)):
+        assert _run_outcome(config, "c") == reference
 
 
 def test_an_on_step_edit_reaches_the_next_dt_on_every_path():
