@@ -1519,6 +1519,22 @@ class _Enough(Exception):
     """Raised by an on_step to end a run."""
 
 
+@contextlib.contextmanager
+def _log_records():
+    """The records timeloop.LOG takes in the block, INFO ones included."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    level = timeloop.LOG.level
+    timeloop.LOG.addHandler(handler)
+    timeloop.LOG.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        timeloop.LOG.removeHandler(handler)
+        timeloop.LOG.setLevel(level)
+
+
 @st.composite
 def step_cases(draw):
     """A random state (see operator_cases), with a share of special
@@ -1546,9 +1562,11 @@ def step_cases(draw):
 
 def _step_outcomes(case, path):
     """Per order (Euler, Heun), one step of the case's dt, or of its CFL
-    step times its factor, up to a landing there; then the dts of the
-    first two steps of a CFL run of the case's scheme. Each as its
-    outcome or its fault, with the warnings."""
+    step times its factor, up to a landing there; then up to two steps of
+    a CFL run of the case's scheme and their dts. Each run as its outcome
+    or its fault, with the warnings and the retries it logged, the halved
+    dt of each as bits: so the CFL step is paired on every drawn state,
+    also where the run faults."""
     grid, scheme, soil = case["grid"], case["scheme"], case["soil"]
     fields, v_inf = case["fields"], case["v_inf"]
 
@@ -1557,13 +1575,22 @@ def _step_outcomes(case, path):
                        soil is not None, path, case["z"], case["bcs"])
         state = State(fields.copy())
         ga = None if soil is None else GreenAmptState(soil, v_inf.copy())
-        outcome = _outcome(lambda: _to_landing(ctx, state, ga, final,
-                                               on_step), ctx.work)
+
+        def call():
+            try:
+                return _to_landing(ctx, state, ga, final, on_step)
+            except _Enough:
+                return ()
+
+        with _log_records() as records:
+            outcome = _outcome(call, ctx.work)
         # A run leaves its input as it was.
         assert _same_bits(state.fields, fields)
         if ga is not None:
             assert _same_bits(ga.v_inf, v_inf)
-        return [outcome, sorted(ctx.warnings.items())]
+        retries = [(r.getMessage(), r.args[1].hex()) for r in records
+                   if r.msg == timeloop.RETRY_MESSAGE]
+        return [outcome, sorted(ctx.warnings.items()), retries]
 
     outcomes = []
     dt = case.get("dt") or case["factor"] * compute_dt(
@@ -1579,10 +1606,8 @@ def _step_outcomes(case, path):
         if len(dts) == 2:
             raise _Enough
 
-    try:
-        outcomes += run(scheme, math.inf, on_step)
-    except _Enough:
-        outcomes.append([dt.hex() for dt in dts])
+    outcomes += run(scheme, math.inf, on_step)
+    outcomes.append([dt.hex() for dt in dts])
     return outcomes
 
 
@@ -1751,14 +1776,9 @@ def test_the_compiled_fill_tests_dryness_against_h_eps(two_d):
 def _run_outcome(config, path, on_step=None):
     """Every RunResult field as bits (or the fault), and the messages the
     run logged but the kernel's INFO line, which names the path."""
-    messages = []
-    handler = logging.Handler(logging.INFO)
-    handler.emit = lambda record: messages.append(record.getMessage())
-    level = timeloop.LOG.level
-    timeloop.LOG.addHandler(handler)
-    timeloop.LOG.setLevel(logging.INFO)
     try:
-        with _sweep_path(path), np.errstate(all="ignore"):
+        with _log_records() as records, _sweep_path(path), \
+                np.errstate(all="ignore"):
             result = run_simulation(config, on_step)
     except NumericalFault as fault:
         outcome = ("fault", str(fault), fault.index, fault.time)
@@ -1773,9 +1793,7 @@ def _run_outcome(config, path, on_step=None):
             None if result.ga_state is None
             else _bits(result.ga_state.v_inf).tolist(),
             result.retried_steps)
-    finally:
-        timeloop.LOG.removeHandler(handler)
-        timeloop.LOG.setLevel(level)
+    messages = (record.getMessage() for record in records)
     return outcome, [m for m in messages if "sweep kernel" not in m]
 
 
