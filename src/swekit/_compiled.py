@@ -65,7 +65,7 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
 
 # struct step's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
-# What swekit_step returns, and the phases of struct step.
+# What swekit_step_<level> returns, and the phases of struct step.
 (VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE, STEPPED, RATE,
  BAD_DT, ZERO_DEPTH) = range(10)
 (BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
@@ -98,11 +98,10 @@ class StepBlock(ctypes.Structure):
             "courant", "fixed_dt", "final", "atol", "ks", "kc", "zc", "hf",
             "dtheta", "crust_term", "imax")]
         + [("spacing", ctypes.c_double * 2), ("sides", Side * 4)]
-        + [(name, ctypes.c_void_p) for name in ("ext", "sweep")]
-        + [("blocks", ctypes.c_void_p * 2)]
+        + [("ext", ctypes.c_void_p), ("blocks", ctypes.c_void_p * 2)]
         + [(name, ctypes.c_void_p) for name in
-           ("phi", "cbrt", "speed", "dv", "faces", "stage", "v_stage",
-            "depth", "check", "handed", "landing")]
+           ("phi", "cbrt", "dv", "faces", "stage", "v_stage", "depth",
+            "check", "handed", "landing")]
         + [(name, ctypes.c_ssize_t) for name in
            ("landings", "phase", "heun", "infiltration", "each")]
         + [(name, ctypes.c_double) for name in
@@ -136,12 +135,13 @@ def _new(shape):
 
 
 class CompiledStep:
-    """swekit_step over a timeloop._Workspace: run_simulation's time
-    loop (run), bit for bit that of timeloop._numpy_run. The workspace is
-    not kept: the caller's context lends it to each run.
+    """swekit_step_<level> over a timeloop._Workspace: run_simulation's
+    time loop (run), bit for bit that of timeloop._numpy_run, at the
+    vector level of the workspace's sweep, which it calls. The workspace
+    is not kept: the caller's context lends it to each run.
     """
 
-    def __init__(self, library, sweep, work, grid, scheme, bcs,
+    def __init__(self, library, level, work, grid, scheme, bcs,
                  infiltration):
         nq = len(grid.shape)
         floats = work.full.floats
@@ -165,19 +165,17 @@ class CompiledStep:
             spacing=(ctypes.c_double * 2)(*grid.spacings),
             sides=(Side * 4)(*map(Side.of, self.conditions)),
             ext=work.ext.ctypes.data,
-            sweep=ctypes.cast(sweep, ctypes.c_void_p).value,
             blocks=(ctypes.c_void_p * 2)(*(
                 ctypes.cast(args[0], ctypes.c_void_p).value
                 for _, args, _ in work.blocks)),
             phi=work.phi.ctypes.data, cbrt=self.cbrt.ctypes.data,
-            speed=floats[1].ctypes.data,
             dv=None if self.dv is None else self.dv.ctypes.data,
             faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data,
             depth=self.depth.ctypes.data, check=self.check.ctypes.data,
             handed=self.handed.ctypes.data)
         self.pointer = ctypes.pointer(self.block)
-        self.entry = library.swekit_step
+        self.entry = getattr(library, f"swekit_step_{level}")
         self.fields = self.v_inf = self.landing = None
         self.manning = False
 

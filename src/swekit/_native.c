@@ -5,12 +5,12 @@
  *   entry swekit_sweep_<level> per x86 vector level (baseline, avx2),
  *   both compiled from the same code, and swekit_sweep_level, which
  *   reports the widest level the CPU and the OS support;
- * - the step, swekit_step: timeloop.run_simulation's time loop, with
- *   compute_dt, heun_step or euler_step and the ledger, up to each
- *   landing time: the ghost fill, the sweep at the level the caller
- *   bound, the stage tail (update, rain, infiltration, friction,
- *   validity check) and the Heun average, in phases that stop where
- *   numpy still computes; compiled for the baseline only, but the sweep;
+ * - the step, swekit_step_<level>: timeloop.run_simulation's time loop,
+ *   with compute_dt, heun_step or euler_step and the ledger, up to each
+ *   landing time: the ghost fill, the sweep of the same level, the
+ *   stage tail (update, rain, infiltration, friction, validity check)
+ *   and the Heun average, in phases that stop where numpy still
+ *   computes; one entry per vector level, as the sweep;
  * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows,
  *   compiled for the baseline only.
  *
@@ -40,7 +40,7 @@
  * correctly rounded operations in the same order. The levels' target
  * strings enable no FMA (which would contract) and name no arch=. They
  * are GCC's, on x86-64: built elsewhere, or by another compiler, the
- * library holds the baseline entry only.
+ * library holds the baseline entries only.
  *
  * The step, with its stage tail, and the writer are described at their
  * sections, after the sweep.
@@ -90,14 +90,20 @@ struct sweep {
     double *work;
 };
 
+/* numpy's maximum and minimum: NaN in a propagates, and a tie returns b.
+ * The NaN test selects after the comparison's select, not in its mask:
+ * in that form GCC vectorizes the selects also where their operands are
+ * themselves selects of comparisons (infiltrate's). */
 INLINE double np_max(double a, double b)
 {
-    return (a > b) | isnan(a) ? a : b;
+    double r = a > b ? a : b;
+    return isnan(a) ? a : r;
 }
 
 INLINE double np_min(double a, double b)
 {
-    return (a < b) | isnan(a) ? a : b;
+    double r = a < b ? a : b;
+    return isnan(a) ? a : r;
 }
 
 /* Rows of divergences written to strided outputs at once. */
@@ -397,6 +403,8 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
 #define TARGET_baseline
 #define TARGET_avx2 __attribute__((target("avx2")))
 
+typedef void sweep_fn(const struct sweep *);
+
 #define FACES(level, rusanov, nq)                                          \
     static TARGET_##level void level##_faces_##rusanov##_##nq(             \
         const double *th, const double *tl, idx n, idx e, double g,        \
@@ -456,10 +464,11 @@ int swekit_sweep_level(void)
  * the numpy step helpers it calls: compute_dt, heun_step or euler_step,
  * and the numpy kernels they call. No other compiled code takes a step:
  * those helpers run in numpy alone, over the sweep the build bound, where
- * the numpy loop calls them. swekit_step takes steps from the time t up
- * to the next landing time (an output time, a hyetograph change or the
- * final time) and returns only where numpy must still compute or decide,
- * or the caller must see the run. A step runs in phases:
+ * the numpy loop calls them. swekit_step_<level> takes steps from the
+ * time t up to the next landing time (an output time, a hyetograph
+ * change or the final time) and returns only where numpy must still
+ * compute or decide, or the caller must see the run. A step runs in
+ * phases:
  *
  * - BEGIN: the landing target, then the CFL dt (compute_dt's supremum
  *   per direction with _bc_speed's speed of the imposed boundary states,
@@ -467,12 +476,12 @@ int swekit_sweep_level(void)
  * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
  *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
  *   the caller fills those once per run), every direction's sweep at the
- *   vector level the caller bound (the end-face mass fluxes go into
- *   faces), and the tail's update. Then, with Manning friction,
- *   infiltration or in 2D, CUT: the caller writes np.cbrt of the new
- *   depth, which the step copies into depth, into the tail's cbrt row,
- *   and hands over the infiltrated depth's sum and, in 2D,
- *   _Workspace.boundary_volumes of the faces.
+ *   step's own vector level (the end-face mass fluxes go into faces),
+ *   and the tail's update. Then, with Manning friction, infiltration or
+ *   in 2D, CUT: the caller writes np.cbrt of the new depth, which the
+ *   step copies into depth, into the tail's cbrt row, and hands over the
+ *   infiltrated depth's sum and, in 2D, _Workspace.boundary_volumes of
+ *   the faces.
  * - FINISH1, FINISH2: the tail's friction and validity check.
  * - AVERAGE: Heun's average and its check.
  * - ACCEPT: the ledger in Python's order, the count, the new time, the
@@ -496,10 +505,11 @@ int swekit_sweep_level(void)
  *   Green-Ampt infiltration (sources.infiltration_step, with
  *   effective_conductivity and infiltration_capacity), which writes the
  *   infiltrated depth into dv and the new cumulative depth into v_out;
- * - tail_finish: semi-implicit friction (sources._damping_factor and the
- *   divide), then the validity check (timeloop._enforce_validity);
- * - tail_average: the Heun average of the fields and of the cumulative
- *   depth, then the validity check;
+ * - tail_friction: semi-implicit friction (sources._damping_factor and
+ *   the divide);
+ * - average: the Heun average of the fields and of the cumulative depth;
+ * - validity: the validity check (timeloop._enforce_validity) after each
+ *   stage's friction and after the average;
  * - speed_sups: compute_dt's supremum of |u| + c over the wet cells, per
  *   direction.
  *
@@ -507,11 +517,15 @@ int swekit_sweep_level(void)
  * numpy as in the sweep. Two things stay numpy's: np.cbrt, whose bits
  * depend on numpy's SIMD dispatch (the caller writes cbrt of the new
  * depth into cbrt between update and finish), and sums, which numpy
- * takes pairwise (the caller sums dv). hypot is libm's, which numpy's
- * hypot calls too. The passes are bound by memory, not arithmetic, so
- * they are compiled for the baseline only, as is the rest of the step
- * but the sweep. Arrays are C-contiguous: the fields and phi
- * (nq + 1, cells), the rest (cells,).
+ * takes pairwise (the caller sums dv). Arrays are C-contiguous: the
+ * fields and phi (nq + 1, cells), the rest (cells,).
+ *
+ * The tail's passes are bound by their arithmetic (divisions and square
+ * roots), not by memory, so the step is compiled once per vector level,
+ * as the sweep is, from the same code: swekit_step_<level> inlines every
+ * pass of the tail and calls the sweep of its own level. The ghost fill,
+ * the imposed boundary speed and the ledger, which visit a side's cells
+ * or none, stay out of line, compiled for the baseline and shared.
  */
 
 /* One side's boundary condition; _compiled.Side mirrors it. kind is the
@@ -531,15 +545,16 @@ enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
  * np_min(capacity, imax) then returns as capacity, bit for bit); ext is
  * the frame of timeloop._Workspace, blocks are the sweep's blocks of the
  * directions, which write phi and faces (direction, side, row); phi is
- * not read after the update, so cbrt and speed are two of its rows; dv
- * receives the infiltrated depth; handed holds what the caller hands
- * over at a cut; landing holds the landings sorted. The caller sets those
- * from phase to current for a run: the state is fields[current] and the
- * result goes into the other, likewise the cumulative infiltrated depth
- * in v_inf. The rest is the loop's own, read by the caller: cell and
- * h_min place a check's fault; mismatch counts each side's regime
- * mismatches (left, right, bottom, top) and mismatches all of them,
- * which the caller reports and clears; cum holds the ledger's sums. */
+ * not read after the update, so the CFL pass writes its wet speeds into
+ * its rows and cbrt is its first row; dv receives the infiltrated depth;
+ * handed holds what the caller hands over at a cut; landing holds the
+ * landings sorted. The caller sets those from phase to current for a
+ * run: the state is fields[current] and the result goes into the other,
+ * likewise the cumulative infiltrated depth in v_inf. The rest is the
+ * loop's own, read by the caller: cell and h_min place a check's fault;
+ * mismatch counts each side's regime mismatches (left, right, bottom,
+ * top) and mismatches all of them, which the caller reports and clears;
+ * cum holds the ledger's sums. */
 struct step {
     idx nx, ny, nq, cells, face_rows, friction, crust;
     double g, h_eps, tolerance, friction_scale, cell_area, courant;
@@ -548,10 +563,8 @@ struct step {
     double spacing[2];
     struct side sides[4];
     double *ext;
-    void (*sweep)(const struct sweep *);
     const struct sweep *blocks[2];
-    const double *phi;
-    double *cbrt, *speed, *dv, *faces, *stage, *v_stage, *depth, *check;
+    double *phi, *cbrt, *dv, *faces, *stage, *v_stage, *depth, *check;
     const double *handed, *landing;
     idx landings;
     idx phase, heun, infiltration, each;
@@ -573,7 +586,7 @@ enum { MANNING = 1, DARCY_WEISBACH = 2 };
  * one is so large that numpy's sum of them might overflow, which numpy's
  * check counts as a fault; the caller runs that check. */
 enum { VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED };
-/* What swekit_step returns besides a check's status. */
+/* What swekit_step_<level> returns besides a check's status. */
 enum { CUT = 4, DONE, STEPPED, RATE, BAD_DT, ZERO_DEPTH };
 
 /* sources.infiltration_step on the n depths h, for dt > 0: the
@@ -621,7 +634,7 @@ INLINE void subtract_update(const double *restrict f,
 
 /* The update of fields into h, and the cumulative infiltrated depth
  * from v into v_out. */
-static void tail_update(const struct step *s, const double *fields,
+INLINE void tail_update(const struct step *s, const double *fields,
                         double *h, const double *v, double *v_out)
 {
     const idx n = s->cells;
@@ -640,25 +653,45 @@ static void tail_update(const struct step *s, const double *fields,
 }
 
 /* The discharges q (nq rows of n) divided by the damping factor, built
- * from the stage's start f (h, then the discharges), its discharge's
- * magnitude speed (2D) and the new depth h_new. law and nq are
- * constants where this is inlined. */
+ * from the stage's start f (h, then the discharges) and the new depth
+ * h_new. The 2D magnitude is sqrt(qx*qx + qy*qy), as the paper writes
+ * it and sources._damping_factor takes it: the squares overflow to inf
+ * where |q| exceeds about 1.3e154, and lose bits below about 1.5e-154.
+ * law and nq are constants where this is inlined. */
 INLINE void friction(const double *restrict f, const double *restrict h_new,
-                     const double *restrict cb, const double *restrict speed,
-                     double *restrict q, idx n, double coeff, double h_eps,
-                     int law, int nq)
+                     const double *restrict cb, double *restrict q, idx n,
+                     double coeff, double h_eps, int law, int nq)
 {
     for (idx i = 0; i < n; i++) {
         /* h^n (h^{n+1})^{4/3} (Manning) or h^n h^{n+1}. */
         double denom = law == MANNING ? f[i] * (h_new[i] * cb[i])
                                       : f[i] * h_new[i];
-        double ratio = (nq == 1 ? fabs(f[n + i]) : speed[i]) * coeff / denom;
+        double qx = f[n + i];
+        double magnitude = nq == 1
+            ? fabs(qx) : sqrt(qx * qx + f[2 * n + i] * f[2 * n + i]);
+        double ratio = magnitude * coeff / denom;
         /* Wet at both levels: the smaller depth exceeds h_eps. */
         double factor = np_min(f[i], h_new[i]) > h_eps ? ratio + 1.0 : 1.0;
         q[i] = q[i] / factor;
         if (nq == 2)
             q[n + i] = q[n + i] / factor;
     }
+}
+
+/* Friction on the stage's update h from its start f. */
+INLINE void tail_friction(const struct step *s, const double *f, double *h)
+{
+    const idx n = s->cells;
+    const double *cb = s->cbrt;
+    const double coeff = s->friction_scale * s->dt;
+    if (s->friction == MANNING && s->nq == 1)
+        friction(f, h, cb, h + n, n, coeff, s->h_eps, MANNING, 1);
+    else if (s->friction == MANNING)
+        friction(f, h, cb, h + n, n, coeff, s->h_eps, MANNING, 2);
+    else if (s->friction == DARCY_WEISBACH && s->nq == 1)
+        friction(f, h, cb, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 1);
+    else if (s->friction == DARCY_WEISBACH)
+        friction(f, h, cb, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 2);
 }
 
 /* Sums over the cells in lanes: each lane adds its own cells, so no
@@ -706,7 +739,7 @@ INLINE int dry_and_small(double *restrict f, idx n, double h_eps, int nq)
  * below zero, every depth becomes max(h, 0). Then dry cells lose their
  * discharges, and a non-finite value is a fault at the first cell that
  * holds one. */
-static int validity(struct step *s, double *restrict f)
+INLINE int validity(struct step *s, double *restrict f)
 {
     const idx n = s->cells, nq = s->nq;
     /* The NaN and the negative depths, counted. */
@@ -752,35 +785,6 @@ static int validity(struct step *s, double *restrict f)
     return UNDECIDED;
 }
 
-/* |hypot(qx, qy)| of the n cells, into speed: libm's hypot, which
- * numpy's hypot calls too. A loop of its own, as the call keeps a loop
- * from being vectorized. */
-static void magnitudes(const double *restrict qx, const double *restrict qy,
-                       double *restrict speed, idx n)
-{
-    for (idx i = 0; i < n; i++)
-        speed[i] = fabs(hypot(qx[i], qy[i]));
-}
-
-/* Friction on the stage's update h from its start f, then the check. */
-static int tail_finish(struct step *s, const double *f, double *h)
-{
-    const idx n = s->cells;
-    const double *cb = s->cbrt, *sp = s->speed;
-    const double coeff = s->friction_scale * s->dt;
-    if (s->friction && s->nq == 2)
-        magnitudes(f + n, f + 2 * n, s->speed, n);
-    if (s->friction == MANNING && s->nq == 1)
-        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, MANNING, 1);
-    else if (s->friction == MANNING)
-        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, MANNING, 2);
-    else if (s->friction == DARCY_WEISBACH && s->nq == 1)
-        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 1);
-    else if (s->friction == DARCY_WEISBACH)
-        friction(f, h, cb, sp, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 2);
-    return validity(s, h);
-}
-
 /* a + b over n values into b, then times 0.5 (first) or 0.5 times. */
 INLINE void average(const double *restrict a, double *restrict b, idx n,
                     int half_first)
@@ -789,36 +793,43 @@ INLINE void average(const double *restrict a, double *restrict b, idx n,
         b[i] = half_first ? 0.5 * (a[i] + b[i]) : (a[i] + b[i]) * 0.5;
 }
 
-/* r = (f + r) * 0.5, v_r = 0.5 * (v + v_r), then the check of r. */
-static int tail_average(struct step *s, const double *f, double *r,
-                        const double *v, double *v_r)
+/* numpy's max, from 0.0, of n values v that are +0.0, positive or NaN:
+ * NaN where one is NaN, else the largest. Those values but NaN order as
+ * their bit patterns do as int64, and an int64 max, unlike a double one,
+ * is a reduction the compiler may vectorize. NaN are counted apart: the
+ * one inf / inf gives has its sign bit set. */
+INLINE double wet_max(const double *restrict v, idx n)
 {
-    average(f, r, (s->nq + 1) * s->cells, 0);
-    if (s->infiltration)
-        average(v, v_r, s->cells, 1);
-    return validity(s, r);
+    int64_t top = 0, nan = 0;
+    for (idx i = 0; i < n; i++) {
+        int64_t bits;
+        memcpy(&bits, v + i, sizeof bits);
+        top = bits > top ? bits : top;
+        nan += isnan(v[i]) ? 1 : 0;
+    }
+    double max;
+    memcpy(&max, &top, sizeof max);
+    return nan ? NAN : max;
 }
 
 /* compute_dt's supremum per direction k, into sup[k]: the largest
  * |q_k| / h + sqrt(g h) over the cells with h > h_eps, 0 where there is
- * none, and NaN where one is NaN (numpy's max). nq is a constant where
- * this is inlined. */
+ * none, and NaN where one is NaN (numpy's max). Each cell's speeds, 0.0
+ * where dry, go into the rows of row first. nq is a constant where this
+ * is inlined. */
 INLINE void speed_sups(const double *restrict f, idx n, double g,
-                       double h_eps, double *sup, int nq)
+                       double h_eps, double *restrict row, double *sup,
+                       int nq)
 {
-    double top[2] = {0.0, 0.0};
-    int nan[2] = {0, 0};
     for (idx i = 0; i < n; i++) {
         double h = f[i], c = sqrt(h * g);
         for (int k = 0; k < nq; k++) {
             double speed = fabs(f[(k + 1) * n + i]) / h + c;
-            double wet = h > h_eps ? speed : 0.0;
-            nan[k] |= isnan(wet);
-            top[k] = wet > top[k] ? wet : top[k];
+            row[k * n + i] = h > h_eps ? speed : 0.0;
         }
     }
     for (int k = 0; k < nq; k++)
-        sup[k] = nan[k] ? NAN : top[k];
+        sup[k] = wet_max(row + k * n, n);
 }
 
 /* boundary._resolve_imposed on one cell: the ghost depth and discharge
@@ -929,16 +940,12 @@ INLINE double positive(double v)
     return 0.0 > v ? 0.0 : v;
 }
 
-/* Stage k (0 or 1) up to its cut: the convective update of fields and
- * the tail's update into out, the cumulative infiltrated depth from
- * v_in into v_out. Returns whether the caller must compute at a cut. */
-static int stage(struct step *s, int k, const double *fields, double *out,
-                 const double *v_in, double *v_out)
+/* The fields into the frame's interior, and its ghosts filled. */
+static void fill_frame(struct step *s, const double *fields)
 {
     const idx nx = s->nx, ny = s->ny, nq = s->nq, e = nx + 4;
     const idx plane = nq == 2 ? (ny + 4) * e : e;
     double *h = s->ext, *q1 = h + plane, *q2 = q1 + plane;
-    /* The fields into the frame's interior. */
     for (idx v = 0; v <= nq; v++)
         for (idx r = 0; r < ny; r++)
             memcpy(h + v * plane + (nq == 2 ? r + 2 : 0) * e + 2,
@@ -954,8 +961,19 @@ static int stage(struct step *s, int k, const double *fields, double *out,
     }
     s->mismatches = s->mismatch[0] + s->mismatch[1] + s->mismatch[2]
                     + s->mismatch[3];
+}
+
+/* Stage k (0 or 1) up to its cut: the convective update of fields by
+ * sweep, the sweep of the step's level, and the tail's update into out,
+ * the cumulative infiltrated depth from v_in into v_out. Returns whether
+ * the caller must compute at a cut. */
+INLINE int stage(struct step *s, int k, const double *fields, double *out,
+                 const double *v_in, double *v_out, sweep_fn *sweep)
+{
+    const idx nq = s->nq;
+    fill_frame(s, fields);
     for (idx d = 0; d < nq; d++)
-        s->sweep(s->blocks[d]);
+        sweep(s->blocks[d]);
     if (nq == 1) {
         /* _Workspace.boundary_volumes of a 1D stage, times dt: a
          * periodic seam is no boundary. */
@@ -1035,13 +1053,13 @@ static double imposed_speed(const struct step *s, const double *f)
  * the directions, from the supremum sup per direction and _bc_speed's
  * speed boost of the imposed boundary states, with Python's min and max
  * (the first of equals). */
-static double cfl_dt(const struct step *s, const double *f)
+INLINE double cfl_dt(const struct step *s, const double *f)
 {
     double sup[2] = {0.0, 0.0};
     if (s->nq == 1)
-        speed_sups(f, s->cells, s->g, s->h_eps, sup, 1);
+        speed_sups(f, s->cells, s->g, s->h_eps, s->phi, sup, 1);
     else
-        speed_sups(f, s->cells, s->g, s->h_eps, sup, 2);
+        speed_sups(f, s->cells, s->g, s->h_eps, s->phi, sup, 2);
     double boost = imposed_speed(s, f);
     double dt = s->spacing[0];
     if (s->nq == 2 && s->spacing[1] < dt)
@@ -1076,7 +1094,7 @@ static void ledger(struct step *s)
  * change rate of the last step (numpy's max |r - f| over dt) and the
  * smallest depth seen. Returns ZERO_DEPTH where a depth of zero would
  * lower it, else VALID. */
-static int accept(struct step *s, const double *f, const double *r)
+INLINE int accept(struct step *s, const double *f, const double *r)
 {
     const idx cells = s->cells, values = (s->nq + 1) * cells;
     s->steps++;
@@ -1103,7 +1121,10 @@ static int accept(struct step *s, const double *f, const double *r)
     return VALID;
 }
 
-int swekit_step(struct step *s)
+/* The time loop over sweep, the sweep of the step's level; inlined into
+ * each level's entry, with every pass of the tail. Each pass is inlined
+ * at one place in it, so a level holds one copy of each. */
+INLINE int step(struct step *s, sweep_fn *sweep)
 {
     for (;;) {
         /* The state and the result; Heun's first stage goes into the
@@ -1114,8 +1135,11 @@ int swekit_step(struct step *s)
         double *v_r = s->v_inf[1 - s->current];
         double *first = s->heun ? s->stage : r;
         double *v_first = s->heun ? s->v_stage : v_r;
-        double *checked = r;
-        int status = VALID;
+        /* Stage 1 goes from f into first, stage 2 from the workspace's
+         * stage into r: checked is what a stage's phases write, and
+         * what the check after its friction judges. */
+        int second = s->phase == STAGE2 || s->phase == FINISH2;
+        double *checked = second ? r : first;
         switch (s->phase) {
         case BEGIN:
             if (!(s->t < s->final - s->atol)) {
@@ -1144,32 +1168,27 @@ int swekit_step(struct step *s)
             s->phase = STAGE1;
             continue;
         case STAGE1:
-            s->phase = FINISH1;
-            if (stage(s, 0, f, first, v, v_first))
+        case STAGE2:
+            s->phase = second ? FINISH2 : FINISH1;
+            if (stage(s, second, second ? s->stage : f, checked,
+                      second ? s->v_stage : v, second ? v_r : v_first,
+                      sweep))
                 return CUT;
             continue;
         case FINISH1:
-            take_handed(s, 0);
-            s->phase = s->heun ? STAGE2 : ACCEPT;
-            s->when = s->t;
-            checked = first;
-            status = tail_finish(s, f, first);
-            break;
-        case STAGE2:
-            s->phase = FINISH2;
-            if (stage(s, 1, s->stage, r, s->v_stage, v_r))
-                return CUT;
-            continue;
         case FINISH2:
-            take_handed(s, 1);
-            s->phase = AVERAGE;
+            take_handed(s, second);
+            s->phase = second ? AVERAGE : s->heun ? STAGE2 : ACCEPT;
             s->when = s->t;
-            status = tail_finish(s, s->stage, r);
+            tail_friction(s, second ? s->stage : f, checked);
             break;
         case AVERAGE:
             s->phase = ACCEPT;
             s->when = s->t + s->dt;
-            status = tail_average(s, f, r, v, v_r);
+            average(f, r, (s->nq + 1) * s->cells, 0);
+            if (s->infiltration)
+                average(v, v_r, s->cells, 1);
+            checked = r;
             break;
         case ACCEPT:
             s->current = 1 - s->current;
@@ -1186,6 +1205,8 @@ int swekit_step(struct step *s)
             s->phase = FINISHED;
             return DONE;
         }
+        /* A stage's end and the average: the check. */
+        int status = validity(s, checked);
         if (status == UNDECIDED)
             memcpy(s->check, checked,
                    (size_t)((s->nq + 1) * s->cells) * sizeof(double));
@@ -1193,6 +1214,19 @@ int swekit_step(struct step *s)
             return status;
     }
 }
+
+/* One step entry per vector level, swekit_step_<level>, over the sweep
+ * of the same level. */
+#define STEP_LEVEL(level)                                                  \
+    TARGET_##level int swekit_step_##level(struct step *s)                 \
+    {                                                                      \
+        return step(s, swekit_sweep_##level);                              \
+    }
+
+STEP_LEVEL(baseline)
+#if VECTOR_LEVELS
+STEP_LEVEL(avx2)
+#endif
 
 /* ------------------------------------------------------------ writer
  *

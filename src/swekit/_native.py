@@ -14,17 +14,18 @@ one, whose steps are the numpy step helpers alone, over the compiled
 sweep where a step helper is rebound (a profiler's wrapper) and over
 the numpy sweep where the library could not be built.
 
-The sweep is compiled once per x86 vector level (SWEEP_LEVELS: the
-baseline and avx2, which AVX-512 CPUs run too), both from the same
-source, into entries swekit_sweep_<level> of the one library;
-sweep_levels() names those this CPU can run, and timeloop binds the
-widest. GCC's target attribute enables a level for its entry alone, so
-the library loads on any x86-64 CPU, and a cached build stays safe to
-load on another machine. Built by another compiler or for another
-architecture, the library holds the baseline entry only. The step
-calls the sweep entry it is handed; the rest of it and the writer are
-compiled once, for the baseline: the tail's passes are bound by memory,
-not arithmetic.
+The sweep and the step are compiled once per x86 vector level
+(SWEEP_LEVELS: the baseline and avx2, which AVX-512 CPUs run too), both
+from the same source, into entries swekit_sweep_<level> and
+swekit_step_<level> of the one library; sweep_levels() names those this
+CPU can run, and timeloop binds the widest. The step of a level calls
+the sweep of that level: the tail's passes are bound by their divisions
+and square roots, not by memory, and gain from the wider level as the
+sweep does. GCC's target attribute enables a level for its entries
+alone, so the library loads on any x86-64 CPU, and a cached build stays
+safe to load on another machine. Built by another compiler or for
+another architecture, the library holds the baseline entries only. The
+writer is compiled once, for the baseline.
 
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
@@ -64,12 +65,11 @@ _SOURCE = pathlib.Path(__file__).with_name("_native.c")
 _FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
           "-ffp-contract=off", "-fPIC", "-shared")
 
-# Every entry point but the per-level sweeps: (argument types, result
+# Every entry point but the per-level ones: (argument types, result
 # type). Pointers are passed as addresses.
 _ENTRIES = {
     "swekit_sweep_level": ([], ctypes.c_int),
     "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
-    "swekit_step": ([ctypes.c_void_p], ctypes.c_int),
     "swekit_writer_init": ([], ctypes.c_int),
     "swekit_format_slots": ([ctypes.c_void_p, ctypes.c_ssize_t,
                              ctypes.c_void_p], None),
@@ -79,10 +79,13 @@ _ENTRIES = {
                           ctypes.c_ssize_t),
 }
 
-# The vector levels of the sweep, narrowest first. Each has an entry
-# swekit_sweep_<level>(struct sweep *), declared where the CPU supports
-# the level.
+# The vector levels of the sweep and the step, narrowest first. Each has
+# the entries swekit_sweep_<level>(struct sweep *) and
+# swekit_step_<level>(struct step *), declared where the CPU supports the
+# level.
 SWEEP_LEVELS = ("baseline", "avx2")
+# The result type of each entry of a level, by name.
+_LEVEL_ENTRIES = {"swekit_sweep_{}": None, "swekit_step_{}": ctypes.c_int}
 
 _LOADING = threading.Lock()
 
@@ -186,8 +189,9 @@ def library():
                 entry = getattr(loaded, name)
                 entry.argtypes, entry.restype = argtypes, restype
             for level in SWEEP_LEVELS[:loaded.swekit_sweep_level() + 1]:
-                entry = getattr(loaded, f"swekit_sweep_{level}")
-                entry.argtypes, entry.restype = [ctypes.c_void_p], None
+                for name, restype in _LEVEL_ENTRIES.items():
+                    entry = getattr(loaded, name.format(level))
+                    entry.argtypes, entry.restype = [ctypes.c_void_p], restype
             if loaded.swekit_writer_init() != 0:
                 raise OSError("the writer found no \"C\" locale")
         except OSError as exc:
@@ -200,9 +204,9 @@ def library():
 
 
 def sweep_levels():
-    """The vector levels of the sweep this process can run, narrowest
-    first: those the loaded library holds and the CPU and the OS support.
-    Empty where the library could not be built."""
+    """The vector levels of the sweep and the step this process can run,
+    narrowest first: those the loaded library holds and the CPU and the
+    OS support. Empty where the library could not be built."""
     loaded = library()
     if loaded is None:
         return ()

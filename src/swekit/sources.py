@@ -75,6 +75,17 @@ def _damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps, work):
         work = Scratch.empty(shape or (1,), FRICTION_FLOATS, FRICTION_FLAGS)
     denom, term = work.floats[:2]
     wet = work.flags[0]
+    # |q^n|: |q| in 1D, sqrt(qx*qx + qy*qy) in 2D as the paper writes it
+    # (not hypot: the squares overflow to inf where |q| exceeds about
+    # 1.3e154 and lose bits below about 1.5e-154). denom is free until the
+    # depths need it.
+    if len(q_n) == 1:
+        np.abs(q_n[0], out=term)
+    else:
+        np.multiply(q_n[0], q_n[0], out=term)
+        np.multiply(q_n[1], q_n[1], out=denom)
+        np.add(term, denom, out=term)
+        np.sqrt(term, out=term)
     # Wet at both levels: the smaller depth exceeds h_eps (NaN is dry).
     np.minimum(h_n, h_np1, out=denom)
     np.greater(denom, h_eps, out=wet)
@@ -88,10 +99,6 @@ def _damping_factor(q_n, h_n, h_np1, params, dt, g, h_eps, work):
     else:  # darcy_weisbach: h^n h^{n+1}
         np.multiply(h_n, h_np1, out=denom)
         coeff = dt * (params.coefficient / 8.0)
-    if len(q_n) == 1:
-        np.abs(q_n[0], out=term)
-    else:
-        np.abs(np.hypot(*q_n, out=term), out=term)
     np.multiply(term, coeff, out=term)
     # Only wet cells divide; the rest keep D = 1.
     np.divide(term, denom, out=term, where=wet)

@@ -36,9 +36,9 @@ A step runs one of two ways, as part of one of two time loops:
   _native.c, driven by _compiled.CompiledStep.run, runs the time loop
   up to each landing time, and returns to Python only where numpy still
   computes or decides, or the caller sees the run (_native.c's step
-  section). The bed's ghosts are filled once per run; the sweep in the
-  step is the one _sweep_kernel binds. This is the only compiled code
-  that takes a step.
+  section). The bed's ghosts are filled once per run; the step is
+  compiled at the vector level of the sweep _sweep_kernel binds, and
+  calls that sweep. This is the only compiled code that takes a step.
 * In the numpy loop, _numpy_run, through the numpy step helpers:
   heun_step or euler_step runs _stage, which fills the frame with
   fill_ghosts_1d or fill_ghosts_2d, runs the sweep, then _numpy_tail;
@@ -57,9 +57,9 @@ normal flux divergence and the mass flux through the two end faces.
 * The compiled kernel, the sweep of _native.c, runs wherever a C
   compiler is found; _native builds, caches and loads the library (see
   its docstring for the flags, none of which changes a computed value).
-  The library holds one entry per x86 vector level (baseline, avx2),
-  both from the same code and giving the same bits, and _sweep_kernel
-  binds the widest this CPU supports. One foreign call
+  The library holds one sweep and one step per x86 vector level
+  (baseline, avx2), both from the same code and giving the same bits,
+  and _sweep_kernel binds the widest this CPU supports. One foreign call
   per direction sweeps every row through element strides: the y sweep
   reads the transposed frame as it is and adds into phi a tile of rows
   at a time. A block needs O(n) scratch.
@@ -585,7 +585,8 @@ class _Workspace:
         ext[:-1] = 0.0
         self.fill([])
         self.compiled = _compiled.CompiledStep(
-            _native.library(), sweep, self, grid, scheme, bcs, infiltration)
+            _native.library(), self.level, self, grid, scheme, bcs,
+            infiltration)
 
     def _numpy_blocks(self, phi, x_rows, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.

@@ -353,6 +353,21 @@ def test_imposed_both_discharge_onto_zero_depth_rejected():
     assert key == "boundary_left" and "zero depth" in reason
 
 
+@pytest.mark.parametrize("spec", ["imposed_discharge:1e300",
+                                  "imposed_depth:-2e154",
+                                  "imposed_both:1:1e155"])
+def test_imposed_values_whose_square_overflows_are_rejected(spec):
+    # Parsed, they faulted the first step with a non-finite state.
+    errors = errors_of(MINIMAL + f"boundary_left = {spec}\n")
+    (line, key, reason), = errors
+    assert (line, key) == (5, "boundary_left") and "overflows" in reason
+    # sqrt(DBL_MAX), rounded, still has a finite square.
+    bound = float(np.sqrt(np.finfo(float).max))
+    config = parse_parameters(
+        MINIMAL + f"boundary_left = imposed_discharge:{bound!r}\n")
+    assert config.boundaries.left.discharge == bound
+
+
 def test_single_row_2d_grid_rejected():
     errors = errors_of(MINIMAL + "width = 2\ncells_y = 1\n")
     (_, key, reason), = errors

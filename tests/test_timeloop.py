@@ -708,17 +708,30 @@ def test_the_widest_level_the_cpu_supports_is_bound():
                 if level == "baseline" or features.get(level.upper())]
     assert _native.sweep_levels() == tuple(runnable)
     assert timeloop.sweep_level() == runnable[-1]
+    # The step is built at every level the sweep is, and binds the
+    # sweep's.
+    assert [level for level in _native.SWEEP_LEVELS
+            if hasattr(library, f"swekit_step_{level}")] == built
     work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
                                SchemeConfig(), WALL)
     assert (work.kernel, work.level) == ("c", runnable[-1])
+    assert work.compiled.entry is getattr(
+        library, f"swekit_step_{timeloop.sweep_level()}")
 
 
 @pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
 def test_every_vector_level_runs_with_numpys_bits(level, caplog):
+    # The rain plot runs Manning friction and two-layer infiltration in
+    # 2D over wet and dry cells: the tail's vectorized passes.
     configs = [_wet_plot(two_d, order, flux) for two_d in (False, True)
                for order in (1, 2) for flux in ("hll", "rusanov")]
+    configs.append(_rain_plot())
     with _sweep_path(f"c:{level}"), \
             caplog.at_level(logging.INFO, timeloop.LOG.name):
+        work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
+                                   SchemeConfig(), WALL)
+        assert work.compiled.entry is getattr(_native.library(),
+                                              f"swekit_step_{level}")
         results = [run_simulation(config) for config in configs]
     with _sweep_path("numpy"):
         references = [run_simulation(config) for config in configs]
@@ -808,7 +821,7 @@ def test_concurrent_first_runs_share_one_cache(tmp_path):
 # ----------------------------------------------------- pinned results
 # Final-state SHA-256, final change rate (as float.hex) and mass ledger
 # (time, volume, rain, infiltration, boundary in, boundary out, residual,
-# as float.hex) of three short runs. Any change to the floating-point
+# as float.hex) of six short runs. Any change to the floating-point
 # order of the solver shows here.
 
 
@@ -916,7 +929,7 @@ PINNED = {
         "0x1.ef1b8740f0f7dp+3"),
     "rain_plot": (
         _rain_plot, 6,
-        "0268ce4749e9214a5f6e89d1d774574d44227fdfdc5f986d7ac4ced4a55c37d1",
+        "4b96c1ec2ef0e534f23a7eed4a67ed55383c3fbcfff4c74da5575e46ac41e855",
         "0x1.44478c1a134a4p-10"),
     "thacker_bowl": (
         _thacker_bowl, 20,
@@ -1621,6 +1634,21 @@ def test_steps_and_dt_give_numpys_bits_on_every_path(case):
             assert _step_outcomes(case, path) == reference
 
 
+def test_a_nan_wave_speed_gives_numpys_dt_on_every_path():
+    # An infinite depth under an infinite discharge moves at inf/inf +
+    # inf: a NaN with its sign bit set. numpy's max of the speeds is NaN,
+    # and compute_dt then leaves the direction out.
+    fields = np.array([[1.0, np.inf, 0.5, 1.0], [0.2, np.inf, 0.1, 0.0]])
+    case = dict(grid=Grid(nx=4, dx=1.0), z=np.zeros(4), fields=fields,
+                bcs=WALL, scheme=SchemeConfig(), friction=FrictionParams(),
+                rain=0.0, soil=None, v_inf=None, dt=0.1)
+    _needs_the_compiled_step()
+    with np.errstate(all="ignore"):
+        reference = _step_outcomes(case, "numpy")
+        for path in _kernel_paths()[1:]:
+            assert _step_outcomes(case, path) == reference
+
+
 @st.composite
 def tail_cases(draw):
     """A state on a flat walled bed drawn to probe the stage tail and the
@@ -1659,6 +1687,41 @@ def test_the_stage_tail_gives_numpys_bits_on_every_path(case):
         reference = _step_outcomes(case, "numpy")
         for path in _kernel_paths()[1:]:
             assert _step_outcomes(case, path) == reference
+
+
+def test_2d_friction_takes_the_magnitude_from_the_squares_on_every_path():
+    """|q| in 2D friction is sqrt(qx*qx + qy*qy), not hypot(qx, qy). The
+    squares overflow to inf where |q| passes about 1.3e154: the damping
+    factor is then inf and the discharge becomes 0. Below about 1.5e-154
+    they are subnormal and lose bits, and below about 1.6e-162 they are
+    0: friction then vanishes. A uniform periodic state has no flux
+    divergence, so its step is friction alone; tiny depths bring a tiny
+    |q| into the damping factor's bits."""
+    _needs_the_compiled_step()
+    periodic = BoundaryCondition("periodic")
+    bcs = BoundarySet(periodic, periodic, periodic, periodic)
+    grid = Grid(nx=3, ny=2, dx=1.0, dy=1.0)
+    scheme = SchemeConfig(order=1, fixed_dt=1.0, h_eps=1e-100)
+    # Darcy-Weisbach with f = 8 and dt = 1: the factor is
+    # 1 + |q| / (h^n h^{n+1}).
+    friction = FrictionParams("darcy_weisbach", 8.0)
+    for h, q in ((1.0, 1e154), (1e-80, 1e-160), (1e-81, 1e-163)):
+        magnitude = math.sqrt(q * q + q * q)
+        assert magnitude != math.hypot(q, q)
+        expected = q / (1.0 + magnitude / (h * h))
+        if q == 1e154:
+            assert (magnitude, expected) == (math.inf, 0.0)
+        if q == 1e-163:
+            assert (magnitude, expected) == (0.0, q)
+        fields = np.stack([np.full(grid.shape, v) for v in (h, q, q)])
+        for path in _kernel_paths():
+            ctx = _context(grid, scheme, friction, 0.0, False, path,
+                           bcs=bcs)
+            with np.errstate(all="ignore"):
+                _, landed, *_ = _to_landing(ctx, State(fields.copy()),
+                                            None, 1.0)
+            assert _same_bits(landed[0], fields[0])
+            assert _same_bits(landed[1:], np.full_like(landed[1:], expected))
 
 
 def _fault_at(check):
