@@ -11,8 +11,10 @@
  *   stage tail (update, rain, infiltration, friction, validity check)
  *   and the Heun average, in phases that stop where numpy still
  *   computes; one entry per vector level, as the sweep;
- * - swekit_write_rows: the `%.16e` table writer of fileio._write_rows,
- *   compiled for the baseline only.
+ * - the writer, swekit_write_rows_<level> and swekit_format_slots_<level>:
+ *   the `%.16e` table writer of fileio._write_rows, one pair of entries
+ *   per writer level (baseline, fma), both compiled from the same code,
+ *   and swekit_writer_level, which reports the widest the CPU runs.
  *
  * The sweep kernel. A row is a 1D problem along the sweep direction: n
  * cells plus two ghost cells per end. For each row this computes, into
@@ -37,10 +39,12 @@
  * raises nothing, and its value is dropped.
  *
  * Wider vectors give the same bits: each element still sees the same
- * correctly rounded operations in the same order. The levels' target
- * strings enable no FMA (which would contract) and name no arch=. They
- * are GCC's, on x86-64: built elsewhere, or by another compiler, the
- * library holds the baseline entries only.
+ * correctly rounded operations in the same order. The sweep's and the
+ * step's target strings enable no FMA and name no arch=; only the
+ * writer's fma level enables FMA, for its explicit fma() calls, and
+ * -ffp-contract=off keeps any other product from being fused. The
+ * target strings are GCC's, on x86-64: built elsewhere, or by another
+ * compiler, the library holds the baseline entries only.
  *
  * The step, with its stage tail, and the writer are described at their
  * sections, after the sweep.
@@ -1233,39 +1237,59 @@ STEP_LEVEL(avx2)
  * The contract of fileio._write_rows: rows of float64 values as `%.16e`
  * text, byte for byte what Python's f"{v:.16e}" gives, joined by single
  * spaces, each row ended by a newline and optionally led by its (x, y)
- * grid coordinates. The numpy writer in fileio.py is the reference, and
- * this follows its method:
+ * grid coordinates. Python's formatting is the reference, as it is for
+ * the numpy writer in fileio.py; tests pin both writers to it.
  *
- * - A finite nonzero |v| is scaled by 10**(16 - e), correctly rounded
- *   in long double, for its decimal exponent e: an estimate from frexp
- *   and one comparison with a power of ten. At a decade edge e can be
- *   one off, which a scaled value outside [1e16, 1e17) shows: it is
- *   then scaled again one exponent over.
- * - The 17 digits are the scaled value rounded half up. The power and
- *   the product are each rounded to nearest, so the scaled value lies
- *   less than (digits + 1) * LDBL_EPSILON (and a term below 2**-60 of
- *   that) from the exact |v| * 10**(16 - e). Where its fraction lies
- *   farther than digits * LDBL_EPSILON + 2 * LDBL_EPSILON from one half
- *   (a test that is exact in long double), the exact product rounds to
- *   the same digits. Digits that round up to 10**17 are 10**16 with the
- *   exponent one higher.
- * - A value nearer a rounding tie goes to libc's correctly rounded
- *   snprintf("%.16e"), under the "C" locale whatever the process's. So
- *   does every finite nonzero value where long double lacks 64 mantissa
- *   bits or the range of 10**341.
+ * - A finite nonzero |v| has the decimal exponent e, 10**e <= |v| <
+ *   10**(e + 1): an estimate from its binary exponent and one comparison
+ *   with 10**(e + 1) rounded.
+ * - Its 17 digits are |v| * 10**k rounded to nearest, k = 16 - e. The
+ *   power is a double-double hi + lo, hi = RN(10**k) and lo = RN(10**k -
+ *   hi), both times 2**s and |v| times 2**-s, exactly: s = 0 but where
+ *   |e| >= 280, where 10**k leaves double's range or a Veltkamp split
+ *   below could overflow.
+ * - The product is p + c: p = |v| * hi rounded, its exact error |v| * hi
+ *   - p (C99 fma at the fma level; Dekker's product of Veltkamp halves at
+ *   the baseline, Dekker 1971), and c = that error + |v| * lo. As p
+ *   exceeds 2**53 it is an integer. While p < 2**57, lo, |v| * lo and
+ *   the sum each round by less than 2**-49, so c lies within 2**-47 of
+ *   the exact rest |v| * 10**k - p.
+ * - The digits are p + c rounded: c is rounded to an integer by adding
+ *   and subtracting 1.5 * 2**52, and they stand where c's fraction lies
+ *   farther than 2**-44 from one half. Otherwise, at an exact tie or
+ *   within a hair of one, v goes to libc's correctly rounded
+ *   snprintf("%.16e"), under the "C" locale whatever the process's.
+ * - At a decade edge e can be one off, which (p - 1e16) + c < 0 or
+ *   (p - 1e17) + c >= 0 shows: p - 1e16 and p - 1e17 are exact where
+ *   small, so each sum has the sign of its exact value or lies within
+ *   c's error of 0. Then the product is taken again one exponent over.
+ *   Digits that round up to 10**17 are 10**16 with the exponent one
+ *   higher, so a value that close to a power of ten gets the same text
+ *   from either side.
  * - Zeros, infinities and NaN (always "nan", as Python writes it) are
  *   written directly.
  *
- * The digits are rendered four at a time from a lookup table.
+ * swekit_writer_init computes the power table from exact integers, and
+ * tests/test_fileio.py rebuilds every pair from Python's. The digits are
+ * rendered four at a time from a lookup table. Each writer level
+ * (baseline; fma, for avx2 with FMA) has its entries, compiled from the
+ * same code, and both give the same text: each decides only digits that
+ * are exact.
  */
 
-#include <stdlib.h>
-
-/* Decimal exponents the tables cover: those of finite nonzero doubles,
+/* Decimal exponents the table covers: those of finite nonzero doubles,
  * -324..308, and one more at each end for the decade-edge redo. */
 #define EXP_LO (-325)
 #define EXP_HI 309
+/* Rows with |e| >= SCALED hold the power times 2**(+-SHIFT). */
+#define SCALED 280
+#define SHIFT 160
 #define TEN16 10000000000000000LL
+/* Adding and subtracting it rounds a double below 2**51 to an integer,
+ * ties to even. */
+#define ROUNDER 0x1.8p52
+/* A fraction this close to one half leaves the digits undecided. */
+#define MARGIN 0x1p-44
 /* Characters of the longest value, -d.dddddddddddddddde-ddd. */
 #define MAX_TEXT 24
 /* Bytes of a formatted coordinate: its text, then its length in the
@@ -1274,28 +1298,141 @@ STEP_LEVEL(avx2)
 /* Values whose digits are found before their text is written. */
 #define CHUNK 16
 
-#define FAST_DIGITS (LDBL_MANT_DIG >= 64 && LDBL_MAX_10_EXP > 341)
-
-static long double scale[EXP_HI - EXP_LO + 1]; /* 10**(16 - e) */
-static double decade[EXP_HI - EXP_LO + 1];     /* 10**e as a double */
-static char groups[10000][4];                  /* "0000" .. "9999" */
+/* Row e - EXP_LO of the power table: 10**(16 - e) * 2**s as hi + lo,
+ * hi split into Veltkamp halves head + tail of at most 26 bits each,
+ * the factor 2**-s for |v|, and 10**(e + 1) rounded, for the estimate
+ * of e. tests/test_fileio.py reads it. */
+struct power {
+    double hi, lo, head, tail, scale, next;
+};
+struct power swekit_powers[EXP_HI - EXP_LO + 1];
+static char groups[10000][4]; /* "0000" .. "9999" */
 static locale_t c_locale;
 static int ready;
+
+/* The table's big integers: LIMBS 32-bit limbs, least significant
+ * first. 10**-k is held as floor(2**FIXED / 10**k) and a flag that the
+ * floor dropped a fraction: at least 2**260 for every k here, so its
+ * pair and its rounding see every bit they need. */
+#define FIXED 1400
+#define LIMBS (FIXED / 32 + 1)
+
+static void times_ten(uint32_t *x)
+{
+    uint64_t carry = 0;
+    for (int i = 0; i < LIMBS; i++) {
+        carry += (uint64_t)x[i] * 10;
+        x[i] = (uint32_t)carry;
+        carry >>= 32;
+    }
+}
+
+/* x / 10 rounded down; nonzero where that dropped a remainder. */
+static int over_ten(uint32_t *x)
+{
+    uint64_t rest = 0;
+    for (int i = LIMBS - 1; i >= 0; i--) {
+        rest = rest << 32 | x[i];
+        x[i] = (uint32_t)(rest / 10);
+        rest %= 10;
+    }
+    return rest != 0;
+}
+
+static uint32_t limb(const uint32_t *x, int i)
+{
+    return i < LIMBS ? x[i] : 0;
+}
+
+/* x, plus a fraction in (0, 1) where inexact (x then has 54 bits or
+ * more), rounded to 53 bits, to nearest and ties to even: returns the
+ * significand m of m * 2**top; *up tells that it rounded up. */
+static uint64_t round53(const uint32_t *x, int inexact, int *top, int *up)
+{
+    int i = LIMBS - 1, n = 32 * i;
+    while (i > 0 && !x[i])
+        n = 32 * --i;
+    for (uint32_t w = x[i]; w; w >>= 1)
+        n++;
+    *top = n > 53 ? n - 53 : 0;
+    /* Bits top .. top + 52, then the one below them and whether any
+     * lower one is set. */
+    int at = *top, below = at - 1;
+    uint64_t m = ((uint64_t)limb(x, at / 32 + 1) << 32 | x[at / 32]) >>
+                 at % 32;
+    if (at % 32)
+        m |= (uint64_t)limb(x, at / 32 + 2) << (64 - at % 32);
+    m &= (1ULL << 53) - 1;
+    int half = below >= 0 && (x[below / 32] >> below % 32 & 1);
+    int rest = inexact;
+    for (int k = 0; k < below / 32 && !rest; k++)
+        rest = x[k] != 0;
+    if (below > 0 && !rest)
+        rest = (x[below / 32] & ((1u << below % 32) - 1)) != 0;
+    *up = half && (rest || (m & 1));
+    return m + (uint64_t)*up;
+}
+
+/* RN(x * 2**exp), for x as round53's. */
+static double rounded(const uint32_t *x, int inexact, int exp)
+{
+    int top, up;
+    uint64_t m = round53(x, inexact, &top, &up);
+    return ldexp((double)m, top + exp);
+}
+
+/* Row e of the table, where it has one, from 10**(16 - e) = x * 2**exp,
+ * x as round53's. */
+static void set_power(int e, const uint32_t *x, int inexact, int exp)
+{
+    if (e < EXP_LO || e > EXP_HI)
+        return;
+    struct power *w = &swekit_powers[e - EXP_LO];
+    int s = e >= SCALED ? SHIFT : e <= -SCALED ? -SHIFT : 0;
+    int top, up;
+    uint32_t rest[LIMBS];
+    uint64_t m = round53(x, inexact, &top, &up);
+    w->hi = ldexp((double)m, top + exp + s);
+    /* x less m * 2**top: its bits below top, or where m rounded up,
+     * minus their complement to 2**top. */
+    for (int i = 0; i < LIMBS; i++) {
+        uint32_t below = 32 * i + 32 <= top ? ~0u
+                         : 32 * i < top ? (1u << top % 32) - 1 : 0u;
+        rest[i] = (up ? ~x[i] : x[i]) & below;
+    }
+    if (up && !inexact)
+        for (int i = 0; i < LIMBS && !++rest[i]; i++)
+            ;
+    w->lo = (up ? -1.0 : 1.0) * rounded(rest, inexact, exp + s);
+    double t = w->hi * 134217729.0; /* 2**27 + 1 */
+    w->head = t - (t - w->hi);
+    w->tail = w->hi - w->head;
+    w->scale = ldexp(1.0, -s);
+}
 
 /* Builds the tables; 0, or -1 where the "C" locale cannot be made.
  * The loader calls it once, before any other writer entry. */
 int swekit_writer_init(void)
 {
-    char text[16];
+    uint32_t ten[LIMBS] = {1}, tenth[LIMBS] = {0};
+    int inexact = 0;
     if (ready)
         return 0;
-    for (int e = EXP_LO; e <= EXP_HI; e++) {
-        /* strtold and strtod round correctly; these texts have no
-         * decimal point, so the locale does not enter. */
-        snprintf(text, sizeof text, "1e%d", 16 - e);
-        scale[e - EXP_LO] = strtold(text, NULL);
-        snprintf(text, sizeof text, "1e%d", e);
-        decade[e - EXP_LO] = strtod(text, NULL);
+    tenth[FIXED / 32] = 1u << FIXED % 32;
+    /* 10**k and 10**-k, for the rows e = 16 -+ k and the estimates of
+     * e = k - 1 and -k - 1. */
+    for (int k = 0; k <= 16 - EXP_LO; k++) {
+        set_power(16 - k, ten, 0, 0);
+        if (k - 1 <= EXP_HI)
+            swekit_powers[k - 1 - EXP_LO].next = rounded(ten, 0, 0);
+        if (k) {
+            set_power(16 + k, tenth, inexact, -FIXED);
+            if (-k - 1 >= EXP_LO)
+                swekit_powers[-k - 1 - EXP_LO].next =
+                    rounded(tenth, inexact, -FIXED);
+        }
+        times_ten(ten);
+        inexact |= over_ten(tenth);
     }
     for (int n = 0; n < 10000; n++) {
         groups[n][0] = (char)('0' + n / 1000);
@@ -1308,6 +1445,18 @@ int swekit_writer_init(void)
         return -1;
     ready = 1;
     return 0;
+}
+
+/* The widest writer level whose entries this library holds and whose
+ * instructions the CPU and the OS support: 0 baseline, 1 fma. */
+int swekit_writer_level(void)
+{
+#if VECTOR_LEVELS
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+    return 0;
+#endif
 }
 
 /* A zero, an infinity or NaN. */
@@ -1349,43 +1498,61 @@ static char *put_digits(char *p, double v, int64_t d, int e)
     return p + 2;
 }
 
+/* m * 10**(16 - e) as p + c, from row w of the table: p = m * hi
+ * rounded, c its exact error plus m * lo. fused picks fma over Dekker's
+ * product for the error. */
+INLINE double product(double m, const struct power *w, double *c, int fused)
+{
+    double a = m * w->scale, p = a * w->hi, error;
+    if (fused) {
+        error = fma(a, w->hi, -p);
+    } else {
+        double t = a * 134217729.0; /* 2**27 + 1 */
+        double head = t - (t - a), tail = a - head;
+        error = ((head * w->head - p) + head * w->tail + tail * w->head)
+                + tail * w->tail;
+    }
+    *c = error + a * w->lo;
+    return p;
+}
+
 /* The 17 digits of v, 10**16 <= d < 10**17, and its exponent at e; 0
- * where this cannot decide them: v is zero, infinite or NaN, near a
- * rounding tie, or long double is too narrow. */
-INLINE int64_t decimal(double v, int *exponent)
+ * where this does not decide them: v is zero, infinite or NaN, or lies
+ * within 2**-44 of a rounding tie. */
+INLINE int64_t decimal(double v, int *exponent, int fused)
 {
     double m = fabs(v);
     *exponent = 0;
-    if (!FAST_DIGITS || !(m > 0.0 && m <= DBL_MAX))
+    if (!(m > 0.0 && m <= DBL_MAX))
         return 0;
     /* m lies in [2**(b - 1), 2**b): e is floor(log10(2**(b - 1))) or
      * one more. b is read from the exponent field of a normal m. */
     uint64_t bits;
     memcpy(&bits, &m, sizeof bits);
-    int b = (int)(bits >> 52) - 1022;
-    if (b == -1022)
-        frexp(m, &b);
-    /* floor((b - 1) * log10(2)) as floor((b - 1) * 315653 / 2**20), which
-     * is exact for |b - 1| <= 2620. */
-    int x = (b - 1) * 315653;
-    int e = x >= 0 ? x >> 20 : -((-x + (1 << 20) - 1) >> 20);
-    e += m >= decade[e + 1 - EXP_LO];
-    long double s = (long double)m * scale[e - EXP_LO];
-    if (s < 1e16L || s >= 1e17L) {
-        e += s < 1e16L ? -1 : 1;
-        s = (long double)m * scale[e - EXP_LO];
+    int b = (int)(bits >> 52) - 1022, subnormal_b;
+    if (b == -1022) {
+        frexp(m, &subnormal_b);
+        b = subnormal_b;
     }
-    if (!(s >= 1e16L && s < 1e17L))
+    /* floor((b - 1) * log10(2)) as floor((b - 1) * 315653 / 2**20), which
+     * is exact for |b - 1| <= 2620, of a numerator made positive. */
+    int e = (((b - 1) * 315653 + (400 << 20)) >> 20) - 400;
+    e += m >= swekit_powers[e - EXP_LO].next;
+    double c, p = product(m, &swekit_powers[e - EXP_LO], &c, fused);
+    if ((p - 1e16) + c < 0.0 || (p - 1e17) + c >= 0.0) {
+        e += (p - 1e16) + c < 0.0 ? -1 : 1;
+        p = product(m, &swekit_powers[e - EXP_LO], &c, fused);
+    }
+    double r = (c + ROUNDER) - ROUNDER;
+    if (!(fabs(c - r) < 0.5 - MARGIN))
         return 0;
-    /* The nearest integer, and how far s lies from a tie: exact. */
-    int64_t d = llrintl(s);
-    long double off = 0.5L - fabsl(s - (long double)d);
-    if (!(off > (long double)d * LDBL_EPSILON + 2 * LDBL_EPSILON))
-        return 0;
+    int64_t d = (int64_t)p + (int64_t)r;
     if (d == 10 * TEN16) {
         d = TEN16;
         e++;
     }
+    if (d < TEN16 || d >= 10 * TEN16)
+        return 0;
     *exponent = e;
     return d;
 }
@@ -1404,13 +1571,14 @@ static char *put_value(char *p, double v, int64_t d, int e)
 
 /* Formats n values into SLOT-byte slots: each value's text, then its
  * length in the slot's last byte. */
-void swekit_format_slots(const double *values, idx n, char *slots)
+INLINE void format_slots(const double *values, idx n, char *slots,
+                         int fused)
 {
     locale_t caller = uselocale(c_locale);
     for (idx i = 0; i < n; i++) {
         char *slot = slots + i * SLOT;
         int e = 0;
-        int64_t d = decimal(values[i], &e);
+        int64_t d = decimal(values[i], &e, fused);
         slot[SLOT - 1] = (char)(put_value(slot, values[i], d, e) - slot);
     }
     uselocale(caller);
@@ -1422,9 +1590,9 @@ void swekit_format_slots(const double *values, idx n, char *slots)
  * whole table (here row r - first) has x_slots[r % nx] and
  * y_slots[r / nx]. out holds at least (MAX_TEXT + 1) bytes per value
  * and coordinate. */
-idx swekit_write_rows(const double *table, idx rows, idx k, idx first,
+INLINE idx write_rows(const double *table, idx rows, idx k, idx first,
                       const char *x_slots, const char *y_slots, idx nx,
-                      char *out)
+                      char *out, int fused)
 {
     locale_t caller = uselocale(c_locale);
     char *p = out;
@@ -1451,7 +1619,7 @@ idx swekit_write_rows(const double *table, idx rows, idx k, idx first,
             int64_t d[CHUNK];
             int e[CHUNK];
             for (idx t = 0; t < count; t++)
-                d[t] = decimal(row[c + t], &e[t]);
+                d[t] = decimal(row[c + t], &e[t], fused);
             for (idx t = 0; t < count; t++) {
                 p = put_value(p, row[c + t], d[t], e[t]);
                 *p++ = ' ';
@@ -1462,3 +1630,26 @@ idx swekit_write_rows(const double *table, idx rows, idx k, idx first,
     uselocale(caller);
     return p - out;
 }
+
+/* The writer's entries of one level: swekit_format_slots_<level> and
+ * swekit_write_rows_<level>, fused where the level has FMA. */
+#define TARGET_fma __attribute__((target("avx2,fma")))
+
+#define WRITER_LEVEL(level, fused)                                         \
+    TARGET_##level void swekit_format_slots_##level(                       \
+        const double *values, idx n, char *slots)                          \
+    {                                                                      \
+        format_slots(values, n, slots, fused);                             \
+    }                                                                      \
+    TARGET_##level idx swekit_write_rows_##level(                          \
+        const double *table, idx rows, idx k, idx first,                   \
+        const char *x_slots, const char *y_slots, idx nx, char *out)       \
+    {                                                                      \
+        return write_rows(table, rows, k, first, x_slots, y_slots, nx,     \
+                          out, fused);                                     \
+    }
+
+WRITER_LEVEL(baseline, 0)
+#if VECTOR_LEVELS
+WRITER_LEVEL(fma, 1)
+#endif

@@ -25,15 +25,21 @@ sweep does. GCC's target attribute enables a level for its entries
 alone, so the library loads on any x86-64 CPU, and a cached build stays
 safe to load on another machine. Built by another compiler or for
 another architecture, the library holds the baseline entries only. The
-writer is compiled once, for the baseline.
+writer is compiled once per writer level (WRITER_LEVELS: the baseline,
+and fma for CPUs with AVX2 and FMA) into entries
+swekit_write_rows_<level> and swekit_format_slots_<level>; its digits
+come from an exact double-double product, whose error term is C99 fma()
+at the fma level and Dekker's product at the baseline, so both levels
+write the same text. writer_levels() names those this CPU can run, and
+fileio binds the widest.
 
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
 row passes at each level; -fno-math-errno lets sqrt inline and
 -fno-trapping-math lets the comparisons that feed its selects be
 if-converted, and neither changes a computed value. Nor does the vector
-width: every level gives the same bits, as no level enables FMA. It is
-never built with contraction, -ffast-math or -march=native, which would
+width: every level gives the same bits, as no sweep or step level
+enables FMA. It is never built with contraction, -ffast-math or -march=native, which would
 change the bits. The library goes into $XDG_CACHE_HOME/swekit, else
 ~/.cache/swekit, else a private directory under the system's temporary
 directory. The cache key hashes the source, the flags and the compiler
@@ -70,13 +76,8 @@ _FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
 _ENTRIES = {
     "swekit_sweep_level": ([], ctypes.c_int),
     "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
+    "swekit_writer_level": ([], ctypes.c_int),
     "swekit_writer_init": ([], ctypes.c_int),
-    "swekit_format_slots": ([ctypes.c_void_p, ctypes.c_ssize_t,
-                             ctypes.c_void_p], None),
-    "swekit_write_rows": ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 3
-                          + [ctypes.c_void_p] * 2
-                          + [ctypes.c_ssize_t, ctypes.c_void_p],
-                          ctypes.c_ssize_t),
 }
 
 # The vector levels of the sweep and the step, narrowest first. Each has
@@ -84,8 +85,24 @@ _ENTRIES = {
 # swekit_step_<level>(struct step *), declared where the CPU supports the
 # level.
 SWEEP_LEVELS = ("baseline", "avx2")
-# The result type of each entry of a level, by name.
-_LEVEL_ENTRIES = {"swekit_sweep_{}": None, "swekit_step_{}": ctypes.c_int}
+# The writer's levels, narrowest first: fma runs on CPUs with AVX2 and
+# FMA. Each has the entries swekit_format_slots_<level> and
+# swekit_write_rows_<level>, declared where the CPU supports the level.
+WRITER_LEVELS = ("baseline", "fma")
+# (levels, the entry that reports the widest the CPU runs, the entries
+# of each level by name with their argument and result types).
+_LEVELED = (
+    (SWEEP_LEVELS, "swekit_sweep_level",
+     {"swekit_sweep_{}": ([ctypes.c_void_p], None),
+      "swekit_step_{}": ([ctypes.c_void_p], ctypes.c_int)}),
+    (WRITER_LEVELS, "swekit_writer_level",
+     {"swekit_format_slots_{}": ([ctypes.c_void_p, ctypes.c_ssize_t,
+                                  ctypes.c_void_p], None),
+      "swekit_write_rows_{}": ([ctypes.c_void_p] + [ctypes.c_ssize_t] * 3
+                               + [ctypes.c_void_p] * 2
+                               + [ctypes.c_ssize_t, ctypes.c_void_p],
+                               ctypes.c_ssize_t)}),
+)
 
 _LOADING = threading.Lock()
 
@@ -188,10 +205,11 @@ def library():
             for name, (argtypes, restype) in _ENTRIES.items():
                 entry = getattr(loaded, name)
                 entry.argtypes, entry.restype = argtypes, restype
-            for level in SWEEP_LEVELS[:loaded.swekit_sweep_level() + 1]:
-                for name, restype in _LEVEL_ENTRIES.items():
-                    entry = getattr(loaded, name.format(level))
-                    entry.argtypes, entry.restype = [ctypes.c_void_p], restype
+            for levels, widest, entries in _LEVELED:
+                for level in levels[:getattr(loaded, widest)() + 1]:
+                    for name, (argtypes, restype) in entries.items():
+                        entry = getattr(loaded, name.format(level))
+                        entry.argtypes, entry.restype = argtypes, restype
             if loaded.swekit_writer_init() != 0:
                 raise OSError("the writer found no \"C\" locale")
         except OSError as exc:
@@ -203,11 +221,21 @@ def library():
     return loaded
 
 
+def _runnable(levels, widest):
+    loaded = library()
+    if loaded is None:
+        return ()
+    return levels[:getattr(loaded, widest)() + 1]
+
+
 def sweep_levels():
     """The vector levels of the sweep and the step this process can run,
     narrowest first: those the loaded library holds and the CPU and the
     OS support. Empty where the library could not be built."""
-    loaded = library()
-    if loaded is None:
-        return ()
-    return SWEEP_LEVELS[:loaded.swekit_sweep_level() + 1]
+    return _runnable(SWEEP_LEVELS, "swekit_sweep_level")
+
+
+def writer_levels():
+    """The writer levels this process can run, narrowest first, as
+    sweep_levels() tells the sweep's."""
+    return _runnable(WRITER_LEVELS, "swekit_writer_level")

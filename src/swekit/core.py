@@ -132,22 +132,25 @@ def velocity(h, q, h_eps=H_EPS, out=None, wet=None):
     return out
 
 
+def froude_from_speed(h, speed, g=G_DEFAULT, h_eps=H_EPS):
+    """Froude number speed / sqrt(g*h), for a flow speed already taken
+    from the velocities; zero where dry (h <= h_eps)."""
+    wet = h > h_eps
+    c = np.sqrt(g * np.where(wet, h, 1.0))
+    return np.where(wet, speed / c, 0.0)
+
+
 def froude_number(h, q, g=G_DEFAULT, h_eps=H_EPS):
     """Froude number |u| / sqrt(g*h); zero where dry (h <= h_eps)."""
     h = np.asarray(h, dtype=float)
-    u = velocity(h, q, h_eps)
-    wet = h > h_eps
-    c = np.sqrt(g * np.where(wet, h, 1.0))
-    return np.where(wet, np.abs(u) / c, 0.0)
+    return froude_from_speed(h, np.abs(velocity(h, q, h_eps)), g, h_eps)
 
 
 def froude_number_2d(h, qx, qy, g=G_DEFAULT):
     """Froude number |(u, v)| / sqrt(g*h); zero where dry."""
     h = np.asarray(h, dtype=float)
-    speed = np.hypot(velocity(h, qx), velocity(h, qy))
-    wet = h > H_EPS
-    c = np.sqrt(g * np.where(wet, h, 1.0))
-    return np.where(wet, speed / c, 0.0)
+    return froude_from_speed(h, np.hypot(velocity(h, qx), velocity(h, qy)),
+                             g)
 
 
 def total_volume(state, grid):

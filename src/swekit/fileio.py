@@ -2,26 +2,32 @@
 
 Everything is plain UTF-8 text with floats printed as `%.16e` (17
 significant digits, which round-trips 64-bit values exactly); identical
-configurations therefore produce bitwise identical files.
+configurations therefore produce bitwise identical files. A file the
+writers open themselves, from a path, is written as bytes: its text
+encoded once, and each block of formatted rows as it comes. A stream
+the caller passes in receives str.
 
 Every table of numbers goes through one writer, `_write_rows`, with two
-implementations of one contract, as the sweep kernel has:
+implementations of one contract, as the sweep kernel has. Both are
+pinned to `format_float` byte for byte: tests/test_fileio.py runs them
+against it and against each other.
 
-* The compiled writer, swekit_write_rows in _native.c (the library that
-  holds the sweep kernel; see _native), runs wherever that library was
-  built. One foreign call formats a block of whole rows into a reused
-  buffer. Its method is the numpy writer's below, in long double, with
-  one difference: a value near a rounding tie goes to libc's correctly
-  rounded snprintf("%.16e") under the "C" locale.
+* The compiled writer, swekit_write_rows_<level> in _native.c (the
+  library that holds the sweep kernel; see _native), runs wherever that
+  library was built, at the widest writer level the CPU runs (baseline,
+  or fma). One foreign call formats a block of whole rows into a reused
+  buffer. It finds each value's digits from an exact double-double
+  product with a power of ten, in plain double arithmetic, and decides
+  every digit that product leaves more than 2**-44 from a rounding
+  tie: only exact ties, and values within that hair of one, go to
+  libc's correctly rounded snprintf("%.16e"), under the "C" locale.
 * The numpy writer (_write_rows_numpy) runs where no C compiler is
-  found or the build fails, after one warning. It is the reference:
-  tests/test_fileio.py runs both writers against format_float and
-  against each other, byte for byte.
+  found or the build fails, after one warning.
 
-Nothing selects the writer but the build; writer_name() tells which one
-runs. The numpy writer formats values a block of whole rows at a time
-rather than one Python call per value. Each value's digits come from one
-of four paths:
+Nothing selects the writer but the build (and the CPU, for the
+compiled writer's level); writer_name() tells which one runs. The numpy
+writer formats values a block of whole rows at a time rather than one
+Python call per value. Each value's digits come from one of four paths:
 
 * Every finite nonzero value, subnormals included: |v| is scaled into
   [1e16, 1e17) in long double by a correctly rounded power of ten, and
@@ -66,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .core import froude_number, froude_number_2d, velocity
+from .core import froude_from_speed, velocity
 
 COLUMNS_1D = ("x", "z", "h", "u", "q", "froude")
 COLUMNS_2D = ("x", "y", "z", "h", "u", "v", "qx", "qy", "froude")
@@ -81,6 +87,8 @@ def format_float(value):
 # (512 rows of the 9-column 2D profile), at least one. The largest
 # array such a block allocates (its 28-byte slots) stays under the
 # 128 KiB at which glibc starts serving allocations with fresh mmaps.
+# Each block is written as soon as it is formatted, as bytes where the
+# writer opened the file: no buffer holds more than one block.
 _BLOCK = 4608
 # Decimal exponents of finite nonzero doubles, subnormals included.
 _EXP_MIN, _EXP_MAX = -324, 308
@@ -333,13 +341,16 @@ def _slots(values):
     return words
 
 
-def _c_writer():
-    """(format_slots, write_rows) of the compiled writer, or None where
-    the library could not be built: the numpy writer runs."""
+def _c_writer(level=None):
+    """(format_slots, write_rows) of the compiled writer at `level`, by
+    default the widest the CPU runs, or None where the library could not
+    be built: the numpy writer runs."""
     library = _native.library()
     if library is None:
         return None
-    return library.swekit_format_slots, library.swekit_write_rows
+    level = level or _native.writer_levels()[-1]
+    return (getattr(library, f"swekit_format_slots_{level}"),
+            getattr(library, f"swekit_write_rows_{level}"))
 
 
 def writer_name():
@@ -347,21 +358,46 @@ def writer_name():
     return "numpy" if _c_writer() is None else "c"
 
 
-def _write_rows(stream, table, grid=None):
-    """Write an (n, k) float table as n lines of k `%.16e` values joined
-    by single spaces, byte-identical to formatting each value with
-    `format_float`. grid=(x, y) puts x[i] and y[j] in front of row
-    j * len(x) + i; each coordinate is formatted once. The compiled
-    writer runs where the library was built, the numpy one elsewhere."""
+class _Sink:
+    """Where a file writer's text goes: a stream the caller passed in,
+    which receives str, or a file opened here from a path and written as
+    bytes. A context manager that closes the file it opened."""
+
+    def __init__(self, target):
+        self.owned = not hasattr(target, "write")
+        self.stream = open(target, "wb") if self.owned else target
+
+    def text(self, text):
+        self.stream.write(text.encode("utf-8") if self.owned else text)
+
+    def ascii(self, data):
+        """Write ASCII text held in a bytes-like object."""
+        self.stream.write(data if self.owned else str(data, "ascii"))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.owned:
+            self.stream.close()
+
+
+def _write_rows(sink, table, grid=None):
+    """Write an (n, k) float table to a _Sink as n lines of k `%.16e`
+    values joined by single spaces, byte-identical to formatting each
+    value with `format_float`. grid=(x, y) puts x[i] and y[j] in front
+    of row j * len(x) + i; each coordinate is formatted once. The
+    compiled writer runs where the library was built, the numpy one
+    elsewhere."""
     table = np.asarray(table, dtype=np.float64)
     writer = _c_writer()
     if writer is None:
-        _write_rows_numpy(stream, table, grid)
+        _write_rows_numpy(sink, table, grid)
     else:
-        _write_rows_c(writer, stream, table, grid)
+        _write_rows_c(writer, sink, table, grid)
 
 
-def _write_rows_c(writer, stream, table, grid):
+def _write_rows_c(writer, sink, table, grid):
     """_write_rows through the compiled writer, a block of whole rows per
     call into one reused buffer."""
     format_slots, write_rows = writer
@@ -387,10 +423,10 @@ def _write_rows_c(writer, stream, table, grid):
         size = write_rows(address + start * row_bytes,
                           min(step, nrows - start), k, start, x_slots,
                           y_slots, nx, out.ctypes.data)
-        stream.write(str(out[:size], "ascii"))
+        sink.ascii(out[:size])
 
 
-def _write_rows_numpy(stream, table, grid=None):
+def _write_rows_numpy(sink, table, grid=None):
     """_write_rows in numpy: blocks of whole rows, laid out slot by slot."""
     table = np.asarray(table, dtype=np.float64)
     nrows, k = table.shape
@@ -410,7 +446,7 @@ def _write_rows_numpy(stream, table, grid=None):
             block[:, :1] = x_words.take(x, axis=0)
             block[:, 1:2] = y_words.take(y, axis=0)
         block[:, -1, 6] ^= _END_OF_ROW
-        stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+        sink.ascii(block.tobytes().translate(None, b"\0"))
 
 
 def config_hash(text):
@@ -418,13 +454,7 @@ def config_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _open_for_write(target):
-    if hasattr(target, "write"):
-        return target, False
-    return open(target, "w", encoding="utf-8"), True
-
-
-def _header_lines(time, columns, name=None, cfg_hash=None):
+def _header(time, columns, name=None, cfg_hash=None):
     lines = []
     if name:
         lines.append(f"# case = {name}")
@@ -432,7 +462,7 @@ def _header_lines(time, columns, name=None, cfg_hash=None):
     if cfg_hash:
         lines.append(f"# config = {cfg_hash}")
     lines.append("# columns: " + " ".join(columns))
-    return lines
+    return "".join(line + "\n" for line in lines)
 
 
 def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None):
@@ -440,15 +470,10 @@ def write_profile_1d(target, x, z, h, q, time, g, name=None, cfg_hash=None):
     h = np.asarray(h, dtype=float)
     q = np.asarray(q, dtype=float)
     u = velocity(h, q)
-    fr = froude_number(h, q, g)
-    stream, owned = _open_for_write(target)
-    try:
-        for line in _header_lines(time, COLUMNS_1D, name, cfg_hash):
-            stream.write(line + "\n")
-        _write_rows(stream, np.column_stack((x, z, h, u, q, fr)))
-    finally:
-        if owned:
-            stream.close()
+    fr = froude_from_speed(h, np.abs(u), g)
+    with _Sink(target) as sink:
+        sink.text(_header(time, COLUMNS_1D, name, cfg_hash))
+        _write_rows(sink, np.column_stack((x, z, h, u, q, fr)))
 
 
 def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
@@ -462,21 +487,16 @@ def write_profile_2d(target, x, y, z, h, qx, qy, time, g, name=None,
     qy = np.asarray(qy, dtype=float)
     u = velocity(h, qx)
     v = velocity(h, qy)
-    fr = froude_number_2d(h, qx, qy, g)
+    fr = froude_from_speed(h, np.hypot(u, v), g)
     ny, nx = h.shape
     fields = (z, h, u, v, qx, qy, fr)
     table = np.empty((ny, nx, len(fields)))
     for col, field in enumerate(fields):
         table[:, :, col] = field
-    stream, owned = _open_for_write(target)
-    try:
-        for line in _header_lines(time, COLUMNS_2D, name, cfg_hash):
-            stream.write(line + "\n")
-        _write_rows(stream, table.reshape(ny * nx, len(fields)),
+    with _Sink(target) as sink:
+        sink.text(_header(time, COLUMNS_2D, name, cfg_hash))
+        _write_rows(sink, table.reshape(ny * nx, len(fields)),
                     grid=(x[:nx], y[:ny]))
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_profile(source):
@@ -563,17 +583,11 @@ class DemGrid:
 
 def write_dem(target, dem):
     """Four header lines, then elevations row-major north to south."""
-    stream, owned = _open_for_write(target)
-    try:
-        stream.write(f"ncols {dem.ncols}\n")
-        stream.write(f"nrows {dem.nrows}\n")
-        stream.write(f"cellsize {format_float(dem.cellsize)}\n")
-        stream.write("origin " + " ".join(format_float(v) for v in dem.origin)
-                     + "\n")
-        _write_rows(stream, dem.values)
-    finally:
-        if owned:
-            stream.close()
+    with _Sink(target) as sink:
+        sink.text(f"ncols {dem.ncols}\nnrows {dem.nrows}\n"
+                  f"cellsize {format_float(dem.cellsize)}\n"
+                  f"origin {' '.join(format_float(v) for v in dem.origin)}\n")
+        _write_rows(sink, dem.values)
 
 
 def read_dem(source):
@@ -626,18 +640,12 @@ MASS_COLUMNS = ("time", "volume", "rain", "infiltration", "boundary_in",
 
 def write_mass_report(target, rows, name=None, cfg_hash=None):
     """Mass-balance ledger, one line per recorded output time."""
-    stream, owned = _open_for_write(target)
-    try:
-        if name:
-            stream.write(f"# case = {name}\n")
-        if cfg_hash:
-            stream.write(f"# config = {cfg_hash}\n")
-        stream.write("# columns: " + " ".join(MASS_COLUMNS) + "\n")
-        table = [(row.time, row.volume, row.rain, row.infiltration,
-                  row.boundary_in, row.boundary_out, row.residual,
-                  row.residual_rel) for row in rows]
-        _write_rows(stream, np.array(table, dtype=np.float64)
+    table = [(row.time, row.volume, row.rain, row.infiltration,
+              row.boundary_in, row.boundary_out, row.residual,
+              row.residual_rel) for row in rows]
+    with _Sink(target) as sink:
+        sink.text((f"# case = {name}\n" if name else "")
+                  + (f"# config = {cfg_hash}\n" if cfg_hash else "")
+                  + "# columns: " + " ".join(MASS_COLUMNS) + "\n")
+        _write_rows(sink, np.array(table, dtype=np.float64)
                     .reshape(-1, len(MASS_COLUMNS)))
-    finally:
-        if owned:
-            stream.close()

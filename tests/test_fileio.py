@@ -1,10 +1,14 @@
 """Round-trip and format checks for profile, DEM and mass-report files."""
 
 import contextlib
+import ctypes
+import importlib
 import io
 import locale
 import logging
 import math
+import platform
+import shutil
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swekit import _native, fileio
-from swekit.core import H_EPS, froude_number, froude_number_2d
+from swekit.core import H_EPS, froude_number, froude_number_2d, velocity
 from swekit.fileio import (
     COLUMNS_1D,
     COLUMNS_2D,
@@ -187,21 +191,36 @@ def test_mass_report_format():
 # writer's paths pin it.
 
 
+# The compiled writer's binding, kept from any patch a test makes.
+_C_WRITER = fileio._c_writer
+
+
 def writers():
-    """The table writers this machine can run: numpy, and c if built."""
-    return ["numpy"] + ([] if fileio._c_writer() is None else ["c"])
+    """The table writers this machine can run: numpy, and the compiled
+    writer at each level this CPU runs, "c:<level>", if built."""
+    if fileio._c_writer() is None:
+        return ["numpy"]
+    return ["numpy"] + [f"c:{level}" for level in _native.writer_levels()]
 
 
 @contextlib.contextmanager
 def using(writer):
-    """Run the enclosed code on the "numpy" or on the "c" table writer."""
+    """Run the enclosed code on the "numpy" table writer, on the "c" one
+    at the widest level this CPU runs, or on "c:<level>"."""
     if writer == "numpy":
         with mock.patch.object(fileio, "_c_writer", lambda: None):
             yield
         return
     if fileio._c_writer() is None:
         pytest.skip("the compiled writer is unavailable")
-    yield
+    level = writer.partition(":")[2]
+    if not level:
+        yield
+        return
+    if level not in _native.writer_levels():
+        pytest.skip(f"this CPU or this build lacks the {level} writer")
+    with mock.patch.object(fileio, "_c_writer", lambda: _C_WRITER(level)):
+        yield
 
 
 def pin_numpy_writer(monkeypatch):
@@ -215,7 +234,7 @@ def oracle_rows(table):
 
 def written_rows(table):
     buf = io.StringIO()
-    fileio._write_rows(buf, table)
+    fileio._write_rows(fileio._Sink(buf), table)
     return buf.getvalue()
 
 
@@ -638,7 +657,7 @@ def test_c_writer_refuses_a_grid_too_small_for_the_table():
     # The compiled writer reads coordinate r % nx and r // nx of row r:
     # a table longer than the grid is refused before any is read.
     with using("c"), pytest.raises(ValueError, match="cannot lead 7 rows"):
-        fileio._write_rows(io.StringIO(), np.zeros((7, 2)),
+        fileio._write_rows(fileio._Sink(io.StringIO()), np.zeros((7, 2)),
                            grid=(np.zeros(3), np.zeros(2)))
 
 
@@ -690,6 +709,217 @@ def test_c_writer_ignores_the_process_locale():
     finally:
         locale.setlocale(locale.LC_ALL, saved)
     assert ran
+
+
+# The compiled writer's digits: an exact double-double product with
+# 10**(16 - e) from the table swekit_writer_init builds, decided
+# wherever it lies farther than 2**-44 from a rounding tie, at every
+# writer level.
+
+# The table's rows, by decimal exponent (EXP_LO..EXP_HI in _native.c).
+TABLE_EXPONENTS = range(-325, 310)
+DBL_MIN = sys.float_info.min
+
+
+def power_table():
+    """The rows of swekit_powers: hi, lo, head, tail, scale, next."""
+    rows = (ctypes.c_double * (6 * len(TABLE_EXPONENTS))).in_dll(
+        _native.library(), "swekit_powers")
+    return np.array(rows).reshape(-1, 6)
+
+
+def significant_bits(x):
+    n = abs(x.as_integer_ratio()[0])
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def test_the_power_table_holds_exact_pairs(compiled_writer):
+    # Each row e holds 10**k, k = 16 - e, times an exact power of two
+    # 2**s as hi = RN(10**k 2**s) and lo = RN(10**k 2**s - hi), rebuilt
+    # here from Python's integers: float() of an integer ratio rounds
+    # correctly. Both are normal, as the error bound needs.
+    for e, row in zip(TABLE_EXPONENTS, power_table().tolist()):
+        hi, lo, head, tail, scale, after = row
+        s = -math.frexp(scale)[1] + 1
+        assert scale == 2.0 ** -s and s == (160 if e >= 280 else
+                                           -160 if e <= -280 else 0)
+        power = Fraction(10) ** (16 - e) * Fraction(2) ** s
+        assert (hi, lo) == (float(power), float(power - Fraction(hi)))
+        assert lo != 0.0 or math.copysign(1.0, lo) == 1.0
+        assert hi >= DBL_MIN and (lo == 0.0 or abs(lo) >= DBL_MIN)
+        # Veltkamp's halves of hi, for Dekker's product at the baseline.
+        assert Fraction(head) + Fraction(tail) == Fraction(hi)
+        assert significant_bits(head) <= 26 and significant_bits(tail) <= 26
+        try:
+            assert after == float(Fraction(10) ** (e + 1))
+        except OverflowError:
+            assert after == math.inf
+
+
+def scaled_fraction(value):
+    """The fraction of |value| * 10**(16 - e), exactly, e its decimal
+    exponent."""
+    scaled = abs(Fraction(value)) * Fraction(10) ** (
+        16 - Decimal(value).adjusted())
+    return scaled - math.floor(scaled)
+
+
+def near_ties_from(start, tries):
+    """The doubles among `tries` consecutive ones from `start`, within its
+    decade and its binade, whose scaled value lies within 1e-3 of a
+    rounding tie, or at one: the fraction of (M + j) * ulp * 10**k, for
+    P / Q = ulp * 10**k, is ((M + j) P mod Q) / Q."""
+    e = Decimal(start).adjusted()
+    ulp = Fraction(math.ulp(start))
+    step = ulp * Fraction(10) ** (16 - e)
+    p, q = step.numerator, step.denominator
+    m = int(Fraction(start) / ulp)
+    stop = min(m + tries, 2**53, math.ceil(Fraction(10) ** (e + 1) / ulp))
+    rest, found = m * p % q, []
+    for n in range(m, stop):
+        if abs(2 * rest - q) * 500 < q:
+            found.append(float(n * ulp))
+        rest = (rest + p) % q
+    return found
+
+
+def near_ties(rng):
+    """Near-ties from a random start at every decimal exponent, and from
+    a sample of tie_family()'s exact ties."""
+    values = []
+    for e in range(-324, 309):
+        top = 10**17 if e < 308 else 17976931348623157  # DBL_MAX's digits
+        values += near_ties_from(float(Fraction(int(rng.integers(
+            10**16, top)), 10**16) * Fraction(10) ** e), 1500)
+    neighbours = []
+    for tie in rng.choice(tie_family(), 30, replace=False).tolist():
+        neighbours += near_ties_from(tie, 1000)
+    return values, neighbours
+
+
+def range_ends(rng, count=20_000):
+    """Subnormals, and values whose 10**(16 - e) lies past double's range
+    or its split's, where the table holds it scaled (|e| >= 280)."""
+    subnormal = rng.integers(1, 2**52, count, dtype=np.uint64).view(
+        np.float64)
+    exponents = np.concatenate([rng.integers(280, 309, count),
+                                rng.integers(-307, -279, count)])
+    mantissas = rng.uniform(1.0, 10.0, exponents.size)
+    ends = [float(f"{m!r}e{e}") for m, e in zip(mantissas.tolist(),
+                                                 exponents.tolist())]
+    edges = [float(f"1e{e}") for e in (*range(280, 309),
+                                       *range(-323, -279))]
+    edges += [math.nextafter(x, direction) for x in edges
+              for direction in (0.0, math.inf)]
+    return np.concatenate([subnormal, ends, edges, [DBL_MIN, DBL_MAX]])
+
+
+@pytest.mark.parametrize("level", _native.WRITER_LEVELS)
+def test_each_writer_level_decides_near_ties_and_range_ends(level):
+    # The old long-double digits sent a value this close to a tie to
+    # snprintf; the double-double product decides it. Exact ties still
+    # go to snprintf.
+    rng = np.random.default_rng(17)
+    ties, neighbours = near_ties(rng)
+    assert len(ties) > 1000 and len(neighbours) > 10
+    for value in ties[::50] + neighbours[::5]:
+        assert abs(scaled_fraction(value) - Fraction(1, 2)) < Fraction(
+            1, 1000)
+    values = np.concatenate([ties, neighbours, range_ends(rng)])
+    signs = rng.choice([-1.0, 1.0], values.size)
+    table = np.concatenate([values * signs, [0.0] * (-values.size % 8)])
+    table = table.reshape(-1, 8)
+    with using(f"c:{level}"):
+        assert written_rows(table) == oracle_rows(table)
+
+
+def test_the_widest_writer_level_the_cpu_supports_is_bound(compiled_writer):
+    library = _native.library()
+    built = [level for level in _native.WRITER_LEVELS
+             if hasattr(library, f"swekit_write_rows_{level}")]
+    if platform.machine() == "x86_64" and sys.platform == "linux" \
+            and shutil.which("gcc"):
+        assert built == list(_native.WRITER_LEVELS)
+    # numpy reads the CPU and the OS on its own: the fma level needs its
+    # AVX2 and its FMA3.
+    features = {}
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        with contextlib.suppress(ImportError):
+            features = importlib.import_module(name).__cpu_features__
+            break
+    if not features:
+        pytest.skip("numpy reports no CPU features")
+    fused = features.get("AVX2") and features.get("FMA3")
+    runnable = [level for level in built if level == "baseline" or fused]
+    assert _native.writer_levels() == tuple(runnable)
+    assert fileio._c_writer()[1] is getattr(
+        library, f"swekit_write_rows_{runnable[-1]}")
+
+
+def write_each_file(targets, rng, name):
+    """Each file writer's output into its own of the four targets."""
+    n = 37
+    x, y = (np.arange(n) + 0.5) * 0.3, (np.arange(5) + 0.5) * 0.7
+    z = rng.standard_normal((5, n))
+    h = random_depths(rng, (5, n))
+    qx, qy = rng.standard_normal((2, 5, n)) * h
+    write_profile_1d(targets[0], x, z[0], h[0], qx[0], time=1.5, g=9.81,
+                     name=name, cfg_hash="ab")
+    write_profile_2d(targets[1], x, y, z, h, qx, qy, time=2.5, g=9.81,
+                     name=name)
+    write_dem(targets[2], DemGrid.from_south_up(z * 1e3, 0.3, (1e6, -2.0)))
+    rows = [MassBalanceRow(*values) for values in
+            rng.standard_normal((20, 8)) * 10.0 ** rng.integers(-20, 5, 8)]
+    write_mass_report(targets[3], rows, name=name, cfg_hash="ff")
+
+
+def test_owned_files_and_caller_streams_get_the_same_text(tmp_path):
+    # A file the writers open is written as bytes; a stream the caller
+    # opened, whatever its encoding, still receives str.
+    name = "Ardèche — crue ½"
+    for writer in writers():
+        paths = [tmp_path / f"{writer}-{k}.txt" for k in range(4)]
+        utf16 = [tmp_path / f"{writer}-{k}.utf16" for k in range(4)]
+        buffers = [io.StringIO() for _ in range(4)]
+        with using(writer):
+            write_each_file(paths, np.random.default_rng(44), name)
+            write_each_file(buffers, np.random.default_rng(44), name)
+            with contextlib.ExitStack() as stack:
+                streams = [stack.enter_context(open(path, "w",
+                                                    encoding="utf-16"))
+                           for path in utf16]
+                write_each_file(streams, np.random.default_rng(44), name)
+        owned = [path.read_bytes().decode("utf-8") for path in paths]
+        assert owned == [buf.getvalue() for buf in buffers]
+        assert owned == [path.read_text(encoding="utf-16") for path in utf16]
+        assert [f"# case = {name}\n" in text for text in owned] == [
+            True, True, False, True]
+
+
+def test_profiles_take_the_froude_number_from_their_own_velocities(
+        monkeypatch):
+    # Each profile computes a velocity once per discharge, and its froude
+    # column is froude_number's and froude_number_2d's, bit for bit.
+    rng = np.random.default_rng(26)
+    h = random_depths(rng, (6, 9))
+    qx, qy = rng.standard_normal((2, 6, 9)) * h
+    x, y, z = np.arange(9.0), np.arange(6.0), rng.standard_normal((6, 9))
+    calls = []
+    monkeypatch.setattr(fileio, "velocity",
+                        lambda *args: calls.append(1) or velocity(*args))
+    buf1, buf2 = io.StringIO(), io.StringIO()
+    write_profile_1d(buf1, x, z[0], h[0], qx[0], time=0.0, g=9.7)
+    assert len(calls) == 1
+    write_profile_2d(buf2, x, y, z, h, qx, qy, time=0.0, g=9.7)
+    assert len(calls) == 3
+    one = read_profile(io.StringIO(buf1.getvalue()))
+    two = read_profile(io.StringIO(buf2.getvalue()))
+    assert one["froude"].tobytes() == froude_number(h[0], qx[0], 9.7).tobytes()
+    assert two["froude"].tobytes() == froude_number_2d(h, qx, qy,
+                                                       9.7).ravel().tobytes()
+    assert two["u"].tobytes() == velocity(h, qx).ravel().tobytes()
+    assert two["v"].tobytes() == velocity(h, qy).ravel().tobytes()
 
 
 def write_every_file(directory, rng):

@@ -679,9 +679,15 @@ def test_the_build_flags_keep_every_bit():
                       "-march=native", "-mfma"}
     assert value_changing.isdisjoint(flags)
     # Nor may a vector level's target string enable FMA or a whole CPU.
-    targets = re.findall(r'target\("([^"]*)"\)', _native._SOURCE.read_text())
-    assert targets == ["avx2"]
-    assert [t for t in targets if "fma" in t or "arch=" in t] == []
+    # FMA is the writer's alone: its fma level, which only the writer's
+    # entries are built at, decides only digits that are exact.
+    source = _native._SOURCE.read_text()
+    targets = re.findall(r'TARGET_(\w+) __attribute__\(\(target\("([^"]*)"\)',
+                         source)
+    assert targets == [("avx2", "avx2"), ("fma", "avx2,fma")]
+    assert [t for t in _native.SWEEP_LEVELS if "fma" in t] == []
+    assert [t for _, t in targets if "arch=" in t] == []
+    assert re.findall(r"(\w+)\(fma\b", source) == ["WRITER_LEVEL"]
 
 
 def _numpy_cpu_features():
