@@ -1471,15 +1471,16 @@ static char *put_special(char *p, double v)
     return p + n;
 }
 
-/* 17 digits d (10**16 <= d < 10**17) and the exponent e. */
+/* 17 digits d (10**16 <= d < 10**17) and the exponent e. The sign is
+ * written without a branch, as signs in a column are often random. */
 static char *put_digits(char *p, double v, int64_t d, int e)
 {
-    int64_t lead = d / TEN16, rest = d - lead * TEN16;
-    int32_t high = (int32_t)(rest / 100000000);
-    int32_t low = (int32_t)(rest - (int64_t)high * 100000000);
-    int a = e < 0 ? -e : e;
-    if (signbit(v))
-        *p++ = '-';
+    uint64_t lead = (uint64_t)d / TEN16, rest = (uint64_t)d - lead * TEN16;
+    uint32_t high = (uint32_t)(rest / 100000000);
+    uint32_t low = (uint32_t)(rest - (uint64_t)high * 100000000);
+    unsigned a = (unsigned)(e < 0 ? -e : e);
+    *p = '-';
+    p += signbit(v) != 0;
     p[0] = (char)('0' + lead);
     p[1] = '.';
     memcpy(p + 2, groups[high / 10000], 4);
