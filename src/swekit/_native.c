@@ -1248,12 +1248,12 @@ STEP_LEVEL(avx2)
  *   hi), both times 2**s and |v| times 2**-s, exactly: s = 0 but where
  *   |e| >= 280, where 10**k leaves double's range or a Veltkamp split
  *   below could overflow.
- * - The product is p + c: p = |v| * hi rounded, its exact error |v| * hi
- *   - p (C99 fma at the fma level; Dekker's product of Veltkamp halves at
- *   the baseline, Dekker 1971), and c = that error + |v| * lo. As p
- *   exceeds 2**53 it is an integer. While p < 2**57, lo, |v| * lo and
- *   the sum each round by less than 2**-49, so c lies within 2**-47 of
- *   the exact rest |v| * 10**k - p.
+ * - The product is p + c: p = |v| * hi rounded, and c = e1 + |v| * lo
+ *   for the exact error e1 = |v| * hi less p (C99 fma at the fma level;
+ *   Dekker's product of Veltkamp halves at the baseline, Dekker 1971).
+ *   As p exceeds 2**53 it is an integer. While p < 2**57, lo, |v| * lo
+ *   and the sum each round by at most 2**-49, so c lies within 2**-47
+ *   of the exact rest |v| * 10**k - p.
  * - The digits are p + c rounded: c is rounded to an integer by adding
  *   and subtracting 1.5 * 2**52, and they stand where c's fraction lies
  *   farther than 2**-44 from one half. Otherwise, at an exact tie or

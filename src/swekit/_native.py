@@ -39,12 +39,12 @@ row passes at each level; -fno-math-errno lets sqrt inline and
 -fno-trapping-math lets the comparisons that feed its selects be
 if-converted, and neither changes a computed value. Nor does the vector
 width: every level gives the same bits, as no sweep or step level
-enables FMA. It is never built with contraction, -ffast-math or -march=native, which would
-change the bits. The library goes into $XDG_CACHE_HOME/swekit, else
-~/.cache/swekit, else a private directory under the system's temporary
-directory. The cache key hashes the source, the flags and the compiler
-executable; a library whose SHA-256 does not match the one stored
-beside it is rebuilt.
+enables FMA. It is never built with contraction, -ffast-math or
+-march=native, which would change the bits. The library goes into
+$XDG_CACHE_HOME/swekit, else ~/.cache/swekit, else a private directory
+under the system's temporary directory. The cache key hashes the
+source, the flags and the compiler executable; a library whose SHA-256
+does not match the one stored beside it is rebuilt.
 
 Without a working C compiler, library() logs one warning per process
 and returns None: the numpy twins of all three kernels run.
