@@ -833,6 +833,73 @@ def test_each_writer_level_decides_near_ties_and_range_ends(level):
         assert written_rows(table) == oracle_rows(table)
 
 
+def gauss_reduced(u, v):
+    """A reduced basis of the 2D integer lattice spanned by u and v."""
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:
+        m = (2 * dot(u, v) + dot(u, u)) // (2 * dot(u, u))
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+        if dot(v, v) >= dot(u, u):
+            return u, v
+        u, v = v, u
+
+
+def hardest_ties(e, q, d):
+    """The doubles M * 2**q, 2**52 <= M < 2**53, of decade e whose scaled
+    value M * 2**q * 10**(16 - e) = M a / b lies within 2**-d of a
+    half-integer: the points (M - Mc) b, (2 (M a mod b) - b) H 2**(d - 1)
+    of a 2D lattice that fall in a square of half-side b H, H the half
+    width of the M range about its middle Mc. A reduced basis finds the
+    few there near the point nearest the square's centre."""
+    ratio = Fraction(2) ** q * Fraction(10) ** (16 - e)
+    a, b = ratio.numerator, ratio.denominator
+    lo = max(2**52, math.ceil(Fraction(10) ** e / Fraction(2) ** q))
+    hi = min(2**53, math.ceil(Fraction(10) ** (e + 1) / Fraction(2) ** q))
+    if lo >= hi:
+        return []
+    middle, half = (lo + hi) // 2, (hi - lo) // 2 + 1
+    scale = half << (d - 1)
+    u, w = gauss_reduced((b, 2 * a * scale), (0, 2 * b * scale))
+    # The lattice point at M = middle is (0, y0); the coefficients that
+    # reach the centre from it, in the reduced basis.
+    y0 = (2 * (middle * a % b) - b) * scale
+    det = u[0] * w[1] - u[1] * w[0]
+    cu, cw = round(Fraction(y0 * w[0], det)), round(Fraction(-y0 * u[0], det))
+    found = []
+    for i in range(cu - 3, cu + 4):
+        for j in range(cw - 3, cw + 4):
+            m, rest = divmod(i * u[0] + j * w[0], b)
+            m += middle
+            if not rest and lo <= m < hi and abs(
+                    2 * (m * a % b) - b) << d <= 2 * b:
+                found.append(math.ldexp(m, q))
+    return found
+
+
+@pytest.mark.parametrize("level", _native.WRITER_LEVELS)
+def test_each_writer_level_leaves_the_hardest_ties_to_snprintf(level):
+    # Within 2**-50 of a tie the double-double product cannot decide the
+    # digits; such values, exact ties among them, go to snprintf. A
+    # writer that decided them anyway would round hundreds of these
+    # the wrong way.
+    values = [v for e in range(-300, 300, 7)
+              for q in range(math.floor(e * math.log2(10)) - 54,
+                             math.floor(e * math.log2(10)) - 48)
+              for v in hardest_ties(e, q, 50)]
+    assert len(values) > 1000
+    for value in values[::40]:
+        assert abs(scaled_fraction(value) - Fraction(1, 2)) <= Fraction(
+            1, 2**50)
+    values = np.array(values)
+    table = np.concatenate([values, -values, [0.0] * (-2 * values.size % 8)])
+    table = table.reshape(-1, 8)
+    with using(f"c:{level}"):
+        assert written_rows(table) == oracle_rows(table)
+
+
 def test_the_widest_writer_level_the_cpu_supports_is_bound(compiled_writer):
     library = _native.library()
     built = [level for level in _native.WRITER_LEVELS
