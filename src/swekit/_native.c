@@ -1237,8 +1237,10 @@ STEP_LEVEL(avx2)
  * The contract of fileio._write_rows: rows of float64 values as `%.16e`
  * text, byte for byte what Python's f"{v:.16e}" gives, joined by single
  * spaces, each row ended by a newline and optionally led by its (x, y)
- * grid coordinates. Python's formatting is the reference, as it is for
- * the numpy writer in fileio.py; tests pin both writers to it.
+ * grid coordinates. Python's formatting is the reference. The numpy
+ * writer in fileio.py takes the same method in numpy, step for step
+ * (fileio._format_block and fileio._product are the twins of decimal()
+ * and product() below), and tests pin both writers to the reference.
  *
  * - A finite nonzero |v| has the decimal exponent e, 10**e <= |v| <
  *   10**(e + 1): an estimate from its binary exponent and one comparison
@@ -1270,7 +1272,8 @@ STEP_LEVEL(avx2)
  *   written directly.
  *
  * swekit_writer_init computes the power table from exact integers, and
- * tests/test_fileio.py rebuilds every pair from Python's. The digits are
+ * fileio._tables the same table from Python's; tests/test_fileio.py
+ * checks every pair and that both tables agree bit for bit. The digits are
  * rendered four at a time from a lookup table. Each writer level
  * (baseline; fma, for avx2 with FMA) has its entries, compiled from the
  * same code, and both give the same text: each decides only digits that

@@ -30,8 +30,9 @@ and fma for CPUs with AVX2 and FMA) into entries
 swekit_write_rows_<level> and swekit_format_slots_<level>; its digits
 come from an exact double-double product, whose error term is C99 fma()
 at the fma level and Dekker's product at the baseline, so both levels
-write the same text. writer_levels() names those this CPU can run, and
-fileio binds the widest.
+write the same text. The numpy writer takes the same method, with
+Dekker's product, from the same power table. writer_levels() names
+those this CPU can run, and fileio binds the widest.
 
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's

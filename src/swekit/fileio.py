@@ -8,7 +8,7 @@ encoded once, and each block of formatted rows as it comes. A stream
 the caller passes in receives str.
 
 Every table of numbers goes through one writer, `_write_rows`, with two
-implementations of one contract, as the sweep kernel has. Both are
+implementations of one method, as the sweep kernel has. Both are
 pinned to `format_float` byte for byte: tests/test_fileio.py runs them
 against it and against each other.
 
@@ -16,44 +16,34 @@ against it and against each other.
   library that holds the sweep kernel; see _native), runs wherever that
   library was built, at the widest writer level the CPU runs (baseline,
   or fma). One foreign call formats a block of whole rows into a reused
-  buffer. It finds each value's digits from an exact double-double
-  product with a power of ten, in plain double arithmetic, and decides
-  every digit that product leaves more than 2**-44 from a rounding
-  tie: only exact ties, and values within that hair of one, go to
-  libc's correctly rounded snprintf("%.16e"), under the "C" locale.
+  buffer.
 * The numpy writer (_write_rows_numpy) runs where no C compiler is
-  found or the build fails, after one warning.
+  found or the build fails, after one warning. It formats a block of
+  whole rows at a time rather than one Python call per value.
 
 Nothing selects the writer but the build (and the CPU, for the
-compiled writer's level); writer_name() tells which one runs. The numpy
-writer formats values a block of whole rows at a time rather than one
-Python call per value. Each value's digits come from one of four paths:
+compiled writer's level); writer_name() tells which one runs. Both
+writers find each value's digits by one method, in double arithmetic
+alone: _format_block and _product are the numpy twins of decimal() and
+product() in _native.c, whose writer header bounds the error.
 
-* Every finite nonzero value, subnormals included: |v| is scaled into
-  [1e16, 1e17) in long double by a correctly rounded power of ten, and
-  the 17 digits are read off as an integer rounded half up. The scaled
-  value carries at most two long-double roundings, and the digits stand
-  wherever that error cannot change them. At a decade edge (a power of
-  ten or just below one) the exponent read from log10 can be one off;
-  an integer part of 16 or 18 digits shows it, and the value is scaled
-  again one row over. Digits that round up to 10**17 are written as
-  10**16 with the exponent one higher.
-* A value within that error of a rounding tie: Dekker's error-free
-  product in long double decides its digits. Where 10**(16 - e) is
-  exact (e = -11..16 for x87's 64-bit mantissa) the decision is exact,
-  and an exact half rounds to even as Python does. Elsewhere the tail
-  of the power, 10**(16 - e) less its long double, is added in, and the
-  digits stand unless the product lies within about 5e-19 of a tie.
-* +0.0 and -0.0: written directly.
-* Everything else goes to Python's own `f"{v:.16e}"`: inf, nan, and a
-  near-tie left undecided.
-
-None of the values in perfbench's plot_rain_2d outputs reaches Python.
-Where long double is a plain double, every value counts as near a tie,
-and the error-free product decides it where its power and magnitude
-can be split without overflow (e = -284..292); the exact decisions
-there are those with e = -6..16. The output is exactly what
-`format_float` gives for every value.
+* A finite nonzero |v| has the decimal exponent e, 10**e <= |v| <
+  10**(e + 1): an estimate from its binary exponent and one comparison
+  with 10**(e + 1) rounded.
+* Its 17 digits are |v| * 10**(16 - e) rounded to nearest. The power is
+  a double-double hi + lo from _tables, and the product is p + c: p =
+  |v| * hi rounded, and c its exact error (Dekker's product of Veltkamp
+  halves, Dekker 1971) plus |v| * lo. The digits are p plus c rounded,
+  and they stand where c's fraction lies farther than 2**-44 from one
+  half.
+* At a decade edge e can be one off, which the sign of (p - 1e16) + c
+  or (p - 1e17) + c shows: the product is then taken again one exponent
+  over. Digits that round up to 10**17 are 10**16 with the exponent one
+  higher.
+* Zeros are written directly. The rest go to Python's own
+  `f"{v:.16e}"`, as the compiled writer sends them to snprintf: exact
+  ties, values within 2**-44 of one, inf and nan. None of the values in
+  perfbench's plot_rain_2d outputs does.
 
 The numpy writer renders the digits through a 4-digit lookup table into
 NUL-padded slots of seven words, laid out slot by slot so that a block's
@@ -90,10 +80,14 @@ def format_float(value):
 # Each block is written as soon as it is formatted, as bytes where the
 # writer opened the file: no buffer holds more than one block.
 _BLOCK = 4608
-# Decimal exponents of finite nonzero doubles, subnormals included.
-_EXP_MIN, _EXP_MAX = -324, 308
-# Rounded digits of a value written by the numpy path.
-_DIGITS_LO, _DIGITS_HI = 10**16, 10**17 - 1
+# Decimal exponents of the power table's rows: those of finite nonzero
+# doubles, -324..308, and one more at each end for the decade-edge redo.
+_EXP_LO, _EXP_HI = -325, 309
+# A fraction this close to one half leaves the digits undecided.
+_MARGIN = 2.0**-44
+# Veltkamp's constant 2**27 + 1: a double times it splits into two
+# halves of at most 26 bits, whose products with halves are exact.
+_VELTKAMP = 134217729.0
 _HUGE = sys.float_info.max
 # A slot is seven little-endian words: sign|digit|'.'|NUL, four groups
 # of four digits, 'e'|sign|two exponent digits, and a third exponent
@@ -109,37 +103,40 @@ _C_TEXT, _C_SLOT = 25, 32
 
 
 class _Tables(NamedTuple):
-    pow10: np.ndarray      # 10**(16 - e) in long double, by e - _EXP_MIN
+    powers: np.ndarray     # hi, lo, head, tail, scale, next; by e - _EXP_LO
     groups: np.ndarray     # ASCII words of 0000..9999
-    exp_words: np.ndarray  # words 5-6 as one uint64, by e - _EXP_MIN
-    rel_err: float         # bound on the relative error of a scaled value
-    exact: slice           # the rows of pow10 that hold 10**k exactly
-    split: object          # Veltkamp's constant 2**s + 1
-    pow_split: np.ndarray  # pow10 as (hi, lo) halves of <= s bits
-    near_rows: np.ndarray  # rows on which _round_exact can run
-    near_err: float        # bound on its error where the row is inexact
+    exp_words: np.ndarray  # words 5-6 as one uint64, by e - _EXP_LO
 
 
 @functools.cache
-def _tables(real=np.longdouble):
+def _tables():
     """Lookup tables, built on the first write rather than at import.
 
-    `real` is the wide type the digits are computed in. Two roundings
-    to nearest (the power of ten and the product) cost at most
-    2**-nmant of a scaled value; rel_err doubles that. 10**k = 2**k 5**k
-    is exact while 5**k fits in nmant + 1 bits, so for 0 <= k <= kmax.
-    Veltkamp's split by 2**s + 1, s = ceil((nmant + 1) / 2), cuts a
-    value into two halves whose products with halves are exact; it
-    needs the value times 2**s to stay finite, and the power's tail
-    (about 2**-nmant of it) to be a normal number.
+    powers holds _native.c's swekit_powers column by column. For each e,
+    10**(16 - e) * 2**s is hi + lo: hi = RN(10**(16 - e) * 2**s) and lo
+    the rest rounded, with s = 160 where e >= 280, -160 where e <= -280
+    (where the power leaves double's range or its split could overflow)
+    and 0 elsewhere. head + tail are hi's Veltkamp halves, scale = 2**-s
+    is |v|'s factor, and next = RN(10**(e + 1)) checks the estimate of
+    e. Each is a ratio of exact integers, which Python's true division
+    rounds correctly.
     """
-    info = np.finfo(real)
-    nmant = info.nmant
-    exponents = range(_EXP_MIN, _EXP_MAX + 1)
-    # Where `real` is a double, 10**k overflows for the smallest e; the
-    # largest finite value keeps those products finite and below 10**16.
-    pow10 = np.array([real(f"1e{16 - e}") for e in exponents])
-    np.minimum(pow10, info.max, out=pow10)
+    exponents = range(_EXP_LO, _EXP_HI + 1)
+    rows = []
+    for e in exponents:
+        s = 160 if e >= 280 else -160 if e <= -280 else 0
+        k = 16 - e
+        top = 10 ** max(k, 0) << max(s, 0)
+        bottom = 10 ** max(-k, 0) << max(-s, 0)
+        hi = top / bottom
+        n, d = hi.as_integer_ratio()
+        rows.append((hi, (top * d - n * bottom) / (bottom * d), 2.0**-s,
+                     math.inf if e >= 308
+                     else 10 ** max(e + 1, 0) / 10 ** max(-e - 1, 0)))
+    hi, lo, scale, after = np.array(rows).T
+    t = hi * _VELTKAMP
+    head = t - (t - hi)
+    powers = np.array([hi, lo, head, hi - head, scale, after])
     n = np.arange(10000, dtype=np.uint16)
     chars = np.empty((10000, 4), dtype=np.uint8)
     for col, div in enumerate((1000, 100, 10, 1)):
@@ -147,104 +144,26 @@ def _tables(real=np.longdouble):
     groups = chars.view("<u4").ravel()
     text = b"".join(f"e{e:+03d}".encode("ascii").ljust(5, b"\0") + b" \0\0"
                     for e in exponents)
-    kmax = math.floor((nmant + 1) / math.log2(5))
-    exact = slice(16 - kmax - _EXP_MIN, 17 - _EXP_MIN)
-    split = real(2 ** -(-(nmant + 1) // 2) + 1)
-    # Where `real` is a double the halves of the largest powers
-    # overflow; _round_exact reads only near_rows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pow_split = np.stack(_split(pow10, split), axis=-1)
-    # The rows whose power, and whose magnitudes (below 10**(e + 1)),
-    # split without overflow, and whose power's tail is a normal number.
-    split_max = info.max / split
-    near_rows = ((pow10 <= split_max) & (pow10 >= info.tiny * real(2) ** (
-        2 * nmant)) & (np.arange(_EXP_MIN, _EXP_MAX + 1) + 1
-                       <= np.log10(split_max)))
-    return _Tables(pow10, groups, np.frombuffer(text, dtype="<u8"),
-                   2.0 ** (1 - nmant), exact, split, pow_split, near_rows,
-                   2.0 ** (60 - 2 * nmant) + 2.0 ** (2 - nmant))
+    return _Tables(powers, groups, np.frombuffer(text, dtype="<u8"))
 
 
-def _split(x, split):
-    """Veltkamp's split: x = hi + lo exactly, each half short enough
-    that the product of two halves is exact."""
-    c = x * split
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-@functools.cache
-def _pow10_tail(k, real):
-    """10**k less its power in _tables (real(f"1e{k}")), rounded to
-    real: the part of 10**k that a correctly rounded power misses."""
-    numerator, denominator = real(f"1e{k}").as_integer_ratio()
-    # The tail as the integer ratio top / bottom.
-    if k >= 0:
-        top, bottom = 10**k * denominator - numerator, denominator
-    else:
-        top, bottom = denominator - numerator * 10**-k, denominator * 10**-k
-    if not top:
-        return real(0)
-    # 40 significant digits, more than any `real` holds.
-    magnitude = abs(top)
-    shift = 40 - len(str(magnitude)) + len(str(bottom))
-    if shift >= 0:
-        magnitude *= 10**shift
-    else:
-        bottom *= 10**-shift
-    sign = "-" if top < 0 else ""
-    return real(f"{sign}{magnitude // bottom}e{-shift}")
-
-
-def _round_exact(mag, p, row, tables):
-    """(n, decided): mag * 10**(16 - e) rounded to the nearest integer,
-    ties to even, where p is that product rounded to `real` and row is
-    e - _EXP_MIN; decided tells where n is certain.
-
-    The power is hi + lo: hi = pow10[row], and lo the rounded tail that
-    hi misses, 0 where hi is exact. Dekker's product gives the exact
-    error of p = mag * hi, and err adds mag * lo to it. With N = floor(p)
-    and D = trunc(err), the product lies w + 1/2 above N + D, for
-    w = (p - N - 1/2) + (err - D), and the nearest integer is
-    N + D + ceil(w) unless w is an integer. Where hi is exact, both
-    terms of w are exact. Where long double is a double, p is an
-    integer, D takes err's whole part and the sum is exact too. Where it
-    is wider, D = 0 and the sum may round, but then p - N - 1/2 is a
-    nonzero multiple of an ulp of p, larger than |err|, so w keeps its
-    sign and stays inside (-1, 1); w is an integer only when the product
-    is an exact half, which rounds to even. Where hi is inexact, w is off
-    by less than near_err, and a w that close to an integer is left
-    undecided.
-    """
-    real = p.dtype.type
-    a_hi, a_lo = _split(mag.astype(real), tables.split)
-    b_hi, b_lo = tables.pow_split.take(row, axis=0).T
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    exact = (row - tables.exact.start).view(np.uintp) < (
-        tables.exact.stop - tables.exact.start)
-    all_exact = exact.all()
-    if not all_exact:
-        inexact = np.flatnonzero(~exact)
-        rows, where = np.unique(row[inexact], return_inverse=True)
-        lo = np.array([_pow10_tail(16 - _EXP_MIN - r, real)
-                       for r in rows.tolist()], dtype=real)
-        err[inexact] += mag[inexact].astype(real) * lo[where]
-    n = p.astype(np.int64)
-    d = err.astype(np.int64)
-    w = ((p - n) - 0.5) + (err - d)
-    r = w.astype(np.int64)
-    r += w > r
-    n += d
-    n += r
-    n += (w == r) & n
-    decided = exact if all_exact else exact | (
-        np.abs(w - np.rint(w)) > tables.near_err)
-    # 10**16 rounded up from below it may belong one row lower, where
-    # log10 missed a decade edge.
-    below = n == 10**16
-    if below.any():
-        decided &= ~below | (w >= r - 0.5)
-    return n, decided
+def _product(m, row, powers):
+    """m * 10**(16 - e), for e = row + _EXP_LO, as (p, c): p = a * hi
+    rounded and c its exact error plus a * lo, for a = m * scale. The
+    error is Dekker's product of the Veltkamp halves of a and hi."""
+    hi, lo, head, tail, scale, _ = powers
+    a = m * scale.take(row)
+    p = a * hi.take(row)
+    t = a * _VELTKAMP
+    a_head = t - (t - a)
+    a_tail = a - a_head
+    w_head, w_tail = head.take(row), tail.take(row)
+    c = a_head * w_head - p
+    c += a_head * w_tail
+    c += a_tail * w_head
+    c += a_tail * w_tail
+    c += a * lo.take(row)
+    return p, c
 
 
 def _fallback_words(values):
@@ -260,53 +179,38 @@ def _format_block(values, words):
     """Fill words, shaped values.shape + (7,), with the slots of the 2D
     array `values`, each followed by a space."""
     t = _tables()
-    mag = np.abs(values)
+    mag = np.abs(values).ravel()
     finite = (mag > 0.0) & (mag <= _HUGE)
     mag[~finite] = 1.0
-    row = np.log10(mag)
-    np.floor(row, out=row)
-    row = row.astype(np.intp)
-    row -= _EXP_MIN
-    scaled = mag.astype(t.pow10.dtype)
-    scaled *= t.pow10.take(row)
-    digits = scaled.astype(np.int64)
-    # At a decade edge (a power of ten, or the double just below one)
-    # log10 can be one off, and the integer part then has 16 or 18
-    # digits: such a value is scaled again one row lower or higher.
-    edge = (digits < 10**16) | (digits >= 10**17)
-    if edge.any():
-        edge = np.flatnonzero(edge)
-        rows = row.ravel()
-        rows[edge] += np.where(digits.ravel()[edge] < 10**16, -1, 1)
-        np.clip(rows, 0, t.pow10.size - 1, out=rows)
-        redo = mag.ravel()[edge].astype(t.pow10.dtype) * t.pow10.take(
-            rows[edge])
-        scaled.ravel()[edge] = redo
-        digits.ravel()[edge] = redo.astype(np.int64)
-    # The fraction is exact in long double; as a double it is off by at
-    # most 2**-54, far inside the margin that rel_err leaves.
-    frac = (scaled - digits).astype(np.float64)
-    digits += frac > 0.5
-    frac -= 0.5
-    np.abs(frac, out=frac)
-    sure = frac > digits * t.rel_err
-    near = finite & ~sure
-    if near.any():
-        # The digits of a value this close to a rounding tie are decided
-        # from an error-free product in long double.
-        near = np.flatnonzero(near)
-        rows = row.ravel()[near]
-        usable = t.near_rows.take(rows)
-        if not usable.all():
-            near, rows = near[usable], rows[usable]
-        digits.ravel()[near], sure.ravel()[near] = _round_exact(
-            mag.ravel()[near], scaled.ravel()[near], rows, t)
+    # mag lies in [2**(b - 1), 2**b): e is floor((b - 1) * log10(2)),
+    # taken as floor((b - 1) * 315653 / 2**20) of a numerator made
+    # positive, or one more.
+    row = np.frexp(mag)[1].astype(np.intp)
+    row -= 1
+    row *= 315653
+    row += 400 << 20
+    row >>= 20
+    row -= 400 + _EXP_LO
+    row += mag >= t.powers[5].take(row)
+    p, c = _product(mag, row, t.powers)
+    # At a decade edge e can be one off: the product is taken again one
+    # exponent lower or higher.
+    below = (p - 1e16) + c < 0.0
+    edge = np.flatnonzero(below | ((p - 1e17) + c >= 0.0))
+    if edge.size:
+        row[edge] += np.where(below[edge], -1, 1)
+        p[edge], c[edge] = _product(mag[edge], row[edge], t.powers)
+    r = np.rint(c)
+    ok = np.abs(c - r) < 0.5 - _MARGIN
+    digits = p.astype(np.int64)
+    digits += r.astype(np.int64)
     # Digits that round up to 10**17 are 10**16 one row higher.
     carry = digits == 10**17
     if carry.any():
         digits[carry] = 10**16
         row[carry] += 1
-    ok = sure & finite & (digits >= _DIGITS_LO) & (digits <= _DIGITS_HI)
+    ok &= finite & (digits >= 10**16) & (digits < 10**17)
+    digits, row, ok = (a.reshape(values.shape) for a in (digits, row, ok))
     zero = values == 0.0
     if zero.any():
         digits[zero] = 0
@@ -388,8 +292,14 @@ def _write_rows(sink, table, grid=None):
     value with `format_float`. grid=(x, y) puts x[i] and y[j] in front
     of row j * len(x) + i; each coordinate is formatted once. The
     compiled writer runs where the library was built, the numpy one
-    elsewhere."""
+    elsewhere. A grid with fewer than n points is refused before any
+    row is written."""
     table = np.asarray(table, dtype=np.float64)
+    if grid is not None:
+        nx, ny = map(np.size, grid)
+        if len(table) > nx * ny:
+            raise ValueError(f"a grid of {nx} x {ny} coordinates cannot "
+                             f"lead {len(table)} rows")
     writer = _c_writer()
     if writer is None:
         _write_rows_numpy(sink, table, grid)
@@ -399,7 +309,8 @@ def _write_rows(sink, table, grid=None):
 
 def _write_rows_c(writer, sink, table, grid):
     """_write_rows through the compiled writer, a block of whole rows per
-    call into one reused buffer."""
+    call into one reused buffer. The coordinates it reads are those
+    _write_rows has checked cover the table."""
     format_slots, write_rows = writer
     table = np.ascontiguousarray(table)
     nrows, k = table.shape
@@ -411,9 +322,6 @@ def _write_rows_c(writer, sink, table, grid):
         slots = np.empty((coords.size, _C_SLOT), dtype=np.uint8)
         format_slots(coords.ctypes.data, coords.size, slots.ctypes.data)
         ncoords, nx = 2, np.size(grid[0])
-        if nrows > nx * (coords.size - nx):
-            raise ValueError(f"a grid of {nx} x {coords.size - nx} "
-                             f"coordinates cannot lead {nrows} rows")
         x_slots = slots.ctypes.data
         y_slots = x_slots + nx * _C_SLOT
     step = max(1, _BLOCK // (ncoords + k))

@@ -294,15 +294,20 @@ def test_write_rows_matches_oracle_next_to_powers_of_ten():
 
 
 def test_decade_edges_take_the_numpy_path(monkeypatch):
-    # Every power of ten and the double just below it: where log10 can
-    # be one off, the value is scaled again instead of sent to Python.
-    # The subnormal powers below 1e-308 take the same path.
+    # Every power of ten and the double just below it: where the estimate
+    # of the decimal exponent can be one off, the product is taken again
+    # one exponent over instead of the value sent to Python. The
+    # subnormal powers below 1e-308 take the same path. Only the exact
+    # ties among them, such as nextafter(1e15, 0), reach the fallback.
     powers = np.array([float(f"1e{e}") for e in range(-308, 309)])
     assert powers.size == 617
     subnormal = [float(f"1e{e}") for e in range(-323, -308)] + [5e-324]
     values = np.concatenate([powers, np.nextafter(powers, 0.0), subnormal])
+    ties = np.array([scaled_fraction(v) == Fraction(1, 2) for v in values])
+    assert np.nextafter(1e15, 0.0) in values[ties]
+    assert_rows_match(np.concatenate([values[ties], -values[ties]]))
     forbid_fallback(monkeypatch)
-    assert_rows_match(np.concatenate([values, -values]))
+    assert_rows_match(np.concatenate([values[~ties], -values[~ties]]))
 
 
 def test_write_rows_matches_oracle_on_carries_and_specials():
@@ -339,21 +344,16 @@ def forbid_fallback(monkeypatch):
 
 
 def test_write_rows_python_fallback_alone_matches_oracle(monkeypatch):
-    # With no digits counted as in range every nonzero value takes the
-    # numpy writer's fallback, which must give the same bytes on its own.
+    # With a margin of one half no digits are decided: every nonzero
+    # value takes the numpy writer's fallback, which must give the same
+    # bytes on its own.
     pin_numpy_writer(monkeypatch)
-    monkeypatch.setattr(fileio, "_DIGITS_LO", fileio._DIGITS_HI + 1)
+    monkeypatch.setattr(fileio, "_MARGIN", 0.5)
     seen = count_fallback(monkeypatch)
     rng = np.random.default_rng(11)
     values = rng.standard_normal(3 * fileio._BLOCK) * 1e3
     assert_rows_match(values, ncols=9)
     assert sum(seen) == values.size
-
-
-def exact_decades():
-    """Decimal exponents whose power 10**(16 - e) is exact in long double."""
-    exact = fileio._tables().exact
-    return range(16 - (exact.stop - exact.start - 1), 17)
 
 
 def exact_halves(e, count, rng):
@@ -368,12 +368,12 @@ def exact_halves(e, count, rng):
     return [math.ldexp(float(k), e - 17) for k in m.tolist()]
 
 
-def test_exact_path_formats_ties_zeros_and_powers_without_fallback(
+def test_numpy_writer_sends_exact_ties_and_only_near_ties_to_the_fallback(
         monkeypatch):
     pin_numpy_writer(monkeypatch)
     rng = np.random.default_rng(31)
     values, halves = [0.0, -0.0], []
-    for e in exact_decades():
+    for e in range(-11, 17):
         # 18 significant digits ending in 5: the nearest double lies
         # within an ulp of a rounding tie of the 17th digit.
         for text in rng.integers(10**17, 10**18, size=400) // 10 * 10 + 5:
@@ -387,39 +387,20 @@ def test_exact_path_formats_ties_zeros_and_powers_without_fallback(
         assert len(digits) == 18 and digits[-1] == 5
     assert len(halves) > 3000
     values = np.array(values + halves)
-    values = np.concatenate([values, -values,
-                             1.0 + np.arange(1, 200_000) * 2.0**-17])
-    rounded = []
-    exact = fileio._round_exact
-    monkeypatch.setattr(fileio, "_round_exact",
-                        lambda *args: rounded.append(args[0].size)
-                        or exact(*args))
-    forbid_fallback(monkeypatch)
-    assert_rows_match(values, ncols=8)
-    assert sum(rounded) > 0.1 * values.size
-
-
-def test_exact_path_on_a_double_wide_type(monkeypatch):
-    # Where long double is a plain double, every scaled value is near a
-    # tie by the error bound; the exact path must then decide all of
-    # them in the decades where 10**k is an exact double.
-    tables = fileio._tables(np.float64)
-    assert tables.split == 2**27 + 1
-    assert tables.exact == slice(16 - 22 - fileio._EXP_MIN,
-                                 17 - fileio._EXP_MIN)
-    monkeypatch.setattr(fileio, "_tables", lambda: tables)
-    seen = count_fallback(monkeypatch)
-    rng = np.random.default_rng(32)
-    assert_rows_match(rng.integers(0, 2**64, size=30_000, dtype=np.uint64)
-                      .view(np.float64))
-    normals = (rng.uniform(1.0, 10.0, 60_000) * 10.0 ** rng.integers(
-        -6, 17, 60_000) * rng.choice([-1.0, 1.0], 60_000))
-    ties = 1.0 + np.arange(1, 60_001) * 2.0**-17
-    halves = [h for e in range(-6, 16) for h in exact_halves(e, 200, rng)]
-    seen.clear()
-    assert_rows_match(np.concatenate([normals, -ties, halves, [0.0, -0.0]]),
-                      ncols=6)
-    assert sum(seen) < 1e-3 * normals.size
+    family = 1.0 + np.arange(1, 200_000) * 2.0**-17
+    fallback, sent = fileio._fallback_words, []
+    monkeypatch.setattr(fileio, "_fallback_words",
+                        lambda v: sent.append(v.copy()) or fallback(v))
+    assert_rows_match(np.concatenate([values, -values, family]), ncols=8)
+    sent = set(np.abs(np.concatenate(sent)).tolist())
+    distance = {v: abs(scaled_fraction(v) - Fraction(1, 2))
+                for v in set(np.abs(values).tolist()) - {0.0}}
+    # (1 + k 2**-17) 10**16 = 10**16 + k 5**16 / 2: the family's odd k
+    # are exact ties, and its even k have no fraction.
+    ties = set(family[::2].tolist())
+    ties |= {v for v, d in distance.items() if d == 0}
+    assert len(ties) > 100_000 and ties <= sent
+    assert all(v in ties or distance[v] < Fraction(1, 2**43) for v in sent)
 
 
 def test_write_rows_formats_most_values_without_the_fallback(monkeypatch):
@@ -653,12 +634,18 @@ def test_c_writer_matches_format_float_on_any_bit_pattern(compiled_writer,
         assert written_rows(table) == oracle_rows(table)
 
 
-def test_c_writer_refuses_a_grid_too_small_for_the_table():
-    # The compiled writer reads coordinate r % nx and r // nx of row r:
-    # a table longer than the grid is refused before any is read.
-    with using("c"), pytest.raises(ValueError, match="cannot lead 7 rows"):
-        fileio._write_rows(fileio._Sink(io.StringIO()), np.zeros((7, 2)),
-                           grid=(np.zeros(3), np.zeros(2)))
+def test_each_writer_refuses_a_grid_too_small_for_the_table():
+    # Row r is led by coordinates r % nx and r // nx: a table longer
+    # than the grid is refused before any coordinate is read or any
+    # block written.
+    rows = fileio._BLOCK
+    for writer in writers():
+        buf = io.StringIO()
+        with using(writer), pytest.raises(ValueError,
+                                          match=f"cannot lead {rows} rows"):
+            fileio._write_rows(fileio._Sink(buf), np.zeros((rows, 2)),
+                               grid=(np.zeros(3), np.zeros(1000)))
+        assert buf.getvalue() == ""
 
 
 def tie_family():
@@ -711,9 +698,10 @@ def test_c_writer_ignores_the_process_locale():
     assert ran
 
 
-# The compiled writer's digits: an exact double-double product with
-# 10**(16 - e) from the table swekit_writer_init builds, decided
-# wherever it lies farther than 2**-44 from a rounding tie, at every
+# Both writers' digits: an exact double-double product with
+# 10**(16 - e) from one power table, which fileio._tables and
+# swekit_writer_init each build, decided wherever it lies farther than
+# 2**-44 from a rounding tie, by the numpy writer and at every compiled
 # writer level.
 
 # The table's rows, by decimal exponent (EXP_LO..EXP_HI in _native.c).
@@ -733,12 +721,18 @@ def significant_bits(x):
     return (n // (n & -n)).bit_length() if n else 0
 
 
-def test_the_power_table_holds_exact_pairs(compiled_writer):
+def test_the_power_table_holds_exact_pairs():
     # Each row e holds 10**k, k = 16 - e, times an exact power of two
     # 2**s as hi = RN(10**k 2**s) and lo = RN(10**k 2**s - hi), rebuilt
     # here from Python's integers: float() of an integer ratio rounds
-    # correctly. Both are normal, as the error bound needs.
-    for e, row in zip(TABLE_EXPONENTS, power_table().tolist()):
+    # correctly. Both are normal, as the error bound needs. The compiled
+    # writer's table, built in C from its own big integers, is the same
+    # bit for bit.
+    rows = np.ascontiguousarray(fileio._tables().powers.T)
+    assert len(rows) == len(TABLE_EXPONENTS)
+    if _native.library() is not None:
+        assert power_table().tobytes() == rows.tobytes()
+    for e, row in zip(TABLE_EXPONENTS, rows.tolist()):
         hi, lo, head, tail, scale, after = row
         s = -math.frexp(scale)[1] + 1
         assert scale == 2.0 ** -s and s == (160 if e >= 280 else
@@ -814,11 +808,16 @@ def range_ends(rng, count=20_000):
     return np.concatenate([subnormal, ends, edges, [DBL_MIN, DBL_MAX]])
 
 
-@pytest.mark.parametrize("level", _native.WRITER_LEVELS)
+def writer_at(level):
+    """The writer of a level test: "numpy", or a compiled writer level."""
+    return level if level == "numpy" else f"c:{level}"
+
+
+@pytest.mark.parametrize("level", ("numpy", *_native.WRITER_LEVELS))
 def test_each_writer_level_decides_near_ties_and_range_ends(level):
-    # The old long-double digits sent a value this close to a tie to
-    # snprintf; the double-double product decides it. Exact ties still
-    # go to snprintf.
+    # The double-double product decides a value this close to a tie.
+    # Exact ties still go to snprintf, or to Python's formatting in the
+    # numpy writer.
     rng = np.random.default_rng(17)
     ties, neighbours = near_ties(rng)
     assert len(ties) > 1000 and len(neighbours) > 10
@@ -829,7 +828,7 @@ def test_each_writer_level_decides_near_ties_and_range_ends(level):
     signs = rng.choice([-1.0, 1.0], values.size)
     table = np.concatenate([values * signs, [0.0] * (-values.size % 8)])
     table = table.reshape(-1, 8)
-    with using(f"c:{level}"):
+    with using(writer_at(level)):
         assert written_rows(table) == oracle_rows(table)
 
 
@@ -879,12 +878,12 @@ def hardest_ties(e, q, d):
     return found
 
 
-@pytest.mark.parametrize("level", _native.WRITER_LEVELS)
+@pytest.mark.parametrize("level", ("numpy", *_native.WRITER_LEVELS))
 def test_each_writer_level_leaves_the_hardest_ties_to_snprintf(level):
     # Within 2**-50 of a tie the double-double product cannot decide the
-    # digits; such values, exact ties among them, go to snprintf. A
-    # writer that decided them anyway would round hundreds of these
-    # the wrong way.
+    # digits; such values, exact ties among them, go to snprintf, or to
+    # Python's formatting in the numpy writer. A writer that decided
+    # them anyway would round hundreds of these the wrong way.
     values = [v for e in range(-300, 300, 7)
               for q in range(math.floor(e * math.log2(10)) - 54,
                              math.floor(e * math.log2(10)) - 48)
@@ -896,7 +895,7 @@ def test_each_writer_level_leaves_the_hardest_ties_to_snprintf(level):
     values = np.array(values)
     table = np.concatenate([values, -values, [0.0] * (-2 * values.size % 8)])
     table = table.reshape(-1, 8)
-    with using(f"c:{level}"):
+    with using(writer_at(level)):
         assert written_rows(table) == oracle_rows(table)
 
 
