@@ -1271,22 +1271,19 @@ STEP_LEVEL(avx2)
  * - Zeros, infinities and NaN (always "nan", as Python writes it) are
  *   written directly.
  *
- * swekit_writer_init computes the power table from exact integers, and
- * fileio._tables the same table from Python's; tests/test_fileio.py
- * checks every pair and that both tables agree bit for bit. The digits are
- * rendered four at a time from a lookup table. Each writer level
- * (baseline; fma, for avx2 with FMA) has its entries, compiled from the
- * same code, and both give the same text: each decides only digits that
- * are exact.
+ * The power table is built once, in Python, from exact integers
+ * (fileio._powers), and swekit_writer_init copies it: both writers read
+ * the same rows, and tests/test_fileio.py checks every pair and that
+ * swekit_powers holds the table bit for bit. The digits are rendered
+ * four at a time from a lookup table. Each writer level (baseline; fma,
+ * for avx2 with FMA) has its entries, compiled from the same code, and
+ * both give the same text: each decides only digits that are exact.
  */
 
 /* Decimal exponents the table covers: those of finite nonzero doubles,
  * -324..308, and one more at each end for the decade-edge redo. */
 #define EXP_LO (-325)
 #define EXP_HI 309
-/* Rows with |e| >= SCALED hold the power times 2**(+-SHIFT). */
-#define SCALED 280
-#define SHIFT 160
 #define TEN16 10000000000000000LL
 /* Adding and subtracting it rounds a double below 2**51 to an integer,
  * ties to even. */
@@ -1304,7 +1301,8 @@ STEP_LEVEL(avx2)
 /* Row e - EXP_LO of the power table: 10**(16 - e) * 2**s as hi + lo,
  * hi split into Veltkamp halves head + tail of at most 26 bits each,
  * the factor 2**-s for |v|, and 10**(e + 1) rounded, for the estimate
- * of e. tests/test_fileio.py reads it. */
+ * of e. fileio._powers() builds the rows in this layout;
+ * tests/test_fileio.py reads them here. */
 struct power {
     double hi, lo, head, tail, scale, next;
 };
@@ -1313,130 +1311,14 @@ static char groups[10000][4]; /* "0000" .. "9999" */
 static locale_t c_locale;
 static int ready;
 
-/* The table's big integers: LIMBS 32-bit limbs, least significant
- * first. 10**-k is held as floor(2**FIXED / 10**k) and a flag that the
- * floor dropped a fraction: at least 2**260 for every k here, so its
- * pair and its rounding see every bit they need. */
-#define FIXED 1400
-#define LIMBS (FIXED / 32 + 1)
-
-static void times_ten(uint32_t *x)
+/* Copies the power table that fileio._powers() builds and builds the
+ * digit groups; 0, or -1 where the "C" locale cannot be made. The
+ * loader calls it once, before any other writer entry. */
+int swekit_writer_init(const struct power *powers)
 {
-    uint64_t carry = 0;
-    for (int i = 0; i < LIMBS; i++) {
-        carry += (uint64_t)x[i] * 10;
-        x[i] = (uint32_t)carry;
-        carry >>= 32;
-    }
-}
-
-/* x / 10 rounded down; nonzero where that dropped a remainder. */
-static int over_ten(uint32_t *x)
-{
-    uint64_t rest = 0;
-    for (int i = LIMBS - 1; i >= 0; i--) {
-        rest = rest << 32 | x[i];
-        x[i] = (uint32_t)(rest / 10);
-        rest %= 10;
-    }
-    return rest != 0;
-}
-
-static uint32_t limb(const uint32_t *x, int i)
-{
-    return i < LIMBS ? x[i] : 0;
-}
-
-/* x, plus a fraction in (0, 1) where inexact (x then has 54 bits or
- * more), rounded to 53 bits, to nearest and ties to even: returns the
- * significand m of m * 2**top; *up tells that it rounded up. */
-static uint64_t round53(const uint32_t *x, int inexact, int *top, int *up)
-{
-    int i = LIMBS - 1, n = 32 * i;
-    while (i > 0 && !x[i])
-        n = 32 * --i;
-    for (uint32_t w = x[i]; w; w >>= 1)
-        n++;
-    *top = n > 53 ? n - 53 : 0;
-    /* Bits top .. top + 52, then the one below them and whether any
-     * lower one is set. */
-    int at = *top, below = at - 1;
-    uint64_t m = ((uint64_t)limb(x, at / 32 + 1) << 32 | x[at / 32]) >>
-                 at % 32;
-    if (at % 32)
-        m |= (uint64_t)limb(x, at / 32 + 2) << (64 - at % 32);
-    m &= (1ULL << 53) - 1;
-    int half = below >= 0 && (x[below / 32] >> below % 32 & 1);
-    int rest = inexact;
-    for (int k = 0; k < below / 32 && !rest; k++)
-        rest = x[k] != 0;
-    if (below > 0 && !rest)
-        rest = (x[below / 32] & ((1u << below % 32) - 1)) != 0;
-    *up = half && (rest || (m & 1));
-    return m + (uint64_t)*up;
-}
-
-/* RN(x * 2**exp), for x as round53's. */
-static double rounded(const uint32_t *x, int inexact, int exp)
-{
-    int top, up;
-    uint64_t m = round53(x, inexact, &top, &up);
-    return ldexp((double)m, top + exp);
-}
-
-/* Row e of the table, where it has one, from 10**(16 - e) = x * 2**exp,
- * x as round53's. */
-static void set_power(int e, const uint32_t *x, int inexact, int exp)
-{
-    if (e < EXP_LO || e > EXP_HI)
-        return;
-    struct power *w = &swekit_powers[e - EXP_LO];
-    int s = e >= SCALED ? SHIFT : e <= -SCALED ? -SHIFT : 0;
-    int top, up;
-    uint32_t rest[LIMBS];
-    uint64_t m = round53(x, inexact, &top, &up);
-    w->hi = ldexp((double)m, top + exp + s);
-    /* x less m * 2**top: its bits below top, or where m rounded up,
-     * minus their complement to 2**top. */
-    for (int i = 0; i < LIMBS; i++) {
-        uint32_t below = 32 * i + 32 <= top ? ~0u
-                         : 32 * i < top ? (1u << top % 32) - 1 : 0u;
-        rest[i] = (up ? ~x[i] : x[i]) & below;
-    }
-    if (up && !inexact)
-        for (int i = 0; i < LIMBS && !++rest[i]; i++)
-            ;
-    w->lo = (up ? -1.0 : 1.0) * rounded(rest, inexact, exp + s);
-    double t = w->hi * 134217729.0; /* 2**27 + 1 */
-    w->head = t - (t - w->hi);
-    w->tail = w->hi - w->head;
-    w->scale = ldexp(1.0, -s);
-}
-
-/* Builds the tables; 0, or -1 where the "C" locale cannot be made.
- * The loader calls it once, before any other writer entry. */
-int swekit_writer_init(void)
-{
-    uint32_t ten[LIMBS] = {1}, tenth[LIMBS] = {0};
-    int inexact = 0;
     if (ready)
         return 0;
-    tenth[FIXED / 32] = 1u << FIXED % 32;
-    /* 10**k and 10**-k, for the rows e = 16 -+ k and the estimates of
-     * e = k - 1 and -k - 1. */
-    for (int k = 0; k <= 16 - EXP_LO; k++) {
-        set_power(16 - k, ten, 0, 0);
-        if (k - 1 <= EXP_HI)
-            swekit_powers[k - 1 - EXP_LO].next = rounded(ten, 0, 0);
-        if (k) {
-            set_power(16 + k, tenth, inexact, -FIXED);
-            if (-k - 1 >= EXP_LO)
-                swekit_powers[-k - 1 - EXP_LO].next =
-                    rounded(tenth, inexact, -FIXED);
-        }
-        times_ten(ten);
-        inexact |= over_ten(tenth);
-    }
+    memcpy(swekit_powers, powers, sizeof swekit_powers);
     for (int n = 0; n < 10000; n++) {
         groups[n][0] = (char)('0' + n / 1000);
         groups[n][1] = (char)('0' + n / 100 % 10);

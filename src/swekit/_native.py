@@ -31,8 +31,10 @@ swekit_write_rows_<level> and swekit_format_slots_<level>; its digits
 come from an exact double-double product, whose error term is C99 fma()
 at the fma level and Dekker's product at the baseline, so both levels
 write the same text. The numpy writer takes the same method, with
-Dekker's product, from the same power table. writer_levels() names
-those this CPU can run, and fileio binds the widest.
+Dekker's product, from the same power table: fileio._powers() builds it
+once, and library() hands it to swekit_writer_init, which copies it.
+writer_levels() names those this CPU can run, and fileio binds the
+widest.
 
 The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 -ffp-contract=off -fPIC -shared` (or `cc`). -O3 vectorizes the sweep's
@@ -78,7 +80,7 @@ _ENTRIES = {
     "swekit_sweep_level": ([], ctypes.c_int),
     "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
     "swekit_writer_level": ([], ctypes.c_int),
-    "swekit_writer_init": ([], ctypes.c_int),
+    "swekit_writer_init": ([ctypes.c_void_p], ctypes.c_int),
 }
 
 # The vector levels of the sweep and the step, narrowest first. Each has
@@ -211,7 +213,9 @@ def library():
                     for name, (argtypes, restype) in entries.items():
                         entry = getattr(loaded, name.format(level))
                         entry.argtypes, entry.restype = argtypes, restype
-            if loaded.swekit_writer_init() != 0:
+            # Imported here: fileio imports this module.
+            from .fileio import _powers
+            if loaded.swekit_writer_init(_powers().ctypes.data) != 0:
                 raise OSError("the writer found no \"C\" locale")
         except OSError as exc:
             LOG.warning("compiled sweep kernel unavailable, and the compiled "

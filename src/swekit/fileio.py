@@ -31,11 +31,12 @@ product() in _native.c, whose writer header bounds the error.
   10**(e + 1): an estimate from its binary exponent and one comparison
   with 10**(e + 1) rounded.
 * Its 17 digits are |v| * 10**(16 - e) rounded to nearest. The power is
-  a double-double hi + lo from _tables, and the product is p + c: p =
-  |v| * hi rounded, and c its exact error (Dekker's product of Veltkamp
-  halves, Dekker 1971) plus |v| * lo. The digits are p plus c rounded,
-  and they stand where c's fraction lies farther than 2**-44 from one
-  half.
+  a double-double hi + lo from one power table, which _powers builds
+  here and the compiled writer copies when the library loads. The
+  product is p + c: p = |v| * hi rounded, and c its exact error
+  (Dekker's product of Veltkamp halves, Dekker 1971) plus |v| * lo.
+  The digits are p plus c rounded, and they stand where c's fraction
+  lies farther than 2**-44 from one half.
 * At a decade edge e can be one off, which the sign of (p - 1e16) + c
   or (p - 1e17) + c shows: the product is then taken again one exponent
   over. Digits that round up to 10**17 are 10**16 with the exponent one
@@ -102,49 +103,60 @@ _END_OF_ROW = _SEPARATOR ^ (ord("\n") << 8)
 _C_TEXT, _C_SLOT = 25, 32
 
 
+@functools.cache
+def _powers():
+    """The power table, built once per process and read by both writers:
+    row e - _EXP_LO in the layout of _native.c's struct power, which the
+    loader copies into the compiled writer (_native.library()).
+
+    For each e, 10**(16 - e) * 2**s is hi + lo: hi = RN(10**(16 - e) *
+    2**s) and lo the rest rounded, with s = 160 where e >= 280, -160
+    where e <= -280 (where the power leaves double's range or its split
+    could overflow) and 0 elsewhere. head + tail are hi's Veltkamp
+    halves, scale = 2**-s is |v|'s factor, and next = RN(10**(e + 1))
+    checks the estimate of e. Each is a ratio of exact integers, which
+    Python's true division and int-to-float conversion round correctly.
+    """
+    tens = [1]
+    for _ in range(16 - _EXP_LO):
+        tens.append(10 * tens[-1])
+    values = []
+    for e in range(_EXP_LO, _EXP_HI + 1):
+        s = 160 if e >= 280 else -160 if e <= -280 else 0
+        k = 16 - e
+        top, bottom = (tens[k], 1 << -s) if k >= 0 else (1 << s, tens[-k])
+        hi = top / bottom
+        n, d = hi.as_integer_ratio()
+        values += (hi, (top * d - n * bottom) / (bottom * d), 2.0**-s,
+                   math.inf if e >= 308 else float(tens[e + 1]) if e >= -1
+                   else 1 / tens[-e - 1])
+    hi, lo, scale, after = np.array(values).reshape(-1, 4).T
+    t = hi * _VELTKAMP
+    head = t - (t - hi)
+    return np.column_stack([hi, lo, head, hi - head, scale, after])
+
+
 class _Tables(NamedTuple):
-    powers: np.ndarray     # hi, lo, head, tail, scale, next; by e - _EXP_LO
+    powers: np.ndarray     # _powers() column by column
     groups: np.ndarray     # ASCII words of 0000..9999
     exp_words: np.ndarray  # words 5-6 as one uint64, by e - _EXP_LO
 
 
 @functools.cache
 def _tables():
-    """Lookup tables, built on the first write rather than at import.
-
-    powers holds _native.c's swekit_powers column by column. For each e,
-    10**(16 - e) * 2**s is hi + lo: hi = RN(10**(16 - e) * 2**s) and lo
-    the rest rounded, with s = 160 where e >= 280, -160 where e <= -280
-    (where the power leaves double's range or its split could overflow)
-    and 0 elsewhere. head + tail are hi's Veltkamp halves, scale = 2**-s
-    is |v|'s factor, and next = RN(10**(e + 1)) checks the estimate of
-    e. Each is a ratio of exact integers, which Python's true division
-    rounds correctly.
-    """
-    exponents = range(_EXP_LO, _EXP_HI + 1)
-    rows = []
-    for e in exponents:
-        s = 160 if e >= 280 else -160 if e <= -280 else 0
-        k = 16 - e
-        top = 10 ** max(k, 0) << max(s, 0)
-        bottom = 10 ** max(-k, 0) << max(-s, 0)
-        hi = top / bottom
-        n, d = hi.as_integer_ratio()
-        rows.append((hi, (top * d - n * bottom) / (bottom * d), 2.0**-s,
-                     math.inf if e >= 308
-                     else 10 ** max(e + 1, 0) / 10 ** max(-e - 1, 0)))
-    hi, lo, scale, after = np.array(rows).T
-    t = hi * _VELTKAMP
-    head = t - (t - hi)
-    powers = np.array([hi, lo, head, hi - head, scale, after])
+    """The numpy writer's lookup tables, built on its first write rather
+    than at import: the power table of _powers() by columns, which the
+    compiled writer reads by rows, and the numpy writer's own digit
+    groups and exponent words."""
     n = np.arange(10000, dtype=np.uint16)
     chars = np.empty((10000, 4), dtype=np.uint8)
     for col, div in enumerate((1000, 100, 10, 1)):
         chars[:, col] = n // div % 10 + ord("0")
     groups = chars.view("<u4").ravel()
     text = b"".join(f"e{e:+03d}".encode("ascii").ljust(5, b"\0") + b" \0\0"
-                    for e in exponents)
-    return _Tables(powers, groups, np.frombuffer(text, dtype="<u8"))
+                    for e in range(_EXP_LO, _EXP_HI + 1))
+    return _Tables(np.ascontiguousarray(_powers().T), groups,
+                   np.frombuffer(text, dtype="<u8"))
 
 
 def _product(m, row, powers):

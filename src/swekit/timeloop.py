@@ -683,7 +683,6 @@ class _WarningCounter(collections.Counter):
 @dataclass
 class _RunContext:
     grid: Grid
-    z: np.ndarray
     scheme: SchemeConfig
     bcs: BoundarySet
     friction: FrictionParams
@@ -981,7 +980,7 @@ def run_simulation(config, on_step=None):
 
     work = _Workspace(grid, z, config.scheme, config.boundaries,
                       infiltration=ga is not None)
-    ctx = _RunContext(grid, z, config.scheme, config.boundaries,
+    ctx = _RunContext(grid, config.scheme, config.boundaries,
                       config.friction, config.rain, _WarningCounter(), work)
     level = f" ({work.level})" if work.level else ""
     LOG.info("%s: %s sweep kernel%s, %s writer", config.name, work.kernel,

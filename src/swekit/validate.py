@@ -196,23 +196,20 @@ def _check_ritter(case, out_dir, input_dir):
 
 def _check_thacker(case, out_dir, input_dir):
     params = case.extras["params"]
-    tracker = {"vol_drift": 0.0, "h_max": 0.0, "vol0": None}
+    volumes, depths = [], []
 
     def on_step(t, state, dt):
-        vol = float(state.h.sum())
-        drift = abs(vol - tracker["vol0"]) / tracker["vol0"]
-        tracker["vol_drift"] = max(tracker["vol_drift"], drift)
-        tracker["h_max"] = max(tracker["h_max"], float(state.h.max()))
+        volumes.append(float(state.h.sum()))
+        depths.append(float(state.h.max()))
 
-    case_dir = input_dir
-    params_path = case.write_inputs(case_dir)
-    config = parse_parameter_file(params_path)
-    cfg_hash = config_hash(case.parameter_text)
-    tracker["vol0"] = float(config.initial_state.h.sum())
-    tracker["h_max"] = float(config.initial_state.h.max())
-    start = time.perf_counter()
-    result = run_simulation(config, on_step=on_step)
-    runtime = time.perf_counter() - start
+    config, cfg_hash, result, runtime = _run_case(case, input_dir, on_step)
+    initial = result.snapshots[0][1].h
+    vol0 = float(initial.sum())
+    # The run's worst figures. perfbench's tests find the gates below by
+    # their spelling in this source.
+    worst = {"vol_drift": max((abs(vol - vol0) / vol0 for vol in volumes),
+                              default=0.0),
+             "h_max": max([float(initial.max())] + depths)}
 
     grid = config.grid
     x = grid.cell_centers_x()
@@ -231,8 +228,8 @@ def _check_thacker(case, out_dir, input_dir):
     _write_outputs(out_dir, config, cfg_hash, result,
                    (ref.h, ref.qx, ref.qy))
     checks = [
-        Check("volume_drift_rel", tracker["vol_drift"], 1e-10),
-        Check("depth_max", tracker["h_max"], 1.2 * params.h0,
+        Check("volume_drift_rel", worst["vol_drift"], 1e-10),
+        Check("depth_max", worst["h_max"], 1.2 * params.h0,
               detail="largest depth over every step; exact peak is h0"),
         Check("planar_fit_residual", worst_residual, 0.1 * amplitude,
               detail="worst snapshot; limit is 10% of surface amplitude"),

@@ -238,6 +238,20 @@ def written_rows(table):
     return buf.getvalue()
 
 
+def assert_written_rows(table, expected=None, writer=""):
+    """The running writer's rows of table are `expected`, by default the
+    oracle's. A mismatch reports its first values: pytest's diff of two
+    texts of megabytes would take minutes."""
+    expected = oracle_rows(table) if expected is None else expected
+    got = written_rows(table)
+    if got != expected:
+        mismatched = [(e, g) for e, g in
+                      zip(expected.split(), got.split()) if e != g]
+        raise AssertionError(
+            f"{writer} writer, first mismatches: "
+            f"{mismatched[:5] or 'none, but the rows or spaces differ'}")
+
+
 def assert_rows_match(values, ncols=7):
     values = np.asarray(values, dtype=np.float64).ravel()
     values = np.concatenate([values, np.zeros(-values.size % ncols)])
@@ -245,12 +259,7 @@ def assert_rows_match(values, ncols=7):
     expected = oracle_rows(table)
     for writer in writers():
         with using(writer):
-            got = written_rows(table)
-        if got != expected:
-            mismatched = [(e, g) for e, g in
-                          zip(expected.split(), got.split()) if e != g]
-            raise AssertionError(
-                f"{writer} writer, first mismatches: {mismatched[:5]}")
+            assert_written_rows(table, expected, writer)
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,7 +425,7 @@ def test_write_rows_row_breaks_do_not_follow_blocks():
     table = rng.standard_normal((fileio._BLOCK // 13 * 2 + 5, 13))
     for writer in writers():
         with using(writer):
-            assert written_rows(table) == oracle_rows(table)
+            assert_written_rows(table, writer=writer)
             assert written_rows(np.zeros((0, 8))) == ""
 
 
@@ -692,15 +701,15 @@ def test_c_writer_ignores_the_process_locale():
                 continue
             ran.append(locale.localeconv()["decimal_point"])
             with using("c"):
-                assert written_rows(table) == expected
+                assert_written_rows(table, expected, "c")
     finally:
         locale.setlocale(locale.LC_ALL, saved)
     assert ran
 
 
 # Both writers' digits: an exact double-double product with
-# 10**(16 - e) from one power table, which fileio._tables and
-# swekit_writer_init each build, decided wherever it lies farther than
+# 10**(16 - e) from one power table, which fileio._powers builds and
+# swekit_writer_init copies, decided wherever it lies farther than
 # 2**-44 from a rounding tie, by the numpy writer and at every compiled
 # writer level.
 
@@ -726,10 +735,11 @@ def test_the_power_table_holds_exact_pairs():
     # 2**s as hi = RN(10**k 2**s) and lo = RN(10**k 2**s - hi), rebuilt
     # here from Python's integers: float() of an integer ratio rounds
     # correctly. Both are normal, as the error bound needs. The compiled
-    # writer's table, built in C from its own big integers, is the same
+    # writer's copy of the table and the numpy writer's columns hold it
     # bit for bit.
-    rows = np.ascontiguousarray(fileio._tables().powers.T)
+    rows = fileio._powers()
     assert len(rows) == len(TABLE_EXPONENTS)
+    assert fileio._tables().powers.T.tobytes() == rows.tobytes()
     if _native.library() is not None:
         assert power_table().tobytes() == rows.tobytes()
     for e, row in zip(TABLE_EXPONENTS, rows.tolist()):
@@ -829,7 +839,7 @@ def test_each_writer_level_decides_near_ties_and_range_ends(level):
     table = np.concatenate([values * signs, [0.0] * (-values.size % 8)])
     table = table.reshape(-1, 8)
     with using(writer_at(level)):
-        assert written_rows(table) == oracle_rows(table)
+        assert_written_rows(table, writer=writer_at(level))
 
 
 def gauss_reduced(u, v):
@@ -878,25 +888,36 @@ def hardest_ties(e, q, d):
     return found
 
 
+# Values within 2**-54 of a tie whose computed c lies on the far side
+# of one half from the exact fraction, found by hardest_ties over every
+# decade from -300 to 299.
+FAR_SIDE_TIES = [float.fromhex(h) for h in (
+    "0x1.57a340eb5d4f1p-760", "0x1.93e838c059d66p-682",
+    "0x1.70f4d8d6e3f4cp-304", "0x1.bb2d0be7784abp+231")]
+
+
 @pytest.mark.parametrize("level", ("numpy", *_native.WRITER_LEVELS))
 def test_each_writer_level_leaves_the_hardest_ties_to_snprintf(level):
     # Within 2**-50 of a tie the double-double product cannot decide the
     # digits; such values, exact ties among them, go to snprintf, or to
-    # Python's formatting in the numpy writer. A writer that decided
-    # them anyway would round hundreds of these the wrong way.
+    # Python's formatting in the numpy writer. Most of them the product
+    # would still round the right way, but not FAR_SIDE_TIES: with no
+    # margin, each writer level rounds all four the wrong way, and with
+    # a margin of 2**-52 one of them.
     values = [v for e in range(-300, 300, 7)
               for q in range(math.floor(e * math.log2(10)) - 54,
                              math.floor(e * math.log2(10)) - 48)
               for v in hardest_ties(e, q, 50)]
     assert len(values) > 1000
-    for value in values[::40]:
+    values += FAR_SIDE_TIES
+    for value in values[::40] + FAR_SIDE_TIES:
         assert abs(scaled_fraction(value) - Fraction(1, 2)) <= Fraction(
             1, 2**50)
     values = np.array(values)
     table = np.concatenate([values, -values, [0.0] * (-2 * values.size % 8)])
     table = table.reshape(-1, 8)
     with using(writer_at(level)):
-        assert written_rows(table) == oracle_rows(table)
+        assert_written_rows(table, writer=writer_at(level))
 
 
 def test_the_widest_writer_level_the_cpu_supports_is_bound(compiled_writer):

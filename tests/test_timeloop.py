@@ -216,7 +216,7 @@ def test_rain_raises_a_lake_at_rest_by_r_dt():
     state = State((np.full(n, 0.1), np.zeros(n)))
     rain = Hyetograph(times=(0.0,), intensities=(r,))
     scheme = SchemeConfig(order=1)
-    ctx = timeloop._RunContext(grid, z, scheme, WALL, FrictionParams(), rain,
+    ctx = timeloop._RunContext(grid, scheme, WALL, FrictionParams(), rain,
                                timeloop._WarningCounter(),
                                timeloop._Workspace(grid, z, scheme, WALL))
     new, _, diag = timeloop.euler_step(state, None, 0.0, dt, ctx)
@@ -1399,10 +1399,9 @@ def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
             work = timeloop._Workspace(grid, config.topography, scheme,
                                        config.boundaries,
                                        infiltration=ga is not None)
-        ctx = timeloop._RunContext(grid, config.topography, scheme,
-                                   config.boundaries, config.friction,
-                                   config.rain, timeloop._WarningCounter(),
-                                   work)
+        ctx = timeloop._RunContext(grid, scheme, config.boundaries,
+                                   config.friction, config.rain,
+                                   timeloop._WarningCounter(), work)
         state = config.initial_state.copy()
         before = state.copy()
         dt = 0.5 * compute_dt(state, grid, scheme, config.boundaries)
@@ -1488,7 +1487,7 @@ def _context(grid, scheme, friction, rain, infiltration, path, z=None,
         work = timeloop._Workspace(grid, z, scheme, bcs,
                                    infiltration=infiltration)
     rain = Hyetograph((0.0,), (rain,)) if rain else None
-    return timeloop._RunContext(grid, z, scheme, bcs, friction, rain,
+    return timeloop._RunContext(grid, scheme, bcs, friction, rain,
                                 timeloop._WarningCounter(), work)
 
 
