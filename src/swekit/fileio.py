@@ -124,6 +124,7 @@ def _powers():
     for e in range(_EXP_LO, _EXP_HI + 1):
         s = 160 if e >= 280 else -160 if e <= -280 else 0
         k = 16 - e
+        # 10**k * 2**s = top / bottom; s <= 0 where k >= 0.
         top, bottom = (tens[k], 1 << -s) if k >= 0 else (1 << s, tens[-k])
         hi = top / bottom
         n, d = hi.as_integer_ratio()

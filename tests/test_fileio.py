@@ -909,11 +909,10 @@ def test_each_writer_level_leaves_the_hardest_ties_to_snprintf(level):
                              math.floor(e * math.log2(10)) - 48)
               for v in hardest_ties(e, q, 50)]
     assert len(values) > 1000
-    values += FAR_SIDE_TIES
     for value in values[::40] + FAR_SIDE_TIES:
         assert abs(scaled_fraction(value) - Fraction(1, 2)) <= Fraction(
             1, 2**50)
-    values = np.array(values)
+    values = np.array(values + FAR_SIDE_TIES)
     table = np.concatenate([values, -values, [0.0] * (-2 * values.size % 8)])
     table = table.reshape(-1, 8)
     with using(writer_at(level)):
