@@ -15,8 +15,8 @@ sweep where a step helper is rebound (a profiler's wrapper) and over
 the numpy sweep where the library could not be built.
 
 The sweep and the step are compiled once per x86 vector level
-(SWEEP_LEVELS: the baseline and avx2, which AVX-512 CPUs run too), both
-from the same source, into entries swekit_sweep_<level> and
+(SWEEP_LEVELS: the baseline, avx2 and avx512f), all from the same
+source, into entries swekit_sweep_<level> and
 swekit_step_<level> of the one library; sweep_levels() names those this
 CPU can run, and timeloop binds the widest. The step of a level calls
 the sweep of that level: the tail's passes are bound by their divisions
@@ -41,13 +41,17 @@ The library is built with `gcc -O3 -fno-math-errno -fno-trapping-math
 row passes at each level; -fno-math-errno lets sqrt inline and
 -fno-trapping-math lets the comparisons that feed its selects be
 if-converted, and neither changes a computed value. Nor does the vector
-width: every level gives the same bits, as no sweep or step level
-enables FMA. It is never built with contraction, -ffast-math or
--march=native, which would change the bits. The library goes into
+width: every level gives the same bits, as no sweep or step level calls
+fma() or enables the FMA extension, and -ffp-contract=off fuses no
+product, also at avx512f, whose instruction set has fused forms of its
+own. It is never built with contraction, -ffast-math or -march=native,
+which would change the bits. The library goes into
 $XDG_CACHE_HOME/swekit, else ~/.cache/swekit, else a private directory
 under the system's temporary directory. The cache key hashes the
 source, the flags and the compiler executable; a library whose SHA-256
-does not match the one stored beside it is rebuilt.
+does not match the one stored beside it is rebuilt. A build logs one
+INFO line with the compiler and its seconds: it runs inside the first
+run of a process with a cold cache, and counts in that run's time.
 
 Without a working C compiler, library() logs one warning per process
 and returns None: the numpy twins of all three kernels run.
@@ -63,6 +67,7 @@ import pathlib
 import shutil
 import tempfile
 import threading
+import time
 
 LOG = logging.getLogger(__name__)
 
@@ -83,11 +88,12 @@ _ENTRIES = {
     "swekit_writer_init": ([ctypes.c_void_p], ctypes.c_int),
 }
 
-# The vector levels of the sweep and the step, narrowest first. Each has
-# the entries swekit_sweep_<level>(struct sweep *) and
+# The vector levels of the sweep and the step, narrowest first: avx2
+# runs on CPUs with AVX2, avx512f on those with AVX-512F. Each has the
+# entries swekit_sweep_<level>(struct sweep *) and
 # swekit_step_<level>(struct step *), declared where the CPU supports the
 # level.
-SWEEP_LEVELS = ("baseline", "avx2")
+SWEEP_LEVELS = ("baseline", "avx2", "avx512f")
 # The writer's levels, narrowest first: fma runs on CPUs with AVX2 and
 # FMA. Each has the entries swekit_format_slots_<level> and
 # swekit_write_rows_<level>, declared where the CPU supports the level.
@@ -183,7 +189,10 @@ def _library_path():
             os.close(fd)
             temporary.append(name)
         built, digest = temporary
+        start = time.perf_counter()
         _compile(compiler, built)
+        LOG.info("built the kernel library with %s in %.2f s", executable,
+                 time.perf_counter() - start)
         with open(digest, "w", encoding="ascii") as stream:
             stream.write(_digest(built))
         os.replace(built, path)

@@ -684,8 +684,12 @@ def test_the_build_flags_keep_every_bit():
     source = _native._SOURCE.read_text()
     targets = re.findall(r'TARGET_(\w+) __attribute__\(\(target\("([^"]*)"\)',
                          source)
-    assert targets == [("avx2", "avx2"), ("fma", "avx2,fma")]
+    assert targets == [("avx2", "avx2"), ("avx512f", "avx512f"),
+                       ("fma", "avx2,fma")]
     assert [t for t in _native.SWEEP_LEVELS if "fma" in t] == []
+    sweep_targets = [target for level, target in targets
+                     if level in _native.SWEEP_LEVELS]
+    assert [t for t in sweep_targets if "fma" in t] == []
     assert [t for _, t in targets if "arch=" in t] == []
     assert re.findall(r"(\w+)\(fma\b", source) == ["WRITER_LEVEL"]
 
@@ -707,8 +711,8 @@ def test_the_widest_level_the_cpu_supports_is_bound():
     if platform.machine() == "x86_64" and sys.platform == "linux" \
             and shutil.which("gcc"):
         assert built == list(_native.SWEEP_LEVELS)
-    # numpy reads the CPU and the OS on its own: its AVX2 flag decides
-    # which levels the library may run.
+    # numpy reads the CPU and the OS on its own: its AVX2 and AVX512F
+    # flags decide which levels the library may run.
     features = _numpy_cpu_features()
     runnable = [level for level in built
                 if level == "baseline" or features.get(level.upper())]
@@ -728,10 +732,12 @@ def test_the_widest_level_the_cpu_supports_is_bound():
 @pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
 def test_every_vector_level_runs_with_numpys_bits(level, caplog):
     # The rain plot runs Manning friction and two-layer infiltration in
-    # 2D over wet and dry cells: the tail's vectorized passes.
+    # 2D over wet and dry cells: the tail's vectorized passes. The shock
+    # channel runs 1D Manning friction and imposed sides, with numpy's
+    # cuts in each step.
     configs = [_wet_plot(two_d, order, flux) for two_d in (False, True)
                for order in (1, 2) for flux in ("hll", "rusanov")]
-    configs.append(_rain_plot())
+    configs += [_rain_plot(), _shock_channel()]
     with _sweep_path(f"c:{level}"), \
             caplog.at_level(logging.INFO, timeloop.LOG.name):
         work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
@@ -743,9 +749,10 @@ def test_every_vector_level_runs_with_numpys_bits(level, caplog):
         references = [run_simulation(config) for config in configs]
     assert all(_same_bits(r.final_state.fields, ref.final_state.fields)
                for r, ref in zip(results, references))
-    messages = {r.getMessage() for r in caplog.records
+    # Each run's INFO line, less the run's name that leads it.
+    messages = {r.getMessage().partition(": ")[2] for r in caplog.records
                 if "sweep kernel" in r.getMessage()}
-    assert messages == {f"run: c sweep kernel ({level}), "
+    assert messages == {f"c sweep kernel ({level}), "
                         f"{fileio.writer_name()} writer"}
 
 
@@ -781,7 +788,8 @@ def test_without_a_build_numpy_runs_with_the_same_bits(failure, tmp_path,
                       compiled.final_state.fields)
 
 
-def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch):
+def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch,
+                                                   caplog):
     if not _has_compiler():
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -795,10 +803,17 @@ def test_a_truncated_library_is_rebuilt_not_loaded(tmp_path, monkeypatch):
         original(compiler, target)
 
     config = _wet_plot(False, 2, "hll")
-    with mock.patch.object(_native, "_compile", counted), _fresh_kernel():
+    with mock.patch.object(_native, "_compile", counted), _fresh_kernel(), \
+            caplog.at_level(logging.INFO, _native.LOG.name):
         result = run_simulation(config)
         assert _native._library_path() == str(path)
     assert len(builds) == 1
+    compiler = os.path.realpath(shutil.which("gcc") or shutil.which("cc"))
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == _native.LOG.name]
+    assert len(messages) == 1
+    assert re.fullmatch(rf"built the kernel library with {re.escape(compiler)}"
+                        r" in \d+\.\d\d s", messages[0])
     assert result.sweep_kernel == "c"
     assert path.stat().st_size == size
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
