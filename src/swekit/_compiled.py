@@ -49,15 +49,17 @@ def _operand(array, shape):
 
 
 def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
-                work, accumulate):
+                accumulate):
     """The SweepBlock of one call: the arguments of timeloop._Sweep.run,
-    plus work and whether to add into the outputs instead of storing."""
+    plus whether to add into the outputs instead of storing. Its work is
+    for the caller to set: swekit_sweep_work of the block gives its
+    size."""
     row, inner = (rows, n + 4), (rows, n)
     values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
               accumulate, d, scheme.g, scheme.h_eps,
               *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
               *_operand(carried, (nq, *inner)), *_operand(normal, inner),
-              *_operand(faces, (2, rows)), work.ctypes.data)
+              *_operand(faces, (2, rows)))
     return ctypes.pointer(SweepBlock(*values))
 
 

@@ -111,44 +111,64 @@ INLINE double np_min(double a, double b)
     return isnan(a) ? a : r;
 }
 
-/* Rows of divergences written to strided outputs at once. */
+/* Rows a block whose outputs are strided runs at once, as vector lanes:
+ * the y sweep's. */
 #define TILE 8
 
-/* Doubles of work a block of rows of n cells needs: per variable its
- * values and its two traces, then the slope differences and the five
- * face rows, then a tile of divergence rows. */
-idx swekit_sweep_work(idx n, idx nq)
+/* Whether a block's outputs have unit cell stride: it then runs one row
+ * at a time and writes them in place, any other TILE rows at once. */
+INLINE int direct(const struct sweep *s)
 {
-    return (3 * (nq + 2) + 6) * (n + 4) + TILE * (nq + 1) * n;
+    return s->carried_cell == 1 && s->normal_cell == 1;
 }
 
-/* Values (h, u_n[, u_t], h+z or z) of one row's e cells into v. */
-INLINE void gather(const struct sweep *s, idx r, idx e,
-                   double *restrict v)
+/* Doubles of work a block needs: per variable its values and its two
+ * traces, then the slope differences and the five face rows, each n + 4
+ * cells of one value per lane; then, for a tile, its divergences. */
+idx swekit_sweep_work(const struct sweep *s)
 {
-    const double *restrict h = s->h + r * s->h_row;
-    const double *restrict z = s->z + r * s->z_row;
-    const idx hc = s->h_cell, zc = s->z_cell, nv = s->nq + 2;
-    double *restrict last = v + (nv - 1) * e;
+    const idx lanes = direct(s) ? 1 : TILE;
+    const idx tile = lanes == 1 ? 0 : TILE * (s->nq + 1) * s->n;
+    return (3 * (s->nq + 2) + 6) * (s->n + 4) * lanes + tile;
+}
+
+/* e cells of count rows into v, lane t of cell j at v[j * lanes + t]:
+ * a points at the first row's first cell, and rows and cells lie row and
+ * cell apart. The lanes past count repeat the last row. lanes is a
+ * constant where this is inlined. */
+INLINE void load(const double *restrict a, idx row, idx cell, idx count,
+                 idx e, double *restrict v, int lanes)
+{
+    if (lanes == 1 || (count == lanes && row == 1)) {
+        for (idx j = 0; j < e; j++)
+            for (int t = 0; t < lanes; t++)
+                v[j * lanes + t] = a[j * cell + t];
+        return;
+    }
+    for (idx j = 0; j < e; j++)
+        for (int t = 0; t < lanes; t++)
+            v[j * lanes + t] = a[j * cell + (t < count ? t : count - 1) * row];
+}
+
+/* Values (h, u_n[, u_t], h+z or z) of the count rows from row r into v,
+ * m = e * lanes of them per variable. */
+INLINE void gather(const struct sweep *s, idx r, idx count, idx e,
+                   double *restrict v, int lanes)
+{
+    const idx m = e * lanes, nv = s->nq + 2;
+    double *restrict last = v + (nv - 1) * m;
+    load(s->h + r * s->h_row, s->h_row, s->h_cell, count, e, v, lanes);
+    load(s->z + r * s->z_row, s->z_row, s->z_cell, count, e, last, lanes);
     if (s->second_order)
-        for (idx j = 0; j < e; j++) {
-            v[j] = h[j * hc];
-            last[j] = h[j * hc] + z[j * zc];
-        }
-    else
-        for (idx j = 0; j < e; j++) {
-            v[j] = h[j * hc];
-            last[j] = z[j * zc];
-        }
+        for (idx j = 0; j < m; j++)
+            last[j] = v[j] + last[j];
     /* core.velocity: q/h where h > h_eps, else 0. */
     const double h_eps = s->h_eps;
     for (idx k = 0; k < s->nq; k++) {
-        const double *restrict q = s->q + k * s->q_var + r * s->q_row;
-        const idx qc = s->q_cell;
-        double *restrict u = v + (1 + k) * e;
-        for (idx j = 0; j < e; j++)
-            u[j] = q[j * qc];
-        for (idx j = 0; j < e; j++) {
+        double *restrict u = v + (1 + k) * m;
+        load(s->q + k * s->q_var + r * s->q_row, s->q_row, s->q_cell, count,
+             e, u, lanes);
+        for (idx j = 0; j < m; j++) {
             double ratio = u[j] / v[j];
             u[j] = v[j] > h_eps ? ratio : 0.0;
         }
@@ -157,17 +177,19 @@ INLINE void gather(const struct sweep *s, idx r, idx e,
 
 /* reconstruction.muscl_slopes and the traces slope*(+-d/2) + value of
  * one variable, for cells 1 .. e-2 (the outer ghosts' traces are never
- * read). step holds the e-1 divided differences. */
+ * read). step holds the e-1 divided differences. A cell's lanes lie
+ * together, so a cell's neighbour is lanes values away. */
 INLINE void traces(const double *restrict x, double *restrict xh,
                    double *restrict xl, double *restrict step, idx e,
-                   double d)
+                   double d, int lanes)
 {
+    const idx m = e * lanes;
     const double half_d = 0.5 * d, minus_half_d = -0.5 * d;
-    for (idx j = 0; j < e - 1; j++)
-        step[j] = (x[j + 1] - x[j]) / d;
-    for (idx j = 1; j < e - 1; j++) {
+    for (idx j = 0; j < m - lanes; j++)
+        step[j] = (x[j + lanes] - x[j]) / d;
+    for (idx j = lanes; j < m - lanes; j++) {
         /* reconstruction._minmod_into */
-        double a = step[j - 1], b = step[j];
+        double a = step[j - lanes], b = step[j];
         double same_sign = a * b > 0.0 ? 1.0 : 0.0;
         double slope = copysign(np_min(fabs(a), fabs(b)) * same_sign, a)
                        + 0.0;
@@ -199,19 +221,20 @@ INLINE void side_waves(double h, double q, double g, double half_g,
 
 /* Fluxes and pressure corrections of faces 1 .. n+1. Face k lies between
  * cells k and k+1: its minus side is the high trace of cell k, its plus
- * side the low trace of cell k+1. rusanov and nq are constants where
- * this is inlined, so each caller gets one branch-free loop. */
+ * side the low trace of cell k+1. rusanov, nq and lanes are constants
+ * where this is inlined, so each caller gets one branch-free loop. */
 INLINE void face_pass(const double *restrict th, const double *restrict tl,
                       idx n, idx e, double g, double eps,
-                      struct face_rows f, int rusanov, int nq)
+                      struct face_rows f, int rusanov, int nq, int lanes)
 {
+    const idx m = e * lanes;
     const double half_g = 0.5 * g;
-    const double *restrict zh = th + (nq + 1) * e;
-    const double *restrict zl = tl + (nq + 1) * e;
-    for (idx k = 1; k <= n + 1; k++) {
-        double hm = th[k], hp = tl[k + 1];
-        double um = th[e + k], up = tl[e + k + 1];
-        double zm = zh[k], zp = zl[k + 1];
+    const double *restrict zh = th + (nq + 1) * m;
+    const double *restrict zl = tl + (nq + 1) * m;
+    for (idx k = lanes; k < (n + 2) * lanes; k++) {
+        double hm = th[k], hp = tl[k + lanes];
+        double um = th[m + k], up = tl[m + k + lanes];
+        double zm = zh[k], zp = zl[k + lanes];
         /* reconstruction.hydrostatic_sides */
         double z_face = np_max(zm, zp);
         double h_l = np_max(hm + zm - z_face, 0.0);
@@ -258,133 +281,170 @@ INLINE void face_pass(const double *restrict th, const double *restrict tl,
         f.norm[k] = fq;
         if (nq == 2) {
             /* fluxes.transverse_component */
-            double vm = th[2 * e + k], vp = tl[2 * e + k + 1];
+            double vm = th[2 * m + k], vp = tl[2 * m + k + lanes];
             f.tran[k] = fm * (um + up > 0.0 ? vm : vp);
         }
     }
 }
 
-/* Divergences of cells 2 .. n+1 of one row into the rows dm, dn[, dt],
- * stored or added. Cell j lies between faces j-1 and j. accumulate and
- * nq are constants where this is inlined. */
+/* Divergences of cells 2 .. n+1 into the rows dm, dn[, dt] (n cells of
+ * lanes values), stored or added. Cell j lies between faces j-1 and j.
+ * accumulate, nq and lanes are constants where this is inlined. */
 INLINE void divergence_pass(const double *restrict th,
                             const double *restrict tl, idx n, idx e,
                             double d, double g, struct face_rows f,
                             double *restrict dm, double *restrict dn,
-                            double *restrict dt, int accumulate, int nq)
+                            double *restrict dt, int accumulate, int nq,
+                            int lanes)
 {
+    const idx m = e * lanes;
     const double minus_half_g = -0.5 * g;
-    const double *restrict zh = th + (nq + 1) * e;
-    const double *restrict zl = tl + (nq + 1) * e;
-    for (idx c = 0; c < n; c++) {
-        idx j = c + 2;
-        double mass = (f.mass[j] - f.mass[j - 1]) / d;
+    const double *restrict zh = th + (nq + 1) * m;
+    const double *restrict zl = tl + (nq + 1) * m;
+    for (idx c = 0; c < n * lanes; c++) {
+        idx j = c + 2 * lanes;
+        double mass = (f.mass[j] - f.mass[j - lanes]) / d;
         /* reconstruction.centered_correction */
         double centered = (tl[j] + th[j]) * minus_half_g * (zh[j] - zl[j]);
-        double left_face = f.norm[j - 1] + f.corr_plus[j - 1];
+        double left_face = f.norm[j - lanes] + f.corr_plus[j - lanes];
         double normal =
             ((f.norm[j] + f.corr_minus[j]) - left_face - centered) / d;
         dm[c] = accumulate ? dm[c] + mass : mass;
         dn[c] = accumulate ? dn[c] + normal : normal;
         if (nq == 2) {
-            double tran = (f.tran[j] - f.tran[j - 1]) / d;
+            double tran = (f.tran[j] - f.tran[j - lanes]) / d;
             dt[c] = accumulate ? dt[c] + tran : tran;
         }
     }
 }
 
-/* Rows [r0, r0 + count) of the tile's divergences into outputs whose
- * cells are strided: element by element, with whole rows of the tile
- * per cell, so a cache line of the outputs is visited once per tile. */
-INLINE void flush(const struct sweep *s, idx r0, idx count,
+/* One divergence row of a tile, from[c * TILE + t], into the count rows
+ * at out, which lie row apart with cells cell apart: stored, or added
+ * where add, a constant where this is inlined. */
+INLINE void store(double *restrict out, idx row, idx cell, idx count,
+                  idx n, const double *restrict from, int add)
+{
+    if (count == TILE && row == 1) {
+        for (idx c = 0; c < n; c++)
+            for (int t = 0; t < TILE; t++) {
+                double *o = out + c * cell + t;
+                *o = add ? *o + from[c * TILE + t] : from[c * TILE + t];
+            }
+        return;
+    }
+    for (idx c = 0; c < n; c++)
+        for (idx t = 0; t < count; t++) {
+            double *o = out + c * cell + t * row;
+            *o = add ? *o + from[c * TILE + t] : from[c * TILE + t];
+        }
+}
+
+/* The count rows from row r of a tile's divergences (mass, normal[,
+ * transverse]) into the block's outputs. */
+INLINE void flush(const struct sweep *s, idx r, idx count,
                   const double *tile)
 {
-    const idx n = s->n, nq = s->nq, tile_row = (nq + 1) * n;
-    for (idx k = 0; k <= nq; k++) {
-        /* Tile rows hold (mass, normal[, transverse]). */
+    const idx n = s->n;
+    for (idx k = 0; k <= s->nq; k++) {
         double *out = k == 1 ? s->normal
                              : s->carried + (k / 2) * s->carried_var;
         idx row = k == 1 ? s->normal_row : s->carried_row;
         idx cell = k == 1 ? s->normal_cell : s->carried_cell;
-        const double *from = tile + k * n;
-        for (idx c = 0; c < n; c++)
-            for (idx t = 0; t < count; t++) {
-                double *o = out + (r0 + t) * row + c * cell;
-                double value = from[t * tile_row + c];
-                *o = s->accumulate ? *o + value : value;
-            }
+        const double *from = tile + k * n * TILE;
+        if (s->accumulate)
+            store(out + r * row, row, cell, count, n, from, 1);
+        else
+            store(out + r * row, row, cell, count, n, from, 0);
     }
 }
 
 /* The out-of-line passes a level's sweep calls through its tables:
- * faces[2 * rusanov + nq - 1] and divergences[2 * add + nq - 1]. */
+ * faces[4 * tiled + 2 * rusanov + nq - 1], and divergences[2 * add + nq
+ * - 1] one row at a time or [4 + nq - 1] for a tile. */
 typedef void face_fn(const double *, const double *, idx, idx, double,
                      double, struct face_rows);
 typedef void divergence_fn(const double *, const double *, idx, idx, double,
                            double, struct face_rows, double *, double *,
                            double *);
 
-/* The whole sweep of one block of rows, inlined into each level's entry
- * with the tables of that level's passes. */
-INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
-                  divergence_fn *const *divergence_table)
+/* The count rows from row r, lanes at once: a row's in place, a tile's
+ * through its divergence rows. */
+INLINE void rows_pass(const struct sweep *s, idx r, idx count,
+                      face_fn *faces, divergence_fn *divergence, int lanes)
 {
-    const idx n = s->n, e = n + 4, nq = s->nq, nv = nq + 2;
+    const idx n = s->n, e = n + 4, m = e * lanes, nq = s->nq, nv = nq + 2;
     /* Per cell: values (h, u_n[, u_t], h+z or z) and their traces at the
      * cell's high and low faces; the slope differences; per face: the
      * fluxes (mass, normal, transverse) and the pressure corrections of
-     * the two sides; then TILE rows of divergences. */
-    double *v = s->work, *hi = v + nv * e, *lo = hi + nv * e;
-    double *step = lo + nv * e;
+     * the two sides; then a tile's divergences. */
+    double *v = s->work, *hi = v + nv * m, *lo = hi + nv * m;
+    double *step = lo + nv * m;
     struct face_rows f;
-    f.mass = step + e;
-    f.norm = f.mass + e;
-    f.tran = f.norm + e;
-    f.corr_minus = f.tran + e;
-    f.corr_plus = f.corr_minus + e;
-    double *tile = f.corr_plus + e;
-    face_fn *faces = face_table[2 * (s->rusanov != 0) + nq - 1];
-    /* Outputs with unit cell stride are written in place; strided ones
-     * (the y sweep's transposed phi) through the tile. */
-    const int direct = s->carried_cell == 1 && s->normal_cell == 1;
-    divergence_fn *divergence =
-        divergence_table[2 * (direct && s->accumulate) + nq - 1];
+    f.mass = step + m;
+    f.norm = f.mass + m;
+    f.tran = f.norm + m;
+    f.corr_minus = f.tran + m;
+    f.corr_plus = f.corr_minus + m;
+    double *tile = f.corr_plus + m;
 
-    for (idx r = 0; r < s->rows; r++) {
-        gather(s, r, e, v);
-        const double *th = v, *tl = v;
-        if (s->second_order) {
-            for (idx k = 0; k < nv; k++)
-                traces(v + k * e, hi + k * e, lo + k * e, step, e, s->d);
-            /* Free-surface traces minus depth traces give the bed
-             * traces. */
-            double *restrict wh = hi + (nv - 1) * e;
-            double *restrict wl = lo + (nv - 1) * e;
-            const double *restrict dh = hi, *restrict dl = lo;
-            for (idx j = 1; j < e - 1; j++) {
-                wh[j] = wh[j] - dh[j];
-                wl[j] = wl[j] - dl[j];
-            }
-            th = hi;
-            tl = lo;
+    gather(s, r, count, e, v, lanes);
+    const double *th = v, *tl = v;
+    if (s->second_order) {
+        for (idx k = 0; k < nv; k++)
+            traces(v + k * m, hi + k * m, lo + k * m, step, e, s->d, lanes);
+        /* Free-surface traces minus depth traces give the bed traces. */
+        double *restrict wh = hi + (nv - 1) * m;
+        double *restrict wl = lo + (nv - 1) * m;
+        const double *restrict dh = hi, *restrict dl = lo;
+        for (idx j = lanes; j < m - lanes; j++) {
+            wh[j] = wh[j] - dh[j];
+            wl[j] = wl[j] - dl[j];
         }
-        faces(th, tl, n, e, s->g, s->h_eps, f);
-        s->faces[r * s->faces_row] = f.mass[1];
-        s->faces[s->faces_side + r * s->faces_row] = f.mass[n + 1];
-        if (direct) {
-            double *mass = s->carried + r * s->carried_row;
-            divergence(th, tl, n, e, s->d, s->g, f, mass,
-                       s->normal + r * s->normal_row,
-                       nq == 2 ? mass + s->carried_var : NULL);
-            continue;
-        }
-        idx t = r % TILE;
-        double *dm = tile + t * (nq + 1) * n;
-        divergence(th, tl, n, e, s->d, s->g, f, dm, dm + n,
-                   nq == 2 ? dm + 2 * n : NULL);
-        if (t == TILE - 1 || r == s->rows - 1)
-            flush(s, r - t, t + 1, tile);
+        th = hi;
+        tl = lo;
     }
+    faces(th, tl, n, e, s->g, s->h_eps, f);
+    for (idx t = 0; t < count; t++) {
+        s->faces[(r + t) * s->faces_row] = f.mass[lanes + t];
+        s->faces[s->faces_side + (r + t) * s->faces_row] =
+            f.mass[(n + 1) * lanes + t];
+    }
+    if (lanes == 1) {
+        double *mass = s->carried + r * s->carried_row;
+        divergence(th, tl, n, e, s->d, s->g, f, mass,
+                   s->normal + r * s->normal_row,
+                   nq == 2 ? mass + s->carried_var : NULL);
+        return;
+    }
+    divergence(th, tl, n, e, s->d, s->g, f, tile, tile + n * TILE,
+               nq == 2 ? tile + 2 * n * TILE : NULL);
+    flush(s, r, count, tile);
+}
+
+/* The whole sweep of one block of rows, inlined into each level's entry
+ * with the tables of that level's passes. A block with strided outputs
+ * (the y sweep's, into transposed phi) runs TILE rows at once, as vector
+ * lanes: its gather reads, and its flush writes, TILE neighbouring
+ * values per cell, where one row at a time would cross a stride per
+ * value. A partial last tile computes on copies of its last row and
+ * writes its own rows only. */
+INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
+                  divergence_fn *const *divergence_table)
+{
+    const idx rows = s->rows, nq = s->nq, rusanov = s->rusanov != 0;
+    if (direct(s)) {
+        face_fn *faces = face_table[2 * rusanov + nq - 1];
+        divergence_fn *divergence =
+            divergence_table[2 * (s->accumulate != 0) + nq - 1];
+        for (idx r = 0; r < rows; r++)
+            rows_pass(s, r, 1, faces, divergence, 1);
+        return;
+    }
+    face_fn *faces = face_table[4 + 2 * rusanov + nq - 1];
+    divergence_fn *divergence = divergence_table[4 + nq - 1];
+    for (idx r = 0; r < rows; r += TILE)
+        rows_pass(s, r, rows - r < TILE ? rows - r : TILE, faces, divergence,
+                  TILE);
 }
 
 /* ------------------------------------------------- vector levels
@@ -414,39 +474,48 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
 
 typedef void sweep_fn(const struct sweep *);
 
-#define FACES(level, rusanov, nq)                                          \
-    static TARGET_##level void level##_faces_##rusanov##_##nq(             \
+#define FACES(level, rusanov, nq, lanes)                                   \
+    static TARGET_##level void level##_faces_##rusanov##_##nq##_##lanes(   \
         const double *th, const double *tl, idx n, idx e, double g,        \
         double eps, struct face_rows f)                                    \
     {                                                                      \
-        face_pass(th, tl, n, e, g, eps, f, rusanov, nq);                   \
+        face_pass(th, tl, n, e, g, eps, f, rusanov, nq, lanes);            \
     }
 
-#define DIVERGENCE(level, add, nq)                                         \
-    static TARGET_##level void level##_divergence_##add##_##nq(            \
+#define DIVERGENCE(level, add, nq, lanes)                                  \
+    static TARGET_##level void level##_divergence_##add##_##nq##_##lanes(  \
         const double *th, const double *tl, idx n, idx e, double d,        \
         double g, struct face_rows f, double *dm, double *dn, double *dt)  \
     {                                                                      \
-        divergence_pass(th, tl, n, e, d, g, f, dm, dn, dt, add, nq);       \
+        divergence_pass(th, tl, n, e, d, g, f, dm, dn, dt, add, nq, lanes); \
     }
 
 #define SWEEP_LEVEL(level)                                                 \
-    FACES(level, 0, 1)                                                     \
-    FACES(level, 0, 2)                                                     \
-    FACES(level, 1, 1)                                                     \
-    FACES(level, 1, 2)                                                     \
-    DIVERGENCE(level, 0, 1)                                                \
-    DIVERGENCE(level, 0, 2)                                                \
-    DIVERGENCE(level, 1, 1)                                                \
-    DIVERGENCE(level, 1, 2)                                                \
+    FACES(level, 0, 1, 1)                                                  \
+    FACES(level, 0, 2, 1)                                                  \
+    FACES(level, 1, 1, 1)                                                  \
+    FACES(level, 1, 2, 1)                                                  \
+    FACES(level, 0, 1, TILE)                                               \
+    FACES(level, 0, 2, TILE)                                               \
+    FACES(level, 1, 1, TILE)                                               \
+    FACES(level, 1, 2, TILE)                                               \
+    DIVERGENCE(level, 0, 1, 1)                                             \
+    DIVERGENCE(level, 0, 2, 1)                                             \
+    DIVERGENCE(level, 1, 1, 1)                                             \
+    DIVERGENCE(level, 1, 2, 1)                                             \
+    DIVERGENCE(level, 0, 1, TILE)                                          \
+    DIVERGENCE(level, 0, 2, TILE)                                          \
     TARGET_##level void swekit_sweep_##level(const struct sweep *s)        \
     {                                                                      \
         static face_fn *const faces[] = {                                  \
-            level##_faces_0_1, level##_faces_0_2,                          \
-            level##_faces_1_1, level##_faces_1_2};                         \
+            level##_faces_0_1_1, level##_faces_0_2_1,                      \
+            level##_faces_1_1_1, level##_faces_1_2_1,                      \
+            level##_faces_0_1_TILE, level##_faces_0_2_TILE,                \
+            level##_faces_1_1_TILE, level##_faces_1_2_TILE};               \
         static divergence_fn *const divergences[] = {                      \
-            level##_divergence_0_1, level##_divergence_0_2,                \
-            level##_divergence_1_1, level##_divergence_1_2};               \
+            level##_divergence_0_1_1, level##_divergence_0_2_1,            \
+            level##_divergence_1_1_1, level##_divergence_1_2_1,            \
+            level##_divergence_0_1_TILE, level##_divergence_0_2_TILE};     \
         sweep(s, faces, divergences);                                      \
     }
 
@@ -707,44 +776,44 @@ INLINE void tail_friction(const struct step *s, const double *f, double *h)
         friction(f, h, cb, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 2);
 }
 
-/* Sums over the cells in lanes: each lane adds its own cells, so no
- * element waits for the one before and the compiler can vectorize the
- * loop. Only whole numbers and a bound are summed this way, never a
- * result. */
-#define LANES 4
-
-/* The dry convention of _enforce_validity on cell i of the fields f:
- * a dry cell (h <= h_eps) loses its discharges. Returns the sum of the
- * magnitudes of the cell's values. nq is a constant where this is
- * inlined. */
-INLINE double dry_cell(double *restrict f, idx n, idx i, double h_eps,
-                       int nq)
+/* A value's magnitude as the int64 bit pattern of |v|, which orders
+ * as the magnitude does, NaN above inf: so a max of them is a
+ * reduction the compiler may vectorize. */
+INLINE int64_t np_max_bits(int64_t a, int64_t b)
 {
-    int dry = f[i] <= h_eps;
-    double q0 = dry ? 0.0 : f[n + i];
-    f[n + i] = q0;
-    double size = fabs(f[i]) + fabs(q0);
-    if (nq == 2) {
-        double q1 = dry ? 0.0 : f[2 * n + i];
-        f[2 * n + i] = q1;
-        size += fabs(q1);
-    }
-    return size;
+    return a > b ? a : b;
 }
 
-/* dry_cell over every cell. Whether every value is finite and the
- * magnitudes sum to at most DBL_MAX / 8, so that numpy's sum of the
- * values, in whatever order, cannot overflow. */
+INLINE int64_t magnitude(double v)
+{
+    int64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits & INT64_MAX;
+}
+
+/* The dry convention of _enforce_validity over the fields f: a dry cell
+ * (h <= h_eps) loses its discharges. Whether every value is finite and
+ * at most DBL_MAX / 8 / values in magnitude, so that numpy's sum of the
+ * values, in whatever order, cannot overflow. nq is a constant where
+ * this is inlined. */
 INLINE int dry_and_small(double *restrict f, idx n, double h_eps, int nq)
 {
-    double lane[LANES] = {0.0};
-    idx i = 0;
-    for (; i + LANES <= n; i += LANES)
-        for (int l = 0; l < LANES; l++)
-            lane[l] += dry_cell(f, n, i + l, h_eps, nq);
-    for (; i < n; i++)
-        lane[0] += dry_cell(f, n, i, h_eps, nq);
-    return (lane[0] + lane[1]) + (lane[2] + lane[3]) <= DBL_MAX / 8.0;
+    int64_t top = 0;
+    for (idx i = 0; i < n; i++) {
+        double h = f[i];
+        int dry = h <= h_eps;
+        double q0 = dry ? 0.0 : f[n + i];
+        f[n + i] = q0;
+        int64_t size = np_max_bits(magnitude(h), magnitude(q0));
+        if (nq == 2) {
+            double q1 = dry ? 0.0 : f[2 * n + i];
+            f[2 * n + i] = q1;
+            size = np_max_bits(size, magnitude(q1));
+        }
+        top = np_max_bits(top, size);
+    }
+    double limit = DBL_MAX / 8.0 / (double)((nq + 1) * n);
+    return top <= magnitude(limit);
 }
 
 /* timeloop._enforce_validity on the fields f: a depth below -tolerance
@@ -756,20 +825,13 @@ INLINE int validity(struct step *s, double *restrict f)
 {
     const idx n = s->cells, nq = s->nq;
     /* The NaN and the negative depths, counted. */
-    double nan[LANES] = {0.0}, negative[LANES] = {0.0};
-    idx i = 0;
-    for (; i + LANES <= n; i += LANES)
-        for (int l = 0; l < LANES; l++) {
-            nan[l] += isnan(f[i + l]) ? 1.0 : 0.0;
-            negative[l] += f[i + l] < 0.0 ? 1.0 : 0.0;
-        }
-    for (; i < n; i++) {
-        nan[0] += isnan(f[i]) ? 1.0 : 0.0;
-        negative[0] += f[i] < 0.0 ? 1.0 : 0.0;
+    idx nan = 0, negative = 0, i;
+    for (i = 0; i < n; i++) {
+        nan += isnan(f[i]) ? 1 : 0;
+        negative += f[i] < 0.0 ? 1 : 0;
     }
     /* np.min is NaN where a depth is, and then nothing is clamped. */
-    if ((nan[0] + nan[1]) + (nan[2] + nan[3]) == 0.0
-        && (negative[0] + negative[1]) + (negative[2] + negative[3]) > 0.0) {
+    if (nan == 0 && negative > 0) {
         /* np.min and np.argmin, the first cell that holds it. */
         double h_min = f[0];
         idx at = 0;

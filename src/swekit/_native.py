@@ -83,7 +83,7 @@ _FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math",
 # type). Pointers are passed as addresses.
 _ENTRIES = {
     "swekit_sweep_level": ([], ctypes.c_int),
-    "swekit_sweep_work": ([ctypes.c_ssize_t] * 2, ctypes.c_ssize_t),
+    "swekit_sweep_work": ([ctypes.c_void_p], ctypes.c_ssize_t),
     "swekit_writer_level": ([], ctypes.c_int),
     "swekit_writer_init": ([ctypes.c_void_p], ctypes.c_int),
 }

@@ -568,19 +568,21 @@ class _Workspace:
         sweep, work_size, self.level = compiled
         # Element strides let the kernel read the transposed views as
         # they are and add the y sweep straight into phi.
-        self.sweep_work = work = np.empty(
-            max(work_size(n, nq) for _, n, _ in directions))
         operands = [(x_rows[0], x_rows[1:-1], x_rows[-1], phi[::2], phi[1],
-                     self.faces[0, :, :ny], work, False)]
+                     self.faces[0, :, :ny], False)]
         if self.two_d:
             operands.append((ext[0, :, 2:-2].T,
                              ext[2:0:-1, :, 2:-2].transpose(0, 2, 1),
                              ext[3, :, 2:-2].T, phi[:2].transpose(0, 2, 1),
-                             phi[2].T, self.faces[1, :, :nx], work, True))
-        self.blocks = [
-            (sweep, (_compiled.sweep_block(rows, n, nq, d, scheme, *args),),
-             None)
-            for (rows, n, d), args in zip(directions, operands)]
+                             phi[2].T, self.faces[1, :, :nx], True))
+        pointers = [_compiled.sweep_block(rows, n, nq, d, scheme, *args)
+                    for (rows, n, d), args in zip(directions, operands)]
+        # One work buffer serves both directions, sized for the y sweep's
+        # tiles where there is one.
+        self.sweep_work = np.empty(max(map(work_size, pointers)))
+        for pointer in pointers:
+            pointer.contents.work = self.sweep_work.ctypes.data
+        self.blocks = [(sweep, (pointer,), None) for pointer in pointers]
         # The bed's ghosts, once: the compiled step fills the others.
         ext[:-1] = 0.0
         self.fill([])
