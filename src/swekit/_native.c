@@ -734,104 +734,128 @@ INLINE void tail_update(const struct step *s, const double *fields,
         infiltrate(s, n, h, v, s->dv, v_out, 0);
 }
 
-/* The discharges q (nq rows of n) divided by the damping factor, built
- * from the stage's start f (h, then the discharges) and the new depth
- * h_new. The 2D magnitude is sqrt(qx*qx + qy*qy), as the paper writes
- * it and sources._damping_factor takes it: the squares overflow to inf
- * where |q| exceeds about 1.3e154, and lose bits below about 1.5e-154.
- * law and nq are constants where this is inlined. */
-INLINE void friction(const double *restrict f, const double *restrict h_new,
-                     const double *restrict cb, double *restrict q, idx n,
-                     double coeff, double h_eps, int law, int nq)
-{
-    for (idx i = 0; i < n; i++) {
-        /* h^n (h^{n+1})^{4/3} (Manning) or h^n h^{n+1}. */
-        double denom = law == MANNING ? f[i] * (h_new[i] * cb[i])
-                                      : f[i] * h_new[i];
-        double qx = f[n + i];
-        double magnitude = nq == 1
-            ? fabs(qx) : sqrt(qx * qx + f[2 * n + i] * f[2 * n + i]);
-        double ratio = magnitude * coeff / denom;
-        /* Wet at both levels: the smaller depth exceeds h_eps. */
-        double factor = np_min(f[i], h_new[i]) > h_eps ? ratio + 1.0 : 1.0;
-        q[i] = q[i] / factor;
-        if (nq == 2)
-            q[n + i] = q[n + i] / factor;
-    }
-}
-
-/* Friction on the stage's update h from its start f. */
-INLINE void tail_friction(const struct step *s, const double *f, double *h)
-{
-    const idx n = s->cells;
-    const double *cb = s->cbrt;
-    const double coeff = s->friction_scale * s->dt;
-    if (s->friction == MANNING && s->nq == 1)
-        friction(f, h, cb, h + n, n, coeff, s->h_eps, MANNING, 1);
-    else if (s->friction == MANNING)
-        friction(f, h, cb, h + n, n, coeff, s->h_eps, MANNING, 2);
-    else if (s->friction == DARCY_WEISBACH && s->nq == 1)
-        friction(f, h, cb, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 1);
-    else if (s->friction == DARCY_WEISBACH)
-        friction(f, h, cb, h + n, n, coeff, s->h_eps, DARCY_WEISBACH, 2);
-}
-
-/* A value's magnitude as the int64 bit pattern of |v|, which orders
- * as the magnitude does, NaN above inf: so a max of them is a
- * reduction the compiler may vectorize. */
+/* numpy's max of two int64 values. */
 INLINE int64_t np_max_bits(int64_t a, int64_t b)
 {
     return a > b ? a : b;
 }
 
-INLINE int64_t magnitude(double v)
+/* |v| as the int64 bit pattern, which orders as the magnitude does, NaN
+ * above inf: so a max of them is a reduction the compiler may
+ * vectorize, as a max of doubles is not. */
+INLINE int64_t magnitude_bits(double v)
 {
     int64_t bits;
     memcpy(&bits, &v, sizeof bits);
     return bits & INT64_MAX;
 }
 
-/* The dry convention of _enforce_validity over the fields f: a dry cell
- * (h <= h_eps) loses its discharges. Whether every value is finite and
- * at most DBL_MAX / 8 / values in magnitude, so that numpy's sum of the
- * values, in whatever order, cannot overflow. nq is a constant where
- * this is inlined. */
-INLINE int dry_and_small(double *restrict f, idx n, double h_eps, int nq)
+/* What the validity check needs of a state's cells, taken in the last
+ * pass that writes them: how many depths are NaN and how many negative,
+ * and the largest magnitude of a value, as magnitude_bits. */
+struct tally {
+    idx nan, negative;
+    int64_t top;
+};
+
+/* The dry convention of _enforce_validity on cell i of the fields r,
+ * whose new depth h and discharges q0[, q1] the caller passes: a dry
+ * cell (h <= h_eps) loses its discharges. Writes the discharges and
+ * counts the cell into t. A negative depth is dry before the check's
+ * clamp and after it, as h_eps >= 0. nq is a constant where this is
+ * inlined. r is not restrict-qualified: inlined into a pass that reads
+ * r through a restrict pointer of its own, a second one keeps GCC from
+ * vectorizing the pass. */
+INLINE void settle(double *r, idx n, idx i, double h, double q0, double q1,
+                   double h_eps, int nq, struct tally *t)
 {
-    int64_t top = 0;
-    for (idx i = 0; i < n; i++) {
-        double h = f[i];
-        int dry = h <= h_eps;
-        double q0 = dry ? 0.0 : f[n + i];
-        f[n + i] = q0;
-        int64_t size = np_max_bits(magnitude(h), magnitude(q0));
-        if (nq == 2) {
-            double q1 = dry ? 0.0 : f[2 * n + i];
-            f[2 * n + i] = q1;
-            size = np_max_bits(size, magnitude(q1));
-        }
-        top = np_max_bits(top, size);
+    int dry = h <= h_eps;
+    q0 = dry ? 0.0 : q0;
+    r[n + i] = q0;
+    int64_t top = np_max_bits(magnitude_bits(h), magnitude_bits(q0));
+    if (nq == 2) {
+        q1 = dry ? 0.0 : q1;
+        r[2 * n + i] = q1;
+        top = np_max_bits(top, magnitude_bits(q1));
     }
-    double limit = DBL_MAX / 8.0 / (double)((nq + 1) * n);
-    return top <= magnitude(limit);
+    t->nan += isnan(h) ? 1 : 0;
+    t->negative += h < 0.0 ? 1 : 0;
+    t->top = np_max_bits(t->top, top);
 }
 
-/* timeloop._enforce_validity on the fields f: a depth below -tolerance
- * is a fault at the first smallest depth; otherwise, if any depth is
- * below zero, every depth becomes max(h, 0). Then dry cells lose their
- * discharges, and a non-finite value is a fault at the first cell that
- * holds one. */
-INLINE int validity(struct step *s, double *restrict f)
+/* The discharges of the stage's update r divided by the damping factor,
+ * built from the stage's start f (h, then the discharges) and the new
+ * depth; then settle, the validity check's pass. The 2D magnitude is
+ * sqrt(qx*qx + qy*qy), as the paper writes it and
+ * sources._damping_factor takes it: the squares overflow to inf where
+ * |q| exceeds about 1.3e154, and lose bits below about 1.5e-154. law
+ * and nq are constants where this is inlined. */
+INLINE struct tally friction(const double *restrict f, double *restrict r,
+                             const double *restrict cb, idx n, double coeff,
+                             double h_eps, int law, int nq)
+{
+    struct tally t = {0, 0, 0};
+    for (idx i = 0; i < n; i++) {
+        /* h^n (h^{n+1})^{4/3} (Manning) or h^n h^{n+1}. */
+        double h = r[i];
+        double denom = law == MANNING ? f[i] * (h * cb[i]) : f[i] * h;
+        double qx = f[n + i];
+        double size = nq == 1
+            ? fabs(qx) : sqrt(qx * qx + f[2 * n + i] * f[2 * n + i]);
+        double ratio = size * coeff / denom;
+        /* Wet at both levels: the smaller depth exceeds h_eps. */
+        double factor = np_min(f[i], h) > h_eps ? ratio + 1.0 : 1.0;
+        settle(r, n, i, h, r[n + i] / factor,
+               nq == 2 ? r[2 * n + i] / factor : 0.0, h_eps, nq, &t);
+    }
+    return t;
+}
+
+/* settle over fields r that no friction divides. nq is a constant where
+ * this is inlined. */
+INLINE struct tally settled(double *restrict r, idx n, double h_eps, int nq)
+{
+    struct tally t = {0, 0, 0};
+    for (idx i = 0; i < n; i++)
+        settle(r, n, i, r[i], r[n + i], nq == 2 ? r[2 * n + i] : 0.0, h_eps,
+               nq, &t);
+    return t;
+}
+
+/* Friction on the stage's update r from its start f, where it runs, and
+ * the validity check's pass over r. */
+INLINE struct tally tail_friction(const struct step *s, const double *f,
+                                  double *r)
+{
+    const idx n = s->cells;
+    const double *cb = s->cbrt, h_eps = s->h_eps;
+    const double coeff = s->friction_scale * s->dt;
+    if (s->friction == MANNING && s->nq == 1)
+        return friction(f, r, cb, n, coeff, h_eps, MANNING, 1);
+    if (s->friction == MANNING)
+        return friction(f, r, cb, n, coeff, h_eps, MANNING, 2);
+    if (s->friction == DARCY_WEISBACH && s->nq == 1)
+        return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 1);
+    if (s->friction == DARCY_WEISBACH)
+        return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 2);
+    return s->nq == 1 ? settled(r, n, h_eps, 1) : settled(r, n, h_eps, 2);
+}
+
+/* timeloop._enforce_validity on the fields f, from the tally t of the
+ * pass that applied its dry convention: a depth below -tolerance is a
+ * fault at the first smallest depth; otherwise, if any depth is below
+ * zero, every depth becomes max(h, 0). Then a non-finite value is a
+ * fault at the first cell that holds one. A state whose values are
+ * finite and at most DBL_MAX / 8 / values in magnitude is valid, as
+ * numpy's sum of them, in whatever order, cannot overflow. numpy raises
+ * a fault before it zeroes a discharge; here the faulting state's
+ * discharges are zeroed already, but no step keeps that state. */
+INLINE int validity(struct step *s, double *restrict f, struct tally t)
 {
     const idx n = s->cells, nq = s->nq;
-    /* The NaN and the negative depths, counted. */
-    idx nan = 0, negative = 0, i;
-    for (i = 0; i < n; i++) {
-        nan += isnan(f[i]) ? 1 : 0;
-        negative += f[i] < 0.0 ? 1 : 0;
-    }
+    idx i;
     /* np.min is NaN where a depth is, and then nothing is clamped. */
-    if (nan == 0 && negative > 0) {
+    if (t.nan == 0 && t.negative > 0) {
         /* np.min and np.argmin, the first cell that holds it. */
         double h_min = f[0];
         idx at = 0;
@@ -848,8 +872,7 @@ INLINE int validity(struct step *s, double *restrict f)
         for (i = 0; i < n; i++)
             f[i] = np_max(f[i], 0.0);
     }
-    if (nq == 1 ? dry_and_small(f, n, s->h_eps, 1)
-                : dry_and_small(f, n, s->h_eps, 2))
+    if (t.top <= magnitude_bits(DBL_MAX / 8.0 / (double)((nq + 1) * n)))
         return VALID;
     for (i = 0; i < n; i++)
         for (idx k = 0; k <= nq; k++)
@@ -860,12 +883,29 @@ INLINE int validity(struct step *s, double *restrict f)
     return UNDECIDED;
 }
 
-/* a + b over n values into b, then times 0.5 (first) or 0.5 times. */
-INLINE void average(const double *restrict a, double *restrict b, idx n,
-                    int half_first)
+/* Heun's average of the fields: (a + b) * 0.5 into b, and the validity
+ * check's pass over b. nq is a constant where this is inlined. */
+INLINE struct tally average_fields(const double *restrict a,
+                                   double *restrict b, idx n, double h_eps,
+                                   int nq)
+{
+    struct tally t = {0, 0, 0};
+    for (idx i = 0; i < n; i++) {
+        double h = (a[i] + b[i]) * 0.5;
+        b[i] = h;
+        settle(b, n, i, h, (a[n + i] + b[n + i]) * 0.5,
+               nq == 2 ? (a[2 * n + i] + b[2 * n + i]) * 0.5 : 0.0, h_eps,
+               nq, &t);
+    }
+    return t;
+}
+
+/* Heun's average of the cumulative infiltrated depth: 0.5 * (a + b)
+ * into b. */
+INLINE void average(const double *restrict a, double *restrict b, idx n)
 {
     for (idx i = 0; i < n; i++)
-        b[i] = half_first ? 0.5 * (a[i] + b[i]) : (a[i] + b[i]) * 0.5;
+        b[i] = 0.5 * (a[i] + b[i]);
 }
 
 /* numpy's max, from 0.0, of n values v that are +0.0, positive or NaN:
@@ -1215,6 +1255,7 @@ INLINE int step(struct step *s, sweep_fn *sweep)
          * what the check after its friction judges. */
         int second = s->phase == STAGE2 || s->phase == FINISH2;
         double *checked = second ? r : first;
+        struct tally tally = {0, 0, 0};
         switch (s->phase) {
         case BEGIN:
             if (!(s->t < s->final - s->atol)) {
@@ -1255,14 +1296,15 @@ INLINE int step(struct step *s, sweep_fn *sweep)
             take_handed(s, second);
             s->phase = second ? AVERAGE : s->heun ? STAGE2 : ACCEPT;
             s->when = s->t;
-            tail_friction(s, second ? s->stage : f, checked);
+            tally = tail_friction(s, second ? s->stage : f, checked);
             break;
         case AVERAGE:
             s->phase = ACCEPT;
             s->when = s->t + s->dt;
-            average(f, r, (s->nq + 1) * s->cells, 0);
+            tally = s->nq == 1 ? average_fields(f, r, s->cells, s->h_eps, 1)
+                               : average_fields(f, r, s->cells, s->h_eps, 2);
             if (s->infiltration)
-                average(v, v_r, s->cells, 1);
+                average(v, v_r, s->cells);
             checked = r;
             break;
         case ACCEPT:
@@ -1281,7 +1323,7 @@ INLINE int step(struct step *s, sweep_fn *sweep)
             return DONE;
         }
         /* A stage's end and the average: the check. */
-        int status = validity(s, checked);
+        int status = validity(s, checked, tally);
         if (status == UNDECIDED)
             memcpy(s->check, checked,
                    (size_t)((s->nq + 1) * s->cells) * sizeof(double));
