@@ -500,14 +500,6 @@ def sweep_level():
     return None if compiled is None else compiled[2]
 
 
-def _positive_sum(values):
-    """Sum of max(v, 0) over a side's faces. A side of one face comes as
-    a float, on which this is ten times cheaper than on an array."""
-    if isinstance(values, float):
-        return max(values, 0.0)
-    return np.maximum(values, 0.0).sum()
-
-
 class _Workspace:
     """Every buffer a run's steps write, allocated once per run.
 
@@ -555,6 +547,10 @@ class _Workspace:
         self.directions = directions = ((ny, nx, grid.dx),
                                         (nx, ny, grid.dy))[:nq]
         self.faces = np.empty((nq, 2, max(rows for rows, _, _ in directions)))
+        # Per direction of more than one row: its side flows (low, -high,
+        # -low, high), for boundary_volumes.
+        self.flows = [np.empty((4, rows)) if rows > 1 else None
+                      for rows, _, _ in directions]
         # The x sweeps run on the interior rows of the frame (the one row
         # of a 1D frame), the y sweeps on its transposed interior columns.
         phi = self.phi.reshape(nq + 1, ny, nx)
@@ -658,14 +654,26 @@ class _Workspace:
         (1 in 1D) are summed over the directions, periodic ones aside.
         """
         into = outof = 0.0
-        for (rows, _, _), sides, width, periodic in zip(
-                self.directions, faces, self.widths, self.periodic):
+        for (rows, _, _), sides, width, periodic, flows in zip(
+                self.directions, faces, self.widths, self.periodic,
+                self.flows):
             if periodic:
                 continue
-            low, high = sides[:, 0].tolist() if rows == 1 else sides[:, :rows]
-            into += (_positive_sum(low) + _positive_sum(-high)) * width
-            outof += (_positive_sum(-low) + _positive_sum(high)) * width
-        return float(into), float(outof)
+            if flows is None:
+                # One face per side: Python floats are ten times cheaper.
+                low, high = sides[:, 0].tolist()
+                sums = (max(low, 0.0), max(-high, 0.0), max(-low, 0.0),
+                        max(high, 0.0))
+            else:
+                # Each side's sum of max(v, 0) over its faces, one numpy
+                # pairwise sum per row.
+                np.copyto(flows[::3], sides[:, :rows])
+                np.negative(flows[::3], out=flows[2:0:-1])
+                np.maximum(flows, 0.0, out=flows)
+                sums = flows.sum(axis=1).tolist()
+            into += (sums[0] + sums[1]) * width
+            outof += (sums[2] + sums[3]) * width
+        return into, outof
 
 
 # ------------------------------------------------------------- stages
