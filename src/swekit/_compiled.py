@@ -8,6 +8,7 @@ Each Structure mirrors its C struct member for member.
 
 import bisect
 import ctypes
+import functools
 import math
 
 import numpy as np
@@ -118,6 +119,41 @@ class StepBlock(ctypes.Structure):
            (("cum", 4), ("infil", 2), ("flow", 4))]
         + [("mismatches", ctypes.c_ssize_t),
            ("mismatch", ctypes.c_ssize_t * 4)])
+
+
+# The members whose offsets _native.c's swekit_layout gives, after each
+# mirror's size, in its order.
+_LAYOUT = ((SweepBlock, ("d", "h", "carried", "work")), (Side, ("depth",)),
+           (StepBlock, ("g", "sides", "ext", "landings", "t", "fields",
+                        "target", "cum", "mismatch")))
+
+
+def matches(library):
+    """Whether the library lays out struct sweep, struct side and struct
+    step as SweepBlock, Side and StepBlock do: its swekit_layout holds
+    their sizes and the offsets of the members _LAYOUT names. Where it
+    does not, timeloop runs the numpy twins, and one warning per layout
+    is logged."""
+    count = ctypes.c_ssize_t.in_dll(library, "swekit_layout").value
+    built = tuple((ctypes.c_ssize_t * (count + 1)).in_dll(
+        library, "swekit_layout")[1:])
+    # A member the mirror lacks has no offset, and matches none.
+    mirrored = tuple(value for mirror, members in _LAYOUT
+                     for value in (ctypes.sizeof(mirror),
+                                   *(getattr(mirror, member).offset
+                                     if hasattr(mirror, member) else -1
+                                     for member in members)))
+    if built != mirrored:
+        _refuse(built, mirrored)
+    return built == mirrored
+
+
+@functools.cache
+def _refuse(built, mirrored):
+    timeloop.LOG.warning(
+        "the kernel library's struct layout %s is not the bindings' %s; "
+        "running the numpy sweep kernel and the numpy time loop", built,
+        mirrored)
 
 
 def _address(array, shape):

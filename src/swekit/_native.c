@@ -659,6 +659,23 @@ struct step {
     idx mismatches, mismatch[4];
 };
 
+/* The layout that _compiled's mirrors must match: the count of the
+ * values that follow, then the size and a few member offsets of struct
+ * sweep, struct side and struct step. _compiled refuses a library whose
+ * values differ from its mirrors', and the numpy twins run instead. */
+const idx swekit_layout[] = {
+    17,
+    sizeof(struct sweep), offsetof(struct sweep, d),
+    offsetof(struct sweep, h), offsetof(struct sweep, carried),
+    offsetof(struct sweep, work),
+    sizeof(struct side), offsetof(struct side, depth),
+    sizeof(struct step), offsetof(struct step, g),
+    offsetof(struct step, sides), offsetof(struct step, ext),
+    offsetof(struct step, landings), offsetof(struct step, t),
+    offsetof(struct step, fields), offsetof(struct step, target),
+    offsetof(struct step, cum), offsetof(struct step, mismatch),
+};
+
 enum {
     BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
     FINISHED

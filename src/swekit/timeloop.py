@@ -479,9 +479,10 @@ def _blocks(rows, cells_per_row):
 def _sweep_kernel(level=None):
     """(sweep, work size, level) of the compiled kernel at a vector level
     this CPU supports, by default the widest; None where the library
-    could not be built: the numpy kernel runs."""
+    could not be built, or lays out its structs otherwise than the
+    bindings in _compiled: the numpy kernel runs."""
     library = _native.library()
-    if library is None:
+    if library is None or not _compiled.matches(library):
         return None
     level = level or _native.sweep_levels()[-1]
     return (getattr(library, f"swekit_sweep_{level}"),

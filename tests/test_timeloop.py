@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import importlib.util
@@ -729,6 +730,33 @@ def test_the_widest_level_the_cpu_supports_is_bound():
         library, f"swekit_step_{timeloop.sweep_level()}")
 
 
+def test_a_library_whose_structs_the_mirrors_miss_is_refused(caplog):
+    # _compiled mirrors struct sweep, struct side and struct step by
+    # hand. A mirror with one field dropped no longer matches the
+    # library's swekit_layout: the numpy twins run, with numpy's bits.
+    if timeloop._sweep_kernel() is None:
+        pytest.skip("the compiled sweep kernel is unavailable")
+    library, config = _native.library(), _wet_plot(True, 2, "hll")
+    reference = run_simulation(config)
+    assert _compiled.matches(library)
+    for k, (mirror, _) in enumerate(_compiled._LAYOUT):
+        for dropped in (0, -1):
+            fields = list(mirror._fields_)
+            del fields[dropped]
+            layout = list(_compiled._LAYOUT)
+            layout[k] = (type(mirror.__name__, (ctypes.Structure,),
+                              {"_fields_": fields}), layout[k][1])
+            with mock.patch.object(_compiled, "_LAYOUT", layout), \
+                    caplog.at_level(logging.WARNING, timeloop.LOG.name):
+                assert not _compiled.matches(library)
+                assert timeloop._sweep_kernel() is None
+                result = run_simulation(config)
+            assert result.sweep_kernel == "numpy"
+            assert _same_bits(result.final_state.fields,
+                              reference.final_state.fields)
+    assert "struct layout" in caplog.text
+
+
 @pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
 def test_every_vector_level_runs_with_numpys_bits(level, caplog):
     # The rain plot runs Manning friction and two-layer infiltration in
@@ -1397,6 +1425,81 @@ def test_2d_kernel_matches_the_reference_operator(case):
     assert warnings == ref_warnings
 
 
+# The compiled kernel runs the y sweep TILE = 8 rows at a time; grids of
+# 1, 7, 9 and 17 columns end on a partial tile.
+_TILE_COUNTS = (1, 7, 8, 9, 17)
+
+
+@pytest.mark.parametrize("nx", _TILE_COUNTS)
+@pytest.mark.parametrize("ny", _TILE_COUNTS[1:])  # ny = 1 is a 1D grid
+def test_partial_tiles_give_numpys_bits_at_every_level(nx, ny):
+    rng = np.random.default_rng(100 * nx + ny)
+    shape = (ny, nx)
+    z = rng.uniform(0.0, 0.3, shape)
+    h = np.maximum(0.25 - z, 0.0) * (rng.random(shape) < 0.9)
+    discharges = [rng.normal(0.0, 0.05, shape) for _ in range(2)]
+    state = State((np.where(rng.random(shape) < 0.1, -0.0, h), *discharges))
+    grid = Grid(nx=nx, ny=ny, dx=0.5, dy=0.7)
+    bcs = BoundarySet(BoundaryCondition("neumann"), BoundaryCondition("wall"),
+                      BoundaryCondition("wall"), BoundaryCondition("neumann"))
+    for order in (1, 2):
+        for flux in ("hll", "rusanov"):
+            scheme = SchemeConfig(order=order, flux_name=flux)
+            _both_kernels(grid, z, state, bcs, scheme, timeloop.SWEEP_CELLS)
+
+
+@pytest.mark.parametrize("rows", _TILE_COUNTS)
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_the_y_sweep_writes_its_outputs_and_nothing_else(rows, accumulate):
+    """The y sweep's block reads and writes transposed views, as the
+    workspace's does, here carved from buffers filled with NaN: every
+    element outside carried, normal and faces, and past the work size,
+    keeps its bits, and the outputs hold the numpy kernel's."""
+    if timeloop._sweep_kernel() is None:
+        pytest.skip("the compiled sweep kernel is unavailable")
+    library, n, nq, d = _native.library(), 11, 2, 0.3
+    scheme = SchemeConfig(order=2)
+    rng = np.random.default_rng(rows)
+    frame = np.full((4, n + 4, rows + 5), np.nan)
+    frame[0, :, 2:2 + rows] = rng.uniform(0.0, 0.2, (n + 4, rows))
+    frame[1:3, :, 2:2 + rows] = rng.normal(0.0, 0.05, (2, n + 4, rows))
+    frame[3, :, 2:2 + rows] = rng.uniform(0.0, 0.1, (n + 4, rows))
+    h, z = (frame[k, :, 2:2 + rows].T for k in (0, 3))
+    q = frame[2:0:-1, :, 2:2 + rows].transpose(0, 2, 1)
+    pool = [np.empty(size, dtype=bool if k == 2 else float)
+            for k, size in enumerate(timeloop._Sweep.sizes(rows, n, nq))]
+    carried, normal, faces = (np.empty((nq, rows, n)), np.empty((rows, n)),
+                              np.empty((2, rows)))
+    timeloop._Sweep(pool, rows, n, nq, d, scheme).run(h, q, z, carried,
+                                                      normal, faces)
+    start = rng.normal(0.0, 1.0, (nq + 1, rows, n)) if accumulate \
+        else np.zeros((nq + 1, rows, n))
+    for level in _native.sweep_levels():
+        buffer = np.full(4 * n * (rows + 3) + 2 * (rows + 6), np.nan)
+        phi = buffer[:3 * n * (rows + 3)].reshape(3, n, rows + 3)
+        views = (phi[:2, :, 1:1 + rows].transpose(0, 2, 1),
+                 phi[2, :, 1:1 + rows].T,
+                 buffer[-2 * (rows + 6):].reshape(2, rows + 6)[:, 3:3 + rows])
+        np.copyto(views[0], start[:2])
+        np.copyto(views[1], start[2])
+        block = _compiled.sweep_block(rows, n, nq, d, scheme, h, q, z,
+                                      *views, accumulate)
+        size = library.swekit_sweep_work(block)
+        work = np.full(size + 64, np.nan)
+        block.contents.work = work.ctypes.data
+        getattr(library, f"swekit_sweep_{level}")(block)
+        results = [view.copy() for view in views]
+        for view in views:
+            view[...] = np.nan
+        assert _same_bits(buffer, np.full_like(buffer, np.nan)), level
+        assert _same_bits(work[size:], np.full(64, np.nan)), level
+        expected = (carried, normal)
+        if accumulate:
+            expected = (start[:2] + carried, start[2] + normal)
+        assert all(_same_bits(a, b) for a, b in
+                   zip(results, (*expected, faces))), level
+
+
 @pytest.mark.parametrize("two_d", [False, True])
 def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
     if two_d:
@@ -1657,16 +1760,25 @@ def test_steps_and_dt_give_numpys_bits_on_every_path(case):
 def test_a_nan_wave_speed_gives_numpys_dt_on_every_path():
     # An infinite depth under an infinite discharge moves at inf/inf +
     # inf: a NaN with its sign bit set. numpy's max of the speeds is NaN,
-    # and compute_dt then leaves the direction out.
-    fields = np.array([[1.0, np.inf, 0.5, 1.0], [0.2, np.inf, 0.1, 0.0]])
-    case = dict(grid=Grid(nx=4, dx=1.0), z=np.zeros(4), fields=fields,
-                bcs=WALL, scheme=SchemeConfig(), friction=FrictionParams(),
-                rain=0.0, soil=None, v_inf=None, dt=0.1)
+    # and compute_dt then leaves the direction out. The second state adds
+    # a depth far below the tolerance, away from the cells the NaN
+    # reaches in a stage: numpy's check reports the NaN, not the depth.
     _needs_the_compiled_step()
-    with np.errstate(all="ignore"):
-        reference = _step_outcomes(case, "numpy")
-        for path in _kernel_paths()[1:]:
-            assert _step_outcomes(case, path) == reference
+    for fields in (np.array([[1.0, np.inf, 0.5, 1.0],
+                             [0.2, np.inf, 0.1, 0.0]]),
+                   np.array([[1.0, np.inf, 0.5, 1.0, 1.0, 1.0, -1.0, 1.0],
+                             [0.2, np.inf, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]])):
+        n = fields.shape[1]
+        case = dict(grid=Grid(nx=n, dx=1.0), z=np.zeros(n), fields=fields,
+                    bcs=WALL, scheme=SchemeConfig(),
+                    friction=FrictionParams(), rain=0.0, soil=None,
+                    v_inf=None, dt=0.1)
+        with np.errstate(all="ignore"):
+            reference = _step_outcomes(case, "numpy")
+            for path in _kernel_paths()[1:]:
+                assert _step_outcomes(case, path) == reference
+        assert reference[0][0] == "fault"
+        assert "non-finite" in reference[0][1]
 
 
 @st.composite
@@ -1746,7 +1858,17 @@ def test_2d_friction_takes_the_magnitude_from_the_squares_on_every_path():
 
 def _fault_at(check):
     """A state, its context pieces and a dt whose Heun step fails the
-    validity check of stage 1, stage 2 or the average."""
+    validity check of stage 1, stage 2 or the average, or stage 1's with
+    a negative and a NaN depth."""
+    if check == "negative and NaN":
+        # A depth far below the tolerance that the stage keeps, and a NaN
+        # that spreads over the cells near it: np.min is NaN, so numpy's
+        # check skips the negative depth and reports the first non-finite
+        # cell.
+        h = np.full(12, 1e-3)
+        h[1], h[9] = -1.0, np.nan
+        return Grid(nx=12, dx=1.0), np.zeros(12), State((h, np.zeros(12))), \
+            NEUMANN, SchemeConfig(), 0.1
     if check == "average":
         # A NaN discharge in a nearly dry cell is zeroed by the stages'
         # dry convention, but the average wets the cell and keeps it.
@@ -1773,13 +1895,15 @@ def _fault_at(check):
         config.scheme, dt
 
 
-@pytest.mark.parametrize("check", ["stage 1", "stage 2", "average"])
+@pytest.mark.parametrize("check", ["stage 1", "stage 2", "average",
+                                   "negative and NaN"])
 def test_each_check_raises_numpys_fault_on_every_path(check):
     _needs_the_compiled_step()
     grid, z, state, bcs, scheme, dt = _fault_at(check)
     # The compiled Heun step stops with its phase after the failed check.
     after = {"stage 1": _compiled.STAGE2, "stage 2": _compiled.AVERAGE,
-             "average": _compiled.ACCEPT}[check]
+             "average": _compiled.ACCEPT,
+             "negative and NaN": _compiled.STAGE2}[check]
     faults = []
     for path in _kernel_paths():
         outcomes = []
@@ -1798,8 +1922,45 @@ def test_each_check_raises_numpys_fault_on_every_path(check):
     assert heun[0] == "fault"
     assert heun[3] == (dt if check == "average" else 0.0)
     # A first-order run's one stage fails only a check the state fails.
-    assert (euler[0] == "fault") == (check == "stage 1")
+    assert (euler[0] == "fault") == (check in ("stage 1", "negative and NaN"))
+    if check == "negative and NaN":
+        assert "non-finite" in heun[1] and heun[2] != (1,)
     assert faults == faults[:1] * len(faults)
+
+
+def test_a_faulting_stages_zeroed_discharges_reach_no_accepted_state():
+    """numpy's check raises a negative depth before it zeroes the dry
+    cells' discharges; the compiled check has zeroed them in its pass by
+    then. The step taken again starts from the accepted state, so every
+    accepted state keeps numpy's bits."""
+    config = thin_layer_down_a_step()
+    enforce = timeloop._enforce_validity
+    left = []
+
+    def recording(fields, t, scheme, dry):
+        try:
+            enforce(fields, t, scheme, dry)
+        except NumericalFault:
+            # The discharges numpy leaves in the faulting state's dry
+            # cells.
+            left.append(np.count_nonzero(
+                fields[1:][:, fields[0] <= scheme.h_eps]))
+            raise
+
+    runs = []
+    for path in _kernel_paths():
+        states = []
+        with _sweep_path(path), \
+                mock.patch.object(timeloop, "_enforce_validity", recording):
+            result = run_simulation(config, on_step=lambda t, state, dt:
+                                    states.append((t, state.copy(), dt)))
+        assert result.retried_steps == 1
+        runs.append(states)
+    assert left[0] > 0
+    assert [[(t, _bits(state.fields).tolist(), dt) for t, state, dt in states]
+            for states in runs] == [[
+                (t, _bits(state.fields).tolist(), dt)
+                for t, state, dt in runs[0]]] * len(runs)
 
 
 def test_the_compiled_tail_runs_where_the_compiled_sweep_does():
@@ -1825,6 +1986,33 @@ def test_a_closed_periodic_channel_has_no_boundary_flow():
                     config, scheme=SchemeConfig(order=order)))
             assert [(row.boundary_in, row.boundary_out)
                     for row in result.mass_balance] == [(0.0, 0.0)] * 2
+
+
+def test_boundary_volumes_are_numpys_sums_side_by_side():
+    # boundary_volumes sums the four sides of a direction in one chain of
+    # numpy calls: each side is still numpy's pairwise sum of its own
+    # max(v, 0), over row counts on both sides of numpy's 128-value
+    # pairwise block, signed zeros included.
+    rng = np.random.default_rng(11)
+    sides = BoundaryCondition("neumann")
+    for nx, ny in ((2, 3), (1, 5), (127, 129), (128, 255), (300, 257)):
+        work = timeloop._Workspace(Grid(nx=nx, ny=ny, dx=0.3, dy=0.7),
+                                   np.zeros((ny, nx)), SchemeConfig(),
+                                   BoundarySet(sides, sides, sides, sides))
+        for _ in range(20):
+            shape = work.faces.shape
+            faces = rng.normal(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
+            faces = np.where(rng.random(shape) < 0.2, -0.0, faces)
+            into = outof = 0.0
+            for (rows, _, _), (low, high), width in zip(
+                    work.directions, faces, work.widths):
+                low, high = low[:rows], high[:rows]
+                into += (np.maximum(low, 0.0).sum()
+                         + np.maximum(-high, 0.0).sum()) * width
+                outof += (np.maximum(-low, 0.0).sum()
+                          + np.maximum(high, 0.0).sum()) * width
+            assert [v.hex() for v in work.boundary_volumes(faces)] == \
+                [float(into).hex(), float(outof).hex()]
 
 
 @pytest.mark.parametrize("two_d", [False, True])
