@@ -61,8 +61,9 @@ normal flux divergence and the mass flux through the two end faces.
   (baseline, avx2, avx512f), all from the same code and giving the same
   bits, and _sweep_kernel binds the widest this CPU supports. One
   foreign call per direction sweeps every row through element strides:
-  the y sweep reads the transposed frame as it is and adds into phi a
-  tile of rows at a time. A block needs O(n) scratch.
+  the y sweep reads the transposed frame as it is and adds into phi, a
+  tile of 8 rows at a time, as vector lanes. A block needs O(n) scratch,
+  8 times as much for the y sweep's tiles.
 * The numpy kernel (_Sweep) runs when no compiler is found or the build
   fails, after one warning. A block stacks the variables (h, u_n[, u_t],
   h+z) on one axis and the two interface sides (minus, plus) on
