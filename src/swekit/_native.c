@@ -49,9 +49,10 @@
  * sizes a block's work: (3 (nq + 2) + 6)(n + 4) doubles per lane, and a
  * tile's (nq + 1) n divergences per lane, about 172 KB for a 128-cell
  * tile in 2D against 19 KB for a row. On a 2-vCPU AMD EPYC (family 26)
- * at avx512f a y sweep of plot_rain_2d's 128x128 grid takes 88 to 90
- * us against 103 to 108 one row at a time, and the x sweep 74 to 77;
- * 16 lanes took 78 to 80 us, at twice the work.
+ * a y sweep of a wet 128x128 grid takes 80 to 83 us at avx512f against
+ * 95 to 99 one row at a time (the x sweep 65 to 70), 118 to 120 against
+ * 127 to 132 at avx2, and 242 to 250 against 250 at the baseline; 16
+ * lanes took 73 to 75 us at avx512f, with twice the work.
  *
  * Wider vectors give the same bits: each element still sees the same
  * correctly rounded operations in the same order. The sweep's and the
@@ -478,11 +479,11 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
  * past the baseline. The passes stay out of line, as the baseline had
  * them: inlining all of them into each entry ran no faster and doubled
  * the build. The avx512f level pays for its share of the build (1.2 to
- * 1.8 s, 100 to 145 KB) with the step's tail, which is compiled per
+ * 1.8 s, 100 to 145 KB, when the y sweep ran one row at a time; 2.6 s
+ * and 187 KB with its tiles) with the step's tail, which is compiled per
  * level too: on a 2-vCPU AMD EPYC (family 26, 3.3 GHz) it runs
- * plot_rain_2d's C loop in 23 ms against 31 ms at avx2 (both sweeps
- * 0.16 against 0.21 ms per stage), and cuts a fifth of its sim_s and a
- * quarter of channel_1d's, every bit the same.
+ * plot_rain_2d's C loop in about 21 ms against 31 ms at avx2 (both
+ * sweeps 0.15 against 0.21 ms per stage), every bit the same.
  */
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
