@@ -1,12 +1,14 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
 runs: the sweep (struct sweep) and the step (struct step), and the
 Python side of the step, the compiled time loop, whose cuts and statuses
-_native.c's step section describes.
+_native.c's step section describes. The step returns to Python where
+numpy still computes (CUT), where a fault is raised or the step taken
+again (NEGATIVE_DEPTH, NON_FINITE, BAD_DT), and where the caller sees
+the run (STEPPED, DONE).
 
 Each Structure mirrors its C struct member for member.
 """
 
-import bisect
 import ctypes
 import functools
 import math
@@ -16,7 +18,7 @@ import numpy as np
 from . import timeloop
 from .boundary import BC_KINDS, SIDES, regime_warning
 from .core import State
-from .sources import GreenAmptState
+from .sources import GreenAmptState, Hyetograph
 
 # ---------------------------------------------------------- the sweep
 
@@ -69,8 +71,7 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
 # struct step's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
 # What swekit_step_<level> returns, and the phases of struct step.
-(VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED, CUT, DONE, STEPPED, RATE,
- BAD_DT, ZERO_DEPTH) = range(10)
+(VALID, NEGATIVE_DEPTH, NON_FINITE, CUT, DONE, STEPPED, BAD_DT) = range(7)
 (BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
  FINISHED) = range(10)
 
@@ -104,15 +105,14 @@ class StepBlock(ctypes.Structure):
         + [("ext", ctypes.c_void_p), ("blocks", ctypes.c_void_p * 2)]
         + [(name, ctypes.c_void_p) for name in
            ("phi", "cbrt", "dv", "faces", "stage", "v_stage", "depth",
-            "check", "handed", "landing")]
+            "handed", "landing", "times", "intensities")]
         + [(name, ctypes.c_ssize_t) for name in
-           ("landings", "phase", "heun", "infiltration", "each")]
-        + [(name, ctypes.c_double) for name in
-           ("t", "dt", "rate", "rate_until")]
+           ("landings", "changes", "phase", "heun", "infiltration", "each")]
+        + [(name, ctypes.c_double) for name in ("t", "dt", "rate")]
         + [(name, ctypes.c_void_p * 2) for name in ("fields", "v_inf")]
         + [(name, ctypes.c_ssize_t) for name in
-           ("current", "next", "hit", "halvings", "steps", "retried",
-            "cell")]
+           ("current", "next", "passed", "hit", "halvings", "steps",
+            "retried", "cell")]
         + [(name, ctypes.c_double) for name in
            ("target", "when", "min_depth", "change_rate", "h_min")]
         + [(name, ctypes.c_double * n) for name, n in
@@ -190,8 +190,6 @@ class CompiledStep:
         # What numpy hands over at a cut: dv's sum, and a 2D stage's
         # boundary volume rates in and out.
         self.handed = np.zeros(3)
-        # Where the step copies a state that numpy's check must judge.
-        self.check = work.phi
         self.v_stage = np.empty(grid.shape) if infiltration else None
         self.sides = [side for pair in SIDES[:nq] for side in pair]
         self.conditions = [getattr(bcs, side) for side in self.sides]
@@ -210,11 +208,10 @@ class CompiledStep:
             dv=None if self.dv is None else self.dv.ctypes.data,
             faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data,
-            depth=self.depth.ctypes.data, check=self.check.ctypes.data,
-            handed=self.handed.ctypes.data)
+            depth=self.depth.ctypes.data, handed=self.handed.ctypes.data)
         self.pointer = ctypes.pointer(self.block)
         self.entry = getattr(library, f"swekit_step_{level}")
-        self.fields = self.v_inf = self.landing = None
+        self.fields = self.v_inf = self.landing = self.hyetograph = None
         self.manning = False
 
     def _bind(self, state, ga, ctx):
@@ -260,16 +257,20 @@ class CompiledStep:
         self._bind(state, ga, ctx)
         self.landing = np.array(landing, dtype=float)
         block.landing, block.landings = self.landing.ctypes.data, len(landing)
+        rain = ctx.rain or Hyetograph()
+        self.hyetograph = [np.array(rain.times), np.array(rain.intensities)]
+        block.times, block.intensities = (a.ctypes.data
+                                          for a in self.hyetograph)
+        block.changes = len(rain.times)
         block.courant = scheme.cfl_for(self.nq)
         block.fixed_dt = scheme.fixed_dt or 0.0
         block.phase, block.final, block.heun = BEGIN, final_time, \
             scheme.order == 2
         block.each = on_step is not None
         block.t = block.change_rate = 0.0
-        block.next = block.steps = block.retried = 0
+        block.next = block.passed = block.steps = block.retried = 0
         block.cum[:] = (0.0,) * 4
         block.min_depth = min_depth
-        self._rate(0.0, ctx.rain)
         spares = [(self.fields, block.fields, self.shape)]
         if ga is not None:
             spares.append((self.v_inf, block.v_inf, self.grid_shape))
@@ -318,59 +319,36 @@ class CompiledStep:
                 elif status == STEPPED or status == DONE:
                     return status
                 else:
-                    self._settle(status, ctx.rain, retry)
+                    self._settle(status, retry)
         finally:
             if block.mismatches:
                 self._report(ctx.warnings)
 
-    def _settle(self, status, rain, retry):
-        """A status other than a cut's: the rain rate from the step's time
-        on (RATE), the smallest depth by np.min (ZERO_DEPTH), or the
-        fault of the numpy loop, which a CFL run (retry) takes again with
-        half the dt at most MAX_STEP_HALVINGS times, as
-        timeloop._advance does."""
+    def _settle(self, status, retry):
+        """A fault's status (NEGATIVE_DEPTH, NON_FINITE or BAD_DT): the
+        fault of the numpy loop, raised, or a check's, which a CFL run
+        (retry) takes again with half the dt at most MAX_STEP_HALVINGS
+        times, as timeloop._advance does."""
         block = self.block
-        if status == RATE:
-            self._rate(block.t, rain)
-        elif status == ZERO_DEPTH:
-            block.min_depth = min(block.min_depth, float(np.min(
-                self.fields[block.current][0])))
-        elif status == BAD_DT:
+        if status == BAD_DT:
             raise timeloop.NumericalFault(
                 block.t, (0,), f"non-positive time step {block.dt}")
-        else:
-            try:
-                self._check(status)
-            except timeloop.NumericalFault as fault:
-                if not retry or block.halvings == timeloop.MAX_STEP_HALVINGS:
-                    raise
-                timeloop.LOG.info(timeloop.RETRY_MESSAGE, fault,
-                                  0.5 * block.dt)
-                block.phase = RETRY
+        fault = self._check(status)
+        if not retry or block.halvings == timeloop.MAX_STEP_HALVINGS:
+            raise fault
+        timeloop.LOG.info(timeloop.RETRY_MESSAGE, fault, 0.5 * block.dt)
+        block.phase = RETRY
 
     def _check(self, status):
         """The NumericalFault _enforce_validity raises, from the status of
-        the step's validity check: numpy's own check judges the copy in
-        self.check where the step could not decide."""
+        the step's validity check (NEGATIVE_DEPTH or NON_FINITE) and the
+        time and cell the step placed it at."""
         block = self.block
-        if status == UNDECIDED:
-            timeloop._check_finite(self.check, block.when)
-            return
         index = np.unravel_index(block.cell, self.grid_shape)
         if status == NEGATIVE_DEPTH:
-            raise timeloop.NumericalFault(block.when, index,
-                                          f"negative depth {block.h_min:.3e}")
-        raise timeloop.NumericalFault(block.when, index, "non-finite state")
-
-    def _rate(self, t, rain):
-        """rain_rate at t for the steps from t on, and the hyetograph's
-        next change, up to which it holds."""
-        block = self.block
-        block.rate = timeloop.rain_rate(t, rain)
-        changes = () if rain is None else rain.change_times()
-        later = bisect.bisect_right(changes, t)
-        block.rate_until = changes[later] if later < len(changes) \
-            else math.inf
+            return timeloop.NumericalFault(
+                block.when, index, f"negative depth {block.h_min:.3e}")
+        return timeloop.NumericalFault(block.when, index, "non-finite state")
 
     def _report(self, warnings):
         """Each regime mismatch the fills counted, as the numpy fills

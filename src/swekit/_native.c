@@ -9,8 +9,10 @@
  *   with compute_dt, heun_step or euler_step and the ledger, up to each
  *   landing time: the ghost fill, the sweep of the same level, the
  *   stage tail (update, rain, infiltration, friction, validity check)
- *   and the Heun average, in phases that stop where numpy still
- *   computes; one entry per vector level, as the sweep;
+ *   and the Heun average, in phases that stop only where numpy still
+ *   computes, where Python raises a fault or takes the step again, or
+ *   where the caller sees the run; one entry per vector level, as the
+ *   sweep;
  * - the writer, swekit_write_rows_<level> and swekit_format_slots_<level>:
  *   the `%.16e` table writer of fileio._write_rows, one pair of entries
  *   per writer level (baseline, fma), both compiled from the same code,
@@ -573,12 +575,15 @@ int swekit_sweep_level(void)
  * the numpy loop calls them. swekit_step_<level> takes steps from the
  * time t up to the next landing time (an output time, a hyetograph
  * change or the final time) and returns only where numpy must still
- * compute or decide, or the caller must see the run. A step runs in
- * phases:
+ * compute, Python must raise a fault or take the step again, or the
+ * caller must see the run. A step runs in phases:
  *
- * - BEGIN: the landing target, then the CFL dt (compute_dt's supremum
- *   per direction with _bc_speed's speed of the imposed boundary states,
- *   in compute_dt's order) or fixed_dt, clipped to land on the target.
+ * - BEGIN: the landing target; the rain rate at t, Hyetograph.rate's
+ *   intensity of the last of the hyetograph's times at or before t, whose
+ *   count passed keeps from step to step; then the CFL dt (compute_dt's
+ *   supremum per direction with _bc_speed's speed of the imposed boundary
+ *   states, in compute_dt's order) or fixed_dt, clipped to land on the
+ *   target.
  * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
  *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
  *   the caller fills those once per run), every direction's sweep at the
@@ -591,18 +596,16 @@ int swekit_sweep_level(void)
  * - FINISH1, FINISH2: the tail's friction and validity check.
  * - AVERAGE: Heun's average and its check.
  * - ACCEPT: the ledger in Python's order, the count, the new time, the
- *   change rate of a last step and the smallest depth seen; the result
- *   becomes the state. Then STEPPED where the step landed, or after
- *   every step for an on_step caller; DONE after the final time.
+ *   change rate of a last step and the smallest depth seen, np.min(h) +
+ *   0.0, so that a zero one is +0.0; the result becomes the state. Then
+ *   STEPPED where the step landed, or after every step for an on_step
+ *   caller; DONE after the final time.
  *
- * A check that finds a fault, or cannot decide, returns its status with
- * the phase set to the next one and when set to the time numpy's check
- * reports; an undecided state is copied into check. The caller raises
- * the fault or sets RETRY, which halves dt and takes the step again; or
- * runs numpy's check and calls again. The step also returns RATE where
- * it starts at or after rate_until, for the caller to set the rain rate
- * the step draws, BAD_DT where the dt is not positive, and ZERO_DEPTH
- * where the smallest depth seen falls to zero, whose sign np.min decides.
+ * A call returns CUT, STEPPED, DONE or a fault's status: NEGATIVE_DEPTH
+ * or NON_FINITE from a check, with the phase set to the next one and
+ * when set to the time numpy's check reports, or BAD_DT where the dt is
+ * not positive. The caller raises the fault, or sets RETRY after a
+ * check's, which halves dt and takes the step again.
  *
  * The stage tail is a stage's pointwise work outside the sweep, the twin
  * of timeloop._numpy_tail, _numpy_average and _wave_speed_sups:
@@ -660,7 +663,8 @@ enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
  * not read after the update, so the CFL pass writes its wet speeds into
  * its rows and cbrt is its first row; dv receives the infiltrated depth;
  * handed holds what the caller hands over at a cut; landing holds the
- * landings sorted. The caller sets those from phase to current for a
+ * landings sorted, and times and intensities the hyetograph's changes
+ * (none without rain). The caller sets those from phase to current for a
  * run: the state is fields[current] and the result goes into the other,
  * likewise the cumulative infiltrated depth in v_inf. The rest is the
  * loop's own, read by the caller: cell and h_min place a check's fault;
@@ -676,14 +680,14 @@ struct step {
     struct side sides[4];
     double *ext;
     const struct sweep *blocks[2];
-    double *phi, *cbrt, *dv, *faces, *stage, *v_stage, *depth, *check;
-    const double *handed, *landing;
-    idx landings;
+    double *phi, *cbrt, *dv, *faces, *stage, *v_stage, *depth;
+    const double *handed, *landing, *times, *intensities;
+    idx landings, changes;
     idx phase, heun, infiltration, each;
-    double t, dt, rate, rate_until;
+    double t, dt, rate;
     double *fields[2], *v_inf[2];
     idx current;
-    idx next, hit, halvings, steps, retried, cell;
+    idx next, passed, hit, halvings, steps, retried, cell;
     double target, when, min_depth, change_rate, h_min;
     double cum[4], infil[2], flow[4];
     idx mismatches, mismatch[4];
@@ -711,12 +715,8 @@ enum {
     FINISHED
 };
 enum { MANNING = 1, DARCY_WEISBACH = 2 };
-/* What the validity check returns. UNDECIDED: every value is finite but
- * one is so large that numpy's sum of them might overflow, which numpy's
- * check counts as a fault; the caller runs that check. */
-enum { VALID, NEGATIVE_DEPTH, NON_FINITE, UNDECIDED };
-/* What swekit_step_<level> returns besides a check's status. */
-enum { CUT = 4, DONE, STEPPED, RATE, BAD_DT, ZERO_DEPTH };
+/* What the validity check and swekit_step_<level> return. */
+enum { VALID, NEGATIVE_DEPTH, NON_FINITE, CUT, DONE, STEPPED, BAD_DT };
 
 /* sources.infiltration_step on the n depths h, for dt > 0: the
  * infiltrated depth into dv, the new cumulative depth into v_out. crust
@@ -892,11 +892,10 @@ INLINE struct tally tail_friction(const struct step *s, const double *f,
  * pass that applied its dry convention: a depth below -tolerance is a
  * fault at the first smallest depth; otherwise, if any depth is below
  * zero, every depth becomes max(h, 0). Then a non-finite value is a
- * fault at the first cell that holds one. A state whose values are
- * finite and at most DBL_MAX / 8 / values in magnitude is valid, as
- * numpy's sum of them, in whatever order, cannot overflow. numpy raises
- * a fault before it zeroes a discharge; here the faulting state's
- * discharges are zeroed already, but no step keeps that state. */
+ * fault at the first cell that holds one: the tally's largest magnitude
+ * reaches inf's only where one does, and f is scanned only to place it.
+ * numpy raises a fault before it zeroes a discharge; here the faulting
+ * state's discharges are zeroed already, but no step keeps that state. */
 INLINE int validity(struct step *s, double *restrict f, struct tally t)
 {
     const idx n = s->cells, nq = s->nq;
@@ -919,7 +918,7 @@ INLINE int validity(struct step *s, double *restrict f, struct tally t)
         for (i = 0; i < n; i++)
             f[i] = np_max(f[i], 0.0);
     }
-    if (t.top <= magnitude_bits(DBL_MAX / 8.0 / (double)((nq + 1) * n)))
+    if (t.top < magnitude_bits(INFINITY))
         return VALID;
     for (i = 0; i < n; i++)
         for (idx k = 0; k <= nq; k++)
@@ -927,7 +926,7 @@ INLINE int validity(struct step *s, double *restrict f, struct tally t)
                 s->cell = i;
                 return NON_FINITE;
             }
-    return UNDECIDED;
+    return VALID;
 }
 
 /* Heun's average of the fields: (a + b) * 0.5 into b, and the validity
@@ -1250,9 +1249,8 @@ static void ledger(struct step *s)
 
 /* The accepted step from f into r: the run's count, ledger and time, the
  * change rate of the last step (numpy's max |r - f| over dt) and the
- * smallest depth seen. Returns ZERO_DEPTH where a depth of zero would
- * lower it, else VALID. */
-INLINE int accept(struct step *s, const double *f, const double *r)
+ * smallest depth seen. */
+INLINE void accept(struct step *s, const double *f, const double *r)
 {
     const idx cells = s->cells, values = (s->nq + 1) * cells;
     s->steps++;
@@ -1266,17 +1264,15 @@ INLINE int accept(struct step *s, const double *f, const double *r)
         s->change_rate = top / s->dt;
     }
     s->t = t_new;
-    /* Python's min(min_depth, np.min(h)). A state holds no NaN, and the
-     * smallest depth has one value, but a zero one sign or the other. */
+    /* Python's min(min_depth, np.min(h) + 0.0). A state holds no NaN, so
+     * the smallest depth has one value, and + 0.0 makes a zero one +0.0
+     * whichever sign the min picked. */
     double lowest = r[0];
     for (idx i = 1; i < cells; i++)
         lowest = r[i] < lowest ? r[i] : lowest;
-    if (lowest < s->min_depth) {
-        if (lowest == 0.0)
-            return ZERO_DEPTH;
+    lowest = lowest + 0.0;
+    if (lowest < s->min_depth)
         s->min_depth = lowest;
-    }
-    return VALID;
 }
 
 /* The time loop over sweep, the sweep of the step's level; inlined into
@@ -1309,8 +1305,9 @@ INLINE int step(struct step *s, sweep_fn *sweep)
                    && s->landing[s->next] <= s->t + s->atol)
                 s->next++;
             s->target = s->landing[s->next];
-            if (s->t >= s->rate_until)
-                return RATE;
+            while (s->passed < s->changes && s->times[s->passed] <= s->t)
+                s->passed++;
+            s->rate = s->passed ? s->intensities[s->passed - 1] : 0.0;
             s->dt = s->fixed_dt > 0.0 ? s->fixed_dt : cfl_dt(s, f);
             if (!(s->dt > 0.0))
                 return BAD_DT;
@@ -1353,8 +1350,7 @@ INLINE int step(struct step *s, sweep_fn *sweep)
         case ACCEPT:
             s->current = 1 - s->current;
             s->phase = REPORT;
-            if (accept(s, f, r) == ZERO_DEPTH)
-                return ZERO_DEPTH;
+            accept(s, f, r);
             continue;
         case REPORT:
             s->phase = s->t < s->final - s->atol ? BEGIN : FINISHED;
@@ -1367,9 +1363,6 @@ INLINE int step(struct step *s, sweep_fn *sweep)
         }
         /* A stage's end and the average: the check. */
         int status = validity(s, checked, tally);
-        if (status == UNDECIDED)
-            memcpy(s->check, checked,
-                   (size_t)((s->nq + 1) * s->cells) * sizeof(double));
         if (status != VALID)
             return status;
     }

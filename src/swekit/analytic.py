@@ -2,9 +2,9 @@
 
 Closed forms: still lake over arbitrary topography, the dry dam break
 (instantaneous release onto a dry horizontal bed), and the planar
-rotation of water in a paraboloid bowl. Each formula can be checked
-against the governing equations with the finite-difference residual
-helpers before it is trusted as an oracle.
+rotation of water in a paraboloid bowl. tests/test_analytic.py checks
+each formula against the governing equations with finite-difference
+residuals before it is trusted as an oracle.
 
 Steady benchmarks are produced the other way around: prescribe a depth
 profile and a discharge, then integrate the steady momentum balance for
@@ -212,77 +212,7 @@ def thacker_planar_profile(params, x, y, t):
                                "eta": params.eta})
 
 
-# ------------------------------------------------ residual self-checks
-
-
-def swe_residual_1d(h_func, u_func, x, t, g=G_DEFAULT, z_func=None,
-                    dx=1e-4, dt=1e-4):
-    """Residual of the 1D mass/momentum balance at sample points.
-
-    h_func(x, t) and u_func(x, t) are vectorized closed forms; central
-    differences approximate the derivatives, so points must sit at
-    least a few steps inside a smooth zone at times t +/- dt. Returns
-    the largest absolute residual over both equations.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def q_and_flux(xx, tt):
-        h = np.asarray(h_func(xx, tt), dtype=float)
-        u = np.asarray(u_func(xx, tt), dtype=float)
-        return h, h * u, h * u * u + 0.5 * g * h * h
-
-    h_xp, q_xp, f_xp = q_and_flux(x + dx, t)
-    h_xm, q_xm, f_xm = q_and_flux(x - dx, t)
-    _, q_tp, _ = q_and_flux(x, t + dt)
-    _, q_tm, _ = q_and_flux(x, t - dt)
-    h_tp = np.asarray(h_func(x, t + dt), dtype=float)
-    h_tm = np.asarray(h_func(x, t - dt), dtype=float)
-
-    mass = (h_tp - h_tm) / (2 * dt) + (q_xp - q_xm) / (2 * dx)
-    momentum = (q_tp - q_tm) / (2 * dt) + (f_xp - f_xm) / (2 * dx)
-    if z_func is not None:
-        h_c = np.asarray(h_func(x, t), dtype=float)
-        dz = (np.asarray(z_func(x + dx)) - np.asarray(z_func(x - dx))) / (2 * dx)
-        momentum = momentum + g * h_c * dz
-    return float(max(np.max(np.abs(mass)), np.max(np.abs(momentum))))
-
-
-def swe_residual_2d(h_func, u_func, v_func, x, y, t, g=G_DEFAULT,
-                    z_func=None, ds=1e-4, dt=1e-4):
-    """Residual of the 2D balance at sample points (same conventions)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def fields(xx, yy, tt):
-        h = np.asarray(h_func(xx, yy, tt), dtype=float)
-        u = np.asarray(u_func(xx, yy, tt), dtype=float)
-        v = np.asarray(v_func(xx, yy, tt), dtype=float)
-        p = 0.5 * g * h * h
-        return h, h * u, h * v, h * u * u + p, h * u * v, h * v * v + p
-
-    h_xp, qx_xp, qy_xp, fxx_xp, fxy_xp, _ = fields(x + ds, y, t)
-    h_xm, qx_xm, qy_xm, fxx_xm, fxy_xm, _ = fields(x - ds, y, t)
-    h_yp, qx_yp, qy_yp, _, gxy_yp, fyy_yp = fields(x, y + ds, t)
-    h_ym, qx_ym, qy_ym, _, gxy_ym, fyy_ym = fields(x, y - ds, t)
-    h_tp, qx_tp, qy_tp, _, _, _ = fields(x, y, t + dt)
-    h_tm, qx_tm, qy_tm, _, _, _ = fields(x, y, t - dt)
-
-    inv_dt = 1.0 / (2 * dt)
-    inv_ds = 1.0 / (2 * ds)
-    mass = (h_tp - h_tm) * inv_dt + (qx_xp - qx_xm) * inv_ds \
-        + (qy_yp - qy_ym) * inv_ds
-    mom_x = (qx_tp - qx_tm) * inv_dt + (fxx_xp - fxx_xm) * inv_ds \
-        + (gxy_yp - gxy_ym) * inv_ds
-    mom_y = (qy_tp - qy_tm) * inv_dt + (fxy_xp - fxy_xm) * inv_ds \
-        + (fyy_yp - fyy_ym) * inv_ds
-    if z_func is not None:
-        h_c = np.asarray(h_func(x, y, t), dtype=float)
-        dzx = (np.asarray(z_func(x + ds, y)) - np.asarray(z_func(x - ds, y))) * inv_ds
-        dzy = (np.asarray(z_func(x, y + ds)) - np.asarray(z_func(x, y - ds))) * inv_ds
-        mom_x = mom_x + g * h_c * dzx
-        mom_y = mom_y + g * h_c * dzy
-    return float(max(np.max(np.abs(mass)), np.max(np.abs(mom_x)),
-                     np.max(np.abs(mom_y))))
+# --------------------------------------- steady benchmark generation
 
 
 def friction_slope(h, q, friction, g=G_DEFAULT):
@@ -296,35 +226,6 @@ def friction_slope(h, q, friction, g=G_DEFAULT):
         f = friction.coefficient
         return f * q * np.abs(q) / (8.0 * g * h ** 3)
     return np.zeros_like(h)
-
-
-def steady_residual_1d(x, z, h, q, friction, g=G_DEFAULT, exclude=None):
-    """Residual of the steady momentum balance on sampled arrays.
-
-    Checks d/dx(q^2/h + g h^2/2) + g h dz/dx + g h S_f = 0 with
-    fourth-order finite differences on a uniformly spaced sample; the
-    two outermost points on each side and any excluded (masked) points
-    are skipped. Used to certify generated steady benchmarks.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    h = np.asarray(h, dtype=float)
-    q = np.asarray(q, dtype=float)
-    dx = x[1] - x[0]
-    flux = q * q / h + 0.5 * g * h * h
-
-    def d4(a):
-        return (-a[4:] + 8.0 * a[3:-1] - 8.0 * a[1:-3] + a[:-4]) / (12.0 * dx)
-
-    inner = slice(2, -2)
-    residual = d4(flux) + g * h[inner] * d4(z) \
-        + g * h[inner] * friction_slope(h[inner], q[inner], friction, g)
-    if exclude is not None:
-        residual = residual[~np.asarray(exclude)[inner]]
-    return float(np.max(np.abs(residual)))
-
-
-# --------------------------------------- steady benchmark generation
 
 
 @dataclass(frozen=True)

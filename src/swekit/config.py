@@ -127,15 +127,11 @@ class _Reader:
         return self.take(key, _finite_float, default, check)
 
     def intval(self, key, default=_MISSING, positive=False):
-        def convert(s):
-            v = int(s)
-            return v
-
         def check(v):
             if positive and v <= 0:
                 return f"must be a positive integer, got {v}"
             return None
-        return self.take(key, convert, default, check)
+        return self.take(key, int, default, check)
 
 
 def _parse_float_list(value):

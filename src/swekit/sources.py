@@ -8,6 +8,7 @@ on the depth only.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,7 +150,8 @@ class Hyetograph:
         object.__setattr__(self, "intensities", intensities)
         if len(times) != len(intensities):
             raise ValueError("hyetograph needs one intensity per time")
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if any(math.isnan(t) for t in times) \
+                or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("hyetograph times must be strictly increasing")
         if any(i < 0.0 for i in intensities):
             raise ValueError("rain intensities must be nonnegative")
@@ -158,9 +160,6 @@ class Hyetograph:
         # bisect on the tuple: np.searchsorted would convert it first.
         idx = bisect.bisect_right(self.times, t) - 1
         return self.intensities[idx] if idx >= 0 else 0.0
-
-    def change_times(self):
-        return self.times
 
 
 def rain_rate(t, hyetograph):

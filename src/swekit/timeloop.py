@@ -35,10 +35,14 @@ A step runs one of two ways, as part of one of two time loops:
 * In the compiled loop, wherever a C compiler is found: the step of
   _native.c, driven by _compiled.CompiledStep.run, runs the time loop
   up to each landing time, and returns to Python only where numpy still
-  computes or decides, or the caller sees the run (_native.c's step
-  section). The bed's ghosts are filled once per run; the step is
-  compiled at the vector level of the sweep _sweep_kernel binds, and
-  calls that sweep. This is the only compiled code that takes a step.
+  computes, where Python raises a fault or takes the step again, or
+  where the caller sees the run (_native.c's step section). It draws
+  the rain rate from the hyetograph itself, and its validity check
+  holds the numpy check's rule: a state faults if and only if it holds
+  a non-finite value. The bed's ghosts are filled once per run; the
+  step is compiled at the vector level of the sweep _sweep_kernel
+  binds, and calls that sweep. This is the only compiled code that
+  takes a step.
 * In the numpy loop, _numpy_run, through the numpy step helpers:
   heun_step or euler_step runs _stage, which fills the frame with
   fill_ghosts_1d or fill_ghosts_2d, runs the sweep, then _numpy_tail;
@@ -704,7 +708,9 @@ class _RunContext:
 
 
 def _enforce_validity(fields, t, scheme, dry):
-    """Dry convention, roundoff clamping, and the NaN/Inf guard.
+    """Dry convention, roundoff clamping, and the NaN/Inf guard: a state
+    faults if and only if it holds a non-finite value, at the first cell
+    that holds one.
 
     fields stacks (h, discharges...) on its first axis; dry is a bool
     buffer of h's shape.
@@ -719,19 +725,15 @@ def _enforce_validity(fields, t, scheme, dry):
     np.less_equal(h, scheme.h_eps, out=dry)
     if dry.any():
         np.copyto(fields[1:], 0.0, where=dry)
-    _check_finite(fields, t)
-
-
-def _check_finite(fields, t):
-    """The NaN/Inf guard of _enforce_validity."""
-    # A finite sum certifies every entry finite (values are O(1), far
-    # from overflow); the detailed scan only runs on the failure path.
-    if not np.isfinite(np.add.reduce(fields, axis=None)):
-        h = fields[0]
+    # A finite sum certifies every entry finite. Where it is not, the
+    # entries are scanned: finite values near DBL_MAX can overflow it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(fields, axis=None)
+    if not np.isfinite(total):
         bad = ~np.isfinite(fields).all(axis=0)
-        where = np.argmax(bad) if bad.any() else np.argmax(np.abs(h))
-        idx = np.unravel_index(int(where), h.shape)
-        raise NumericalFault(t, idx, "non-finite state")
+        if bad.any():
+            idx = np.unravel_index(int(np.argmax(bad)), h.shape)
+            raise NumericalFault(t, idx, "non-finite state")
 
 
 def _numpy_tail(fields, phi, out, ga, dt, r, ctx, t):
@@ -914,7 +916,7 @@ def _landing_times(config):
     times = {float(config.final_time)}
     times.update(float(t) for t in config.output_times)
     if config.rain is not None:
-        times.update(t for t in config.rain.change_times()
+        times.update(t for t in config.rain.times
                      if 0.0 < t < config.final_time)
     return sorted(times)
 
@@ -961,7 +963,7 @@ def _numpy_run(state, ga, ctx, landing, final_time, min_depth, on_step,
             np.subtract(new_state.fields, state.fields, out=change)
             change_rate = float(np.max(np.abs(change, out=change))) / dt
         state, t = new_state, t_new
-        min_depth = min(min_depth, float(np.min(state.h)))
+        min_depth = min(min_depth, float(np.min(state.h) + 0.0))
 
         if on_step is not None:
             on_step(t, state, dt)
@@ -1027,7 +1029,7 @@ def run_simulation(config, on_step=None):
     run = work.compiled.run if compiled else _numpy_run
     steps, retried_steps, change_rate, min_depth, ga = run(
         state, ga, ctx, _landing_times(config), float(config.final_time),
-        float(np.min(state.h)), on_step, land)
+        float(np.min(state.h) + 0.0), on_step, land)
 
     for msg in sorted(ctx.warnings):
         LOG.warning("%s: %s", config.name, msg)

@@ -152,6 +152,11 @@ def test_hyetograph_validation():
         Hyetograph(times=(5.0, 5.0), intensities=(1e-5, 0.0))
     with pytest.raises(ValueError):
         Hyetograph(times=(5.0,), intensities=(-1e-5,))
+    # A NaN time has no place in the order: bisect and a count of the
+    # times at or before t would read it differently.
+    for times in ((math.nan,), (1.0, math.nan, 2.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Hyetograph(times=times, intensities=(0.0,) * len(times))
 
 
 # ------------------------------------------------------------ infiltration

@@ -1928,6 +1928,31 @@ def test_each_check_raises_numpys_fault_on_every_path(check):
     assert faults == faults[:1] * len(faults)
 
 
+def test_a_finite_state_whose_sum_overflows_is_valid_on_every_path():
+    """A state faults if and only if it holds a non-finite value. Rain of
+    1e308 m/s for 1 s raises a still, flat, walled lake to depths of
+    1e308: each is finite, but numpy's sum of them overflows. With one
+    NaN discharge in the first cell, the step faults there."""
+    grid, dt = Grid(nx=4, dx=1.0), 1.0
+    scheme = SchemeConfig(order=1, fixed_dt=dt)
+    fields = np.stack([np.ones(4), np.zeros(4)])
+    expected = fields.copy()
+    expected[0] += 1e308 * dt
+    assert np.isfinite(expected).all()
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(expected, axis=None) == np.inf
+    broken = fields.copy()
+    broken[1, 0] = np.nan
+    for path in _kernel_paths():
+        ctx = _context(grid, scheme, FrictionParams(), 1e308, False, path)
+        _, landed, *_ = _to_landing(ctx, State(fields.copy()), None, dt)
+        assert _same_bits(landed, expected)
+        ctx = _context(grid, scheme, FrictionParams(), 1e308, False, path)
+        with pytest.raises(NumericalFault, match="non-finite state") as fault:
+            _to_landing(ctx, State(broken.copy()), None, dt)
+        assert (fault.value.index, fault.value.time) == ((0,), 0.0)
+
+
 def test_a_faulting_stages_zeroed_discharges_reach_no_accepted_state():
     """numpy's check raises a negative depth before it zeroes the dry
     cells' discharges; the compiled check has zeroed them in its pass by
@@ -2248,10 +2273,10 @@ def test_on_step_sees_every_accepted_step_on_every_path():
     assert outcomes == outcomes[:1] * len(outcomes)
 
 
-def test_zero_depths_of_both_signs_give_numpys_smallest_depth():
+def test_a_zero_smallest_depth_is_positive_zero_on_every_path():
     # Only an on_step edit can put -0.0 beside 0.0 into a state: the
-    # step keeps them, and np.min picks the sign of the smallest depth
-    # seen.
+    # step keeps them, and whichever sign a min picks, the smallest depth
+    # seen is np.min(h) + 0.0, so +0.0.
     n = 8
     z = np.where(np.arange(n) < 4, 1.0, 0.0)
     config = SimulationConfig(
@@ -2266,7 +2291,8 @@ def test_zero_depths_of_both_signs_give_numpys_smallest_depth():
 
         outcome, _ = _run_outcome(config, path, on_step)
         outcomes.append(outcome)
-    assert float.fromhex(outcomes[0][4]) == 0.0
+    assert [outcome[4] for outcome in outcomes] == \
+        [(0.0).hex()] * len(outcomes)
     assert outcomes == outcomes[:1] * len(outcomes)
 
 
@@ -2328,4 +2354,15 @@ def test_a_1d_run_without_cuts_takes_one_call_per_landing_interval():
                                  output_times=(0.25, 0.5))
     statuses, result = _entry_calls(config)
     assert result.steps > 10
+    assert statuses == [_compiled.STEPPED] * 3
+
+
+def test_a_hyetograph_change_costs_no_foreign_call():
+    # The step draws the rain rate from the hyetograph itself: a change at
+    # an output time is one more landing, and no return to Python.
+    config = dataclasses.replace(
+        _neumann_channel_1d(), output_times=(0.25, 0.5),
+        rain=Hyetograph((0.0, 0.25), (1e-3, 4e-3)))
+    statuses, result = _entry_calls(config)
+    assert result.mass_balance[-1].rain > 0.0
     assert statuses == [_compiled.STEPPED] * 3
