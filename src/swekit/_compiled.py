@@ -1,12 +1,14 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
 runs: the sweep (struct sweep) and the step (struct step), and the
-Python side of the step, the compiled time loop, whose cuts and statuses
-_native.c's step section describes. The step returns to Python where
-numpy still computes (CUT), where a fault is raised or the step taken
-again (NEGATIVE_DEPTH, NON_FINITE, BAD_DT), and where the caller sees
-the run (STEPPED, DONE).
+Python side of the step, the compiled time loop, whose statuses
+_native.c's step section describes. The step returns to Python only
+where a fault is raised or the step taken again (NEGATIVE_DEPTH,
+NON_FINITE, BAD_DT), and where the caller sees the run (STEPPED, DONE):
+a run without on_step is one foreign call per landing interval.
 
-Each Structure mirrors its C struct member for member.
+Each Structure mirrors its C struct member for member. The step calls
+numpy's own float64 cbrt loop, which cbrt_loop reads from np.cbrt's
+PyUFuncObject through the UFuncHead mirror.
 """
 
 import ctypes
@@ -71,9 +73,8 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
 # struct step's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
 # What swekit_step_<level> returns, and the phases of struct step.
-(VALID, NEGATIVE_DEPTH, NON_FINITE, CUT, DONE, STEPPED, BAD_DT) = range(7)
-(BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
- FINISHED) = range(10)
+(VALID, NEGATIVE_DEPTH, NON_FINITE, DONE, STEPPED, BAD_DT) = range(6)
+(BEGIN, STAGE1, STAGE2, AVERAGE, ACCEPT, REPORT, RETRY, FINISHED) = range(8)
 
 
 class Side(ctypes.Structure):
@@ -104,8 +105,8 @@ class StepBlock(ctypes.Structure):
         + [("spacing", ctypes.c_double * 2), ("sides", Side * 4)]
         + [("ext", ctypes.c_void_p), ("blocks", ctypes.c_void_p * 2)]
         + [(name, ctypes.c_void_p) for name in
-           ("phi", "cbrt", "dv", "faces", "stage", "v_stage", "depth",
-            "handed", "landing", "times", "intensities")]
+           ("phi", "cbrt", "dv", "faces", "stage", "v_stage", "cbrt_loop",
+            "cbrt_data", "landing", "times", "intensities")]
         + [(name, ctypes.c_ssize_t) for name in
            ("landings", "changes", "phase", "heun", "infiltration", "each")]
         + [(name, ctypes.c_double) for name in ("t", "dt", "rate")]
@@ -124,8 +125,8 @@ class StepBlock(ctypes.Structure):
 # The members whose offsets _native.c's swekit_layout gives, after each
 # mirror's size, in its order.
 _LAYOUT = ((SweepBlock, ("d", "h", "carried", "work")), (Side, ("depth",)),
-           (StepBlock, ("g", "sides", "ext", "landings", "t", "fields",
-                        "target", "cum", "mismatch")))
+           (StepBlock, ("g", "sides", "ext", "cbrt_loop", "landings", "t",
+                        "fields", "target", "cum", "mismatch")))
 
 
 def matches(library):
@@ -154,6 +155,39 @@ def _refuse(built, mirrored):
         "the kernel library's struct layout %s is not the bindings' %s; "
         "running the numpy sweep kernel and the numpy time loop", built,
         mirrored)
+
+
+class UFuncHead(ctypes.Structure):
+    """The head of numpy's PyUFuncObject (numpy/ufuncobject.h, public C
+    API) up to types, after the PyObject head."""
+
+    _fields_ = (
+        [("ob_base", ctypes.c_byte * object.__basicsize__)]
+        + [(name, ctypes.c_int) for name in
+           ("nin", "nout", "nargs", "identity")]
+        + [(name, ctypes.POINTER(ctypes.c_void_p))
+           for name in ("functions", "data")]
+        + [(name, ctypes.c_int) for name in ("ntypes", "reserved1")]
+        + [("name", ctypes.c_char_p),
+           ("types", ctypes.POINTER(ctypes.c_byte))])
+
+
+@functools.cache
+def cbrt_loop(ufunc=np.cbrt):
+    """(loop, data) of ufunc's first float64 -> float64 entry, the loop
+    numpy's type resolver picks for np.cbrt, already dispatched to this
+    CPU's SIMD target; None, after one warning, where UFuncHead does not
+    read the head as np.cbrt's: timeloop then runs the numpy loop."""
+    head = UFuncHead.from_address(id(ufunc))
+    double = np.dtype(np.float64).num
+    if head.name == b"cbrt" and head.nin == head.nout == 1:
+        for k in range(head.ntypes):
+            if head.types[2 * k] == head.types[2 * k + 1] == double \
+                    and head.functions[k]:
+                return head.functions[k], head.data[k]
+    timeloop.LOG.warning("numpy's cbrt ufunc is not laid out as the "
+                         "bindings read it; running the numpy time loop")
+    return None
 
 
 def _address(array, shape):
@@ -185,11 +219,7 @@ class CompiledStep:
         floats = work.full.floats
         self.shape, self.grid_shape, self.nq = work.shape, grid.shape, nq
         self.g = scheme.g
-        self.cbrt, self.depth = floats[0], floats[1]
         self.dv = floats[nq + 1] if infiltration else None
-        # What numpy hands over at a cut: dv's sum, and a 2D stage's
-        # boundary volume rates in and out.
-        self.handed = np.zeros(3)
         self.v_stage = np.empty(grid.shape) if infiltration else None
         self.sides = [side for pair in SIDES[:nq] for side in pair]
         self.conditions = [getattr(bcs, side) for side in self.sides]
@@ -204,15 +234,14 @@ class CompiledStep:
             blocks=(ctypes.c_void_p * 2)(*(
                 ctypes.cast(args[0], ctypes.c_void_p).value
                 for _, args, _ in work.blocks)),
-            phi=work.phi.ctypes.data, cbrt=self.cbrt.ctypes.data,
+            phi=work.phi.ctypes.data, cbrt=floats[0].ctypes.data,
             dv=None if self.dv is None else self.dv.ctypes.data,
             faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
-            v_stage=None if self.v_stage is None else self.v_stage.ctypes.data,
-            depth=self.depth.ctypes.data, handed=self.handed.ctypes.data)
+            v_stage=None if self.v_stage is None else self.v_stage.ctypes.data)
+        self.block.cbrt_loop, self.block.cbrt_data = cbrt_loop()
         self.pointer = ctypes.pointer(self.block)
         self.entry = getattr(library, f"swekit_step_{level}")
         self.fields = self.v_inf = self.landing = self.hyetograph = None
-        self.manning = False
 
     def _bind(self, state, ga, ctx):
         """The block's state, a new result, friction and soil, for a run
@@ -227,7 +256,6 @@ class CompiledStep:
         # The coefficient of sources._damping_factor is this times dt.
         block.friction_scale = (self.g * coefficient**2 if law == "manning"
                                 else coefficient / 8.0)
-        self.manning = law == "manning"
         block.infiltration = ga is not None
         if ga is None:
             return
@@ -301,25 +329,12 @@ class CompiledStep:
         that; the fills' regime mismatches go into ctx.warnings, also
         when a fault is raised."""
         block, entry, pointer = self.block, self.entry, self.pointer
-        depth, cbrt, handed, manning = (self.depth, self.cbrt, self.handed,
-                                        self.manning)
-        dv = self.dv if block.infiltration else None
-        volumes = ctx.work.boundary_volumes if self.nq == 2 else None
-        faces = ctx.work.faces
         try:
             while True:
                 status = entry(pointer)
-                if status == CUT:
-                    if manning:
-                        np.cbrt(depth, out=cbrt)
-                    if dv is not None:
-                        handed[0] = dv.sum()
-                    if volumes is not None:
-                        handed[1], handed[2] = volumes(faces)
-                elif status == STEPPED or status == DONE:
+                if status == STEPPED or status == DONE:
                     return status
-                else:
-                    self._settle(status, retry)
+                self._settle(status, retry)
         finally:
             if block.mismatches:
                 self._report(ctx.warnings)

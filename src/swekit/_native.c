@@ -9,10 +9,9 @@
  *   with compute_dt, heun_step or euler_step and the ledger, up to each
  *   landing time: the ghost fill, the sweep of the same level, the
  *   stage tail (update, rain, infiltration, friction, validity check)
- *   and the Heun average, in phases that stop only where numpy still
- *   computes, where Python raises a fault or takes the step again, or
- *   where the caller sees the run; one entry per vector level, as the
- *   sweep;
+ *   and the Heun average, in phases that stop only where Python raises
+ *   a fault or takes the step again, or where the caller sees the run;
+ *   one entry per vector level, as the sweep;
  * - the writer, swekit_write_rows_<level> and swekit_format_slots_<level>:
  *   the `%.16e` table writer of fileio._write_rows, one pair of entries
  *   per writer level (baseline, fma), both compiled from the same code,
@@ -574,9 +573,9 @@ int swekit_sweep_level(void)
  * those helpers run in numpy alone, over the sweep the build bound, where
  * the numpy loop calls them. swekit_step_<level> takes steps from the
  * time t up to the next landing time (an output time, a hyetograph
- * change or the final time) and returns only where numpy must still
- * compute, Python must raise a fault or take the step again, or the
- * caller must see the run. A step runs in phases:
+ * change or the final time) and returns only where Python must raise a
+ * fault or take the step again, or the caller must see the run. A step
+ * runs in phases:
  *
  * - BEGIN: the landing target; the rain rate at t, Hyetograph.rate's
  *   intensity of the last of the hyetograph's times at or before t, whose
@@ -588,12 +587,8 @@ int swekit_sweep_level(void)
  *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
  *   the caller fills those once per run), every direction's sweep at the
  *   step's own vector level (the end-face mass fluxes go into faces),
- *   and the tail's update. Then, with Manning friction, infiltration or
- *   in 2D, CUT: the caller writes np.cbrt of the new depth, which the
- *   step copies into depth, into the tail's cbrt row, and hands over the
- *   infiltrated depth's sum and, in 2D, _Workspace.boundary_volumes of
- *   the faces.
- * - FINISH1, FINISH2: the tail's friction and validity check.
+ *   the tail's update, numpy's cbrt of the new depth (Manning), the
+ *   stage's ledger volumes, and the tail's friction and validity check.
  * - AVERAGE: Heun's average and its check.
  * - ACCEPT: the ledger in Python's order, the count, the new time, the
  *   change rate of a last step and the smallest depth seen, np.min(h) +
@@ -601,7 +596,7 @@ int swekit_sweep_level(void)
  *   STEPPED where the step landed, or after every step for an on_step
  *   caller; DONE after the final time.
  *
- * A call returns CUT, STEPPED, DONE or a fault's status: NEGATIVE_DEPTH
+ * A call returns STEPPED, DONE or a fault's status: NEGATIVE_DEPTH
  * or NON_FINITE from a check, with the phase set to the next one and
  * when set to the time numpy's check reports, or BAD_DT where the dt is
  * not positive. The caller raises the fault, or sets RETRY after a
@@ -615,7 +610,13 @@ int swekit_sweep_level(void)
  *   effective_conductivity and infiltration_capacity), which writes the
  *   infiltrated depth into dv and the new cumulative depth into v_out;
  * - tail_friction: semi-implicit friction (sources._damping_factor and
- *   the divide);
+ *   the divide), over the cube root of the new depth that numpy's own
+ *   float64 cbrt loop writes: its bits depend on numpy's SIMD dispatch
+ *   (AVX-512 or not), and the caller binds the loop numpy's type
+ *   resolver picks, dispatched as np.cbrt is, from np.cbrt's
+ *   PyUFuncObject;
+ * - volumes: the stage's ledger volumes, the infiltrated depth's sum and
+ *   _Workspace.boundary_volumes, in numpy's pairwise order (np_sum);
  * - average_fields and average: the Heun average of the fields and of
  *   the cumulative depth;
  * - validity: the validity check (timeloop._enforce_validity) after each
@@ -629,18 +630,18 @@ int swekit_sweep_level(void)
  *   direction.
  *
  * Each keeps the operation order of its numpy twin, and min/max follow
- * numpy as in the sweep. Two things stay numpy's: np.cbrt, whose bits
- * depend on numpy's SIMD dispatch (the caller writes cbrt of the new
- * depth into cbrt between update and finish), and sums, which numpy
- * takes pairwise (the caller sums dv). Arrays are C-contiguous: the
- * fields and phi (nq + 1, cells), the rest (cells,).
+ * numpy as in the sweep. The two results whose bits numpy alone defines,
+ * the cube root and the sums, come from numpy's own loop and in numpy's
+ * pairwise order, so no stage returns to Python. Arrays are
+ * C-contiguous: the fields and phi (nq + 1, cells), the rest (cells,).
  *
  * The tail's passes are bound by their arithmetic (divisions and square
  * roots), not by memory, so the step is compiled once per vector level,
  * as the sweep is, from the same code: swekit_step_<level> inlines every
  * pass of the tail and calls the sweep of its own level. The ghost fill,
  * the imposed boundary speed and the ledger, which visit a side's cells
- * or none, stay out of line, compiled for the baseline and shared.
+ * or none, stay out of line, compiled for the baseline and shared, as do
+ * the sums (volumes), a small share of a stage.
  */
 
 /* One side's boundary condition; _compiled.Side mirrors it. kind is the
@@ -654,6 +655,10 @@ struct side {
 
 enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
 
+/* A ufunc's inner loop, numpy's PyUFuncGenericFunction. */
+typedef void ufunc_loop(char **args, const idx *dimensions, const idx *steps,
+                        void *data);
+
 /* The run and its workspace; _compiled.StepBlock mirrors it. The members
  * up to landings are the run's: the scheme, the friction law and its
  * coefficient's factor, the soil (imax is +inf without a cap, which
@@ -662,15 +667,15 @@ enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
  * directions, which write phi and faces (direction, side, row); phi is
  * not read after the update, so the CFL pass writes its wet speeds into
  * its rows and cbrt is its first row; dv receives the infiltrated depth;
- * handed holds what the caller hands over at a cut; landing holds the
- * landings sorted, and times and intensities the hyetograph's changes
- * (none without rain). The caller sets those from phase to current for a
- * run: the state is fields[current] and the result goes into the other,
- * likewise the cumulative infiltrated depth in v_inf. The rest is the
- * loop's own, read by the caller: cell and h_min place a check's fault;
- * mismatch counts each side's regime mismatches (left, right, bottom,
- * top) and mismatches all of them, which the caller reports and clears;
- * cum holds the ledger's sums. */
+ * cbrt_loop and cbrt_data are numpy's float64 cbrt loop and its data;
+ * landing holds the landings sorted, and times and intensities the
+ * hyetograph's changes (none without rain). The caller sets those from
+ * phase to current for a run: the state is fields[current] and the
+ * result goes into the other, likewise the cumulative infiltrated depth
+ * in v_inf. The rest is the loop's own, read by the caller: cell and
+ * h_min place a check's fault; mismatch counts each side's regime
+ * mismatches (left, right, bottom, top) and mismatches all of them,
+ * which the caller reports and clears; cum holds the ledger's sums. */
 struct step {
     idx nx, ny, nq, cells, face_rows, friction, crust;
     double g, h_eps, tolerance, friction_scale, cell_area, courant;
@@ -680,8 +685,10 @@ struct step {
     struct side sides[4];
     double *ext;
     const struct sweep *blocks[2];
-    double *phi, *cbrt, *dv, *faces, *stage, *v_stage, *depth;
-    const double *handed, *landing, *times, *intensities;
+    double *phi, *cbrt, *dv, *faces, *stage, *v_stage;
+    ufunc_loop *cbrt_loop;
+    void *cbrt_data;
+    const double *landing, *times, *intensities;
     idx landings, changes;
     idx phase, heun, infiltration, each;
     double t, dt, rate;
@@ -698,25 +705,23 @@ struct step {
  * sweep, struct side and struct step. _compiled refuses a library whose
  * values differ from its mirrors', and the numpy twins run instead. */
 const idx swekit_layout[] = {
-    17,
+    18,
     sizeof(struct sweep), offsetof(struct sweep, d),
     offsetof(struct sweep, h), offsetof(struct sweep, carried),
     offsetof(struct sweep, work),
     sizeof(struct side), offsetof(struct side, depth),
     sizeof(struct step), offsetof(struct step, g),
     offsetof(struct step, sides), offsetof(struct step, ext),
-    offsetof(struct step, landings), offsetof(struct step, t),
-    offsetof(struct step, fields), offsetof(struct step, target),
-    offsetof(struct step, cum), offsetof(struct step, mismatch),
+    offsetof(struct step, cbrt_loop), offsetof(struct step, landings),
+    offsetof(struct step, t), offsetof(struct step, fields),
+    offsetof(struct step, target), offsetof(struct step, cum),
+    offsetof(struct step, mismatch),
 };
 
-enum {
-    BEGIN, STAGE1, FINISH1, STAGE2, FINISH2, AVERAGE, ACCEPT, REPORT, RETRY,
-    FINISHED
-};
+enum { BEGIN, STAGE1, STAGE2, AVERAGE, ACCEPT, REPORT, RETRY, FINISHED };
 enum { MANNING = 1, DARCY_WEISBACH = 2 };
 /* What the validity check and swekit_step_<level> return. */
-enum { VALID, NEGATIVE_DEPTH, NON_FINITE, CUT, DONE, STEPPED, BAD_DT };
+enum { VALID, NEGATIVE_DEPTH, NON_FINITE, DONE, STEPPED, BAD_DT };
 
 /* sources.infiltration_step on the n depths h, for dt > 0: the
  * infiltrated depth into dv, the new cumulative depth into v_out. crust
@@ -1091,12 +1096,6 @@ static void fill_direction(const struct step *s, double *h, double *qn,
         }
 }
 
-/* Python's max(v, 0.0). */
-INLINE double positive(double v)
-{
-    return 0.0 > v ? 0.0 : v;
-}
-
 /* The fields into the frame's interior, and its ghosts filled. */
 static void fill_frame(struct step *s, const double *fields)
 {
@@ -1120,45 +1119,92 @@ static void fill_frame(struct step *s, const double *fields)
                     + s->mismatch[3];
 }
 
-/* Stage k (0 or 1) up to its cut: the convective update of fields by
- * sweep, the sweep of the step's level, and the tail's update into out,
- * the cumulative infiltrated depth from v_in into v_out. Returns whether
- * the caller must compute at a cut. */
-INLINE int stage(struct step *s, int k, const double *fields, double *out,
-                 const double *v_in, double *v_out, sweep_fn *sweep)
+/* v as np_sum reads it: part 0 takes v, part 1 np.maximum(v, 0.0) and
+ * part -1 np.maximum(-v, 0.0). */
+INLINE double term(double v, int part)
 {
-    const idx nq = s->nq;
-    fill_frame(s, fields);
-    for (idx d = 0; d < nq; d++)
-        sweep(s->blocks[d]);
-    if (nq == 1) {
-        /* _Workspace.boundary_volumes of a 1D stage, times dt: a
-         * periodic seam is no boundary. */
-        double into = 0.0, outof = 0.0, low = s->faces[0];
-        double high = s->faces[s->face_rows];
-        if (s->sides[0].kind != PERIODIC) {
-            into = 0.0 + (positive(low) + positive(-high));
-            outof = 0.0 + (positive(-low) + positive(high));
-        }
-        s->flow[2 * k] = into * s->dt;
-        s->flow[2 * k + 1] = outof * s->dt;
-    }
-    tail_update(s, fields, out, v_in, v_out);
-    if (s->friction == MANNING)
-        memcpy(s->depth, out, (size_t)s->cells * sizeof(double));
-    return s->friction == MANNING || s->infiltration || nq == 2;
+    return part == 0 ? v : np_max(part > 0 ? v : -v, 0.0);
 }
 
-/* The ledger volumes of stage k that the caller handed over at its cut,
- * as the numpy step takes them: the infiltrated depth's sum times the
- * cell area and, in 2D, the boundary volume rates times dt. */
-static void take_handed(struct step *s, int k)
+/* numpy's pairwise sum (pairwise_sum in its loops_utils.h) of the n
+ * values a[i] as term reads them: a plain loop from 0.0 below 8 values,
+ * 8 accumulators over a block of at most 128, and halves above, the
+ * first rounded down to a multiple of 8. */
+static double pairwise(const double *a, idx n, int part)
 {
-    s->infil[k] = s->infiltration ? s->handed[0] * s->cell_area : 0.0;
-    if (s->nq == 2) {
-        s->flow[2 * k] = s->handed[1] * s->dt;
-        s->flow[2 * k + 1] = s->handed[2] * s->dt;
+    if (n > 128) {
+        idx half = n / 2 - n / 2 % 8;
+        return pairwise(a, half, part) + pairwise(a + half, n - half, part);
     }
+    double sum = 0.0;
+    idx i = 0;
+    if (n >= 8) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = term(a[j], part);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += term(a[i + j], part);
+        sum = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        sum += term(a[i], part);
+    return sum;
+}
+
+/* np.sum of a contiguous run of n float64 values, as term reads them:
+ * the reduction starts from add's identity. */
+static double np_sum(const double *a, idx n, int part)
+{
+    return 0.0 + pairwise(a, n, part);
+}
+
+/* The ledger volumes of stage k, as the numpy step takes them: the
+ * infiltrated depth's sum times the cell area, and
+ * _Workspace.boundary_volumes of the end faces times dt. Each direction
+ * whose sides are no periodic seam adds its sides' sums of max(v, 0)
+ * inward (low's v, high's -v) and outward (low's -v, high's v) times
+ * its face width: 1 in 1D, the other direction's spacing in 2D. */
+static void volumes(struct step *s, int k)
+{
+    double into = 0.0, outof = 0.0;
+    for (idx d = 0; d < s->nq; d++) {
+        const double *low = s->faces + 2 * d * s->face_rows;
+        const double *high = low + s->face_rows;
+        const idx rows = d == 0 ? s->ny : s->nx;
+        const double width = s->nq == 1 ? 1.0 : s->spacing[1 - d];
+        if (s->sides[2 * d].kind == PERIODIC)
+            continue;
+        into += (np_sum(low, rows, 1) + np_sum(high, rows, -1)) * width;
+        outof += (np_sum(low, rows, -1) + np_sum(high, rows, 1)) * width;
+    }
+    s->flow[2 * k] = into * s->dt;
+    s->flow[2 * k + 1] = outof * s->dt;
+    s->infil[k] = s->infiltration
+                  ? np_sum(s->dv, s->cells, 0) * s->cell_area : 0.0;
+}
+
+/* Stage k (0 or 1) up to its friction: the convective update of fields
+ * by sweep, the sweep of the step's level, the tail's update into out,
+ * the cumulative infiltrated depth from v_in into v_out, the cube root
+ * of the new depth (Manning) and the ledger volumes. */
+INLINE void stage(struct step *s, int k, const double *fields, double *out,
+                  const double *v_in, double *v_out, sweep_fn *sweep)
+{
+    fill_frame(s, fields);
+    for (idx d = 0; d < s->nq; d++)
+        sweep(s->blocks[d]);
+    tail_update(s, fields, out, v_in, v_out);
+    if (s->friction == MANNING) {
+        /* np.cbrt(h, out=cbrt): both rows contiguous and apart, so that
+         * numpy's loop takes the path np.cbrt takes, not its scalar
+         * fallback, which gives libm's bits. */
+        char *args[2] = {(char *)out, (char *)s->cbrt};
+        const idx steps[2] = {sizeof(double), sizeof(double)};
+        s->cbrt_loop(args, &s->cells, steps, s->cbrt_data);
+    }
+    volumes(s, k);
 }
 
 /* numpy's max over n values a stride apart. */
@@ -1290,9 +1336,9 @@ INLINE int step(struct step *s, sweep_fn *sweep)
         double *first = s->heun ? s->stage : r;
         double *v_first = s->heun ? s->v_stage : v_r;
         /* Stage 1 goes from f into first, stage 2 from the workspace's
-         * stage into r: checked is what a stage's phases write, and
-         * what the check after its friction judges. */
-        int second = s->phase == STAGE2 || s->phase == FINISH2;
+         * stage into r: checked is what a stage writes, and what the
+         * check after its friction judges. */
+        int second = s->phase == STAGE2;
         double *checked = second ? r : first;
         struct tally tally = {0, 0, 0};
         switch (s->phase) {
@@ -1325,17 +1371,10 @@ INLINE int step(struct step *s, sweep_fn *sweep)
             continue;
         case STAGE1:
         case STAGE2:
-            s->phase = second ? FINISH2 : FINISH1;
-            if (stage(s, second, second ? s->stage : f, checked,
-                      second ? s->v_stage : v, second ? v_r : v_first,
-                      sweep))
-                return CUT;
-            continue;
-        case FINISH1:
-        case FINISH2:
-            take_handed(s, second);
             s->phase = second ? AVERAGE : s->heun ? STAGE2 : ACCEPT;
             s->when = s->t;
+            stage(s, second, second ? s->stage : f, checked,
+                  second ? s->v_stage : v, second ? v_r : v_first, sweep);
             tally = tail_friction(s, second ? s->stage : f, checked);
             break;
         case AVERAGE:

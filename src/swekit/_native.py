@@ -6,15 +6,16 @@ fallback and its reference: the sweep (timeloop._Sweep.run), the step
 (the compiled time loop, twin of timeloop._numpy_run with the numpy
 step helpers heun_step or euler_step and compute_dt: the CFL dt, the
 ghost fill, the sweep, the stage tail, the Heun average and the ledger,
-up to each landing time, returning to Python only where numpy's np.cbrt
-and pairwise sums still run, where a fault is raised or the step taken
-again, or where the caller sees the run) and the `%.16e` table writer
+up to each landing time, returning to Python only where a fault is
+raised or the step taken again, or where the caller sees the run; it
+calls numpy's own float64 cbrt loop, bound from np.cbrt, and sums in
+numpy's pairwise order) and the `%.16e` table writer
 (fileio._write_rows). timeloop and fileio bind their entry points from
 library(). timeloop runs one of two loops: the compiled one
 (_compiled.CompiledStep.run), or the numpy one, whose steps are the
 numpy step helpers alone, over the compiled sweep where a step helper
-is rebound (a profiler's wrapper) and over the numpy sweep where the
-library could not be built.
+is rebound (a profiler's wrapper) or np.cbrt's loop cannot be bound,
+and over the numpy sweep where the library could not be built.
 
 The sweep and the step are compiled once per x86 vector level
 (SWEEP_LEVELS: the baseline, avx2 and avx512f), all from the same

@@ -34,24 +34,23 @@ A step runs one of two ways, as part of one of two time loops:
 
 * In the compiled loop, wherever a C compiler is found: the step of
   _native.c, driven by _compiled.CompiledStep.run, runs the time loop
-  up to each landing time, and returns to Python only where numpy still
-  computes, where Python raises a fault or takes the step again, or
-  where the caller sees the run (_native.c's step section). It draws
-  the rain rate from the hyetograph itself, and its validity check
+  up to each landing time, and returns to Python only to raise a fault,
+  take the step again or show the caller the run (_native.c's step
+  section). It draws the rain rate from the hyetograph, calls numpy's
+  own cbrt loop and sums in numpy's pairwise order; its validity check
   holds the numpy check's rule: a state faults if and only if it holds
   a non-finite value. The bed's ghosts are filled once per run; the
   step is compiled at the vector level of the sweep _sweep_kernel
-  binds, and calls that sweep. This is the only compiled code that
-  takes a step.
+  binds, and calls that sweep, the only compiled code that takes a step.
 * In the numpy loop, _numpy_run, through the numpy step helpers:
   heun_step or euler_step runs _stage, which fills the frame with
   fill_ghosts_1d or fill_ghosts_2d, runs the sweep, then _numpy_tail;
   heun_step averages with _numpy_average, and compute_dt calls
   _wave_speed_sups and _bc_speed. The sweep is the one the build bound:
   the numpy kernel where no compiler is found, and the compiled one
-  where a step helper is rebound (a profiler's wrapper), which makes
-  run_simulation take this loop. This is the compiled loop's reference,
-  and calls the functions of boundary and sources.
+  where a step helper is rebound (a profiler's wrapper) or numpy's cbrt
+  loop cannot be bound. This is the compiled loop's reference, and
+  calls the functions of boundary and sources.
 
 The convective update is one sweep kernel with two implementations of
 one contract (_Sweep.run): it serves 1D as a single row and each 2D
@@ -517,7 +516,7 @@ class _Workspace:
     names the sweep kernel that runs: "c" (one block per direction) or
     "numpy" (blocks over one pool); level, the compiled kernel's vector
     level, and compiled, the compiled time loop over these buffers (both
-    None for numpy).
+    None for numpy; compiled too where numpy's cbrt loop is not bound).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -588,9 +587,10 @@ class _Workspace:
         # The bed's ghosts, once: the compiled step fills the others.
         ext[:-1] = 0.0
         self.fill([])
-        self.compiled = _compiled.CompiledStep(
-            _native.library(), self.level, self, grid, scheme, bcs,
-            infiltration)
+        if _compiled.cbrt_loop() is not None:
+            self.compiled = _compiled.CompiledStep(
+                _native.library(), self.level, self, grid, scheme, bcs,
+                infiltration)
 
     def _numpy_blocks(self, phi, x_rows, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.

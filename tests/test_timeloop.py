@@ -6,10 +6,12 @@ import ctypes
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import logging
 import math
 import os
 import pathlib
+import pickle
 import platform
 import re
 import shutil
@@ -757,12 +759,40 @@ def test_a_library_whose_structs_the_mirrors_miss_is_refused(caplog):
     assert "struct layout" in caplog.text
 
 
+def test_a_ufunc_head_the_mirror_does_not_read_as_cbrt_is_refused(caplog):
+    # The step calls the float64 loop that _compiled.UFuncHead reads from
+    # np.cbrt's PyUFuncObject. Pointed at a head that does not read as
+    # cbrt's (np.sqrt's), the binder refuses the compiled step with one
+    # warning, and the numpy loop runs, with the same bits.
+    _needs_the_compiled_step()
+    config = _wet_plot(True, 2, "hll")
+    assert _compiled.cbrt_loop() is not None
+    reference = _run_outcome(config, "c")
+    bind = _compiled.cbrt_loop
+    bind.cache_clear()
+    try:
+        with mock.patch.object(_compiled, "cbrt_loop",
+                               lambda: bind(np.sqrt)), \
+                caplog.at_level(logging.WARNING, timeloop.LOG.name):
+            work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
+                                       SchemeConfig(), WALL)
+            outcomes = [_run_outcome(config, "c") for _ in range(2)]
+    finally:
+        bind.cache_clear()
+    assert (work.kernel, work.compiled) == ("c", None)
+    assert outcomes == [reference] * 2
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["numpy's cbrt ufunc is not laid out as the "
+                        "bindings read it; running the numpy time loop"]
+
+
 @pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
 def test_every_vector_level_runs_with_numpys_bits(level, caplog):
     # The rain plot runs Manning friction and two-layer infiltration in
     # 2D over wet and dry cells: the tail's vectorized passes. The shock
-    # channel runs 1D Manning friction and imposed sides, with numpy's
-    # cuts in each step.
+    # channel runs 1D Manning friction, through numpy's cbrt loop, and
+    # imposed sides.
     configs = [_wet_plot(two_d, order, flux) for two_d in (False, True)
                for order in (1, 2) for flux in ("hll", "rusanov")]
     configs += [_rain_plot(), _shock_channel()]
@@ -1615,7 +1645,7 @@ def _workspace_buffers(work):
     if work.kernel == "numpy":
         return buffers + [*work.pool] + ([work.y_div] if work.two_d else [])
     step = work.compiled
-    return buffers + [work.sweep_work, step.handed] + (
+    return buffers + [work.sweep_work] + (
         [] if step.v_stage is None else [step.v_stage])
 
 
@@ -2341,12 +2371,122 @@ def _entry_calls(config):
     return statuses, result
 
 
-def test_a_1d_manning_heun_step_takes_two_foreign_calls():
+def test_a_1d_manning_heun_run_takes_one_call_per_landing_interval():
+    # The step calls numpy's cbrt loop and sums the ledger itself: no
+    # status returns a stage to Python.
     config = dataclasses.replace(_shock_channel(), output_times=(0.2, 0.4))
     statuses, result = _entry_calls(config)
-    # Two cuts per step, and one more call per landing.
-    assert statuses.count(_compiled.CUT) == 2 * result.steps
-    assert len(statuses) == 2 * result.steps + 3
+    assert result.steps > 10
+    assert statuses == [_compiled.STEPPED] * 3
+    assert not hasattr(_compiled, "CUT")
+
+
+def test_a_2d_run_with_every_source_takes_one_call_per_landing_interval():
+    # Manning friction, rain and two-layer infiltration in 2D: the cbrt,
+    # the infiltrated volume and the boundary volumes all stay in C.
+    config = _rain_plot()
+    statuses, result = _entry_calls(config)
+    landings = len(timeloop._landing_times(config))
+    assert result.steps > landings == 2
+    assert statuses == [_compiled.STEPPED] * landings
+
+
+def test_the_sums_cross_numpys_blocks_with_numpys_bits():
+    # np.sum adds 8 accumulators over blocks of at most 128 values and
+    # halves longer runs: 131 faces on each y side and 8,777 cells, neither
+    # a multiple of 8, under open sides that carry flow both ways, and a
+    # shallow layer that infiltrates partly or wholly, so that the
+    # infiltrated depths differ from cell to cell.
+    _needs_the_compiled_step()
+    nx, ny = 131, 67
+    rng = np.random.default_rng(3)
+    h = 0.2 * rng.random((ny, nx))
+    open_side = BoundaryCondition("neumann")
+    config = SimulationConfig(
+        grid=Grid(nx=nx, ny=ny, dx=1.0, dy=0.5),
+        topography=np.zeros((ny, nx)),
+        initial_state=State((h, 0.5 * h * rng.standard_normal((ny, nx)),
+                             0.5 * h * rng.standard_normal((ny, nx)))),
+        final_time=1.0, output_times=(0.5,),
+        boundaries=BoundarySet(*[open_side] * 4),
+        friction=FrictionParams("manning", 0.03),
+        rain=Hyetograph((0.0,), (1e-3,)),
+        infiltration=GreenAmptParams(ks=2e-4, kc=5e-5, zc=0.002, hf=0.1,
+                                     dtheta=0.3, imax=0.2))
+    reference = _run_outcome(config, "numpy")
+    # The last row's rain, infiltration, and volumes in and out.
+    last = [float.fromhex(v) for v in reference[0][1][-1]]
+    assert min(last[2:6]) > 0.0
+    assert _run_outcome(config, "c") == reference
+    # The running sums can absorb a step's last bits: each step's own
+    # second-stage volumes, against numpy's sums of the same infiltrated
+    # depths and faces.
+    bound = []
+    init = _compiled.CompiledStep.__init__
+
+    def kept(self, library, level, work, *args):
+        init(self, library, level, work, *args)
+        bound.append((self, work))
+
+    def on_step(t, state, dt):
+        step, work = bound[-1]
+        into, outof = work.boundary_volumes(work.faces)
+        sums.append([float(step.dv.sum()) * work.cell_area, into * dt,
+                     outof * dt, step.block.infil[1], *step.block.flow[2:]])
+
+    sums = []
+    with mock.patch.object(_compiled.CompiledStep, "__init__", kept):
+        steps = run_simulation(config, on_step).steps
+    assert len(sums) == steps > 10
+    table = np.array(sums)
+    assert _same_bits(table[:, :3], table[:, 3:])
+
+
+def _digest(result):
+    """SHA-256 of a run's final fields and its ledger's bits."""
+    ledger = [float(v).hex() for row in result.mass_balance
+              for v in dataclasses.astuple(row)]
+    return hashlib.sha256(result.final_state.fields.tobytes()
+                          + repr(ledger).encode()).hexdigest()
+
+
+# numpy's AVX-512 dispatch targets, by numpy 2's names.
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_the_step_follows_numpys_dispatch():
+    # np.cbrt's bits depend on numpy's SIMD dispatch, and the step calls
+    # the loop numpy dispatched: without the AVX-512 targets both paths
+    # give other bits than with them, and the same on each. The pinned
+    # rain_plot hash holds only with them (ROADMAP.md's known defect).
+    _needs_the_compiled_step()
+    module = importlib.import_module("numpy._core._multiarray_umath")
+    features = _numpy_cpu_features()
+    if not [target for target in getattr(module, "__cpu_dispatch__", ())
+            if target in _AVX512_TARGETS and features.get(target)]:
+        pytest.skip("numpy runs no AVX-512 target on this CPU")
+    code = "\n".join([
+        "import dataclasses, hashlib, pickle, sys",
+        "from unittest import mock",
+        "from swekit import timeloop",
+        inspect.getsource(_digest),
+        "config = pickle.loads(sys.stdin.buffer.read())",
+        "for kernel in (lambda: None, timeloop._sweep_kernel):",
+        "    with mock.patch.object(timeloop, '_sweep_kernel', kernel):",
+        "        result = timeloop.run_simulation(config)",
+        "    print(result.sweep_kernel, _digest(result))"])
+    src = pathlib.Path(timeloop.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512_TARGETS)}
+    config = _rain_plot()
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         input=pickle.dumps(config), capture_output=True,
+                         timeout=120, check=True)
+    (numpy_kernel, numpy_digest), (kernel, digest) = (
+        line.split() for line in run.stdout.decode().splitlines())
+    assert (numpy_kernel, kernel) == ("numpy", "c")
+    assert digest == numpy_digest
+    assert digest != _digest(run_simulation(config))
 
 
 def test_a_1d_run_without_cuts_takes_one_call_per_landing_interval():
