@@ -19,7 +19,6 @@ from .core import (
     Grid,
     State,
     froude_number,
-    froude_number_2d,
     total_volume,
     velocity,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "extrapolated_front_position",
     "friction_semi_implicit",
     "froude_number",
-    "froude_number_2d",
     "get_case",
     "hll_flux",
     "hydrostatic_reconstruct",

@@ -58,13 +58,18 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
     """The SweepBlock of one call: the arguments of timeloop._Sweep.run,
     plus whether to add into the outputs instead of storing. Its work is
     for the caller to set: swekit_sweep_work of the block gives its
-    size."""
+    size. The kernel builds no pass for a 1D block (nq 1) that adds or
+    whose outputs are strided, and such a block is refused."""
     row, inner = (rows, n + 4), (rows, n)
+    outputs = (_operand(carried, (nq, *inner)), _operand(normal, inner))
+    # The last stride of each is its cells'.
+    if nq == 1 and (accumulate or any(o[-1] != 1 for o in outputs)):
+        raise ValueError("the sweep kernel needs a 1D block to store into "
+                         "outputs whose cells are contiguous")
     values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
               accumulate, d, scheme.g, scheme.h_eps,
               *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
-              *_operand(carried, (nq, *inner)), *_operand(normal, inner),
-              *_operand(faces, (2, rows)))
+              *outputs[0], *outputs[1], *_operand(faces, (2, rows)))
     return ctypes.pointer(SweepBlock(*values))
 
 
@@ -72,9 +77,11 @@ def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
 
 # struct step's code of each friction law.
 FRICTION_CODES = {"none": 0, "manning": 1, "darcy_weisbach": 2}
-# What swekit_step_<level> returns, and the phases of struct step.
+# What swekit_step_<level> returns, and the phases of struct step: where
+# the next call starts, a new step or the last one again with half its
+# dt, or nothing after the final time.
 (VALID, NEGATIVE_DEPTH, NON_FINITE, DONE, STEPPED, BAD_DT) = range(6)
-(BEGIN, STAGE1, STAGE2, AVERAGE, ACCEPT, REPORT, RETRY, FINISHED) = range(8)
+(BEGIN, RETRY, FINISHED) = range(3)
 
 
 class Side(ctypes.Structure):
@@ -340,30 +347,24 @@ class CompiledStep:
                 self._report(ctx.warnings)
 
     def _settle(self, status, retry):
-        """A fault's status (NEGATIVE_DEPTH, NON_FINITE or BAD_DT): the
-        fault of the numpy loop, raised, or a check's, which a CFL run
-        (retry) takes again with half the dt at most MAX_STEP_HALVINGS
-        times, as timeloop._advance does."""
+        """A fault's status: the numpy loop's NumericalFault, raised, or,
+        in a CFL run (retry), a check's, whose step the next call takes
+        again with half the dt, at most MAX_STEP_HALVINGS times, as
+        timeloop._advance does. BAD_DT is compute_dt's fault at t; a
+        check's (NEGATIVE_DEPTH or NON_FINITE) is _enforce_validity's, at
+        the time and cell the step placed it."""
         block = self.block
         if status == BAD_DT:
             raise timeloop.NumericalFault(
                 block.t, (0,), f"non-positive time step {block.dt}")
-        fault = self._check(status)
+        fault = timeloop.NumericalFault(
+            block.when, np.unravel_index(block.cell, self.grid_shape),
+            f"negative depth {block.h_min:.3e}"
+            if status == NEGATIVE_DEPTH else "non-finite state")
         if not retry or block.halvings == timeloop.MAX_STEP_HALVINGS:
             raise fault
         timeloop.LOG.info(timeloop.RETRY_MESSAGE, fault, 0.5 * block.dt)
         block.phase = RETRY
-
-    def _check(self, status):
-        """The NumericalFault _enforce_validity raises, from the status of
-        the step's validity check (NEGATIVE_DEPTH or NON_FINITE) and the
-        time and cell the step placed it at."""
-        block = self.block
-        index = np.unravel_index(block.cell, self.grid_shape)
-        if status == NEGATIVE_DEPTH:
-            return timeloop.NumericalFault(
-                block.when, index, f"negative depth {block.h_min:.3e}")
-        return timeloop.NumericalFault(block.when, index, "non-finite state")
 
     def _report(self, warnings):
         """Each regime mismatch the fills counted, as the numpy fills

@@ -9,8 +9,9 @@
  *   with compute_dt, heun_step or euler_step and the ledger, up to each
  *   landing time: the ghost fill, the sweep of the same level, the
  *   stage tail (update, rain, infiltration, friction, validity check)
- *   and the Heun average, in phases that stop only where Python raises
- *   a fault or takes the step again, or where the caller sees the run;
+ *   and the Heun average, a whole step at a time, stopping only where
+ *   Python raises a fault or takes the step again, or where the caller
+ *   sees the run;
  *   one entry per vector level, as the sweep;
  * - the writer, swekit_write_rows_<level> and swekit_format_slots_<level>:
  *   the `%.16e` table writer of fileio._write_rows, one pair of entries
@@ -383,9 +384,11 @@ INLINE void flush(const struct sweep *s, idx r, idx count,
     }
 }
 
-/* The out-of-line passes a level's sweep calls through its tables:
- * faces[4 * tiled + 2 * rusanov + nq - 1], and divergences[2 * add + nq
- * - 1] one row at a time or [4 + nq - 1] for a tile. */
+/* The out-of-line passes a level's sweep calls through its tables: one
+ * row at a time faces[2 * rusanov + nq - 1] and divergences[nq - 1 +
+ * add], and for a tile faces[4 + rusanov] and divergences[3]. A 1D block
+ * neither is tiled nor adds (_compiled.sweep_block refuses one), so the
+ * tables hold no such pass. */
 typedef void face_fn(const double *, const double *, idx, idx, double,
                      double, struct face_rows);
 typedef void divergence_fn(const double *, const double *, idx, idx, double,
@@ -460,13 +463,13 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
     if (direct(s)) {
         face_fn *faces = face_table[2 * rusanov + nq - 1];
         divergence_fn *divergence =
-            divergence_table[2 * (s->accumulate != 0) + nq - 1];
+            divergence_table[nq - 1 + (s->accumulate != 0)];
         for (idx r = 0; r < rows; r++)
             rows_pass(s, r, 1, faces, divergence, 1);
         return;
     }
-    face_fn *faces = face_table[4 + 2 * rusanov + nq - 1];
-    divergence_fn *divergence = divergence_table[4 + nq - 1];
+    face_fn *faces = face_table[4 + rusanov];
+    divergence_fn *divergence = divergence_table[3];
     for (idx r = 0; r < rows; r += TILE)
         rows_pass(s, r, rows - r < TILE ? rows - r : TILE, faces, divergence,
                   TILE);
@@ -520,27 +523,21 @@ typedef void sweep_fn(const struct sweep *);
     FACES(level, 0, 2, 1)                                                  \
     FACES(level, 1, 1, 1)                                                  \
     FACES(level, 1, 2, 1)                                                  \
-    FACES(level, 0, 1, TILE)                                               \
     FACES(level, 0, 2, TILE)                                               \
-    FACES(level, 1, 1, TILE)                                               \
     FACES(level, 1, 2, TILE)                                               \
     DIVERGENCE(level, 0, 1, 1)                                             \
     DIVERGENCE(level, 0, 2, 1)                                             \
-    DIVERGENCE(level, 1, 1, 1)                                             \
     DIVERGENCE(level, 1, 2, 1)                                             \
-    DIVERGENCE(level, 0, 1, TILE)                                          \
     DIVERGENCE(level, 0, 2, TILE)                                          \
     TARGET_##level void swekit_sweep_##level(const struct sweep *s)        \
     {                                                                      \
         static face_fn *const faces[] = {                                  \
             level##_faces_0_1_1, level##_faces_0_2_1,                      \
             level##_faces_1_1_1, level##_faces_1_2_1,                      \
-            level##_faces_0_1_TILE, level##_faces_0_2_TILE,                \
-            level##_faces_1_1_TILE, level##_faces_1_2_TILE};               \
+            level##_faces_0_2_TILE, level##_faces_1_2_TILE};               \
         static divergence_fn *const divergences[] = {                      \
             level##_divergence_0_1_1, level##_divergence_0_2_1,            \
-            level##_divergence_1_1_1, level##_divergence_1_2_1,            \
-            level##_divergence_0_1_TILE, level##_divergence_0_2_TILE};     \
+            level##_divergence_1_2_1, level##_divergence_0_2_TILE};        \
         sweep(s, faces, divergences);                                      \
     }
 
@@ -574,33 +571,33 @@ int swekit_sweep_level(void)
  * the numpy loop calls them. swekit_step_<level> takes steps from the
  * time t up to the next landing time (an output time, a hyetograph
  * change or the final time) and returns only where Python must raise a
- * fault or take the step again, or the caller must see the run. A step
- * runs in phases:
+ * fault or take the step again, or the caller must see the run. Each
+ * iteration of its loop takes one whole step:
  *
- * - BEGIN: the landing target; the rain rate at t, Hyetograph.rate's
- *   intensity of the last of the hyetograph's times at or before t, whose
- *   count passed keeps from step to step; then the CFL dt (compute_dt's
- *   supremum per direction with _bc_speed's speed of the imposed boundary
- *   states, in compute_dt's order) or fixed_dt, clipped to land on the
- *   target.
- * - STAGE1, STAGE2: one stage's copy of its fields into the frame, the
- *   ghost fill (boundary.fill_ghosts_1d or _2d, the bed's ghosts aside:
- *   the caller fills those once per run), every direction's sweep at the
- *   step's own vector level (the end-face mass fluxes go into faces),
- *   the tail's update, numpy's cbrt of the new depth (Manning), the
- *   stage's ledger volumes, and the tail's friction and validity check.
- * - AVERAGE: Heun's average and its check.
- * - ACCEPT: the ledger in Python's order, the count, the new time, the
+ * - the prologue: at BEGIN, the landing target; the rain rate at t,
+ *   Hyetograph.rate's intensity of the last of the hyetograph's times at
+ *   or before t, whose count passed keeps from step to step; then the CFL
+ *   dt (compute_dt's supremum per direction with _bc_speed's speed of the
+ *   imposed boundary states, in compute_dt's order) or fixed_dt, clipped
+ *   to land on the target. At RETRY, half the last dt instead.
+ * - advance: stage 1, and for Heun stage 2 and the average, each
+ *   followed by the validity check. A stage copies its fields into the
+ *   frame, fills the ghosts (boundary.fill_ghosts_1d or _2d, the bed's
+ *   ghosts aside: the caller fills those once per run), sweeps every
+ *   direction at the step's own vector level (the end-face mass fluxes go
+ *   into faces), and runs the tail's update, numpy's cbrt of the new
+ *   depth (Manning), the stage's ledger volumes and the tail's friction.
+ * - accept: the ledger in Python's order, the count, the new time, the
  *   change rate of a last step and the smallest depth seen, np.min(h) +
  *   0.0, so that a zero one is +0.0; the result becomes the state. Then
  *   STEPPED where the step landed, or after every step for an on_step
- *   caller; DONE after the final time.
+ *   caller; DONE after the final time, with the phase FINISHED.
  *
- * A call returns STEPPED, DONE or a fault's status: NEGATIVE_DEPTH
- * or NON_FINITE from a check, with the phase set to the next one and
- * when set to the time numpy's check reports, or BAD_DT where the dt is
- * not positive. The caller raises the fault, or sets RETRY after a
- * check's, which halves dt and takes the step again.
+ * A call returns STEPPED, DONE or a fault's status: NEGATIVE_DEPTH or
+ * NON_FINITE from a check, with when set to the time numpy's check
+ * reports, or BAD_DT where the dt is not positive. The caller raises the
+ * fault, or sets RETRY after a check's, and the next call takes the step
+ * again from its start.
  *
  * The stage tail is a stage's pointwise work outside the sweep, the twin
  * of timeloop._numpy_tail, _numpy_average and _wave_speed_sups:
@@ -718,7 +715,9 @@ const idx swekit_layout[] = {
     offsetof(struct step, mismatch),
 };
 
-enum { BEGIN, STAGE1, STAGE2, AVERAGE, ACCEPT, REPORT, RETRY, FINISHED };
+/* struct step's phase: where the next call starts, a new step or the
+ * last one again with half its dt, or nothing after the final time. */
+enum { BEGIN, RETRY, FINISHED };
 enum { MANNING = 1, DARCY_WEISBACH = 2 };
 /* What the validity check and swekit_step_<level> return. */
 enum { VALID, NEGATIVE_DEPTH, NON_FINITE, DONE, STEPPED, BAD_DT };
@@ -1321,28 +1320,60 @@ INLINE void accept(struct step *s, const double *f, const double *r)
         s->min_depth = lowest;
 }
 
-/* The time loop over sweep, the sweep of the step's level; inlined into
- * each level's entry, with every pass of the tail. Each pass is inlined
- * at one place in it, so a level holds one copy of each. */
+/* Stage 1, then Heun's stage 2 and average, from the state f and its
+ * cumulative infiltrated depth v into the result r and v_r, each followed
+ * by the validity check: VALID, or the first fault's status. The checks
+ * are one loop, so that each pass is inlined at one place. */
+INLINE int advance(struct step *s, const double *f, const double *v,
+                   double *r, double *v_r, sweep_fn *sweep)
+{
+    /* Heun's first stage goes into the workspace, Euler's is the
+     * result; stage 2 goes from the workspace into r. */
+    double *first = s->heun ? s->stage : r;
+    double *v_first = s->heun ? s->v_stage : v_r;
+    /* Read once: a bound read again after calls that may write *s kept
+     * GCC 12 from vectorizing the average and the check's clamp. */
+    const int checks = s->heun ? 3 : 1;
+    for (int k = 0; k < checks; k++) {
+        /* What a stage writes, or the average: what the check judges. */
+        double *checked = k == 0 ? first : r;
+        struct tally tally;
+        if (k < 2) {
+            const double *from = k == 0 ? f : s->stage;
+            s->when = s->t;
+            stage(s, k, from, checked, k == 0 ? v : s->v_stage,
+                  k == 0 ? v_first : v_r, sweep);
+            tally = tail_friction(s, from, checked);
+        } else {
+            s->when = s->t + s->dt;
+            tally = s->nq == 1 ? average_fields(f, r, s->cells, s->h_eps, 1)
+                               : average_fields(f, r, s->cells, s->h_eps, 2);
+            if (s->infiltration)
+                average(v, v_r, s->cells);
+        }
+        int status = validity(s, checked, tally);
+        if (status != VALID)
+            return status;
+    }
+    return VALID;
+}
+
+/* The time loop over sweep, the sweep of the step's level, one step per
+ * iteration; inlined into each level's entry, with every pass of the
+ * tail. Each pass is inlined at one place in it, so a level holds one
+ * copy of each. */
 INLINE int step(struct step *s, sweep_fn *sweep)
 {
     for (;;) {
-        /* The state and the result; Heun's first stage goes into the
-         * workspace, Euler's is the result. */
         const double *f = s->fields[s->current];
         const double *v = s->v_inf[s->current];
         double *r = s->fields[1 - s->current];
         double *v_r = s->v_inf[1 - s->current];
-        double *first = s->heun ? s->stage : r;
-        double *v_first = s->heun ? s->v_stage : v_r;
-        /* Stage 1 goes from f into first, stage 2 from the workspace's
-         * stage into r: checked is what a stage writes, and what the
-         * check after its friction judges. */
-        int second = s->phase == STAGE2;
-        double *checked = second ? r : first;
-        struct tally tally = {0, 0, 0};
-        switch (s->phase) {
-        case BEGIN:
+        if (s->phase == RETRY) {
+            s->dt = s->dt * 0.5;
+            s->halvings++;
+            s->hit = 0;
+        } else {
             if (!(s->t < s->final - s->atol)) {
                 s->phase = FINISHED;
                 return DONE;
@@ -1361,49 +1392,15 @@ INLINE int step(struct step *s, sweep_fn *sweep)
             if (s->hit)
                 s->dt = s->target - s->t;
             s->halvings = 0;
-            s->phase = STAGE1;
-            continue;
-        case RETRY:
-            s->dt = s->dt * 0.5;
-            s->halvings++;
-            s->hit = 0;
-            s->phase = STAGE1;
-            continue;
-        case STAGE1:
-        case STAGE2:
-            s->phase = second ? AVERAGE : s->heun ? STAGE2 : ACCEPT;
-            s->when = s->t;
-            stage(s, second, second ? s->stage : f, checked,
-                  second ? s->v_stage : v, second ? v_r : v_first, sweep);
-            tally = tail_friction(s, second ? s->stage : f, checked);
-            break;
-        case AVERAGE:
-            s->phase = ACCEPT;
-            s->when = s->t + s->dt;
-            tally = s->nq == 1 ? average_fields(f, r, s->cells, s->h_eps, 1)
-                               : average_fields(f, r, s->cells, s->h_eps, 2);
-            if (s->infiltration)
-                average(v, v_r, s->cells);
-            checked = r;
-            break;
-        case ACCEPT:
-            s->current = 1 - s->current;
-            s->phase = REPORT;
-            accept(s, f, r);
-            continue;
-        case REPORT:
-            s->phase = s->t < s->final - s->atol ? BEGIN : FINISHED;
-            if (s->each || s->hit)
-                return STEPPED;
-            continue;
-        default:
-            s->phase = FINISHED;
-            return DONE;
         }
-        /* A stage's end and the average: the check. */
-        int status = validity(s, checked, tally);
+        int status = advance(s, f, v, r, v_r, sweep);
         if (status != VALID)
             return status;
+        s->current = 1 - s->current;
+        accept(s, f, r);
+        s->phase = s->t < s->final - s->atol ? BEGIN : FINISHED;
+        if (s->each || s->hit)
+            return STEPPED;
     }
 }
 

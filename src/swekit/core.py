@@ -146,13 +146,6 @@ def froude_number(h, q, g=G_DEFAULT, h_eps=H_EPS):
     return froude_from_speed(h, np.abs(velocity(h, q, h_eps)), g, h_eps)
 
 
-def froude_number_2d(h, qx, qy, g=G_DEFAULT):
-    """Froude number |(u, v)| / sqrt(g*h); zero where dry."""
-    h = np.asarray(h, dtype=float)
-    return froude_from_speed(h, np.hypot(velocity(h, qx), velocity(h, qy)),
-                             g)
-
-
 def total_volume(state, grid):
     """Water volume: sum(h)*dx in 1D [m^2], sum(h)*dx*dy in 2D [m^3]."""
     volume = np.sum(state.h)

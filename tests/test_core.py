@@ -10,7 +10,6 @@ from swekit.core import (
     Scratch,
     State,
     froude_number,
-    froude_number_2d,
     total_volume,
     velocity,
 )
@@ -72,12 +71,6 @@ def test_froude_thin_fast_sheet():
 
 def test_froude_dry_is_zero():
     assert froude_number(0.0, 0.0) == 0.0
-    assert froude_number_2d(0.0, 0.0, 0.0) == 0.0
-
-
-def test_froude_2d_uses_speed_magnitude():
-    fr = froude_number_2d(1.0, 3.0, 4.0)
-    assert math.isclose(fr, 5.0 / SQRT_G, rel_tol=1e-15)
 
 
 def test_regime_classification_consistency():

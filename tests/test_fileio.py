@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swekit import _native, fileio
-from swekit.core import H_EPS, froude_number, froude_number_2d, velocity
+from swekit.core import H_EPS, froude_from_speed, froude_number, velocity
 from swekit.fileio import (
     COLUMNS_1D,
     COLUMNS_2D,
@@ -81,6 +81,26 @@ def test_profile_1d_froude_column():
     table = read_profile(io.StringIO(buf.getvalue()))
     assert table["froude"][0] == pytest.approx(1.0, rel=1e-15)
     assert table["froude"][1] == 0.0
+
+
+def froude_number_2d(h, qx, qy, g):
+    """The reference of the 2D profile's froude column: |(u, v)| /
+    sqrt(g*h), zero where dry."""
+    h = np.asarray(h, dtype=float)
+    return froude_from_speed(h, np.hypot(velocity(h, qx), velocity(h, qy)),
+                             g)
+
+
+def test_profile_2d_froude_column():
+    # The speed is the velocity's magnitude; a dry cell's number is 0.
+    buf = io.StringIO()
+    write_profile_2d(buf, [0.5, 1.5], [0.5], np.zeros((1, 2)),
+                     np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]),
+                     np.array([[4.0, 0.0]]), time=0.0, g=9.81)
+    table = read_profile(io.StringIO(buf.getvalue()))
+    assert table["froude"][0] == pytest.approx(5.0 / 9.81**0.5, rel=1e-15)
+    assert table["froude"][1] == 0.0
+    assert froude_number_2d(1.0, 3.0, 4.0, 9.81) == table["froude"][0]
 
 
 def test_profile_2d_round_trip_row_order():

@@ -1530,6 +1530,29 @@ def test_the_y_sweep_writes_its_outputs_and_nothing_else(rows, accumulate):
                    zip(results, (*expected, faces))), level
 
 
+def test_a_1d_sweep_block_that_adds_or_has_strided_outputs_is_refused():
+    # The kernel builds no pass for such a block: a 1D block is one row
+    # that stores into contiguous outputs. A 2D block may do either.
+    n, scheme = 5, SchemeConfig()
+    for nq in (1, 2):
+        inputs = (np.zeros((1, n + 4)), np.zeros((nq, 1, n + 4)),
+                  np.zeros((1, n + 4)))
+        carried, normal = np.zeros((nq, 1, 2 * n)), np.zeros((1, 2 * n))
+        faces = np.zeros((2, 1))
+        blocks = [((carried[..., :n], normal[:, :n]), False),
+                  ((carried[..., :n], normal[:, :n]), True),
+                  ((carried[..., ::2], normal[:, :n]), False),
+                  ((carried[..., :n], normal[:, ::2]), False)]
+        for k, (outputs, accumulate) in enumerate(blocks):
+            args = (1, n, nq, 1.0, scheme, *inputs, *outputs, faces,
+                    accumulate)
+            if nq == 1 and k > 0:
+                with pytest.raises(ValueError, match="1D block"):
+                    _compiled.sweep_block(*args)
+            else:
+                _compiled.sweep_block(*args)
+
+
 @pytest.mark.parametrize("two_d", [False, True])
 def test_steps_return_fresh_arrays_and_leave_their_input(two_d):
     if two_d:
@@ -1928,34 +1951,32 @@ def _fault_at(check):
 @pytest.mark.parametrize("check", ["stage 1", "stage 2", "average",
                                    "negative and NaN"])
 def test_each_check_raises_numpys_fault_on_every_path(check):
+    # Each path runs the step of dt at each order, and a CFL run, which
+    # takes a step that fails a check again with half its dt.
     _needs_the_compiled_step()
     grid, z, state, bcs, scheme, dt = _fault_at(check)
-    # The compiled Heun step stops with its phase after the failed check.
-    after = {"stage 1": _compiled.STAGE2, "stage 2": _compiled.AVERAGE,
-             "average": _compiled.ACCEPT,
-             "negative and NaN": _compiled.STAGE2}[check]
-    faults = []
-    for path in _kernel_paths():
-        outcomes = []
-        for order in (2, 1):
-            ctx = _context(grid, dataclasses.replace(
-                scheme, order=order, fixed_dt=dt), FrictionParams(), 0.0,
-                False, path, z, bcs)
-            with np.errstate(all="ignore"):
-                outcomes.append(_outcome(lambda: _to_landing(
-                    ctx, state.copy(), None, dt), ctx.work))
-            outcomes.append(sorted(ctx.warnings.items()))
-            if order == 2 and ctx.work.compiled is not None:
-                assert ctx.work.compiled.block.phase == after
-        faults.append(outcomes)
-    heun, _, euler, _ = faults[0]
+    case = dict(grid=grid, z=z, fields=state.fields, bcs=bcs, scheme=scheme,
+                friction=FrictionParams(), rain=0.0, soil=None, v_inf=None,
+                dt=dt)
+    with np.errstate(all="ignore"):
+        outcomes = [_step_outcomes(case, path) for path in _kernel_paths()]
+    assert outcomes == outcomes[:1] * len(outcomes)
+    euler, _, _, heun, _, _, cfl, _, retries, _ = outcomes[0]
     assert heun[0] == "fault"
     assert heun[3] == (dt if check == "average" else 0.0)
     # A first-order run's one stage fails only a check the state fails.
-    assert (euler[0] == "fault") == (check in ("stage 1", "negative and NaN"))
+    faults_the_state = check in ("stage 1", "negative and NaN")
+    assert (euler[0] == "fault") == faults_the_state
     if check == "negative and NaN":
         assert "non-finite" in heun[1] and heun[2] != (1,)
-    assert faults == faults[:1] * len(faults)
+    # Halving dt mends no NaN of the state: its run faults after the last
+    # halving. The faster water of stage 2 lands after one, and the CFL
+    # dt of the average's case passes its check.
+    assert (cfl[:1] == ("fault",)) == faults_the_state
+    assert len(retries) == {"stage 1": timeloop.MAX_STEP_HALVINGS,
+                            "stage 2": 1, "average": 0,
+                            "negative and NaN":
+                            timeloop.MAX_STEP_HALVINGS}[check]
 
 
 def test_a_finite_state_whose_sum_overflows_is_valid_on_every_path():
@@ -2379,6 +2400,14 @@ def test_a_1d_manning_heun_run_takes_one_call_per_landing_interval():
     assert result.steps > 10
     assert statuses == [_compiled.STEPPED] * 3
     assert not hasattr(_compiled, "CUT")
+
+
+def test_a_retried_step_takes_one_more_call():
+    # The failed check returns to Python, which sets RETRY; the next call
+    # takes the step again from its start and runs on to the landing.
+    statuses, result = _entry_calls(thin_layer_down_a_step())
+    assert result.retried_steps == 1
+    assert statuses == [_compiled.NEGATIVE_DEPTH, _compiled.STEPPED]
 
 
 def test_a_2d_run_with_every_source_takes_one_call_per_landing_interval():
