@@ -1,10 +1,11 @@
 """ctypes bindings of the compiled kernels of _native.c that timeloop
-runs: the sweep (struct sweep) and the step (struct step), and the
-Python side of the step, the compiled time loop, whose statuses
-_native.c's step section describes. The step returns to Python only
-where a fault is raised or the step taken again (NEGATIVE_DEPTH,
-NON_FINITE, BAD_DT), and where the caller sees the run (STEPPED, DONE):
-a run without on_step is one foreign call per landing interval.
+runs: the sweep, over the run's frame (struct frame), one direction at
+a time, and the step (struct step), and the Python side of the step,
+the compiled time loop, whose statuses _native.c's step section
+describes. The step returns to Python only where a fault is raised or
+the step taken again (NEGATIVE_DEPTH, NON_FINITE, BAD_DT), and where
+the caller sees the run (STEPPED, DONE): a run without on_step is one
+foreign call per landing interval.
 
 Each Structure mirrors its C struct member for member. The step calls
 numpy's own float64 cbrt loop, which cbrt_loop reads from np.cbrt's
@@ -24,53 +25,34 @@ from .sources import GreenAmptState, Hyetograph
 
 # ---------------------------------------------------------- the sweep
 
-# The kernel's array operands and their axes, in struct sweep's order.
-_SWEEP_OPERANDS = (("h", "row", "cell"), ("q", "var", "row", "cell"),
-                   ("z", "row", "cell"), ("carried", "var", "row", "cell"),
-                   ("normal", "row", "cell"), ("faces", "side", "row"))
 
-
-class SweepBlock(ctypes.Structure):
-    """struct sweep of _native.c: one block of rows, strides in elements."""
+class Frame(ctypes.Structure):
+    """struct frame of _native.c: the run's frame and scheme;
+    swekit_sweep_<level> sweeps one of its directions per call."""
 
     _fields_ = (
         [(name, ctypes.c_ssize_t) for name in
-         ("rows", "n", "nq", "second_order", "rusanov", "accumulate")]
-        + [(name, ctypes.c_double) for name in ("d", "g", "h_eps")]
-        + [field for name, *axes in _SWEEP_OPERANDS
-           for field in [(name, ctypes.c_void_p)]
-           + [(f"{name}_{axis}", ctypes.c_ssize_t) for axis in axes]]
-        + [("work", ctypes.c_void_p)])
+         ("nx", "ny", "nq", "second_order", "rusanov")]
+        + [("spacing", ctypes.c_double * 2)]
+        + [(name, ctypes.c_double) for name in ("g", "h_eps")]
+        + [(name, ctypes.c_void_p) for name in ("ext", "phi", "faces",
+                                                "work")])
 
 
-def _operand(array, shape):
-    """Address and element strides of a float64 view, for a SweepBlock."""
-    if array.dtype != np.float64 or array.shape != shape \
-            or any(s % array.itemsize for s in array.strides):
-        raise ValueError(f"the sweep kernel needs a float64 view of shape "
-                         f"{shape}, got {array.dtype} {array.shape}")
-    return (array.ctypes.data,
-            *(s // array.itemsize for s in array.strides))
-
-
-def sweep_block(rows, n, nq, d, scheme, h, q, z, carried, normal, faces,
-                accumulate):
-    """The SweepBlock of one call: the arguments of timeloop._Sweep.run,
-    plus whether to add into the outputs instead of storing. Its work is
-    for the caller to set: swekit_sweep_work of the block gives its
-    size. The kernel builds no pass for a 1D block (nq 1) that adds or
-    whose outputs are strided, and such a block is refused."""
-    row, inner = (rows, n + 4), (rows, n)
-    outputs = (_operand(carried, (nq, *inner)), _operand(normal, inner))
-    # The last stride of each is its cells'.
-    if nq == 1 and (accumulate or any(o[-1] != 1 for o in outputs)):
-        raise ValueError("the sweep kernel needs a 1D block to store into "
-                         "outputs whose cells are contiguous")
-    values = (rows, n, nq, scheme.order == 2, scheme.flux_name == "rusanov",
-              accumulate, d, scheme.g, scheme.h_eps,
-              *_operand(h, row), *_operand(q, (nq, *row)), *_operand(z, row),
-              *outputs[0], *outputs[1], *_operand(faces, (2, rows)))
-    return ctypes.pointer(SweepBlock(*values))
+def frame(grid, scheme, ext, phi, faces):
+    """A pointer to the Frame of a run over timeloop._Workspace's ext,
+    phi and faces, each C-contiguous, as _native.c derives its strides.
+    Its work is for the caller to set: swekit_sweep_work gives its
+    size."""
+    nq = len(grid.shape)
+    rows = max(grid.nx, grid.ny) if nq == 2 else 1
+    return ctypes.pointer(Frame(
+        grid.nx, grid.ny, nq, scheme.order == 2,
+        scheme.flux_name == "rusanov",
+        (ctypes.c_double * 2)(*grid.spacings), scheme.g, scheme.h_eps,
+        _address(ext, (nq + 2, *(n + 4 for n in grid.shape))),
+        _address(phi, (nq + 1, *grid.shape)),
+        _address(faces, (nq, 2, rows))))
 
 
 # ------------------------------------------------------------ the step
@@ -103,17 +85,17 @@ class StepBlock(ctypes.Structure):
     """struct step of _native.c: the run, its workspace and results."""
 
     _fields_ = (
-        [(name, ctypes.c_ssize_t) for name in
-         ("nx", "ny", "nq", "cells", "face_rows", "friction", "crust")]
+        [("frame", ctypes.POINTER(Frame))]
+        + [(name, ctypes.c_ssize_t) for name in
+           ("cells", "friction", "crust")]
         + [(name, ctypes.c_double) for name in
-           ("g", "h_eps", "tolerance", "friction_scale", "cell_area",
-            "courant", "fixed_dt", "final", "atol", "ks", "kc", "zc", "hf",
-            "dtheta", "crust_term", "imax")]
-        + [("spacing", ctypes.c_double * 2), ("sides", Side * 4)]
-        + [("ext", ctypes.c_void_p), ("blocks", ctypes.c_void_p * 2)]
+           ("tolerance", "friction_scale", "cell_area", "courant",
+            "fixed_dt", "final", "atol", "ks", "kc", "zc", "hf", "dtheta",
+            "crust_term", "imax")]
+        + [("sides", Side * 4)]
         + [(name, ctypes.c_void_p) for name in
-           ("phi", "cbrt", "dv", "faces", "stage", "v_stage", "cbrt_loop",
-            "cbrt_data", "landing", "times", "intensities")]
+           ("cbrt", "dv", "stage", "v_stage", "cbrt_loop", "cbrt_data",
+            "landing", "times", "intensities")]
         + [(name, ctypes.c_ssize_t) for name in
            ("landings", "changes", "phase", "heun", "infiltration", "each")]
         + [(name, ctypes.c_double) for name in ("t", "dt", "rate")]
@@ -125,20 +107,20 @@ class StepBlock(ctypes.Structure):
            ("target", "when", "min_depth", "change_rate", "h_min")]
         + [(name, ctypes.c_double * n) for name, n in
            (("cum", 4), ("infil", 2), ("flow", 4))]
-        + [("mismatches", ctypes.c_ssize_t),
-           ("mismatch", ctypes.c_ssize_t * 4)])
+        + [("mismatch", ctypes.c_ssize_t * 4)])
 
 
 # The members whose offsets _native.c's swekit_layout gives, after each
 # mirror's size, in its order.
-_LAYOUT = ((SweepBlock, ("d", "h", "carried", "work")), (Side, ("depth",)),
-           (StepBlock, ("g", "sides", "ext", "cbrt_loop", "landings", "t",
-                        "fields", "target", "cum", "mismatch")))
+_LAYOUT = ((Frame, ("spacing", "ext", "work")), (Side, ("depth",)),
+           (StepBlock, ("tolerance", "sides", "cbrt", "cbrt_loop",
+                        "landings", "t", "fields", "target", "cum",
+                        "mismatch")))
 
 
 def matches(library):
-    """Whether the library lays out struct sweep, struct side and struct
-    step as SweepBlock, Side and StepBlock do: its swekit_layout holds
+    """Whether the library lays out struct frame, struct side and struct
+    step as Frame, Side and StepBlock do: its swekit_layout holds
     their sizes and the offsets of the members _LAYOUT names. Where it
     does not, timeloop runs the numpy twins, and one warning per layout
     is logged."""
@@ -201,9 +183,9 @@ def _address(array, shape):
     """Data address of array, a C-contiguous float64 array of shape."""
     if array.dtype != np.float64 or array.shape != shape \
             or not array.flags.c_contiguous:
-        raise ValueError(f"the compiled step needs a C-contiguous float64 "
-                         f"array of shape {shape}, got {array.dtype} "
-                         f"{array.shape}")
+        raise ValueError(f"the compiled kernels need a C-contiguous "
+                         f"float64 array of shape {shape}, got "
+                         f"{array.dtype} {array.shape}")
     return array.ctypes.data
 
 
@@ -231,19 +213,13 @@ class CompiledStep:
         self.sides = [side for pair in SIDES[:nq] for side in pair]
         self.conditions = [getattr(bcs, side) for side in self.sides]
         self.block = StepBlock(
-            nx=grid.nx, ny=grid.ny, nq=nq, cells=floats[0].size,
-            face_rows=work.faces.shape[-1], g=scheme.g, h_eps=scheme.h_eps,
+            frame=work.frame, cells=floats[0].size,
             tolerance=timeloop.NEGATIVE_DEPTH_TOL, cell_area=work.cell_area,
             atol=timeloop._TIME_ATOL,
-            spacing=(ctypes.c_double * 2)(*grid.spacings),
             sides=(Side * 4)(*map(Side.of, self.conditions)),
-            ext=work.ext.ctypes.data,
-            blocks=(ctypes.c_void_p * 2)(*(
-                ctypes.cast(args[0], ctypes.c_void_p).value
-                for _, args, _ in work.blocks)),
-            phi=work.phi.ctypes.data, cbrt=floats[0].ctypes.data,
+            cbrt=floats[0].ctypes.data,
             dv=None if self.dv is None else self.dv.ctypes.data,
-            faces=work.faces.ctypes.data, stage=work.stage.ctypes.data,
+            stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data)
         self.block.cbrt_loop, self.block.cbrt_data = cbrt_loop()
         self.pointer = ctypes.pointer(self.block)
@@ -343,7 +319,7 @@ class CompiledStep:
                     return status
                 self._settle(status, retry)
         finally:
-            if block.mismatches:
+            if any(block.mismatch):
                 self._report(ctx.warnings)
 
     def _settle(self, status, retry):
@@ -374,4 +350,3 @@ class CompiledStep:
             for _ in range(block.mismatch[k]):
                 warnings.append(regime_warning(side, bc))
             block.mismatch[k] = 0
-        block.mismatches = 0

@@ -1,10 +1,11 @@
 /* swekit's compiled kernels, one library, each the twin of numpy code
  * that stays as its fallback and its reference:
  *
- * - the sweep, the contract of timeloop._Sweep.run, row by row: one
- *   entry swekit_sweep_<level> per x86 vector level (baseline, avx2,
- *   avx512f), all compiled from the same code, and swekit_sweep_level,
- *   which reports the widest level the CPU and the OS support;
+ * - the sweep, the contract of timeloop._Sweep.run over one direction
+ *   of the run's frame, row by row: one entry swekit_sweep_<level> per
+ *   x86 vector level (baseline, avx2, avx512f), all compiled from the
+ *   same code, and swekit_sweep_level, which reports the widest level
+ *   the CPU and the OS support;
  * - the step, swekit_step_<level>: timeloop.run_simulation's time loop,
  *   with compute_dt, heun_step or euler_step and the ledger, up to each
  *   landing time: the ghost fill, the sweep of the same level, the
@@ -18,13 +19,16 @@
  *   per writer level (baseline, fma), both compiled from the same code,
  *   and swekit_writer_level, which reports the widest the CPU runs.
  *
- * The sweep kernel. A row is a 1D problem along the sweep direction: n
- * cells plus two ghost cells per end. For each row this computes, into
- * the caller's strided outputs, the carried (mass[, transverse]) flux
- * divergence, the normal-momentum divergence with its topography terms,
- * and the mass flux through the row's two end faces. Inputs and outputs
- * are read and written through element strides, so transposed views
- * need no copy.
+ * The sweep kernel. swekit_sweep_<level>(frame, direction) sweeps one
+ * direction of the run's frame, struct frame: the x sweep's rows are the
+ * frame's interior lines (its one line in 1D), the y sweep's its interior
+ * columns. A row is a 1D problem along the sweep direction: n cells plus
+ * two ghost cells per end. For each row this computes the carried
+ * (mass[, transverse]) flux divergence and the normal-momentum divergence
+ * with its topography terms into phi, and the mass flux through the
+ * row's two end faces into faces. Every stride comes from the frame's
+ * layout, the one fill_frame fills, so the y sweep reads the frame's
+ * columns as they lie, with no copy.
  *
  * The numpy kernel in timeloop.py is the reference, and the two must
  * agree bit for bit. So every formula below keeps the operation order
@@ -40,21 +44,22 @@
  * The arm not taken may divide by zero; with -fno-trapping-math that
  * raises nothing, and its value is dropped.
  *
- * A block whose outputs are strided (the y sweep's, into transposed
- * phi) runs TILE = 8 rows at once, as vector lanes: each work row holds
- * cell j of lane t at [j * TILE + t], so the same passes run with a
- * neighbour TILE values away instead of 1, the gather reads TILE
- * neighbouring values of the frame per cell, and the flush adds TILE
- * neighbouring values of phi per cell, where one row at a time would
- * cross a frame row per value. A partial last tile computes on copies
- * of its last row and writes its own rows only. swekit_sweep_work
- * sizes a block's work: (3 (nq + 2) + 6)(n + 4) doubles per lane, and a
- * tile's (nq + 1) n divergences per lane, about 172 KB for a 128-cell
- * tile in 2D against 19 KB for a row. On a 2-vCPU AMD EPYC (family 26)
- * a y sweep of a wet 128x128 grid takes 80 to 83 us at avx512f against
- * 95 to 99 one row at a time (the x sweep 65 to 70), 118 to 120 against
- * 127 to 132 at avx2, and 242 to 250 against 250 at the baseline; 16
- * lanes took 73 to 75 us at avx512f, with twice the work.
+ * The x sweep stores its rows into phi one at a time. The y sweep, whose
+ * cells lie a frame line apart and nx apart in phi, runs TILE = 8 rows
+ * at once, as vector lanes, and adds into phi: each work row holds cell j
+ * of lane t at [j * TILE + t], so the same passes run with a neighbour
+ * TILE values away instead of 1, the gather reads TILE neighbouring
+ * values of the frame per cell, and the flush adds TILE neighbouring
+ * values of phi per cell, where one row at a time would cross a frame
+ * row per value. A partial last tile (a grid one cell wide has only
+ * that) computes on copies of its last row and writes its own rows only.
+ * swekit_sweep_work sizes the work: (3 (nq + 2) + 6)(n + 4) doubles per
+ * lane, and a tile's (nq + 1) n divergences per lane, about 172 KB for a
+ * 128-cell tile in 2D against 19 KB for a row. On a 2-vCPU AMD EPYC
+ * (family 26) a y sweep of a wet 128x128 grid takes 80 to 83 us at
+ * avx512f against 95 to 99 one row at a time (the x sweep 65 to 70), 118
+ * to 120 against 127 to 132 at avx2, and 242 to 250 against 250 at the
+ * baseline; 16 lanes took 73 to 75 us at avx512f, with twice the work.
  *
  * Wider vectors give the same bits: each element still sees the same
  * correctly rounded operations in the same order. The sweep's and the
@@ -94,24 +99,45 @@
 
 typedef ptrdiff_t idx;
 
-/* One block of rows and the scheme; _compiled.SweepBlock mirrors it. */
-struct sweep {
-    idx rows, n, nq, second_order, rusanov, accumulate;
-    double d, g, h_eps;
-    const double *h;
-    idx h_row, h_cell;
-    const double *q;
-    idx q_var, q_row, q_cell;
-    const double *z;
-    idx z_row, z_cell;
-    double *carried;
-    idx carried_var, carried_row, carried_cell;
-    double *normal;
-    idx normal_row, normal_cell;
-    double *faces;
-    idx faces_side, faces_row;
-    double *work;
+/* The run's frame and scheme, all that a sweep reads and writes;
+ * _compiled.Frame mirrors it. ext holds the fields and the bed (h, qx[,
+ * qy], z), each with a two-cell ghost frame: nq + 2 planes of ny + 4
+ * lines of nx + 4 cells, one line in 1D (ny = 1). phi holds the flux
+ * divergence of each field over the grid's cells, faces each direction's
+ * low and high rows of end-face mass fluxes (side_rows of them each),
+ * and work the sweep's scratch, swekit_sweep_work doubles. */
+struct frame {
+    idx nx, ny, nq, second_order, rusanov;
+    double spacing[2], g, h_eps;
+    double *ext, *phi, *faces, *work;
 };
+
+/* A plane of ext: a variable's lines. */
+INLINE idx frame_plane(const struct frame *fr)
+{
+    return fr->nq == 2 ? (fr->ny + 4) * (fr->nx + 4) : fr->nx + 4;
+}
+
+/* Where the line of the grid's row r starts in a plane of ext: line
+ * r + 2, or the one line of a 1D frame. */
+INLINE idx frame_line(const struct frame *fr, idx r)
+{
+    return fr->nq == 2 ? (r + 2) * (fr->nx + 4) : 0;
+}
+
+/* Rows of faces per side of a direction: the larger count of rows. */
+INLINE idx side_rows(const struct frame *fr)
+{
+    return fr->nq == 2 && fr->nx > fr->ny ? fr->nx : fr->ny;
+}
+
+/* The plane of ext, or of phi, that holds variable k of a sweep along y
+ * or x: the depth, or the mass, 0; the normal discharge 1 and the
+ * transverse 2, which the y sweep takes the other way round (qy, qx). */
+INLINE idx plane_of(idx k, int y)
+{
+    return y && k > 0 ? 3 - k : k;
+}
 
 /* numpy's maximum and minimum: NaN in a propagates, and a tie returns b.
  * The NaN test selects after the comparison's select, not in its mask:
@@ -129,37 +155,30 @@ INLINE double np_min(double a, double b)
     return isnan(a) ? a : r;
 }
 
-/* Rows a block whose outputs are strided runs at once, as vector lanes:
- * the y sweep's. */
+/* Rows the y sweep runs at once, as vector lanes. */
 #define TILE 8
 
-/* Whether a block's outputs have unit cell stride: it then runs one row
- * at a time and writes them in place, any other TILE rows at once. */
-INLINE int direct(const struct sweep *s)
+/* Doubles of work the sweep needs, the larger of its directions' needs:
+ * per variable its values and its two traces, then the slope differences
+ * and the five face rows, each n + 4 cells of one value per lane; then,
+ * for the y sweep's tiles, their divergences. */
+idx swekit_sweep_work(const struct frame *fr)
 {
-    return s->carried_cell == 1 && s->normal_cell == 1;
-}
-
-/* Doubles of work a block needs: per variable its values and its two
- * traces, then the slope differences and the five face rows, each n + 4
- * cells of one value per lane; then, for a tile, its divergences. */
-idx swekit_sweep_work(const struct sweep *s)
-{
-    const idx lanes = direct(s) ? 1 : TILE;
-    const idx tile = lanes == 1 ? 0 : TILE * (s->nq + 1) * s->n;
-    return (3 * (s->nq + 2) + 6) * (s->n + 4) * lanes + tile;
+    const idx values = 3 * (fr->nq + 2) + 6, x = values * (fr->nx + 4);
+    const idx y = (values * (fr->ny + 4) + (fr->nq + 1) * fr->ny) * TILE;
+    return fr->nq == 1 || x > y ? x : y;
 }
 
 /* e cells of count rows into v, lane t of cell j at v[j * lanes + t]:
- * a points at the first row's first cell, and rows and cells lie row and
- * cell apart. The lanes past count repeat the last row. Where add, each
- * value is added to the one of h in its place. lanes and add are
- * constants where this is inlined. */
-INLINE void load(const double *restrict a, idx row, idx cell, idx count,
-                 idx e, const double *restrict h, double *restrict v,
-                 int lanes, int add)
+ * a points at the first row's first cell, a row's cells lie cell apart,
+ * and a tile's rows are neighbours. The lanes past count repeat the last
+ * row. Where add, each value is added to the one of h in its place.
+ * lanes and add are constants where this is inlined. */
+INLINE void load(const double *restrict a, idx cell, idx count, idx e,
+                 const double *restrict h, double *restrict v, int lanes,
+                 int add)
 {
-    if (lanes == 1 || (count == lanes && row == 1)) {
+    if (lanes == 1 || count == lanes) {
         for (idx j = 0; j < e; j++)
             for (int t = 0; t < lanes; t++) {
                 double value = a[j * cell + t];
@@ -169,31 +188,32 @@ INLINE void load(const double *restrict a, idx row, idx cell, idx count,
     }
     for (idx j = 0; j < e; j++)
         for (int t = 0; t < lanes; t++) {
-            double value = a[j * cell + (t < count ? t : count - 1) * row];
+            double value = a[j * cell + (t < count ? t : count - 1)];
             v[j * lanes + t] = add ? h[j * lanes + t] + value : value;
         }
 }
 
-/* Values (h, u_n[, u_t], h+z or z) of the count rows from row r into v,
- * m = e * lanes of them per variable. */
-INLINE void gather(const struct sweep *s, idx r, idx count, idx e,
-                   double *restrict v, int lanes)
+/* Values (h, u_n[, u_t], h+z or z) of the count rows whose first cell of
+ * h is a into v, m = e * lanes of them per variable. The x sweep runs a
+ * row at a time, along a frame line; the y sweep a tile, across lines. */
+INLINE void gather(const struct frame *fr, const double *a, idx count,
+                   idx e, double *restrict v, int lanes)
 {
-    const idx m = e * lanes, nv = s->nq + 2;
-    double *restrict last = v + (nv - 1) * m;
-    load(s->h + r * s->h_row, s->h_row, s->h_cell, count, e, NULL, v, lanes,
-         0);
-    const double *z = s->z + r * s->z_row;
-    if (s->second_order)
-        load(z, s->z_row, s->z_cell, count, e, v, last, lanes, 1);
+    const int y = lanes != 1;
+    const idx m = e * lanes, nq = fr->nq, plane = frame_plane(fr);
+    const idx cell = y ? fr->nx + 4 : 1;
+    double *restrict last = v + (nq + 1) * m;
+    load(a, cell, count, e, NULL, v, lanes, 0);
+    const double *z = a + (nq + 1) * plane;
+    if (fr->second_order)
+        load(z, cell, count, e, v, last, lanes, 1);
     else
-        load(z, s->z_row, s->z_cell, count, e, NULL, last, lanes, 0);
+        load(z, cell, count, e, NULL, last, lanes, 0);
     /* core.velocity: q/h where h > h_eps, else 0. */
-    const double h_eps = s->h_eps;
-    for (idx k = 0; k < s->nq; k++) {
-        double *restrict u = v + (1 + k) * m;
-        load(s->q + k * s->q_var + r * s->q_row, s->q_row, s->q_cell, count,
-             e, NULL, u, lanes, 0);
+    const double h_eps = fr->h_eps;
+    for (idx k = 1; k <= nq; k++) {
+        double *restrict u = v + k * m;
+        load(a + plane_of(k, y) * plane, cell, count, e, NULL, u, lanes, 0);
         for (idx j = 0; j < m; j++) {
             double ratio = u[j] / v[j];
             u[j] = v[j] > h_eps ? ratio : 0.0;
@@ -314,14 +334,13 @@ INLINE void face_pass(const double *restrict th, const double *restrict tl,
 }
 
 /* Divergences of cells 2 .. n+1 into the rows dm, dn[, dt] (n cells of
- * lanes values), stored or added. Cell j lies between faces j-1 and j.
- * accumulate, nq and lanes are constants where this is inlined. */
+ * lanes values). Cell j lies between faces j-1 and j. nq and lanes are
+ * constants where this is inlined. */
 INLINE void divergence_pass(const double *restrict th,
                             const double *restrict tl, idx n, idx e,
                             double d, double g, struct face_rows f,
                             double *restrict dm, double *restrict dn,
-                            double *restrict dt, int accumulate, int nq,
-                            int lanes)
+                            double *restrict dt, int nq, int lanes)
 {
     const idx m = e * lanes;
     const double minus_half_g = -0.5 * g;
@@ -329,83 +348,57 @@ INLINE void divergence_pass(const double *restrict th,
     const double *restrict zl = tl + (nq + 1) * m;
     for (idx c = 0; c < n * lanes; c++) {
         idx j = c + 2 * lanes;
-        double mass = (f.mass[j] - f.mass[j - lanes]) / d;
         /* reconstruction.centered_correction */
         double centered = (tl[j] + th[j]) * minus_half_g * (zh[j] - zl[j]);
         double left_face = f.norm[j - lanes] + f.corr_plus[j - lanes];
-        double normal =
-            ((f.norm[j] + f.corr_minus[j]) - left_face - centered) / d;
-        dm[c] = accumulate ? dm[c] + mass : mass;
-        dn[c] = accumulate ? dn[c] + normal : normal;
-        if (nq == 2) {
-            double tran = (f.tran[j] - f.tran[j - lanes]) / d;
-            dt[c] = accumulate ? dt[c] + tran : tran;
-        }
+        dm[c] = (f.mass[j] - f.mass[j - lanes]) / d;
+        dn[c] = ((f.norm[j] + f.corr_minus[j]) - left_face - centered) / d;
+        if (nq == 2)
+            dt[c] = (f.tran[j] - f.tran[j - lanes]) / d;
     }
 }
 
-/* One divergence row of a tile, from[c * TILE + t], into the count rows
- * at out, which lie row apart with cells cell apart: stored, or added
- * where add, a constant where this is inlined. */
-INLINE void store(double *restrict out, idx row, idx cell, idx count,
-                  idx n, const double *restrict from, int add)
+/* One divergence row of a tile, from[c * TILE + t], added into the count
+ * rows at out, which are neighbours with cells cell apart. */
+INLINE void store(double *restrict out, idx cell, idx count, idx n,
+                  const double *restrict from)
 {
-    if (count == TILE && row == 1) {
+    if (count == TILE) {
         for (idx c = 0; c < n; c++)
-            for (int t = 0; t < TILE; t++) {
-                double *o = out + c * cell + t;
-                *o = add ? *o + from[c * TILE + t] : from[c * TILE + t];
-            }
+            for (int t = 0; t < TILE; t++)
+                out[c * cell + t] = out[c * cell + t] + from[c * TILE + t];
         return;
     }
     for (idx c = 0; c < n; c++)
-        for (idx t = 0; t < count; t++) {
-            double *o = out + c * cell + t * row;
-            *o = add ? *o + from[c * TILE + t] : from[c * TILE + t];
-        }
+        for (idx t = 0; t < count; t++)
+            out[c * cell + t] = out[c * cell + t] + from[c * TILE + t];
 }
 
-/* The count rows from row r of a tile's divergences (mass, normal[,
- * transverse]) into the block's outputs. */
-INLINE void flush(const struct sweep *s, idx r, idx count,
-                  const double *tile)
-{
-    const idx n = s->n;
-    for (idx k = 0; k <= s->nq; k++) {
-        double *out = k == 1 ? s->normal
-                             : s->carried + (k / 2) * s->carried_var;
-        idx row = k == 1 ? s->normal_row : s->carried_row;
-        idx cell = k == 1 ? s->normal_cell : s->carried_cell;
-        const double *from = tile + k * n * TILE;
-        if (s->accumulate)
-            store(out + r * row, row, cell, count, n, from, 1);
-        else
-            store(out + r * row, row, cell, count, n, from, 0);
-    }
-}
-
-/* The out-of-line passes a level's sweep calls through its tables: one
- * row at a time faces[2 * rusanov + nq - 1] and divergences[nq - 1 +
- * add], and for a tile faces[4 + rusanov] and divergences[3]. A 1D block
- * neither is tiled nor adds (_compiled.sweep_block refuses one), so the
- * tables hold no such pass. */
+/* The out-of-line passes a level's sweep calls through its tables: the
+ * x sweep's faces[2 * rusanov + nq - 1] and divergences[nq - 1], the y
+ * sweep's faces[4 + rusanov] and divergences[2]. */
 typedef void face_fn(const double *, const double *, idx, idx, double,
                      double, struct face_rows);
 typedef void divergence_fn(const double *, const double *, idx, idx, double,
                            double, struct face_rows, double *, double *,
                            double *);
 
-/* The count rows from row r, lanes at once: a row's in place, a tile's
- * through its divergence rows. */
-INLINE void rows_pass(const struct sweep *s, idx r, idx count,
+/* The count rows from row r of a direction, lanes at once: the x sweep's
+ * row is stored into phi, a tile of the y sweep's rows goes through its
+ * divergence rows and is added into phi. lanes is a constant where this
+ * is inlined, 1 for the x sweep and TILE for the y sweep. */
+INLINE void rows_pass(const struct frame *fr, idx r, idx count,
                       face_fn *faces, divergence_fn *divergence, int lanes)
 {
-    const idx n = s->n, e = n + 4, m = e * lanes, nq = s->nq, nv = nq + 2;
+    const int y = lanes != 1;
+    const idx nx = fr->nx, nq = fr->nq, nv = nq + 2, cells = nx * fr->ny;
+    const idx n = y ? fr->ny : nx, e = n + 4, m = e * lanes;
+    const double d = fr->spacing[y];
     /* Per cell: values (h, u_n[, u_t], h+z or z) and their traces at the
      * cell's high and low faces; the slope differences; per face: the
      * fluxes (mass, normal, transverse) and the pressure corrections of
      * the two sides; then a tile's divergences. */
-    double *v = s->work, *hi = v + nv * m, *lo = hi + nv * m;
+    double *v = fr->work, *hi = v + nv * m, *lo = hi + nv * m;
     double *step = lo + nv * m;
     struct face_rows f;
     f.mass = step + m;
@@ -415,11 +408,14 @@ INLINE void rows_pass(const struct sweep *s, idx r, idx count,
     f.corr_plus = f.corr_minus + m;
     double *tile = f.corr_plus + m;
 
-    gather(s, r, count, e, v, lanes);
+    /* Row r's first cell: the x sweep's at the start of the grid row's
+     * line, the y sweep's in column r + 2. */
+    gather(fr, fr->ext + (y ? r + 2 : frame_line(fr, r)), count, e, v,
+           lanes);
     const double *th = v, *tl = v;
-    if (s->second_order) {
+    if (fr->second_order) {
         for (idx k = 0; k < nv; k++)
-            traces(v + k * m, hi + k * m, lo + k * m, step, e, s->d, lanes);
+            traces(v + k * m, hi + k * m, lo + k * m, step, e, d, lanes);
         /* Free-surface traces minus depth traces give the bed traces. */
         double *restrict wh = hi + (nv - 1) * m;
         double *restrict wl = lo + (nv - 1) * m;
@@ -431,48 +427,45 @@ INLINE void rows_pass(const struct sweep *s, idx r, idx count,
         th = hi;
         tl = lo;
     }
-    faces(th, tl, n, e, s->g, s->h_eps, f);
+    faces(th, tl, n, e, fr->g, fr->h_eps, f);
+    double *low = fr->faces + (2 * y * side_rows(fr) + r);
     for (idx t = 0; t < count; t++) {
-        s->faces[(r + t) * s->faces_row] = f.mass[lanes + t];
-        s->faces[s->faces_side + (r + t) * s->faces_row] =
-            f.mass[(n + 1) * lanes + t];
+        low[t] = f.mass[lanes + t];
+        low[side_rows(fr) + t] = f.mass[(n + 1) * lanes + t];
     }
-    if (lanes == 1) {
-        double *mass = s->carried + r * s->carried_row;
-        divergence(th, tl, n, e, s->d, s->g, f, mass,
-                   s->normal + r * s->normal_row,
-                   nq == 2 ? mass + s->carried_var : NULL);
+    if (!y) {
+        double *out = fr->phi + r * nx;
+        divergence(th, tl, n, e, d, fr->g, f, out, out + cells,
+                   nq == 2 ? out + 2 * cells : NULL);
         return;
     }
-    divergence(th, tl, n, e, s->d, s->g, f, tile, tile + n * TILE,
-               nq == 2 ? tile + 2 * n * TILE : NULL);
-    flush(s, r, count, tile);
+    divergence(th, tl, n, e, d, fr->g, f, tile, tile + n * TILE,
+               tile + 2 * n * TILE);
+    /* The flush: the tile's rows are neighbours in phi, cells nx apart. */
+    for (idx k = 0; k <= nq; k++)
+        store(fr->phi + plane_of(k, y) * cells + r, nx, count, n,
+              tile + k * n * TILE);
 }
 
-/* The whole sweep of one block of rows, inlined into each level's entry
- * with the tables of that level's passes. A block with strided outputs
- * (the y sweep's, into transposed phi) runs TILE rows at once, as vector
- * lanes: its gather reads, and its flush writes, TILE neighbouring
- * values per cell, where one row at a time would cross a stride per
- * value. A partial last tile computes on copies of its last row and
- * writes its own rows only. */
-INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
+/* The sweep of one direction, inlined into each level's entry with the
+ * tables of that level's passes: the x sweep a row at a time, the y
+ * sweep TILE rows at a time, the last tile partial where TILE does not
+ * divide nx. */
+INLINE void sweep(const struct frame *fr, idx direction,
+                  face_fn *const *face_table,
                   divergence_fn *const *divergence_table)
 {
-    const idx rows = s->rows, nq = s->nq, rusanov = s->rusanov != 0;
-    if (direct(s)) {
+    const idx nq = fr->nq, rusanov = fr->rusanov != 0;
+    if (direction == 0) {
         face_fn *faces = face_table[2 * rusanov + nq - 1];
-        divergence_fn *divergence =
-            divergence_table[nq - 1 + (s->accumulate != 0)];
-        for (idx r = 0; r < rows; r++)
-            rows_pass(s, r, 1, faces, divergence, 1);
+        divergence_fn *divergence = divergence_table[nq - 1];
+        for (idx r = 0; r < fr->ny; r++)
+            rows_pass(fr, r, 1, faces, divergence, 1);
         return;
     }
-    face_fn *faces = face_table[4 + rusanov];
-    divergence_fn *divergence = divergence_table[3];
-    for (idx r = 0; r < rows; r += TILE)
-        rows_pass(s, r, rows - r < TILE ? rows - r : TILE, faces, divergence,
-                  TILE);
+    for (idx r = 0; r < fr->nx; r += TILE)
+        rows_pass(fr, r, fr->nx - r < TILE ? fr->nx - r : TILE,
+                  face_table[4 + rusanov], divergence_table[2], TILE);
 }
 
 /* ------------------------------------------------- vector levels
@@ -500,7 +493,7 @@ INLINE void sweep(const struct sweep *s, face_fn *const *face_table,
 #define TARGET_avx2 __attribute__((target("avx2")))
 #define TARGET_avx512f __attribute__((target("avx512f")))
 
-typedef void sweep_fn(const struct sweep *);
+typedef void sweep_fn(const struct frame *, idx);
 
 #define FACES(level, rusanov, nq, lanes)                                   \
     static TARGET_##level void level##_faces_##rusanov##_##nq##_##lanes(   \
@@ -510,12 +503,12 @@ typedef void sweep_fn(const struct sweep *);
         face_pass(th, tl, n, e, g, eps, f, rusanov, nq, lanes);            \
     }
 
-#define DIVERGENCE(level, add, nq, lanes)                                  \
-    static TARGET_##level void level##_divergence_##add##_##nq##_##lanes(  \
+#define DIVERGENCE(level, nq, lanes)                                       \
+    static TARGET_##level void level##_divergence_##nq##_##lanes(          \
         const double *th, const double *tl, idx n, idx e, double d,        \
         double g, struct face_rows f, double *dm, double *dn, double *dt)  \
     {                                                                      \
-        divergence_pass(th, tl, n, e, d, g, f, dm, dn, dt, add, nq, lanes); \
+        divergence_pass(th, tl, n, e, d, g, f, dm, dn, dt, nq, lanes);     \
     }
 
 #define SWEEP_LEVEL(level)                                                 \
@@ -525,20 +518,20 @@ typedef void sweep_fn(const struct sweep *);
     FACES(level, 1, 2, 1)                                                  \
     FACES(level, 0, 2, TILE)                                               \
     FACES(level, 1, 2, TILE)                                               \
-    DIVERGENCE(level, 0, 1, 1)                                             \
-    DIVERGENCE(level, 0, 2, 1)                                             \
-    DIVERGENCE(level, 1, 2, 1)                                             \
-    DIVERGENCE(level, 0, 2, TILE)                                          \
-    TARGET_##level void swekit_sweep_##level(const struct sweep *s)        \
+    DIVERGENCE(level, 1, 1)                                                \
+    DIVERGENCE(level, 2, 1)                                                \
+    DIVERGENCE(level, 2, TILE)                                             \
+    TARGET_##level void swekit_sweep_##level(const struct frame *fr,       \
+                                             idx direction)                \
     {                                                                      \
         static face_fn *const faces[] = {                                  \
             level##_faces_0_1_1, level##_faces_0_2_1,                      \
             level##_faces_1_1_1, level##_faces_1_2_1,                      \
             level##_faces_0_2_TILE, level##_faces_1_2_TILE};               \
         static divergence_fn *const divergences[] = {                      \
-            level##_divergence_0_1_1, level##_divergence_0_2_1,            \
-            level##_divergence_1_2_1, level##_divergence_0_2_TILE};        \
-        sweep(s, faces, divergences);                                      \
+            level##_divergence_1_1, level##_divergence_2_1,                \
+            level##_divergence_2_TILE};                                    \
+        sweep(fr, direction, faces, divergences);                          \
     }
 
 SWEEP_LEVEL(baseline)
@@ -656,33 +649,30 @@ enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
 typedef void ufunc_loop(char **args, const idx *dimensions, const idx *steps,
                         void *data);
 
-/* The run and its workspace; _compiled.StepBlock mirrors it. The members
- * up to landings are the run's: the scheme, the friction law and its
- * coefficient's factor, the soil (imax is +inf without a cap, which
- * np_min(capacity, imax) then returns as capacity, bit for bit); ext is
- * the frame of timeloop._Workspace, blocks are the sweep's blocks of the
- * directions, which write phi and faces (direction, side, row); phi is
- * not read after the update, so the CFL pass writes its wet speeds into
- * its rows and cbrt is its first row; dv receives the infiltrated depth;
- * cbrt_loop and cbrt_data are numpy's float64 cbrt loop and its data;
- * landing holds the landings sorted, and times and intensities the
- * hyetograph's changes (none without rain). The caller sets those from
- * phase to current for a run: the state is fields[current] and the
- * result goes into the other, likewise the cumulative infiltrated depth
- * in v_inf. The rest is the loop's own, read by the caller: cell and
- * h_min place a check's fault; mismatch counts each side's regime
- * mismatches (left, right, bottom, top) and mismatches all of them,
- * which the caller reports and clears; cum holds the ledger's sums. */
+/* The run and its workspace; _compiled.StepBlock mirrors it. frame is
+ * the run's frame and scheme, which the sweep of each direction reads
+ * and writes (ext, phi and faces). The members up to landings are the
+ * run's: the friction law and its coefficient's factor, the soil (imax
+ * is +inf without a cap, which np_min(capacity, imax) then returns as
+ * capacity, bit for bit); phi is not read after the update, so the CFL
+ * pass writes its wet speeds into its rows and cbrt is its first row; dv
+ * receives the infiltrated depth; cbrt_loop and cbrt_data are numpy's
+ * float64 cbrt loop and its data; landing holds the landings sorted, and
+ * times and intensities the hyetograph's changes (none without rain).
+ * The caller sets those from phase to current for a run: the state is
+ * fields[current] and the result goes into the other, likewise the
+ * cumulative infiltrated depth in v_inf. The rest is the loop's own, read
+ * by the caller: cell and h_min place a check's fault; mismatch counts
+ * each side's regime mismatches (left, right, bottom, top), which the
+ * caller reports and clears; cum holds the ledger's sums. */
 struct step {
-    idx nx, ny, nq, cells, face_rows, friction, crust;
-    double g, h_eps, tolerance, friction_scale, cell_area, courant;
+    const struct frame *frame;
+    idx cells, friction, crust;
+    double tolerance, friction_scale, cell_area, courant;
     double fixed_dt, final, atol;
     double ks, kc, zc, hf, dtheta, crust_term, imax;
-    double spacing[2];
     struct side sides[4];
-    double *ext;
-    const struct sweep *blocks[2];
-    double *phi, *cbrt, *dv, *faces, *stage, *v_stage;
+    double *cbrt, *dv, *stage, *v_stage;
     ufunc_loop *cbrt_loop;
     void *cbrt_data;
     const double *landing, *times, *intensities;
@@ -694,21 +684,20 @@ struct step {
     idx next, passed, hit, halvings, steps, retried, cell;
     double target, when, min_depth, change_rate, h_min;
     double cum[4], infil[2], flow[4];
-    idx mismatches, mismatch[4];
+    idx mismatch[4];
 };
 
 /* The layout that _compiled's mirrors must match: the count of the
  * values that follow, then the size and a few member offsets of struct
- * sweep, struct side and struct step. _compiled refuses a library whose
+ * frame, struct side and struct step. _compiled refuses a library whose
  * values differ from its mirrors', and the numpy twins run instead. */
 const idx swekit_layout[] = {
-    18,
-    sizeof(struct sweep), offsetof(struct sweep, d),
-    offsetof(struct sweep, h), offsetof(struct sweep, carried),
-    offsetof(struct sweep, work),
+    17,
+    sizeof(struct frame), offsetof(struct frame, spacing),
+    offsetof(struct frame, ext), offsetof(struct frame, work),
     sizeof(struct side), offsetof(struct side, depth),
-    sizeof(struct step), offsetof(struct step, g),
-    offsetof(struct step, sides), offsetof(struct step, ext),
+    sizeof(struct step), offsetof(struct step, tolerance),
+    offsetof(struct step, sides), offsetof(struct step, cbrt),
     offsetof(struct step, cbrt_loop), offsetof(struct step, landings),
     offsetof(struct step, t), offsetof(struct step, fields),
     offsetof(struct step, target), offsetof(struct step, cum),
@@ -770,8 +759,9 @@ INLINE void subtract_update(const double *restrict f,
 INLINE void tail_update(const struct step *s, const double *fields,
                         double *h, const double *v, double *v_out)
 {
+    const struct frame *fr = s->frame;
     const idx n = s->cells;
-    subtract_update(fields, s->phi, h, (s->nq + 1) * n, s->dt);
+    subtract_update(fields, fr->phi, h, (fr->nq + 1) * n, s->dt);
     if (s->rate > 0.0) {
         const double rain_dt = s->rate * s->dt;
         for (idx i = 0; i < n; i++)
@@ -879,17 +869,18 @@ INLINE struct tally tail_friction(const struct step *s, const double *f,
                                   double *r)
 {
     const idx n = s->cells;
-    const double *cb = s->cbrt, h_eps = s->h_eps;
+    const idx nq = s->frame->nq;
+    const double *cb = s->cbrt, h_eps = s->frame->h_eps;
     const double coeff = s->friction_scale * s->dt;
-    if (s->friction == MANNING && s->nq == 1)
+    if (s->friction == MANNING && nq == 1)
         return friction(f, r, cb, n, coeff, h_eps, MANNING, 1);
     if (s->friction == MANNING)
         return friction(f, r, cb, n, coeff, h_eps, MANNING, 2);
-    if (s->friction == DARCY_WEISBACH && s->nq == 1)
+    if (s->friction == DARCY_WEISBACH && nq == 1)
         return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 1);
     if (s->friction == DARCY_WEISBACH)
         return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 2);
-    return s->nq == 1 ? settled(r, n, h_eps, 1) : settled(r, n, h_eps, 2);
+    return nq == 1 ? settled(r, n, h_eps, 1) : settled(r, n, h_eps, 2);
 }
 
 /* timeloop._enforce_validity on the fields f, from the tally t of the
@@ -902,7 +893,7 @@ INLINE struct tally tail_friction(const struct step *s, const double *f,
  * state's discharges are zeroed already, but no step keeps that state. */
 INLINE int validity(struct step *s, double *restrict f, struct tally t)
 {
-    const idx n = s->cells, nq = s->nq;
+    const idx n = s->cells, nq = s->frame->nq;
     idx i;
     /* np.min is NaN where a depth is, and then nothing is clamped. */
     if (t.nan == 0 && t.negative > 0) {
@@ -1071,8 +1062,8 @@ static void fill_direction(const struct step *s, double *h, double *qn,
             double h_ghost = h[i0 + c], q_ghost = qn[i0 + c];
             if (bc->kind != NEUMANN)
                 mismatched |= resolve(bc, h_ghost, q_ghost, inward,
-                                      s->g, s->h_eps, &h_ghost,
-                                      &q_ghost);
+                                      s->frame->g, s->frame->h_eps,
+                                      &h_ghost, &q_ghost);
             h[g0 + c] = h[g1 + c] = h_ghost;
             qn[g0 + c] = qn[g1 + c] = q_ghost;
             if (qt)
@@ -1098,12 +1089,13 @@ static void fill_direction(const struct step *s, double *h, double *qn,
 /* The fields into the frame's interior, and its ghosts filled. */
 static void fill_frame(struct step *s, const double *fields)
 {
-    const idx nx = s->nx, ny = s->ny, nq = s->nq, e = nx + 4;
-    const idx plane = nq == 2 ? (ny + 4) * e : e;
-    double *h = s->ext, *q1 = h + plane, *q2 = q1 + plane;
+    const struct frame *fr = s->frame;
+    const idx nx = fr->nx, ny = fr->ny, nq = fr->nq, e = nx + 4;
+    const idx plane = frame_plane(fr);
+    double *h = fr->ext, *q1 = h + plane, *q2 = q1 + plane;
     for (idx v = 0; v <= nq; v++)
         for (idx r = 0; r < ny; r++)
-            memcpy(h + v * plane + (nq == 2 ? r + 2 : 0) * e + 2,
+            memcpy(h + v * plane + frame_line(fr, r) + 2,
                    fields + (v * ny + r) * nx, (size_t)nx * sizeof(double));
     /* x sides on the interior rows, then y sides on whole rows. */
     if (nq == 1)
@@ -1114,8 +1106,6 @@ static void fill_frame(struct step *s, const double *fields)
         fill_direction(s, h, q2, q1, ny, e, e, 1, s->sides + 2,
                        s->mismatch + 2);
     }
-    s->mismatches = s->mismatch[0] + s->mismatch[1] + s->mismatch[2]
-                    + s->mismatch[3];
 }
 
 /* v as np_sum reads it: part 0 takes v, part 1 np.maximum(v, 0.0) and
@@ -1167,12 +1157,13 @@ static double np_sum(const double *a, idx n, int part)
  * its face width: 1 in 1D, the other direction's spacing in 2D. */
 static void volumes(struct step *s, int k)
 {
+    const struct frame *fr = s->frame;
     double into = 0.0, outof = 0.0;
-    for (idx d = 0; d < s->nq; d++) {
-        const double *low = s->faces + 2 * d * s->face_rows;
-        const double *high = low + s->face_rows;
-        const idx rows = d == 0 ? s->ny : s->nx;
-        const double width = s->nq == 1 ? 1.0 : s->spacing[1 - d];
+    for (idx d = 0; d < fr->nq; d++) {
+        const double *low = fr->faces + 2 * d * side_rows(fr);
+        const double *high = low + side_rows(fr);
+        const idx rows = d == 0 ? fr->ny : fr->nx;
+        const double width = fr->nq == 1 ? 1.0 : fr->spacing[1 - d];
         if (s->sides[2 * d].kind == PERIODIC)
             continue;
         into += (np_sum(low, rows, 1) + np_sum(high, rows, -1)) * width;
@@ -1192,8 +1183,8 @@ INLINE void stage(struct step *s, int k, const double *fields, double *out,
                   const double *v_in, double *v_out, sweep_fn *sweep)
 {
     fill_frame(s, fields);
-    for (idx d = 0; d < s->nq; d++)
-        sweep(s->blocks[d]);
+    for (idx d = 0; d < s->frame->nq; d++)
+        sweep(s->frame, d);
     tail_update(s, fields, out, v_in, v_out);
     if (s->friction == MANNING) {
         /* np.cbrt(h, out=cbrt): both rows contiguous and apart, so that
@@ -1220,10 +1211,11 @@ static double np_max_of(const double *v, idx n, idx stride)
  * first of the largest), 0.0 without one. */
 static double imposed_speed(const struct step *s, const double *f)
 {
-    const idx nx = s->nx, ny = s->ny, cells = nx * ny;
+    const struct frame *fr = s->frame;
+    const idx nx = fr->nx, ny = fr->ny, cells = nx * ny;
     double top = 0.0;
     int found = 0;
-    for (idx k = 0; k < s->nq; k++)
+    for (idx k = 0; k < fr->nq; k++)
         for (int high = 0; high < 2; high++) {
             const struct side *bc = s->sides + 2 * k + high;
             if (bc->kind < IMPOSED_DEPTH)
@@ -1241,8 +1233,8 @@ static double imposed_speed(const struct step *s, const double *f)
                 for (idx i = 1; i < count; i++)
                     q_b = np_max(q_b, fabs(q[i * stride]));
             }
-            if (h_b > s->h_eps) {
-                double speed = fabs(q_b) / h_b + sqrt(s->g * h_b);
+            if (h_b > fr->h_eps) {
+                double speed = fabs(q_b) / h_b + sqrt(fr->g * h_b);
                 if (!found || speed > top)
                     top = speed;
                 found = 1;
@@ -1257,19 +1249,20 @@ static double imposed_speed(const struct step *s, const double *f)
  * (the first of equals). */
 INLINE double cfl_dt(const struct step *s, const double *f)
 {
+    const struct frame *fr = s->frame;
     double sup[2] = {0.0, 0.0};
-    if (s->nq == 1)
-        speed_sups(f, s->cells, s->g, s->h_eps, s->phi, sup, 1);
+    if (fr->nq == 1)
+        speed_sups(f, s->cells, fr->g, fr->h_eps, fr->phi, sup, 1);
     else
-        speed_sups(f, s->cells, s->g, s->h_eps, s->phi, sup, 2);
+        speed_sups(f, s->cells, fr->g, fr->h_eps, fr->phi, sup, 2);
     double boost = imposed_speed(s, f);
-    double dt = s->spacing[0];
-    if (s->nq == 2 && s->spacing[1] < dt)
-        dt = s->spacing[1];
-    for (idx k = 0; k < s->nq; k++) {
+    double dt = fr->spacing[0];
+    if (fr->nq == 2 && fr->spacing[1] < dt)
+        dt = fr->spacing[1];
+    for (idx k = 0; k < fr->nq; k++) {
         double top = boost > sup[k] ? boost : sup[k];
         if (top > 0.0) {
-            double d = s->spacing[k] / top;
+            double d = fr->spacing[k] / top;
             dt = d < dt ? d : dt;
         }
     }
@@ -1281,8 +1274,8 @@ INLINE double cfl_dt(const struct step *s, const double *f)
  * added to its sum in cum. */
 static void ledger(struct step *s)
 {
-    double rain = s->rate > 0.0 ? s->rate * s->dt * (double)s->nx
-                                      * (double)s->ny * s->cell_area
+    double rain = s->rate > 0.0 ? s->rate * s->dt * (double)s->frame->nx
+                                      * (double)s->frame->ny * s->cell_area
                                 : 0.0;
     double first[4] = {rain, s->infil[0], s->flow[0], s->flow[1]};
     double second[4] = {rain, s->infil[1], s->flow[2], s->flow[3]};
@@ -1297,7 +1290,7 @@ static void ledger(struct step *s)
  * smallest depth seen. */
 INLINE void accept(struct step *s, const double *f, const double *r)
 {
-    const idx cells = s->cells, values = (s->nq + 1) * cells;
+    const idx cells = s->cells, values = (s->frame->nq + 1) * cells;
     s->steps++;
     s->retried += s->halvings > 0;
     ledger(s);
@@ -1346,8 +1339,9 @@ INLINE int advance(struct step *s, const double *f, const double *v,
             tally = tail_friction(s, from, checked);
         } else {
             s->when = s->t + s->dt;
-            tally = s->nq == 1 ? average_fields(f, r, s->cells, s->h_eps, 1)
-                               : average_fields(f, r, s->cells, s->h_eps, 2);
+            tally = s->frame->nq == 1
+                    ? average_fields(f, r, s->cells, s->frame->h_eps, 1)
+                    : average_fields(f, r, s->cells, s->frame->h_eps, 2);
             if (s->infiltration)
                 average(v, v_r, s->cells);
         }

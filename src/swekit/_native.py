@@ -93,7 +93,7 @@ _ENTRIES = {
 
 # The vector levels of the sweep and the step, narrowest first: avx2
 # runs on CPUs with AVX2, avx512f on those with AVX-512F. Each has the
-# entries swekit_sweep_<level>(struct sweep *) and
+# entries swekit_sweep_<level>(struct frame *, direction) and
 # swekit_step_<level>(struct step *), declared where the CPU supports the
 # level.
 SWEEP_LEVELS = ("baseline", "avx2", "avx512f")
@@ -105,7 +105,7 @@ WRITER_LEVELS = ("baseline", "fma")
 # of each level by name with their argument and result types).
 _LEVELED = (
     (SWEEP_LEVELS, "swekit_sweep_level",
-     {"swekit_sweep_{}": ([ctypes.c_void_p], None),
+     {"swekit_sweep_{}": ([ctypes.c_void_p, ctypes.c_ssize_t], None),
       "swekit_step_{}": ([ctypes.c_void_p], ctypes.c_int)}),
     (WRITER_LEVELS, "swekit_writer_level",
      {"swekit_format_slots_{}": ([ctypes.c_void_p, ctypes.c_ssize_t,

@@ -62,11 +62,13 @@ normal flux divergence and the mass flux through the two end faces.
   its docstring for the flags, none of which changes a computed value).
   The library holds one sweep and one step per x86 vector level
   (baseline, avx2, avx512f), all from the same code and giving the same
-  bits, and _sweep_kernel binds the widest this CPU supports. One
-  foreign call per direction sweeps every row through element strides:
-  the y sweep reads the transposed frame as it is and adds into phi, a
-  tile of 8 rows at a time, as vector lanes. A block needs O(n) scratch,
-  8 times as much for the y sweep's tiles.
+  bits, and _sweep_kernel binds the widest this CPU supports. It reads
+  the run's frame by direction (_compiled.Frame: the grid, the scheme,
+  ext, phi and faces), and derives every stride from the frame's layout:
+  one foreign call per direction sweeps every row, the x sweep storing
+  into phi a row at a time, the y sweep reading the frame's columns as
+  they lie and adding into phi a tile of 8 rows at a time, as vector
+  lanes. A row needs O(n) scratch, a tile 8 times as much.
 * The numpy kernel (_Sweep) runs when no compiler is found or the build
   fails, after one warning. A block stacks the variables (h, u_n[, u_t],
   h+z) on one axis and the two interface sides (minus, plus) on
@@ -513,10 +515,11 @@ class _Workspace:
     during a stage, and whose floats and flags are scratch for
     infiltration (if `infiltration`), friction, the validity check and
     the time step otherwise; stage receives the first Heun stage. kernel
-    names the sweep kernel that runs: "c" (one block per direction) or
-    "numpy" (blocks over one pool); level, the compiled kernel's vector
-    level, and compiled, the compiled time loop over these buffers (both
-    None for numpy; compiled too where numpy's cbrt loop is not bound).
+    names the sweep kernel that runs: "c" (one call per direction over
+    frame, the run's _compiled.Frame) or "numpy" (blocks over one pool);
+    level, the compiled kernel's vector level, and compiled, the compiled
+    time loop over these buffers (both None for numpy; compiled too where
+    numpy's cbrt loop is not bound).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -556,34 +559,19 @@ class _Workspace:
         # -low, high), for boundary_volumes.
         self.flows = [np.empty((4, rows)) if rows > 1 else None
                       for rows, _, _ in directions]
-        # The x sweeps run on the interior rows of the frame (the one row
-        # of a 1D frame), the y sweeps on its transposed interior columns.
-        phi = self.phi.reshape(nq + 1, ny, nx)
-        x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
         compiled = _sweep_kernel()
         self.kernel = "numpy" if compiled is None else "c"
         self.level = self.compiled = None
         if compiled is None:
-            self.blocks = self._numpy_blocks(phi, x_rows, nq, scheme)
+            self.blocks = self._numpy_blocks(nq, scheme)
             return
         sweep, work_size, self.level = compiled
-        # Element strides let the kernel read the transposed views as
-        # they are and add the y sweep straight into phi.
-        operands = [(x_rows[0], x_rows[1:-1], x_rows[-1], phi[::2], phi[1],
-                     self.faces[0, :, :ny], False)]
-        if self.two_d:
-            operands.append((ext[0, :, 2:-2].T,
-                             ext[2:0:-1, :, 2:-2].transpose(0, 2, 1),
-                             ext[3, :, 2:-2].T, phi[:2].transpose(0, 2, 1),
-                             phi[2].T, self.faces[1, :, :nx], True))
-        pointers = [_compiled.sweep_block(rows, n, nq, d, scheme, *args)
-                    for (rows, n, d), args in zip(directions, operands)]
-        # One work buffer serves both directions, sized for the y sweep's
-        # tiles where there is one.
-        self.sweep_work = np.empty(max(map(work_size, pointers)))
-        for pointer in pointers:
-            pointer.contents.work = self.sweep_work.ctypes.data
-        self.blocks = [(sweep, (pointer,), None) for pointer in pointers]
+        # The kernel reads the frame and writes phi and faces one
+        # direction at a time, by the frame's layout.
+        self.frame = _compiled.frame(grid, scheme, ext, self.phi, self.faces)
+        self.sweep_work = np.empty(work_size(self.frame))
+        self.frame.contents.work = self.sweep_work.ctypes.data
+        self.blocks = [(sweep, (self.frame, d), None) for d in range(nq)]
         # The bed's ghosts, once: the compiled step fills the others.
         ext[:-1] = 0.0
         self.fill([])
@@ -592,14 +580,19 @@ class _Workspace:
                 _native.library(), self.level, self, grid, scheme, bcs,
                 infiltration)
 
-    def _numpy_blocks(self, phi, x_rows, nq, scheme):
+    def _numpy_blocks(self, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.
 
         The sweep blocks of both directions share one pool. x sweeps
         write phi directly; y sweeps write a block buffer that post then
         adds, transposed, into phi.
         """
-        ext, directions, (ny, nx) = self.ext, self.directions, phi.shape[1:]
+        ext, directions = self.ext, self.directions
+        ny, nx, _ = directions[0]
+        phi = self.phi.reshape(nq + 1, ny, nx)
+        # The x sweeps run on the interior rows of the frame (the one row
+        # of a 1D frame), the y sweeps on its transposed interior columns.
+        x_rows = ext[:, 2:-2] if self.two_d else ext[:, None]
         spans = [_blocks(rows, n + 4) for rows, n, _ in directions]
         shapes = {(stop - start, n) for (rows, n, _), blocks in
                   zip(directions, spans) for start, stop in blocks}

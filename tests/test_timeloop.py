@@ -697,6 +697,77 @@ def test_the_build_flags_keep_every_bit():
     assert re.findall(r"(\w+)\(fma\b", source) == ["WRITER_LEVEL"]
 
 
+# The loops of the sweep and of the step's tail that each wide level must
+# vectorize, by the function of _native.c that holds the loop: the rain
+# loop is tail_update's, and validity's is its clamp.
+_VECTOR_PASSES = ("load", "gather", "traces", "face_pass", "divergence_pass",
+                  "store", "subtract_update", "tail_update", "infiltrate",
+                  "friction", "settled", "validity", "average_fields",
+                  "average", "wet_max", "speed_sups")
+
+
+def _vectorized_loops(source, notes):
+    """{(function of source, level): vector byte widths} of the loops that
+    the notes, GCC's vectorizer dump, say it vectorized. The dump heads
+    each compiled function's notes with its name, which holds the level
+    (swekit_step_avx2, avx512f_faces_0_2_TILE), where the same notes on
+    stderr (-fopt-info-vec-optimized) name no function; a note's line
+    places the loop in the function of the source that holds it, also
+    where that function was inlined. A function's body runs from its "{"
+    line, after its name, to its "}" line."""
+    lines = source.splitlines()
+    spans = []
+    for i, line in enumerate(lines):
+        if line == "{":
+            head = next(k for k in range(i - 1, -1, -1)
+                        if lines[k][:1] not in (" ", ""))
+            name = re.match(r"[^(]*?(\w+)\(", lines[head]).group(1)
+            spans.append((name, head + 1, lines.index("}", i) + 1))
+    loops = collections.defaultdict(set)
+    compiled = None
+    for note in notes.splitlines():
+        if note.startswith(";; Function "):
+            compiled = note.split()[2]
+            continue
+        found = re.search(r":(\d+):\d+: optimized: loop vectorized using "
+                          r"(\d+) byte vectors", note)
+        if found is None:
+            continue
+        line = int(found.group(1))
+        level = next((level for level in _native.SWEEP_LEVELS
+                      if level in compiled.split("_")), None)
+        holder = next((name for name, first, last in spans
+                       if first <= line <= last), None)
+        loops[holder, level].add(int(found.group(2)))
+    return loops
+
+
+def test_the_wide_levels_vectorize_every_pass(tmp_path):
+    # A pass left scalar keeps every bit and passes every other test:
+    # only its time shows it. GCC 12 left average_fields and validity's
+    # clamp scalar, with channel_1d's C loop 15 % slower, once the Heun
+    # check count was read again in advance's loop bound. So at avx2 and
+    # avx512f each pass must hold a loop vectorized wider than 16 bytes,
+    # the baseline's SSE2 width.
+    gcc = shutil.which("gcc")
+    if platform.machine() != "x86_64" or gcc is None:
+        pytest.skip("needs GCC on x86-64")
+    macros = subprocess.run([gcc, "-dM", "-E", "-"], input="",
+                            capture_output=True, text=True).stdout
+    if "__clang__" in macros or "__x86_64__" not in macros:
+        pytest.skip("needs GCC on x86-64")
+    notes = tmp_path / "vect.txt"
+    subprocess.run([gcc, *_native._FLAGS,
+                    f"-fdump-tree-vect-optimized={notes}", "-o",
+                    str(tmp_path / "native.so"), str(_native._SOURCE)],
+                   check=True, capture_output=True)
+    loops = _vectorized_loops(_native._SOURCE.read_text(), notes.read_text())
+    narrow = [(name, level) for level in ("avx2", "avx512f")
+              for name in _VECTOR_PASSES
+              if max(loops[name, level], default=0) <= 16]
+    assert narrow == []
+
+
 def _numpy_cpu_features():
     for name in ("numpy._core._multiarray_umath",
                  "numpy.core._multiarray_umath"):
@@ -733,7 +804,7 @@ def test_the_widest_level_the_cpu_supports_is_bound():
 
 
 def test_a_library_whose_structs_the_mirrors_miss_is_refused(caplog):
-    # _compiled mirrors struct sweep, struct side and struct step by
+    # _compiled mirrors struct frame, struct side and struct step by
     # hand. A mirror with one field dropped no longer matches the
     # library's swekit_layout: the numpy twins run, with numpy's bits.
     if timeloop._sweep_kernel() is None:
@@ -1479,78 +1550,75 @@ def test_partial_tiles_give_numpys_bits_at_every_level(nx, ny):
 
 
 @pytest.mark.parametrize("rows", _TILE_COUNTS)
-@pytest.mark.parametrize("accumulate", [False, True])
-def test_the_y_sweep_writes_its_outputs_and_nothing_else(rows, accumulate):
-    """The y sweep's block reads and writes transposed views, as the
-    workspace's does, here carved from buffers filled with NaN: every
-    element outside carried, normal and faces, and past the work size,
-    keeps its bits, and the outputs hold the numpy kernel's."""
+@pytest.mark.parametrize("two_d", [False, True])
+def test_the_y_sweep_writes_its_outputs_and_nothing_else(rows, two_d):
+    """A run's frame, rows cells wide (11 high in 2D), carved from one
+    buffer filled with NaN as the workspace lays it out: the x sweep
+    stores phi and its faces, then the y sweep of a 2D frame adds into
+    phi and writes its faces, each with the numpy kernel's bits, and
+    every other element of the buffer, and of the work past its size,
+    keeps its bits."""
     if timeloop._sweep_kernel() is None:
         pytest.skip("the compiled sweep kernel is unavailable")
-    library, n, nq, d = _native.library(), 11, 2, 0.3
-    scheme = SchemeConfig(order=2)
-    rng = np.random.default_rng(rows)
-    frame = np.full((4, n + 4, rows + 5), np.nan)
-    frame[0, :, 2:2 + rows] = rng.uniform(0.0, 0.2, (n + 4, rows))
-    frame[1:3, :, 2:2 + rows] = rng.normal(0.0, 0.05, (2, n + 4, rows))
-    frame[3, :, 2:2 + rows] = rng.uniform(0.0, 0.1, (n + 4, rows))
-    h, z = (frame[k, :, 2:2 + rows].T for k in (0, 3))
-    q = frame[2:0:-1, :, 2:2 + rows].transpose(0, 2, 1)
-    pool = [np.empty(size, dtype=bool if k == 2 else float)
-            for k, size in enumerate(timeloop._Sweep.sizes(rows, n, nq))]
-    carried, normal, faces = (np.empty((nq, rows, n)), np.empty((rows, n)),
-                              np.empty((2, rows)))
-    timeloop._Sweep(pool, rows, n, nq, d, scheme).run(h, q, z, carried,
-                                                      normal, faces)
-    start = rng.normal(0.0, 1.0, (nq + 1, rows, n)) if accumulate \
-        else np.zeros((nq + 1, rows, n))
+    library, nx, ny = _native.library(), rows, 11 if two_d else 1
+    grid = Grid(nx=nx, ny=ny, dx=0.3, dy=0.4)
+    nq, scheme = len(grid.shape), SchemeConfig(order=2)
+    rng = np.random.default_rng(100 * nx + ny)
+    shapes = ((nq + 2, *(n + 4 for n in grid.shape)), (nq + 1, *grid.shape),
+              (nq, 2, max(nx, ny) if nq == 2 else 1))
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.full(sum(sizes) + 3 * 4, np.nan)
+    views, start = [], 3
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size + 3
+    ext, phi, faces = views
+    ext[0] = rng.uniform(0.0, 0.2, ext[0].shape)
+    ext[1:-1] = rng.normal(0.0, 0.05, ext[1:-1].shape)
+    ext[-1] = rng.uniform(0.0, 0.1, ext[-1].shape)
+    initial = buffer.copy()
+
+    def numpy_sweep(rows, n, d, h, q, z):
+        pool = [np.empty(size, dtype=bool if k == 2 else float)
+                for k, size in enumerate(timeloop._Sweep.sizes(rows, n, nq))]
+        outputs = (np.empty((nq, rows, n)), np.empty((rows, n)),
+                   np.empty((2, rows)))
+        timeloop._Sweep(pool, rows, n, nq, d, scheme).run(h, q, z, *outputs)
+        return outputs
+
+    # The numpy kernel over the workspace's views of each direction.
+    x_rows = ext[:, 2:-2] if nq == 2 else ext[:, None]
+    carried, normal, x_faces = numpy_sweep(ny, nx, grid.dx, x_rows[0],
+                                           x_rows[1:-1], x_rows[-1])
+    phi_x = np.empty_like(phi)
+    phi_x[::2] = carried.reshape(phi_x[::2].shape)
+    phi_x[1] = normal.reshape(phi_x[1].shape)
+    if nq == 2:
+        carried, normal, y_faces = numpy_sweep(
+            nx, ny, grid.dy, ext[0, :, 2:-2].T,
+            ext[2:0:-1, :, 2:-2].transpose(0, 2, 1), ext[3, :, 2:-2].T)
+        phi_y = phi_x + np.concatenate([carried.transpose(0, 2, 1),
+                                        normal.T[None]])
+
+    frame = _compiled.frame(grid, scheme, ext, phi, faces)
+    size = library.swekit_sweep_work(frame)
+    work = np.full(size + 64, np.nan)
+    frame.contents.work = work.ctypes.data
     for level in _native.sweep_levels():
-        buffer = np.full(4 * n * (rows + 3) + 2 * (rows + 6), np.nan)
-        phi = buffer[:3 * n * (rows + 3)].reshape(3, n, rows + 3)
-        views = (phi[:2, :, 1:1 + rows].transpose(0, 2, 1),
-                 phi[2, :, 1:1 + rows].T,
-                 buffer[-2 * (rows + 6):].reshape(2, rows + 6)[:, 3:3 + rows])
-        np.copyto(views[0], start[:2])
-        np.copyto(views[1], start[2])
-        block = _compiled.sweep_block(rows, n, nq, d, scheme, h, q, z,
-                                      *views, accumulate)
-        size = library.swekit_sweep_work(block)
-        work = np.full(size + 64, np.nan)
-        block.contents.work = work.ctypes.data
-        getattr(library, f"swekit_sweep_{level}")(block)
-        results = [view.copy() for view in views]
-        for view in views:
-            view[...] = np.nan
-        assert _same_bits(buffer, np.full_like(buffer, np.nan)), level
+        np.copyto(buffer, initial)
+        sweep = getattr(library, f"swekit_sweep_{level}")
+        sweep(frame, 0)
+        assert _same_bits(phi, phi_x), level
+        assert _same_bits(faces[0, :, :ny], x_faces), level
+        faces[0, :, :ny] = np.nan
+        if nq == 2:
+            sweep(frame, 1)
+            assert _same_bits(phi, phi_y), level
+            assert _same_bits(faces[1, :, :nx], y_faces), level
+            faces[1, :, :nx] = np.nan
+        phi[...] = np.nan
+        assert _same_bits(buffer, initial), level
         assert _same_bits(work[size:], np.full(64, np.nan)), level
-        expected = (carried, normal)
-        if accumulate:
-            expected = (start[:2] + carried, start[2] + normal)
-        assert all(_same_bits(a, b) for a, b in
-                   zip(results, (*expected, faces))), level
-
-
-def test_a_1d_sweep_block_that_adds_or_has_strided_outputs_is_refused():
-    # The kernel builds no pass for such a block: a 1D block is one row
-    # that stores into contiguous outputs. A 2D block may do either.
-    n, scheme = 5, SchemeConfig()
-    for nq in (1, 2):
-        inputs = (np.zeros((1, n + 4)), np.zeros((nq, 1, n + 4)),
-                  np.zeros((1, n + 4)))
-        carried, normal = np.zeros((nq, 1, 2 * n)), np.zeros((1, 2 * n))
-        faces = np.zeros((2, 1))
-        blocks = [((carried[..., :n], normal[:, :n]), False),
-                  ((carried[..., :n], normal[:, :n]), True),
-                  ((carried[..., ::2], normal[:, :n]), False),
-                  ((carried[..., :n], normal[:, ::2]), False)]
-        for k, (outputs, accumulate) in enumerate(blocks):
-            args = (1, n, nq, 1.0, scheme, *inputs, *outputs, faces,
-                    accumulate)
-            if nq == 1 and k > 0:
-                with pytest.raises(ValueError, match="1D block"):
-                    _compiled.sweep_block(*args)
-            else:
-                _compiled.sweep_block(*args)
 
 
 @pytest.mark.parametrize("two_d", [False, True])
@@ -2190,6 +2258,26 @@ def _nan_depth():
     return dataclasses.replace(config, initial_state=State((h, np.zeros(4))))
 
 
+def _one_column_2d():
+    """A 2D grid one cell wide: a sloping strip of 9 cells along y under
+    a rain burst, with Manning friction, infiltration and an imposed
+    inflow at the bottom. Its y sweep is one partial tile of one row."""
+    ny = 9
+    z = 0.05 * (4.5 - _centers(4.5, ny))[:, None]
+    h = np.maximum(0.3 - z, 0.05)
+    return SimulationConfig(
+        grid=Grid(nx=1, ny=ny, dx=0.5, dy=0.5), topography=z,
+        initial_state=State((h, 0.02 * h, 0.1 * h)), final_time=1.0,
+        output_times=(0.5,),
+        boundaries=BoundarySet(
+            BoundaryCondition("wall"), BoundaryCondition("neumann"),
+            BoundaryCondition("imposed_discharge", discharge=0.2),
+            BoundaryCondition("neumann")),
+        friction=FrictionParams("manning", 0.03),
+        rain=Hyetograph((0.0, 0.5), (5e-3, 0.0)),
+        infiltration=GreenAmptParams(ks=1e-5, hf=0.1, dtheta=0.3))
+
+
 @st.composite
 def run_cases(draw):
     """A short run on a random bed: a random state, or in 1D the thin
@@ -2260,6 +2348,7 @@ def run_cases(draw):
 @example(_thin_layer_over(2.0))
 @example(_nan_depth())
 @example(_rain_near_landings())
+@example(_one_column_2d())
 @given(run_cases())
 def test_runs_give_numpys_results_bit_for_bit(config):
     _needs_the_compiled_step()
