@@ -7,9 +7,7 @@ the step taken again (NEGATIVE_DEPTH, NON_FINITE, BAD_DT), and where
 the caller sees the run (STEPPED, DONE): a run without on_step is one
 foreign call per landing interval.
 
-Each Structure mirrors its C struct member for member. The step calls
-numpy's own float64 cbrt loop, which cbrt_loop reads from np.cbrt's
-PyUFuncObject through the UFuncHead mirror.
+Each Structure mirrors its C struct member for member.
 """
 
 import ctypes
@@ -94,8 +92,7 @@ class StepBlock(ctypes.Structure):
             "crust_term", "imax")]
         + [("sides", Side * 4)]
         + [(name, ctypes.c_void_p) for name in
-           ("cbrt", "dv", "stage", "v_stage", "cbrt_loop", "cbrt_data",
-            "landing", "times", "intensities")]
+           ("dv", "stage", "v_stage", "landing", "times", "intensities")]
         + [(name, ctypes.c_ssize_t) for name in
            ("landings", "changes", "phase", "heun", "infiltration", "each")]
         + [(name, ctypes.c_double) for name in ("t", "dt", "rate")]
@@ -113,9 +110,8 @@ class StepBlock(ctypes.Structure):
 # The members whose offsets _native.c's swekit_layout gives, after each
 # mirror's size, in its order.
 _LAYOUT = ((Frame, ("spacing", "ext", "work")), (Side, ("depth",)),
-           (StepBlock, ("tolerance", "sides", "cbrt", "cbrt_loop",
-                        "landings", "t", "fields", "target", "cum",
-                        "mismatch")))
+           (StepBlock, ("tolerance", "sides", "landings", "t", "fields",
+                        "target", "cum", "mismatch")))
 
 
 def matches(library):
@@ -144,39 +140,6 @@ def _refuse(built, mirrored):
         "the kernel library's struct layout %s is not the bindings' %s; "
         "running the numpy sweep kernel and the numpy time loop", built,
         mirrored)
-
-
-class UFuncHead(ctypes.Structure):
-    """The head of numpy's PyUFuncObject (numpy/ufuncobject.h, public C
-    API) up to types, after the PyObject head."""
-
-    _fields_ = (
-        [("ob_base", ctypes.c_byte * object.__basicsize__)]
-        + [(name, ctypes.c_int) for name in
-           ("nin", "nout", "nargs", "identity")]
-        + [(name, ctypes.POINTER(ctypes.c_void_p))
-           for name in ("functions", "data")]
-        + [(name, ctypes.c_int) for name in ("ntypes", "reserved1")]
-        + [("name", ctypes.c_char_p),
-           ("types", ctypes.POINTER(ctypes.c_byte))])
-
-
-@functools.cache
-def cbrt_loop(ufunc=np.cbrt):
-    """(loop, data) of ufunc's first float64 -> float64 entry, the loop
-    numpy's type resolver picks for np.cbrt, already dispatched to this
-    CPU's SIMD target; None, after one warning, where UFuncHead does not
-    read the head as np.cbrt's: timeloop then runs the numpy loop."""
-    head = UFuncHead.from_address(id(ufunc))
-    double = np.dtype(np.float64).num
-    if head.name == b"cbrt" and head.nin == head.nout == 1:
-        for k in range(head.ntypes):
-            if head.types[2 * k] == head.types[2 * k + 1] == double \
-                    and head.functions[k]:
-                return head.functions[k], head.data[k]
-    timeloop.LOG.warning("numpy's cbrt ufunc is not laid out as the "
-                         "bindings read it; running the numpy time loop")
-    return None
 
 
 def _address(array, shape):
@@ -217,11 +180,9 @@ class CompiledStep:
             tolerance=timeloop.NEGATIVE_DEPTH_TOL, cell_area=work.cell_area,
             atol=timeloop._TIME_ATOL,
             sides=(Side * 4)(*map(Side.of, self.conditions)),
-            cbrt=floats[0].ctypes.data,
             dv=None if self.dv is None else self.dv.ctypes.data,
             stage=work.stage.ctypes.data,
             v_stage=None if self.v_stage is None else self.v_stage.ctypes.data)
-        self.block.cbrt_loop, self.block.cbrt_data = cbrt_loop()
         self.pointer = ctypes.pointer(self.block)
         self.entry = getattr(library, f"swekit_step_{level}")
         self.fields = self.v_inf = self.landing = self.hyetograph = None

@@ -328,7 +328,7 @@ INLINE void face_pass(const double *restrict th, const double *restrict tl,
         if (nq == 2) {
             /* fluxes.transverse_component */
             double vm = th[2 * m + k], vp = tl[2 * m + k + lanes];
-            f.tran[k] = fm * (um + up > 0.0 ? vm : vp);
+            f.tran[k] = fm * (fm > 0.0 ? vm : vp);
         }
     }
 }
@@ -578,8 +578,8 @@ int swekit_sweep_level(void)
  *   frame, fills the ghosts (boundary.fill_ghosts_1d or _2d, the bed's
  *   ghosts aside: the caller fills those once per run), sweeps every
  *   direction at the step's own vector level (the end-face mass fluxes go
- *   into faces), and runs the tail's update, numpy's cbrt of the new
- *   depth (Manning), the stage's ledger volumes and the tail's friction.
+ *   into faces), and runs the tail's update, the stage's ledger volumes
+ *   and the tail's friction.
  * - accept: the ledger in Python's order, the count, the new time, the
  *   change rate of a last step and the smallest depth seen, np.min(h) +
  *   0.0, so that a zero one is +0.0; the result becomes the state. Then
@@ -600,11 +600,9 @@ int swekit_sweep_level(void)
  *   effective_conductivity and infiltration_capacity), which writes the
  *   infiltrated depth into dv and the new cumulative depth into v_out;
  * - tail_friction: semi-implicit friction (sources._damping_factor and
- *   the divide), over the cube root of the new depth that numpy's own
- *   float64 cbrt loop writes: its bits depend on numpy's SIMD dispatch
- *   (AVX-512 or not), and the caller binds the loop numpy's type
- *   resolver picks, dispatched as np.cbrt is, from np.cbrt's
- *   PyUFuncObject;
+ *   the divide), with Manning's h^(4/3) from four_thirds, the twin of
+ *   sources.four_thirds: + - * in its order, so the same bits on any
+ *   CPU and under any numpy dispatch;
  * - volumes: the stage's ledger volumes, the infiltrated depth's sum and
  *   _Workspace.boundary_volumes, in numpy's pairwise order (np_sum);
  * - average_fields and average: the Heun average of the fields and of
@@ -620,10 +618,9 @@ int swekit_sweep_level(void)
  *   direction.
  *
  * Each keeps the operation order of its numpy twin, and min/max follow
- * numpy as in the sweep. The two results whose bits numpy alone defines,
- * the cube root and the sums, come from numpy's own loop and in numpy's
- * pairwise order, so no stage returns to Python. Arrays are
- * C-contiguous: the fields and phi (nq + 1, cells), the rest (cells,).
+ * numpy as in the sweep, and the sums take numpy's pairwise order, so no
+ * stage returns to Python. Arrays are C-contiguous: the fields and phi
+ * (nq + 1, cells), the rest (cells,).
  *
  * The tail's passes are bound by their arithmetic (divisions and square
  * roots), not by memory, so the step is compiled once per vector level,
@@ -645,20 +642,15 @@ struct side {
 
 enum { WALL, NEUMANN, PERIODIC, IMPOSED_DEPTH, IMPOSED_DISCHARGE };
 
-/* A ufunc's inner loop, numpy's PyUFuncGenericFunction. */
-typedef void ufunc_loop(char **args, const idx *dimensions, const idx *steps,
-                        void *data);
-
 /* The run and its workspace; _compiled.StepBlock mirrors it. frame is
  * the run's frame and scheme, which the sweep of each direction reads
  * and writes (ext, phi and faces). The members up to landings are the
  * run's: the friction law and its coefficient's factor, the soil (imax
  * is +inf without a cap, which np_min(capacity, imax) then returns as
  * capacity, bit for bit); phi is not read after the update, so the CFL
- * pass writes its wet speeds into its rows and cbrt is its first row; dv
- * receives the infiltrated depth; cbrt_loop and cbrt_data are numpy's
- * float64 cbrt loop and its data; landing holds the landings sorted, and
- * times and intensities the hyetograph's changes (none without rain).
+ * pass writes its wet speeds into its rows; dv receives the infiltrated
+ * depth; landing holds the landings sorted, and times and intensities
+ * the hyetograph's changes (none without rain).
  * The caller sets those from phase to current for a run: the state is
  * fields[current] and the result goes into the other, likewise the
  * cumulative infiltrated depth in v_inf. The rest is the loop's own, read
@@ -672,9 +664,7 @@ struct step {
     double fixed_dt, final, atol;
     double ks, kc, zc, hf, dtheta, crust_term, imax;
     struct side sides[4];
-    double *cbrt, *dv, *stage, *v_stage;
-    ufunc_loop *cbrt_loop;
-    void *cbrt_data;
+    double *dv, *stage, *v_stage;
     const double *landing, *times, *intensities;
     idx landings, changes;
     idx phase, heun, infiltration, each;
@@ -692,13 +682,12 @@ struct step {
  * frame, struct side and struct step. _compiled refuses a library whose
  * values differ from its mirrors', and the numpy twins run instead. */
 const idx swekit_layout[] = {
-    17,
+    15,
     sizeof(struct frame), offsetof(struct frame, spacing),
     offsetof(struct frame, ext), offsetof(struct frame, work),
     sizeof(struct side), offsetof(struct side, depth),
     sizeof(struct step), offsetof(struct step, tolerance),
-    offsetof(struct step, sides), offsetof(struct step, cbrt),
-    offsetof(struct step, cbrt_loop), offsetof(struct step, landings),
+    offsetof(struct step, sides), offsetof(struct step, landings),
     offsetof(struct step, t), offsetof(struct step, fields),
     offsetof(struct step, target), offsetof(struct step, cum),
     offsetof(struct step, mismatch),
@@ -824,6 +813,23 @@ INLINE void settle(double *r, idx n, idx i, double h, double q0, double q1,
     t->top = np_max_bits(t->top, top);
 }
 
+/* sources.four_thirds of one depth h, operation for operation. The seed
+ * takes a third of the high word in doubles, from the word ORed into
+ * 2**52's bits: 64-bit integer products vectorize only with AVX-512DQ. */
+INLINE double four_thirds(double h, double h_eps)
+{
+    double s = h > h_eps ? (h < DBL_MAX ? h : DBL_MAX) : h_eps;
+    union { double d; uint64_t u; } r = {s};
+    r.u = r.u >> 32 | UINT64_C(0x4330000000000000);
+    r.d = (0x1p52 + 0x553ef0ff + 0x1p52 / 3) - r.d * (1.0 / 3.0);
+    r.u <<= 32;
+    for (int k = 0; k < 3; k++)
+        r.d = r.d * (4.0 - s * r.d * r.d * r.d) * (1.0 / 3.0);
+    double r2 = r.d * r.d, y = s * r2;
+    y = y + (s - y * y * y) * r2 * (1.0 / 3.0);
+    return h * y;
+}
+
 /* The discharges of the stage's update r divided by the damping factor,
  * built from the stage's start f (h, then the discharges) and the new
  * depth; then settle, the validity check's pass. The 2D magnitude is
@@ -832,14 +838,15 @@ INLINE void settle(double *r, idx n, idx i, double h, double q0, double q1,
  * |q| exceeds about 1.3e154, and lose bits below about 1.5e-154. law
  * and nq are constants where this is inlined. */
 INLINE struct tally friction(const double *restrict f, double *restrict r,
-                             const double *restrict cb, idx n, double coeff,
-                             double h_eps, int law, int nq)
+                             idx n, double coeff, double h_eps, int law,
+                             int nq)
 {
     struct tally t = {0, 0, 0};
     for (idx i = 0; i < n; i++) {
         /* h^n (h^{n+1})^{4/3} (Manning) or h^n h^{n+1}. */
         double h = r[i];
-        double denom = law == MANNING ? f[i] * (h * cb[i]) : f[i] * h;
+        double denom = law == MANNING ? f[i] * four_thirds(h, h_eps)
+                                      : f[i] * h;
         double qx = f[n + i];
         double size = nq == 1
             ? fabs(qx) : sqrt(qx * qx + f[2 * n + i] * f[2 * n + i]);
@@ -870,16 +877,14 @@ INLINE struct tally tail_friction(const struct step *s, const double *f,
 {
     const idx n = s->cells;
     const idx nq = s->frame->nq;
-    const double *cb = s->cbrt, h_eps = s->frame->h_eps;
+    const double h_eps = s->frame->h_eps;
     const double coeff = s->friction_scale * s->dt;
-    if (s->friction == MANNING && nq == 1)
-        return friction(f, r, cb, n, coeff, h_eps, MANNING, 1);
     if (s->friction == MANNING)
-        return friction(f, r, cb, n, coeff, h_eps, MANNING, 2);
-    if (s->friction == DARCY_WEISBACH && nq == 1)
-        return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 1);
+        return nq == 1 ? friction(f, r, n, coeff, h_eps, MANNING, 1)
+                       : friction(f, r, n, coeff, h_eps, MANNING, 2);
     if (s->friction == DARCY_WEISBACH)
-        return friction(f, r, cb, n, coeff, h_eps, DARCY_WEISBACH, 2);
+        return nq == 1 ? friction(f, r, n, coeff, h_eps, DARCY_WEISBACH, 1)
+                       : friction(f, r, n, coeff, h_eps, DARCY_WEISBACH, 2);
     return nq == 1 ? settled(r, n, h_eps, 1) : settled(r, n, h_eps, 2);
 }
 
@@ -1177,8 +1182,8 @@ static void volumes(struct step *s, int k)
 
 /* Stage k (0 or 1) up to its friction: the convective update of fields
  * by sweep, the sweep of the step's level, the tail's update into out,
- * the cumulative infiltrated depth from v_in into v_out, the cube root
- * of the new depth (Manning) and the ledger volumes. */
+ * the cumulative infiltrated depth from v_in into v_out and the ledger
+ * volumes. */
 INLINE void stage(struct step *s, int k, const double *fields, double *out,
                   const double *v_in, double *v_out, sweep_fn *sweep)
 {
@@ -1186,14 +1191,6 @@ INLINE void stage(struct step *s, int k, const double *fields, double *out,
     for (idx d = 0; d < s->frame->nq; d++)
         sweep(s->frame, d);
     tail_update(s, fields, out, v_in, v_out);
-    if (s->friction == MANNING) {
-        /* np.cbrt(h, out=cbrt): both rows contiguous and apart, so that
-         * numpy's loop takes the path np.cbrt takes, not its scalar
-         * fallback, which gives libm's bits. */
-        char *args[2] = {(char *)out, (char *)s->cbrt};
-        const idx steps[2] = {sizeof(double), sizeof(double)};
-        s->cbrt_loop(args, &s->cells, steps, s->cbrt_data);
-    }
     volumes(s, k);
 }
 
@@ -1398,12 +1395,17 @@ INLINE int step(struct step *s, sweep_fn *sweep)
     }
 }
 
-/* One step entry per vector level, swekit_step_<level>, over the sweep
- * of the same level. */
+/* Per vector level, the step over the sweep of that level, and
+ * four_thirds over n depths, which the tests pair with its numpy twin. */
 #define STEP_LEVEL(level)                                                  \
     TARGET_##level int swekit_step_##level(struct step *s)                 \
     {                                                                      \
         return step(s, swekit_sweep_##level);                              \
+    }                                                                      \
+    TARGET_##level void swekit_four_thirds_##level(                        \
+        const double *restrict h, double *restrict out, idx n, double eps) \
+    {                                                                      \
+        for (idx i = 0; i < n; i++) out[i] = four_thirds(h[i], eps);       \
     }
 
 STEP_LEVEL(baseline)

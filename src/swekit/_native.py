@@ -8,14 +8,14 @@ step helpers heun_step or euler_step and compute_dt: the CFL dt, the
 ghost fill, the sweep, the stage tail, the Heun average and the ledger,
 up to each landing time, returning to Python only where a fault is
 raised or the step taken again, or where the caller sees the run; it
-calls numpy's own float64 cbrt loop, bound from np.cbrt, and sums in
-numpy's pairwise order) and the `%.16e` table writer
-(fileio._write_rows). timeloop and fileio bind their entry points from
-library(). timeloop runs one of two loops: the compiled one
+takes Manning's h^(4/3) as sources.four_thirds does, whose twin each
+level also exports, and sums in numpy's pairwise order) and the `%.16e`
+table writer (fileio._write_rows). timeloop and fileio bind their entry
+points from library(). timeloop runs one of two loops: the compiled one
 (_compiled.CompiledStep.run), or the numpy one, whose steps are the
 numpy step helpers alone, over the compiled sweep where a step helper
-is rebound (a profiler's wrapper) or np.cbrt's loop cannot be bound,
-and over the numpy sweep where the library could not be built.
+is rebound (a profiler's wrapper), and over the numpy sweep where the
+library could not be built.
 
 The sweep and the step are compiled once per x86 vector level
 (SWEEP_LEVELS: the baseline, avx2 and avx512f), all from the same
@@ -93,9 +93,9 @@ _ENTRIES = {
 
 # The vector levels of the sweep and the step, narrowest first: avx2
 # runs on CPUs with AVX2, avx512f on those with AVX-512F. Each has the
-# entries swekit_sweep_<level>(struct frame *, direction) and
-# swekit_step_<level>(struct step *), declared where the CPU supports the
-# level.
+# entries swekit_sweep_<level>(struct frame *, direction),
+# swekit_step_<level>(struct step *) and swekit_four_thirds_<level>(h,
+# out, n, h_eps), declared where the CPU supports the level.
 SWEEP_LEVELS = ("baseline", "avx2", "avx512f")
 # The writer's levels, narrowest first: fma runs on CPUs with AVX2 and
 # FMA. Each has the entries swekit_format_slots_<level> and
@@ -106,7 +106,9 @@ WRITER_LEVELS = ("baseline", "fma")
 _LEVELED = (
     (SWEEP_LEVELS, "swekit_sweep_level",
      {"swekit_sweep_{}": ([ctypes.c_void_p, ctypes.c_ssize_t], None),
-      "swekit_step_{}": ([ctypes.c_void_p], ctypes.c_int)}),
+      "swekit_step_{}": ([ctypes.c_void_p], ctypes.c_int),
+      "swekit_four_thirds_{}": ([ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_ssize_t, ctypes.c_double], None)}),
     (WRITER_LEVELS, "swekit_writer_level",
      {"swekit_format_slots_{}": ([ctypes.c_void_p, ctypes.c_ssize_t,
                                   ctypes.c_void_p], None),

@@ -132,22 +132,19 @@ def rusanov_flux(h_left, q_left, h_right, q_right, g=G_DEFAULT):
     return _pointwise(rusanov_sides, h_left, q_left, h_right, q_right, g)
 
 
-def transverse_component(f_mass, u_left, u_right, v_left, v_right,
-                         out=None, flag=None):
+def transverse_component(f_mass, v_left, v_right, out=None, flag=None):
     """Transverse momentum flux carried by the mass flux f_mass.
 
-    u is the velocity normal to the interface and v the transverse one
-    it carries; both sweeps rotate into x, so a y sweep passes its v as
-    u. The transported v is chosen upwind by the sign of u_left +
-    u_right; a zero sum takes the right/downwind state. out (a float
-    buffer not aliasing the inputs) and flag (a bool buffer) are
-    optional, of the result's shape.
+    v is the velocity transverse to the interface (a y sweep passes its
+    u). It is upwinded by the sign of the mass flux, FullSWOF's rule:
+    v_left where f_mass > 0, else v_right, so a mirrored problem, whose
+    flux has the other sign, carries the mirrored v. out (a float buffer
+    not aliasing the inputs) and flag (a bool buffer) are optional, of
+    the result's shape.
     """
     if out is None:
-        out = np.empty(np.broadcast(f_mass, u_left, u_right, v_left,
-                                    v_right).shape)
-    np.add(u_left, u_right, out=out)
-    upwind_left = np.greater(out, 0.0, out=flag)
+        out = np.empty(np.broadcast(f_mass, v_left, v_right).shape)
+    upwind_left = np.greater(f_mass, 0.0, out=flag)
     np.copyto(out, v_right)
     np.copyto(out, v_left, where=upwind_left)
     np.multiply(f_mass, out, out=out)

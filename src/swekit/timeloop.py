@@ -36,21 +36,21 @@ A step runs one of two ways, as part of one of two time loops:
   _native.c, driven by _compiled.CompiledStep.run, runs the time loop
   up to each landing time, and returns to Python only to raise a fault,
   take the step again or show the caller the run (_native.c's step
-  section). It draws the rain rate from the hyetograph, calls numpy's
-  own cbrt loop and sums in numpy's pairwise order; its validity check
-  holds the numpy check's rule: a state faults if and only if it holds
-  a non-finite value. The bed's ghosts are filled once per run; the
-  step is compiled at the vector level of the sweep _sweep_kernel
-  binds, and calls that sweep, the only compiled code that takes a step.
+  section). It draws the rain rate from the hyetograph, takes Manning's
+  h^(4/3) in sources.four_thirds' order of + - * and sums in numpy's
+  pairwise order; its validity check holds the numpy check's rule: a
+  state faults if and only if it holds a non-finite value. The bed's
+  ghosts are filled once per run; the step is compiled at the vector
+  level of the sweep _sweep_kernel binds, and calls that sweep, the
+  only compiled code that takes a step.
 * In the numpy loop, _numpy_run, through the numpy step helpers:
   heun_step or euler_step runs _stage, which fills the frame with
   fill_ghosts_1d or fill_ghosts_2d, runs the sweep, then _numpy_tail;
   heun_step averages with _numpy_average, and compute_dt calls
   _wave_speed_sups and _bc_speed. The sweep is the one the build bound:
   the numpy kernel where no compiler is found, and the compiled one
-  where a step helper is rebound (a profiler's wrapper) or numpy's cbrt
-  loop cannot be bound. This is the compiled loop's reference, and
-  calls the functions of boundary and sources.
+  where a step helper is rebound (a profiler's wrapper). It is the
+  compiled loop's reference, and calls boundary's and sources' code.
 
 The convective update is one sweep kernel with two implementations of
 one contract (_Sweep.run): it serves 1D as a single row and each 2D
@@ -132,6 +132,8 @@ from .reconstruction import (
     muscl_slopes,
 )
 from .sources import (
+    FRICTION_FLAGS,
+    FRICTION_FLOATS,
     INFILTRATION_FLAGS,
     INFILTRATION_FLOATS,
     FrictionParams,
@@ -400,9 +402,8 @@ class _Sweep:
                             traces[0, -1])
         self.pressure = face_h, states[:, 0], self.flux_work.floats[:2]
         self.riemann = states, fluxes[:2]
-        self.transverse = (fluxes[0], faces[0, 1], faces[1, 1], faces[0, 2],
-                           faces[1, 2], fluxes[2], upwind[:-1]) \
-            if nq == 2 else None
+        self.transverse = (fluxes[0], faces[0, 2], faces[1, 2], fluxes[2],
+                           upwind[:-1]) if nq == 2 else None
         # Cell j lies between faces j-1 and j: differences of the mass
         # (and transverse) flux, and of the normal-momentum flux plus the
         # minus-side correction at face j less the plus-side one at j-1.
@@ -452,8 +453,8 @@ class _Sweep:
         FLUX_FUNCTIONS[self.flux](states, g, self.h_eps, fluxes,
                                   self.flux_work)
         if self.transverse is not None:
-            # Transverse momentum rides on the mass flux, upwinded by the
-            # normal velocities (same rule for both sweep directions).
+            # Transverse momentum rides on the mass flux, upwinded by its
+            # sign (same rule for both sweep directions).
             transverse_component(*self.transverse)
 
         after, before, diff = self.carried
@@ -518,8 +519,7 @@ class _Workspace:
     names the sweep kernel that runs: "c" (one call per direction over
     frame, the run's _compiled.Frame) or "numpy" (blocks over one pool);
     level, the compiled kernel's vector level, and compiled, the compiled
-    time loop over these buffers (both None for numpy; compiled too where
-    numpy's cbrt loop is not bound).
+    time loop over these buffers (both None for numpy).
     """
 
     def __init__(self, grid, z, scheme, bcs, infiltration=False):
@@ -527,10 +527,9 @@ class _Workspace:
         self.two_d = not grid.is_1d
         nq = len(grid.shape)
         self.shape = (nq + 1,) + grid.shape
-        floats, flags = nq + 1, 1
-        if infiltration:
-            floats = max(floats, INFILTRATION_FLOATS)
-            flags = max(flags, INFILTRATION_FLAGS)
+        floats = max(nq + 1, FRICTION_FLOATS,
+                     INFILTRATION_FLOATS if infiltration else 0)
+        flags = max(FRICTION_FLAGS, INFILTRATION_FLAGS if infiltration else 0)
         self.full = Scratch.empty(grid.shape, floats, flags)
         self.phi = self.full.floats[:nq + 1]
         self.stage = np.empty(self.shape)
@@ -575,10 +574,9 @@ class _Workspace:
         # The bed's ghosts, once: the compiled step fills the others.
         ext[:-1] = 0.0
         self.fill([])
-        if _compiled.cbrt_loop() is not None:
-            self.compiled = _compiled.CompiledStep(
-                _native.library(), self.level, self, grid, scheme, bcs,
-                infiltration)
+        self.compiled = _compiled.CompiledStep(
+            _native.library(), self.level, self, grid, scheme, bcs,
+            infiltration)
 
     def _numpy_blocks(self, nq, scheme):
         """(run, arguments, post) of every block of the numpy kernel.

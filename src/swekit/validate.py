@@ -376,8 +376,10 @@ def _write_reports(output_dir, results, all_passed):
 
 
 def _cpu_dispatch():
-    """Names of the CPU dispatch targets numpy enabled on this machine:
-    its results from cbrt, exp and log depend on them."""
+    """Names of the CPU dispatch targets numpy enabled on this machine.
+    The solver's results do not depend on them; the Thacker and MacDonald
+    cases' inputs and reference profiles, from numpy's sin, cos, tanh and
+    power loops, may."""
     for name in ("numpy._core._multiarray_umath",
                  "numpy.core._multiarray_umath"):
         try:

@@ -112,11 +112,18 @@ def test_hll_vectorized_matches_scalar():
         assert math.isclose(f_q[i], s_q, rel_tol=0, abs_tol=1e-15)
 
 
-def test_transverse_upwinds_on_normal_velocity():
-    assert transverse_component(2.0, 1.0, 1.0, 3.0, -5.0) == 6.0
-    assert transverse_component(1.5, -3.0, 1.0, 1.0, 5.0) == 7.5
-    # Tied normal velocities take the right-hand transverse value.
-    assert transverse_component(2.0, -1.0, 1.0, 3.0, -5.0) == -10.0
+def test_transverse_upwinds_on_the_mass_flux():
+    assert transverse_component(2.0, 3.0, -5.0) == 6.0
+    assert transverse_component(-1.5, 1.0, 5.0) == -7.5
+    # A zero flux carries nothing, whichever side it takes.
+    assert transverse_component(0.0, 3.0, -5.0) == 0.0
+    out = np.empty(3)
+    flag = np.empty(3, dtype=bool)
+    result = transverse_component(np.array([1.0, -1.0, np.nan]),
+                                  np.array([2.0, 2.0, 2.0]),
+                                  np.array([7.0, 7.0, 7.0]), out, flag)
+    assert result is out
+    assert result[:2].tolist() == [2.0, -7.0] and np.isnan(result[2])
 
 
 @pytest.mark.parametrize("solver", [hll_sides, rusanov_sides])

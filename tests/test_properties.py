@@ -6,17 +6,12 @@ closed and periodic domains keep their volume, and the scheme commutes
 with an x mirror, an x/y transpose, and the 1D/2D embedding.
 """
 
-from unittest import mock
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swekit import timeloop
 from swekit.boundary import BoundaryCondition, BoundarySet
 from swekit.core import Grid, State, total_volume
-from swekit.fluxes import transverse_component
 from swekit.timeloop import (
     SchemeConfig,
     SimulationConfig,
@@ -190,47 +185,22 @@ def _mirror_error(case):
     return np.max(np.abs(mirrored[..., ::-1] * sign - direct))
 
 
-def _ties_by_mass_flux(f_mass, u_left, u_right, v_left, v_right, out=None,
-                       flag=None):
-    """transverse_component, but where u_left + u_right is exactly 0 the
-    upwind side follows the sign of the mass flux, as a mirror would."""
-    left = (np.add(u_left, u_right) == 0.0) & (f_mass > 0.0)
-    out = transverse_component(f_mass, u_left, u_right, v_left, v_right,
-                               out, flag)
-    np.copyto(out, np.multiply(f_mass, v_left), where=left)
-    return out
-
-
 @SETTINGS
 @given(st.one_of(mirror_cases(two_d=False), mirror_cases(two_d=True)))
 def test_mirror_in_x_commutes_with_the_scheme(case):
-    if _mirror_error(case) > 1e-13:
-        # The one known asymmetry (test below): exact ties of the normal
-        # velocities carry the right-hand transverse velocity. Broken by
-        # the mass flux instead, the runs must be mirror images. The
-        # substitute rule is swapped into the numpy sweep kernel, which
-        # gives the compiled kernel's bits otherwise.
-        with mock.patch.object(timeloop, "_sweep_kernel", lambda: None), \
-                mock.patch.object(timeloop, "transverse_component",
-                                  _ties_by_mass_flux):
-            assert _mirror_error(case) <= 1e-13
+    assert _mirror_error(case) <= 1e-13
 
 
-# Known defect: fluxes.transverse_component upwinds the transverse
-# velocity by the sign of u_left + u_right and takes the right state on a
-# tie. Two still cells of different depth side by side (u = 0 on both
-# sides, nonzero mass flux) then carry the right cell's v, and in the
-# mirrored problem the other cell's v, so the results stop being mirror
-# images after one step. Upwinding by the sign of the mass flux would
-# fix it but changes every 2D result.
+# Two still cells of different depth side by side: u = 0 on both sides
+# of their face and a nonzero mass flux. The transverse velocity is
+# upwinded by the sign of the mass flux, so the mirrored problem, whose
+# flux has the other sign, carries the mirrored cell's v.
 STILL_CELLS = (Grid(nx=2, ny=2, dx=1.0, dy=1.0), np.zeros((2, 2)),
                make_state(np.array([[0.3, 0.1], [0.2, 0.4]]), np.zeros((2, 2)),
                           np.array([[0.1, -0.05], [0.0, 0.02]])),
                SchemeConfig(order=1), BoundarySet())
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="transverse upwinding breaks ties to the right")
 def test_still_cells_side_by_side_stay_mirror_images():
     assert _mirror_error(STILL_CELLS) <= 1e-13
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swekit.core import G_DEFAULT, Scratch
+from swekit import _native
+from swekit.core import G_DEFAULT, H_EPS, Scratch
 from swekit.sources import (
+    FOUR_THIRDS_FLOATS,
     INFILTRATION_FLAGS,
     INFILTRATION_FLOATS,
     FrictionParams,
@@ -15,6 +17,7 @@ from swekit.sources import (
     GreenAmptState,
     Hyetograph,
     effective_conductivity,
+    four_thirds,
     friction_semi_implicit,
     friction_semi_implicit_2d,
     infiltration_capacity,
@@ -85,6 +88,80 @@ def test_friction_2d_shared_factor():
     norm = math.hypot(2.0, 1.0)
     expected = friction_semi_implicit(norm, norm, 1.0, 1.0, params, dt=0.5)
     assert math.isclose(math.hypot(qx, qy), expected, rel_tol=1e-14)
+
+
+# ------------------------------------------------------------- h^(4/3)
+
+def _four_thirds(h, h_eps):
+    h = np.asarray(h, dtype=float)
+    work = np.empty((FOUR_THIRDS_FLOATS,) + h.shape)
+    return four_thirds(h, h_eps, np.empty(h.shape), work)
+
+
+def test_four_thirds_is_within_two_ulp_of_the_exact_power():
+    # The reference is h * cbrt(h) in long double, 11 bits more than a
+    # double: np.cbrt's own loops are up to 3.6 ulp from it under
+    # numpy's AVX2 dispatch, and the result must not depend on that.
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double carries no 64-bit mantissa here")
+    rng = np.random.default_rng(11)
+    # Wet depths, and positive normal doubles by their bit patterns up to
+    # near where h^(4/3) overflows, with the powers of two and their
+    # neighbours.
+    top = 2.0 ** 767
+    depths = 10.0 ** rng.uniform(-12.0, 3.0, 200_000)
+    bits = rng.integers(np.float64(np.finfo(float).tiny).view(np.int64),
+                        np.float64(top).view(np.int64), 200_000)
+    edges = np.ldexp(1.0, np.arange(-1022, 767))
+    normals = np.concatenate([bits.view(float), edges, np.nextafter(edges, 0),
+                              np.nextafter(edges, np.inf)])
+    for h in (depths, normals):
+        got = _four_thirds(h, 0.0)
+        exact = h.astype(np.longdouble) * np.cbrt(h.astype(np.longdouble))
+        ulps = np.abs(got - exact) / np.spacing(got).astype(np.longdouble)
+        assert ulps.max() <= 2.0
+    # Above, h^(4/3) overflows to inf, as numpy's does.
+    h = np.array([2.0 * top, 1e300, np.finfo(float).max])
+    with np.errstate(over="ignore"):
+        assert (_four_thirds(h, 0.0) == np.inf).all()
+
+
+def test_four_thirds_runs_its_steps_on_the_depth_clipped_to_the_wet_range():
+    # Friction leaves the factor of a dry or negative depth at 1: its
+    # steps run on h_eps instead, and raise no numpy warning (underflow
+    # aside, which numpy ignores, as it did in h * np.cbrt(h)). NaN stays
+    # NaN and inf gives inf.
+    h = np.array([0.0, -0.0, 5e-324, 1e-310, H_EPS, -1.0, -np.inf, np.nan,
+                  np.inf, 0.5])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = _four_thirds(h, H_EPS)
+    assert np.allclose(got[:6], h[:6] * np.cbrt(H_EPS), rtol=1e-15,
+                       atol=1e-320)
+    assert (np.signbit(got[:6]) == np.signbit(h[:6])).all()
+    assert got[6] == -np.inf and np.isnan(got[7]) and got[8] == np.inf
+    assert math.isclose(got[9], 0.5 ** (4.0 / 3.0), rel_tol=1e-15)
+
+
+def test_the_compiled_four_thirds_has_the_numpy_bits_at_every_level():
+    levels = _native.sweep_levels()
+    if not levels:
+        pytest.skip("the kernel library is unavailable")
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, 5e-324, 1e-310, H_EPS, 1.0, 1e300,
+               np.finfo(float).max, np.inf, -np.inf, np.nan, -1.0, -1e-3]
+    wet = 10.0 ** rng.uniform(-12.0, 3.0, 1_000)
+    library = _native.library()
+    for n in (1, 7, 13, 255, 1_013):
+        h = np.concatenate([special, wet])[:n].copy()
+        rng.shuffle(h)
+        for h_eps in (H_EPS, 1e-3, 5e-324):
+            with np.errstate(over="ignore"):
+                expected = _four_thirds(h, h_eps)
+            for level in levels:
+                out = np.empty(n)
+                getattr(library, f"swekit_four_thirds_{level}")(
+                    h.ctypes.data, out.ctypes.data, n, h_eps)
+                assert out.tobytes() == expected.tobytes(), (level, n)
 
 
 def test_chezy_and_strickler_aliases():

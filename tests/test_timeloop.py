@@ -830,40 +830,11 @@ def test_a_library_whose_structs_the_mirrors_miss_is_refused(caplog):
     assert "struct layout" in caplog.text
 
 
-def test_a_ufunc_head_the_mirror_does_not_read_as_cbrt_is_refused(caplog):
-    # The step calls the float64 loop that _compiled.UFuncHead reads from
-    # np.cbrt's PyUFuncObject. Pointed at a head that does not read as
-    # cbrt's (np.sqrt's), the binder refuses the compiled step with one
-    # warning, and the numpy loop runs, with the same bits.
-    _needs_the_compiled_step()
-    config = _wet_plot(True, 2, "hll")
-    assert _compiled.cbrt_loop() is not None
-    reference = _run_outcome(config, "c")
-    bind = _compiled.cbrt_loop
-    bind.cache_clear()
-    try:
-        with mock.patch.object(_compiled, "cbrt_loop",
-                               lambda: bind(np.sqrt)), \
-                caplog.at_level(logging.WARNING, timeloop.LOG.name):
-            work = timeloop._Workspace(Grid(nx=6, dx=1.0), np.zeros(6),
-                                       SchemeConfig(), WALL)
-            outcomes = [_run_outcome(config, "c") for _ in range(2)]
-    finally:
-        bind.cache_clear()
-    assert (work.kernel, work.compiled) == ("c", None)
-    assert outcomes == [reference] * 2
-    warnings = [r.getMessage() for r in caplog.records
-                if r.levelno == logging.WARNING]
-    assert warnings == ["numpy's cbrt ufunc is not laid out as the "
-                        "bindings read it; running the numpy time loop"]
-
-
 @pytest.mark.parametrize("level", _native.SWEEP_LEVELS)
 def test_every_vector_level_runs_with_numpys_bits(level, caplog):
     # The rain plot runs Manning friction and two-layer infiltration in
     # 2D over wet and dry cells: the tail's vectorized passes. The shock
-    # channel runs 1D Manning friction, through numpy's cbrt loop, and
-    # imposed sides.
+    # channel runs 1D Manning friction and imposed sides.
     configs = [_wet_plot(two_d, order, flux) for two_d in (False, True)
                for order in (1, 2) for flux in ("hll", "rusanov")]
     configs += [_rain_plot(), _shock_channel()]
@@ -1079,16 +1050,16 @@ PINNED = {
         "0x1.ef1b8740f0f7dp+3"),
     "rain_plot": (
         _rain_plot, 6,
-        "4b96c1ec2ef0e534f23a7eed4a67ed55383c3fbcfff4c74da5575e46ac41e855",
+        "aa3ae0c690b6a359e252e8c842d2206dcb15c02a6c7b6c6871a0a6f49c8230b4",
         "0x1.44478c1a134a4p-10"),
     "thacker_bowl": (
         _thacker_bowl, 20,
-        "6a0d708ea51203f33ce1b3f4a102d854d622a95343b8fc726dad83c88fb07fe0",
-        "0x1.acc41ec1802e9p-3"),
+        "a51f7dc5260d9f721eedc4b383a54af0c8e12f4866efc7ccdc0e49bd13fdb85f",
+        "0x1.acc41ec17fecbp-3"),
     "open_channel_2d": (
         _open_channel_2d, 44,
-        "39a3ecd6d7ca64bc25fa3265484ca122a3a4744f0264e668af9a40bbedbe3d12",
-        "0x1.202ccf8a7a6cep-1"),
+        "620588ddf012fd5c992cf116c6c25b291cc062db572923dfe0d5c270b085cc26",
+        "0x1.202cce68b1c79p-1"),
     "neumann_channel_1d": (
         _neumann_channel_1d, 35,
         "2050f1198d7dd4dbcf3b1d194f485a2f97630a0e26b9eb384d678d91a7da9ed1",
@@ -1102,8 +1073,8 @@ PINNED_LEDGERS = {
     "open_channel_2d": [
         ("0x0.0p+0", "0x1.08a3bfee0f67cp+2", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x1.0000000000000p+0", "0x1.1365d2dac7d38p+2", "0x0.0p+0",
-         "0x0.0p+0", "0x1.25c6fe7e8d16bp-1", "0x1.9f6cce3193718p-2", "0x0.0p+0"),
+        ("0x1.0000000000000p+0", "0x1.1365d2c094a6dp+2", "0x0.0p+0",
+         "0x0.0p+0", "0x1.25c6fe48ad753p-1", "0x1.9f6ccf6906f98p-2", "0x1.0000000000000p-50"),
     ],
     "neumann_channel_1d": [
         ("0x0.0p+0", "0x1.999999999999ap+2", "0x0.0p+0",
@@ -1120,10 +1091,10 @@ PINNED_LEDGERS = {
     "rain_plot": [
         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x1.8000000000000p+1", "0x1.35ea1b39a7adcp+5", "0x1.eb851eb851eb8p+5",
-         "0x1.6930832c24f21p+4", "0x0.0p+0", "0x1.02c1e897c4c92p-3", "0x1.0000000000000p-47"),
-        ("0x1.8000000000000p+2", "0x1.b22f273a2780bp+4", "0x1.eb851eb851eb8p+5",
-         "0x1.0dc3113fee1b5p+5", "0x0.0p+0", "0x1.2a9e76d403f81p-1", "0x1.0000000000000p-48"),
+        ("0x1.8000000000000p+1", "0x1.35ea1b3819618p+5", "0x1.eb851eb851eb8p+5",
+         "0x1.6930832c1eb08p+4", "0x0.0p+0", "0x1.02c1ea2931c4fp-3", "0x0.0p+0"),
+        ("0x1.8000000000000p+2", "0x1.b22f272af7519p+4", "0x1.eb851eb851eb8p+5",
+         "0x1.0dc3113fcadf5p+5", "0x0.0p+0", "0x1.2a9e78c2d8dd0p-1", "0x1.0000000000000p-48"),
     ],
     "shock_channel": [
         ("0x0.0p+0", "0x1.598aafba5723cp+6", "0x0.0p+0",
@@ -1134,8 +1105,8 @@ PINNED_LEDGERS = {
     "thacker_bowl": [
         ("0x0.0p+0", "0x1.425ed097b425ep-3", "0x0.0p+0",
          "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-        ("0x1.0000000000000p-1", "0x1.425ed097b425ep-3", "0x0.0p+0",
-         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p-1", "0x1.425ed097b4260p-3", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54"),
     ],
 }
 
@@ -1224,9 +1195,8 @@ def _ref_rusanov(h_left, q_left, h_right, q_right, g, h_eps):
     return f_h, f_q
 
 
-def _ref_transverse(f_mass, u_left, u_right, v_left, v_right):
-    normal_sum = np.asarray(u_left, dtype=float) + u_right
-    carried = np.where(normal_sum > 0.0, v_left, v_right)
+def _ref_transverse(f_mass, v_left, v_right):
+    carried = np.where(np.asarray(f_mass) > 0.0, v_left, v_right)
     return f_mass * carried
 
 
@@ -1358,9 +1328,9 @@ def _sweep_2d(h2, qn2, qt2, z2, n, d, scheme):
     h_l = np.maximum(hm + zm - z_face, 0.0)
     h_r = np.maximum(hp + zp - z_face, 0.0)
     f_h, f_qn = flux(h_l, h_l * um, h_r, h_r * up, g, scheme.h_eps)
-    # Transverse momentum rides on the mass flux, upwinded by the
-    # normal velocities (same rule for both sweep directions).
-    f_qt = transverse_component(f_h, um, up, vm, vp)
+    # Transverse momentum rides on the mass flux, upwinded by its sign
+    # (same rule for both sweep directions).
+    f_qt = transverse_component(f_h, vm, vp)
 
     half_g = 0.5 * g
     corr_m = half_g * (hm * hm - h_l * h_l)
@@ -2482,7 +2452,7 @@ def _entry_calls(config):
 
 
 def test_a_1d_manning_heun_run_takes_one_call_per_landing_interval():
-    # The step calls numpy's cbrt loop and sums the ledger itself: no
+    # The step takes Manning's h^(4/3) and sums the ledger itself: no
     # status returns a stage to Python.
     config = dataclasses.replace(_shock_channel(), output_times=(0.2, 0.4))
     statuses, result = _entry_calls(config)
@@ -2500,7 +2470,7 @@ def test_a_retried_step_takes_one_more_call():
 
 
 def test_a_2d_run_with_every_source_takes_one_call_per_landing_interval():
-    # Manning friction, rain and two-layer infiltration in 2D: the cbrt,
+    # Manning friction, rain and two-layer infiltration in 2D: h^(4/3),
     # the infiltrated volume and the boundary volumes all stay in C.
     config = _rain_plot()
     statuses, result = _entry_calls(config)
@@ -2572,11 +2542,11 @@ def _digest(result):
 _AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
-def test_the_step_follows_numpys_dispatch():
-    # np.cbrt's bits depend on numpy's SIMD dispatch, and the step calls
-    # the loop numpy dispatched: without the AVX-512 targets both paths
-    # give other bits than with them, and the same on each. The pinned
-    # rain_plot hash holds only with them (ROADMAP.md's known defect).
+def test_results_do_not_follow_numpys_dispatch():
+    # numpy's AVX2 and AVX-512 loops give other bits for cbrt, exp or
+    # log; Manning's h^(4/3) takes + - * alone. Without the AVX-512
+    # targets, the rain plot (2D Manning) and the shock channel (1D
+    # Manning) give the bits of the default dispatch, on both loops.
     _needs_the_compiled_step()
     module = importlib.import_module("numpy._core._multiarray_umath")
     features = _numpy_cpu_features()
@@ -2588,23 +2558,21 @@ def test_the_step_follows_numpys_dispatch():
         "from unittest import mock",
         "from swekit import timeloop",
         inspect.getsource(_digest),
-        "config = pickle.loads(sys.stdin.buffer.read())",
-        "for kernel in (lambda: None, timeloop._sweep_kernel):",
-        "    with mock.patch.object(timeloop, '_sweep_kernel', kernel):",
-        "        result = timeloop.run_simulation(config)",
-        "    print(result.sweep_kernel, _digest(result))"])
+        "for config in pickle.loads(sys.stdin.buffer.read()):",
+        "    for kernel in (lambda: None, timeloop._sweep_kernel):",
+        "        with mock.patch.object(timeloop, '_sweep_kernel', kernel):",
+        "            result = timeloop.run_simulation(config)",
+        "        print(result.sweep_kernel, _digest(result))"])
     src = pathlib.Path(timeloop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src),
            "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512_TARGETS)}
-    config = _rain_plot()
+    configs = [_rain_plot(), _shock_channel()]
     run = subprocess.run([sys.executable, "-c", code], env=env,
-                         input=pickle.dumps(config), capture_output=True,
+                         input=pickle.dumps(configs), capture_output=True,
                          timeout=120, check=True)
-    (numpy_kernel, numpy_digest), (kernel, digest) = (
-        line.split() for line in run.stdout.decode().splitlines())
-    assert (numpy_kernel, kernel) == ("numpy", "c")
-    assert digest == numpy_digest
-    assert digest != _digest(run_simulation(config))
+    digests = [_digest(run_simulation(config)) for config in configs]
+    assert [tuple(line.split()) for line in run.stdout.decode().splitlines()] \
+        == [(kernel, digest) for digest in digests for kernel in ("numpy", "c")]
 
 
 def test_a_1d_run_without_cuts_takes_one_call_per_landing_interval():
