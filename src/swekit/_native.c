@@ -989,9 +989,10 @@ INLINE void speed_sups(const double *restrict f, idx n, double g,
         sup[k] = wet_max(row + k * n, n);
 }
 
-/* boundary._resolve_imposed on one cell: the ghost depth and discharge
- * from those of the first interior cell, h and q. Returns whether the
- * condition mismatches the local flow regime. */
+/* boundary._resolve_imposed, its Python twin: the ghost depth and
+ * discharge of one cell of an imposed-kind side from those of the first
+ * interior cell, h and q. Returns whether the condition mismatches the
+ * local flow regime. */
 INLINE int resolve(const struct side *bc, double h, double q, double inward,
                    double g, double h_eps, double *h_ghost, double *q_ghost)
 {

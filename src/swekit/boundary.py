@@ -29,9 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .core import G_DEFAULT, H_EPS, froude_number
+from .core import G_DEFAULT, H_EPS
 
 BC_KINDS = ("wall", "neumann", "periodic", "imposed_depth",
             "imposed_discharge", "imposed_both")
@@ -46,6 +44,13 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in BC_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}; choose from {BC_KINDS}")
+        # The fluxes square an imposed state: one whose square overflows
+        # would fault the first step with a non-finite state.
+        for name in ("depth", "discharge"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value * value):
+                raise ValueError(f"imposed {name} {value!r} is not finite "
+                                 "or its square overflows")
         if self.kind in ("imposed_depth", "imposed_both"):
             if self.depth is None or self.depth < 0.0:
                 raise ValueError(f"{self.kind} needs a nonnegative depth")
@@ -85,102 +90,48 @@ def regime_warning(side, bc):
             "regime; using the closest legal rule")
 
 
-def _resolve_imposed(bc, h_int, q_int, inward_sign, g, h_eps, side,
-                     warnings):
-    """Effective (depth, discharge) ghost values for one imposed-kind side.
-
-    h_int / q_int are the first interior cell values (arrays along the
-    side). Returns (h_ghost, q_ghost) arrays. Appends one warning per
-    side on any regime mismatch. inward_sign maps the stored discharge
-    to "into the domain" (+1 on the low side, -1 on the high side). A
-    cell is dry where its depth is at most h_eps.
+def _resolve_imposed(bc, h, q, inward, g, h_eps):
+    """The ghost depth and discharge of one cell of an imposed-kind side,
+    from the depth h and normal discharge q of the first interior cell
+    (Python floats), and whether the condition mismatches the local flow
+    regime: (h_ghost, q_ghost, mismatch). inward maps the stored
+    discharge to "into the domain" (+1 on the low side, -1 on the high
+    side). A cell is dry where its depth is at most h_eps. _native.c's
+    resolve() is its twin.
     """
     # Regime: interior cell where wet, otherwise the imposed state.
-    h_probe = np.where(h_int > h_eps, h_int,
-                       bc.depth if bc.depth is not None else 0.0)
-    q_probe = np.where(h_int > h_eps, q_int,
-                       bc.discharge if bc.discharge is not None else 0.0)
-    fr = froude_number(h_probe, q_probe, g, h_eps)
-    supercritical = fr > 1.0
-    inflow = q_probe * inward_sign > 0.0
-
+    wet = h > h_eps
+    h_probe = h if wet else (bc.depth if bc.depth is not None else 0.0)
+    q_probe = q if wet else (bc.discharge
+                             if bc.discharge is not None else 0.0)
+    # The Froude number |q/h| / sqrt(g h) above 1, as core.froude_number
+    # takes it (0 where dry).
+    supercritical = (h_probe > h_eps and abs(q_probe / h_probe)
+                     / math.sqrt(g * h_probe) > 1.0)
+    # A single imposed value at a supercritical outflow goes neumann.
+    neumann = supercritical and not q_probe * inward > 0.0
     if bc.kind == "imposed_depth":
-        h_ghost = np.where(supercritical & ~inflow, h_int, bc.depth)
-        q_ghost = q_int.copy()
-        mismatch = supercritical
-    elif bc.kind == "imposed_discharge":
-        q_ghost = np.where(supercritical & ~inflow, q_int, bc.discharge)
-        h_ghost = h_int.copy()
-        mismatch = supercritical
-    else:  # imposed_both
-        if bc.discharge * inward_sign > 0.0:
-            # legal when supercritical; subcritical keeps the discharge only
-            h_ghost = np.where(supercritical, bc.depth, h_int)
-            q_ghost = np.full_like(q_int, bc.discharge)
-            mismatch = ~supercritical
-        else:
-            # outward discharge: neumann if supercritical, depth if subcritical
-            h_ghost = np.where(supercritical, h_int, bc.depth)
-            q_ghost = q_int.copy()
-            mismatch = np.ones_like(supercritical)
-
-    if np.any(mismatch):
-        warnings.append(regime_warning(side, bc))
-    return h_ghost, q_ghost
+        return (h if neumann else bc.depth), q, supercritical
+    if bc.kind == "imposed_discharge":
+        return h, (q if neumann else bc.discharge), supercritical
+    # imposed_both: an inward discharge is legal when supercritical and
+    # keeps only the discharge otherwise; an outward one goes neumann if
+    # supercritical and keeps only the depth otherwise.
+    if bc.discharge * inward > 0.0:
+        h_ghost = bc.depth if supercritical else h
+        return h_ghost, bc.discharge, not supercritical
+    return (h if supercritical else bc.depth), q, True
 
 
-def _resolve_imposed_scalar(bc, h_int, q_int, inward_sign, g, h_eps, side,
-                            warnings):
-    """_resolve_imposed for a side of one cell (1D), on Python floats.
-
-    About 30 times cheaper per call than the array version on one cell,
-    which matters in 1D where every stage resolves both sides.
-    """
-    h_int = float(h_int)
-    q_int = float(q_int)
-    wet = h_int > h_eps
-    h_probe = h_int if wet else (bc.depth if bc.depth is not None else 0.0)
-    q_probe = q_int if wet else (bc.discharge
-                                 if bc.discharge is not None else 0.0)
-    if h_probe > h_eps:
-        fr = abs(q_probe / h_probe) / math.sqrt(g * h_probe)
-    else:
-        fr = 0.0
-    supercritical = fr > 1.0
-    inflow = q_probe * inward_sign > 0.0
-
-    if bc.kind == "imposed_depth":
-        h_ghost = h_int if (supercritical and not inflow) else bc.depth
-        q_ghost = q_int
-        mismatch = supercritical
-    elif bc.kind == "imposed_discharge":
-        q_ghost = q_int if (supercritical and not inflow) else bc.discharge
-        h_ghost = h_int
-        mismatch = supercritical
-    else:  # imposed_both
-        if bc.discharge * inward_sign > 0.0:
-            h_ghost = bc.depth if supercritical else h_int
-            q_ghost = bc.discharge
-            mismatch = not supercritical
-        else:
-            h_ghost = h_int if supercritical else bc.depth
-            q_ghost = q_int
-            mismatch = True
-
-    if mismatch:
-        warnings.append(regime_warning(side, bc))
-    return h_ghost, q_ghost
-
-
-def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g, h_eps,
-                    warnings):
+def _fill_direction(h, qn, qts, z, n, low, high, sides, g, h_eps, warnings):
     """Fill both ends of one direction with n cells along it.
 
     a[i] is line i across the direction: ghosts at 0, 1, n+2 and n+3,
     interior lines from 2 to n+1. qn is the normal discharge and qts
     the transverse ones; low and high are the conditions on the sides
-    named in `sides`, and resolve the imposed-kind resolver for a line,
-    which tests dryness against h_eps.
+    named in `sides`. An imposed-kind side appends one regime warning
+    per fill where any of its cells mismatches, as _native.c's
+    fill_direction counts it.
     Each side has an inner and an outer ghost (g0, g1) and a nearest and
     a second interior line (i0, i1).
     """
@@ -200,7 +151,16 @@ def _fill_direction(h, qn, qts, z, n, low, high, sides, resolve, g, h_eps,
             continue
         hg, qg = h[i0], qn[i0]
         if bc.kind != "neumann":
-            hg, qg = resolve(bc, hg, qg, inward, g, h_eps, side, warnings)
+            if h.ndim == 1:  # a 1D side: one cell
+                hg, qg, mismatch = _resolve_imposed(
+                    bc, float(hg), float(qg), inward, g, h_eps)
+            else:
+                hg, qg, mismatches = zip(*[
+                    _resolve_imposed(bc, hc, qc, inward, g, h_eps)
+                    for hc, qc in zip(hg.tolist(), qg.tolist())])
+                mismatch = any(mismatches)
+            if mismatch:
+                warnings.append(regime_warning(side, bc))
         h[g0] = h[g1] = hg
         qn[g0] = qn[g1] = qg
         for q in qts:
@@ -233,9 +193,8 @@ def fill_ghosts_1d(h_ext, q_ext, z_ext, n, bcs, g=G_DEFAULT, warnings=None,
     """
     if warnings is None:
         warnings = []
-    # A 1D side is one cell: the scalar resolver.
     _fill_direction(h_ext, q_ext, (), z_ext, n, bcs.left, bcs.right,
-                    SIDES[0], _resolve_imposed_scalar, g, h_eps, warnings)
+                    SIDES[0], g, h_eps, warnings)
     return warnings
 
 
@@ -252,8 +211,8 @@ def fill_ghosts_2d(h_ext, qx_ext, qy_ext, z_ext, nx, ny, bcs, g=G_DEFAULT,
         warnings = []
     rows = slice(2, ny + 2)
     h, qx, qy, z = (a[rows].T for a in (h_ext, qx_ext, qy_ext, z_ext))
-    _fill_direction(h, qx, (qy,), z, nx, bcs.left, bcs.right, SIDES[0],
-                    _resolve_imposed, g, h_eps, warnings)
+    _fill_direction(h, qx, (qy,), z, nx, bcs.left, bcs.right, SIDES[0], g,
+                    h_eps, warnings)
     _fill_direction(h_ext, qy_ext, (qx_ext,), z_ext, ny, bcs.bottom, bcs.top,
-                    SIDES[1], _resolve_imposed, g, h_eps, warnings)
+                    SIDES[1], g, h_eps, warnings)
     return warnings

@@ -196,8 +196,11 @@ class SchemeConfig:
                 f"unknown flux {self.flux_name!r}; choose from {sorted(FLUX_FUNCTIONS)}")
         if self.fixed_dt is not None and not self.fixed_dt > 0.0:
             raise ValueError("fixed_dt must be positive")
-        if not self.g > 0.0:
-            raise ValueError("g must be positive")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"g must be finite and positive, got {self.g}")
+        if not 0.0 < self.h_eps < math.inf:
+            raise ValueError(
+                f"h_eps must be finite and positive, got {self.h_eps}")
 
     def cfl_for(self, ndim):
         cmax = CFL_MAX[(ndim, self.order)]

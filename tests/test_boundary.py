@@ -94,6 +94,28 @@ def test_imposed_kind_validation():
         == 0.0
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("imposed_depth", "depth", math.nan),
+    ("imposed_depth", "depth", math.inf),
+    ("imposed_discharge", "discharge", math.inf),
+    ("imposed_discharge", "discharge", -math.inf),
+    ("imposed_discharge", "discharge", 1e200),
+    ("imposed_both", "discharge", 1e155),
+])
+def test_imposed_values_that_are_not_finite_or_overflow_are_refused(
+        kind, field, value):
+    # Accepted, each ran into a NumericalFault at t = 0: the fluxes
+    # square an imposed state.
+    values = {"depth": 1.0, "discharge": 1.0} if kind == "imposed_both" \
+        else {}
+    values[field] = value
+    with pytest.raises(ValueError, match=f"{field} .*overflows"):
+        BoundaryCondition(kind, **values)
+    # sqrt(DBL_MAX), rounded, still has a finite square.
+    values[field] = float(np.sqrt(np.finfo(float).max))
+    assert getattr(BoundaryCondition(kind, **values), field) == values[field]
+
+
 # --- imposed kinds in their legal regime -----------------------------
 
 def test_imposed_depth_subcritical_outflow():

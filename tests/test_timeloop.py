@@ -131,6 +131,18 @@ def test_cfl_out_of_range_rejected():
     assert SchemeConfig(order=2, cfl=0.4).cfl_for(1) == 0.4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("g", math.inf), ("h_eps", -1.0), ("h_eps", math.nan),
+    ("h_eps", math.inf)])
+def test_a_scheme_refuses_a_non_finite_g_and_a_bad_h_eps(field, value):
+    # Accepted, g = inf faulted the first step with a zero dt, h_eps = -1
+    # with a non-finite state, and a non-finite h_eps ran with every cell
+    # dry to the CFL step.
+    with pytest.raises(ValueError, match=f"{field} must be finite and "
+                                         "positive"):
+        SchemeConfig(**{field: value})
+
+
 def test_2d_dt_uses_both_directions():
     grid = Grid(nx=3, ny=3, dx=1.0, dy=0.5)
     h = np.ones((3, 3))
@@ -707,14 +719,16 @@ _VECTOR_PASSES = ("load", "gather", "traces", "face_pass", "divergence_pass",
 
 
 def _vectorized_loops(source, notes):
-    """{(function of source, level): vector byte widths} of the loops that
-    the notes, GCC's vectorizer dump, say it vectorized. The dump heads
-    each compiled function's notes with its name, which holds the level
-    (swekit_step_avx2, avx512f_faces_0_2_TILE), where the same notes on
-    stderr (-fopt-info-vec-optimized) name no function; a note's line
-    places the loop in the function of the source that holds it, also
-    where that function was inlined. A function's body runs from its "{"
-    line, after its name, to its "}" line."""
+    """{(function of source, level): {(compiled function, line): widths}}
+    of the loops that the notes, GCC's vectorizer dump with its missed
+    notes, say it analysed: each loop's vector byte width, 0 where it
+    left the loop scalar. The dump heads each compiled function's notes
+    with its name, which holds the level (swekit_step_avx2,
+    avx512f_faces_0_2_TILE), where the same notes on stderr
+    (-fopt-info-vec) name no function. Each copy of a loop inlined into a
+    compiled function is a loop of its own there, with a note of its
+    own at the line of the source function that holds it. A function's
+    body runs from its "{" line, after its name, to its "}" line."""
     lines = source.splitlines()
     spans = []
     for i, line in enumerate(lines):
@@ -723,14 +737,15 @@ def _vectorized_loops(source, notes):
                         if lines[k][:1] not in (" ", ""))
             name = re.match(r"[^(]*?(\w+)\(", lines[head]).group(1)
             spans.append((name, head + 1, lines.index("}", i) + 1))
-    loops = collections.defaultdict(set)
+    loops = collections.defaultdict(lambda: collections.defaultdict(list))
     compiled = None
     for note in notes.splitlines():
         if note.startswith(";; Function "):
             compiled = note.split()[2]
             continue
-        found = re.search(r":(\d+):\d+: optimized: loop vectorized using "
-                          r"(\d+) byte vectors", note)
+        found = re.search(r":(\d+):\d+: (?:optimized: loop vectorized using "
+                          r"(\d+) byte vectors|missed: couldn't vectorize "
+                          r"loop)$", note)
         if found is None:
             continue
         line = int(found.group(1))
@@ -738,7 +753,7 @@ def _vectorized_loops(source, notes):
                       if level in compiled.split("_")), None)
         holder = next((name for name, first, last in spans
                        if first <= line <= last), None)
-        loops[holder, level].add(int(found.group(2)))
+        loops[holder, level][compiled, line].append(int(found.group(2) or 0))
     return loops
 
 
@@ -748,7 +763,11 @@ def test_the_wide_levels_vectorize_every_pass(tmp_path):
     # clamp scalar, with channel_1d's C loop 15 % slower, once the Heun
     # check count was read again in advance's loop bound. So at avx2 and
     # avx512f each pass must hold a loop vectorized wider than 16 bytes,
-    # the baseline's SSE2 width.
+    # the baseline's SSE2 width, in every copy a compiled function
+    # inlines: friction has four (Manning or Darcy-Weisbach, 1D or 2D),
+    # and one left scalar slows only the runs that take it. GCC
+    # vectorizes no epilogue here, so that each note of a vectorized loop
+    # is a copy's main loop.
     gcc = shutil.which("gcc")
     if platform.machine() != "x86_64" or gcc is None:
         pytest.skip("needs GCC on x86-64")
@@ -757,15 +776,21 @@ def test_the_wide_levels_vectorize_every_pass(tmp_path):
     if "__clang__" in macros or "__x86_64__" not in macros:
         pytest.skip("needs GCC on x86-64")
     notes = tmp_path / "vect.txt"
-    subprocess.run([gcc, *_native._FLAGS,
-                    f"-fdump-tree-vect-optimized={notes}", "-o",
+    subprocess.run([gcc, *_native._FLAGS, "--param=vect-epilogues-nomask=0",
+                    f"-fdump-tree-vect-optimized-missed={notes}", "-o",
                     str(tmp_path / "native.so"), str(_native._SOURCE)],
                    check=True, capture_output=True)
     loops = _vectorized_loops(_native._SOURCE.read_text(), notes.read_text())
-    narrow = [(name, level) for level in ("avx2", "avx512f")
-              for name in _VECTOR_PASSES
-              if max(loops[name, level], default=0) <= 16]
+    wide = {(name, level): {at: [w > 16 for w in widths]
+                            for at, widths in loops[name, level].items()}
+            for level in ("avx2", "avx512f") for name in _VECTOR_PASSES}
+    narrow = [key for key, copies in wide.items()
+              if not any(any(c) for c in copies.values())]
     assert narrow == []
+    scalar_copies = [(name, level, at)
+                     for (name, level), copies in wide.items()
+                     for at, c in copies.items() if any(c) and not all(c)]
+    assert scalar_copies == []
 
 
 def _numpy_cpu_features():
@@ -998,8 +1023,9 @@ def _open_channel_2d():
     """Imposed inflow and outflow across a channel, periodic bottom/top.
 
     The left side takes a discharge and the right side a depth, so the
-    array form of the imposed-boundary resolver runs on every stage; a
-    bump off the centre line makes the periodic y wrap carry flow.
+    imposed-boundary resolver runs on every cell of both sides on every
+    stage; a bump off the centre line makes the periodic y wrap carry
+    flow.
     """
     nx, ny, length, width = 12, 8, 6.0, 2.0
     x = _centers(length, nx)
